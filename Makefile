@@ -29,9 +29,12 @@ test-unit:
 test-security:
 	$(PYTHON) -m pytest tests/security -q
 
-## The multi-process cluster engine: equivalence, chaos and deployment tests.
+# ...plus the STOMP suites that share its I/O core (plain, TLS, bridge robustness).
+## The multi-process cluster engine: equivalence, chaos, deployment and STOMP fabric tests.
 test-cluster:
-	$(PYTHON) -m pytest tests/property/test_cluster_engine.py tests/integration/test_cluster_deployment.py -q
+	$(PYTHON) -m pytest tests/property/test_cluster_engine.py tests/integration/test_cluster_deployment.py \
+		tests/unit/events/test_stomp_link.py tests/integration/test_stomp.py \
+		tests/integration/test_tls.py tests/integration/test_bridge_robustness.py -q
 
 ## Quick benchmark smoke: the broker ablation and throughput experiments.
 bench-smoke:

@@ -275,6 +275,11 @@ class Broker:
             self._queue.put(done)
             done.wait(timeout)
 
+    @property
+    def queue_depth(self) -> int:
+        """Publishes the dispatcher has not taken yet (0 when synchronous)."""
+        return self._queue.qsize()
+
     # -- subscription management ------------------------------------------------
 
     def subscribe(

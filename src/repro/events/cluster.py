@@ -289,11 +289,15 @@ class ClusterRouter:
             if subscription.principal == principal
         ]
 
-    def drain(self, timeout: float = 5.0) -> None:
-        """Flush every publish connection (receipt-confirmed)."""
-        for (role, _login, _shard), bridge in list(self._bridges.items()):
-            if role == "pub":
-                bridge.drain(timeout)
+    def drain(self, timeout: float = 5.0) -> bool:
+        """Flush every publish connection; True when all were receipt-confirmed."""
+        # A list, not a generator: every link is flushed even if one times out.
+        confirmed = [
+            bridge.drain(timeout)
+            for (role, _login, _shard), bridge in list(self._bridges.items())
+            if role == "pub"
+        ]
+        return all(confirmed)
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -350,9 +354,21 @@ class ClusterRouter:
             # Cascade durability before the ack: everything the callback
             # published must be receipt-confirmed at its shard before
             # this delivery is acknowledged — a crash in the gap yields
-            # a duplicate (at-least-once), never a gap.
-            self.drain(self._ack_timeout)
-            bridge.ack(message_id)
+            # a duplicate (at-least-once), never a gap. Unconfirmed after
+            # ack_timeout, the delivery is refused instead: the shard
+            # dead-letters it under its original labels.
+            if self.drain(self._ack_timeout):
+                bridge.ack(message_id)
+            else:
+                self._audit.denied(
+                    "cluster",
+                    "cascade",
+                    principal,
+                    labels=event.labels,
+                    detail=f"{event.topic}: cascade publishes unconfirmed "
+                    f"after {self._ack_timeout}s",
+                )
+                bridge.nack(message_id)
 
         return deliver
 
@@ -472,7 +488,14 @@ def _broker_shard_main(conn, policy_json: str, shard_name: str, supervision) -> 
                     conn.send({"ok": True, "shard": shard_name})
                 elif op == "drain":
                     broker.drain(message.get("timeout", 5.0))
-                    conn.send({"ok": True, "activity": audit.total_decisions()})
+                    conn.send(
+                        {
+                            "ok": True,
+                            "activity": audit.total_decisions(),
+                            "queued": broker.queue_depth,
+                            "in_flight": server.in_flight,
+                        }
+                    )
                 elif op == "audit":
                     conn.send(
                         {
@@ -546,12 +569,12 @@ def _worker_main(
                     conn.send({"ok": True})
                 elif op == "drain":
                     engine.drain(message.get("timeout", 10.0))
-                    router.drain()
+                    confirmed = router.drain()
                     conn.send(
                         {
                             "ok": True,
                             "activity": activity(),
-                            "idle": router.queues_empty(),
+                            "idle": confirmed and router.queues_empty(),
                         }
                     )
                 elif op == "stores":
@@ -885,22 +908,31 @@ class ClusterEngine:
     # -- quiescence ------------------------------------------------------------
 
     def drain(self, timeout: float = 30.0) -> bool:
-        """Cross-process stability: two identical consecutive rounds.
+        """Cross-process quiescence, decided on state rather than timing.
 
         One round flushes the parent's publish links, asks every live
         worker to drain (engine + its publish links) and every shard to
-        drain its broker queue, then snapshots the global activity
-        counters. Quiescence is two consecutive rounds with identical
-        counters and empty queues — an event in flight between processes
-        lands in some counter by the next round.
+        drain its broker queue, then reads each process's queue depths,
+        each shard's count of ``ack: client`` deliveries in flight and
+        the global activity counters. Every cluster subscription is
+        ``ack: client`` and a consumer acks only after its callback ran
+        and its cascade publishes were receipt-confirmed, so once the
+        queues are flushed an event still being worked on is *counted*
+        on the shard that delivered it: idle means every queue empty and
+        no delivery in flight anywhere. A cascade can land on a shard
+        this round has already read, so the verdict stands only when the
+        next round reads idle again with unchanged counters — the hop
+        would have moved one. A busy round is followed by a pause that
+        backs off from 1 ms to 20 ms; an idle one is confirmed at once.
         """
         self._require_started()
         deadline = time.monotonic() + timeout
         previous = None
+        pause = 0.001
         while time.monotonic() < deadline:
-            self.router.drain(max(deadline - time.monotonic(), 0.1))
+            idle = self.router.drain(max(deadline - time.monotonic(), 0.1))
+            idle = idle and self.router.queues_empty()
             snapshot: List[object] = [self.router.activity()]
-            idle = self.router.queues_empty()
             for handle in self._live_workers():
                 try:
                     reply = handle.call(
@@ -910,18 +942,22 @@ class ClusterEngine:
                 except SafeWebError:
                     continue  # a dying worker; the monitor will catch it
                 snapshot.append((handle.name, reply["activity"]))
-                idle = idle and reply.get("idle", True)
+                idle = idle and reply["idle"]
             for handle in self._shards.values():
                 reply = handle.call(
                     {"op": "drain", "timeout": 5.0},
                     timeout=max(deadline - time.monotonic(), 1.0),
                 )
                 snapshot.append((handle.name, reply["activity"]))
-            stable = tuple(snapshot)
-            if idle and stable == previous:
+                idle = idle and reply["queued"] == 0 and reply["in_flight"] == 0
+            if idle and snapshot == previous:
                 return True
-            previous = stable
-            time.sleep(0.02)
+            if idle:
+                previous = snapshot
+            else:
+                previous = None
+                time.sleep(pause)
+                pause = min(pause * 2, 0.02)
         return False
 
     def _live_workers(self) -> List[_ChildHandle]:

@@ -158,11 +158,15 @@ class StompBrokerBridge:
         self._subscriptions.clear()
         self._subscription_specs.clear()
 
-    def drain(self, timeout: float = 5.0) -> None:
-        """Block until queued publishes were sent (or dead-lettered)."""
+    def drain(self, timeout: float = 5.0) -> bool:
+        """Block until queued publishes were sent (or dead-lettered).
+
+        False when *timeout* ran out first: something queued before the
+        call is still unconfirmed.
+        """
         done = threading.Event()
         self._outgoing.put(done)  # type: ignore[arg-type]
-        done.wait(timeout)
+        return done.wait(timeout)
 
     # -- health ---------------------------------------------------------------
 

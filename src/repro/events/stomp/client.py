@@ -1,10 +1,10 @@
 """STOMP client for the SafeWeb broker.
 
 The paper's client side sits on EventMachine; here a listener thread
-reads frames off the socket and dispatches MESSAGE frames to per-
-subscription callbacks as reconstructed :class:`Event` objects (labels
-included). Other frames (CONNECTED, RECEIPT, ERROR) resolve waiting
-calls, giving a simple blocking API:
+runs the connection's :class:`~repro.events.stomp.link.FrameLink` and
+dispatches MESSAGE frames to per-subscription callbacks as reconstructed
+:class:`Event` objects (labels included). Other frames (CONNECTED,
+RECEIPT, ERROR) resolve waiting calls, giving a simple blocking API:
 
     client = StompClient(host, port, login="data_producer").connect()
     client.subscribe("/patient_report", on_event, selector="type = 'cancer'")
@@ -14,17 +14,25 @@ calls, giving a simple blocking API:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import queue
 import socket
 import ssl
 import threading
-from typing import Callable, Dict, Iterable, Optional
+import time
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.labels import Label, LabelSet
 from repro.events.event import Event
-from repro.events.stomp.frames import Frame, FrameParser, encode_frame
-from repro.events.stomp.server import LABEL_HEADER, RESERVED_HEADERS
+from repro.events.stomp.frames import Frame
+from repro.events.stomp.link import FrameLink
+from repro.events.stomp.server import (
+    LABEL_HEADER,
+    REQUIRE_INTEGRITY_HEADER,
+    RESERVED_HEADERS,
+    frame_to_event,
+)
 from repro.exceptions import SafeWebError, StompProtocolError
 from repro.faults import NULL_FAULTS, ChaosInjector, InjectedFault
 
@@ -32,10 +40,9 @@ _client_ids = itertools.count(1)
 
 
 class StompClient:
-    """A blocking STOMP client with a background listener thread."""
-
-    #: Receive poll interval of the I/O thread; bounds write latency.
-    POLL_SECONDS = 0.01
+    """A blocking STOMP client with a background listener thread — the
+    only thread that touches the socket; other threads queue frames on
+    the link, which wakes it at once (:mod:`repro.events.stomp.link`)."""
 
     def __init__(
         self,
@@ -55,40 +62,42 @@ class StompClient:
         self._timeout = timeout
         self._chaos = chaos
         self._sock: Optional[socket.socket] = None
-        self._listener: Optional[threading.Thread] = None
-        self._callbacks: Dict[str, Callable[[Event], None]] = {}
+        self._link: Optional[FrameLink] = None
+        #: subscription id -> (callback, client-ack?); a client-ack
+        #: callback gets ``(event, message_id)`` to ack when it is done.
+        self._callbacks: Dict[str, Tuple[Callable, bool]] = {}
         self._control: "queue.Queue[Frame]" = queue.Queue()
-        # All socket writes happen in the listener thread (single-thread
-        # multiplexing): concurrent SSL_read/SSL_write from different
-        # threads is unsafe on one TLS connection.
-        self._outgoing: "queue.Queue[Frame]" = queue.Queue()
+        #: One receipt-confirmed exchange at a time: no RECEIPT is stolen.
+        self._exchange = threading.Lock()
         self._connected = threading.Event()
-        #: Subscriptions created with ``ack="client"``; their callbacks
-        #: receive ``(event, message_id)`` so the consumer can ack after
-        #: it has actually finished processing.
-        self._ack_subscriptions: set = set()
         self.errors: list = []
 
     # -- lifecycle -----------------------------------------------------------
 
     def connect(self) -> "StompClient":
-        # A fresh control queue: a previous session's connection-lost
-        # sentinel must not satisfy this connection's handshake wait.
-        self._control = queue.Queue()
+        # A fresh control queue, bound to this session's listener: an
+        # earlier session's connection-lost notice must not fail this one.
+        control = self._control = queue.Queue()
         sock = socket.create_connection((self._host, self._port), timeout=self._timeout)
         if self._tls_context is not None:
             sock = self._tls_context.wrap_socket(sock, server_hostname=self._host)
         self._sock = sock
-        self._listener = threading.Thread(
-            target=self._listen, name="safeweb-stomp-client", daemon=True
+        self._link = FrameLink(
+            sock,
+            functools.partial(self._on_frames, control),
+            write_timeout=self._timeout,
+            before_write=functools.partial(self._chaos.hit, "stomp.client.flush"),
         )
-        self._listener.start()
+        threading.Thread(
+            target=self._listen,
+            args=(self._link, control),
+            name="safeweb-stomp-client",
+            daemon=True,
+        ).start()
         self._transmit(
             Frame("CONNECT", {"login": self._login, "passcode": self._passcode})
         )
-        reply = self._await_control({"CONNECTED", "ERROR"})
-        if reply.command == "ERROR":
-            raise SafeWebError(f"broker rejected connection: {reply.header('message')}")
+        self._await_control("CONNECTED")
         self._connected.set()
         return self
 
@@ -96,8 +105,7 @@ class StompClient:
         if self._sock is None:
             return
         try:
-            self._transmit(Frame("DISCONNECT", {"receipt": "bye"}))
-            self._await_control({"RECEIPT"}, timeout=1.0)
+            self._confirmed(Frame("DISCONNECT"), timeout=1.0)
         except Exception:  # noqa: BLE001 - best-effort goodbye
             pass
         finally:
@@ -105,7 +113,10 @@ class StompClient:
 
     @property
     def connected(self) -> bool:
-        return self._connected.is_set()
+        # A socket closed under the sleeping listener wakes nobody, so
+        # the health check looks at the descriptor as well.
+        sock = self._sock
+        return self._connected.is_set() and sock is not None and sock.fileno() != -1
 
     # -- messaging ------------------------------------------------------------
 
@@ -126,11 +137,11 @@ class StompClient:
             headers[str(name)] = str(value)
         if labels:
             headers[LABEL_HEADER] = ",".join(labels.to_uris())
+        frame = Frame("SEND", headers, payload or "")
         if receipt:
-            headers["receipt"] = f"send-{next(_client_ids)}"
-        self._transmit(Frame("SEND", headers, payload or ""))
-        if receipt:
-            self._await_control({"RECEIPT"})
+            self._confirmed(frame)
+        else:
+            self._transmit(frame)
 
     def subscribe(
         self,
@@ -142,25 +153,17 @@ class StompClient:
         ack: str = "auto",
     ) -> str:
         subscription_id = subscription_id or f"client-sub-{next(_client_ids)}"
-        headers = {
-            "destination": destination,
-            "id": subscription_id,
-            "receipt": f"subscribe-{subscription_id}",
-        }
+        headers = {"destination": destination, "id": subscription_id}
         if selector:
             headers["selector"] = selector
         if ack != "auto":
             headers["ack"] = ack
-            self._ack_subscriptions.add(subscription_id)
         if not isinstance(require_integrity, LabelSet):
             require_integrity = LabelSet(require_integrity)
         if require_integrity:
-            from repro.events.stomp.server import REQUIRE_INTEGRITY_HEADER
-
             headers[REQUIRE_INTEGRITY_HEADER] = ",".join(require_integrity.to_uris())
-        self._callbacks[subscription_id] = callback
-        self._transmit(Frame("SUBSCRIBE", headers))
-        self._await_control({"RECEIPT"})
+        self._callbacks[subscription_id] = (callback, ack != "auto")
+        self._confirmed(Frame("SUBSCRIBE", headers))
         return subscription_id
 
     def ack(self, message_id: str, subscription_id: Optional[str] = None) -> None:
@@ -170,119 +173,87 @@ class StompClient:
         delivery callbacks, which run on the listener thread — a
         blocking receipt wait there would deadlock the connection.
         """
-        headers = {"message-id": message_id}
-        if subscription_id is not None:
-            headers["subscription"] = subscription_id
-        self._transmit(Frame("ACK", headers))
+        self._settle("ACK", message_id, subscription_id)
 
     def nack(self, message_id: str, subscription_id: Optional[str] = None) -> None:
         """Refuse a delivery; the server dead-letters it immediately."""
+        self._settle("NACK", message_id, subscription_id)
+
+    def _settle(self, command: str, message_id: str, subscription_id: Optional[str]) -> None:
         headers = {"message-id": message_id}
         if subscription_id is not None:
             headers["subscription"] = subscription_id
-        self._transmit(Frame("NACK", headers))
+        self._transmit(Frame(command, headers))
 
     def unsubscribe(self, subscription_id: str) -> None:
         self._callbacks.pop(subscription_id, None)
-        self._ack_subscriptions.discard(subscription_id)
-        self._transmit(
-            Frame(
-                "UNSUBSCRIBE",
-                {"id": subscription_id, "receipt": f"unsubscribe-{subscription_id}"},
-            )
-        )
-        self._await_control({"RECEIPT"})
+        self._confirmed(Frame("UNSUBSCRIBE", {"id": subscription_id}))
 
     # -- internals ---------------------------------------------------------------
 
     def _transmit(self, frame: Frame) -> None:
         if self._sock is None:
             raise SafeWebError("client is not connected")
-        self._outgoing.put(frame)
+        self._link.send(frame)
 
-    def _await_control(self, commands, timeout: Optional[float] = None) -> Frame:
-        deadline = timeout if timeout is not None else self._timeout
-        try:
-            frame = self._control.get(timeout=deadline)
-        except queue.Empty:
-            raise SafeWebError(f"timed out waiting for {sorted(commands)}") from None
-        if frame.command not in commands and frame.command == "ERROR":
-            raise SafeWebError(f"broker error: {frame.header('message')}")
-        return frame
+    def _confirmed(self, frame: Frame, timeout: Optional[float] = None) -> None:
+        """Transmit *frame* and block until the broker's RECEIPT names it."""
+        receipt = f"{frame.command.lower()}-{next(_client_ids)}"
+        frame.headers["receipt"] = receipt
+        with self._exchange:
+            self._transmit(frame)
+            self._await_control("RECEIPT", receipt, timeout)
 
-    def _listen(self) -> None:
-        parser = FrameParser()
-        sock = self._sock
-        sock.settimeout(self.POLL_SECONDS)
+    def _await_control(
+        self, command: str, receipt: Optional[str] = None, timeout: Optional[float] = None
+    ) -> Frame:
+        """The next *command* frame (for a RECEIPT: the one echoing *receipt*).
+
+        A RECEIPT with another id answers an exchange that timed out and
+        is dropped; ERROR (the broker's, or the listener's
+        connection-lost notice) and any other command raise.
+        """
+        deadline = time.monotonic() + (timeout if timeout is not None else self._timeout)
+        while True:
+            try:
+                frame = self._control.get(timeout=max(deadline - time.monotonic(), 0))
+            except queue.Empty:
+                raise SafeWebError(f"timed out waiting for {command}") from None
+            if frame.command == "ERROR":
+                raise SafeWebError(f"broker error: {frame.header('message')}")
+            if frame.command != command:
+                raise SafeWebError(f"expected {command}, broker sent {frame.command}")
+            if receipt is None or frame.header("receipt-id") == receipt:
+                return frame
+
+    def _listen(self, link: FrameLink, control: "queue.Queue[Frame]") -> None:
         try:
-            while True:
-                self._flush_outgoing(sock)
-                try:
-                    data = sock.recv(65536)
-                except TimeoutError:
-                    continue
-                except ssl.SSLError as error:
-                    # SSL read timeouts surface as generic SSLError
-                    # ("The read operation timed out"), not TimeoutError.
-                    if isinstance(error, ssl.SSLWantReadError) or "timed out" in str(error):
-                        continue
-                    return
-                if not data:
-                    return
-                for frame in parser.feed(data):
-                    if frame.command == "MESSAGE":
-                        self._on_message(frame)
-                    else:
-                        self._control.put(frame)
-        except (OSError, InjectedFault):
-            # Socket death — including a send failure surfaced by
-            # _flush_outgoing (or its chaos point). The finally below
-            # signals the loss; swallowing it here without that signal
-            # was the old silent-death bug: queued frames vanished and
-            # every blocking wait ran to its full timeout.
-            return
+            link.run()
+        except InjectedFault:
+            pass  # an injected flush fault is a socket death like any other
         finally:
             self._connected.clear()
             # Fail any blocked _await_control caller fast, and make the
             # *next* blocking call fail too (sends are fire-and-forget
             # otherwise): a dead connection must be observable.
-            self._control.put(Frame("ERROR", {"message": "connection lost"}))
+            control.put(Frame("ERROR", {"message": "connection lost"}))
 
-    def _flush_outgoing(self, sock) -> None:
-        while True:
-            try:
-                frame = self._outgoing.get_nowait()
-            except queue.Empty:
-                return
-            self._chaos.hit("stomp.client.flush")
-            payload = encode_frame(frame)
-            sock.settimeout(self._timeout)
-            try:
-                sock.sendall(payload)
-            finally:
-                sock.settimeout(self.POLL_SECONDS)
+    def _on_frames(self, control: "queue.Queue[Frame]", frames: List[Frame]) -> None:
+        for frame in frames:
+            if frame.command == "MESSAGE":
+                self._on_message(frame)
+            else:
+                control.put(frame)
 
     def _on_message(self, frame: Frame) -> None:
-        subscription_id = frame.header("subscription", "")
-        callback = self._callbacks.get(subscription_id)
+        callback, client_ack = self._callbacks.get(
+            frame.header("subscription", ""), (None, False)
+        )
         if callback is None:
             return
-        attributes = {
-            name: value
-            for name, value in frame.headers.items()
-            if name not in RESERVED_HEADERS and name != "message-id"
-        }
-        labels = LabelSet.from_uris(
-            uri for uri in frame.header(LABEL_HEADER, "").split(",") if uri
-        )
-        event = Event(
-            topic=frame.require("destination"),
-            attributes=attributes,
-            payload=frame.body or None,
-            labels=labels,
-        )
+        event = frame_to_event(frame)
         try:
-            if subscription_id in self._ack_subscriptions:
+            if client_ack:
                 callback(event, frame.header("message-id", ""))
             else:
                 callback(event)
@@ -291,9 +262,6 @@ class StompClient:
 
     def _close(self) -> None:
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            self._link.stop()  # the listener closes the socket on its way out
             self._sock = None
         self._connected.clear()

@@ -20,7 +20,6 @@ paper's "extended with SSL support at the transport layer".
 from __future__ import annotations
 
 import itertools
-import queue
 import socketserver
 import ssl
 import threading
@@ -32,7 +31,8 @@ from repro.core.policy import Policy
 from repro.core.privileges import PrivilegeSet
 from repro.events.broker import Broker
 from repro.events.event import Event
-from repro.events.stomp.frames import Frame, FrameParser, encode_frame
+from repro.events.stomp.frames import Frame
+from repro.events.stomp.link import FrameLink
 from repro.events.supervision import SupervisionPolicy, Supervisor
 from repro.exceptions import SelectorSyntaxError, StompProtocolError
 
@@ -63,10 +63,6 @@ LABEL_HEADER = "x-safeweb-labels"
 REQUIRE_INTEGRITY_HEADER = "x-safeweb-require-integrity"
 
 
-def _is_ssl_timeout(error: ssl.SSLError) -> bool:
-    return isinstance(error, ssl.SSLWantReadError) or "timed out" in str(error)
-
-
 def event_to_message(event: Event, subscription_id: str) -> Frame:
     headers = {
         "destination": event.topic,
@@ -94,28 +90,21 @@ def frame_to_event(frame: Frame) -> Event:
 
 
 class _Connection(socketserver.BaseRequestHandler):
-    """One client session; runs in its own thread.
-
-    All socket I/O for the connection happens in this one thread: other
-    threads (the broker dispatcher delivering MESSAGE frames) enqueue
-    outgoing frames and the handler loop flushes the queue between short
-    receive timeouts. Concurrent ``SSL_read``/``SSL_write`` on one TLS
-    connection from different threads is undefined behaviour in OpenSSL,
-    so single-thread multiplexing is what makes the TLS transport sound.
+    """One client session; its thread runs the connection's
+    :class:`~repro.events.stomp.link.FrameLink` and so does all of its
+    socket I/O. Other threads (the broker dispatcher delivering MESSAGE
+    frames) queue on the link, which wakes this thread to write at once.
     """
 
     server: "StompServer"
 
-    #: Receive poll interval; bounds outgoing-frame latency.
-    POLL_SECONDS = 0.01
-
     def setup(self) -> None:
         super().setup()
-        self.parser = FrameParser()
         self.principal: Optional[str] = None
         self.clearance = PrivilegeSet.empty()
-        self.subscriptions: Dict[str, str] = {}  # client id -> broker id
-        self.outgoing: "queue.Queue[Frame]" = queue.Queue()
+        #: client id -> SUBSCRIBE parameters + broker subscription id;
+        #: _cleanup turns the client-ack ones into orphan tombstones.
+        self.subscriptions: Dict[str, dict] = {}
         self.closed = False
         #: ``ack: client`` state — message-id -> (client sub id, event),
         #: insertion-ordered so a dying connection dead-letters in-flight
@@ -124,9 +113,6 @@ class _Connection(socketserver.BaseRequestHandler):
         self.unacked: Dict[str, Tuple[str, Event]] = {}
         self._unacked_lock = threading.Lock()
         self._delivery_ids = itertools.count(1)
-        #: client id -> SUBSCRIBE parameters, kept so _cleanup can leave
-        #: an orphan tombstone behind for client-ack subscriptions.
-        self._sub_specs: Dict[str, dict] = {}
 
     def handle(self) -> None:
         sock = self.request
@@ -136,47 +122,11 @@ class _Connection(socketserver.BaseRequestHandler):
                 self.request = sock
         except (OSError, ssl.SSLError):
             return  # handshake failed (e.g. plaintext client)
-        sock.settimeout(self.POLL_SECONDS)
+        self.link = FrameLink(sock, self._dispatch_frames, write_timeout=5.0)
         try:
-            while not self.closed:
-                self._flush_outgoing(sock)
-                try:
-                    data = sock.recv(65536)
-                except TimeoutError:
-                    continue
-                except ssl.SSLError as error:
-                    # SSL read timeouts surface as generic SSLError
-                    # ("The read operation timed out"), not TimeoutError.
-                    if _is_ssl_timeout(error):
-                        continue
-                    return
-                if not data:
-                    return
-                self._dispatch_frames(self.parser.feed(data))
-            self._flush_outgoing(sock)
-        except (StompProtocolError, SelectorSyntaxError) as error:
-            self._send(Frame("ERROR", {"message": str(error)}))
-            self._flush_outgoing(sock)
-        except OSError:
-            pass  # client went away
+            self.link.run()
         finally:
             self._cleanup()
-
-    def _flush_outgoing(self, sock) -> None:
-        while True:
-            try:
-                frame = self.outgoing.get_nowait()
-            except queue.Empty:
-                return
-            payload = encode_frame(frame)
-            sock.settimeout(5.0)
-            try:
-                sock.sendall(payload)
-            except OSError:
-                self.closed = True
-                return
-            finally:
-                sock.settimeout(self.POLL_SECONDS)
 
     # -- frame dispatch --------------------------------------------------------
 
@@ -229,12 +179,11 @@ class _Connection(socketserver.BaseRequestHandler):
         handler = {
             "CONNECT": self._on_connect,
             "STOMP": self._on_connect,
-            "SEND": self._on_send,
             "SUBSCRIBE": self._on_subscribe,
             "UNSUBSCRIBE": self._on_unsubscribe,
             "ACK": self._on_ack,
             "NACK": self._on_nack,
-            "DISCONNECT": self._on_disconnect,
+            "DISCONNECT": self._hang_up,
         }.get(frame.command)
         if handler is None:
             self._send(Frame("ERROR", {"message": f"unsupported command {frame.command}"}))
@@ -251,7 +200,7 @@ class _Connection(socketserver.BaseRequestHandler):
         clearance = self.server.authenticate(login, passcode)
         if clearance is None:
             self._send(Frame("ERROR", {"message": "authentication failed"}))
-            self.closed = True
+            self._hang_up()
             return
         self.principal = login
         self.clearance = clearance
@@ -268,11 +217,6 @@ class _Connection(socketserver.BaseRequestHandler):
             raise StompProtocolError("not connected; send CONNECT first")
         return self.principal
 
-    def _on_send(self, frame: Frame) -> None:
-        principal = self._require_connected()
-        event = frame_to_event(frame)
-        self.server.broker.publish(event, publisher=principal)
-
     def _on_subscribe(self, frame: Frame) -> None:
         principal = self._require_connected()
         destination = frame.require("destination")
@@ -288,42 +232,11 @@ class _Connection(socketserver.BaseRequestHandler):
             uri for uri in integrity_header.split(",") if uri
         )
 
-        if ack_mode == "client":
-            # At-least-once: the event is registered as in flight
-            # *before* the MESSAGE frame is queued, and stays registered
-            # until the client ACKs it. A connection that dies first
-            # dead-letters everything still in the map (see _cleanup) —
-            # the frame either reaches a consumer that acknowledges it or
-            # lands on the unit's DLQ; it cannot vanish with the socket.
-            def deliver(event: Event, _client_id=client_id) -> None:
-                message = event_to_message(event, _client_id)
-                delivery_id = f"{event.event_id}.{next(self._delivery_ids)}"
-                message.headers["message-id"] = delivery_id
-                # The closed check and the registration are one atomic
-                # step against _cleanup, which flips ``closed`` and
-                # drains the map under this same lock: either this entry
-                # is registered before the sweep (and the sweep
-                # dead-letters it) or the connection is already closed
-                # here — registering on a dead connection would mean the
-                # event is never sent, never acked, never swept.
-                with self._unacked_lock:
-                    registered = not self.closed
-                    if registered:
-                        self.unacked[delivery_id] = (_client_id, event)
-                if not registered:
-                    self.server.dead_letter_unacked(
-                        self.principal or "anonymous",
-                        event,
-                        "closed",
-                        reason="delivered to a closed connection",
-                    )
-                    return
-                self._send(message)
-
-        else:
-
-            def deliver(event: Event, _client_id=client_id) -> None:
-                self._send(event_to_message(event, _client_id))
+        def deliver(event: Event) -> None:
+            message = event_to_message(event, client_id)
+            if ack_mode == "client" and not self._register(message, event):
+                return
+            self._send(message)
 
         subscription = self.server.broker.subscribe(
             destination,
@@ -333,8 +246,8 @@ class _Connection(socketserver.BaseRequestHandler):
             selector=selector,
             require_integrity=require_integrity,
         )
-        self.subscriptions[client_id] = subscription.subscription_id
-        self._sub_specs[client_id] = {
+        self.subscriptions[client_id] = {
+            "broker_id": subscription.subscription_id,
             "destination": destination,
             "selector": selector,
             "require_integrity": require_integrity,
@@ -346,57 +259,70 @@ class _Connection(socketserver.BaseRequestHandler):
             # duplicate deliveries but never drop them.
             self.server.adopt_orphan(principal, destination)
 
-    def _on_ack(self, frame: Frame) -> None:
-        principal = self._require_connected()
-        message_id = frame.require("message-id")
+    def _register(self, message: Frame, event: Event) -> bool:
+        """Record an ``ack: client`` delivery as in flight; False if closed.
+
+        At-least-once: the event is registered *before* its MESSAGE frame
+        is queued and stays so until the client ACKs it; a connection
+        that dies first dead-letters what is still in the map (see
+        _cleanup). The frame reaches a consumer that acknowledges it or
+        lands on the unit's DLQ — it cannot vanish with the socket.
+        """
+        delivery_id = f"{event.event_id}.{next(self._delivery_ids)}"
+        message.headers["message-id"] = delivery_id
+        # Check and registration are one atomic step against _cleanup,
+        # which flips ``closed`` and drains the map under this lock: the
+        # entry is registered before the sweep (which dead-letters it) or
+        # the connection is seen closed here — registered on a dead
+        # connection it would never be sent, acked or swept.
         with self._unacked_lock:
-            entry = self.unacked.pop(message_id, None)
-        if entry is None:
-            # Expected under at-least-once: a consumer may ack after its
-            # old connection's entries were already swept to the DLQ
-            # (e.g. a bridge that reconnected mid-delivery). An ERROR
-            # frame here would fail the client's next unrelated RECEIPT
-            # wait, so record it and move on.
-            self.server.audit.denied(
-                "stomp",
-                "ack",
-                principal,
-                detail=f"stale or duplicate ACK for {message_id!r} ignored",
-            )
+            registered = not self.closed
+            if registered:
+                self.unacked[delivery_id] = (message.headers["subscription"], event)
+                self.server.count_in_flight(1)
+        if not registered:
+            self._dead_letter(event, "closed", "delivered to a closed connection")
+        return registered
+
+    def _on_ack(self, frame: Frame) -> None:
+        if self._settle(frame, "ack") is not None:
+            self.server.count_in_flight(-1)
 
     def _on_nack(self, frame: Frame) -> None:
         """A consumer refusing an event dead-letters it immediately."""
+        event = self._settle(frame, "nack")
+        if event is not None:
+            self._dead_letter(event, frame.require("message-id"), "consumer NACK")
+            self.server.count_in_flight(-1)
+
+    def _settle(self, frame: Frame, operation: str) -> Optional[Event]:
+        """Take an ACKed/NACKed delivery's event off the in-flight map."""
         principal = self._require_connected()
         message_id = frame.require("message-id")
         with self._unacked_lock:
             entry = self.unacked.pop(message_id, None)
         if entry is None:
-            # Same as a stale ACK: the in-flight entry was already acked
-            # or dead-lettered elsewhere — nothing left to refuse.
+            # Expected under at-least-once: a consumer may settle after
+            # its old connection's entries were swept to the DLQ (a bridge
+            # that reconnected mid-delivery). An ERROR frame would fail
+            # the client's next RECEIPT wait, so record it and move on.
             self.server.audit.denied(
                 "stomp",
-                "nack",
+                operation,
                 principal,
-                detail=f"stale or duplicate NACK for {message_id!r} ignored",
+                detail=f"stale or duplicate {operation.upper()} for {message_id!r} ignored",
             )
-            return
-        _client_id, event = entry
-        self.server.dead_letter_unacked(
-            principal, event, message_id, reason="consumer NACK"
-        )
+            return None
+        return entry[1]
 
     def _on_unsubscribe(self, frame: Frame) -> None:
         self._require_connected()
         client_id = frame.require("id")
-        broker_id = self.subscriptions.pop(client_id, None)
         # A deliberate unsubscribe leaves no tombstone behind.
-        self._sub_specs.pop(client_id, None)
-        if broker_id is None:
+        spec = self.subscriptions.pop(client_id, None)
+        if spec is None:
             raise StompProtocolError(f"unknown subscription id {client_id!r}")
-        self.server.broker.unsubscribe(broker_id)
-
-    def _on_disconnect(self, _frame: Frame) -> None:
-        self.closed = True
+        self.server.broker.unsubscribe(spec["broker_id"])
 
     def _maybe_receipt(self, frame: Frame) -> None:
         receipt = frame.header("receipt")
@@ -407,7 +333,17 @@ class _Connection(socketserver.BaseRequestHandler):
 
     def _send(self, frame: Frame) -> None:
         """Queue a frame; the handler thread performs the socket write."""
-        self.outgoing.put(frame)
+        self.link.send(frame)
+
+    def _dead_letter(self, event: Event, message_id: str, reason: str) -> None:
+        self.server.dead_letter_unacked(
+            self.principal or "anonymous", event, message_id, reason=reason
+        )
+
+    def _hang_up(self, _frame: Optional[Frame] = None) -> None:
+        """End the session once the replies queued so far are written."""
+        self.closed = True
+        self.link.stop()
 
     def _cleanup(self) -> None:
         # Under the lock so no delivery can observe ``closed`` False and
@@ -415,13 +351,11 @@ class _Connection(socketserver.BaseRequestHandler):
         with self._unacked_lock:
             self.closed = True
         # Tombstones go up BEFORE the real subscriptions come down: an
-        # event published in the gap matches the tombstone and lands on
-        # the unit's DLQ instead of fanning out to nobody. Until the
-        # unsubscribe below, both match — a duplicate, which the
-        # at-least-once contract permits; a drop, which it does not,
-        # cannot happen.
-        for client_id, spec in self._sub_specs.items():
-            if spec["ack"] == "client" and client_id in self.subscriptions:
+        # event published in the gap lands on the unit's DLQ instead of
+        # fanning out to nobody. Until the unsubscribe below both match —
+        # a duplicate, which at-least-once permits; never a drop.
+        for spec in self.subscriptions.values():
+            if spec["ack"] == "client":
                 self.server.orphan_subscription(
                     self.principal or "anonymous",
                     self.clearance,
@@ -429,20 +363,15 @@ class _Connection(socketserver.BaseRequestHandler):
                     selector=spec["selector"],
                     require_integrity=spec["require_integrity"],
                 )
-        self._sub_specs.clear()
-        for broker_id in self.subscriptions.values():
-            self.server.broker.unsubscribe(broker_id)
+        for spec in self.subscriptions.values():
+            self.server.broker.unsubscribe(spec["broker_id"])
         self.subscriptions.clear()
         with self._unacked_lock:
             in_flight = list(self.unacked.items())
             self.unacked.clear()
         for message_id, (_client_id, event) in in_flight:
-            self.server.dead_letter_unacked(
-                self.principal or "anonymous",
-                event,
-                message_id,
-                reason="connection lost with message in flight",
-            )
+            self._dead_letter(event, message_id, "connection lost with message in flight")
+        self.server.count_in_flight(-len(in_flight))
 
 
 class StompServer(socketserver.ThreadingTCPServer):
@@ -482,8 +411,18 @@ class StompServer(socketserver.ThreadingTCPServer):
         #: orphan tombstone standing in for a dead client-ack consumer.
         self._orphans: Dict[Tuple[str, str], str] = {}
         self._orphan_lock = threading.Lock()
+        #: ``ack: client`` deliveries registered and not yet acked, nacked
+        #: or swept (a dead-lettered one counts until its dead letter is
+        #: on the broker's queue): with the broker's queue depth, the
+        #: state a drain barrier reads.
+        self.in_flight = 0
+        self._in_flight_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         super().__init__((host, port), _Connection)
+
+    def count_in_flight(self, delta: int) -> None:
+        with self._in_flight_lock:
+            self.in_flight += delta
 
     def dead_letter_unacked(
         self, principal: str, event: Event, message_id: str, reason: str
@@ -574,8 +513,9 @@ class StompServer(socketserver.ThreadingTCPServer):
         return self.server_address
 
     def start(self) -> "StompServer":
+        # The default 0.5 s shutdown poll would stall every stop().
         self._thread = threading.Thread(
-            target=self.serve_forever, name="safeweb-stomp", daemon=True
+            target=self.serve_forever, args=(0.02,), name="safeweb-stomp", daemon=True
         )
         self._thread.start()
         return self
@@ -593,8 +533,7 @@ class StompServer(socketserver.ThreadingTCPServer):
         """Resolve a login to its clearance; ``None`` means reject."""
         if self.policy is None:
             return PrivilegeSet.empty()
-        document_units = self.policy.unit_names
-        if login in document_units:
+        if login in self.policy.unit_names:
             return self.policy.unit(login).effective_clearance()
         user = self.policy.find_user(login)
         if user is not None:

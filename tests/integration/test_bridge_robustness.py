@@ -17,6 +17,7 @@ import pytest
 from repro.core.audit import AuditLog
 from repro.core.policy import parse_policy
 from repro.events import Broker
+from repro.events.cluster import ClusterRouter
 from repro.events.event import Event
 from repro.events.stomp import StompServer
 from repro.events.stomp.bridge import StompBrokerBridge
@@ -200,3 +201,55 @@ class TestHealthProbes:
         sender = bridge_for(server, "sender")
         sender.close()
         assert sender.ensure_connected() is False
+
+
+class TestCascadeConfirmation:
+    """The cluster's at-least-once hop: a delivery is acknowledged only
+    once the publishes its callback made are receipt-confirmed."""
+
+    def test_unconfirmed_cascade_is_nacked_not_acked(self, server):
+        """Seed-failing: ``drain`` used to swallow its own timeout, so a
+        delivery whose cascade was still unsent got ACKed — and a crash
+        right after would have lost the cascade for good."""
+        chaos = ChaosInjector()
+        chaos.delay_at("bridge.send", seconds=1.0, on=1)
+        audit = AuditLog()
+        router = ClusterRouter({"shard-0": server.address}, audit=audit, ack_timeout=0.2)
+        host, port = server.address
+        # The worker's publish link, armed to stall its first send.
+        router._bridges[("pub", "watcher", "shard-0")] = StompBrokerBridge(
+            host, port, login="watcher", audit=audit, chaos=chaos
+        ).connect()
+        try:
+            router.subscribe(
+                "/in",
+                lambda event: router.publish(Event("/out", {}, "cascade"), publisher="watcher"),
+                principal="watcher",
+            )
+            router.publish(Event("/in", {}, payload="trigger"), publisher="sender")
+            assert wait_for(lambda: len(server.dead_letters) == 1)
+            parked = server.dead_letters[0]
+            assert (parked["principal"], parked["topic"]) == ("watcher", "/in")
+            assert parked["reason"] == "consumer NACK"
+            assert ("cluster", "cascade", "denied") in decisions(audit)
+            # Settled either way: nothing stays registered in flight.
+            assert wait_for(lambda: server.in_flight == 0)
+        finally:
+            router.close()
+
+    def test_confirmed_cascade_is_acked(self, server):
+        router = ClusterRouter({"shard-0": server.address}, audit=AuditLog(), ack_timeout=5.0)
+        seen = []
+        try:
+            router.subscribe("/out", seen.append, principal="sender")
+            router.subscribe(
+                "/in",
+                lambda event: router.publish(Event("/out", {}, "cascade"), publisher="watcher"),
+                principal="watcher",
+            )
+            router.publish(Event("/in", {}, payload="trigger"), publisher="sender")
+            assert wait_for(lambda: [event.payload for event in seen] == ["cascade"])
+            assert wait_for(lambda: server.in_flight == 0)
+            assert server.dead_letters == []
+        finally:
+            router.close()

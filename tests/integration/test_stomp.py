@@ -1,5 +1,8 @@
 """Integration tests: STOMP clients against the server over real sockets."""
 
+import contextlib
+import socket
+import statistics
 import threading
 import time
 
@@ -8,7 +11,11 @@ import pytest
 from repro.core.labels import LabelSet, conf_label
 from repro.core.policy import parse_policy
 from repro.events import Broker
-from repro.events.stomp import StompClient, StompServer
+from repro.events.event import Event
+from repro.events.jail import Jail
+from repro.events.stomp import Frame, FrameParser, StompClient, StompServer, encode_frame
+from repro.events.stomp import server as server_module
+from repro.events.stomp.link import FrameLink
 from repro.exceptions import SafeWebError
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
@@ -288,3 +295,215 @@ class TestPubSub:
         assert wait_for(lambda: len(server.broker) == 1)
         subscriber.disconnect()
         assert wait_for(lambda: len(server.broker) == 0)
+
+
+class _Fabric:
+    """Broker + STOMP server over one transport, and the links it made."""
+
+    def __init__(self, server, client_context, links):
+        self.server = server
+        self.broker = server.broker
+        self.client_context = client_context
+        #: Server-side links, in accept order.
+        self.links = links
+        self._clients = []
+
+    def connect(self, login="data_aggregator"):
+        host, port = self.server.address
+        client = StompClient(
+            host, port, login=login, tls_context=self.client_context
+        ).connect()
+        self._clients.append(client)
+        return client
+
+    def close(self):
+        for client in self._clients:
+            client.disconnect()
+        self.server.stop()
+        self.broker.stop()
+
+
+@pytest.fixture(params=["plain", "tls"])
+def fabric(request, monkeypatch):
+    """The same server and clients over plaintext and over TLS."""
+    server_context = client_context = None
+    if request.param == "tls":
+        server_context, client_context = request.getfixturevalue("tls_contexts")
+    links = []
+
+    class RecordedLink(FrameLink):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            links.append(self)
+
+    monkeypatch.setattr(server_module, "FrameLink", RecordedLink)
+    server = StompServer(
+        Broker(threaded=True), policy=POLICY, tls_context=server_context
+    ).start()
+    fabric = _Fabric(server, client_context, links)
+    yield fabric
+    fabric.close()
+
+
+class TestWakeOnWrite:
+    """A frame queued from another thread leaves at once; an idle link
+    sleeps. The bounds are loose multiples of the loopback cost (≈ 0.1 ms)
+    and far below the 10 ms a receive-timeout poll used to add."""
+
+    ROUNDS = 200
+
+    def test_cross_thread_send_receipt_round_trip(self, fabric):
+        publisher = fabric.connect(login="data_producer")
+        elapsed = []
+        for _ in range(self.ROUNDS):
+            started = time.perf_counter()
+            publisher.send("/t", {"n": "1"}, receipt=True)
+            elapsed.append(time.perf_counter() - started)
+        assert statistics.median(elapsed) < 0.002
+
+    def test_broker_thread_publish_reaches_the_callback(self, fabric):
+        subscriber = fabric.connect()
+        arrived = threading.Event()
+        subscriber.subscribe("/t", lambda event: arrived.set())
+        elapsed = []
+        for _ in range(self.ROUNDS):
+            arrived.clear()
+            started = time.perf_counter()
+            fabric.broker.publish(Event("/t", {}, "payload"), publisher="data_producer")
+            assert arrived.wait(5)
+            elapsed.append(time.perf_counter() - started)
+        assert statistics.median(elapsed) < 0.002
+
+    def test_idle_link_makes_no_wakeups(self, fabric):
+        client = fabric.connect()
+        client.subscribe("/t", lambda event: None)
+        assert wait_for(lambda: len(fabric.links) == 1)
+        time.sleep(0.1)  # let the handshake's last frames settle
+        before = (client._link.wakeups, fabric.links[0].wakeups)
+        time.sleep(0.5)
+        assert (client._link.wakeups, fabric.links[0].wakeups) == before
+        # ...and it is still live: one frame each way wakes each end.
+        client.send("/t", receipt=True)
+        assert client._link.wakeups > before[0]
+        assert fabric.links[0].wakeups > before[1]
+
+    def test_burst_written_at_once_is_delivered_without_further_traffic(self, fabric):
+        """Many frames in one write (over TLS: in as few records as they
+        fit) are all dispatched though nothing else ever arrives to wake
+        the reader again."""
+        subscriber = fabric.connect()
+        received = []
+        subscriber.subscribe("/reports", received.append)
+        raw = socket.create_connection(fabric.server.address, timeout=5)
+        if fabric.client_context is not None:
+            raw = fabric.client_context.wrap_socket(raw)
+        try:
+            raw.sendall(_raw_frame("CONNECT", {"login": "data_producer"}))
+            assert raw.recv(4096).startswith(b"CONNECTED")
+            raw.sendall(
+                b"".join(
+                    _raw_frame("SEND", {"destination": "/reports", "n": str(i)}, "x" * 700)
+                    for i in range(60)
+                )
+            )
+            assert wait_for(lambda: len(received) == 60)
+            assert [event["n"] for event in received] == [str(i) for i in range(60)]
+        finally:
+            raw.close()
+
+    def test_queueing_a_frame_inside_the_jail_creates_no_socket(self, fabric):
+        """The wake channel exists before any callback runs: the jail
+        denies ``socket.*`` audit events, and a send must raise none."""
+        subscriber = fabric.connect()
+        received = []
+        subscriber.subscribe("/t", received.append)
+        publisher = fabric.connect(login="data_producer")
+        with Jail().contained():
+            publisher.send("/t", {"n": "jailed"})
+            publisher.ack("no-such-delivery")
+        assert wait_for(lambda: [event["n"] for event in received] == ["jailed"])
+
+
+@contextlib.contextmanager
+def scripted_broker(respond):
+    """A raw TCP peer answering each client frame as *respond* scripts.
+
+    ``respond(frame, reply)`` may call ``reply(Frame)`` any number of
+    times; returning ``False`` closes the connection.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        connection, _address = listener.accept()
+        parser = FrameParser()
+        with connection:
+            while True:
+                data = connection.recv(65536)
+                if not data:
+                    return
+                for frame in parser.feed(data):
+                    if frame.command == "CONNECT":
+                        connection.sendall(encode_frame(Frame("CONNECTED", {"version": "1.1"})))
+                    elif (
+                        respond(frame, lambda reply: connection.sendall(encode_frame(reply)))
+                        is False
+                    ):
+                        return
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.close()
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+class TestControlExchange:
+    def test_late_receipt_does_not_satisfy_a_later_exchange(self):
+        """Seed-failing: the RECEIPT of a send that already timed out
+        used to be taken for the next call's confirmation."""
+        sends = []
+
+        def respond(frame, reply):
+            if frame.command == "SEND":
+                sends.append(frame)
+                if len(sends) == 1:
+                    time.sleep(0.4)  # past the client's timeout
+                reply(Frame("RECEIPT", {"receipt-id": frame.header("receipt")}))
+            # SUBSCRIBE is never answered.
+
+        with scripted_broker(respond) as (host, port):
+            client = StompClient(host, port, timeout=0.2).connect()
+            with pytest.raises(SafeWebError, match="timed out"):
+                client.send("/t", receipt=True)
+            time.sleep(0.4)  # the late RECEIPT is queued by now
+            client.send("/t", receipt=True)  # skips it, takes its own
+            with pytest.raises(SafeWebError, match="timed out"):
+                client.subscribe("/t", lambda event: None)
+            client.disconnect()
+
+    def test_unexpected_command_raises(self):
+        def respond(frame, reply):
+            if frame.command == "SEND":
+                reply(Frame("CONNECTED", {"version": "1.1"}))
+
+        with scripted_broker(respond) as (host, port):
+            client = StompClient(host, port, timeout=2.0).connect()
+            with pytest.raises(SafeWebError, match="expected RECEIPT"):
+                client.send("/t", receipt=True)
+            client.disconnect()
+
+    def test_connection_loss_fails_a_blocked_waiter_fast(self):
+        def respond(frame, reply):
+            return frame.command != "SEND"  # hang up instead of confirming
+
+        with scripted_broker(respond) as (host, port):
+            client = StompClient(host, port, timeout=10.0).connect()
+            started = time.monotonic()
+            with pytest.raises(SafeWebError, match="connection lost"):
+                client.send("/t", receipt=True)
+            assert time.monotonic() - started < 2.0
+            assert not client.connected
+            client.disconnect()

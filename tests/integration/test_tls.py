@@ -3,27 +3,18 @@
 The paper's broker is "extended with SSL support at the transport layer"
 and the frontend serves HTTP Basic over TLS. These tests wrap the STOMP
 server and the HTTP server in TLS with a self-signed certificate
-generated on the fly (requires the ``cryptography`` package; skipped
-when unavailable).
+generated on the fly (the ``tls_contexts`` fixture in ``conftest.py``;
+requires the ``cryptography`` package, skipped when unavailable).
 """
 
-import datetime
-import ssl
 import time
 
 import pytest
 
-cryptography = pytest.importorskip("cryptography")
-
-from cryptography import x509  # noqa: E402
-from cryptography.hazmat.primitives import hashes, serialization  # noqa: E402
-from cryptography.hazmat.primitives.asymmetric import rsa  # noqa: E402
-from cryptography.x509.oid import NameOID  # noqa: E402
-
-from repro.core.labels import LabelSet, conf_label  # noqa: E402
-from repro.core.policy import parse_policy  # noqa: E402
-from repro.events import Broker  # noqa: E402
-from repro.events.stomp import StompClient, StompServer  # noqa: E402
+from repro.core.labels import LabelSet, conf_label
+from repro.core.policy import parse_policy
+from repro.events import Broker
+from repro.events.stomp import StompClient, StompServer
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 
@@ -36,46 +27,6 @@ POLICY = parse_policy(
     }
     """
 )
-
-
-@pytest.fixture(scope="module")
-def tls_contexts(tmp_path_factory):
-    """Self-signed server certificate + matching client context."""
-    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
-    now = datetime.datetime.now(datetime.timezone.utc)
-    certificate = (
-        x509.CertificateBuilder()
-        .subject_name(name)
-        .issuer_name(name)
-        .public_key(key.public_key())
-        .serial_number(x509.random_serial_number())
-        .not_valid_before(now - datetime.timedelta(minutes=5))
-        .not_valid_after(now + datetime.timedelta(days=1))
-        .add_extension(
-            x509.SubjectAlternativeName([x509.IPAddress(__import__("ipaddress").ip_address("127.0.0.1"))]),
-            critical=False,
-        )
-        .sign(key, hashes.SHA256())
-    )
-    directory = tmp_path_factory.mktemp("tls")
-    cert_path = directory / "cert.pem"
-    key_path = directory / "key.pem"
-    cert_path.write_bytes(certificate.public_bytes(serialization.Encoding.PEM))
-    key_path.write_bytes(
-        key.private_bytes(
-            serialization.Encoding.PEM,
-            serialization.PrivateFormat.TraditionalOpenSSL,
-            serialization.NoEncryption(),
-        )
-    )
-
-    server_context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-    server_context.load_cert_chain(cert_path, key_path)
-    client_context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-    client_context.load_verify_locations(cert_path)
-    client_context.check_hostname = False
-    return server_context, client_context
 
 
 class TestStompOverTls:

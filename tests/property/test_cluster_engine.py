@@ -283,6 +283,33 @@ class TestClusterEquivalence:
         assert cl_dispatched == sync_dispatched
 
 
+class TestDrainBarrier:
+    """``drain() is True`` is a statement about state, not timing: every
+    shard's queue is empty and no ``ack: client`` delivery is in flight."""
+
+    @pytest.mark.parametrize("workers,shards", [(1, 1), (2, 2)])
+    def test_drained_cluster_has_nothing_queued_or_in_flight(self, workers, shards):
+        scenario = SCENARIOS[sorted(SCENARIOS)[0]]
+        cluster = ClusterEngine(
+            build_policy(scenario["specs"]), workers=workers, shards=shards, audit=AuditLog()
+        ).start()
+        try:
+            for spec in scenario["specs"]:
+                cluster.place(functools.partial(ScriptedUnit, spec), spec["name"])
+            for _ in range(5):
+                for event in scenario["events"]:
+                    cluster.publish(
+                        event["topic"], payload=event["payload"], labels=event["labels"]
+                    )
+                assert cluster.drain(60) is True
+                for handle in cluster._shards.values():
+                    reply = handle.call({"op": "drain"})
+                    assert (reply["queued"], reply["in_flight"]) == (0, 0)
+            assert sum(stats["dispatched"] for stats in cluster.stats().values()) > 0
+        finally:
+            cluster.stop()
+
+
 class TestWorkerKillChaos:
     """SIGKILL a worker mid-stream: every event is observed (possibly by
     the unit's restarted incarnation on a surviving worker), parked on
