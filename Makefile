@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: help test test-unit test-security test-cluster bench-smoke bench-broker bench-taint bench-storage bench-durability bench-web bench-pipeline bench-supervision bench-cluster bench docs-check lint-ifc typecheck
+.PHONY: help test test-unit test-security test-storage test-cluster bench-smoke bench-broker bench-taint bench-storage bench-durability bench-web bench-pipeline bench-supervision bench-cluster bench docs-check lint-ifc typecheck
 
 ## Show every target with its description.
 help:
@@ -28,6 +28,11 @@ test-unit:
 ## The adversarial vulnerability corpus (both-direction security matrix).
 test-security:
 	$(PYTHON) -m pytest tests/security -q
+
+## The document store: unit suites plus the reference-equivalence and crash-recovery property suites.
+test-storage:
+	$(PYTHON) -m pytest tests/unit/storage tests/property/test_sharded_store.py \
+		tests/property/test_crash_recovery.py -q
 
 # ...plus the STOMP suites that share its I/O core (plain, TLS, bridge robustness).
 ## The multi-process cluster engine: equivalence, chaos, deployment and STOMP fabric tests.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 
 @dataclass
@@ -89,6 +89,30 @@ def measure_latency(
         operation()
         samples.append(time.perf_counter() - started)
     return LatencyStats(samples)
+
+
+def measure_interleaved(
+    first: Callable[[], object],
+    second: Callable[[], object],
+    iterations: int = 1000,
+    warmup: int = 20,
+) -> Tuple[LatencyStats, LatencyStats]:
+    """Time two operations alternately, one call each per round.
+
+    For comparing variants whose gap is small next to the host's drift
+    (frequency scaling, a noisy neighbour): measured back to back, the
+    drift lands in one sample; alternated, it lands in both alike.
+    """
+    for _ in range(warmup):
+        first()
+        second()
+    samples: Tuple[List[float], List[float]] = ([], [])
+    for _ in range(iterations):
+        for operation, bucket in zip((first, second), samples):
+            started = time.perf_counter()
+            operation()
+            bucket.append(time.perf_counter() - started)
+    return LatencyStats(samples[0]), LatencyStats(samples[1])
 
 
 def overhead_percent(baseline: float, measured: float) -> float:

@@ -6,6 +6,8 @@ in the application database (paper §5.1). Documents here are plain JSON
 values plus a label sidecar produced by
 :func:`repro.taint.json_codec.encode_document`; reads re-attach labels so
 the web frontend transparently receives labeled values (§4.4, step 2).
+The labeled form is decoded once per stored revision and every reader is
+handed its own copy of it (see :class:`_StoredDocument`).
 
 Implemented CouchDB behaviours the reproduction relies on:
 
@@ -37,7 +39,7 @@ import hashlib
 import json
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.labels import EMPTY_LABELS, LabelSet
@@ -122,6 +124,35 @@ class _StoredDocument:
     #: Union of every label set in the sidecar — the document's combined
     #: confidentiality, precomputed for clearance-filtered view reads.
     labels: LabelSet = EMPTY_LABELS
+    #: ``decode_document(body, sidecar)``, set by the first labeled read.
+    #: A revision's body and sidecar never change and every write
+    #: installs a fresh :class:`_StoredDocument`, so the decoded form
+    #: lives and dies with its revision and needs no invalidation.
+    _labeled: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def labeled(self) -> Any:
+        """The body with labels re-attached, decoded once per revision.
+
+        Shared by every reader of this revision: hand out
+        :meth:`document` (or another copy), never this object. Two
+        threads racing the first read both decode equal values and one
+        attribute store wins, so no lock is needed.
+        """
+        labeled = self._labeled
+        if labeled is None:
+            labeled = self._labeled = json_codec.decode_document(self.body, self.sidecar)
+        return labeled
+
+    def document(self) -> Dict[str, Any]:
+        """A labeled document the caller owns, with ``_id`` and ``_rev``.
+
+        Containers are fresh at every depth; the immutable plain and
+        labeled leaves are shared with the stored revision.
+        """
+        result = json_codec.copy_containers(self.labeled())
+        result["_id"] = self.doc_id
+        result["_rev"] = self.rev
+        return result
 
 
 @dataclass(frozen=True)
@@ -211,6 +242,12 @@ def _coerce_entry(entry) -> _StoredDocument:
     )
 
 
+def _in_creation_order(documents: List[_StoredDocument]) -> List[_StoredDocument]:
+    """Sort by the store-wide sequence each id was (last) created at —
+    unique across shards, so the merge needs no tie-break."""
+    return sorted(documents, key=lambda doc: doc.order)
+
+
 def _is_hashable(value: Any) -> bool:
     try:
         hash(value)
@@ -241,9 +278,6 @@ class Database:
         self._seq = 0  # last sequence recorded by *this* database
         self._changes: List[Change] = []
         self._views: Dict[str, _ViewIndex] = {}
-        #: doc_id -> labeled (decoded) document, shared across views;
-        #: invalidated whenever the document changes.
-        self._decoded_cache: Dict[str, Any] = {}
         self._listeners: List[Callable[[List[Change]], None]] = []
         #: Optional :class:`repro.storage.wal.ShardDurability`; when set,
         #: every commit is WAL-logged before the write is acknowledged.
@@ -404,7 +438,6 @@ class Database:
             # revision: the log is strictly append-ordered with commits,
             # so recovery always yields a prefix of the commit history.
             self._durability.log_commit(stored, self._seq)
-        self._decoded_cache.pop(stored.doc_id, None)
         for view in self._views.values():
             self._index_one(view, stored)
         return change
@@ -512,16 +545,17 @@ class Database:
     # -- reads ------------------------------------------------------------------
 
     def get(self, doc_id: str) -> Dict[str, Any]:
-        """Fetch a document with labels re-attached."""
+        """Fetch a document with labels re-attached.
+
+        The result is the caller's own (see
+        :meth:`_StoredDocument.document`): mutating it, at any depth,
+        never reaches the stored revision.
+        """
         with self._lock:
             stored = self._documents.get(doc_id)
         if stored is None or stored.deleted:
             raise DocumentNotFound(f"no document {doc_id!r}")
-        body = json_codec.decode_document(stored.body, stored.sidecar)
-        result = dict(body)
-        result["_id"] = stored.doc_id
-        result["_rev"] = stored.rev
-        return result
+        return stored.document()
 
     def get_or_none(self, doc_id: str) -> Optional[Dict[str, Any]]:
         try:
@@ -554,23 +588,20 @@ class Database:
         so the replica keeps the document's existing slot even though
         the source moved it to the end.
         """
-        with self._lock:
-            live = [doc for doc in self._documents.values() if not doc.deleted]
-        live.sort(key=lambda doc: doc.order)
-        return [doc.doc_id for doc in live]
+        return [doc.doc_id for doc in _in_creation_order(self._live())]
 
-    def _ordered_ids(self) -> List[Tuple[int, str]]:
-        """(order, doc_id) pairs for live documents (shard merge input)."""
+    def _live(self) -> List[_StoredDocument]:
+        """The live revisions as of one lock hold, unordered."""
         with self._lock:
-            return [
-                (doc.order, doc.doc_id)
-                for doc in self._documents.values()
-                if not doc.deleted
-            ]
+            return [doc for doc in self._documents.values() if not doc.deleted]
 
     def all_docs(self) -> List[Dict[str, Any]]:
-        """Live documents, labels re-attached, in :meth:`all_doc_ids` order."""
-        return [self.get(doc_id) for doc_id in self.all_doc_ids()]
+        """Live documents, labels re-attached, in :meth:`all_doc_ids` order.
+
+        One snapshot of the store: a concurrent delete cannot fail the
+        call half-way. Documents are caller-owned, like :meth:`get`'s.
+        """
+        return [doc.document() for doc in _in_creation_order(self._live())]
 
     # -- views ---------------------------------------------------------------------
 
@@ -611,7 +642,10 @@ class Database:
           served from the per-key index, falling back to a scan only
           for unhashable keys;
         * ``include_docs`` resolves each row's document (labels
-          re-attached, exactly like :meth:`get`);
+          re-attached, exactly like :meth:`get`) from the revision that
+          emitted the row, so a concurrent delete or update can neither
+          fail the query nor pair a key with a document that no longer
+          emits it;
         * ``clearance`` drops rows whose *document's* combined
           confidentiality labels do not flow to the given clearance
           label set, using the memoized lattice check — rows from
@@ -622,9 +656,10 @@ class Database:
         Row order is stable: ascending document id, emissions in map
         order — identical to the seed store and across shard counts.
 
-        Returned keys and values are owned by the view index (the seed
-        store shared its index objects the same way): treat rows as
-        read-only, or mutate a copy.
+        Ownership: emitted keys and values belong to the view index
+        (the seed store shared its index objects the same way) — treat
+        them as read-only, or mutate a copy. Documents resolved by
+        ``include_docs`` belong to the caller, like :meth:`get`'s.
         """
         with self._lock:
             view = self._views.get(name)
@@ -633,28 +668,26 @@ class Database:
             if reduce:
                 return self._reduce(view, key, clearance)
             rows = self._matching_rows(view, key, clearance)
-            if not include_docs:
-                resolved = []
-                for doc_id, emitted_key, emitted_value in rows:
-                    stored = self._documents[doc_id]
-                    if not stored.sidecar:
-                        resolved.append(ViewRow(doc_id, emitted_key, emitted_value))
-                    else:
-                        resolved.append(
-                            self._relabel_row(ViewRow(doc_id, emitted_key, emitted_value))
-                        )
-                return resolved
-        return [
-            ViewRow(doc_id, emitted_key, self.get(doc_id))
-            for doc_id, emitted_key, _emitted_value in rows
-        ]
+            if include_docs:
+                return [
+                    ViewRow(stored.doc_id, emitted_key, stored.document())
+                    for stored, emitted_key, _emitted_value in rows
+                ]
+            return [
+                self._relabel_row(stored, emitted_key, emitted_value)
+                if stored.sidecar
+                else ViewRow(stored.doc_id, emitted_key, emitted_value)
+                for stored, emitted_key, emitted_value in rows
+            ]
 
     def _matching_rows(
         self, view: _ViewIndex, key: Any, clearance: Optional[LabelSet]
-    ) -> List[Tuple[str, Any, Any]]:
-        """(doc_id, key, value) triples matching *key*, in row order.
+    ) -> List[Tuple[_StoredDocument, Any, Any]]:
+        """(revision, key, value) triples matching *key*, in row order.
 
-        Must run under :attr:`_lock`.
+        Each row carries the stored revision that emitted it, so callers
+        resolve documents and labels from exactly what was matched. Must
+        run under :attr:`_lock`.
         """
         if key is None or not _is_hashable(key):
             candidates: Iterable[str] = view.rows
@@ -666,16 +699,15 @@ class Database:
                 matched | view.unhashable_docs if matched is not None
                 else view.unhashable_docs
             )
-        rows: List[Tuple[str, Any, Any]] = []
+        rows: List[Tuple[_StoredDocument, Any, Any]] = []
         for doc_id in sorted(candidates):
-            if clearance is not None:
-                stored = self._documents.get(doc_id)
-                if stored is not None and not stored.labels.flows_to(clearance):
-                    continue
+            stored = self._documents[doc_id]
+            if clearance is not None and not stored.labels.flows_to(clearance):
+                continue
             for emitted_key, emitted_value in view.rows[doc_id]:
                 if key is not None and emitted_key != key:
                     continue
-                rows.append((doc_id, emitted_key, emitted_value))
+                rows.append((stored, emitted_key, emitted_value))
         return rows
 
     def _reduce(self, view: _ViewIndex, key: Any, clearance: Optional[LabelSet]) -> Any:
@@ -693,8 +725,8 @@ class Database:
         rows = self._matching_rows(view, key, clearance)
         if not rows:
             return False, None
-        keys = [(emitted_key, doc_id) for doc_id, emitted_key, _value in rows]
-        values = [value for _doc_id, _key, value in rows]
+        keys = [(emitted_key, stored.doc_id) for stored, emitted_key, _value in rows]
+        values = [value for _stored, _key, value in rows]
         return True, view.reduce_function(keys, values, False)
 
     def _reduce_partial(
@@ -708,7 +740,7 @@ class Database:
                 raise SafeWebError("view has no reduce function")
             return self._reduce_partial_locked(view, key, clearance)
 
-    def _relabel_row(self, row: ViewRow) -> ViewRow:
+    def _relabel_row(self, stored: _StoredDocument, key: Any, value: Any) -> ViewRow:
         """Re-derive a row from the labeled document (seed semantics).
 
         Views are searched in definition order for one whose index holds
@@ -717,35 +749,28 @@ class Database:
         supplies the first emission whose stripped form matches. Must
         run under :attr:`_lock`.
         """
-        stored = self._documents.get(row.doc_id)
-        if stored is None or not stored.sidecar:
-            return row
         for view in self._views.values():
-            emissions = view.rows.get(row.doc_id)
-            if emissions is None or (row.key, row.value) not in emissions:
+            emissions = view.rows.get(stored.doc_id)
+            if emissions is None or (key, value) not in emissions:
                 continue
             for emitted_key, emitted_value in self._labeled_rows(view, stored):
                 if (
-                    strip_labels(emitted_key) == row.key
-                    and strip_labels(emitted_value) == row.value
+                    strip_labels(emitted_key) == key
+                    and strip_labels(emitted_value) == value
                 ):
-                    return ViewRow(row.doc_id, emitted_key, emitted_value)
-            return row
-        return row
+                    return ViewRow(stored.doc_id, emitted_key, emitted_value)
+            break
+        return ViewRow(stored.doc_id, key, value)
 
     def _labeled_rows(self, view: _ViewIndex, stored: _StoredDocument) -> List[Tuple[Any, Any]]:
         """Map output over the labeled document, cached until the doc changes."""
         cached = view.labeled_rows.get(stored.doc_id)
         if cached is not None:
             return cached
-        labeled = self._decoded_cache.get(stored.doc_id)
-        if labeled is None:
-            labeled = json_codec.decode_document(stored.body, stored.sidecar)
-            self._decoded_cache[stored.doc_id] = labeled
-        # Hand the map function a copy (the same protection _index_one
-        # gives the plain body) so a mutating map cannot corrupt the
-        # shared decoded cache.
-        subject = dict(labeled) if isinstance(labeled, dict) else labeled
+        # The map function gets its own copy, so neither a mutating map
+        # nor a caller mutating an emitted container can reach the
+        # revision's shared labeled form.
+        subject = json_codec.copy_containers(stored.labeled())
         rows = [(emitted_key, emitted_value) for emitted_key, emitted_value in view.map_function(subject)]
         view.labeled_rows[stored.doc_id] = rows
         return rows
@@ -931,15 +956,14 @@ class ShardedDatabase:
         created at, so the result is identical to an unsharded database
         holding the same write history (see :meth:`Database.all_doc_ids`).
         """
-        merged: List[Tuple[int, str]] = []
-        for shard in self.shards:
-            merged.extend(shard._ordered_ids())
-        merged.sort()
-        return [doc_id for _order, doc_id in merged]
+        return [doc.doc_id for doc in _in_creation_order(self._live())]
+
+    def _live(self) -> List[_StoredDocument]:
+        return [doc for shard in self.shards for doc in shard._live()]
 
     def all_docs(self) -> List[Dict[str, Any]]:
         """Live documents, labels re-attached, in :meth:`all_doc_ids` order."""
-        return [self.get(doc_id) for doc_id in self.all_doc_ids()]
+        return [doc.document() for doc in _in_creation_order(self._live())]
 
     # -- views ---------------------------------------------------------------------
 

@@ -39,7 +39,8 @@ from repro.taint.labeled import (
     strip_labels,
     with_labels,
 )
-from repro.taint.string import LabeledStr, derive
+from repro.taint.number import LabeledFloat, LabeledInt
+from repro.taint.string import LabeledBytes, LabeledStr, derive
 
 
 def _strip_collect(value: Any) -> Tuple[Any, LabelSet]:
@@ -216,6 +217,32 @@ def _apply_trie(value: Any, node: Dict[Any, Any]) -> Any:
             # must union like the seed's sequential application did.
             updated_list[index] = _apply_trie(updated_list[index], child)
         return value if updated_list is None else updated_list
+    return value
+
+
+#: Exact types known to be immutable leaves: a container holding nothing
+#: else is copied by the built-in shallow copy.
+_LEAF_TYPES = PLAIN_TYPES | {LabeledStr, LabeledBytes, LabeledInt, LabeledFloat}
+
+
+def copy_containers(value: Any) -> Any:
+    """A copy of *value* that shares no mutable state with it.
+
+    ``dict``/``list``/``tuple`` containers — everything a stored JSON
+    body or :func:`decode_document` can produce — are rebuilt at every
+    depth; leaves (plain or labeled scalars, immutable either way) are
+    shared. The document store hands this out on every read so a caller
+    can mutate its result without touching the stored revision.
+    """
+    if isinstance(value, dict):
+        if _LEAF_TYPES.issuperset(map(type, value.values())):
+            return dict(value)
+        return {key: copy_containers(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        if _LEAF_TYPES.issuperset(map(type, value)):
+            return value if type(value) is tuple else list(value)
+        rebuilt = [copy_containers(item) for item in value]
+        return tuple(rebuilt) if isinstance(value, tuple) else rebuilt
     return value
 
 

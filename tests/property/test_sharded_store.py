@@ -10,16 +10,22 @@ several shard counts; every observable — document reads, label
 round-trips, view rows (with and without ``include_docs``), changes
 feed, ``update_seq`` — must match exactly. Batched replication of the
 same histories must converge the target to the same observations.
+
+The production store decodes a revision's labeled form once and shares
+it between readers, where the reference decodes on every read; the same
+histories therefore also check (``_assert_read_path``) that every
+document read equals a fresh decode of the stored revision — value,
+per-leaf labels and user taint — and that results are caller-owned.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.labels import conf_label
+from repro.core.labels import LabelSet, conf_label
 from repro.exceptions import DocumentConflict, DocumentNotFound
 from repro.storage import Replicator, ShardedDatabase
 from repro.storage.reference import ReferenceDatabase
-from repro.taint import label, labels_of
+from repro.taint import is_user_tainted, json_codec, label, labels_of, with_labels
 
 L_PATIENT = conf_label("ecric.org.uk", "patient", "9")
 L_MDT = conf_label("ecric.org.uk", "mdt", "3")
@@ -30,12 +36,20 @@ _scalars = st.one_of(
     st.text(alphabet="abcxyz/~0 ", max_size=6),
     st.integers(-9, 9),
 )
+_labeled_scalars = st.tuples(_scalars, st.sampled_from((L_PATIENT, L_MDT))).map(
+    lambda pair: label(pair[0], pair[1])
+)
 _values = st.one_of(
     _scalars,
-    st.tuples(_scalars, st.sampled_from((L_PATIENT, L_MDT))).map(
-        lambda pair: label(pair[0], pair[1])
-    ),
+    _labeled_scalars,
     st.lists(_scalars, max_size=3),
+    # Nested containers with labeled and plain subtrees side by side,
+    # and user-tainted input (storage keeps labels, drops taint).
+    st.fixed_dictionaries(
+        {"plain": st.lists(_scalars, max_size=2), "inner": st.lists(_labeled_scalars, max_size=2)}
+    ),
+    st.lists(st.fixed_dictionaries({"note": _labeled_scalars}), max_size=2),
+    _scalars.map(lambda value: with_labels(value, LabelSet([L_MDT]), user_taint=True)),
 )
 _fields = st.dictionaries(
     st.sampled_from(("k", "name", "mdt", "tags", "extra")), _values, max_size=4
@@ -45,6 +59,7 @@ _operations = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.sampled_from(DOC_IDS), _fields),
         st.tuples(st.just("fresh_put"), st.sampled_from(DOC_IDS), _fields),
+        st.tuples(st.just("upsert"), st.sampled_from(DOC_IDS), _fields),
         st.tuples(st.just("delete"), st.sampled_from(DOC_IDS), st.none()),
     ),
     max_size=24,
@@ -70,11 +85,15 @@ def _apply(database, operation):
 
     ``put`` adopts the store's own current revision (exercising the MVCC
     update path); ``fresh_put`` presents no revision (a conflict when the
-    document is live); ``delete`` uses the live revision or a bogus one.
+    document is live); ``upsert`` never conflicts (the reference predates
+    it and takes the equivalent get-then-put); ``delete`` uses the live
+    revision or a bogus one.
     """
     kind, doc_id, fields = operation
     try:
-        if kind == "put":
+        if kind == "upsert" and hasattr(database, "upsert"):
+            database.upsert({"_id": doc_id, **fields})
+        elif kind in ("put", "upsert"):
             document = {"_id": doc_id, **fields}
             current = database.get_or_none(doc_id)
             if current is not None:
@@ -92,7 +111,7 @@ def _apply(database, operation):
 
 
 def _labeled_form(value):
-    """A comparison key capturing both the plain value and its labels.
+    """A comparison key capturing the plain value, its labels and taint.
 
     Needed because ``LabeledStr("x", …) == "x"``: plain equality alone
     would let a row that dropped (or invented) labels slip through.
@@ -101,7 +120,7 @@ def _labeled_form(value):
         return {k: _labeled_form(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_labeled_form(item) for item in value]
-    return (value, labels_of(value))
+    return (value, labels_of(value), is_user_tainted(value))
 
 
 def _view_observation(database, name, **kwargs):
@@ -132,8 +151,10 @@ def _observe(database):
             doc_id: _labeled_form(database.get_or_none(doc_id)) for doc_id in DOC_IDS
         },
         "contains": {doc_id: doc_id in database for doc_id in DOC_IDS},
+        # Order differs by design (seed: by id; production: by creation).
         "all_docs_content": sorted(
-            (doc["_id"] for doc in database.all_docs()),
+            (_labeled_form(doc) for doc in database.all_docs()),
+            key=lambda doc: doc["_id"],
         ),
     }
     for name in VIEWS:
@@ -145,6 +166,56 @@ def _observe(database):
             database, name, include_docs=True
         )
     return observation
+
+
+def _containers(value):
+    """Every dict and list inside *value*, itself included."""
+    if isinstance(value, dict):
+        yield value
+        for item in value.values():
+            yield from _containers(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from _containers(item)
+
+
+def _read_documents(database):
+    """Every document every read surface returns, as returned."""
+    documents = [database.get(doc_id) for doc_id in DOC_IDS if doc_id in database]
+    documents += database.all_docs()
+    for name in VIEWS:
+        documents += [row.value for row in database.view(name, include_docs=True)]
+    return documents
+
+
+def _assert_read_path(database):
+    """Reads equal a fresh decode of the stored revision and are owned.
+
+    Called after histories whose updates were preceded by reads, so a
+    labeled form left over from an earlier revision would show here.
+    """
+    expected = {}
+    for doc_id in DOC_IDS:
+        raw = database.raw_document(doc_id)
+        if raw is not None and not raw.deleted:
+            fresh = json_codec.decode_document(raw.body, raw.sidecar)
+            expected[doc_id] = _labeled_form({**fresh, "_id": doc_id, "_rev": raw.rev})
+
+    first, second = _read_documents(database), _read_documents(database)
+    assert {doc["_id"] for doc in first} == set(expected)
+    for document in first + second:
+        assert _labeled_form(document) == expected[document["_id"]]
+    containers = [c for document in first + second for c in _containers(document)]
+    assert len({id(container) for container in containers}) == len(containers)
+
+    for container in containers:  # scribble over everything handed out
+        if isinstance(container, dict):
+            container["scribbled"] = label("evil", L_PATIENT)
+        else:
+            container.append("evil")
+    for document in _read_documents(database):
+        assert _labeled_form(document) == expected[document["_id"]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,6 +230,8 @@ def test_sharded_store_equals_seed_reference(operations, shards):
         assert _apply(reference, operation) == _apply(sharded, operation)
 
     assert _observe(reference) == _observe(sharded)
+    _assert_read_path(sharded)
+    assert _observe(reference) == _observe(sharded)  # ... which changed nothing
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,6 +247,7 @@ def test_views_defined_after_writes_match(operations, shards):
     _define_views(reference)
     _define_views(sharded)
     assert _observe(reference) == _observe(sharded)
+    _assert_read_path(sharded)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,8 +269,11 @@ def test_batched_replication_converges_to_reference(operations, shards, batch_si
         assert _apply(reference, operation) == _apply(source, operation)
         if index % 5 == 4:
             replicator.replicate()  # interleaved incremental passes
+            _read_documents(target)  # ... each read before the next lands
     replicator.replicate()
 
+    _assert_read_path(source)
+    _assert_read_path(target)
     observed_reference = _observe(reference)
     observed_target = _observe(target)
     # The replica sees the deduplicated feed: every *surviving* document,

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.mdt.deployment import MdtDeployment
+from repro.mdt.labels import mdt_label
 from repro.mdt.portal import PORTAL_VULNERABILITIES, build_portal
 from repro.mdt.workload import WorkloadConfig
 from repro.exceptions import SafeWebError
+from repro.taint import label, strip_labels
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +95,34 @@ class TestRouteEdges:
             "access_check_error",
             "inappropriate_access_check",
         }
+
+
+def test_relabelled_revision_is_denied_although_its_body_is_unchanged():
+    """The DMZ store materialises a document's labeled form once per
+    revision. Re-writing a metric with the same values under a stricter
+    label is a new revision: the page built from it must carry the new
+    label, and a principal lacking it gets the labelled denial — not the
+    page the previous revision's labels allowed."""
+    deployment = MdtDeployment(
+        WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=2, seed=53)
+    )
+    deployment.run_pipeline()
+    client = deployment.client_for("mdt1")
+    before = client.get("/metrics/1")
+    assert before.status == 200  # ... and revision 1 is now materialised
+
+    metric = deployment.app_db.get("metric-mdt-1")
+    stricter = {
+        key: value if key.startswith("_") else label(value, mdt_label("2"))
+        for key, value in metric.items()
+    }
+    assert strip_labels(stricter) == strip_labels(metric)
+    deployment.app_db.upsert(stricter)
+    deployment.replicate()
+
+    denied = deployment.audit.count(component="frontend", decision="denied")
+    after = client.get("/metrics/1")
+    assert after.status == 403
+    assert "completeness" not in after.text
+    assert deployment.audit.count(component="frontend", decision="denied") == denied + 1
+    assert client.get("/").status == 403  # the front page reads the same metric

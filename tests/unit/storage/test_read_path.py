@@ -1,0 +1,221 @@
+"""The docstore read path: a revision's labeled form is materialised
+once and shared, so every reader must get documents it owns, from one
+consistent snapshot, carrying the labels of the *current* revision."""
+
+import pytest
+
+from repro.core.labels import LabelSet, conf_label
+from repro.storage import Database, Replicator, ShardedDatabase
+from repro.storage.recovery import close_durable, open_durable_database
+from repro.taint import label, labels_of
+
+PATIENT = conf_label("ecric.org.uk", "patient", "1")
+MDT = conf_label("ecric.org.uk", "mdt", "1")
+OTHER_MDT = conf_label("ecric.org.uk", "mdt", "2")
+
+
+def _by_kind(doc):
+    return [(doc["kind"], None)] if "kind" in doc else []
+
+
+@pytest.fixture(params=["database", "sharded", "durable"])
+def store(request, tmp_path):
+    """(database, reopen) for each store flavour; *reopen* returns the
+    store as a later reader would find it (a recovered instance for the
+    durable flavour, the same object otherwise)."""
+    if request.param == "database":
+        database = Database("app")
+        yield database, lambda: database
+    elif request.param == "sharded":
+        database = ShardedDatabase("app", shards=4)
+        yield database, lambda: database
+    else:
+        opened = [open_durable_database(tmp_path, "app", shards=2)]
+
+        def reopen():
+            close_durable(opened.pop())
+            opened.append(open_durable_database(tmp_path, "app", shards=2))
+            opened[0].define_view("by_kind", _by_kind)
+            return opened[0]
+
+        yield opened[0], reopen
+        close_durable(opened.pop())
+
+
+def _vandalise(document):
+    """Mutate every container of a read result in place."""
+    document["tags"].append("evil")
+    document["nested"]["inner"].append("evil")
+    document["nested"]["added"] = "evil"
+    document["visits"][0]["note"] = "evil"
+    document["visits"].append({"note": "evil"})
+    document["name"] = "evil"
+    document["injected"] = "evil"
+
+
+class TestReadIsolation:
+    """Results are the caller's at every depth: mutating one never
+    rewrites the stored revision (no rev bump, no feed entry, no WAL
+    record would otherwise cover it)."""
+
+    DOCUMENT = {
+        "_id": "a",
+        "kind": "record",
+        "name": label("alice", PATIENT),
+        "tags": ["x"],
+        "nested": {"inner": [1]},
+        "visits": [{"note": label("seen", PATIENT)}],
+    }
+
+    def _check_intact(self, database, rev):
+        document = database.get("a")
+        assert document == {**self.DOCUMENT, "_rev": rev}
+        assert labels_of(document["name"]) == LabelSet([PATIENT])
+        assert labels_of(document["visits"][0]["note"]) == LabelSet([PATIENT])
+        assert labels_of(document["tags"]) == LabelSet()
+        raw = database.raw_document("a")
+        assert raw.body["tags"] == ["x"] and raw.body["nested"] == {"inner": [1]}
+
+    def test_unlabeled_document_from_the_issue(self, store):
+        database, reopen = store
+        database.put({"_id": "plain", "tags": ["x"]})
+        database.get("plain")["tags"].append("evil")
+        assert database.get("plain")["tags"] == ["x"]
+        assert reopen().get("plain")["tags"] == ["x"]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda db: db.get("a"),
+            lambda db: db.get_or_none("a"),
+            lambda db: db.all_docs()[0],
+            lambda db: db.view("by_kind", include_docs=True)[0].value,
+            lambda db: db.view("by_kind", key="record", include_docs=True)[0].value,
+        ],
+        ids=["get", "get_or_none", "all_docs", "view", "view_key"],
+    )
+    def test_mutating_a_result_never_reaches_the_store(self, store, read):
+        database, reopen = store
+        database.define_view("by_kind", _by_kind)
+        rev = database.put(dict(self.DOCUMENT))["rev"]
+        seq = database.update_seq
+        _vandalise(read(database))
+        _vandalise(read(database))  # the second read is served from the shared form
+        self._check_intact(database, rev)
+        assert database.update_seq == seq and len(database.changes()) == 1
+        self._check_intact(reopen(), rev)
+
+    def test_repeated_reads_share_no_container(self, store):
+        database, _reopen = store
+        database.put(dict(self.DOCUMENT))
+        first, second = database.get("a"), database.get("a")
+        assert first == second
+        for path in (
+            lambda d: d,
+            lambda d: d["tags"],
+            lambda d: d["nested"],
+            lambda d: d["nested"]["inner"],
+            lambda d: d["visits"],
+            lambda d: d["visits"][0],
+        ):
+            assert path(first) is not path(second)
+
+    def test_labeled_view_rows_survive_a_vandalised_document(self, store):
+        database, _reopen = store
+        database.define_view("notes", lambda doc: [(doc["kind"], doc["visits"])])
+        database.put(dict(self.DOCUMENT))
+        _vandalise(database.get("a"))
+        (row,) = database.view("notes")
+        assert row.value == [{"note": "seen"}]
+        assert labels_of(row.value) == LabelSet([PATIENT])
+        _vandalise(database.get("a"))
+        assert database.view("notes")[0].value == [{"note": "seen"}]
+
+
+class TestIncludeDocsSnapshot:
+    """``view(include_docs=True)`` resolves each row from the revision
+    that emitted it. A write landing between the match and the resolve —
+    interposed here on the matching step itself — used to fail the whole
+    query (delete) or pair a key with a document that no longer emits it
+    (update)."""
+
+    @staticmethod
+    def _interpose(database, write):
+        matching_rows = database._matching_rows
+
+        def matching_rows_then_write(*args):
+            rows = matching_rows(*args)
+            write()
+            return rows
+
+        database._matching_rows = matching_rows_then_write
+
+    @pytest.fixture()
+    def database(self):
+        database = Database("app")
+        database.define_view("by_kind", _by_kind)
+        database.put({"_id": "r1", "kind": "record", "name": label("alice", PATIENT)})
+        database.put({"_id": "r2", "kind": "record", "name": label("bob", PATIENT)})
+        return database
+
+    def test_concurrent_delete_cannot_fail_the_query(self, database):
+        rev = database.get("r1")["_rev"]
+        self._interpose(database, lambda: database.delete("r1", rev))
+        rows = database.view("by_kind", key="record", include_docs=True)
+        assert [(row.doc_id, row.value["name"]) for row in rows] == [
+            ("r1", "alice"), ("r2", "bob"),
+        ]
+        assert labels_of(rows[0].value["name"]) == LabelSet([PATIENT])
+
+    def test_concurrent_update_cannot_mismatch_key_and_document(self, database):
+        self._interpose(database, lambda: database.upsert({"_id": "r1", "kind": "metric"}))
+        rows = database.view("by_kind", key="record", include_docs=True)
+        assert all(row.value["kind"] == row.key == "record" for row in rows)
+        assert [row.doc_id for row in rows] == ["r1", "r2"]
+
+
+class TestRelabelledIdenticalBody:
+    """Security shape of "decode once per revision": a rewrite that
+    changes *only* the labels is a new revision, and must never be
+    served with the labels materialised for the previous one."""
+
+    BODY = {"_id": "metric", "kind": "metric", "value": "0.93"}
+
+    @staticmethod
+    def _labels(document):
+        return labels_of(document["value"])
+
+    def _reads(self, database):
+        return [
+            database.get("metric"),
+            database.all_docs()[0],
+            database.view("by_kind", include_docs=True)[0].value,
+        ]
+
+    def test_upsert_replication_and_reopen(self, tmp_path):
+        source = open_durable_database(tmp_path / "src", "app", shards=2)
+        replica = ShardedDatabase("dmz", shards=4, read_only=True)
+        replicator = Replicator(source, replica)
+        for database in (source, replica):
+            database.define_view("by_kind", _by_kind)
+
+        source.upsert({**self.BODY, "value": label("0.93", MDT)})
+        replicator.replicate()
+        for database in (source, replica):  # materialise revision 1 everywhere
+            assert [self._labels(doc) for doc in self._reads(database)] == [LabelSet([MDT])] * 3
+
+        source.upsert({**self.BODY, "value": label("0.93", MDT, OTHER_MDT)})
+        replicator.replicate()
+        stricter = LabelSet([MDT, OTHER_MDT])
+        for database in (source, replica):
+            assert [self._labels(doc) for doc in self._reads(database)] == [stricter] * 3
+            assert database.document_labels("metric") == stricter
+            assert database.raw_document("metric").body == {"kind": "metric", "value": "0.93"}
+
+        close_durable(source)
+        recovered = open_durable_database(tmp_path / "src", "app", shards=2)
+        try:
+            recovered.define_view("by_kind", _by_kind)
+            assert [self._labels(doc) for doc in self._reads(recovered)] == [stricter] * 3
+        finally:
+            close_durable(recovered)

@@ -98,3 +98,38 @@ class TestDocumentSidecar:
     def test_document_labels_helper(self):
         doc = {"a": label("x", PATIENT), "b": [label(1, MDT)]}
         assert json_codec.document_labels(doc) == LabelSet([PATIENT, MDT])
+
+
+class TestCopyContainers:
+    def test_containers_are_fresh_at_every_depth_and_leaves_shared(self):
+        class Rows(list):
+            pass
+
+        secret = label("alice", PATIENT)
+        original = {
+            "flat": [1, "x"],
+            "deep": [{"inner": (1, [secret])}],
+            "subclass": Rows([{"n": label(3, MDT)}]),
+            "leaf": secret,
+            "pair": (1, 2),
+        }
+        copy = json_codec.copy_containers(original)
+        assert copy == original
+        for path in (
+            lambda d: d,
+            lambda d: d["flat"],
+            lambda d: d["deep"],
+            lambda d: d["deep"][0],
+            lambda d: d["deep"][0]["inner"][1],
+            lambda d: d["subclass"],
+            lambda d: d["subclass"][0],
+        ):
+            assert path(copy) is not path(original)
+        assert copy["leaf"] is secret and copy["deep"][0]["inner"][1][0] is secret
+        assert copy["pair"] is original["pair"]  # immutable all the way down
+        assert labels_of(copy) == labels_of(original)
+
+    def test_scalars_pass_through(self):
+        secret = label(7, PATIENT)
+        assert json_codec.copy_containers(secret) is secret
+        assert json_codec.copy_containers(None) is None
