@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: help test test-unit test-security test-storage test-cluster bench-smoke bench-broker bench-taint bench-storage bench-durability bench-web bench-pipeline bench-supervision bench-cluster bench docs-check lint-ifc typecheck
+.PHONY: help test test-unit test-security test-storage test-cluster bench-smoke bench-e2e bench docs-check lint-ifc typecheck
 
 ## Show every target with its description.
 help:
@@ -45,39 +45,11 @@ test-cluster:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_a1_broker_matching.py benchmarks/test_e4_throughput.py -q
 
-## Broker perf snapshot: appends A1/E4 results to BENCH_broker.json.
-bench-broker:
-	$(PYTHON) scripts/bench_broker.py
+## The whole-system benchmark (BENCHMARK.json): all six perf/ workloads, results in perf/out/result.json.
+bench-e2e:
+	$(PYTHON) perf/run.py
 
-## Taint perf snapshot: appends A2/E2 results to BENCH_taint.json.
-bench-taint:
-	$(PYTHON) scripts/bench_taint.py
-
-## Storage perf snapshot: appends put/view/replicate results to BENCH_storage.json.
-bench-storage:
-	$(PYTHON) scripts/bench_storage.py
-
-## Durability perf snapshot: appends durable-vs-memory put + recovery results to BENCH_storage.json.
-bench-durability:
-	$(PYTHON) scripts/bench_durability.py
-
-## Web frontend perf snapshot: appends router/page/server results to BENCH_web.json.
-bench-web:
-	$(PYTHON) scripts/bench_web.py
-
-## Engine perf snapshot: appends seed-vs-laned pipeline results to BENCH_pipeline.json.
-bench-pipeline:
-	$(PYTHON) scripts/bench_pipeline.py
-
-## Supervision overhead snapshot: appends E4 off-vs-on results to BENCH_pipeline.json.
-bench-supervision:
-	$(PYTHON) scripts/bench_supervision.py
-
-## Cluster engine snapshot: appends E4 at 1/2/4/8 workers to BENCH_cluster.json.
-bench-cluster:
-	$(PYTHON) scripts/bench_cluster.py
-
-## Fail if docs/*.md reference modules, files or make targets that don't exist.
+## Fail if docs/*.md or README.md reference modules, files or make targets that don't exist.
 docs-check:
 	$(PYTHON) scripts/docs_check.py
 

@@ -2,15 +2,16 @@
 """Fail when docs reference modules, files or Make targets that don't exist.
 
 ``make docs-check`` (and ``tests/unit/test_docs_check.py``, which runs in
-the tier-1 suite) scans every ``docs/*.md`` for:
+the tier-1 suite) scans every ``docs/*.md`` and the root ``README.md`` for:
 
 * dotted module references (``repro.storage.docstore`` or
   ``repro.storage.docstore.ShardedDatabase``) — the module must exist
   under ``src/``; one trailing attribute is resolved by import;
 * repo-relative file paths (``src/…``, ``scripts/…``, ``tests/…``,
-  ``docs/…``, ``benchmarks/…``, ``examples/…`` and ``BENCH_*.json``) —
-  the file must exist;
-* Make target references (``make bench-storage``) — the target must be
+  ``docs/…``, ``benchmarks/…``, ``examples/…``, ``perf/…`` and
+  ``BENCHMARK.json``) — the file must exist; ``perf/out/…`` is where
+  benchmark runs write and is git-ignored, so it is not a reference;
+* Make target references (``make bench-smoke``) — the target must be
   defined in the Makefile.
 
 Exit status 0 when every reference resolves, 1 otherwise (one line per
@@ -30,8 +31,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 PATH_RE = re.compile(
-    r"\b(?:(?:src|scripts|tests|docs|benchmarks|examples)/[A-Za-z0-9_./-]+"
-    r"|BENCH_[A-Za-z0-9_]+\.json|Makefile|README\.md|ROADMAP\.md|CHANGES\.md"
+    r"\b(?:(?:(?:src|scripts|tests|docs|benchmarks|examples)/|perf/(?!out\b))[A-Za-z0-9_./-]+"
+    r"|BENCHMARK\.json|Makefile|README\.md|ROADMAP\.md|CHANGES\.md"
     r"|PAPER\.md|PAPERS\.md|SNIPPETS\.md)"
 )
 MAKE_RE = re.compile(r"\bmake\s+([a-z][a-z0-9-]*)")
@@ -121,6 +122,9 @@ def run(root: Path, docs_dir: Path) -> int:
     if not documents:
         print(f"docs-check: no markdown files under {docs_dir}", file=sys.stderr)
         return 1
+    readme = root / "README.md"
+    if readme.exists():
+        documents.append(readme)
     targets = makefile_targets(root)
     errors = []
     for path in documents:

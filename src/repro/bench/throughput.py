@@ -81,16 +81,12 @@ def measure_throughput(
     labelled_events: bool = True,
     window: int = 2_000,
     audit: Optional[AuditLog] = None,
-    supervision=None,
 ) -> ThroughputResult:
     """Run the producer/consumer pair and measure sustained throughput.
 
     ``label_checks=False`` + ``isolation=False`` + unlabelled events is
     the paper's baseline ("without label tracking"); the default is the
-    SafeWeb configuration. ``supervision`` (a
-    :class:`~repro.events.supervision.SupervisionPolicy`) wraps every
-    callback in the supervised ladder — scripts/bench_supervision.py
-    uses it to price the fault-free overhead of supervision.
+    SafeWeb configuration.
     """
     audit = audit if audit is not None else AuditLog(capacity=16)
     broker = Broker(label_checks=label_checks, audit=audit)
@@ -99,7 +95,6 @@ def measure_throughput(
         policy=_THROUGHPUT_POLICY,
         audit=audit,
         isolation=isolation,
-        supervision=supervision,
     )
     engine.register(_ConsumerUnit())
 

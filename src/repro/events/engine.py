@@ -160,7 +160,7 @@ class EventProcessingEngine:
         self._chaos_active = chaos is not NULL_FAULTS
         # Per-engine UnitSupervisor cache: Supervisor.unit() is stable
         # per name, so a plain dict lookup on the delivery fast path
-        # avoids a method call per event (bench-supervision target).
+        # avoids a method call per event.
         self._unit_supervisors: Dict[str, UnitSupervisor] = {}
         self._scheduler: Optional[LaneScheduler] = None
         if workers:
@@ -353,7 +353,6 @@ class EventProcessingEngine:
         # A chaos fault at the deliver point raises on the delivering
         # thread, where the broker's containment audits it as a denied
         # delivery — the same observable outcome in both engine modes.
-        chaos = self._chaos if self._chaos_active else None
         deliver_point = f"engine.deliver:{principal.name}"
 
         if self._scheduler is not None:
@@ -365,26 +364,16 @@ class EventProcessingEngine:
             lane = self._scheduler.lane(principal.name)
             submit = self._scheduler.submit
 
-            if chaos is None:
-
-                def deliver(event: Event) -> None:
-                    submit(lane, (principal, callback, event))
-
-            else:
-
-                def deliver(event: Event) -> None:
-                    chaos.hit(deliver_point)
-                    submit(lane, (principal, callback, event))
-
-        elif chaos is None:
-
             def deliver(event: Event) -> None:
-                self._run_callback(principal, callback, event)
+                if self._chaos_active:
+                    self._chaos.hit(deliver_point)
+                submit(lane, (principal, callback, event))
 
         else:
 
             def deliver(event: Event) -> None:
-                chaos.hit(deliver_point)
+                if self._chaos_active:
+                    self._chaos.hit(deliver_point)
                 self._run_callback(principal, callback, event)
 
         self.broker.subscribe(
@@ -447,8 +436,7 @@ class EventProcessingEngine:
         if supervisor is not None:
             # Fault-free fast path: the first attempt runs inline here —
             # the retry / dead-letter / restart ladder only costs a call
-            # frame once a callback actually fails (bench-supervision's
-            # ≤5 % overhead target).
+            # frame once a callback actually fails.
             unit_sup = self._unit_supervisors.get(principal.name)
             if unit_sup is None:
                 unit_sup = supervisor.unit(principal.name)

@@ -37,7 +37,7 @@ from repro.storage.recovery import (
     open_durable_database,
 )
 from repro.storage.replication import Replicator
-from repro.storage.wal import DEFAULT_FSYNC_BATCH, DEFAULT_SNAPSHOT_EVERY
+from repro.storage.wal import DEFAULT_FSYNC_BATCH
 from repro.storage.webdb import WebDatabase
 from repro.web.http import TestClient
 
@@ -113,20 +113,14 @@ class MdtDeployment:
         label_checks_in_broker: bool = True,
         label_events: bool = True,
         shards: int = 1,
-        compiled_router: bool = True,
         cached_auth: bool = False,
         page_cache: bool = False,
-        sessions: bool = True,
         parallel_engine: int = 0,
-        mailbox_capacity: int = 1024,
-        backpressure: str = "block",
         supervision=None,
         storage_breaker=None,
         data_dir: Optional[str] = None,
         fsync_batch: int = DEFAULT_FSYNC_BATCH,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         cluster_workers: int = 0,
-        cluster_shards: Optional[int] = None,
     ):
         self.audit = audit if audit is not None else AuditLog()
         self.firewall = Firewall()
@@ -170,8 +164,6 @@ class MdtDeployment:
             isolation=isolation,
             raise_callback_errors=not parallel_engine and supervision is None,
             workers=parallel_engine,
-            mailbox_capacity=mailbox_capacity,
-            backpressure=backpressure,
             supervision=supervision,
         )
         # ``shards > 1`` hash-partitions both application databases; the
@@ -182,7 +174,6 @@ class MdtDeployment:
                 "mdt_app",
                 shards=shards,
                 fsync_batch=fsync_batch,
-                snapshot_every=snapshot_every,
             )
             self._durable_dbs.append(self.app_db)
         else:
@@ -204,7 +195,7 @@ class MdtDeployment:
         self.cluster = None
         if cluster_workers:
             self.cluster = self._start_cluster(
-                aggregator_cls, cluster_workers, cluster_shards, supervision, isolation
+                aggregator_cls, cluster_workers, supervision, isolation
             )
             self.aggregator = None  # lives in a worker process
         else:
@@ -219,7 +210,6 @@ class MdtDeployment:
                 shards=shards,
                 read_only=True,
                 fsync_batch=fsync_batch,
-                snapshot_every=snapshot_every,
             )
             self._durable_dbs.append(self.dmz_db)
             checkpoint_store = CheckpointStore(
@@ -256,15 +246,9 @@ class MdtDeployment:
             vulnerability=portal_vulnerability,
             check_labels=check_labels,
             check_taint=check_taint,
-            compiled_router=compiled_router,
             cached_auth=cached_auth,
             page_cache=page_cache,
-            sessions=sessions,
-            session_db=(
-                make_database("portal_sessions", shards=max(shards, 1))
-                if sessions
-                else None
-            ),
+            session_db=make_database("portal_sessions", shards=shards),
             csrf_protect=csrf_protect,
             health_probe=self.probe,
         )
@@ -281,14 +265,13 @@ class MdtDeployment:
     CLUSTER_FORWARD_TOPICS = ("/patient_report",)
     CLUSTER_RETURN_TOPICS = ("/aggregated_record", "/mdt_metric", "/region_metric")
 
-    def _start_cluster(self, aggregator_cls, workers, shards, supervision, isolation):
+    def _start_cluster(self, aggregator_cls, workers, supervision, isolation):
         from repro.events.cluster import ClusterEngine
         from repro.events.supervision import SupervisionPolicy
 
         cluster = ClusterEngine(
             self.workload.policy,
             workers=workers,
-            shards=shards,
             audit=self.audit,
             # Worker processes rebuild their supervisor from the policy
             # (a Supervisor instance holds locks and is not portable).

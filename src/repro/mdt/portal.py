@@ -152,10 +152,8 @@ def build_portal(
     vulnerability: Optional[str] = None,
     check_labels: bool = True,
     check_taint: bool = True,
-    compiled_router: bool = True,
     cached_auth: bool = True,
     page_cache: bool = True,
-    sessions: bool = True,
     session_db=None,
     csrf_protect: bool = True,
     health_probe: Optional[Callable[[], dict]] = None,
@@ -166,24 +164,22 @@ def build_portal(
     the caching authenticator, cookie sessions on the sharded document
     store and the clearance-keyed page cache (only when the label check
     is active — the cache's release decision *is* the label check, so a
-    baseline deployment must regenerate every page). Every switch can be
-    turned off to recover the seed request path; the web benchmark
-    measures both configurations.
+    baseline deployment must regenerate every page). ``cached_auth`` and
+    ``page_cache`` can be turned off to regenerate and re-authenticate
+    every request, the paper's Figure 5 cost shape.
     """
     if vulnerability is not None and vulnerability not in PORTAL_VULNERABILITIES:
         raise SafeWebError(f"unknown portal vulnerability {vulnerability!r}")
 
-    app = SafeWebApp("mdt-portal", compiled_router=compiled_router)
+    app = SafeWebApp("mdt-portal")
     authenticator_cls = CachingAuthenticator if cached_auth else BasicAuthenticator
     authenticator = authenticator_cls(webdb)
-    public_paths = {"/health"}
+    public_paths = {"/health", "/login"}
     if health_probe is not None:
         # Sits beside /health on the unauthenticated monitoring surface;
         # the route serves sanitize_probe(health_probe()) — counters and
         # booleans only, no unit names, placements or link principals.
         public_paths.add("/metrics")
-    if sessions:
-        public_paths.add("/login")
     middleware = SafeWebMiddleware(
         authenticator,
         audit=audit,
@@ -191,20 +187,17 @@ def build_portal(
         check_labels=check_labels,
         check_taint=check_taint,
     )
-    session_middleware = None
-    if sessions:
-        session_store = DocStoreSessionStore(database=session_db)
-        session_middleware = SessionMiddleware(
-            webdb,
-            middleware,
-            audit=audit,
-            session_store=session_store,
-            csrf_protect=csrf_protect,
-        )
-        # Sessions first: a valid cookie authenticates before the Basic
-        # auth hook runs, and CSRF guards every state-changing portal
-        # route (POST /feedback, POST /admin/mdts) for cookie principals.
-        session_middleware.install(app)
+    session_middleware = SessionMiddleware(
+        webdb,
+        middleware,
+        audit=audit,
+        session_store=DocStoreSessionStore(database=session_db),
+        csrf_protect=csrf_protect,
+    )
+    # Sessions first: a valid cookie authenticates before the Basic
+    # auth hook runs, and CSRF guards every state-changing portal
+    # route (POST /feedback, POST /admin/mdts) for cookie principals.
+    session_middleware.install(app)
     middleware.install(app)
 
     cache = None

@@ -95,12 +95,6 @@ class WorkloadConfig:
     #: Probability a generated field is left blank (drives completeness).
     missing_field_rate: float = 0.15
     seed: int = 42
-    #: Add one ``mdt_processor_<id>`` unit principal per MDT to the
-    #: policy. A multi-unit workload is what gives the parallel engine's
-    #: per-unit lanes something to overlap (one aggregator = one serial
-    #: lane); the pipeline benchmark and the laned-deployment tests
-    #: register per-MDT units under these principals.
-    per_mdt_units: bool = False
 
 
 @dataclass
@@ -147,7 +141,7 @@ def generate_workload(config: WorkloadConfig | None = None) -> Workload:
 
     directory = _generate_directory(config)
     main_db = _generate_main_db(config, directory, rng)
-    policy, passwords = _generate_policy(directory, rng, per_mdt_units=config.per_mdt_units)
+    policy, passwords = _generate_policy(directory, rng)
     return Workload(
         config=config,
         main_db=main_db,
@@ -246,24 +240,8 @@ def _generate_main_db(
     return main_db
 
 
-def per_mdt_unit_name(mdt_id: str) -> str:
-    """The policy principal of the per-MDT processor unit for *mdt_id*."""
-    return f"mdt_processor_{mdt_id}"
-
-
-def _generate_policy(
-    directory: MdtDirectory, rng: random.Random, per_mdt_units: bool = False
-):
+def _generate_policy(directory: MdtDirectory, rng: random.Random):
     document = PolicyDocument(authority="ecric.org.uk")
-    if per_mdt_units:
-        for mdt_id in directory.mdt_ids():
-            document.units[per_mdt_unit_name(mdt_id)] = UnitSpec(
-                name=per_mdt_unit_name(mdt_id),
-                grants={
-                    "clearance": [mdt_label(mdt_id).uri],
-                    "declassification": [mdt_label(mdt_id).uri],
-                },
-            )
     document.units["data_producer"] = UnitSpec(
         name="data_producer",
         privileged=True,

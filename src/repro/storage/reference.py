@@ -15,9 +15,7 @@ are pinned to this implementation:
   observation-equivalent to this class replaying a prefix of the
   acknowledged write history. The reference itself stays purely
   in-memory — it is the specification recovery is judged against,
-  never a durable store;
-* ``scripts/bench_storage.py`` measures this class as the "seed path"
-  baseline in every ``BENCH_storage.json`` snapshot.
+  never a durable store.
 
 Do not "improve" this module; it is deliberately the slow, obviously
 correct version (the same role ``match_topic`` plays for the PR 1 topic
@@ -265,17 +263,3 @@ class ReferenceDatabase:
     def document_labels(self, doc_id: str) -> Any:
         document = self.get(doc_id)
         return labels_of({k: v for k, v in document.items() if k not in ("_id", "_rev")})
-
-
-def reference_replicate(source: ReferenceDatabase, target) -> int:
-    """Seed-style doc-at-a-time replication (the bench baseline)."""
-    copied = 0
-    for change in source.changes():
-        stored = source.raw_document(change.doc_id)
-        if stored is None:
-            continue
-        target.replication_put(
-            stored.doc_id, stored.rev, stored.body, stored.sidecar, deleted=stored.deleted
-        )
-        copied += 1
-    return copied

@@ -17,7 +17,7 @@ from repro.web.auth import BasicAuthenticator, CachingAuthenticator
 from repro.web.middleware import SafeWebMiddleware
 from repro.web.pagecache import PageCache
 from repro.web.sessions import DocStoreSessionStore, SessionMiddleware
-from repro.web.http import HttpServer, TestClient, ThreadedHttpServer
+from repro.web.http import HttpServer, TestClient
 
 __all__ = [
     "Request",
@@ -35,6 +35,5 @@ __all__ = [
     "DocStoreSessionStore",
     "SessionMiddleware",
     "HttpServer",
-    "ThreadedHttpServer",
     "TestClient",
 ]

@@ -83,7 +83,7 @@ class SafeWebApp:
     registration); the seed linear regex scan is preserved as
     :meth:`match_reference` and stays property-tested equivalent. Set
     ``compiled_router=False`` to dispatch through the reference matcher
-    (the benchmarks' seed configuration).
+    (the property suite's seed-pipeline world).
     """
 
     def __init__(self, name: str = "safeweb-app", compiled_router: bool = True):

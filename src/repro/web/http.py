@@ -1,5 +1,5 @@
-"""HTTP plumbing: a worker-pool keep-alive server, the seed threaded
-server (kept as the benchmark reference) and an in-process test client.
+"""HTTP plumbing: a worker-pool keep-alive server and an in-process
+test client.
 
 :class:`HttpServer` is the production path: a fixed pool of worker
 threads each running an accept → serve loop over persistent HTTP/1.1
@@ -14,12 +14,6 @@ are streamed with chunked transfer-encoding so one huge labeled page
 cannot hold a multi-megabyte buffer per connection. TLS wraps each
 accepted socket (handshake on the worker, not the acceptor).
 
-:class:`ThreadedHttpServer` is the seed architecture — stock
-``ThreadingHTTPServer``, one thread per connection — preserved as the
-reference the web benchmark (``scripts/bench_web.py``) compares against,
-with the handler bugs fixed (HEAD support, ``Connection: close``,
-binary-safe bodies).
-
 :class:`TestClient` drives an app without sockets. Tests and the page-
 generation benchmark use it so measurements capture *page generation*
 (what the paper reports) rather than socket noise.
@@ -31,7 +25,6 @@ import socket
 import ssl
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Set, Tuple
 
 from repro.web.auth import encode_basic
@@ -323,97 +316,6 @@ class HttpServer:
             connection.sendall(head + payload)
         except OSError:
             pass
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: "ThreadedHttpServer"
-
-    def _run(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        # Bytes, undecoded: a binary POST must not crash the handler
-        # thread (the Request decodes lazily, and only if asked).
-        body = self.rfile.read(length) if length else b""
-        request = Request(
-            method=self.command,
-            path=self.path,
-            headers=dict(self.headers.items()),
-            body=body,
-            remote_addr=self.client_address[0],
-        )
-        response = self.server.app(request)
-        status, headers, payload = response.finalize()
-        self.send_response(status)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        if (self.headers.get("Connection") or "").lower() == "close":
-            # parse_request already set close_connection; advertise it.
-            self.close_connection = True
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._run()
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._run()
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._run()
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._run()
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._run()
-
-    def log_message(self, *args) -> None:  # silence default stderr logging
-        pass
-
-
-class ThreadedHttpServer(ThreadingHTTPServer):
-    """The seed server: one thread per connection (benchmark reference)."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(
-        self,
-        app,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        tls_context: Optional[ssl.SSLContext] = None,
-    ):
-        self.app = app
-        self._thread: Optional[threading.Thread] = None
-        super().__init__((host, port), _Handler)
-        if tls_context is not None:
-            self.socket = tls_context.wrap_socket(self.socket, server_side=True)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.server_address
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ThreadedHttpServer":
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="safeweb-http", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(5)
-            self._thread = None
 
 
 @dataclass

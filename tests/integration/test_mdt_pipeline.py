@@ -10,19 +10,47 @@ import json
 import pytest
 
 from repro.core.labels import LabelSet
+from repro.events.supervision import CircuitBreaker, SupervisionPolicy
 from repro.exceptions import FirewallError, ReadOnlyError
 from repro.mdt import MdtDeployment, WorkloadConfig, mdt_label
 from repro.mdt.deployment import Zone
 from repro.taint import labels_of
 
 
+CONFIG = WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=5, seed=7)
+
+
 @pytest.fixture(scope="module")
 def deployment() -> MdtDeployment:
-    deployment = MdtDeployment(
-        WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=5, seed=7)
-    )
+    deployment = MdtDeployment(CONFIG)
     deployment.run_pipeline()
     return deployment
+
+
+def assert_same_documents(reference: MdtDeployment, other: MdtDeployment) -> None:
+    """Same ``app_db`` documents, field for field, with the same labels.
+
+    Other tests re-run the reference pipeline (bumping ``_rev``), so
+    revisions are not compared.
+    """
+    assert sorted(other.app_db.all_doc_ids()) == sorted(reference.app_db.all_doc_ids())
+    for doc_id in reference.app_db.all_doc_ids():
+        expected = reference.app_db.get(doc_id)
+        actual = other.app_db.get(doc_id)
+        assert set(expected) == set(actual)
+        for field in expected:
+            if field == "_rev":
+                continue
+            assert expected[field] == actual[field]
+            assert labels_of(expected[field]) == labels_of(actual[field])
+
+
+def assert_same_records_page(reference: MdtDeployment, other: MdtDeployment) -> None:
+    """``/records/1`` is served, and identically, by both deployments."""
+    expected = reference.client_for("mdt1").get("/records/1")
+    actual = other.client_for("mdt1").get("/records/1")
+    assert actual.status == expected.status == 200
+    assert actual.json() == expected.json()
 
 
 class TestBackendPipeline:
@@ -196,28 +224,12 @@ class TestShardedDeployment:
 
     @pytest.fixture(scope="class")
     def sharded(self) -> MdtDeployment:
-        deployment = MdtDeployment(
-            WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=5, seed=7),
-            shards=4,
-        )
+        deployment = MdtDeployment(CONFIG, shards=4)
         deployment.run_pipeline()
         return deployment
 
     def test_same_documents_as_unsharded(self, deployment, sharded):
-        assert sorted(sharded.app_db.all_doc_ids()) == sorted(
-            deployment.app_db.all_doc_ids()
-        )
-        for doc_id in deployment.app_db.all_doc_ids():
-            flat = deployment.app_db.get(doc_id)
-            shard = sharded.app_db.get(doc_id)
-            # Other tests re-run the unsharded pipeline (bumping _rev);
-            # content and labels must match field for field.
-            assert set(flat) == set(shard)
-            for field in flat:
-                if field == "_rev":
-                    continue
-                assert flat[field] == shard[field]
-                assert labels_of(flat[field]) == labels_of(shard[field])
+        assert_same_documents(deployment, sharded)
 
     def test_replication_reaches_sharded_dmz(self, sharded):
         assert sorted(sharded.dmz_db.all_doc_ids()) == sorted(
@@ -227,10 +239,7 @@ class TestShardedDeployment:
             sharded.dmz_db.put({"_id": "evil", "x": 1})
 
     def test_portal_serves_identical_records(self, deployment, sharded):
-        flat_response = deployment.client_for("mdt1").get("/records/1")
-        sharded_response = sharded.client_for("mdt1").get("/records/1")
-        assert sharded_response.status == flat_response.status == 200
-        assert sharded_response.json() == flat_response.json()
+        assert_same_records_page(deployment, sharded)
 
     def test_reduce_view_counts_records(self, sharded):
         records = [
@@ -253,27 +262,13 @@ class TestParallelEngineDeployment:
 
     @pytest.fixture(scope="class")
     def parallel(self) -> MdtDeployment:
-        deployment = MdtDeployment(
-            WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=5, seed=7),
-            parallel_engine=4,
-        )
+        deployment = MdtDeployment(CONFIG, parallel_engine=4)
         deployment.run_pipeline()
         yield deployment
         deployment.engine.stop()
 
     def test_same_documents_as_synchronous(self, deployment, parallel):
-        assert sorted(parallel.app_db.all_doc_ids()) == sorted(
-            deployment.app_db.all_doc_ids()
-        )
-        for doc_id in deployment.app_db.all_doc_ids():
-            sync_doc = deployment.app_db.get(doc_id)
-            laned_doc = parallel.app_db.get(doc_id)
-            assert set(sync_doc) == set(laned_doc)
-            for field in sync_doc:
-                if field == "_rev":
-                    continue
-                assert sync_doc[field] == laned_doc[field]
-                assert labels_of(sync_doc[field]) == labels_of(laned_doc[field])
+        assert_same_documents(deployment, parallel)
 
     def test_lanes_actually_carried_the_pipeline(self, parallel):
         assert parallel.engine.parallel
@@ -289,12 +284,54 @@ class TestParallelEngineDeployment:
         assert parallel.audit.count(decision="denied") == 0
 
     def test_portal_serves_identical_records(self, deployment, parallel):
-        sync_response = deployment.client_for("mdt1").get("/records/1")
-        laned_response = parallel.client_for("mdt1").get("/records/1")
-        assert laned_response.status == sync_response.status == 200
-        assert laned_response.json() == sync_response.json()
+        assert_same_records_page(deployment, parallel)
 
     def test_incremental_rerun_converges(self, parallel):
         before = sorted(parallel.app_db.all_doc_ids())
         parallel.run_pipeline()
         assert sorted(parallel.app_db.all_doc_ids()) == before
+
+
+class TestRobustDeployment:
+    """The error-handling and flush-policy keywords, fault-free.
+
+    ``supervision`` arms the retry / dead-letter / restart ladder and
+    ``storage_breaker`` guards the storage unit's writes; with no faults
+    occurring neither may change what the pipeline stores or serves.
+    ``fsync_batch`` only moves the WAL's commit points.
+    """
+
+    @pytest.fixture(scope="class")
+    def breaker(self) -> CircuitBreaker:
+        return CircuitBreaker("data_storage")
+
+    @pytest.fixture(scope="class")
+    def supervised(self, breaker) -> MdtDeployment:
+        deployment = MdtDeployment(
+            CONFIG, supervision=SupervisionPolicy(), storage_breaker=breaker
+        )
+        deployment.run_pipeline()
+        return deployment
+
+    def test_same_documents_as_unsupervised(self, deployment, supervised):
+        assert_same_documents(deployment, supervised)
+
+    def test_supervisor_and_breaker_are_armed_and_quiet(self, supervised, breaker):
+        assert supervised.engine.supervisor is not None
+        assert breaker.state == "closed"
+        assert supervised.audit.count(decision="denied") == 0
+
+    def test_portal_serves_identical_records(self, deployment, supervised):
+        assert_same_records_page(deployment, supervised)
+
+    def test_fsync_every_record_reopens_to_the_same_documents(self, tmp_path):
+        config = WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3)
+        first = MdtDeployment(config, data_dir=tmp_path, fsync_batch=1)
+        first.run_pipeline()
+        doc_ids = first.app_db.all_doc_ids()
+        first.close()
+        second = MdtDeployment(config, data_dir=tmp_path, fsync_batch=1)
+        try:
+            assert doc_ids and second.app_db.all_doc_ids() == doc_ids
+        finally:
+            second.close()

@@ -1,4 +1,4 @@
-"""Unit tests for the worker-pool keep-alive server (and the fixed seed server)."""
+"""Unit tests for the worker-pool keep-alive server."""
 
 import http.client
 import socket
@@ -6,7 +6,7 @@ import socket
 import pytest
 
 from repro.web import Response, SafeWebApp
-from repro.web.http import HttpServer, ThreadedHttpServer
+from repro.web.http import HttpServer
 
 
 @pytest.fixture()
@@ -93,18 +93,6 @@ class TestHead:
         assert connection.getresponse().read() == b"pong"
         connection.close()
 
-    def test_head_on_seed_server(self, app):
-        server = ThreadedHttpServer(app).start()
-        try:
-            connection = open_connection(server)
-            connection.request("HEAD", "/ping")
-            response = connection.getresponse()
-            assert response.status == 200
-            assert response.read() == b""
-            connection.close()
-        finally:
-            server.stop()
-
 
 class TestBodies:
     def test_binary_post_does_not_crash(self, server):
@@ -113,17 +101,6 @@ class TestBodies:
         connection.request("POST", "/echo-length", body=payload)
         assert connection.getresponse().read() == str(len(payload)).encode()
         connection.close()
-
-    def test_binary_post_on_seed_server(self, app):
-        server = ThreadedHttpServer(app).start()
-        try:
-            payload = b"\xff\xfe\x00\x01binary"
-            connection = open_connection(server)
-            connection.request("POST", "/echo-length", body=payload)
-            assert connection.getresponse().read() == str(len(payload)).encode()
-            connection.close()
-        finally:
-            server.stop()
 
     def test_binary_response_roundtrip(self, server):
         payload = bytes(range(256))
