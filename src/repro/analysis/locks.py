@@ -52,9 +52,8 @@ from repro.analysis.framework import ModuleSource, Project
 #: ``lock-order`` finding.
 LOCK_HIERARCHY: Dict[str, Dict[str, int]] = {
     "storage": {
-        "DocumentStore._lock": 0,
-        "Database._lock": 1,
-        "SequenceAllocator._lock": 2,
+        "Database._lock": 0,
+        "SequenceAllocator._lock": 1,
     },
     "lanes": {
         "LaneScheduler._lanes_lock": 0,

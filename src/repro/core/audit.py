@@ -55,7 +55,7 @@ class AuditRecord:
         }
 
 
-#: Deferred decisions: (component, operation, principal, decision,
+#: Recorded decisions: (component, operation, principal, decision,
 #: labels-or-None, detail, timestamp). Formatting into AuditRecord
 #: happens at flush time, off the enforcement hot path.
 _PendingEntry = Tuple[str, str, str, str, Optional[LabelSet], str, float]
@@ -68,29 +68,21 @@ class AuditLog:
     records are discarded first, while the per-decision counters keep
     exact totals forever.
 
-    Hot paths (the broker's per-delivery decisions) record through
-    :meth:`note`, which — in the default *buffered* mode — appends a raw
-    tuple to a ring buffer and defers :class:`AuditRecord` construction,
-    locking and counter updates to :meth:`flush`. Every query flushes
-    first, so observers always see a complete, exact log; the only
-    difference from eager mode is *when* the formatting cost is paid.
-    With ``buffered=False``, :meth:`note` records eagerly, for
-    deployments that need each record materialised before the next
-    operation proceeds.
+    There is one recording path: :meth:`record` (and its spellings
+    :meth:`allowed`, :meth:`denied`, :meth:`note`) timestamps the
+    decision and appends a raw tuple to a ring buffer;
+    :class:`AuditRecord` construction, locking and counter updates are
+    deferred to :meth:`flush`. Every query flushes first, so observers
+    always see a complete, exact, chronologically ordered log — only
+    *when* the formatting cost is paid differs from recording eagerly.
     """
 
-    def __init__(
-        self,
-        capacity: int = 10_000,
-        clock: Callable[[], float] = time.time,
-        buffered: bool = True,
-    ):
+    def __init__(self, capacity: int = 10_000, clock: Callable[[], float] = time.time):
         self._lock = threading.Lock()
         self._records: List[AuditRecord] = []
         self._capacity = capacity
         self._clock = clock
         self._counters: Dict[tuple, int] = {}
-        self._buffered = buffered
         self._pending: Deque[_PendingEntry] = deque()
         #: Flush when this many decisions are pending, so the buffer is a
         #: bounded ring even if no one queries the log for a long time.
@@ -107,64 +99,27 @@ class AuditLog:
         decision: str,
         labels: Optional[LabelSet] = None,
         detail: str = "",
-    ) -> AuditRecord:
-        # Materialise any deferred notes first so the record list keeps
-        # its chronological order when eager and deferred callers share
-        # one log.
-        self.flush()
-        entry = AuditRecord(
-            record_id=next(_record_ids),
-            timestamp=self._clock(),
-            component=component,
-            operation=operation,
-            principal=principal,
-            decision=decision,
-            labels=labels or LabelSet(),
-            detail=detail,
-        )
-        with self._lock:
-            self._records.append(entry)
-            if len(self._records) > self._capacity:
-                del self._records[: len(self._records) - self._capacity]
-            key = (component, operation, decision)
-            self._counters[key] = self._counters.get(key, 0) + 1
-        return entry
-
-    def allowed(self, component: str, operation: str, principal: str, **kwargs) -> AuditRecord:
-        return self.record(component, operation, principal, ALLOWED, **kwargs)
-
-    def denied(self, component: str, operation: str, principal: str, **kwargs) -> AuditRecord:
-        return self.record(component, operation, principal, DENIED, **kwargs)
-
-    # -- deferred recording (hot paths) -----------------------------------
-
-    def note(
-        self,
-        component: str,
-        operation: str,
-        principal: str,
-        decision: str,
-        labels: Optional[LabelSet] = None,
-        detail: str = "",
     ) -> None:
-        """Record a decision without materialising the record yet.
-
-        Identical observable content to :meth:`record` — the entry
-        appears in :meth:`records` / :meth:`count` after the implicit
-        flush every query performs — but the hot path pays only a
-        timestamp and a lock-free ring append.
-        """
-        if not self._buffered:
-            self.record(component, operation, principal, decision, labels, detail)
-            return
+        """Record a decision; the caller pays a timestamp and a lock-free
+        ring append, :meth:`flush` materialises the record."""
         self._pending.append(
             (component, operation, principal, decision, labels, detail, self._clock())
         )
         if len(self._pending) >= self._flush_threshold:
             self.flush()
 
+    #: The name hot paths record under (kept: callers and the perf
+    #: tracer tell the two apart) — the same one path.
+    note = record
+
+    def allowed(self, component: str, operation: str, principal: str, **kwargs) -> None:
+        self.record(component, operation, principal, ALLOWED, **kwargs)
+
+    def denied(self, component: str, operation: str, principal: str, **kwargs) -> None:
+        self.record(component, operation, principal, DENIED, **kwargs)
+
     def flush(self) -> int:
-        """Materialise pending :meth:`note` entries; returns how many.
+        """Materialise pending entries; returns how many.
 
         Counters are updated for *every* pending decision (totals stay
         exact), but :class:`AuditRecord` objects are only built for the

@@ -268,12 +268,17 @@ class Broker:
             self._queue.put(None)
             dispatcher.join(timeout)
 
-    def drain(self, timeout: float = 5.0) -> None:
-        """Block until queued events have been dispatched (threaded mode)."""
-        if self._threaded:
-            done = threading.Event()
-            self._queue.put(done)
-            done.wait(timeout)
+    def drain(self, timeout: float = 5.0) -> bool:
+        """Block until queued events have been dispatched (threaded mode).
+
+        False when *timeout* ran out first: something queued before the
+        call has not been dispatched yet.
+        """
+        if not self._threaded:
+            return True
+        done = threading.Event()
+        self._queue.put(done)
+        return done.wait(timeout)
 
     @property
     def queue_depth(self) -> int:

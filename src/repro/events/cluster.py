@@ -44,10 +44,10 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.audit import AuditLog, default_audit_log
-from repro.core.labels import Label, LabelSet
+from repro.core.labels import LabelSet
 from repro.core.policy import Policy, PolicyDocument, UnitSpec
-from repro.events.cluster_codec import decode_event, encode_event, encode_payload
-from repro.events.event import Event
+from repro.events.cluster_codec import decode_event, decode_payload, encode_event, encode_payload
+from repro.events.event import Event, as_events
 from repro.events.ring import HashRing
 from repro.events.stomp.bridge import StompBrokerBridge
 from repro.events.supervision import SupervisionPolicy, is_dlq_topic
@@ -80,10 +80,6 @@ def shard_policy_document(document: PolicyDocument) -> PolicyDocument:
     return clone
 
 
-def _is_wildcard(topic: str) -> bool:
-    return "*" in topic or "#" in topic
-
-
 def cluster_context(start_method: Optional[str] = None):
     """The multiprocessing context cluster children start under.
 
@@ -108,7 +104,7 @@ def cluster_context(start_method: Optional[str] = None):
 class _RouterSubscription:
     """The Broker-surface subscription handle the engine keeps."""
 
-    __slots__ = ("subscription_id", "topic", "principal", "entries", "active")
+    __slots__ = ("subscription_id", "topic", "principal", "entries")
 
     def __init__(self, subscription_id: str, topic: str, principal: str, entries):
         self.subscription_id = subscription_id
@@ -116,7 +112,6 @@ class _RouterSubscription:
         self.principal = principal
         #: [(bridge, bridge-subscription-id)] — one per shard involved.
         self.entries = entries
-        self.active = True
 
 
 class ClusterRouter:
@@ -161,7 +156,6 @@ class ClusterRouter:
         #: label-checked broker like any other event).
         self.dlq_ledger: List[dict] = []
         self._dlq_lock = threading.Lock()
-        self.closed = False
 
     # -- topology -------------------------------------------------------------
 
@@ -169,23 +163,17 @@ class ClusterRouter:
     def shard_names(self) -> List[str]:
         return sorted(self._shards)
 
-    def shard_for(self, topic: str) -> str:
-        """The shard owning *topic* (exact topics only)."""
-        return self._ring.node_for(topic)
-
     def _shards_for_subscription(self, topic: str) -> List[str]:
-        if _is_wildcard(topic):
-            # A pattern cannot be hashed; register everywhere. Publishes
-            # hash to one shard, so matching stays exactly-once.
-            return self.shard_names
-        if is_dlq_topic(topic):
-            # Dead letters are published on the shard that *produced*
-            # them (an unacked in-flight delivery or an orphan tombstone
-            # dead-letters on its own local broker), which is not
-            # necessarily ring.node_for(topic). Register everywhere:
-            # router-side DLQ publishes still hash to one shard, and a
-            # shard-local publish matches only on that shard, so no path
-            # duplicates.
+        # A pattern cannot be hashed; register everywhere. Publishes hash
+        # to one shard, so matching stays exactly-once. Dead letters are
+        # published on the shard that *produced* them (an unacked
+        # in-flight delivery or an orphan tombstone dead-letters on its
+        # own local broker), which is not necessarily
+        # ring.node_for(topic), so they register everywhere too:
+        # router-side DLQ publishes still hash to one shard, and a
+        # shard-local publish matches only on that shard, so no path
+        # duplicates.
+        if "*" in topic or "#" in topic or is_dlq_topic(topic):
             return self.shard_names
         return [self._ring.node_for(topic)]
 
@@ -209,6 +197,11 @@ class ClusterRouter:
         """
         for shard in self.shard_names:
             self._bridge("pub", login, shard)
+
+    def _links(self) -> List[Tuple[Tuple[str, str, str], StompBrokerBridge]]:
+        """A snapshot of ``((role, login, shard), bridge)`` safe to walk unlocked."""
+        with self._bridge_lock:
+            return list(self._bridges.items())
 
     def _unit_lock(self, principal: str) -> threading.Lock:
         with self._bridge_lock:
@@ -251,8 +244,7 @@ class ClusterRouter:
         # while we are outside the jail: a cascade publish from inside
         # the unit's callback may target any shard, and the jail denies
         # the socket connect a lazy first use would need.
-        for shard in self.shard_names:
-            self._bridge("pub", principal, shard)
+        self.warm_publisher(principal)
         entries = []
         for shard in self._shards_for_subscription(topic):
             bridge = self._bridge("sub", principal, shard)
@@ -278,7 +270,6 @@ class ClusterRouter:
         subscription = self._subscriptions.pop(subscription_id, None)
         if subscription is None:
             return
-        subscription.active = False
         for bridge, bridge_sub_id in subscription.entries:
             bridge.unsubscribe(bridge_sub_id)
 
@@ -292,12 +283,9 @@ class ClusterRouter:
     def drain(self, timeout: float = 5.0) -> bool:
         """Flush every publish connection; True when all were receipt-confirmed."""
         # A list, not a generator: every link is flushed even if one times out.
-        confirmed = [
-            bridge.drain(timeout)
-            for (role, _login, _shard), bridge in list(self._bridges.items())
-            if role == "pub"
-        ]
-        return all(confirmed)
+        return all(
+            [bridge.drain(timeout) for (role, _, _), bridge in self._links() if role == "pub"]
+        )
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -306,6 +294,15 @@ class ClusterRouter:
 
     def _deliver_wrapper(self, callback, principal: str, bridge: StompBrokerBridge):
         unit_lock = self._unit_lock(principal)
+
+        def denied(operation: str, subject: Event, reason: object) -> None:
+            self._audit.denied(
+                "cluster",
+                operation,
+                principal,
+                labels=subject.labels,
+                detail=f"{subject.topic}: {reason}",
+            )
 
         def deliver(transport: Event, message_id: str = "") -> None:
             try:
@@ -325,13 +322,7 @@ class ClusterRouter:
                         timestamp=transport.timestamp,
                     )
             except SecurityViolation as violation:
-                self._audit.denied(
-                    "cluster",
-                    "decode",
-                    principal,
-                    labels=transport.labels,
-                    detail=f"{transport.topic}: {violation}",
-                )
+                denied("decode", transport, violation)
                 bridge.ack(message_id)
                 return
             except StompProtocolError:
@@ -342,13 +333,7 @@ class ClusterRouter:
                 with unit_lock:
                     callback(event)
             except Exception as error:  # noqa: BLE001 - NACK, never lose
-                self._audit.denied(
-                    "cluster",
-                    "callback",
-                    principal,
-                    labels=event.labels,
-                    detail=f"{event.topic}: {error!r}",
-                )
+                denied("callback", event, repr(error))
                 bridge.nack(message_id)
                 return
             # Cascade durability before the ack: everything the callback
@@ -360,13 +345,10 @@ class ClusterRouter:
             if self.drain(self._ack_timeout):
                 bridge.ack(message_id)
             else:
-                self._audit.denied(
-                    "cluster",
+                denied(
                     "cascade",
-                    principal,
-                    labels=event.labels,
-                    detail=f"{event.topic}: cascade publishes unconfirmed "
-                    f"after {self._ack_timeout}s",
+                    event,
+                    f"cascade publishes unconfirmed after {self._ack_timeout}s",
                 )
                 bridge.nack(message_id)
 
@@ -400,59 +382,39 @@ class ClusterRouter:
 
     def probe(self) -> dict:
         """Liveness + counters for every link, keyed ``role:login:shard``."""
-        bridges = {}
-        published = delivered = errors = dead_lettered = 0
-        with self._bridge_lock:
-            items = list(self._bridges.items())
-        for (role, login, shard), bridge in items:
-            report = bridge.probe()
-            bridges[f"{role}:{login}:{shard}"] = report
-            published += report["published"]
-            delivered += report["delivered"]
-            errors += report["errors"]
-            dead_lettered += report["dead_lettered"]
-        return {
-            "healthy": all(report["connected"] for report in bridges.values())
-            if bridges
-            else True,
+        bridges = {
+            f"{role}:{login}:{shard}": bridge.probe()
+            for (role, login, shard), bridge in self._links()
+        }
+        report = {
+            "healthy": all(link["connected"] for link in bridges.values()),
             "shards": self.shard_names,
             "bridges": bridges,
-            "published": published,
-            "delivered": delivered,
-            "errors": errors,
-            "dead_lettered": dead_lettered,
             "dlq_ledger": len(self.dlq_ledger),
         }
+        for counter in ("published", "delivered", "errors", "dead_lettered"):
+            report[counter] = sum(link[counter] for link in bridges.values())
+        return report
 
     def ensure_connected(self) -> bool:
         """Reconnect any down link; True when all links are healthy after."""
-        healthy = True
-        with self._bridge_lock:
-            bridges = list(self._bridges.values())
-        for bridge in bridges:
-            healthy = bridge.ensure_connected() and healthy
-        return healthy
+        # A list, not a generator: every link gets its reconnect attempt.
+        return all([bridge.ensure_connected() for _, bridge in self._links()])
 
     def activity(self) -> int:
         """Monotonic work counter for the drain stability check."""
-        total = 0
-        with self._bridge_lock:
-            bridges = list(self._bridges.values())
-        for bridge in bridges:
-            total += bridge.stats.published + bridge.stats.delivered
-        return total
+        return sum(
+            bridge.stats.published + bridge.stats.delivered for _, bridge in self._links()
+        )
 
     def queues_empty(self) -> bool:
-        with self._bridge_lock:
-            bridges = list(self._bridges.values())
-        return all(bridge.probe()["outgoing_depth"] == 0 for bridge in bridges)
+        return all(bridge.probe()["outgoing_depth"] == 0 for _, bridge in self._links())
 
     def close(self) -> None:
-        self.closed = True
         with self._bridge_lock:
-            bridges = list(self._bridges.values())
+            links = self._links()
             self._bridges.clear()
-        for bridge in bridges:
+        for _, bridge in links:
             try:
                 bridge.close()
             except Exception:  # noqa: BLE001 - best-effort teardown
@@ -466,6 +428,47 @@ class ClusterRouter:
 # {"op": ...} in, {"ok": ...} out, one request in flight per child.
 
 
+def _audit_tuples(audit: AuditLog) -> List[tuple]:
+    """*audit*'s decisions as comparable, picklable tuples (detail dropped)."""
+    return [
+        (
+            record.component,
+            record.operation,
+            record.principal,
+            record.decision,
+            tuple(record.labels.to_uris()),
+        )
+        for record in audit.records()
+    ]
+
+
+def _serve_control(conn, handlers: Dict[str, Callable[[dict], dict]]) -> None:
+    """The control loop of every child: dispatch requests by op until told to stop.
+
+    A handler takes the request and returns the reply's keys beside
+    ``ok``. An unknown op or a raising handler answers ``{"ok": False,
+    "error": ...}`` and the child keeps serving; ``stop`` (acknowledged
+    first) or the parent closing its end of the pipe ends the loop.
+    """
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        op = message.get("op")
+        try:
+            if op == "stop":
+                conn.send({"ok": True})
+                return
+            handler = handlers.get(op)
+            if handler is None:
+                conn.send({"ok": False, "error": f"unknown op {op!r}"})
+            else:
+                conn.send({"ok": True, **handler(message)})
+        except Exception as error:  # noqa: BLE001 - report, keep serving
+            conn.send({"ok": False, "error": repr(error)})
+
+
 def _broker_shard_main(conn, policy_json: str, shard_name: str, supervision) -> None:
     from repro.events.broker import Broker
     from repro.events.stomp.server import StompServer
@@ -476,51 +479,25 @@ def _broker_shard_main(conn, policy_json: str, shard_name: str, supervision) -> 
     server = StompServer(broker, policy=policy, audit=audit, supervision=supervision)
     server.start()
     conn.send({"ok": True, "address": server.address})
+
+    def drain(message: dict) -> dict:
+        broker.drain(message.get("timeout", 5.0))
+        return {
+            "activity": audit.total_decisions(),
+            "queued": broker.queue_depth,
+            "in_flight": server.in_flight,
+        }
+
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            op = message.get("op")
-            try:
-                if op == "ping":
-                    conn.send({"ok": True, "shard": shard_name})
-                elif op == "drain":
-                    broker.drain(message.get("timeout", 5.0))
-                    conn.send(
-                        {
-                            "ok": True,
-                            "activity": audit.total_decisions(),
-                            "queued": broker.queue_depth,
-                            "in_flight": server.in_flight,
-                        }
-                    )
-                elif op == "audit":
-                    conn.send(
-                        {
-                            "ok": True,
-                            "records": [
-                                (
-                                    record.component,
-                                    record.operation,
-                                    record.principal,
-                                    record.decision,
-                                    tuple(record.labels.to_uris()),
-                                )
-                                for record in audit.records()
-                            ],
-                        }
-                    )
-                elif op == "dead_letters":
-                    conn.send({"ok": True, "dead_letters": list(server.dead_letters)})
-                elif op == "stop":
-                    conn.send({"ok": True})
-                    break
-                else:
-                    conn.send({"ok": False, "error": f"unknown op {op!r}"})
-            except Exception as error:  # noqa: BLE001 - report, keep serving
-                conn.send({"ok": False, "error": repr(error)})
+        _serve_control(
+            conn,
+            {
+                "ping": lambda message: {"shard": shard_name},
+                "drain": drain,
+                "audit": lambda message: {"records": _audit_tuples(audit)},
+                "dead_letters": lambda message: {"dead_letters": list(server.dead_letters)},
+            },
+        )
     finally:
         server.stop()
         broker.stop()
@@ -547,86 +524,55 @@ def _worker_main(
     )
     conn.send({"ok": True, "worker": worker_name})
 
-    def activity() -> int:
-        return engine.stats.dispatched + engine.stats.queued + router.activity()
+    def place(message: dict) -> dict:
+        unit = pickle.loads(message["factory"])()
+        engine.register(unit)
+        return {"unit": unit.name}
+
+    def unplace(message: dict) -> dict:
+        engine.unregister(message["unit"])
+        return {}
+
+    def drain(message: dict) -> dict:
+        engine.drain(message.get("timeout", 10.0))
+        confirmed = router.drain()
+        return {
+            "activity": engine.stats.dispatched + engine.stats.queued + router.activity(),
+            "idle": confirmed and router.queues_empty(),
+        }
+
+    def stores(message: dict) -> dict:
+        dumps = {}
+        for name in engine.unit_names:
+            store = engine.store_of(name)
+            dumps[name] = {
+                key: [store.get(key), list(store.labels_for(key).to_uris())]
+                for key in store.keys()
+            }
+        return {"stores": encode_payload(dumps)}
+
+    def stats(message: dict) -> dict:
+        counters = ("dispatched", "callback_errors", "dead_lettered", "retries", "restarts")
+        return {
+            "stats": {name: getattr(engine.stats, name) for name in counters},
+            "units": engine.unit_names,
+        }
 
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            op = message.get("op")
-            try:
-                if op == "ping":
-                    conn.send({"ok": True, "worker": worker_name})
-                elif op == "place":
-                    unit = pickle.loads(message["factory"])()
-                    engine.register(unit)
-                    conn.send({"ok": True, "unit": unit.name})
-                elif op == "unplace":
-                    engine.unregister(message["unit"])
-                    conn.send({"ok": True})
-                elif op == "drain":
-                    engine.drain(message.get("timeout", 10.0))
-                    confirmed = router.drain()
-                    conn.send(
-                        {
-                            "ok": True,
-                            "activity": activity(),
-                            "idle": confirmed and router.queues_empty(),
-                        }
-                    )
-                elif op == "stores":
-                    dumps = {}
-                    for name in engine.unit_names:
-                        store = engine.store_of(name)
-                        dumps[name] = {
-                            key: [store.get(key), list(store.labels_for(key).to_uris())]
-                            for key in store.keys()
-                        }
-                    conn.send({"ok": True, "stores": encode_payload(dumps)})
-                elif op == "audit":
-                    conn.send(
-                        {
-                            "ok": True,
-                            "records": [
-                                (
-                                    record.component,
-                                    record.operation,
-                                    record.principal,
-                                    record.decision,
-                                    tuple(record.labels.to_uris()),
-                                )
-                                for record in audit.records()
-                            ],
-                        }
-                    )
-                elif op == "stats":
-                    conn.send(
-                        {
-                            "ok": True,
-                            "stats": {
-                                "dispatched": engine.stats.dispatched,
-                                "callback_errors": engine.stats.callback_errors,
-                                "dead_lettered": engine.stats.dead_lettered,
-                                "retries": engine.stats.retries,
-                                "restarts": engine.stats.restarts,
-                            },
-                            "units": engine.unit_names,
-                        }
-                    )
-                elif op == "dead_letters":
-                    conn.send({"ok": True, "dead_letters": list(router.dlq_ledger)})
-                elif op == "probe":
-                    conn.send({"ok": True, "probe": router.probe()})
-                elif op == "stop":
-                    conn.send({"ok": True})
-                    break
-                else:
-                    conn.send({"ok": False, "error": f"unknown op {op!r}"})
-            except Exception as error:  # noqa: BLE001 - report, keep serving
-                conn.send({"ok": False, "error": repr(error)})
+        _serve_control(
+            conn,
+            {
+                "ping": lambda message: {"worker": worker_name},
+                "place": place,
+                "unplace": unplace,
+                "drain": drain,
+                "stores": stores,
+                "audit": lambda message: {"records": _audit_tuples(audit)},
+                "stats": stats,
+                "dead_letters": lambda message: {"dead_letters": list(router.dlq_ledger)},
+                "probe": lambda message: {"probe": router.probe()},
+            },
+        )
     finally:
         router.close()
 
@@ -637,7 +583,7 @@ def _worker_main(
 class _ChildHandle:
     """One shard or worker process plus its control pipe."""
 
-    __slots__ = ("name", "process", "conn", "lock", "alive", "address")
+    __slots__ = ("name", "process", "conn", "lock", "alive")
 
     def __init__(self, name, process, conn):
         self.name = name
@@ -645,7 +591,11 @@ class _ChildHandle:
         self.conn = conn
         self.lock = threading.Lock()
         self.alive = True
-        self.address: Optional[Tuple[str, int]] = None
+
+    @property
+    def live(self) -> bool:
+        """Not yet declared dead by the monitor, and the process still runs."""
+        return self.alive and self.process.is_alive()
 
     def call(self, message: dict, timeout: float = 30.0) -> dict:
         with self.lock:
@@ -661,10 +611,9 @@ class _ChildHandle:
 
 
 class _Placement:
-    __slots__ = ("unit_name", "factory_bytes", "worker")
+    __slots__ = ("factory_bytes", "worker")
 
-    def __init__(self, unit_name: str, factory_bytes: bytes, worker: str):
-        self.unit_name = unit_name
+    def __init__(self, factory_bytes: bytes, worker: str):
         self.factory_bytes = factory_bytes
         self.worker = worker
 
@@ -696,8 +645,7 @@ class ClusterEngine:
     ):
         if workers < 1:
             raise SafeWebError("cluster needs at least one worker")
-        document = policy.document if isinstance(policy, Policy) else policy
-        self.document = document
+        self.document = policy.document if isinstance(policy, Policy) else policy
         self.audit = audit if audit is not None else default_audit_log()
         self.supervision = supervision
         self.isolation = isolation
@@ -724,41 +672,19 @@ class ClusterEngine:
             return self
         shard_json = shard_policy_document(self.document).to_json()
         worker_json = self.document.to_json()
+        addresses: Dict[str, Tuple[str, int]] = {}
         for index in range(self._shard_count):
             name = f"shard-{index}"
-            parent_conn, child_conn = self._ctx.Pipe()
-            process = self._ctx.Process(
-                target=_broker_shard_main,
-                args=(child_conn, shard_json, name, self.supervision),
-                name=f"safeweb-{name}",
-                daemon=True,
+            self._shards[name], hello = self._spawn(
+                name, _broker_shard_main, shard_json, name, self.supervision
             )
-            process.start()
-            child_conn.close()
-            handle = _ChildHandle(name, process, parent_conn)
-            if not parent_conn.poll(30):
-                raise SafeWebError(f"{name} failed to report its address")
-            hello = parent_conn.recv()
-            handle.address = tuple(hello["address"])
-            self._shards[name] = handle
-        addresses = {name: handle.address for name, handle in self._shards.items()}
+            addresses[name] = tuple(hello["address"])
         options = {"isolation": self.isolation, "supervision": self.supervision}
         for index in range(self._worker_count):
             name = f"worker-{index}"
-            parent_conn, child_conn = self._ctx.Pipe()
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(child_conn, worker_json, addresses, name, options),
-                name=f"safeweb-{name}",
-                daemon=True,
+            self._workers[name], _hello = self._spawn(
+                name, _worker_main, worker_json, addresses, name, options
             )
-            process.start()
-            child_conn.close()
-            handle = _ChildHandle(name, process, parent_conn)
-            if not parent_conn.poll(30):
-                raise SafeWebError(f"{name} failed to start")
-            parent_conn.recv()
-            self._workers[name] = handle
         self._worker_ring = HashRing(sorted(self._workers))
         self.router = ClusterRouter(addresses, audit=self.audit)
         self._monitor = threading.Thread(
@@ -774,22 +700,30 @@ class ClusterEngine:
         )
         return self
 
+    def _spawn(self, name: str, main, *args) -> Tuple[_ChildHandle, dict]:
+        """Start child *name* running ``main(conn, *args)``; wait for its hello."""
+        parent_conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=main, args=(child_conn, *args), name=f"safeweb-{name}", daemon=True
+        )
+        process.start()
+        child_conn.close()
+        if not parent_conn.poll(30):
+            raise SafeWebError(f"{name} failed to start")
+        return _ChildHandle(name, process, parent_conn), parent_conn.recv()
+
     def stop(self, timeout: float = 10.0) -> None:
         if not self.started:
             return
         self._stopping.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout)
-        if self.router is not None:
-            self.router.close()
-        for handle in list(self._workers.values()):
-            self._stop_child(handle, timeout)
-        for handle in list(self._shards.values()):
+        self._monitor.join(timeout)
+        self.router.close()
+        for handle in [*self._workers.values(), *self._shards.values()]:
             self._stop_child(handle, timeout)
         self.started = False
 
     def _stop_child(self, handle: _ChildHandle, timeout: float) -> None:
-        if handle.alive and handle.process.is_alive():
+        if handle.live:
             try:
                 handle.call({"op": "stop"}, timeout=timeout)
             except Exception:  # noqa: BLE001 - escalate to terminate below
@@ -823,9 +757,7 @@ class ClusterEngine:
                 raise SafeWebError(f"unit {unit_name!r} already placed")
             worker = self._pick_worker(unit_name)
             worker.call({"op": "place", "factory": factory_bytes})
-            self._placements[unit_name] = _Placement(
-                unit_name, factory_bytes, worker.name
-            )
+            self._placements[unit_name] = _Placement(factory_bytes, worker.name)
             self.audit.allowed(
                 "cluster", "place", unit_name, detail=f"pinned to {worker.name}"
             )
@@ -845,12 +777,9 @@ class ClusterEngine:
             return {name: p.worker for name, p in self._placements.items()}
 
     def _pick_worker(self, unit_name: str) -> _ChildHandle:
-        for candidate in self._worker_ring.preference(
-            unit_name, count=len(self._workers)
-        ):
-            handle = self._workers[candidate]
-            if handle.alive and handle.process.is_alive():
-                return handle
+        for candidate in self._worker_ring.preference(unit_name, count=len(self._workers)):
+            if self._workers[candidate].live:
+                return self._workers[candidate]
         raise SafeWebError("no live worker to place on")
 
     # -- ingress / egress ------------------------------------------------------
@@ -871,17 +800,7 @@ class ClusterEngine:
 
     def publish_batch(self, events, publisher: str = "external") -> List[Event]:
         self._require_started()
-        batch = [
-            event
-            if isinstance(event, Event)
-            else Event(
-                event["topic"],
-                event.get("attributes"),
-                event.get("payload"),
-                event.get("labels", ()),
-            )
-            for event in events
-        ]
+        batch = as_events(events)
         self.router.publish_many(batch, publisher=publisher)
         return batch
 
@@ -929,6 +848,7 @@ class ClusterEngine:
         deadline = time.monotonic() + timeout
         previous = None
         pause = 0.001
+
         while time.monotonic() < deadline:
             idle = self.router.drain(max(deadline - time.monotonic(), 0.1))
             idle = idle and self.router.queues_empty()
@@ -961,11 +881,12 @@ class ClusterEngine:
         return False
 
     def _live_workers(self) -> List[_ChildHandle]:
-        return [
-            handle
-            for handle in self._workers.values()
-            if handle.alive and handle.process.is_alive()
-        ]
+        return [handle for handle in self._workers.values() if handle.live]
+
+    def _ask(self, op: str, shards: bool) -> List[Tuple[str, dict]]:
+        """``(name, reply)`` to *op* from every live worker, then every shard."""
+        handles = self._live_workers() + (list(self._shards.values()) if shards else [])
+        return [(handle.name, handle.call({"op": op})) for handle in handles]
 
     # -- observation -----------------------------------------------------------
 
@@ -977,11 +898,9 @@ class ClusterEngine:
         document store — compare against a reference normalised the same
         way.
         """
-        from repro.events.cluster_codec import decode_payload
-
         merged: Dict[str, Dict[str, list]] = {}
-        for handle in self._live_workers():
-            merged.update(decode_payload(handle.call({"op": "stores"})["stores"]))
+        for _name, reply in self._ask("stores", shards=False):
+            merged.update(decode_payload(reply["stores"]))
         return merged
 
     def collect_audit(self, include_infra: bool = False) -> List[tuple]:
@@ -993,20 +912,9 @@ class ClusterEngine:
         property suite compares against the in-process reference.
         """
         infra = {"stomp", "bridge", "cluster"}
-        records: List[tuple] = [
-            (
-                record.component,
-                record.operation,
-                record.principal,
-                record.decision,
-                tuple(record.labels.to_uris()),
-            )
-            for record in self.audit.records()
-        ]
-        for handle in self._live_workers():
-            records.extend(tuple(item) for item in handle.call({"op": "audit"})["records"])
-        for handle in self._shards.values():
-            records.extend(tuple(item) for item in handle.call({"op": "audit"})["records"])
+        records = _audit_tuples(self.audit)
+        for _name, reply in self._ask("audit", shards=True):
+            records.extend(tuple(item) for item in reply["records"])
         if include_infra:
             return records
         return [record for record in records if record[0] not in infra]
@@ -1014,25 +922,19 @@ class ClusterEngine:
     def dead_letters(self) -> Dict[str, list]:
         """Every dead-letter ledger in the cluster."""
         report: Dict[str, list] = {"parent": list(self.router.dlq_ledger)}
-        for handle in self._live_workers():
-            report[handle.name] = handle.call({"op": "dead_letters"})["dead_letters"]
-        for handle in self._shards.values():
-            report[handle.name] = handle.call({"op": "dead_letters"})["dead_letters"]
+        for name, reply in self._ask("dead_letters", shards=True):
+            report[name] = reply["dead_letters"]
         return report
 
     def stats(self) -> Dict[str, dict]:
-        report = {}
-        for handle in self._live_workers():
-            reply = handle.call({"op": "stats"})
-            report[handle.name] = dict(reply["stats"], units=reply["units"])
-        return report
+        return {
+            name: dict(reply["stats"], units=reply["units"])
+            for name, reply in self._ask("stats", shards=False)
+        }
 
     def probe(self) -> dict:
         """Cluster health: process liveness + parent link health."""
-        workers = {
-            name: handle.alive and handle.process.is_alive()
-            for name, handle in self._workers.items()
-        }
+        workers = {name: handle.live for name, handle in self._workers.items()}
         shards = {
             name: handle.process.is_alive() for name, handle in self._shards.items()
         }
@@ -1069,37 +971,22 @@ class ClusterEngine:
             return
         with self._lock:
             orphans = [
-                placement
-                for placement in self._placements.values()
+                (unit_name, placement)
+                for unit_name, placement in self._placements.items()
                 if placement.worker == handle.name
             ]
-            for placement in orphans:
+            for unit_name, placement in orphans:
                 try:
-                    target = self._pick_worker(placement.unit_name)
-                except SafeWebError:
-                    self.audit.denied(
-                        "cluster",
-                        "restart_unit",
-                        placement.unit_name,
-                        detail="no live worker left",
-                    )
-                    continue
-                try:
+                    target = self._pick_worker(unit_name)
                     target.call({"op": "place", "factory": placement.factory_bytes})
                 except Exception as error:  # noqa: BLE001 - audited, next death retries
                     self.audit.denied(
-                        "cluster",
-                        "restart_unit",
-                        placement.unit_name,
-                        detail=f"re-place on {target.name} failed: {error!r}",
+                        "cluster", "restart_unit", unit_name, detail=f"re-place failed: {error!r}"
                     )
                     continue
                 placement.worker = target.name
                 self.audit.allowed(
-                    "cluster",
-                    "restart_unit",
-                    placement.unit_name,
-                    detail=f"{handle.name} -> {target.name}",
+                    "cluster", "restart_unit", unit_name, detail=f"{handle.name} -> {target.name}"
                 )
 
     def _require_started(self) -> None:

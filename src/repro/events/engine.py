@@ -47,7 +47,7 @@ from repro.core.policy import Policy
 from repro.core.principals import UnitPrincipal
 from repro.events.broker import Broker
 from repro.events.context import LabelContext, current_labels
-from repro.events.event import Event
+from repro.events.event import Event, as_events
 from repro.events.jail import Jail, isolate_callback, _state as _jail_state
 from repro.events.lanes import BLOCK, EngineStats, LaneScheduler
 from repro.events.store import LabeledStore
@@ -251,15 +251,15 @@ class EventProcessingEngine:
     def drain(self, timeout: float = 10.0) -> bool:
         """Wait until every queued delivery (and its cascade) completed.
 
-        Synchronous engines are always drained. With a threaded broker
-        the loop alternates between the broker queue and the lanes until
-        neither produced new work — a worker callback may publish into
-        the broker, whose dispatcher then refills the lanes.
+        False when *timeout* ran out first. A synchronous engine is
+        drained as soon as its broker is (at once, unless the broker is
+        threaded). With lanes the loop alternates between the broker
+        queue and the lanes until neither produced new work — a worker
+        callback may publish into the broker, whose dispatcher then
+        refills the lanes.
         """
         if self._scheduler is None:
-            if self.broker is not None:
-                self.broker.drain(timeout)
-            return True
+            return self.broker.drain(timeout)
         deadline = time.monotonic() + timeout
         while True:
             remaining = deadline - time.monotonic()
@@ -273,10 +273,12 @@ class EventProcessingEngine:
             # idle — the second drain forces that handoff to happen (and
             # show up in the counters) before quiescence is declared.
             before = (self.stats.queued, self.stats.dispatched)
-            self.broker.drain(remaining)
-            if not self._scheduler.drain(max(deadline - time.monotonic(), 0.001)):
+            if not (
+                self.broker.drain(remaining)
+                and self._scheduler.drain(max(deadline - time.monotonic(), 0.001))
+                and self.broker.drain(max(deadline - time.monotonic(), 0.001))
+            ):
                 return False
-            self.broker.drain(max(deadline - time.monotonic(), 0.001))
             after = (self.stats.queued, self.stats.dispatched)
             if after == before and self._scheduler.idle:
                 return True
@@ -320,17 +322,7 @@ class EventProcessingEngine:
         (backend ingest pipelines) use this so a burst of externally
         produced records pays one queue handoff instead of one per event.
         """
-        batch: List[Event] = [
-            event
-            if isinstance(event, Event)
-            else Event(
-                event["topic"],
-                event.get("attributes"),
-                event.get("payload"),
-                event.get("labels", ()),
-            )
-            for event in events
-        ]
+        batch = as_events(events)
         self.broker.publish_many(batch, publisher=publisher)
         return batch
 
@@ -431,12 +423,24 @@ class EventProcessingEngine:
         )
 
     def _run_callback(self, principal: UnitPrincipal, callback, event: Event) -> None:
+        """Deliver *event* to one callback: the engine's only failure ladder.
+
+        Every attempt goes through :meth:`_invoke`, so each starts from
+        a fresh LabelContext and containment scope. Security violations
+        are deterministic policy denials: audited, never retried, never
+        dead-lettered. Any other exception is audited; without a
+        supervisor that is all (``raise_callback_errors`` hands either
+        kind on to a synchronous publisher), with one the policy's retry
+        budget is spent, then the event is dead-lettered under its own
+        labels and the unit gets its one-for-one restart bookkeeping.
+        The fault-free path costs a supervised engine one dict lookup.
+        SimulatedCrash is a BaseException and always propagates —
+        supervision must not survive a "process death".
+        """
         self.stats.bump("dispatched")
         supervisor = self.supervisor
+        unit_sup = None
         if supervisor is not None:
-            # Fault-free fast path: the first attempt runs inline here —
-            # the retry / dead-letter / restart ladder only costs a call
-            # frame once a callback actually fails.
             unit_sup = self._unit_supervisors.get(principal.name)
             if unit_sup is None:
                 unit_sup = supervisor.unit(principal.name)
@@ -444,50 +448,38 @@ class EventProcessingEngine:
             if unit_sup.suspended:
                 self._dead_letter(principal, event, "unit suspended", attempts=0)
                 return
+        attempts = 1
+        while True:
             try:
                 self._invoke(principal, callback, event)
+                return
             except SecurityViolation as violation:
-                self._audit_security_violation(principal, event, violation)
-            except Exception as error:  # noqa: BLE001 - supervised containment
-                self._run_supervised(principal, callback, event, unit_sup, error)
-            return
-        try:
-            self._invoke(principal, callback, event)
-        except SecurityViolation as violation:
-            self.stats.bump("callback_errors")
-            self.audit.denied(
-                "engine",
-                "callback",
-                principal.name,
-                labels=event.labels,
-                detail=f"{type(violation).__name__}: {violation}",
-            )
-            if self.raise_callback_errors:
-                raise
-        except Exception as error:  # noqa: BLE001 - unit bugs must not kill the engine
-            self.stats.bump("callback_errors")
-            self.audit.denied(
-                "engine",
-                "callback",
-                principal.name,
-                labels=event.labels,
-                detail=f"unit error: {error!r}",
-            )
-            if self.raise_callback_errors:
-                raise
+                self._callback_denied(principal, event, f"{type(violation).__name__}: {violation}")
+                if self.raise_callback_errors:
+                    raise
+                return
+            except Exception as error:  # noqa: BLE001 - unit bugs must not kill the engine
+                if unit_sup is None:
+                    self._callback_denied(principal, event, f"unit error: {error!r}")
+                    if self.raise_callback_errors:
+                        raise
+                    return
+                self._callback_denied(
+                    principal, event, f"unit error (attempt {attempts}): {error!r}"
+                )
+                if supervisor.retryable(error) and attempts <= supervisor.policy.retry_budget:
+                    self.stats.bump("retries")
+                    unit_sup.sleep_before_retry(attempts)
+                    attempts += 1
+                    continue
+                self._dead_letter(principal, event, repr(error), attempts=attempts)
+                self._handle_unit_failure(unit_sup, principal)
+                return
 
-    def _audit_security_violation(
-        self, principal: UnitPrincipal, event: Event, violation: SecurityViolation
-    ) -> None:
-        """Security violations are deterministic policy denials: audited,
-        never retried, never dead-lettered."""
+    def _callback_denied(self, principal: UnitPrincipal, event: Event, detail: str) -> None:
         self.stats.bump("callback_errors")
         self.audit.denied(
-            "engine",
-            "callback",
-            principal.name,
-            labels=event.labels,
-            detail=f"{type(violation).__name__}: {violation}",
+            "engine", "callback", principal.name, labels=event.labels, detail=detail
         )
 
     def _invoke(self, principal: UnitPrincipal, callback, event: Event) -> None:
@@ -514,54 +506,6 @@ class EventProcessingEngine:
                 callback(event)
         if self._chaos_active:
             self._chaos.hit(f"engine.callback.after:{principal.name}")
-
-    def _run_supervised(
-        self,
-        principal: UnitPrincipal,
-        callback,
-        event: Event,
-        unit_sup: UnitSupervisor,
-        error: Exception,
-    ) -> None:
-        """The supervised delivery ladder: retry → dead-letter → restart.
-
-        Entered from :meth:`_run_callback` with the first attempt's
-        failure already in hand. Exhausts the policy's retry budget
-        (each retry re-enters the LabelContext and jail from scratch via
-        :meth:`_invoke`), then dead-letters the event under its own
-        labels and applies one-for-one restart bookkeeping to the unit.
-        Security violations on a retry are deterministic policy denials:
-        audited, never retried further, never dead-lettered.
-        SimulatedCrash is a BaseException and always propagates —
-        supervision must not survive a "process death".
-        """
-        supervisor = self.supervisor
-        attempts = 1
-        while True:
-            self.stats.bump("callback_errors")
-            self.audit.denied(
-                "engine",
-                "callback",
-                principal.name,
-                labels=event.labels,
-                detail=f"unit error (attempt {attempts}): {error!r}",
-            )
-            if supervisor.retryable(error) and attempts <= supervisor.policy.retry_budget:
-                self.stats.bump("retries")
-                unit_sup.sleep_before_retry(attempts)
-                attempts += 1
-                try:
-                    self._invoke(principal, callback, event)
-                    return
-                except SecurityViolation as violation:
-                    self._audit_security_violation(principal, event, violation)
-                    return
-                except Exception as retry_error:  # noqa: BLE001 - supervised containment
-                    error = retry_error
-                    continue
-            self._dead_letter(principal, event, repr(error), attempts=attempts)
-            self._handle_unit_failure(unit_sup, principal)
-            return
 
     def _dead_letter(
         self, principal: UnitPrincipal, event: Event, reason: str, attempts: int

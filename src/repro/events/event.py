@@ -140,3 +140,21 @@ class Event:
     @classmethod
     def from_json(cls, text: str) -> "Event":
         return cls.from_dict(json.loads(text))
+
+
+def as_events(items: Iterable[Event | Mapping[str, object]]) -> list[Event]:
+    """A publish batch as events: :class:`Event` instances pass through,
+    mappings with ``topic`` / ``attributes`` / ``payload`` / ``labels``
+    keys are built (the ingress shape every engine's ``publish_batch``
+    accepts)."""
+    return [
+        item
+        if isinstance(item, Event)
+        else Event(
+            item["topic"],
+            item.get("attributes"),
+            item.get("payload"),
+            item.get("labels", ()),
+        )
+        for item in items
+    ]

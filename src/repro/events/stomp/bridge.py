@@ -55,15 +55,6 @@ class _BridgeStats:
         self.dead_lettered = 0
 
 
-class _Batch:
-    """A run of events sent back-to-back under one trailing receipt."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: List[Event]):
-        self.events = events
-
-
 class _BridgeSubscription:
     __slots__ = ("subscription_id", "topic", "principal", "active")
 
@@ -107,7 +98,9 @@ class StompBrokerBridge:
         self._audit = audit if audit is not None else default_audit_log()
         self._chaos = chaos
         self._client = self._new_client()
-        self._outgoing: "queue.Queue[Optional[Event]]" = queue.Queue()
+        #: Runs of events to send (a single publish is a run of one),
+        #: drain markers (threading.Event) and the None stop sentinel.
+        self._outgoing: "queue.Queue[List[Event] | threading.Event | None]" = queue.Queue()
         self._sender: Optional[threading.Thread] = None
         self._subscriptions: Dict[str, _BridgeSubscription] = {}
         #: subscription_id -> kwargs needed to re-issue it on reconnect.
@@ -165,7 +158,7 @@ class StompBrokerBridge:
         call is still unconfirmed.
         """
         done = threading.Event()
-        self._outgoing.put(done)  # type: ignore[arg-type]
+        self._outgoing.put(done)
         return done.wait(timeout)
 
     # -- health ---------------------------------------------------------------
@@ -225,17 +218,10 @@ class StompBrokerBridge:
         selector_text = getattr(selector, "text", selector)
         integrity = require_integrity or LabelSet()
 
-        if ack == "client":
-
-            def deliver(event: Event, message_id: str = "") -> None:
-                self.stats.delivered += 1
-                callback(event, message_id)
-
-        else:
-
-            def deliver(event: Event) -> None:
-                self.stats.delivered += 1
-                callback(event)
+        def deliver(event: Event, *message_id: str) -> None:
+            # The client adds the message id for ``ack="client"`` only.
+            self.stats.delivered += 1
+            callback(event, *message_id)
 
         sub_id = self._client.subscribe(
             topic,
@@ -276,9 +262,7 @@ class StompBrokerBridge:
 
     def publish(self, event: Event, publisher: str = "anonymous") -> int:
         """Queue an event for transmission (jail-safe); returns 0."""
-        self.stats.published += 1
-        self._outgoing.put(event)
-        return 0
+        return self.publish_many([event], publisher)
 
     def publish_many(self, events, publisher: str = "anonymous") -> int:
         """Queue a batch; the sender writes the run back-to-back.
@@ -292,7 +276,7 @@ class StompBrokerBridge:
         if not batch:
             return 0
         self.stats.published += len(batch)
-        self._outgoing.put(_Batch(batch))
+        self._outgoing.put(batch)
         return 0
 
     def __len__(self) -> int:
@@ -307,68 +291,22 @@ class StompBrokerBridge:
                 return
             if isinstance(item, threading.Event):
                 item.set()
-                continue
-            if isinstance(item, _Batch):
-                self._send_batch_with_retry(item.events)
-                continue
-            self._send_with_retry(item)
+            else:
+                self._send_run(item)
 
-    def _send_with_retry(self, event: Event) -> bool:
-        """Send one event; survive link failures.
+    def _send_run(self, events: List[Event]) -> bool:
+        """Send a run of one or more events; survive link failures as one unit.
 
-        Each failed attempt is audited; between attempts the session is
-        re-established (reconnect + resubscribe) with exponential
-        backoff. After the attempt budget the event is parked on
-        :attr:`dead_letters` with a final audit record — the loop keeps
-        draining either way.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                self._chaos.hit("bridge.send")
-                self._client.send(
-                    event.topic,
-                    attributes=event.attributes,
-                    payload=event.payload or "",
-                    labels=event.labels,
-                    receipt=True,
-                )
-                return True
-            except SimulatedCrash:
-                raise
-            except Exception as error:  # noqa: BLE001 - the sender must keep draining
-                self.stats.errors += 1
-                self._audit.denied(
-                    "bridge",
-                    "send",
-                    self._login,
-                    labels=event.labels,
-                    detail=f"send to {event.topic} failed (attempt {attempt}): {error!r}",
-                )
-                if attempt >= self._max_send_attempts or not self._reconnect:
-                    self.stats.dead_lettered += 1
-                    self.dead_letters.append(event)
-                    self._audit.denied(
-                        "bridge",
-                        "dead_letter",
-                        self._login,
-                        labels=event.labels,
-                        detail=(
-                            f"event for {event.topic} parked after "
-                            f"{attempt} attempt(s)"
-                        ),
-                    )
-                    return False
-                self._backoff(attempt)
-                self._reestablish()
-
-    def _send_batch_with_retry(self, events: List[Event]) -> bool:
-        """Send a batch; survive link failures as one unit.
-
-        The receipt rides the last frame only, so a mid-batch link death
-        retries the whole run — the far side may see leading events
-        twice, which the cluster's at-least-once contract permits.
+        The frames go out back-to-back and only the last asks for a
+        receipt — the server processes a connection's frames in order,
+        so one confirmation covers the run. Each failed attempt is
+        audited; between attempts the session is re-established
+        (reconnect + resubscribe) with exponential backoff and the whole
+        run is sent again — the far side may see leading events twice,
+        which the at-least-once contract permits. After the attempt
+        budget every event of the run is parked on :attr:`dead_letters`
+        with one final audit record, under the union of the run's
+        labels — the loop keeps draining either way.
         """
         attempt = 0
         while True:
@@ -389,21 +327,26 @@ class StompBrokerBridge:
                 raise
             except Exception as error:  # noqa: BLE001 - the sender must keep draining
                 self.stats.errors += 1
+                labels = LabelSet(label for event in events for label in event.labels)
+                run = ", ".join(sorted({event.topic for event in events}))
+                if len(events) > 1:
+                    run += f" (batch of {len(events)})"
                 self._audit.denied(
                     "bridge",
                     "send",
                     self._login,
-                    detail=f"batch of {len(events)} failed (attempt {attempt}): {error!r}",
+                    labels=labels,
+                    detail=f"send to {run} failed (attempt {attempt}): {error!r}",
                 )
                 if attempt >= self._max_send_attempts or not self._reconnect:
-                    for event in events:
-                        self.stats.dead_lettered += 1
-                        self.dead_letters.append(event)
+                    self.stats.dead_lettered += len(events)
+                    self.dead_letters.extend(events)
                     self._audit.denied(
                         "bridge",
                         "dead_letter",
                         self._login,
-                        detail=f"batch of {len(events)} parked after {attempt} attempt(s)",
+                        labels=labels,
+                        detail=f"event for {run} parked after {attempt} attempt(s)",
                     )
                     return False
                 self._backoff(attempt)

@@ -218,7 +218,7 @@ class RegionalGateway:
             },
             labels=LabelSet([region_aggregate_label(self.region)]),
         )
-        if self._running and not self._bridge.healthy:
+        if self._running:
             self._bridge.ensure_connected()
         self._bridge.publish(event)
         self._bridge.drain()

@@ -29,7 +29,6 @@ from repro.storage.docstore import (
     Change,
     Database,
     DocumentDatabase,
-    DocumentStore,
     ShardedDatabase,
     ViewRow,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "Change",
     "Database",
     "DocumentDatabase",
-    "DocumentStore",
     "ShardedDatabase",
     "ViewRow",
     "ReferenceDatabase",

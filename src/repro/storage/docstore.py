@@ -1071,42 +1071,3 @@ def make_database(name: str, read_only: bool = False, shards: int = 1) -> Docume
         return ShardedDatabase(name, shards=shards, read_only=read_only)
     return Database(name, read_only=read_only)
 
-
-class DocumentStore:
-    """A server holding named databases (the CouchDB instance analogue)."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._databases: Dict[str, DocumentDatabase] = {}
-
-    def create(self, name: str, read_only: bool = False, shards: int = 1) -> DocumentDatabase:
-        """Create a database; ``shards > 1`` yields a :class:`ShardedDatabase`."""
-        with self._lock:
-            if name in self._databases:
-                raise SafeWebError(f"database {name!r} already exists")
-            database = make_database(name, read_only=read_only, shards=shards)
-            self._databases[name] = database
-            return database
-
-    def get(self, name: str) -> DocumentDatabase:
-        with self._lock:
-            try:
-                return self._databases[name]
-            except KeyError:
-                raise DocumentNotFound(f"no database {name!r}") from None
-
-    def get_or_create(self, name: str, read_only: bool = False, shards: int = 1) -> DocumentDatabase:
-        with self._lock:
-            if name not in self._databases:
-                self._databases[name] = make_database(
-                    name, read_only=read_only, shards=shards
-                )
-            return self._databases[name]
-
-    def drop(self, name: str) -> None:
-        with self._lock:
-            self._databases.pop(name, None)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._databases)

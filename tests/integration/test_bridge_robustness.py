@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core.audit import AuditLog
+from repro.core.labels import LabelSet, conf_label
 from repro.core.policy import parse_policy
 from repro.events import Broker
 from repro.events.cluster import ClusterRouter
@@ -31,9 +32,13 @@ POLICY = parse_policy(
     }
 
     unit watcher {
+        clearance label:conf:ecric.org.uk/mdt
     }
     """
 )
+
+MDT_1 = conf_label("ecric.org.uk", "mdt", "1")
+MDT_2 = conf_label("ecric.org.uk", "mdt", "2")
 
 
 def wait_for(predicate, timeout=5.0):
@@ -64,6 +69,32 @@ def server():
 def bridge_for(server, login, **kwargs) -> StompBrokerBridge:
     host, port = server.address
     return StompBrokerBridge(host, port, login=login, **kwargs).connect()
+
+
+def break_link_mid_run(bridge: StompBrokerBridge, attempts: int) -> None:
+    """The next *attempts* send attempts of *bridge* die on their second frame.
+
+    Every retry runs on the fresh client the reconnect installed, so the
+    frame count restarts with each attempt.
+    """
+    remaining = [attempts]
+
+    def arm(client):
+        real_send, frames = client.send, []
+
+        def send(topic, **kwargs):
+            frames.append(topic)
+            if len(frames) == 2 and remaining[0] > 0:
+                remaining[0] -= 1
+                raise OSError("link died mid-run")
+            return real_send(topic, **kwargs)
+
+        client.send = send
+        return client
+
+    arm(bridge._client)
+    new_client = bridge._new_client
+    bridge._new_client = lambda: arm(new_client())
 
 
 class TestSendLoopSurvivesSocketDeath:
@@ -163,6 +194,89 @@ class TestDeadLetterParking:
             sender.drain()
             assert wait_for(lambda: sender.stats.dead_lettered == 1)
             assert sender.stats.reconnects == 0
+        finally:
+            sender.close()
+
+
+class TestRunsFailAsOneUnit:
+    """``publish_many`` queues one run; the send ladder retries and parks
+    it whole (a single ``publish`` is a run of one)."""
+
+    RUN = [
+        Event("/t", {}, payload="a", labels=[MDT_1]),
+        Event("/t", {}, payload="b", labels=[MDT_2]),
+        Event("/u", {}, payload="c"),
+    ]
+
+    def test_link_death_mid_run_resends_the_whole_run(self, server):
+        audit = AuditLog()
+        sender = bridge_for(server, "sender", audit=audit, backoff_base=0.0)
+        watcher = bridge_for(server, "watcher")
+        seen = []
+        watcher.subscribe("/*", seen.append, principal="watcher")
+        break_link_mid_run(sender, attempts=1)
+        try:
+            sender.publish_many(self.RUN)
+            assert sender.drain(10)
+
+            def payloads():
+                return [event.payload for event in seen]
+
+            assert wait_for(lambda: [p for p in payloads() if p != "a"] == ["b", "c"], 10)
+            # At-least-once: the failed attempt's leading frame may have landed too.
+            assert payloads().count("a") in (1, 2)
+            assert (sender.stats.errors, sender.stats.reconnects) == (1, 1)
+            assert sender.stats.dead_lettered == 0
+            (failure,) = audit.denials(component="bridge")
+            assert failure.operation == "send"
+            assert failure.labels == LabelSet([MDT_1, MDT_2])
+        finally:
+            sender.close()
+            watcher.close()
+
+    def test_exhausted_run_parks_every_event_under_one_denial(self, server):
+        audit = AuditLog()
+        sender = bridge_for(
+            server, "sender", audit=audit, max_send_attempts=3, backoff_base=0.0
+        )
+        watcher = bridge_for(server, "watcher")
+        seen = []
+        watcher.subscribe("/after", seen.append, principal="watcher")
+        break_link_mid_run(sender, attempts=3)
+        try:
+            sender.publish_many(self.RUN)
+            sender.publish(Event("/after", {}, payload="fine"))
+            assert sender.drain(10)
+            assert wait_for(lambda: [event.payload for event in seen] == ["fine"], 10)
+            assert [event.payload for event in sender.dead_letters] == ["a", "b", "c"]
+            assert sender.stats.dead_lettered == 3
+            denials = audit.denials(component="bridge")
+            assert [record.operation for record in denials] == ["send"] * 3 + ["dead_letter"]
+            assert {record.labels for record in denials} == {LabelSet([MDT_1, MDT_2])}
+        finally:
+            sender.close()
+            watcher.close()
+
+    def test_single_publish_keeps_its_per_event_record(self, server):
+        chaos = ChaosInjector()
+        chaos.fail_at("bridge.send", on=(1, 2))
+        audit = AuditLog()
+        sender = bridge_for(
+            server, "sender", audit=audit, chaos=chaos, max_send_attempts=2, backoff_base=0.0
+        )
+        try:
+            sender.publish(Event("/t", {}, payload="doomed", labels=[MDT_1]))
+            assert sender.drain(10)
+            assert [event.payload for event in sender.dead_letters] == ["doomed"]
+            denials = audit.denials(component="bridge")
+            assert [(record.operation, record.principal) for record in denials] == [
+                ("send", "sender"),
+                ("send", "sender"),
+                ("dead_letter", "sender"),
+            ]
+            assert {record.labels for record in denials} == {LabelSet([MDT_1])}
+            assert denials[0].detail.startswith("send to /t failed (attempt 1)")
+            assert denials[-1].detail == "event for /t parked after 2 attempt(s)"
         finally:
             sender.close()
 

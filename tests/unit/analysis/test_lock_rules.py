@@ -180,7 +180,6 @@ class TestRealTree:
     def test_graph_covers_the_concurrent_subsystems(self):
         nodes = set(self._graph().nodes)
         expected = {
-            "DocumentStore._lock",
             "Database._lock",
             "SequenceAllocator._lock",
             "LaneScheduler._lanes_lock",

@@ -36,14 +36,16 @@ class TestAuditLog:
 
     def test_records_carry_labels(self):
         log = AuditLog()
-        entry = log.denied("frontend", "respond", "mdt2", labels=LabelSet([MDT_1]))
+        log.denied("frontend", "respond", "mdt2", labels=LabelSet([MDT_1]))
+        (entry,) = log.records()
         assert entry.labels == LabelSet([MDT_1])
         assert entry.to_dict()["labels"] == [MDT_1.uri]
 
     def test_monotonic_ids(self):
         log = AuditLog()
-        first = log.allowed("a", "b", "c")
-        second = log.allowed("a", "b", "c")
+        log.allowed("a", "b", "c")
+        log.allowed("a", "b", "c")
+        first, second = log.records()
         assert second.record_id > first.record_id
 
     def test_clear(self):

@@ -208,6 +208,31 @@ class TestThreadedDispatch:
         finally:
             broker.stop()
 
+    def test_drain_timeout_is_reported_not_swallowed(self):
+        """``drain`` used to discard its wait result, so the engine
+        reported a still-busy broker as drained."""
+        from repro.events import EventProcessingEngine
+
+        release = threading.Event()
+        broker = Broker(threaded=True)
+        engine = EventProcessingEngine(broker=broker)
+        laned = EventProcessingEngine(broker=broker, workers=1)
+        try:
+            broker.subscribe("/t", lambda event: release.wait(5))
+            broker.publish(Event("/t"))
+            assert broker.drain(0.05) is False
+            assert engine.drain(0.05) is False
+            assert laned.drain(0.05) is False
+            release.set()
+            assert broker.drain(5) is True
+            assert engine.drain(5) is True
+            assert laned.drain(5) is True
+            assert Broker().drain(0.05) is True  # synchronous: nothing is ever queued
+        finally:
+            release.set()
+            laned.stop()
+            broker.stop()
+
     def test_stop_is_idempotent(self):
         broker = Broker(threaded=True)
         broker.stop()

@@ -171,12 +171,6 @@ class TestDeferredAudit:
         assert len(records) == 4
         assert [r.principal for r in records] == ["u996", "u997", "u998", "u999"]
 
-    def test_unbuffered_mode_records_eagerly(self):
-        audit = AuditLog(buffered=False)
-        audit.note("broker", "publish", "u1", "allowed")
-        assert audit._pending == type(audit._pending)()
-        assert len(audit) == 1
-
     def test_eager_record_flushes_pending_first(self):
         audit = AuditLog()
         audit.note("broker", "deliver", "first", "allowed")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.labels import LabelSet, conf_label
 from repro.exceptions import DocumentConflict, DocumentNotFound, ReadOnlyError, SafeWebError
-from repro.storage import Database, DocumentStore
+from repro.storage import Database
 from repro.taint import label, labels_of
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
@@ -210,35 +210,6 @@ class TestReadOnly:
         replica = Database("dmz", read_only=True)
         replica.replication_put("r1", "1-abc", {"n": 1}, {})
         assert replica.get("r1")["n"] == 1
-
-
-class TestDocumentStore:
-    def test_create_get(self):
-        store = DocumentStore()
-        db = store.create("app")
-        assert store.get("app") is db
-        assert store.names() == ["app"]
-
-    def test_duplicate_create_rejected(self):
-        store = DocumentStore()
-        store.create("app")
-        with pytest.raises(SafeWebError):
-            store.create("app")
-
-    def test_get_or_create(self):
-        store = DocumentStore()
-        first = store.get_or_create("app")
-        assert store.get_or_create("app") is first
-
-    def test_missing_database(self):
-        with pytest.raises(DocumentNotFound):
-            DocumentStore().get("nope")
-
-    def test_drop(self):
-        store = DocumentStore()
-        store.create("app")
-        store.drop("app")
-        assert store.names() == []
 
 
 class TestChangeListenerContract:

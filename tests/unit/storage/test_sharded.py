@@ -11,7 +11,8 @@ from repro.exceptions import (
     ReadOnlyError,
     SafeWebError,
 )
-from repro.storage import Database, DocumentStore, ShardedDatabase
+from repro.storage import Database, ShardedDatabase
+from repro.storage.docstore import make_database
 from repro.taint import label, labels_of
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
@@ -316,18 +317,9 @@ class TestConcurrency:
         assert len(set(seqs)) == 200
 
 
-class TestDocumentStoreSharding:
+class TestMakeDatabaseSharding:
     def test_create_sharded(self):
-        store = DocumentStore()
-        db = store.create("app", shards=4)
-        assert isinstance(db, ShardedDatabase)
-        assert store.get("app") is db
+        assert isinstance(make_database("app", shards=4), ShardedDatabase)
 
     def test_default_is_plain(self):
-        store = DocumentStore()
-        assert isinstance(store.create("app"), Database)
-
-    def test_get_or_create_sharded(self):
-        store = DocumentStore()
-        first = store.get_or_create("app", shards=2)
-        assert store.get_or_create("app") is first
+        assert isinstance(make_database("app"), Database)
