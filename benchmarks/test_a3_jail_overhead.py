@@ -1,8 +1,10 @@
 """A3 (ablation): IFC jail and labelled-store overhead.
 
 Prices the isolation machinery of §4.3 piece by piece: containment
-entry/exit, the audit-hook tax on allowed operations, scope isolation at
-registration, and labelled store reads/writes.
+entry/exit, the audit-hook tax on an allowed audited operation (``id(x)``,
+which ``copy.deepcopy`` raises once per object), scope isolation at
+registration, and labelled store reads/writes of an aggregator-shaped
+record — outside the jail and inside it, where units actually run them.
 """
 
 from repro.bench.reporting import format_table
@@ -18,6 +20,22 @@ from repro.mdt.labels import mdt_label
 JAIL = Jail()
 LABELS = LabelSet([mdt_label("1")])
 
+#: The shape ``DataAggregator.on_report`` keeps per case (mdt/aggregator.py).
+RECORD = {
+    "patient_id": "p-17",
+    "patient_name": "Alice Example",
+    "hospital": "addenbrookes",
+    "mdt_id": "1",
+    "region": "region-1",
+    "site": "C50",
+    "stage": "II",
+    "diagnosis_date": "2010-03-01",
+    "treatments": "surgery;chemotherapy",
+    "outcomes": "alive",
+    "tumours": [{"tumour_id": f"t{n}", "site": "C50", "stage": "II"} for n in range(3)],
+    "sources": ["p-17=Alice Example"],
+}
+
 
 def _work():
     return sum(range(50))
@@ -28,8 +46,33 @@ def _work_jailed():
         return sum(range(50))
 
 
+def _audited(iterations=100):
+    # ``id`` raises the allowed ``builtins.id`` audit event: the hook runs.
+    for _ in range(iterations):
+        id(RECORD)
+
+
+def _audited_jailed():
+    with JAIL.contained():
+        _audited()
+
+
 def test_containment_entry_exit(benchmark):
     benchmark(_work_jailed)
+
+
+def test_allowed_audit_event_jailed(benchmark):
+    benchmark(_audited_jailed)
+
+
+def test_labeled_store_round_trip_jailed(benchmark):
+    store = LabeledStore(UnitPrincipal("bench", privileges=PrivilegeSet.empty()))
+
+    def round_trip():
+        store.set("key", store.get("key", RECORD))
+
+    with LabelContext(LABELS), JAIL.contained():
+        benchmark(round_trip)
 
 
 def test_isolation_clone_cost(benchmark):
@@ -57,6 +100,14 @@ def test_a3_report(benchmark, report):
         write = measure_latency(lambda: store.set("key", {"rows": [1, 2, 3]}), iterations=2000)
         read = measure_latency(lambda: store.get("key"), iterations=2000)
 
+        store.set("record", RECORD)
+        with JAIL.contained():
+            jailed_write = measure_latency(lambda: store.set("record", RECORD), iterations=2000)
+            jailed_read = measure_latency(lambda: store.get("record"), iterations=2000)
+
+    audited = measure_latency(_audited, iterations=2000, warmup=200)
+    audited_jailed = measure_latency(_audited_jailed, iterations=2000, warmup=200)
+
     def handler(event):
         return event
 
@@ -71,9 +122,15 @@ def test_a3_report(benchmark, report):
                 ("50-iteration loop, unjailed", f"{plain.mean * 1e6:.2f} µs"),
                 ("50-iteration loop, jailed", f"{jailed.mean * 1e6:.2f} µs"),
                 ("containment overhead", f"+{overhead_percent(plain.mean, jailed.mean):.0f}%"),
+                ("100 × id(x), unjailed", f"{audited.mean * 1e6:.2f} µs"),
+                ("100 × id(x), jailed", f"{audited_jailed.mean * 1e6:.2f} µs"),
+                ("audit-hook tax per allowed event",
+                 f"{(audited_jailed.mean - audited.mean) * 1e7:.0f} ns"),
                 ("isolate_callback (at registration)", f"{clone.mean * 1e6:.2f} µs"),
                 ("labelled store write", f"{write.mean * 1e6:.2f} µs"),
                 ("labelled store read", f"{read.mean * 1e6:.2f} µs"),
+                ("case record write, jailed", f"{jailed_write.mean * 1e6:.2f} µs"),
+                ("case record read, jailed", f"{jailed_read.mean * 1e6:.2f} µs"),
             ],
         )
     )

@@ -640,7 +640,6 @@ class ClusterEngine:
         isolation: bool = True,
         monitor_interval: float = 0.2,
         auto_restart: bool = True,
-        host: str = "127.0.0.1",
         start_method: Optional[str] = None,
     ):
         if workers < 1:
@@ -653,7 +652,6 @@ class ClusterEngine:
         self._shard_count = shards if shards else max(1, min(workers, 2))
         self._monitor_interval = monitor_interval
         self._auto_restart = auto_restart
-        self._host = host
         self._ctx = cluster_context(start_method)
         self._shards: Dict[str, _ChildHandle] = {}
         self._workers: Dict[str, _ChildHandle] = {}

@@ -602,12 +602,12 @@ class EventProcessingEngine:
 
     @contextmanager
     def _lifted_jail(self):
-        previous = getattr(_jail_state, "contained", 0)
-        _jail_state.contained = 0
+        previous = getattr(_jail_state, "denied_prefixes", None)
+        _jail_state.denied_prefixes = None
         try:
             yield
         finally:
-            _jail_state.contained = previous
+            _jail_state.denied_prefixes = previous
 
     # -- internal: label-checked publish ----------------------------------------------
 

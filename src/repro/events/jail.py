@@ -27,7 +27,7 @@ the way Ruby's taint-write rule does. Under the paper's threat model —
 buggy, not malicious, code — the paths that matter (I/O, globals,
 closures, shared unit state) are all closed.
 
-Containment is a per-thread counter, which is what lets the parallel
+Containment is per-thread state, which is what lets the parallel
 engine carry the jail **per task**: a worker enters
 :meth:`Jail.contained` around each non-privileged principal's callback
 and leaves it afterwards, so the same pool thread can run a jailed
@@ -91,24 +91,23 @@ DENIED_BUILTINS: Tuple[str, ...] = (
     "quit",
 )
 
+#: Per-thread: ``denied_prefixes`` is the prefix tuple in force on the
+#: thread, ``None`` (or unset) outside any jail.
 _state = threading.local()
 _hook_lock = threading.Lock()
 _hook_installed = False
 
 
 def _thread_contained() -> bool:
-    return getattr(_state, "contained", 0) > 0
+    return getattr(_state, "denied_prefixes", None) is not None
 
 
 def _audit_hook(event: str, args) -> None:
-    if not _thread_contained():
-        return
-    denied = getattr(_state, "denied_prefixes", DEFAULT_DENIED_PREFIXES)
-    for prefix in denied:
-        if event.startswith(prefix):
-            raise IsolationError(
-                f"operation {event!r} denied inside the IFC jail"
-            )
+    denied = getattr(_state, "denied_prefixes", None)
+    # One C call over the whole tuple: allowed events (``builtins.id`` from
+    # every ``deepcopy`` step) are the common case and must stay O(1).
+    if denied is not None and event.startswith(denied):
+        raise IsolationError(f"operation {event!r} denied inside the IFC jail")
 
 
 def _ensure_hook() -> None:
@@ -151,13 +150,21 @@ class Jail:
 
     @contextmanager
     def contained(self):
-        """Enter the jail for the calling thread."""
-        _state.denied_prefixes = self._denied_prefixes
-        _state.contained = getattr(_state, "contained", 0) + 1
+        """Enter the jail for the calling thread.
+
+        Nested inside another jail, the effective denied set is the union
+        of the enclosing sets — an inner jail can only tighten the outer
+        one — and leaving restores the set that was in force on entry.
+        """
+        outer = getattr(_state, "denied_prefixes", None)
+        denied = self._denied_prefixes
+        if outer is not None and outer is not denied:
+            denied = outer + tuple(prefix for prefix in denied if prefix not in outer)
+        _state.denied_prefixes = denied
         try:
             yield self
         finally:
-            _state.contained -= 1
+            _state.denied_prefixes = outer
 
     @property
     def active(self) -> bool:

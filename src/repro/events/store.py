@@ -10,14 +10,14 @@ whose keys carry label sets:
   optional add/remove sets mirroring the publish call; removal requires
   the unit's declassification privilege.
 
-Values are deep-copied on both paths so a jailed callback can never
-retain a shared mutable reference that would bypass label tracking.
+Values are copied on both paths (:func:`_private_copy`) so a jailed callback
+can never retain a shared mutable reference that would bypass label tracking.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
+from copy import deepcopy
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.audit import AuditLog, default_audit_log
@@ -25,8 +25,52 @@ from repro.core.labels import Label, LabelSet
 from repro.core.principals import UnitPrincipal
 from repro.events.context import combine_ambient, current_labels
 from repro.exceptions import DeclassificationError, EndorsementError
+from repro.taint.labeled import PLAIN_TYPES
 
 _MISSING = object()
+
+
+class _NotAPlainTree(Exception):
+    """Raised by :func:`_copy_tree` where only ``deepcopy`` is faithful."""
+
+
+def _copy_tree(node: Any, seen: set) -> Any:
+    kind = type(node)
+    mark = id(node)
+    if kind not in (dict, list, tuple) or mark in seen:
+        raise _NotAPlainTree
+    seen.add(mark)
+    if kind is dict:
+        if not PLAIN_TYPES.issuperset(map(type, node)):
+            raise _NotAPlainTree
+        return {
+            key: item if type(item) in PLAIN_TYPES else _copy_tree(item, seen)
+            for key, item in node.items()
+        }
+    return kind([item if type(item) in PLAIN_TYPES else _copy_tree(item, seen) for item in node])
+
+
+def _private_copy(value: Any) -> Any:
+    """A copy of *value* equal to ``copy.deepcopy(value)`` on every input.
+
+    A *tree* of exact ``dict``/``list``/``tuple`` over exact
+    ``PLAIN_TYPES`` leaves and keys — what units store in practice — is
+    rebuilt container by container with the immutable leaves shared.
+    Anything else (a labelled scalar, which ``deepcopy`` reduces to plain
+    so that the per-key labels govern; a ``set``; a container subclass; an
+    arbitrary object; a container reached twice, whose aliasing or cycle
+    ``deepcopy``'s memo preserves) takes ``copy.deepcopy`` of the whole
+    value. Deliberately not ``json_codec.copy_containers``: that shares
+    labelled leaves and passes non-JSON values through uncopied because
+    the docstore validated JSON at write time; a jailed unit can put
+    anything in here.
+    """
+    if type(value) in PLAIN_TYPES:
+        return value
+    try:
+        return _copy_tree(value, set())
+    except _NotAPlainTree:
+        return deepcopy(value)
 
 
 class LabeledStore:
@@ -48,7 +92,7 @@ class LabeledStore:
             return default
         value, labels = entry
         self._taint_ambient(labels)
-        return copy.deepcopy(value)
+        return _private_copy(value)
 
     def labels_for(self, key: str) -> LabelSet:
         """The labels on *key* without reading the value (no ambient widening)."""
@@ -86,8 +130,9 @@ class LabeledStore:
         same rules as the engine's publish call (§4.3).
         """
         labels = self._checked_labels(current_labels(), add, remove, operation="store.set")
+        entry = (_private_copy(value), labels)
         with self._lock:
-            self._entries[key] = (copy.deepcopy(value), labels)
+            self._entries[key] = entry
         return labels
 
     def delete(self, key: str) -> None:

@@ -1,11 +1,19 @@
 """Unit tests for the IFC jail (the $SAFE=4 analogue, paper §4.3)."""
 
+import copy
+import json
 import socket
 import threading
 
 import pytest
 
-from repro.events.jail import Jail, isolate_callback, restricted_builtins
+from repro.events import jail as jail_module
+from repro.events.jail import (
+    DEFAULT_DENIED_PREFIXES,
+    Jail,
+    isolate_callback,
+    restricted_builtins,
+)
 from repro.exceptions import IsolationError
 
 
@@ -85,11 +93,75 @@ class TestIODenial:
             with pytest.raises(IsolationError):
                 open(tmp_path / "x", "w")
 
+    def test_inner_jail_does_not_weaken_the_outer_one(self, jail, tmp_path):
+        narrow = Jail(("socket.",))
+        with jail.contained():
+            with narrow.contained():
+                with pytest.raises(IsolationError):  # union while nested
+                    open(tmp_path / "inner", "w")
+            with pytest.raises(IsolationError):  # outer set restored on exit
+                open(tmp_path / "outer", "w")
+        (tmp_path / "after").write_text("uncontained again")
+
+    def test_inner_jail_tightens_then_restores(self, tmp_path):
+        import os
+
+        with Jail(("socket.",)).contained():
+            with Jail(("os.",)).contained():
+                with pytest.raises(IsolationError):
+                    os.mkdir(tmp_path / "denied")
+            os.mkdir(tmp_path / "allowed")
+        assert (tmp_path / "allowed").is_dir()
+
     def test_active_property(self, jail):
         assert not jail.active
         with jail.contained():
             assert jail.active
         assert not jail.active
+
+
+def _reference_denies(event: str, denied) -> bool:
+    """The prefix loop ``_audit_hook`` ran before it became one C call."""
+    for prefix in denied:
+        if event.startswith(prefix):
+            return True
+    return False
+
+
+def _hook_denies(event: str) -> bool:
+    try:
+        jail_module._audit_hook(event, ())
+    except IsolationError:
+        return True
+    return False
+
+
+class TestHookEquivalence:
+    """The O(1) hook decides exactly as the prefix loop did."""
+
+    NEAR_MISSES = ("opening", "o", "", "builtins.id", "ope", "os", "socket", "xopen", "Open")
+    PREFIX_SETS = (DEFAULT_DENIED_PREFIXES, ("socket.", "my.custom"), ("",), ())
+
+    @pytest.mark.parametrize("denied", PREFIX_SETS)
+    def test_same_decision_as_the_prefix_loop(self, denied):
+        events = set(self.NEAR_MISSES) | set(DEFAULT_DENIED_PREFIXES) | set(denied)
+        events |= {prefix + "connect" for prefix in events}
+        with Jail(denied).contained():
+            for event in sorted(events):
+                assert _hook_denies(event) == _reference_denies(event, denied), event
+
+    def test_nothing_denied_outside_containment(self):
+        Jail()
+        assert not any(_hook_denies(prefix) for prefix in DEFAULT_DENIED_PREFIXES)
+
+    def test_allowed_audit_events_stay_allowed(self, jail):
+        record = {"tumours": [{"site": "C50"}], "sources": ["p1"], "tags": {"a", "b"}}
+        with jail.contained():
+            assert isinstance(id(record), int)
+            duplicate = copy.deepcopy(record)
+            encoded = json.dumps({"tumours": record["tumours"]})
+        assert duplicate == record and duplicate["tumours"] is not record["tumours"]
+        assert json.loads(encoded) == {"tumours": [{"site": "C50"}]}
 
 
 class TestRestrictedBuiltins:

@@ -1,11 +1,14 @@
 """Unit tests for the labelled key-value store (paper §4.3)."""
 
+import copy
+
 import pytest
 
 from repro.core.labels import LabelSet, conf_label, int_label
 from repro.core.principals import UnitPrincipal
 from repro.core.privileges import DECLASSIFICATION, ENDORSEMENT, PrivilegeSet
 from repro.events import LabelContext, LabeledStore, current_labels
+from repro.events import store as store_module
 from repro.exceptions import DeclassificationError, EndorsementError
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
@@ -92,6 +95,45 @@ class TestReadWrite:
         assert "a" not in store
         store.clear()
         assert len(store) == 0
+
+
+class TestCopyFallback:
+    """Plain trees are copied structurally; only the rest pays ``deepcopy``."""
+
+    @pytest.fixture()
+    def fallbacks(self, monkeypatch):
+        taken = []
+
+        def counting_deepcopy(value):
+            taken.append(value)
+            return copy.deepcopy(value)
+
+        monkeypatch.setattr(store_module, "deepcopy", counting_deepcopy)
+        return taken
+
+    def test_default_deployment_never_takes_the_fallback(self, fallbacks):
+        from repro.mdt.deployment import MdtDeployment
+
+        deployment = MdtDeployment()
+        try:
+            deployment.import_data()
+            deployment.aggregate()
+            assert len(deployment.engine.store_of("data_aggregator")) > 0
+        finally:
+            deployment.close()
+        assert fallbacks == []
+
+    def test_non_tree_value_takes_it_once_per_call(self, fallbacks):
+        store = make_store()
+        value = {"rows": [1], "tags": {"a", "b"}}
+        with LabelContext():
+            store.set("k", value)
+            assert len(fallbacks) == 1
+            assert store.get("k") == value
+            assert len(fallbacks) == 2
+            store.set("plain", {"rows": [1]})
+            store.get("plain")
+        assert len(fallbacks) == 2
 
 
 class TestLabelManipulation:

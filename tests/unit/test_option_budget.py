@@ -25,7 +25,7 @@ BUDGET = {
     Broker: 6,
     AuditLog: 2,
     StompBrokerBridge: 11,
-    ClusterEngine: 10,
+    ClusterEngine: 9,
     ClusterRouter: 4,
     LaneScheduler: 8,
     SupervisionPolicy: 7,
