@@ -60,6 +60,9 @@ INGRESS_LOGINS = ("external", "scheduler", "_cluster")
 #: Prefix of the per-unit supervisor login (worker-side DLQ publishes).
 SUPERVISOR_PREFIX = "supervisor:"
 
+#: Seconds between the parent's checks for dead worker processes.
+MONITOR_INTERVAL = 0.2
+
 
 def shard_policy_document(document: PolicyDocument) -> PolicyDocument:
     """The policy a broker shard authenticates against.
@@ -80,7 +83,7 @@ def shard_policy_document(document: PolicyDocument) -> PolicyDocument:
     return clone
 
 
-def cluster_context(start_method: Optional[str] = None):
+def cluster_context():
     """The multiprocessing context cluster children start under.
 
     ``fork`` is deliberately not the default: the parent already runs
@@ -92,8 +95,6 @@ def cluster_context(start_method: Optional[str] = None):
     Windows). Both are safe here because the child mains import their
     dependencies themselves and every shipped object pickles.
     """
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
     available = multiprocessing.get_all_start_methods()
     for method in ("forkserver", "spawn"):
         if method in available:
@@ -137,13 +138,12 @@ class ClusterRouter:
         self,
         shards: Dict[str, Tuple[str, int]],
         audit: Optional[AuditLog] = None,
-        ring: Optional[HashRing] = None,
         ack_timeout: float = 10.0,
     ):
         if not shards:
             raise SafeWebError("cluster router needs at least one shard")
         self._shards = dict(shards)
-        self._ring = ring if ring is not None else HashRing(sorted(shards))
+        self._ring = HashRing(sorted(shards))
         self._audit = audit if audit is not None else default_audit_log()
         self._ack_timeout = ack_timeout
         self._bridges: Dict[Tuple[str, str, str], StompBrokerBridge] = {}
@@ -638,9 +638,6 @@ class ClusterEngine:
         audit: Optional[AuditLog] = None,
         supervision: Optional[SupervisionPolicy] = None,
         isolation: bool = True,
-        monitor_interval: float = 0.2,
-        auto_restart: bool = True,
-        start_method: Optional[str] = None,
     ):
         if workers < 1:
             raise SafeWebError("cluster needs at least one worker")
@@ -650,9 +647,7 @@ class ClusterEngine:
         self.isolation = isolation
         self._worker_count = workers
         self._shard_count = shards if shards else max(1, min(workers, 2))
-        self._monitor_interval = monitor_interval
-        self._auto_restart = auto_restart
-        self._ctx = cluster_context(start_method)
+        self._ctx = cluster_context()
         self._shards: Dict[str, _ChildHandle] = {}
         self._workers: Dict[str, _ChildHandle] = {}
         self._placements: Dict[str, _Placement] = {}
@@ -952,7 +947,7 @@ class ClusterEngine:
         self._workers[name].process.kill()
 
     def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self._monitor_interval):
+        while not self._stopping.wait(MONITOR_INTERVAL):
             for handle in list(self._workers.values()):
                 if handle.alive and not handle.process.is_alive():
                     self._handle_worker_death(handle)
@@ -965,8 +960,6 @@ class ClusterEngine:
             handle.name,
             detail=f"worker process died (exit {handle.process.exitcode})",
         )
-        if not self._auto_restart:
-            return
         with self._lock:
             orphans = [
                 (unit_name, placement)

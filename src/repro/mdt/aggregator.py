@@ -16,11 +16,12 @@ State lives exclusively in the labelled key-value store:
 * ``metric:<mdt-id>`` — the computed per-MDT metric, read back by the
   regional aggregation.
 
-The §5.2 *design error* injection is :class:`BuggyDataAggregator`, which
-matches case events by the within-MDT ``local_case_number`` alone —
-"ignoring the hospital of origin" — so records mix data of different
-MDTs. The mixed records carry both MDTs' labels, which is what lets the
-frontend block them later.
+The §5.2 *design error* injection
+(:class:`repro.mdt.vulnerabilities.BuggyDataAggregator`) overrides
+:meth:`DataAggregator.match_key` to match case events by the within-MDT
+``local_case_number`` alone — "ignoring the hospital of origin" — so
+records mix data of different MDTs. The mixed records carry both MDTs'
+labels, which is what lets the frontend block them later.
 """
 
 from __future__ import annotations
@@ -147,15 +148,3 @@ class DataAggregator(Unit):
                 "survival": str(survival),
             },
         )
-
-
-class BuggyDataAggregator(DataAggregator):
-    """§5.2 design error: matches cases by local number only.
-
-    "We modify the data aggregator unit to ignore the hospital of origin
-    when matching events. As a result, the unit generates records that
-    mix data of different MDTs."
-    """
-
-    def match_key(self, event: Event) -> str:
-        return event["local_case_number"]

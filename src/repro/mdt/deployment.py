@@ -24,7 +24,7 @@ from repro.core.audit import AuditLog
 from repro.events.broker import Broker
 from repro.events.engine import EventProcessingEngine
 from repro.exceptions import FirewallError, SafeWebError
-from repro.mdt.aggregator import BuggyDataAggregator, DataAggregator
+from repro.mdt.aggregator import DataAggregator
 from repro.mdt.portal import build_portal
 from repro.mdt.producer import DataProducer
 from repro.mdt.storage_unit import DataStorage, define_application_views
@@ -104,8 +104,6 @@ class MdtDeployment:
         config: Optional[WorkloadConfig] = None,
         workload: Optional[Workload] = None,
         audit: Optional[AuditLog] = None,
-        aggregator_vulnerability: bool = False,
-        portal_vulnerability: Optional[str] = None,
         check_labels: bool = True,
         check_taint: bool = True,
         csrf_protect: bool = True,
@@ -181,7 +179,6 @@ class MdtDeployment:
         define_application_views(self.app_db)
 
         self.producer = DataProducer(self.main_db, label_events=label_events)
-        aggregator_cls = BuggyDataAggregator if aggregator_vulnerability else DataAggregator
         self.storage = DataStorage(self.app_db, breaker=storage_breaker)
         self.engine.register(self.producer)
         self.engine.register(self.storage)
@@ -194,12 +191,10 @@ class MdtDeployment:
         # remains the executable reference and the benchmarks' baseline.
         self.cluster = None
         if cluster_workers:
-            self.cluster = self._start_cluster(
-                aggregator_cls, cluster_workers, supervision, isolation
-            )
+            self.cluster = self._start_cluster(cluster_workers, supervision, isolation)
             self.aggregator = None  # lives in a worker process
         else:
-            self.aggregator = aggregator_cls()
+            self.aggregator = DataAggregator()
             self.engine.register(self.aggregator)
 
         # --- DMZ ---------------------------------------------------------------
@@ -243,12 +238,10 @@ class MdtDeployment:
             self.webdb,
             self.directory,
             audit=self.audit,
-            vulnerability=portal_vulnerability,
             check_labels=check_labels,
             check_taint=check_taint,
             cached_auth=cached_auth,
             page_cache=page_cache,
-            session_db=make_database("portal_sessions", shards=shards),
             csrf_protect=csrf_protect,
             health_probe=self.probe,
         )
@@ -265,7 +258,7 @@ class MdtDeployment:
     CLUSTER_FORWARD_TOPICS = ("/patient_report",)
     CLUSTER_RETURN_TOPICS = ("/aggregated_record", "/mdt_metric", "/region_metric")
 
-    def _start_cluster(self, aggregator_cls, workers, supervision, isolation):
+    def _start_cluster(self, workers, supervision, isolation):
         from repro.events.cluster import ClusterEngine
         from repro.events.supervision import SupervisionPolicy
 
@@ -278,7 +271,7 @@ class MdtDeployment:
             supervision=supervision if isinstance(supervision, SupervisionPolicy) else None,
             isolation=isolation,
         ).start()
-        cluster.place(aggregator_cls, "data_aggregator")
+        cluster.place(DataAggregator, "data_aggregator")
         # Events the producer publishes locally are forwarded into the
         # cluster under the aggregator's own delivery clearance — the
         # forward leg sees exactly the events an in-process aggregator

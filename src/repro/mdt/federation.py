@@ -43,6 +43,9 @@ from repro.mdt.labels import region_aggregate_label, region_aggregate_root
 
 EXCHANGE_TOPIC = "/national/region_metric"
 
+#: How long :func:`federate` waits for the first exchange round to land.
+SETTLE_SECONDS = 2.0
+
 
 def exchange_policy(region_names: List[str]) -> Policy:
     """The national exchange's policy: one gateway unit per region,
@@ -275,7 +278,6 @@ class RegionalGateway:
 def federate(
     deployments: dict,
     exchange: NationalExchange,
-    settle_seconds: float = 2.0,
     local_region_names: Optional[dict] = None,
 ) -> dict:
     """Wire gateways for every deployment and exchange current metrics.
@@ -292,7 +294,7 @@ def federate(
     }
     for gateway in gateways.values():
         gateway.export_region_metric()
-    deadline = time.monotonic() + settle_seconds
+    deadline = time.monotonic() + SETTLE_SECONDS
     expected = len(deployments) - 1
     while time.monotonic() < deadline:
         if all(len(g.imported) >= expected for g in gateways.values()):

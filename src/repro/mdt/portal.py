@@ -16,9 +16,9 @@ application database replica. Routes:
 * ``POST /admin/mdts``     — the trusted admin surface that assigns
   privileges to new MDTs (the paper's 142 audited frontend LOC).
 
-``build_portal`` accepts a *vulnerability* name so the §5.2 evaluation
-can inject each CVE-style bug; with the taint-tracking middleware
-installed, none of them disclose data.
+The handlers here are the clean application; the §5.2 evaluation injects
+its CVE-style bugs by patching a built deployment
+(:mod:`repro.mdt.vulnerabilities`), never by a switch in this module.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import json
 from typing import Callable, Optional, Tuple
 
 from repro.core.audit import AuditLog
-from repro.exceptions import SafeWebError
 from repro.mdt.labels import mdt_label
 from repro.mdt.workload import MdtDirectory
 from repro.storage.docstore import Database
@@ -39,15 +38,8 @@ from repro.web.middleware import SafeWebMiddleware, timed
 from repro.web.pagecache import PageCache
 from repro.web.request import Request
 from repro.web.response import Response
-from repro.web.sessions import DocStoreSessionStore, SessionMiddleware
+from repro.web.sessions import SessionMiddleware
 from repro.web.templates import TemplateRegistry
-
-#: The §5.2 vulnerability injections understood by :func:`build_portal`.
-PORTAL_VULNERABILITIES = (
-    "omitted_access_check",  # Listing 2 line 5 removed
-    "access_check_error",  # case-insensitive username lookup
-    "inappropriate_access_check",  # Listing 3 line 7 (clinic equality) removed
-)
 
 FRONT_PAGE_SOURCE = """<!DOCTYPE html>
 <html>
@@ -149,28 +141,23 @@ def build_portal(
     webdb: WebDatabase,
     directory: MdtDirectory,
     audit: Optional[AuditLog] = None,
-    vulnerability: Optional[str] = None,
     check_labels: bool = True,
     check_taint: bool = True,
     cached_auth: bool = True,
     page_cache: bool = True,
-    session_db=None,
     csrf_protect: bool = True,
     health_probe: Optional[Callable[[], dict]] = None,
 ) -> Tuple[SafeWebApp, SafeWebMiddleware]:
     """Assemble the portal app with the SafeWeb middleware installed.
 
     The default configuration is the refactored fast path: trie routing,
-    the caching authenticator, cookie sessions on the sharded document
-    store and the clearance-keyed page cache (only when the label check
+    the caching authenticator, cookie sessions in the web database
+    and the clearance-keyed page cache (only when the label check
     is active — the cache's release decision *is* the label check, so a
     baseline deployment must regenerate every page). ``cached_auth`` and
     ``page_cache`` can be turned off to regenerate and re-authenticate
     every request, the paper's Figure 5 cost shape.
     """
-    if vulnerability is not None and vulnerability not in PORTAL_VULNERABILITIES:
-        raise SafeWebError(f"unknown portal vulnerability {vulnerability!r}")
-
     app = SafeWebApp("mdt-portal")
     authenticator_cls = CachingAuthenticator if cached_auth else BasicAuthenticator
     authenticator = authenticator_cls(webdb)
@@ -188,11 +175,7 @@ def build_portal(
         check_taint=check_taint,
     )
     session_middleware = SessionMiddleware(
-        webdb,
-        middleware,
-        audit=audit,
-        session_store=DocStoreSessionStore(database=session_db),
-        csrf_protect=csrf_protect,
+        webdb, authenticator, audit=audit, csrf_protect=csrf_protect
     )
     # Sessions first: a valid cookie authenticates before the Basic
     # auth hook runs, and CSRF guards every state-changing portal
@@ -231,25 +214,15 @@ def build_portal(
         info = directory.find_or_none(mid)
         if info is None:
             return False
-        if vulnerability == "access_check_error":
-            # Listing 3 line 5 modified: user lookup ignores case, so two
-            # accounts differing only in case share ACL rows.
-            user_id = webdb.user_id_case_insensitive(request.user.name)
-        else:
-            user_id = webdb.user_id(request.user.name)
+        user_id = webdb.user_id(request.user.name)
         if user_id is None:
             return False
         if webdb.is_admin(user_id):
             return True
-        conditions = {
-            "u_id": user_id,
-            "hospital": info.hospital,
-            "clinic": info.clinic,
-        }
-        if vulnerability == "inappropriate_access_check":
-            # Listing 3 line 7 removed: any MDT in the same hospital passes.
-            conditions.pop("clinic")
-        return webdb.count_privileges(**conditions) > 0
+        granted = webdb.count_privileges(
+            u_id=user_id, hospital=info.hospital, clinic=info.clinic
+        )
+        return granted > 0
 
     def fetch_records(mid: str) -> list:
         rows = app_db.view("records/by_mid", key=str(mid), include_docs=True)
@@ -305,9 +278,8 @@ def build_portal(
         # Listing 2, faithfully: content_type :json; privilege check;
         # Records.by_mid; process; to_json.
         mid = request.params["mid"]
-        if vulnerability != "omitted_access_check":
-            if not check_privileges(request, mid):
-                halt(403, "forbidden")
+        if not check_privileges(request, mid):
+            halt(403, "forbidden")
         result = fetch_records(mid)
         result.sort(key=lambda record: str(record.get("patient_id", "")))
         return Response(json_codec.dumps(result), content_type="application/json")

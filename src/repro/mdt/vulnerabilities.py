@@ -40,6 +40,7 @@ from repro.core.principals import UnitPrincipal
 from repro.core.privileges import PrivilegeSet
 from repro.events.unit import Unit
 from repro.exceptions import SafeWebError, SecurityViolation
+from repro.mdt.aggregator import DataAggregator
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.labels import (
     mdt_aggregate_root,
@@ -78,8 +79,8 @@ class Vulnerability:
     attack: Callable[[MdtDeployment], Dict[str, Any]] = None  # type: ignore[assignment]
     #: Evidence of disclosure found in the outcome (empty set = contained).
     leak_oracle: Callable[[MdtDeployment, Dict[str, Any]], Set[str]] = None  # type: ignore[assignment]
-    #: Injection applied to the deployment (None: the bug is a
-    #: constructor switch — portal_vulnerability / unprotected overrides).
+    #: Injection applied to the built deployment (None: the bug is only
+    #: the safety net the ``unprotected`` overrides switch off).
     patch: Optional[Callable[[MdtDeployment], None]] = None
     #: Apply the patch after ``run_pipeline()`` — required when the
     #: injected code would otherwise run (and in synchronous mode, raise)
@@ -94,8 +95,6 @@ class Vulnerability:
     expected_status: Optional[int] = None
     #: ``(component, operation)`` of the expected denied audit record.
     expected_audit: Optional[Tuple[str, str]] = None
-    portal_vulnerability: Optional[str] = None
-    aggregator_vulnerability: bool = False
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -167,6 +166,71 @@ def _oracle_names(*victims: str):
 
 
 # -- web tier: the original Listing 2/3 injections ------------------------------
+
+
+def _listing3_check(deployment: MdtDeployment, user_id_of, columns=("hospital", "clinic")):
+    """Listing 3's ``check_privileges``, with the two places the paper
+    breaks it left open: the user lookup and the ACL columns compared."""
+    directory = deployment.directory
+    webdb = deployment.webdb
+
+    def check_privileges(request, mid) -> bool:
+        info = directory.find_or_none(mid)
+        user_id = user_id_of(request.user.name)
+        if info is None or user_id is None:
+            return False
+        if webdb.is_admin(user_id):
+            return True
+        conditions = {column: getattr(info, column) for column in columns}
+        return webdb.count_privileges(u_id=user_id, **conditions) > 0
+
+    return check_privileges
+
+
+def _patch_records_route(deployment: MdtDeployment, check_privileges) -> None:
+    """Re-wire Listing 2 (``GET /records/:mid``) over *check_privileges*."""
+    dmz_db = deployment.dmz_db
+
+    def records(request):
+        mid = request.params["mid"]
+        if not check_privileges(request, mid):
+            halt(403, "forbidden")
+        rows = dmz_db.view("records/by_mid", key=str(mid), include_docs=True)
+        result = [row.value for row in rows]
+        result.sort(key=lambda record: str(record.get("patient_id", "")))
+        return Response(json_codec.dumps(result), content_type="application/json")
+
+    _replace_route(deployment.portal, "GET", "/records/:mid", records)
+
+
+def _patch_omitted_check(deployment: MdtDeployment) -> None:
+    # BUG: Listing 2 line 5 removed — nothing is checked before the read.
+    _patch_records_route(deployment, lambda request, mid: True)
+
+
+def _patch_case_insensitive_check(deployment: MdtDeployment) -> None:
+    webdb = deployment.webdb
+
+    def user_id_ignoring_case(name):
+        # BUG: Listing 3 line 5 modified — LOWER() comparison, so two
+        # accounts differing only in case share ACL rows.
+        with webdb._lock:
+            row = webdb._connection.execute(
+                "SELECT id FROM users WHERE LOWER(name) = LOWER(?) ORDER BY id LIMIT 1",
+                (name,),
+            ).fetchone()
+        return None if row is None else row["id"]
+
+    _patch_records_route(deployment, _listing3_check(deployment, user_id_ignoring_case))
+
+
+def _patch_hospital_only_check(deployment: MdtDeployment) -> None:
+    # BUG: Listing 3 line 7 removed — the clinic is no longer compared,
+    # so any MDT in the same hospital passes.
+    _patch_records_route(
+        deployment,
+        _listing3_check(deployment, deployment.webdb.user_id, columns=("hospital",)),
+    )
 
 
 def _attack_confusable_user(deployment: MdtDeployment) -> Dict[str, Any]:
@@ -320,22 +384,11 @@ def _patch_front_page_override(deployment: MdtDeployment) -> None:
 
 
 def _patch_unfiltered_view(deployment: MdtDeployment) -> None:
-    directory = deployment.directory
     dmz_db = deployment.dmz_db
-    webdb = deployment.webdb
+    check_privileges = _listing3_check(deployment, deployment.webdb.user_id)
 
     def records_unfiltered(request):
-        mid = request.params["mid"]
-        info = directory.find_or_none(mid)
-        user_id = webdb.user_id(request.user.name)
-        if info is None or user_id is None:
-            halt(404, "unknown MDT")
-        if not webdb.is_admin(user_id) and (
-            webdb.count_privileges(
-                u_id=user_id, hospital=info.hospital, clinic=info.clinic
-            )
-            == 0
-        ):
+        if not check_privileges(request, request.params["mid"]):
             halt(403, "forbidden")
         # BUG: the Listing-3 ACL check above is intact, but the view
         # query dropped its key — every MDT's records come back.
@@ -420,6 +473,26 @@ def _oracle_account_enumeration(
 
 
 # -- event tier: malicious / buggy units ----------------------------------------
+
+
+class BuggyDataAggregator(DataAggregator):
+    """§5.2 design error: matches cases by local number only.
+
+    "We modify the data aggregator unit to ignore the hospital of origin
+    when matching events. As a result, the unit generates records that
+    mix data of different MDTs."
+    """
+
+    def match_key(self, event):
+        return event["local_case_number"]  # BUG: hospital of origin ignored
+
+
+def _patch_buggy_aggregator(deployment: MdtDeployment) -> None:
+    # In-process engines only: a cluster_workers deployment keeps its
+    # aggregator in a worker process, out of this engine's reach.
+    engine = deployment.engine
+    engine.unregister("data_aggregator")
+    deployment.aggregator = engine.register(BuggyDataAggregator())
 
 
 class _FeedRepublisher(Unit):
@@ -717,7 +790,7 @@ VULNERABILITIES: Dict[str, Vulnerability] = {
                 "is removed (Listing 2, line 5): any authenticated user can "
                 "request any MDT's records."
             ),
-            portal_vulnerability="omitted_access_check",
+            patch=_patch_omitted_check,
             attack=_http_attack("mdt1", "/records/3", "3"),
             leak_oracle=_oracle_names("3"),
             expected_status=403,
@@ -733,7 +806,7 @@ VULNERABILITIES: Dict[str, Vulnerability] = {
                 "(Listing 3, line 5): accounts differing only in case share "
                 "each other's application-level privileges."
             ),
-            portal_vulnerability="access_check_error",
+            patch=_patch_case_insensitive_check,
             attack=_attack_confusable_user,
             leak_oracle=_oracle_names("1"),
             expected_status=403,
@@ -749,7 +822,7 @@ VULNERABILITIES: Dict[str, Vulnerability] = {
                 "check_privileges (Listing 3, line 7): any MDT can pass the "
                 "check for every MDT in the same hospital."
             ),
-            portal_vulnerability="inappropriate_access_check",
+            patch=_patch_hospital_only_check,
             attack=_http_attack("mdt1", "/records/2", "2"),
             leak_oracle=_oracle_names("2"),
             expected_status=403,
@@ -901,7 +974,7 @@ VULNERABILITIES: Dict[str, Vulnerability] = {
                 "number only, ignoring the hospital of origin: generated "
                 "records mix data of different MDTs."
             ),
-            aggregator_vulnerability=True,
+            patch=_patch_buggy_aggregator,
             attack=_http_attack("mdt1", "/records/1", "2"),
             leak_oracle=_oracle_names("2", "3", "4"),
             expected_status=403,
@@ -1032,13 +1105,7 @@ def build_vulnerable_deployment(
         kwargs.setdefault("check_taint", False)
         for key, value in vulnerability.unprotected.items():
             kwargs.setdefault(key, value)
-    deployment = MdtDeployment(
-        workload=workload,
-        portal_vulnerability=vulnerability.portal_vulnerability,
-        aggregator_vulnerability=vulnerability.aggregator_vulnerability,
-        check_labels=check_labels,
-        **kwargs,
-    )
+    deployment = MdtDeployment(workload=workload, check_labels=check_labels, **kwargs)
     if vulnerability.patch is not None and not vulnerability.patch_after_pipeline:
         vulnerability.patch(deployment)
     if run_pipeline:

@@ -145,19 +145,6 @@ class WebDatabase:
             ).fetchone()
         return None if row is None else row["id"]
 
-    def user_id_case_insensitive(self, name: str) -> Optional[int]:
-        """The §5.2 "errors in access checks" variant: LOWER() comparison.
-
-        Exists so the vulnerability-injection evaluation can swap the
-        correct lookup for this buggy one without editing SQL inline.
-        """
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT id FROM users WHERE LOWER(name) = LOWER(?) ORDER BY id LIMIT 1",
-                (name,),
-            ).fetchone()
-        return None if row is None else row["id"]
-
     def check_password(self, name: str, password: str) -> bool:
         with self._lock:
             row = self._connection.execute(

@@ -16,7 +16,7 @@ from repro.web.templates import Template, TemplateRegistry, render
 from repro.web.auth import BasicAuthenticator, CachingAuthenticator
 from repro.web.middleware import SafeWebMiddleware
 from repro.web.pagecache import PageCache
-from repro.web.sessions import DocStoreSessionStore, SessionMiddleware
+from repro.web.sessions import SessionMiddleware
 from repro.web.http import HttpServer, TestClient
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "CachingAuthenticator",
     "SafeWebMiddleware",
     "PageCache",
-    "DocStoreSessionStore",
     "SessionMiddleware",
     "HttpServer",
     "TestClient",

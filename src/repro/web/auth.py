@@ -53,9 +53,7 @@ class BasicAuthenticator:
     def authenticate(self, authorization_header: Optional[str]) -> UserPrincipal:
         """Verify credentials and return the principal with privileges.
 
-        The username lookup is exact (case-sensitive); §5.2's "errors in
-        access checks" experiment subclasses this with a case-insensitive
-        lookup to inject the CVE-style bug.
+        The username lookup is exact (case-sensitive).
         """
         row = self.verify(authorization_header)
         return self.fetch_privileges(row)
@@ -71,7 +69,7 @@ class BasicAuthenticator:
 
     def verify_credentials(self, username: str, password: str) -> dict:
         """Resolve and check one parsed credential pair against ``webdb``."""
-        user_id = self.lookup_user_id(username)
+        user_id = self._webdb.user_id(username)
         if user_id is None:
             raise AuthenticationError(f"unknown user {username!r}")
         row = self._webdb.user_row(user_id)
@@ -85,9 +83,6 @@ class BasicAuthenticator:
         if principal is None:  # pragma: no cover - row existed a moment ago
             raise AuthenticationError(f"unknown user {row['name']!r}")
         return principal
-
-    def lookup_user_id(self, username: str) -> Optional[int]:
-        return self._webdb.user_id(username)
 
 
 class CachingAuthenticator(BasicAuthenticator):
@@ -174,17 +169,3 @@ class CachingAuthenticator(BasicAuthenticator):
                 self._principals.clear()
             self._principals[username] = (generation, principal)
         return principal
-
-
-class CaseInsensitiveAuthenticator(BasicAuthenticator):
-    """The §5.2 'errors in access checks' injection: ``LOWER()`` lookup.
-
-    With users ``mdt1`` and ``MDT1`` holding different privileges, this
-    authenticator can resolve a login to the *other* user's account —
-    the privilege-confusion bug SafeWeb must contain. Password checking
-    still runs against the resolved row, so the test registers both
-    accounts with the same password, as an operator plausibly might.
-    """
-
-    def lookup_user_id(self, username: str) -> Optional[int]:
-        return self._webdb.user_id_case_insensitive(username)

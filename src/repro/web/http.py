@@ -33,6 +33,11 @@ from repro.web.response import Response
 
 _MAX_LINE = 65536
 _MAX_HEADERS = 128
+#: Seconds an idle keep-alive connection may hold its worker.
+_KEEP_ALIVE_TIMEOUT = 5.0
+#: Requests served on one connection before the server closes it.
+_MAX_REQUESTS_PER_CONNECTION = 1000
+_LISTEN_BACKLOG = 128
 _SUPPORTED_VERSIONS = ("HTTP/1.1", "HTTP/1.0")
 
 
@@ -57,17 +62,12 @@ class HttpServer:
         port: int = 0,
         tls_context: Optional[ssl.SSLContext] = None,
         workers: int = 16,
-        keep_alive_timeout: float = 5.0,
-        max_requests_per_connection: int = 1000,
         max_body_size: int = 10 * 1024 * 1024,
         stream_threshold: int = 256 * 1024,
         chunk_size: int = 64 * 1024,
-        backlog: int = 128,
     ):
         self.app = app
         self.workers = workers
-        self.keep_alive_timeout = keep_alive_timeout
-        self.max_requests_per_connection = max_requests_per_connection
         self.max_body_size = max_body_size
         self.stream_threshold = stream_threshold
         self.chunk_size = chunk_size
@@ -75,7 +75,7 @@ class HttpServer:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(backlog)
+        self._listener.listen(_LISTEN_BACKLOG)
         # Workers poll accept() so stop() can wake threads blocked on a
         # quiet listener (closing an fd does not interrupt accept()).
         self._listener.settimeout(0.5)
@@ -150,7 +150,7 @@ class HttpServer:
 
     def _serve_connection(self, connection: socket.socket, address) -> None:
         # Timeout first so a stalled TLS handshake cannot pin the worker.
-        connection.settimeout(self.keep_alive_timeout)
+        connection.settimeout(_KEEP_ALIVE_TIMEOUT)
         if self._tls_context is not None:
             connection = self._tls_context.wrap_socket(connection, server_side=True)
         reader = connection.makefile("rb")
@@ -169,7 +169,7 @@ class HttpServer:
                 method, target, version, headers, body = parsed
                 served += 1
                 keep_alive = self._keep_alive(version, headers)
-                if served >= self.max_requests_per_connection:
+                if served >= _MAX_REQUESTS_PER_CONNECTION:
                     keep_alive = False
                 request = Request(
                     method=method,

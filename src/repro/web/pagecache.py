@@ -78,13 +78,16 @@ class _Entry:
 class PageCache:
     """Route-scoped page cache with clearance-dominance release checks."""
 
-    def __init__(self, max_entries: int = 512, audit: Optional[AuditLog] = None):
+    #: Bound on cached pages; overflow clears wholesale (entries are
+    #: cheap to regenerate and an invalidation empties the cache anyway).
+    MAX_ENTRIES = 512
+
+    def __init__(self, audit: Optional[AuditLog] = None):
         self._lock = threading.Lock()
         self._routes: Dict[str, bool] = {}  # pattern -> vary_user
         self._entries: Dict[
             Tuple[str, Tuple[Tuple[str, str], ...], Optional[str]], _Entry
         ] = {}
-        self._max_entries = max_entries
         self._epoch = 0
         self._audit = audit if audit is not None else default_audit_log()
         self.hits = 0
@@ -194,7 +197,7 @@ class PageCache:
         with self._lock:
             if request.env.get(_EPOCH_ENV_KEY) != self._epoch:
                 return None  # the store changed while this page rendered
-            if len(self._entries) >= self._max_entries:
+            if len(self._entries) >= self.MAX_ENTRIES:
                 self._entries.clear()
             self._entries[key] = entry
             self.stores += 1

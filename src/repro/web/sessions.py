@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import hmac
 import secrets
-import time
 from typing import Optional
 
 from repro.core.audit import AuditLog, default_audit_log
-from repro.exceptions import AuthenticationError, HaltRequest, SafeWebError
+from repro.exceptions import AuthenticationError, HaltRequest
 from repro.storage.webdb import WebDatabase
+from repro.web.auth import BasicAuthenticator
 from repro.web.framework import SafeWebApp
-from repro.web.middleware import SafeWebMiddleware
 from repro.web.request import Request
 from repro.web.response import Response
 
@@ -65,75 +64,12 @@ def csrf_token_for(session_token: str, key: bytes) -> str:
     return digest.hexdigest()
 
 
-def _resolve_csrf_key(webdb, csrf_key: Optional[bytes]) -> bytes:
+def _resolve_csrf_key(webdb: WebDatabase, csrf_key: Optional[bytes]) -> bytes:
     """Constructor-injected key, else the webdb-persisted one, else fresh."""
     if csrf_key is not None:
         return csrf_key
     generated = secrets.token_bytes(32)
-    setdefault = getattr(webdb, "config_setdefault", None)
-    if setdefault is None:
-        return generated
-    return bytes.fromhex(setdefault(CSRF_KEY_CONFIG, generated.hex()))
-
-
-class DocStoreSessionStore:
-    """Session state in the (sharded) labeled document store.
-
-    The web database's ``sessions`` table is a single-writer SQLite
-    bottleneck under concurrent logins; this store keeps one document
-    per session (``session-<token>``) in a
-    :class:`~repro.storage.docstore.ShardedDatabase`, so session churn
-    scales with the storage tier (PR 3) instead of serialising on the
-    web database lock. It quacks like the ``WebDatabase`` session API
-    (``create_session`` / ``session_user`` / ``delete_session``), so
-    :class:`SessionMiddleware` accepts either.
-    """
-
-    def __init__(self, database=None, shards: int = 4, name: str = "safeweb-sessions"):
-        if database is None:
-            from repro.storage.docstore import make_database
-
-            database = make_database(name, shards=shards)
-        self._db = database
-
-    @staticmethod
-    def _doc_id(token: str) -> str:
-        return f"session-{token}"
-
-    def create_session(self, user_id: int) -> str:
-        token = secrets.token_urlsafe(24)
-        self._db.put(
-            {
-                "_id": self._doc_id(token),
-                "type": "session",
-                "u_id": user_id,
-                "created_at": time.time(),
-            }
-        )
-        return token
-
-    def session_user(self, token: str, max_age: float = 3600.0) -> Optional[int]:
-        document = self._db.get_or_none(self._doc_id(token))
-        if document is None:
-            return None
-        if time.time() - document["created_at"] > max_age:
-            self.delete_session(token)
-            return None
-        return document["u_id"]
-
-    def delete_session(self, token: str) -> None:
-        document = self._db.get_or_none(self._doc_id(token))
-        if document is None:
-            return
-        try:
-            self._db.delete(document["_id"], document["_rev"])
-        except SafeWebError:
-            pass  # concurrent logout already removed it
-
-    def session_count(self) -> int:
-        return sum(
-            1 for doc_id in self._db.all_doc_ids() if doc_id.startswith("session-")
-        )
+    return bytes.fromhex(webdb.config_setdefault(CSRF_KEY_CONFIG, generated.hex()))
 
 
 class SessionMiddleware:
@@ -142,29 +78,27 @@ class SessionMiddleware:
     Install order matters: this runs *before* the SafeWeb middleware's
     auth hook so a valid session cookie satisfies authentication without
     an ``Authorization`` header; the label check at the response boundary
-    is untouched.
+    is untouched. Sessions live in the web database; credentials and
+    principals come from the *authenticator* the SafeWeb middleware's
+    Basic hook uses, so there is one path from a request to a principal
+    with privileges (Figure 3, step 1) whichever way the request
+    identified itself.
     """
 
     def __init__(
         self,
         webdb: WebDatabase,
-        safeweb: SafeWebMiddleware,
+        authenticator: BasicAuthenticator,
         audit: Optional[AuditLog] = None,
-        session_max_age: float = 3600.0,
         csrf_protect: bool = True,
-        session_store=None,
         csrf_key: Optional[bytes] = None,
     ):
         self._webdb = webdb
-        self._safeweb = safeweb
+        self._authenticator = authenticator
         #: Per-deployment CSRF signing key; persisted in the web database
-        #: so replicas agree, injected explicitly for exotic stores.
+        #: so replicas (and a restarted deployment) agree.
         self.csrf_key = _resolve_csrf_key(webdb, csrf_key)
-        #: Where session tokens live: the web database by default, or a
-        #: :class:`DocStoreSessionStore` for sharded session state.
-        self._sessions = session_store if session_store is not None else webdb
         self._audit = audit if audit is not None else default_audit_log()
-        self._max_age = session_max_age
         self._csrf_protect = csrf_protect
 
     # -- installation ----------------------------------------------------------
@@ -180,11 +114,17 @@ class SessionMiddleware:
         def login(request: Request):
             username = str(request.params.get("username", ""))
             password = str(request.params.get("password", ""))
-            if not self._webdb.check_password(username, password):
+            try:
+                row = self._authenticator.verify_credentials(username, password)
+            except AuthenticationError:
                 self._audit.denied("frontend", "login", username or "?")
-                raise AuthenticationError("bad credentials")
-            user_id = self._webdb.user_id(username)
-            token = self._sessions.create_session(user_id)
+                raise
+            # A login never leaves the session it was presented with
+            # alive: a fixated or stolen cookie dies with the re-login.
+            presented = self._presented_token(request)
+            if presented:
+                self._webdb.delete_session(presented)
+            token = self._webdb.create_session(row["id"])
             self._audit.allowed("frontend", "login", username)
             response = Response(
                 csrf_token_for(token, self.csrf_key),
@@ -200,7 +140,7 @@ class SessionMiddleware:
         def logout(request: Request):
             token = request.env.get("safeweb.session_token")
             if token:
-                self._sessions.delete_session(token)
+                self._webdb.delete_session(token)
             response = Response("", status=204)
             response.headers["Set-Cookie"] = (
                 f"{SESSION_COOKIE}=; Max-Age=0; Path=/"
@@ -209,19 +149,23 @@ class SessionMiddleware:
 
     # -- the hooks ----------------------------------------------------------------
 
+    @staticmethod
+    def _presented_token(request: Request) -> Optional[str]:
+        return parse_cookies(request.header("cookie")).get(SESSION_COOKIE)
+
     def resolve_session(self, request: Request) -> None:
         if request.user is not None or request.path == "/login":
             return
-        token = parse_cookies(request.header("cookie")).get(SESSION_COOKIE)
+        token = self._presented_token(request)
         if not token:
             return
-        user_id = self._sessions.session_user(token, max_age=self._max_age)
+        user_id = self._webdb.session_user(token)
         if user_id is None:
             return
         row = self._webdb.user_row(user_id)
-        request.user = self._webdb.principal_for(row["name"])
+        request.user = self._authenticator.fetch_privileges(row)
         request.env["safeweb.session_token"] = token
-        self._audit.allowed("frontend", "session", row["name"])
+        self._audit.allowed("frontend", "session", request.user.name)
 
     def check_csrf(self, request: Request) -> None:
         if not self._csrf_protect or request.method not in _UNSAFE_METHODS:

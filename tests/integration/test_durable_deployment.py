@@ -9,6 +9,7 @@ import pytest
 
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.workload import WorkloadConfig
+from repro.web.sessions import CSRF_HEADER
 
 CONFIG = WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3)
 
@@ -42,6 +43,40 @@ def test_deployment_restart_recovers_everything(data_dir):
         # provisioning), and the portal serves the same page.
         assert second.webdb.has_users()
         assert second.client_for(username).get("/").text == page
+    finally:
+        second.close()
+
+
+def test_sessions_survive_a_restart(data_dir):
+    """Users, the CSRF key and the sessions all live in ``web.sqlite``: a
+    cookie issued before the restart still resolves, and the CSRF token
+    minted with it still validates."""
+    form = {"Content-Type": "application/x-www-form-urlencoded"}
+    first = MdtDeployment(config=CONFIG, data_dir=data_dir)
+    first.run_pipeline()
+    username = sorted(first.workload.user_passwords)[0]
+    login = first.anonymous_client().post(
+        "/login",
+        headers=form,
+        body=f"username={username}&password={first.password_of(username)}",
+    )
+    assert login.status == 201
+    cookie = {"Cookie": login.headers["Set-Cookie"].split(";")[0]}
+    first.close()
+
+    second = MdtDeployment(config=CONFIG, data_dir=data_dir)
+    try:
+        client = second.anonymous_client()
+        assert client.get("/", headers=cookie).status == 200
+        assert second.audit.count(component="frontend", operation="session") == 1
+        posted = client.post("/feedback", headers={**cookie, **form}, body="message=hi")
+        assert posted.status == 403  # the cookie alone is still not enough
+        posted = client.post(
+            "/feedback",
+            headers={**cookie, **form, CSRF_HEADER: login.text},
+            body="message=hi",
+        )
+        assert posted.status == 202
     finally:
         second.close()
 

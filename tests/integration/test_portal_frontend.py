@@ -97,11 +97,11 @@ class TestPortalSessions:
         )
         assert result.status == 202
 
-    def test_sessions_live_in_the_docstore(self, deployment):
+    def test_sessions_live_in_the_web_database(self, deployment):
+        before = deployment.webdb.session_count()
         _client, token, _csrf = login(deployment, "mdt2")
-        store = deployment.portal.session_middleware._sessions
-        assert store.session_user(token) is not None
-        assert deployment.webdb.session_count() == 0  # not in SQLite
+        assert deployment.webdb.session_user(token) == deployment.webdb.user_id("mdt2")
+        assert deployment.webdb.session_count() == before + 1
 
 
 class TestPortalPageCache:

@@ -1,13 +1,12 @@
 """The headline validation: the static analyzer vs. the PR 8 corpus.
 
-Every vulnerability in ``repro/mdt/vulnerabilities.py`` whose injection
-is *present in the corpus source* (patch functions, malicious units,
-config flags in the registry entry) must be flagged by the expected
-rule ids at lines belonging to that vulnerability's code. Vulnerabilities
-whose injection lives behind flags inside the clean tree (the seed
-portal's Listing 2/3 ablations, the aggregator design error) are
-dynamic-only by construction and must stay undetected — the dynamic
-security matrix covers them.
+Every injection lives in the corpus source,
+``repro/mdt/vulnerabilities.py`` (patch functions, malicious units,
+config flags in the registry entry), and must be flagged by exactly the
+expected rule ids at lines belonging to that vulnerability's code. One
+entry has no syntactic shape to key on — the aggregator design error is
+an ordinary unit with a wrong match key — and is pinned dynamic-only:
+it must stay undetected, and the dynamic security matrix covers it.
 
 The paper's argument order is preserved: dynamic enforcement is the
 backstop; the analyzer is the cheap first line that catches the
@@ -26,13 +25,13 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 CORPUS = SRC / "repro" / "mdt" / "vulnerabilities.py"
 
-#: vulnerability name → rule ids that MUST fire inside its code. A name
-#: mapped to an empty set is pinned as dynamic-only (no static finding).
+#: vulnerability name → exactly the rule ids that fire inside its code. A
+#: name mapped to an empty set is pinned as dynamic-only (no static finding).
 EXPECTED: Dict[str, Set[str]] = {
     # web tier
-    "omitted_access_check": set(),  # flag-gated inside the clean portal
-    "access_check_error": set(),  # flag-gated inside the clean portal
-    "inappropriate_access_check": set(),  # flag-gated inside the clean portal
+    "omitted_access_check": {"ifc-route-hook-bypass"},
+    "access_check_error": {"ifc-route-hook-bypass"},
+    "inappropriate_access_check": {"ifc-route-hook-bypass"},
     "stored_xss": {"taint-store-write"},
     "reflected_xss": {"taint-html-response", "ifc-route-hook-bypass"},
     "csrf_check_bypass": {"ifc-checks-disabled"},
@@ -41,9 +40,11 @@ EXPECTED: Dict[str, Set[str]] = {
     # storage tier
     "clearance_unfiltered_view": {"ifc-unfiltered-read", "ifc-route-hook-bypass"},
     "dmz_overreplication": {"ifc-unfiltered-read", "ifc-route-hook-bypass"},
-    "sql_quote_bypass": {"ifc-sql-concat", "taint-sql-exec"},
+    "sql_quote_bypass": {"ifc-sql-concat", "taint-sql-exec", "taint-html-response"},
     # event tier
-    "design_error": set(),  # flag-gated inside the clean aggregator
+    # A subclass overriding match_key() and re-registered under the same
+    # name: semantically wrong, syntactically an ordinary unit.
+    "design_error": set(),
     "unlabeled_republish": {"ifc-label-drop", "ifc-checks-disabled"},
     "overbroad_selector": {"ifc-checks-disabled"},
     "declassify_without_privilege": {"ifc-label-drop", "ifc-checks-disabled"},
@@ -52,7 +53,7 @@ EXPECTED: Dict[str, Set[str]] = {
     "export_feed": {"ifc-jail-io", "ifc-route-hook-bypass", "ifc-checks-disabled"},
 }
 
-DETECTION_FLOOR = 9  # the acceptance criterion: at least 9 of 17
+DETECTION_FLOOR = 16  # of 17: everything but the semantic design error
 
 
 def _module_ranges(tree: ast.Module) -> Dict[str, Tuple[int, int]]:
@@ -126,11 +127,10 @@ def test_registry_and_expectations_agree(detections):
 
 
 def test_expected_rules_fire_for_each_vulnerability(detections):
-    for name, required in EXPECTED.items():
-        missing = required - detections[name]
-        assert not missing, (
-            f"{name}: expected rule(s) {sorted(missing)} did not fire "
-            f"(got {sorted(detections[name])})"
+    for name, expected in EXPECTED.items():
+        assert detections[name] == expected, (
+            f"{name}: expected exactly {sorted(expected)}, "
+            f"got {sorted(detections[name])}"
         )
 
 

@@ -6,9 +6,7 @@ import pytest
 
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.labels import mdt_label
-from repro.mdt.portal import PORTAL_VULNERABILITIES, build_portal
 from repro.mdt.workload import WorkloadConfig
-from repro.exceptions import SafeWebError
 from repro.taint import label, strip_labels
 
 
@@ -79,22 +77,6 @@ class TestRouteEdges:
         records = json.loads(result.text)
         ids = [record["patient_id"] for record in records]
         assert ids == sorted(ids)
-
-    def test_unknown_vulnerability_name_rejected(self, deployment):
-        with pytest.raises(SafeWebError):
-            build_portal(
-                deployment.dmz_db,
-                deployment.webdb,
-                deployment.directory,
-                vulnerability="heartbleed",
-            )
-
-    def test_vulnerability_names_catalogued(self):
-        assert set(PORTAL_VULNERABILITIES) == {
-            "omitted_access_check",
-            "access_check_error",
-            "inappropriate_access_check",
-        }
 
 
 def test_relabelled_revision_is_denied_although_its_body_is_unchanged():

@@ -5,10 +5,11 @@ import pytest
 from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet
 from repro.events import Broker, EventProcessingEngine
-from repro.mdt.aggregator import BuggyDataAggregator, DataAggregator
+from repro.mdt.aggregator import DataAggregator
 from repro.mdt.labels import mdt_aggregate_label, mdt_label, region_aggregate_label
 from repro.mdt.producer import DataProducer
 from repro.mdt.storage_unit import DataStorage, define_application_views
+from repro.mdt.vulnerabilities import BuggyDataAggregator
 from repro.mdt.workload import WorkloadConfig, generate_workload
 from repro.storage.docstore import Database
 from repro.taint import labels_of

@@ -31,11 +31,6 @@ class TestUsers:
         db.add_user("mdt1", "secret")
         assert db.user_id("MDT1") is None
 
-    def test_case_insensitive_variant_exists_for_bug_injection(self, db):
-        first = db.add_user("mdt1", "secret1")
-        db.add_user("MDT1", "secret2")
-        assert db.user_id_case_insensitive("MDT1") == first  # confuses the two!
-
     def test_duplicate_name_rejected(self, db):
         db.add_user("mdt1", "secret")
         import sqlite3

@@ -16,19 +16,29 @@ from repro.events.lanes import LaneScheduler
 from repro.events.stomp.bridge import StompBrokerBridge
 from repro.events.supervision import SupervisionPolicy
 from repro.mdt.deployment import MdtDeployment
+from repro.mdt.federation import federate
 from repro.mdt.portal import build_portal
+from repro.mdt.vulnerabilities import Vulnerability
+from repro.web.http import HttpServer
+from repro.web.pagecache import PageCache
+from repro.web.sessions import SessionMiddleware
 
 BUDGET = {
-    MdtDeployment: 20,
-    build_portal: 12,
+    MdtDeployment: 18,
+    build_portal: 10,
+    SessionMiddleware: 5,
+    HttpServer: 8,
+    PageCache: 1,
+    federate: 3,
     EventProcessingEngine: 10,
     Broker: 6,
     AuditLog: 2,
     StompBrokerBridge: 11,
-    ClusterEngine: 9,
-    ClusterRouter: 4,
+    ClusterEngine: 6,
+    ClusterRouter: 3,
     LaneScheduler: 8,
     SupervisionPolicy: 7,
+    Vulnerability: 12,  # a dataclass: its signature is its fields
 }
 
 

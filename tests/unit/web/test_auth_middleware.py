@@ -9,7 +9,7 @@ from repro.exceptions import AuthenticationError
 from repro.storage import WebDatabase
 from repro.taint import label, mark_user_input
 from repro.web import BasicAuthenticator, SafeWebApp, SafeWebMiddleware, TestClient
-from repro.web.auth import CaseInsensitiveAuthenticator, encode_basic, parse_basic_header
+from repro.web.auth import encode_basic, parse_basic_header
 from repro.web.middleware import TIMINGS_KEY
 
 MDT_1 = conf_label("ecric.org.uk", "mdt", "1")
@@ -60,15 +60,6 @@ class TestAuthenticator:
     def test_case_sensitive_by_default(self, webdb):
         with pytest.raises(AuthenticationError):
             BasicAuthenticator(webdb).authenticate(encode_basic("MDT1", "secret1"))
-
-    def test_case_insensitive_variant_confuses_users(self, webdb):
-        """The §5.2 injected bug: MDT1 resolves to mdt1's account."""
-        webdb.add_user("ALICE", "shared")
-        webdb.add_user("alice", "shared")
-        confused = CaseInsensitiveAuthenticator(webdb)
-        principal = confused.authenticate(encode_basic("alice", "shared"))
-        # resolves to the first row, whichever that is — the confusion
-        assert principal.name in ("ALICE", "alice")
 
 
 def build_app(webdb, audit=None, **middleware_kwargs):

@@ -6,15 +6,13 @@ from repro.core.audit import AuditLog
 from repro.core.labels import conf_label
 from repro.core.privileges import CLEARANCE
 from repro.storage import WebDatabase
-from repro.storage.docstore import make_database
 from repro.taint import label
-from repro.web import SafeWebApp, SafeWebMiddleware, TestClient
-from repro.web.auth import BasicAuthenticator
+from repro.web import PageCache, SafeWebApp, SafeWebMiddleware, TestClient
+from repro.web.auth import BasicAuthenticator, CachingAuthenticator
 from repro.web.sessions import (
     CSRF_FIELD,
     CSRF_HEADER,
     SESSION_COOKIE,
-    DocStoreSessionStore,
     SessionMiddleware,
     csrf_token_for,
     parse_cookies,
@@ -32,24 +30,20 @@ def webdb():
     database.close()
 
 
-@pytest.fixture(params=["webdb", "docstore"])
+@pytest.fixture(params=[BasicAuthenticator, CachingAuthenticator])
 def app(webdb, request):
     application = SafeWebApp()
     audit = AuditLog()
-    safeweb = SafeWebMiddleware(
-        BasicAuthenticator(webdb), audit=audit, public_paths={"/login"}
-    )
-    # Both session backends must behave identically: the seed webdb
-    # table and the sharded docstore the portal uses.
-    store = (
-        DocStoreSessionStore(make_database("test-sessions", shards=4))
-        if request.param == "docstore"
-        else None
-    )
-    sessions = SessionMiddleware(webdb, safeweb, audit=audit, session_store=store)
+    # Cookie and Basic requests share one authenticator, so both kinds
+    # must behave identically whether or not it caches.
+    authenticator = request.param(webdb)
+    safeweb = SafeWebMiddleware(authenticator, audit=audit, public_paths={"/login"})
+    sessions = SessionMiddleware(webdb, authenticator, audit=audit)
     sessions.install(application)  # session resolution first
     safeweb.install(application)
     application.session_middleware = sessions
+    application.authenticator = authenticator
+    application.audit = audit
 
     @application.get("/whoami")
     def whoami(request):
@@ -96,9 +90,7 @@ class TestLogin:
     def test_csrf_key_is_deployment_specific(self, app, webdb):
         # Same session token, different deployment (fresh random key):
         # the derived CSRF tokens must differ.
-        other = SessionMiddleware(
-            webdb, SafeWebMiddleware(BasicAuthenticator(webdb)), csrf_key=b"x" * 32
-        )
+        other = SessionMiddleware(webdb, BasicAuthenticator(webdb), csrf_key=b"x" * 32)
         client = TestClient(app)
         token, csrf = login(client)
         assert csrf != csrf_token_for(token, other.csrf_key)
@@ -106,16 +98,21 @@ class TestLogin:
     def test_csrf_key_persists_in_webdb(self, app, webdb):
         # A middleware rebuilt over the same web database (a replica)
         # must adopt the persisted key, not mint a new one.
-        replica = SessionMiddleware(webdb, SafeWebMiddleware(BasicAuthenticator(webdb)))
+        replica = SessionMiddleware(webdb, BasicAuthenticator(webdb))
         assert replica.csrf_key == app.session_middleware.csrf_key
 
-    def test_bad_credentials_401(self, app):
+    @pytest.mark.parametrize("username", ["mdt1", "ghost", ""])
+    def test_bad_credentials_401_and_audited(self, app, username):
         result = TestClient(app).post(
             "/login",
             headers={"Content-Type": "application/x-www-form-urlencoded"},
-            body="username=mdt1&password=wrong",
+            body=f"username={username}&password=wrong",
         )
         assert result.status == 401
+        assert "Set-Cookie" not in result.headers
+        assert app.audit.count(
+            component="frontend", operation="login", decision="denied"
+        ) == 1
 
     def test_session_authenticates_requests(self, app):
         client = TestClient(app)
@@ -163,34 +160,105 @@ class TestLogin:
         assert result.status == 401
 
 
-class TestDocStoreSessionStore:
-    def test_create_resolve_delete(self):
-        store = DocStoreSessionStore(shards=4)
-        token = store.create_session(7)
-        assert store.session_user(token) == 7
-        assert store.session_count() == 1
-        store.delete_session(token)
-        assert store.session_user(token) is None
-        assert store.session_count() == 0
+class TestLoginRotatesTheSession:
+    def test_login_with_a_live_cookie_kills_that_session(self, app, webdb):
+        # Fixation: a cookie planted before the victim logs in (or any
+        # session the browser still carries) must not survive the login.
+        client = TestClient(app)
+        planted, _csrf = login(client)
+        result = client.post(
+            "/login",
+            headers={
+                "Content-Type": "application/x-www-form-urlencoded",
+                "Cookie": f"{SESSION_COOKIE}={planted}",
+            },
+            body="username=mdt1&password=secret1",
+        )
+        assert result.status == 201
+        fresh = parse_cookies(result.headers["Set-Cookie"])[SESSION_COOKIE]
+        assert fresh != planted
+        assert client.get(
+            "/whoami", headers={"Cookie": f"{SESSION_COOKIE}={planted}"}
+        ).status == 401
+        assert client.get("/whoami", headers={"Cookie": f"{SESSION_COOKIE}={fresh}"}).ok
+        assert webdb.session_count() == 1
 
-    def test_expiry(self):
-        store = DocStoreSessionStore(shards=1)
-        token = store.create_session(3)
-        assert store.session_user(token, max_age=0.0) is None
-        assert store.session_count() == 0  # expired sessions are reaped
+    def test_failed_login_leaves_the_presented_session_alone(self, app):
+        client = TestClient(app)
+        token, _csrf = login(client)
+        result = client.post(
+            "/login",
+            headers={
+                "Content-Type": "application/x-www-form-urlencoded",
+                "Cookie": f"{SESSION_COOKIE}={token}",
+            },
+            body="username=mdt1&password=wrong",
+        )
+        assert result.status == 401
+        assert client.get("/whoami", headers={"Cookie": f"{SESSION_COOKIE}={token}"}).ok
 
-    def test_unknown_token(self):
-        store = DocStoreSessionStore(shards=1)
-        assert store.session_user("nope") is None
-        store.delete_session("nope")  # no-op, no raise
 
-    def test_sessions_spread_over_shards(self):
-        database = make_database("spread-sessions", shards=4)
-        store = DocStoreSessionStore(database)
-        tokens = [store.create_session(i) for i in range(16)]
-        assert store.session_count() == 16
-        populated = sum(1 for shard in database.shards if len(shard) > 0)
-        assert populated > 1  # CRC-32 spreads the tokens
+class TestOneResolver:
+    """Cookie principals come from the authenticator the Basic hook uses."""
+
+    def test_cookie_requests_ride_the_principal_cache(self, app, webdb, monkeypatch):
+        calls = []
+        principal_for = webdb.principal_for
+        monkeypatch.setattr(
+            webdb, "principal_for", lambda name: calls.append(name) or principal_for(name)
+        )
+        client = TestClient(app)
+        token, _csrf = login(client)
+        for _ in range(5):
+            assert client.get(
+                "/secret", headers={"Cookie": f"{SESSION_COOKIE}={token}"}
+            ).ok
+        if isinstance(app.authenticator, CachingAuthenticator):
+            assert calls == ["mdt1"]
+            assert app.authenticator.principal_hits == 4
+        else:
+            assert calls == ["mdt1"] * 5
+        assert app.audit.count(component="frontend", operation="session") == 5
+
+    def test_cookie_and_basic_share_one_principal(self, app):
+        seen = []
+        app.before(lambda request: seen.append(request.user))
+        client = TestClient(app)
+        token, _csrf = login(client)
+        assert client.get("/whoami", headers={"Cookie": f"{SESSION_COOKIE}={token}"}).ok
+        assert client.get("/whoami", auth=("mdt1", "secret1")).ok
+        # One persistent PrivilegeSet (and its clearance memo) per user
+        # exactly when the authenticator keeps principals.
+        assert (seen[-1] is seen[-2]) == isinstance(
+            app.authenticator, CachingAuthenticator
+        )
+        assert seen[-1].privileges == seen[-2].privileges
+
+    @pytest.mark.parametrize("page_cache", [False, True])
+    def test_revoke_and_grant_reach_the_very_next_cookie_request(
+        self, app, webdb, page_cache
+    ):
+        cache = None
+        if page_cache:
+            cache = PageCache(audit=app.audit)
+            cache.cacheable("/secret", vary_user=True)
+            cache.install(app)
+        client = TestClient(app)
+        token, _csrf = login(client)
+        cookie = {"Cookie": f"{SESSION_COOKIE}={token}"}
+        user_id = webdb.user_id("mdt1")
+        assert client.get("/secret", headers=cookie).ok
+        assert client.get("/secret", headers=cookie).ok  # warm every cache
+        assert cache is None or cache.hits == 1
+
+        webdb.revoke_label_privilege(user_id, CLEARANCE, MDT_1.uri)
+        assert client.get("/secret", headers=cookie).status == 403
+        assert app.audit.count(
+            component="frontend", operation="respond", decision="denied"
+        ) == 1
+
+        webdb.grant_label_privilege(user_id, CLEARANCE, MDT_1.uri)
+        assert client.get("/secret", headers=cookie).ok
 
 
 class TestCsrf:
