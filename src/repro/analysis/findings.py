@@ -97,8 +97,9 @@ RULES: Dict[str, RuleInfo] = {
             Severity.ERROR,
             "raw json.dumps/json.loads applied to a labelled document: the "
             "stdlib codec silently strips label sidecars and user taint.",
-            "use repro.taint.json_codec.dumps/loads/encode_document, which "
-            "carry the labels through serialisation.",
+            "use repro.taint.json_codec.dumps/loads/encode_document (or "
+            "join_array over view rows' .json), which carry the labels "
+            "through serialisation.",
         ),
         RuleInfo(
             "ifc-jail-io",

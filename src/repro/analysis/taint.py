@@ -61,7 +61,7 @@ _USER_SANITIZERS = {
 }
 
 #: json_codec calls: label-safe serialisation (clears user, keeps labeled).
-_CODEC_CALLS = {"dumps", "loads", "encode_document", "decode_document"}
+_CODEC_CALLS = {"dumps", "loads", "join_array", "encode_document", "decode_document"}
 
 #: The tree's own APIs that return server-minted values (session tokens,
 #: CSRF signatures, database row ids) — their results do not reflect the

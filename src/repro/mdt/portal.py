@@ -224,9 +224,8 @@ def build_portal(
         )
         return granted > 0
 
-    def fetch_records(mid: str) -> list:
-        rows = app_db.view("records/by_mid", key=str(mid), include_docs=True)
-        return [row.value for row in rows]
+    def fetch_rows(mid: str) -> list:
+        return app_db.view("records/by_mid", key=str(mid), include_docs=True)
 
     def fetch_metric(doc_id: str) -> Optional[dict]:
         return app_db.get_or_none(doc_id)
@@ -258,7 +257,7 @@ def build_portal(
         info = directory.find_or_none(mid)
         if info is None:
             halt(404, "no MDT associated with this account")
-        records = fetch_records(mid)
+        records = [row.value for row in fetch_rows(mid)]
         metric = fetch_metric(f"metric-mdt-{mid}") or {}
         with timed(request, "template_rendering"):
             page = PORTAL_TEMPLATES.render(
@@ -276,13 +275,15 @@ def build_portal(
     @app.get("/records/:mid")
     def records(request: Request):
         # Listing 2, faithfully: content_type :json; privilege check;
-        # Records.by_mid; process; to_json.
+        # Records.by_mid; process; to_json — where each record's to_json
+        # is the labelled fragment its stored revision already holds.
         mid = request.params["mid"]
         if not check_privileges(request, mid):
             halt(403, "forbidden")
-        result = fetch_records(mid)
-        result.sort(key=lambda record: str(record.get("patient_id", "")))
-        return Response(json_codec.dumps(result), content_type="application/json")
+        rows = fetch_rows(mid)
+        rows.sort(key=lambda row: str(row.value.get("patient_id", "")))
+        body = json_codec.join_array([row.json for row in rows])
+        return Response(body, content_type="application/json")
 
     @app.get("/metrics/:mid")
     def metrics(request: Request):

@@ -196,9 +196,9 @@ def _patch_records_route(deployment: MdtDeployment, check_privileges) -> None:
         if not check_privileges(request, mid):
             halt(403, "forbidden")
         rows = dmz_db.view("records/by_mid", key=str(mid), include_docs=True)
-        result = [row.value for row in rows]
-        result.sort(key=lambda record: str(record.get("patient_id", "")))
-        return Response(json_codec.dumps(result), content_type="application/json")
+        rows.sort(key=lambda row: str(row.value.get("patient_id", "")))
+        body = json_codec.join_array([row.json for row in rows])
+        return Response(body, content_type="application/json")
 
     _replace_route(deployment.portal, "GET", "/records/:mid", records)
 
@@ -338,7 +338,7 @@ def _patch_debug_export(deployment: MdtDeployment) -> None:
     @app.get("/debug/export")
     def debug_export(request):
         rows = dmz_db.view("records/by_mid", include_docs=True)
-        body = json_codec.dumps([row.value for row in rows])
+        body = json_codec.join_array([row.json for row in rows])
         return Response(body, content_type="application/json")
 
     # BUG: the route is exempted from authentication — the analogue of a
@@ -393,9 +393,9 @@ def _patch_unfiltered_view(deployment: MdtDeployment) -> None:
         # BUG: the Listing-3 ACL check above is intact, but the view
         # query dropped its key — every MDT's records come back.
         rows = dmz_db.view("records/by_mid", include_docs=True)
-        result = [row.value for row in rows]
-        result.sort(key=lambda record: str(record.get("patient_id", "")))
-        return Response(json_codec.dumps(result), content_type="application/json")
+        rows.sort(key=lambda row: str(row.value.get("patient_id", "")))
+        body = json_codec.join_array([row.json for row in rows])
+        return Response(body, content_type="application/json")
 
     _replace_route(deployment.portal, "GET", "/records/:mid", records_unfiltered)
 

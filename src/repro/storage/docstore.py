@@ -7,7 +7,8 @@ values plus a label sidecar produced by
 :func:`repro.taint.json_codec.encode_document`; reads re-attach labels so
 the web frontend transparently receives labeled values (§4.4, step 2).
 The labeled form is decoded once per stored revision and every reader is
-handed its own copy of it (see :class:`_StoredDocument`).
+handed its own copy of it; its labelled JSON text is likewise encoded
+once per revision (see :class:`_StoredDocument`).
 
 Implemented CouchDB behaviours the reproduction relies on:
 
@@ -46,6 +47,7 @@ from repro.core.labels import EMPTY_LABELS, LabelSet
 from repro.exceptions import DocumentConflict, DocumentNotFound, ReadOnlyError, SafeWebError
 from repro.taint import json_codec
 from repro.taint.labeled import labels_of, strip_labels
+from repro.taint.string import LabeledStr
 
 #: A map view callable: receives the (plain) document, yields
 #: ``(key, value)`` pairs — the analogue of CouchDB's ``emit``.
@@ -129,6 +131,9 @@ class _StoredDocument:
     #: installs a fresh :class:`_StoredDocument`, so the decoded form
     #: lives and dies with its revision and needs no invalidation.
     _labeled: Any = field(default=None, init=False, repr=False, compare=False)
+    #: ``json_codec.dumps(self.document())``, set by the first encoded
+    #: read; lives and dies with the revision exactly like ``_labeled``.
+    _encoded: Optional[LabeledStr] = field(default=None, init=False, repr=False, compare=False)
 
     def labeled(self) -> Any:
         """The body with labels re-attached, decoded once per revision.
@@ -154,6 +159,20 @@ class _StoredDocument:
         result["_rev"] = self.rev
         return result
 
+    def encoded(self) -> LabeledStr:
+        """:meth:`document` as labelled JSON text, encoded once per revision.
+
+        One immutable string carrying the §4.1 fold of every label in
+        the document — what ``json_codec.dumps`` returns for it, which is
+        *not* :attr:`labels`: the fold intersects integrity, the sidecar
+        union keeps it. Safe to share between readers; the first-read
+        race is benign for the same reason as :meth:`labeled`'s.
+        """
+        encoded = self._encoded
+        if encoded is None:
+            encoded = self._encoded = json_codec.dumps(self.document())
+        return encoded
+
 
 @dataclass(frozen=True)
 class Change:
@@ -172,6 +191,17 @@ class ViewRow:
     doc_id: str
     key: Any
     value: Any
+    #: The stored revision an ``include_docs`` row was resolved from.
+    _revision: Optional[_StoredDocument] = field(default=None, repr=False, compare=False)
+
+    @property
+    def json(self) -> Optional[LabeledStr]:
+        """The revision's :meth:`~_StoredDocument.encoded` text — what
+        ``json_codec.dumps`` returns for the document the store resolved
+        for this row, whatever the caller has since done to its own
+        :attr:`value`. ``None`` on a row without a document."""
+        revision = self._revision
+        return None if revision is None else revision.encoded()
 
 
 class _ViewIndex:
@@ -659,7 +689,9 @@ class Database:
         Ownership: emitted keys and values belong to the view index
         (the seed store shared its index objects the same way) — treat
         them as read-only, or mutate a copy. Documents resolved by
-        ``include_docs`` belong to the caller, like :meth:`get`'s.
+        ``include_docs`` belong to the caller, like :meth:`get`'s; each
+        such row also exposes the stored revision's encoded form as
+        :attr:`ViewRow.json`, which stays the store's.
         """
         with self._lock:
             view = self._views.get(name)
@@ -670,7 +702,7 @@ class Database:
             rows = self._matching_rows(view, key, clearance)
             if include_docs:
                 return [
-                    ViewRow(stored.doc_id, emitted_key, stored.document())
+                    ViewRow(stored.doc_id, emitted_key, stored.document(), stored)
                     for stored, emitted_key, _emitted_value in rows
                 ]
             return [

@@ -7,7 +7,9 @@ Two distinct needs in the middleware:
    every label inside — so the middleware's response-time check sees the
    full confidentiality of the JSON it is about to release (this is
    exactly what makes the §5.2 "omitted access check" injection fail
-   safely: ``r.to_json`` stays labeled).
+   safely: ``r.to_json`` stays labeled). A list of stored documents is
+   instead the :func:`join_array` of the fragments the document store
+   keeps per revision — the same text and labels, nothing re-encoded.
 
 2. **Documents at rest** (application database): labels must survive a
    round trip through plain JSON storage. :func:`encode_document` splits
@@ -28,7 +30,7 @@ label-identical to the original two-pass implementations (see
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.labels import EMPTY_LABELS, LabelSet
 from repro.taint.labeled import (
@@ -88,6 +90,24 @@ def dumps(value: Any, **kwargs) -> LabeledStr:
     plain, labels = _strip_collect(value)
     text = json.dumps(plain, **kwargs)
     return LabeledStr(text, labels=labels, user_taint=False)
+
+
+def join_array(fragments: Sequence[str]) -> LabeledStr:
+    """The JSON array whose elements are the already-encoded *fragments*.
+
+    Each fragment is the :func:`dumps` text of one element (the document
+    store keeps one per stored revision). The result is byte-, label- and
+    taint-identical to ``dumps([...])`` over the elements themselves —
+    default separators, the same §4.1 list fold (the first element's
+    labels, then ``combine``; an empty array carries none), never
+    user-tainted — without walking or re-serialising any element.
+    """
+    labels = None
+    for fragment in fragments:
+        item_labels = labels_of(fragment)
+        labels = item_labels if labels is None else labels.combine(item_labels)
+    text = "[" + ", ".join(fragments) + "]"
+    return LabeledStr(text, labels=EMPTY_LABELS if labels is None else labels, user_taint=False)
 
 
 def loads(text: Any, **kwargs) -> Any:
@@ -244,11 +264,6 @@ def copy_containers(value: Any) -> Any:
         rebuilt = [copy_containers(item) for item in value]
         return tuple(rebuilt) if isinstance(value, tuple) else rebuilt
     return value
-
-
-def document_labels(document: Any) -> LabelSet:
-    """The combined label set of every value in *document*."""
-    return labels_of(document)
 
 
 def to_json(value: Any, **kwargs) -> LabeledStr:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from repro.web.auth import encode_basic
-from repro.web.request import Request
+from repro.web.request import TLS_ENV_KEY, Request
 from repro.web.response import Response
 
 _MAX_LINE = 65536
@@ -178,6 +178,8 @@ class HttpServer:
                     body=body,
                     remote_addr=address[0] if address else "127.0.0.1",
                 )
+                if self._tls_context is not None:
+                    request.env[TLS_ENV_KEY] = True
                 response = self.app(request)
                 status, response_headers, payload = response.finalize()
                 self.requests_served += 1

@@ -16,6 +16,11 @@ from repro.core.principals import UserPrincipal
 from repro.taint import mark_user_input
 
 
+#: ``request.env`` key the HTTP server sets on requests that arrived over
+#: TLS; the session layer reads it to mark its cookie ``Secure``.
+TLS_ENV_KEY = "safeweb.tls"
+
+
 def _parse_query(query: str) -> Dict[str, str]:
     parsed: Dict[str, str] = {}
     for key, value in urllib.parse.parse_qsl(query, keep_blank_values=True):

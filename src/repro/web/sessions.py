@@ -28,7 +28,7 @@ from repro.exceptions import AuthenticationError, HaltRequest
 from repro.storage.webdb import WebDatabase
 from repro.web.auth import BasicAuthenticator
 from repro.web.framework import SafeWebApp
-from repro.web.request import Request
+from repro.web.request import TLS_ENV_KEY, Request
 from repro.web.response import Response
 
 SESSION_COOKIE = "safeweb_session"
@@ -131,9 +131,12 @@ class SessionMiddleware:
                 status=201,
                 content_type="text/plain",
             )
-            response.headers["Set-Cookie"] = (
-                f"{SESSION_COOKIE}={token}; HttpOnly; SameSite=Strict; Path=/"
-            )
+            cookie = f"{SESSION_COOKIE}={token}; HttpOnly; SameSite=Strict; Path=/"
+            if request.env.get(TLS_ENV_KEY):
+                # Issued over TLS: the browser must never replay it on a
+                # plaintext hop where it could be read off the wire.
+                cookie += "; Secure"
+            response.headers["Set-Cookie"] = cookie
             return response
 
         @app.post("/logout")

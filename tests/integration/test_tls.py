@@ -102,3 +102,70 @@ class TestHttpsPortal:
             connection.close()
         finally:
             server.stop()
+
+
+class TestSessionCookieSecureFlag:
+    """``POST /login`` marks the session cookie ``Secure`` exactly when
+    the listener that served it is TLS — the server tells the session
+    layer through ``request.env``, so both directions are pinned over
+    real sockets."""
+
+    @staticmethod
+    def _login_cookie(connection, deployment):
+        from urllib.parse import urlencode
+
+        connection.request(
+            "POST",
+            "/login",
+            body=urlencode({"username": "mdt1", "password": deployment.password_of("mdt1")}),
+            headers={"Content-Type": "application/x-www-form-urlencoded"},
+        )
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 201
+        return response.getheader("Set-Cookie")
+
+    @pytest.fixture()
+    def deployment(self):
+        from repro.mdt import MdtDeployment, WorkloadConfig
+
+        deployment = MdtDeployment(
+            WorkloadConfig(num_regions=1, mdts_per_region=1, patients_per_mdt=2, seed=43)
+        )
+        yield deployment
+        deployment.close()
+
+    def test_tls_listener_sets_secure(self, tls_contexts, deployment):
+        import http.client
+
+        from repro.web.http import HttpServer
+
+        server_context, client_context = tls_contexts
+        server = HttpServer(deployment.portal, tls_context=server_context).start()
+        try:
+            connection = http.client.HTTPSConnection(*server.address, context=client_context)
+            cookie = self._login_cookie(connection, deployment)
+            connection.close()
+        finally:
+            server.stop()
+        attributes = [part.strip() for part in cookie.split(";")]
+        assert "Secure" in attributes
+        assert {"HttpOnly", "SameSite=Strict", "Path=/"} <= set(attributes)
+
+    def test_plaintext_listener_leaves_secure_off(self, deployment):
+        import http.client
+
+        from repro.web.http import HttpServer
+
+        server = HttpServer(deployment.portal).start()
+        try:
+            connection = http.client.HTTPConnection(*server.address)
+            cookie = self._login_cookie(connection, deployment)
+            connection.close()
+        finally:
+            server.stop()
+        # A Secure cookie would never be sent back over this listener:
+        # the session would silently stop working.
+        attributes = [part.strip() for part in cookie.split(";")]
+        assert "Secure" not in attributes
+        assert {"HttpOnly", "SameSite=Strict", "Path=/"} <= set(attributes)

@@ -16,12 +16,16 @@ it between readers, where the reference decodes on every read; the same
 histories therefore also check (``_assert_read_path``) that every
 document read equals a fresh decode of the stored revision — value,
 per-leaf labels and user taint — and that results are caller-owned.
+It likewise encodes a revision's JSON once (``ViewRow.json``), where the
+reference's documents are encoded per read: ``_assert_encoded_form``
+holds every fragment, and every join of a view result's fragments, to
+``json_codec.dumps`` over the reference's rows.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.labels import LabelSet, conf_label
+from repro.core.labels import LabelSet, conf_label, int_label
 from repro.exceptions import DocumentConflict, DocumentNotFound
 from repro.storage import Replicator, ShardedDatabase
 from repro.storage.reference import ReferenceDatabase
@@ -29,6 +33,7 @@ from repro.taint import is_user_tainted, json_codec, label, labels_of, with_labe
 
 L_PATIENT = conf_label("ecric.org.uk", "patient", "9")
 L_MDT = conf_label("ecric.org.uk", "mdt", "3")
+L_TRUSTED = int_label("ecric.org.uk", "mdt")
 
 DOC_IDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
@@ -36,9 +41,9 @@ _scalars = st.one_of(
     st.text(alphabet="abcxyz/~0 ", max_size=6),
     st.integers(-9, 9),
 )
-_labeled_scalars = st.tuples(_scalars, st.sampled_from((L_PATIENT, L_MDT))).map(
-    lambda pair: label(pair[0], pair[1])
-)
+_labeled_scalars = st.tuples(
+    _scalars, st.sampled_from(((L_PATIENT,), (L_MDT,), (L_TRUSTED,), (L_MDT, L_TRUSTED)))
+).map(lambda pair: label(pair[0], *pair[1]))
 _values = st.one_of(
     _scalars,
     _labeled_scalars,
@@ -218,6 +223,42 @@ def _assert_read_path(database):
         assert _labeled_form(document) == expected[document["_id"]]
 
 
+def _encode_everything(database):
+    """Materialise the fragment of every revision a view can reach."""
+    for name in VIEWS:
+        for row in database.view(name, include_docs=True):
+            assert row.json is not None
+
+
+def _assert_same_encoding(actual, expected):
+    """Bytes, label set (interned identity) and taint — ``==`` alone
+    would compare the text and nothing else."""
+    assert type(actual) is type(expected)
+    assert str.__eq__(actual, expected)
+    assert labels_of(actual) is labels_of(expected)
+    assert is_user_tainted(actual) == is_user_tainted(expected)
+
+
+def _assert_encoded_form(database, reference):
+    """Per-revision fragments equal an encode-per-read of the reference.
+
+    For every ``view(include_docs=True)`` result: each ``row.json`` is
+    ``dumps`` of the reference's document for that row, and the join of
+    the result's fragments is ``dumps`` of the reference's list.
+    """
+    for name in VIEWS:
+        for key in (None, "x", 1):
+            rows = database.view(name, key=key, include_docs=True)
+            oracle = [row.value for row in reference.view(name, key=key, include_docs=True)]
+            assert [row.doc_id for row in rows] == [document["_id"] for document in oracle]
+            for row, document in zip(rows, oracle):
+                _assert_same_encoding(row.json, json_codec.dumps(document))
+                _assert_same_encoding(row.json, json_codec.dumps(row.value))
+            _assert_same_encoding(
+                json_codec.join_array([row.json for row in rows]), json_codec.dumps(oracle)
+            )
+
+
 @settings(max_examples=60, deadline=None)
 @given(operations=_operations, shards=st.sampled_from((1, 2, 3, 5)))
 def test_sharded_store_equals_seed_reference(operations, shards):
@@ -228,10 +269,13 @@ def test_sharded_store_equals_seed_reference(operations, shards):
 
     for operation in operations:
         assert _apply(reference, operation) == _apply(sharded, operation)
+        _encode_everything(sharded)  # every revision is encoded before the next write
 
     assert _observe(reference) == _observe(sharded)
+    _assert_encoded_form(sharded, reference)
     _assert_read_path(sharded)
     assert _observe(reference) == _observe(sharded)  # ... which changed nothing
+    _assert_encoded_form(sharded, reference)  # ... scribbled-on documents included
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,6 +292,7 @@ def test_views_defined_after_writes_match(operations, shards):
     _define_views(sharded)
     assert _observe(reference) == _observe(sharded)
     _assert_read_path(sharded)
+    _assert_encoded_form(sharded, reference)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,10 +315,13 @@ def test_batched_replication_converges_to_reference(operations, shards, batch_si
         if index % 5 == 4:
             replicator.replicate()  # interleaved incremental passes
             _read_documents(target)  # ... each read before the next lands
+            _encode_everything(target)  # ... and encoded: a stale fragment would show
     replicator.replicate()
 
     _assert_read_path(source)
     _assert_read_path(target)
+    _assert_encoded_form(source, reference)
+    _assert_encoded_form(target, reference)
     observed_reference = _observe(reference)
     observed_target = _observe(target)
     # The replica sees the deduplicated feed: every *surviving* document,

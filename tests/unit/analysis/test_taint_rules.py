@@ -1,10 +1,21 @@
 """Fixture-driven tests for the taint source→sink dataflow pass."""
 
-from repro.analysis.framework import analyze_source
+from pathlib import Path
+
+from repro.analysis.framework import ModuleSource, analyze_source
+from repro.analysis.taint import LABELED, _all_functions, _FunctionAnalysis, _module_context
 
 
 def rules_of(source: str, rel: str = "snippet.py"):
     return [finding.rule for finding in analyze_source(source, rel=rel)]
+
+
+def return_taint_of(source: str, function: str):
+    """The taint kinds the pass computes for *function*'s return value."""
+    module = ModuleSource.parse(Path("snippet.py"), "snippet.py", source=source)
+    analysis = _FunctionAnalysis(module, {}, *_module_context(module), None)
+    (func,) = [f for f in _all_functions(module.tree) if f.name == function]
+    return analysis.run(func).returns
 
 
 class TestHtmlResponse:
@@ -116,6 +127,35 @@ class TestRawJson:
             "    rows = db.view('records/by_mid', key='1')\n"
             "    return json_codec.dumps([r.value for r in rows])\n"
         )
+
+    JOINED_RECORDS = (
+        "from repro.taint import json_codec\n"
+        "def records(request, db):\n"
+        "    rows = db.view('records/by_mid', key=str(request.params['mid']), include_docs=True)\n"
+        "    rows.sort(key=lambda row: str(row.value.get('patient_id', '')))\n"
+        "    return Response(json_codec.join_array([row.json for row in rows]))\n"
+    )
+
+    def test_join_of_row_fragments_is_fine_and_still_labelled_at_the_response(self):
+        assert rules_of(self.JOINED_RECORDS) == []
+        assert return_taint_of(self.JOINED_RECORDS, "records") == {LABELED}
+
+    def test_join_keeps_labelled_taint_for_the_sinks_that_care(self):
+        assert "ifc-unlabeled-publish" in rules_of(
+            "from repro.taint import json_codec\n"
+            "def export(request, db, engine):\n"
+            "    rows = db.view('records/by_mid', key='1', include_docs=True)\n"
+            "    engine.publish('/export', {'body': json_codec.join_array([r.json for r in rows])})\n"
+        )
+
+    def test_join_clears_user_taint_like_dumps(self):
+        handler = (
+            "from repro.taint import json_codec\n"
+            "def echo(request):\n"
+            "    return Response({codec}.join_array([request.params.get('q', '')]))\n"
+        )
+        assert "taint-html-response" not in rules_of(handler.format(codec="json_codec"))
+        assert "taint-html-response" in rules_of(handler.format(codec="homegrown"))
 
     def test_raw_dumps_of_plain_config_is_fine(self):
         assert "ifc-raw-json" not in rules_of(

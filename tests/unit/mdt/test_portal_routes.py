@@ -7,7 +7,7 @@ import pytest
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.labels import mdt_label
 from repro.mdt.workload import WorkloadConfig
-from repro.taint import label, strip_labels
+from repro.taint import json_codec, label, strip_labels
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,39 @@ class TestRouteEdges:
         records = json.loads(result.text)
         ids = [record["patient_id"] for record in records]
         assert ids == sorted(ids)
+
+    def test_records_body_is_the_encode_per_request_body(self, deployment):
+        """``/records/:mid`` joins per-revision fragments; the bytes are
+        those ``json_codec.dumps`` of the sorted documents produced when
+        the handler re-encoded them on every request."""
+        for mdt_id in deployment.directory.mdt_ids():
+            documents = [
+                row.value
+                for row in deployment.dmz_db.view(
+                    "records/by_mid", key=str(mdt_id), include_docs=True
+                )
+            ]
+            documents.sort(key=lambda record: str(record.get("patient_id", "")))
+            result = deployment.client_for(f"mdt{mdt_id}").get(f"/records/{mdt_id}")
+            assert result.status == 200
+            assert len(documents) == 3
+            assert result.text == str(strip_labels(json_codec.dumps(documents)))
+
+    def test_uncleared_principal_is_denied_through_the_fragment_path(self, deployment):
+        # Pass Listing 3's ACL for MDT 2 without holding its label: the
+        # handler runs, joins the fragments, and the response check —
+        # reading the fold the join carries — is what refuses.
+        webdb, audit = deployment.webdb, deployment.audit
+        info = deployment.directory.find("2")
+        webdb.grant_acl(webdb.user_id("mdt1"), hospital=info.hospital, clinic=info.clinic)
+        denied = audit.count(component="frontend", operation="respond", decision="denied")
+        result = deployment.client_for("mdt1").get("/records/2")
+        assert result.status == 403
+        assert "patient_name" not in result.text
+        assert (
+            audit.count(component="frontend", operation="respond", decision="denied")
+            == denied + 1
+        )
 
 
 def test_relabelled_revision_is_denied_although_its_body_is_unchanged():

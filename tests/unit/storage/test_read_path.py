@@ -1,17 +1,23 @@
 """The docstore read path: a revision's labeled form is materialised
 once and shared, so every reader must get documents it owns, from one
-consistent snapshot, carrying the labels of the *current* revision."""
+consistent snapshot, carrying the labels of the *current* revision —
+and the revision's encoded form (``ViewRow.json``) is the store's own,
+whatever a reader does to its copy."""
+
+import sys
+import threading
 
 import pytest
 
-from repro.core.labels import LabelSet, conf_label
-from repro.storage import Database, Replicator, ShardedDatabase
+from repro.core.labels import LabelSet, conf_label, int_label
+from repro.storage import Database, Replicator, ShardedDatabase, ViewRow
 from repro.storage.recovery import close_durable, open_durable_database
-from repro.taint import label, labels_of
+from repro.taint import is_user_tainted, json_codec, label, labels_of
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 MDT = conf_label("ecric.org.uk", "mdt", "1")
 OTHER_MDT = conf_label("ecric.org.uk", "mdt", "2")
+TRUSTED = int_label("ecric.org.uk", "mdt")
 
 
 def _by_kind(doc):
@@ -219,3 +225,116 @@ class TestRelabelledIdenticalBody:
             assert [self._labels(doc) for doc in self._reads(recovered)] == [stricter] * 3
         finally:
             close_durable(recovered)
+
+
+def _assert_same_encoding(actual, expected):
+    assert type(actual) is type(expected)
+    assert str.__eq__(actual, expected)
+    assert labels_of(actual) is labels_of(expected)
+    assert is_user_tainted(actual) is is_user_tainted(expected) is False
+
+
+class TestEncodedForm:
+    """``view(include_docs=True)`` rows expose the revision's labelled
+    JSON fragment: ``json_codec.dumps`` of the document the store
+    resolved, encoded once and owned by the store."""
+
+    DOCUMENT = TestReadIsolation.DOCUMENT
+
+    def test_fragment_is_dumps_of_the_document_and_survives_vandalism(self, store):
+        database, reopen = store
+        database.define_view("by_kind", _by_kind)
+        database.put(dict(self.DOCUMENT))
+        for reader in (database, reopen()):
+            expected = json_codec.dumps(reader.get("a"))
+            assert labels_of(expected) == LabelSet([PATIENT])
+            for query in ({}, {"key": "record"}):
+                (row,) = reader.view("by_kind", include_docs=True, **query)
+                _assert_same_encoding(row.json, expected)
+                _vandalise(row.value)  # the caller's copy, not the fragment's source
+                _assert_same_encoding(row.json, expected)
+                (again,) = reader.view("by_kind", include_docs=True, **query)
+                assert again.json is row.json  # encoded once per revision
+                _assert_same_encoding(
+                    json_codec.join_array([again.json]), json_codec.dumps([reader.get("a")])
+                )
+
+    def test_relabelled_identical_body_is_served_with_the_new_labels(self, store):
+        """Confidentiality *and* integrity: the fragment's labels are the
+        §4.1 fold (integrity intersects), not the revision's sidecar
+        union, so neither can stand in for the other."""
+        database, reopen = store
+        database.define_view("by_kind", _by_kind)
+        body = {"_id": "m", "kind": "metric"}
+
+        def fragment(reader):
+            (row,) = reader.view("by_kind", key="metric", include_docs=True)
+            _assert_same_encoding(row.json, json_codec.dumps(row.value))
+            return row.json
+
+        database.upsert({**body, "value": label("0.93", MDT, TRUSTED)})
+        first = fragment(database)
+        assert labels_of(first) == LabelSet([MDT])  # plain keys endorse nothing
+        assert database.raw_document("m").labels == LabelSet([MDT, TRUSTED])
+
+        database.upsert({**body, "value": label("0.93", MDT, OTHER_MDT)})
+        for reader in (database, reopen()):
+            second = fragment(reader)
+            assert labels_of(second) == LabelSet([MDT, OTHER_MDT])
+
+        database = reopen()
+        database.upsert({**body, "value": "0.93"})  # ... and declassified again
+        assert labels_of(fragment(database)) == LabelSet()
+
+    def test_row_without_a_document_has_no_fragment(self, store):
+        database, _reopen = store
+        database.define_view("by_kind", _by_kind)
+        database.put(dict(self.DOCUMENT))
+        (row,) = database.view("by_kind")
+        assert row.json is None
+        with pytest.raises(TypeError):
+            json_codec.join_array([row.json])
+
+    def test_fragment_does_not_take_part_in_row_equality(self, store):
+        database, _reopen = store
+        database.define_view("by_kind", _by_kind)
+        database.put(dict(self.DOCUMENT))
+        (row,) = database.view("by_kind", include_docs=True)
+        assert row.json is not None
+        assert row == ViewRow(row.doc_id, row.key, database.get("a"))
+
+    def test_threads_racing_the_first_encode_get_equal_fragments(self):
+        database = Database("app")
+        database.define_view("by_kind", _by_kind)
+        for index in range(40):
+            database.put({**self.DOCUMENT, "_id": f"doc-{index:02d}"})
+        expected = [json_codec.dumps(document) for document in database.all_docs()]
+        rows = database.view("by_kind", include_docs=True)  # nothing encoded yet
+        barrier = threading.Barrier(8)
+        results, errors = [], []
+
+        def encode_all():
+            try:
+                barrier.wait(timeout=10)
+                results.append([row.json for row in rows])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=encode_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        for fragments in results:
+            for fragment, reference in zip(fragments, expected):
+                _assert_same_encoding(fragment, reference)
+        # One attribute store won per revision: later readers share it.
+        settled = [row.json for row in database.view("by_kind", include_docs=True)]
+        assert all(a is b for a, b in zip(settled, [row.json for row in rows]))

@@ -95,10 +95,6 @@ class TestDocumentSidecar:
         restored = json_codec.decode_document(plain, sidecar)
         assert labels_of(restored) == LabelSet([PATIENT])
 
-    def test_document_labels_helper(self):
-        doc = {"a": label("x", PATIENT), "b": [label(1, MDT)]}
-        assert json_codec.document_labels(doc) == LabelSet([PATIENT, MDT])
-
 
 class TestCopyContainers:
     def test_containers_are_fresh_at_every_depth_and_leaves_shared(self):

@@ -277,6 +277,48 @@ class TestDumpsSinglePass:
         assert result.labels == labels_of(document)
         assert result.labels.confidentiality == {MDT}
 
-    def test_document_labels_alias(self):
+
+
+# -- join_array --------------------------------------------------------------
+
+
+class TestJoinArray:
+    """Joining per-element ``dumps`` fragments is ``dumps`` of the list:
+    same bytes, same interned label set, never user-tainted."""
+
+    @staticmethod
+    def assert_same_as_dumps(elements):
+        joined = json_codec.join_array([dumps(element) for element in elements])
+        whole = dumps(elements)
+        assert type(joined) is LabeledStr
+        assert str.__eq__(joined, whole)
+        assert joined.labels is whole.labels
+        assert joined.user_tainted is whole.user_tainted is False
+
+    def test_labelled_documents(self):
         document = nested_document()
-        assert json_codec.document_labels(document) == labels_of(document)
+        document.pop("mixed")
+        self.assert_same_as_dumps([document, {"other": LabeledStr("x", labels=BOTH_SET)}, document])
+
+    def test_empty_array_carries_no_labels(self):
+        self.assert_same_as_dumps([])
+        assert json_codec.join_array([]) == "[]"
+        assert json_codec.join_array([]).labels is LabelSet.empty()
+
+    def test_single_element_keeps_its_integrity(self):
+        # The list fold starts from the first element's labels, so a lone
+        # endorsed element is not intersected with the empty set.
+        self.assert_same_as_dumps([LabeledStr("x", labels=LabelSet([TRUSTED, MDT]))])
+
+    def test_unlabelled_element_drops_integrity_keeps_confidentiality(self):
+        self.assert_same_as_dumps([LabeledStr("x", labels=LabelSet([TRUSTED, MDT])), "plain"])
+        self.assert_same_as_dumps(["plain", LabeledStr("x", labels=LabelSet([TRUSTED, MDT]))])
+
+    def test_user_taint_of_an_element_does_not_survive(self):
+        tainted = with_labels("x", MDT_SET, user_taint=True)
+        self.assert_same_as_dumps([tainted, {"k": tainted}])
+
+    def test_plain_fragments_are_accepted(self):
+        joined = json_codec.join_array(['{"a": 1}', "2"])
+        assert joined == "[" + '{"a": 1}, 2' + "]"
+        assert joined.labels is LabelSet.empty()
