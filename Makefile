@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: help test test-unit test-security test-storage test-cluster bench-smoke bench-e2e bench docs-check lint-ifc typecheck
+.PHONY: help test test-unit test-security test-storage test-cluster bench-smoke bench-e2e bench bench-soak docs-check lint-ifc typecheck
 
 ## Show every target with its description.
 help:
@@ -57,3 +57,14 @@ docs-check:
 ## The full paper benchmark suite (slow).
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+# ROADMAP's exit criterion for "tier-1 must not depend on the host's mood".
+## Flake gate: 50 consecutive benchmarks/ runs beside a busy-loop sibling process; stops at the first failure.
+bench-soak:
+	@mkdir -p .benchmarks; \
+	$(PYTHON) -c "while True: pass" & noise=$$!; trap "kill $$noise" EXIT; \
+	for run in $$(seq 1 50); do \
+		$(PYTHON) -m pytest benchmarks -q -p no:cacheprovider > .benchmarks/bench-soak.log 2>&1 \
+			|| { tail -n 40 .benchmarks/bench-soak.log; echo "bench-soak: run $$run of 50 FAILED"; exit 1; }; \
+		echo "bench-soak: run $$run of 50 passed ($$(tail -n 1 .benchmarks/bench-soak.log))"; \
+	done; echo "bench-soak: 50 of 50 passed"

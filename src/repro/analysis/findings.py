@@ -95,11 +95,13 @@ RULES: Dict[str, RuleInfo] = {
         RuleInfo(
             "ifc-raw-json",
             Severity.ERROR,
-            "raw json.dumps/json.loads applied to a labelled document: the "
-            "stdlib codec silently strips label sidecars and user taint.",
+            "raw json.dumps/json.loads applied to a labelled document (or "
+            "kept as a view row's derived form): the stdlib codec silently "
+            "strips label sidecars and user taint.",
             "use repro.taint.json_codec.dumps/loads/encode_document (or "
-            "join_array over view rows' .json), which carry the labels "
-            "through serialisation.",
+            "join_array over view rows' .json, i.e. "
+            "row.form(json_codec.dumps)), which carry the labels through "
+            "serialisation.",
         ),
         RuleInfo(
             "ifc-jail-io",

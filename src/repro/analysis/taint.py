@@ -15,7 +15,9 @@ Sources, sinks and sanitizers are name-based heuristics tuned so the
 clean SafeWeb tree reports nothing: store *reads* generate ``labeled``
 taint but deliberately do not propagate their key arguments (reading by
 key does not embed the key text in the result), template rendering and
-``json_codec`` clear ``user`` taint (both escape), and event attributes
+``json_codec`` clear ``user`` taint (both escape) and keep ``labeled`` —
+as does everything a view row hands out (``row.value``, ``row.json``,
+``row.form(derive)``, a page whose partials render rows) — and event attributes
 are sources only inside :class:`~repro.events.unit.Unit` handler
 methods where the ambient-label context exists.
 
@@ -389,6 +391,15 @@ class _FunctionAnalysis:
             kind = "labelled" if LABELED in first else "user-tainted"
             self._sink(node, "ifc-raw-json", scope, first,
                        f"raw {root}.{attr}() applied to a {kind} value")
+
+        # row.form(json.dumps): the raw codec memoised as a derived form
+        # of a stored revision — stripped once, replayed to every reader.
+        if attr == "form" and node.args and isinstance(node.func, ast.Attribute):
+            derive = dotted_name(node.args[0]) or ""
+            module, _, function = derive.partition(".")
+            if module in self.json_aliases and function in ("dumps", "loads"):
+                self._sink(node, "ifc-raw-json", scope, self._eval(node.func.value, scope),
+                           f"raw {derive} kept as a derived form of a labelled row")
 
         if isinstance(node.func, ast.Name) and node.func.id == "Response" and node.args:
             first = self._eval(node.args[0], scope)

@@ -2,11 +2,12 @@
 
 The modules here contain the measurement machinery the ``benchmarks/``
 tree drives: latency statistics with the paper's 95 % confidence-interval
-reporting, end-to-end throughput measurement, the Figure 5 component
+reporting, the alternating sampler every comparison of two variants goes
+through, end-to-end throughput measurement, the Figure 5 component
 breakdown, and the §5.2 trusted-codebase line-count audit.
 """
 
-from repro.bench.timing import LatencyStats, measure_latency
+from repro.bench.timing import LatencyStats, measure_interleaved, measure_latency
 from repro.bench.throughput import ThroughputResult, measure_throughput
 from repro.bench.breakdown import (
     PAPER_BACKEND_BREAKDOWN,
@@ -20,6 +21,7 @@ from repro.bench.reporting import comparison_table, format_table
 
 __all__ = [
     "LatencyStats",
+    "measure_interleaved",
     "measure_latency",
     "ThroughputResult",
     "measure_throughput",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet
@@ -74,19 +74,21 @@ class ThroughputResult:
         )
 
 
-def measure_throughput(
-    events: int = 20_000,
+def event_window(
+    window: int = 2_000,
     label_checks: bool = True,
     isolation: bool = True,
     labelled_events: bool = True,
-    window: int = 2_000,
     audit: Optional[AuditLog] = None,
-) -> ThroughputResult:
-    """Run the producer/consumer pair and measure sustained throughput.
+) -> Callable[[], None]:
+    """Build the producer/consumer pair; each call of the result
+    publishes one window of *window* events through it.
 
     ``label_checks=False`` + ``isolation=False`` + unlabelled events is
     the paper's baseline ("without label tracking"); the default is the
-    SafeWeb configuration.
+    SafeWeb configuration. Two variants are compared by sampling their
+    windows alternately (:func:`repro.bench.timing.measure_interleaved`),
+    as the paper sampled once per second.
     """
     audit = audit if audit is not None else AuditLog(capacity=16)
     broker = Broker(label_checks=label_checks, audit=audit)
@@ -97,23 +99,37 @@ def measure_throughput(
         isolation=isolation,
     )
     engine.register(_ConsumerUnit())
-
     labels = LabelSet([mdt_label("1")]) if labelled_events else LabelSet()
-    window_rates: List[float] = []
-    window_started = time.perf_counter()
-    started = window_started
 
-    for index in range(events):
-        event = Event("/bench/events", {"n": str(index)}, labels=labels)
-        broker.publish(event, publisher="bench_producer")
-        if window and (index + 1) % window == 0:
-            now = time.perf_counter()
-            window_rates.append(window / (now - window_started))
-            window_started = now
+    def publish_window() -> None:
+        for index in range(window):
+            event = Event("/bench/events", {"n": str(index)}, labels=labels)
+            broker.publish(event, publisher="bench_producer")
+
+    return publish_window
+
+
+def measure_throughput(
+    events: int = 20_000,
+    label_checks: bool = True,
+    isolation: bool = True,
+    labelled_events: bool = True,
+    window: int = 2_000,
+    audit: Optional[AuditLog] = None,
+) -> ThroughputResult:
+    """Run one :func:`event_window` variant and measure sustained throughput."""
+    window = min(window, events)
+    publish_window = event_window(window, label_checks, isolation, labelled_events, audit)
+    window_rates: List[float] = []
+    started = time.perf_counter()
+    for _ in range(events // window):
+        window_started = time.perf_counter()
+        publish_window()
+        window_rates.append(window / (time.perf_counter() - window_started))
     elapsed = time.perf_counter() - started
 
     return ThroughputResult(
-        events=events,
+        events=len(window_rates) * window,
         elapsed=elapsed,
         window_rates=window_rates,
         label_checks=label_checks,

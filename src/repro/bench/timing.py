@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 @dataclass
@@ -92,27 +92,40 @@ def measure_latency(
 
 
 def measure_interleaved(
-    first: Callable[[], object],
-    second: Callable[[], object],
+    *operations: Callable[[], object],
     iterations: int = 1000,
     warmup: int = 20,
-) -> Tuple[LatencyStats, LatencyStats]:
-    """Time two operations alternately, one call each per round.
+    prepare: Optional[Callable[[], object]] = None,
+) -> Tuple[LatencyStats, ...]:
+    """Time *operations* alternately, one call each per round.
 
-    For comparing variants whose gap is small next to the host's drift
-    (frequency scaling, a noisy neighbour): measured back to back, the
-    drift lands in one sample; alternated, it lands in both alike.
+    The one sampler for every experiment that compares quantities: two
+    variants whose gap is small next to the host's drift (frequency
+    scaling, a noisy neighbour) measured back to back put the drift in
+    one sample; alternated, it lands in all alike. The starting
+    operation rotates from round to round, so none is always the one
+    that runs on the caches its neighbour just warmed. Compare the
+    results by :attr:`LatencyStats.median` and assert a band around
+    their ratio — a strict "slower than" flips on a quiet host as soon
+    as the variants are close.
+
+    *prepare* runs untimed before every round (warm-up included): what
+    puts the operations back into the state being priced, e.g. a store
+    whose every document was just rewritten.
     """
-    for _ in range(warmup):
-        first()
-        second()
-    samples: Tuple[List[float], List[float]] = ([], [])
-    for _ in range(iterations):
-        for operation, bucket in zip((first, second), samples):
+    count = len(operations)
+    samples: Tuple[List[float], ...] = tuple([] for _ in operations)
+    for round_index in range(-warmup, iterations):
+        if prepare is not None:
+            prepare()
+        for offset in range(count):
+            index = (round_index + offset) % count
             started = time.perf_counter()
-            operation()
-            bucket.append(time.perf_counter() - started)
-    return LatencyStats(samples[0]), LatencyStats(samples[1])
+            operations[index]()
+            elapsed = time.perf_counter() - started
+            if round_index >= 0:
+                samples[index].append(elapsed)
+    return tuple(LatencyStats(bucket) for bucket in samples)
 
 
 def overhead_percent(baseline: float, measured: float) -> float:
@@ -120,7 +133,3 @@ def overhead_percent(baseline: float, measured: float) -> float:
     if baseline == 0:
         return 0.0
     return (measured - baseline) / baseline * 100.0
-
-
-def mean_of(samples: Sequence[float]) -> float:
-    return sum(samples) / len(samples) if samples else 0.0

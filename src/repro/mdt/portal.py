@@ -53,17 +53,23 @@ FRONT_PAGE_SOURCE = """<!DOCTYPE html>
 <h2>Patients</h2>
 <table>
 <tr><th>Name</th><th>Site</th><th>Stage</th><th>Tumours</th></tr>
-<% for record in records %>
-<tr>
-<td><%= record.get("patient_name", "") %></td>
-<td><%= record.get("site", "") %></td>
-<td><%= record.get("stage", "") %></td>
-<td><%= record.get("tumour_count", "") %></td>
-</tr>
-<% end %>
+<% for row in rows %><% include("front-row", row) %><% end %>
 </table>
 </body>
 </html>
+"""
+
+#: One patient's table row: a partial over one ``records/by_mid`` view
+#: row, so its escaped, labelled markup is rendered once per stored
+#: revision and the front page joins 40 fragments instead of escaping
+#: 160 unchanged fields per request.
+FRONT_ROW_SOURCE = """
+<tr>
+<td><%= item.get("patient_name", "") %></td>
+<td><%= item.get("site", "") %></td>
+<td><%= item.get("stage", "") %></td>
+<td><%= item.get("tumour_count", "") %></td>
+</tr>
 """
 
 COMPARE_SOURCE = """<!DOCTYPE html>
@@ -83,6 +89,7 @@ COMPARE_SOURCE = """<!DOCTYPE html>
 #: The portal's page layouts, compiled on first use and cached by name.
 PORTAL_TEMPLATES = TemplateRegistry()
 PORTAL_TEMPLATES.register("front-page", FRONT_PAGE_SOURCE)
+PORTAL_TEMPLATES.register("front-row", FRONT_ROW_SOURCE)
 PORTAL_TEMPLATES.register("compare-page", COMPARE_SOURCE)
 
 
@@ -257,7 +264,7 @@ def build_portal(
         info = directory.find_or_none(mid)
         if info is None:
             halt(404, "no MDT associated with this account")
-        records = [row.value for row in fetch_rows(mid)]
+        rows = fetch_rows(mid)
         metric = fetch_metric(f"metric-mdt-{mid}") or {}
         with timed(request, "template_rendering"):
             page = PORTAL_TEMPLATES.render(
@@ -268,7 +275,7 @@ def build_portal(
                 record_count=metric.get("record_count", "0"),
                 completeness=metric.get("completeness", "n/a"),
                 survival=metric.get("survival", "n/a"),
-                records=records,
+                rows=rows,
             )
         return page
 

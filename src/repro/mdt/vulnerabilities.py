@@ -374,7 +374,7 @@ def _patch_front_page_override(deployment: MdtDeployment) -> None:
             record_count=metric.get("record_count", "0"),
             completeness=metric.get("completeness", "n/a"),
             survival=metric.get("survival", "n/a"),
-            records=[row.value for row in rows],
+            rows=rows,
         )
 
     _replace_route(deployment.portal, "GET", "/", front_page_tampered)

@@ -7,8 +7,9 @@ values plus a label sidecar produced by
 :func:`repro.taint.json_codec.encode_document`; reads re-attach labels so
 the web frontend transparently receives labeled values (§4.4, step 2).
 The labeled form is decoded once per stored revision and every reader is
-handed its own copy of it; its labelled JSON text is likewise encoded
-once per revision (see :class:`_StoredDocument`).
+handed its own copy of it; whatever else a reader derives from the
+document and its labels (its JSON text, a rendered fragment) is likewise
+computed once per revision (see :meth:`_StoredDocument.form`).
 
 Implemented CouchDB behaviours the reproduction relies on:
 
@@ -131,9 +132,11 @@ class _StoredDocument:
     #: installs a fresh :class:`_StoredDocument`, so the decoded form
     #: lives and dies with its revision and needs no invalidation.
     _labeled: Any = field(default=None, init=False, repr=False, compare=False)
-    #: ``json_codec.dumps(self.document())``, set by the first encoded
-    #: read; lives and dies with the revision exactly like ``_labeled``.
-    _encoded: Optional[LabeledStr] = field(default=None, init=False, repr=False, compare=False)
+    #: ``derive -> derive(self.document())`` for every derived form a
+    #: reader has asked for (see :meth:`form`); lives and dies with the
+    #: revision exactly like ``_labeled``. Allocated by the first reader:
+    #: writes, replication and recovery build revisions without it.
+    _forms: Optional[Dict[Any, Any]] = field(default=None, init=False, repr=False, compare=False)
 
     def labeled(self) -> Any:
         """The body with labels re-attached, decoded once per revision.
@@ -159,19 +162,29 @@ class _StoredDocument:
         result["_rev"] = self.rev
         return result
 
-    def encoded(self) -> LabeledStr:
-        """:meth:`document` as labelled JSON text, encoded once per revision.
+    def form(self, derive: Callable[[Dict[str, Any]], Any]) -> Any:
+        """``derive(self.document())``, computed once per revision.
 
-        One immutable string carrying the §4.1 fold of every label in
-        the document — what ``json_codec.dumps`` returns for it, which is
-        *not* :attr:`labels`: the fold intersects integrity, the sidecar
-        union keeps it. Safe to share between readers; the first-read
-        race is benign for the same reason as :meth:`labeled`'s.
+        The one memo for whatever a reader derives from document +
+        labels — its labelled JSON text (``json_codec.dumps``), a
+        rendered template fragment — keyed by the *derive* callable
+        itself. The store never looks inside a form: *derive* must
+        return something safe to share between readers (an immutable
+        labelled string), carrying whatever labels it folded from the
+        document, which need not be :attr:`labels` (``dumps`` intersects
+        integrity where the sidecar union keeps it). Nothing invalidates
+        a form: a write installs a new revision with none, and the old
+        one takes its forms with it. The first-read race is benign for
+        the same reason as :meth:`labeled`'s — equal values, one store
+        wins.
         """
-        encoded = self._encoded
-        if encoded is None:
-            encoded = self._encoded = json_codec.dumps(self.document())
-        return encoded
+        forms = self._forms
+        if forms is None:
+            forms = self._forms = {}
+        derived = forms.get(derive)
+        if derived is None:
+            derived = forms[derive] = derive(self.document())
+        return derived
 
 
 @dataclass(frozen=True)
@@ -184,24 +197,63 @@ class Change:
     deleted: bool
 
 
-@dataclass(frozen=True)
-class ViewRow:
-    """One row of a view query result."""
+#: Placeholder for a :attr:`ViewRow.value` not yet resolved from its revision.
+_UNRESOLVED: Any = object()
 
-    doc_id: str
-    key: Any
-    value: Any
-    #: The stored revision an ``include_docs`` row was resolved from.
-    _revision: Optional[_StoredDocument] = field(default=None, repr=False, compare=False)
+
+class ViewRow:
+    """One row of a view query result: ``ViewRow(doc_id, key, value)``.
+
+    Rows compare (and hash) by those three fields. An ``include_docs``
+    row also holds the stored revision it matched, from which
+    :attr:`value` and every :meth:`form` resolve on first use — a caller
+    that reads neither pays for neither.
+    """
+
+    __slots__ = ("doc_id", "key", "_value", "_revision")
+
+    def __init__(
+        self, doc_id: str, key: Any, value: Any, _revision: Optional[_StoredDocument] = None
+    ) -> None:
+        self.doc_id = doc_id
+        self.key = key
+        self._value = value
+        self._revision = _revision
+
+    @property
+    def value(self) -> Any:
+        """The emitted value or, on an ``include_docs`` row, the matched
+        revision's :meth:`~_StoredDocument.document` — copied out on
+        first access and the caller's own from then on."""
+        value = self._value
+        if value is _UNRESOLVED:
+            value = self._value = self._revision.document()
+        return value
+
+    def form(self, derive: Callable[[Dict[str, Any]], Any]) -> Any:
+        """The matched revision's :meth:`~_StoredDocument.form` — what
+        ``derive`` returns for the document the store resolved for this
+        row, whatever the caller has since done to its own
+        :attr:`value`; the store's, shared, never to be mutated.
+        ``None`` on a row without a document."""
+        revision = self._revision
+        return None if revision is None else revision.form(derive)
 
     @property
     def json(self) -> Optional[LabeledStr]:
-        """The revision's :meth:`~_StoredDocument.encoded` text — what
-        ``json_codec.dumps`` returns for the document the store resolved
-        for this row, whatever the caller has since done to its own
-        :attr:`value`. ``None`` on a row without a document."""
-        revision = self._revision
-        return None if revision is None else revision.encoded()
+        """The document as labelled JSON text: ``form(json_codec.dumps)``."""
+        return self.form(json_codec.dumps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ViewRow:
+            return NotImplemented
+        return (self.doc_id, self.key, self.value) == (other.doc_id, other.key, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.doc_id, self.key, self.value))
+
+    def __repr__(self) -> str:
+        return f"ViewRow(doc_id={self.doc_id!r}, key={self.key!r}, value={self.value!r})"
 
 
 class _ViewIndex:
@@ -689,9 +741,11 @@ class Database:
         Ownership: emitted keys and values belong to the view index
         (the seed store shared its index objects the same way) — treat
         them as read-only, or mutate a copy. Documents resolved by
-        ``include_docs`` belong to the caller, like :meth:`get`'s; each
-        such row also exposes the stored revision's encoded form as
-        :attr:`ViewRow.json`, which stays the store's.
+        ``include_docs`` belong to the caller, like :meth:`get`'s, and
+        are copied out when :attr:`ViewRow.value` is first read; each
+        such row also exposes the stored revision's derived forms
+        (:meth:`ViewRow.form`, :attr:`ViewRow.json`), which stay the
+        store's.
         """
         with self._lock:
             view = self._views.get(name)
@@ -702,7 +756,7 @@ class Database:
             rows = self._matching_rows(view, key, clearance)
             if include_docs:
                 return [
-                    ViewRow(stored.doc_id, emitted_key, stored.document(), stored)
+                    ViewRow(stored.doc_id, emitted_key, _UNRESOLVED, stored)
                     for stored, emitted_key, _emitted_value in rows
                 ]
             return [

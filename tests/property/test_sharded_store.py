@@ -16,10 +16,12 @@ it between readers, where the reference decodes on every read; the same
 histories therefore also check (``_assert_read_path``) that every
 document read equals a fresh decode of the stored revision — value,
 per-leaf labels and user taint — and that results are caller-owned.
-It likewise encodes a revision's JSON once (``ViewRow.json``), where the
-reference's documents are encoded per read: ``_assert_encoded_form``
-holds every fragment, and every join of a view result's fragments, to
-``json_codec.dumps`` over the reference's rows.
+It likewise computes whatever a reader derives from a revision once
+(``ViewRow.form``: its JSON text, a template partial's rendered
+fragment), where the reference's documents are encoded and rendered per
+read: ``_assert_derived_forms`` holds every form of every row to the
+same derivation over the reference's rows, and every join of a view
+result's JSON fragments to ``json_codec.dumps`` over them.
 """
 
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from repro.exceptions import DocumentConflict, DocumentNotFound
 from repro.storage import Replicator, ShardedDatabase
 from repro.storage.reference import ReferenceDatabase
 from repro.taint import is_user_tainted, json_codec, label, labels_of, with_labels
+from repro.web.templates import TemplateRegistry
 
 L_PATIENT = conf_label("ecric.org.uk", "patient", "9")
 L_MDT = conf_label("ecric.org.uk", "mdt", "3")
@@ -78,6 +81,18 @@ VIEWS = {
     else [],
     "fragile": lambda doc: [(doc["required"], None)],
 }
+
+
+_TEMPLATES = TemplateRegistry()
+_TEMPLATES.register(
+    "row",
+    '<li id="<%= item["_id"] %>"><%= item.get("name", "") %>: <%== item.get("k", "") %>'
+    '<% for tag in (item["tags"] if isinstance(item.get("tags"), list) else ()) %> [<%= tag %>]<% end %> <%= item.get("extra") %></li>',
+)
+
+#: The derived forms checked on every row: the labelled JSON text and a
+#: template partial's render (escaped and raw interpolations, a loop).
+FORMS = (json_codec.dumps, _TEMPLATES.get("row").render_item)
 
 
 def _define_views(database) -> None:
@@ -223,11 +238,12 @@ def _assert_read_path(database):
         assert _labeled_form(document) == expected[document["_id"]]
 
 
-def _encode_everything(database):
-    """Materialise the fragment of every revision a view can reach."""
+def _derive_everything(database):
+    """Materialise every form of every revision a view can reach."""
     for name in VIEWS:
         for row in database.view(name, include_docs=True):
-            assert row.json is not None
+            for derive in FORMS:
+                assert row.form(derive) is not None
 
 
 def _assert_same_encoding(actual, expected):
@@ -239,12 +255,14 @@ def _assert_same_encoding(actual, expected):
     assert is_user_tainted(actual) == is_user_tainted(expected)
 
 
-def _assert_encoded_form(database, reference):
-    """Per-revision fragments equal an encode-per-read of the reference.
+def _assert_derived_forms(database, reference):
+    """Per-revision forms equal a derive-per-read of the reference.
 
-    For every ``view(include_docs=True)`` result: each ``row.json`` is
-    ``dumps`` of the reference's document for that row, and the join of
-    the result's fragments is ``dumps`` of the reference's list.
+    For every ``view(include_docs=True)`` result and every ``f`` in
+    :data:`FORMS`: each ``row.form(f)`` is ``f`` of the reference's
+    document for that row — text, label set and taint — ``row.json`` is
+    the ``dumps`` form, and the join of the result's JSON fragments is
+    ``dumps`` of the reference's list.
     """
     for name in VIEWS:
         for key in (None, "x", 1):
@@ -252,8 +270,10 @@ def _assert_encoded_form(database, reference):
             oracle = [row.value for row in reference.view(name, key=key, include_docs=True)]
             assert [row.doc_id for row in rows] == [document["_id"] for document in oracle]
             for row, document in zip(rows, oracle):
-                _assert_same_encoding(row.json, json_codec.dumps(document))
-                _assert_same_encoding(row.json, json_codec.dumps(row.value))
+                for derive in FORMS:
+                    _assert_same_encoding(row.form(derive), derive(document))
+                    _assert_same_encoding(row.form(derive), derive(row.value))
+                assert row.json is row.form(json_codec.dumps)
             _assert_same_encoding(
                 json_codec.join_array([row.json for row in rows]), json_codec.dumps(oracle)
             )
@@ -269,13 +289,13 @@ def test_sharded_store_equals_seed_reference(operations, shards):
 
     for operation in operations:
         assert _apply(reference, operation) == _apply(sharded, operation)
-        _encode_everything(sharded)  # every revision is encoded before the next write
+        _derive_everything(sharded)  # every form of every revision exists before the next write
 
     assert _observe(reference) == _observe(sharded)
-    _assert_encoded_form(sharded, reference)
+    _assert_derived_forms(sharded, reference)
     _assert_read_path(sharded)
     assert _observe(reference) == _observe(sharded)  # ... which changed nothing
-    _assert_encoded_form(sharded, reference)  # ... scribbled-on documents included
+    _assert_derived_forms(sharded, reference)  # ... scribbled-on documents included
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,7 +312,7 @@ def test_views_defined_after_writes_match(operations, shards):
     _define_views(sharded)
     assert _observe(reference) == _observe(sharded)
     _assert_read_path(sharded)
-    _assert_encoded_form(sharded, reference)
+    _assert_derived_forms(sharded, reference)
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,13 +335,13 @@ def test_batched_replication_converges_to_reference(operations, shards, batch_si
         if index % 5 == 4:
             replicator.replicate()  # interleaved incremental passes
             _read_documents(target)  # ... each read before the next lands
-            _encode_everything(target)  # ... and encoded: a stale fragment would show
+            _derive_everything(target)  # ... and derived: a stale fragment would show
     replicator.replicate()
 
     _assert_read_path(source)
     _assert_read_path(target)
-    _assert_encoded_form(source, reference)
-    _assert_encoded_form(target, reference)
+    _assert_derived_forms(source, reference)
+    _assert_derived_forms(target, reference)
     observed_reference = _observe(reference)
     observed_target = _observe(target)
     # The replica sees the deduplicated feed: every *surviving* document,

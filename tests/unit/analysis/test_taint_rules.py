@@ -148,6 +148,28 @@ class TestRawJson:
             "    engine.publish('/export', {'body': json_codec.join_array([r.json for r in rows])})\n"
         )
 
+    PARTIAL_PAGE = (
+        "def front_page(request, db, templates):\n"
+        "    rows = db.view('records/by_mid', key=str(request.user.mdt_id), include_docs=True)\n"
+        "    return Response(templates.render('front-page', title=request.params.get('t'), rows=rows))\n"
+    )
+
+    def test_page_of_row_partials_is_fine_and_still_labelled_at_the_response(self):
+        assert rules_of(self.PARTIAL_PAGE) == []
+        assert return_taint_of(self.PARTIAL_PAGE, "front_page") == {LABELED}
+
+    def test_derived_forms_are_labelled_like_row_json(self):
+        handler = (
+            "import json\n"
+            "from repro.taint import json_codec\n"
+            "def export(request, db, engine):\n"
+            "    rows = db.view('records/by_mid', key='1', include_docs=True)\n"
+            "    engine.publish('/export', {{'body': [row.form({derive}) for row in rows]}})\n"
+        )
+        assert rules_of(handler.format(derive="json_codec.dumps")) == ["ifc-unlabeled-publish"]
+        assert rules_of(handler.format(derive="render_row")) == ["ifc-unlabeled-publish"]
+        assert "ifc-raw-json" in rules_of(handler.format(derive="json.dumps"))
+
     def test_join_clears_user_taint_like_dumps(self):
         handler = (
             "from repro.taint import json_codec\n"

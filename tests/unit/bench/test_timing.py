@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.bench.timing import LatencyStats, measure_latency, overhead_percent
+from repro.bench.timing import (
+    LatencyStats,
+    measure_interleaved,
+    measure_latency,
+    overhead_percent,
+)
 
 
 class TestLatencyStats:
@@ -50,6 +55,28 @@ class TestMeasureLatency:
         assert len(calls) == 55
         assert stats.count == 50
         assert stats.mean >= 0
+
+
+class TestMeasureInterleaved:
+    def test_alternates_every_operation_and_rotates_the_first(self):
+        calls = []
+        stats = measure_interleaved(
+            lambda: calls.append("a"), lambda: calls.append("b"), lambda: calls.append("c"),
+            iterations=4, warmup=2,
+        )
+        assert [s.count for s in stats] == [4, 4, 4]
+        rounds = ["".join(calls[i : i + 3]) for i in range(0, len(calls), 3)]
+        assert len(rounds) == 6 and all(sorted(r) == ["a", "b", "c"] for r in rounds)
+        assert set(rounds) == {"abc", "bca", "cab"}  # nobody always runs first
+
+    def test_prepare_runs_untimed_before_every_round(self):
+        calls = []
+        (stats,) = measure_interleaved(
+            lambda: calls.append("op"), iterations=3, warmup=1,
+            prepare=lambda: calls.append("prepare"),
+        )
+        assert calls == ["prepare", "op"] * 4
+        assert stats.count == 3
 
 
 class TestOverheadPercent:

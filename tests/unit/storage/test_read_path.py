@@ -1,8 +1,8 @@
 """The docstore read path: a revision's labeled form is materialised
 once and shared, so every reader must get documents it owns, from one
 consistent snapshot, carrying the labels of the *current* revision —
-and the revision's encoded form (``ViewRow.json``) is the store's own,
-whatever a reader does to its copy."""
+and the revision's derived forms (``ViewRow.form``, ``ViewRow.json``)
+are the store's own, whatever a reader does to its copy."""
 
 import sys
 import threading
@@ -13,6 +13,7 @@ from repro.core.labels import LabelSet, conf_label, int_label
 from repro.storage import Database, Replicator, ShardedDatabase, ViewRow
 from repro.storage.recovery import close_durable, open_durable_database
 from repro.taint import is_user_tainted, json_codec, label, labels_of
+from repro.web.templates import TemplateRegistry
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 MDT = conf_label("ecric.org.uk", "mdt", "1")
@@ -234,33 +235,54 @@ def _assert_same_encoding(actual, expected):
     assert is_user_tainted(actual) is is_user_tainted(expected) is False
 
 
-class TestEncodedForm:
-    """``view(include_docs=True)`` rows expose the revision's labelled
-    JSON fragment: ``json_codec.dumps`` of the document the store
-    resolved, encoded once and owned by the store."""
+_TEMPLATES = TemplateRegistry()
+_TEMPLATES.register(
+    "row", '<p id="<%= item["_id"] %>"><%= item.get("name", "") %> <%= item.get("value", "") %></p>'
+)
+
+
+@pytest.fixture(params=["json", "partial"])
+def derive(request):
+    """A derived form: the labelled JSON text or a template partial's render."""
+    return json_codec.dumps if request.param == "json" else _TEMPLATES.get("row").render_item
+
+
+class TestDerivedForms:
+    """``view(include_docs=True)`` rows expose the revision's derived
+    forms: ``derive`` of the document the store resolved, computed once
+    and owned by the store. ``row.json`` is the ``json_codec.dumps`` one."""
 
     DOCUMENT = TestReadIsolation.DOCUMENT
 
-    def test_fragment_is_dumps_of_the_document_and_survives_vandalism(self, store):
+    def test_form_is_derive_of_the_document_and_survives_vandalism(self, store, derive):
         database, reopen = store
         database.define_view("by_kind", _by_kind)
         database.put(dict(self.DOCUMENT))
         for reader in (database, reopen()):
-            expected = json_codec.dumps(reader.get("a"))
+            expected = derive(reader.get("a"))
             assert labels_of(expected) == LabelSet([PATIENT])
             for query in ({}, {"key": "record"}):
                 (row,) = reader.view("by_kind", include_docs=True, **query)
-                _assert_same_encoding(row.json, expected)
-                _vandalise(row.value)  # the caller's copy, not the fragment's source
-                _assert_same_encoding(row.json, expected)
+                _assert_same_encoding(row.form(derive), expected)
+                _vandalise(row.value)  # the caller's copy, not the form's source
+                _assert_same_encoding(row.form(derive), expected)
                 (again,) = reader.view("by_kind", include_docs=True, **query)
-                assert again.json is row.json  # encoded once per revision
-                _assert_same_encoding(
-                    json_codec.join_array([again.json]), json_codec.dumps([reader.get("a")])
-                )
+                _vandalise(again.value)  # ... in either order
+                assert again.form(derive) is row.form(derive)  # derived once per revision
+                assert again.value["name"] == "evil" and reader.get("a")["name"] == "alice"
 
-    def test_relabelled_identical_body_is_served_with_the_new_labels(self, store):
-        """Confidentiality *and* integrity: the fragment's labels are the
+    def test_json_is_the_dumps_form_and_joins_to_dumps_of_the_list(self, store):
+        database, _reopen = store
+        database.define_view("by_kind", _by_kind)
+        database.put(dict(self.DOCUMENT))
+        (row,) = database.view("by_kind", include_docs=True)
+        assert row.json is row.form(json_codec.dumps)
+        _assert_same_encoding(
+            json_codec.join_array([row.json]), json_codec.dumps([database.get("a")])
+        )
+
+    def test_relabelled_identical_body_is_served_with_the_new_labels(self, store, derive):
+        """Confidentiality *and* integrity: a form's labels are the
         §4.1 fold (integrity intersects), not the revision's sidecar
         union, so neither can stand in for the other."""
         database, reopen = store
@@ -269,12 +291,12 @@ class TestEncodedForm:
 
         def fragment(reader):
             (row,) = reader.view("by_kind", key="metric", include_docs=True)
-            _assert_same_encoding(row.json, json_codec.dumps(row.value))
-            return row.json
+            _assert_same_encoding(row.form(derive), derive(row.value))
+            return row.form(derive)
 
         database.upsert({**body, "value": label("0.93", MDT, TRUSTED)})
         first = fragment(database)
-        assert labels_of(first) == LabelSet([MDT])  # plain keys endorse nothing
+        assert labels_of(first) == LabelSet([MDT])  # plain keys / markup endorse nothing
         assert database.raw_document("m").labels == LabelSet([MDT, TRUSTED])
 
         database.upsert({**body, "value": label("0.93", MDT, OTHER_MDT)})
@@ -286,44 +308,67 @@ class TestEncodedForm:
         database.upsert({**body, "value": "0.93"})  # ... and declassified again
         assert labels_of(fragment(database)) == LabelSet()
 
-    def test_row_without_a_document_has_no_fragment(self, store):
+    def test_row_resolves_value_and_forms_from_the_revision_it_matched(self, store, derive):
+        """A row outlives the write that supersedes its revision: what it
+        resolves afterwards — lazily — is still what the query matched."""
+        database, _reopen = store
+        database.define_view("by_kind", _by_kind)
+        database.put({"_id": "a", "kind": "record", "name": label("alice", PATIENT)})
+        database.put({"_id": "b", "kind": "record", "name": label("bob", PATIENT)})
+        updated, deleted = database.view("by_kind", key="record", include_docs=True)
+        matched = [derive(database.get(doc_id)) for doc_id in ("a", "b")]
+
+        database.upsert({"_id": "a", "kind": "record", "name": label("mallory", MDT)})
+        database.delete("b", database.get("b")["_rev"])
+
+        assert (updated.value["name"], deleted.value["name"]) == ("alice", "bob")
+        assert labels_of(updated.value["name"]) == LabelSet([PATIENT])
+        for row, expected in zip((updated, deleted), matched):
+            _assert_same_encoding(row.form(derive), expected)
+        (current,) = database.view("by_kind", key="record", include_docs=True)
+        assert current.value["name"] == "mallory"
+        assert labels_of(current.form(derive)) == LabelSet([MDT])
+
+    def test_row_without_a_document_has_neither_value_copy_nor_form(self, store, derive):
         database, _reopen = store
         database.define_view("by_kind", _by_kind)
         database.put(dict(self.DOCUMENT))
         (row,) = database.view("by_kind")
-        assert row.json is None
+        assert row.value is None  # the emitted value, not a document
+        assert row.form(derive) is None and row.json is None
         with pytest.raises(TypeError):
             json_codec.join_array([row.json])
 
-    def test_fragment_does_not_take_part_in_row_equality(self, store):
+    def test_forms_do_not_take_part_in_row_equality(self, store, derive):
         database, _reopen = store
         database.define_view("by_kind", _by_kind)
         database.put(dict(self.DOCUMENT))
         (row,) = database.view("by_kind", include_docs=True)
-        assert row.json is not None
+        assert row.form(derive) is not None
         assert row == ViewRow(row.doc_id, row.key, database.get("a"))
+        assert row != ViewRow(row.doc_id, row.key, {**database.get("a"), "name": "mallory"})
 
-    def test_threads_racing_the_first_encode_get_equal_fragments(self):
+    def test_threads_racing_the_first_derivation_get_equal_forms(self, derive):
         database = Database("app")
         database.define_view("by_kind", _by_kind)
         for index in range(40):
             database.put({**self.DOCUMENT, "_id": f"doc-{index:02d}"})
-        expected = [json_codec.dumps(document) for document in database.all_docs()]
-        rows = database.view("by_kind", include_docs=True)  # nothing encoded yet
+        expected = [derive(document) for document in database.all_docs()]
+        rows = database.view("by_kind", include_docs=True)  # nothing derived yet
         barrier = threading.Barrier(8)
         results, errors = [], []
 
-        def encode_all():
+        def derive_all():
             try:
                 barrier.wait(timeout=10)
-                results.append([row.json for row in rows])
+                results.append([row.form(derive) for row in rows])
             except Exception as error:  # noqa: BLE001 - reported below
                 errors.append(error)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=encode_all) for _ in range(8)]
+            threads = [threading.Thread(target=derive_all) for _ in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -335,6 +380,6 @@ class TestEncodedForm:
         for fragments in results:
             for fragment, reference in zip(fragments, expected):
                 _assert_same_encoding(fragment, reference)
-        # One attribute store won per revision: later readers share it.
-        settled = [row.json for row in database.view("by_kind", include_docs=True)]
-        assert all(a is b for a, b in zip(settled, [row.json for row in rows]))
+        # One store won per revision: later readers share it.
+        settled = [row.form(derive) for row in database.view("by_kind", include_docs=True)]
+        assert all(a is b for a, b in zip(settled, [row.form(derive) for row in rows]))

@@ -186,3 +186,88 @@ class TestRegistry:
         registry.register("page", "<%= value %>")
         rendered = registry.render("page", value=label("secret", MDT))
         assert labels_of(rendered) == LabelSet([MDT])
+
+
+class _Row:
+    """A stand-in for a view row: offers ``form(derive)`` over a document."""
+
+    def __init__(self, document):
+        self.document = document
+        self.forms = {}
+        self.derivations = 0
+
+    def form(self, derive):
+        if derive not in self.forms:
+            self.derivations += 1
+            self.forms[derive] = derive(dict(self.document))
+        return self.forms[derive]
+
+
+class TestPartials:
+    @staticmethod
+    def _registry(row_source="<li><%= item['name'] %></li>", **kwargs):
+        registry = TemplateRegistry()
+        registry.register("list", "<ul><% for row in rows %><% include('row', row) %><% end %></ul>")
+        registry.register("row", row_source, **kwargs)
+        return registry
+
+    def test_include_emits_the_partial_once_per_item(self):
+        page = self._registry().render("list", rows=[{"name": "a"}, {"name": "b"}])
+        assert page == "<ul><li>a</li><li>b</li></ul>"
+        assert self._registry().render("list", rows=[]) == "<ul></ul>"
+
+    def test_partial_escapes_once_by_its_own_auto_escape(self):
+        rows = [{"name": "<b>&</b>"}]
+        assert self._registry().render("list", rows=rows) == "<ul><li>&lt;b&gt;&amp;&lt;/b&gt;</li></ul>"
+        raw = self._registry(auto_escape=False)
+        assert raw.render("list", rows=rows) == "<ul><li><b>&</b></li></ul>"
+
+    def test_partial_labels_and_taint_join_the_page_fold(self):
+        registry = self._registry("<li><%= item['name'] %><%== item['note'] %></li>")
+        rows = [
+            {"name": label("alice", PATIENT), "note": "ok"},
+            {"name": label("bob", MDT), "note": "ok"},
+        ]
+        page = registry.render("list", rows=rows)
+        assert labels_of(page) == LabelSet([PATIENT, MDT])
+        assert not is_user_tainted(page)
+        rows[1]["note"] = mark_user_input("<script>")
+        tainted = registry.render("list", rows=rows)
+        assert is_user_tainted(tainted) and "<script>" in tainted
+
+    def test_item_offering_form_is_rendered_once_per_compiled_partial(self):
+        registry = self._registry()
+        row = _Row({"name": mark_user_input("<i>")})
+        first = registry.render("list", rows=[row, row])
+        assert first == "<ul><li>&lt;i&gt;</li><li>&lt;i&gt;</li></ul>"
+        assert registry.render("list", rows=[row]) == "<ul><li>&lt;i&gt;</li></ul>"
+        assert row.derivations == 1 and not is_user_tainted(first)
+        (key,) = row.forms
+        assert key == registry.get("row").render_item
+
+    def test_reregistering_any_source_retires_every_memoised_fragment(self):
+        registry = TemplateRegistry()
+        registry.register("list", "<% for row in rows %><% include('row', row) %><% end %>")
+        registry.register("row", "[<% include('cell', item) %>]")
+        registry.register("cell", "<%= item['name'] %>")
+        row = _Row({"name": "a"})
+        assert registry.render("list", rows=[row]) == "[a]"
+        registry.register("cell", "<%= item['name'].upper() %>")  # included by the memoised one
+        assert registry.render("list", rows=[row]) == "[A]"
+        registry.register("row", "(<% include('cell', item) %>)")
+        assert registry.render("list", rows=[row]) == "(A)"
+
+    def test_include_needs_a_registry_a_known_name_and_a_document(self):
+        with pytest.raises(TemplateError, match="outside a TemplateRegistry"):
+            Template("<% include('row', 1) %>").render()
+        registry = TemplateRegistry()
+        registry.register("list", "<% include('missing', 1) %>")
+        with pytest.raises(TemplateError, match="unknown template 'missing'"):
+            registry.render("list")
+
+        class NoDocument:
+            def form(self, derive):
+                return None
+
+        with pytest.raises(TemplateError, match="has no document"):
+            self._registry().render("list", rows=[NoDocument()])
