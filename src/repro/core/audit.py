@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.labels import LabelSet
@@ -56,9 +57,20 @@ class AuditRecord:
 
 
 #: Recorded decisions: (component, operation, principal, decision,
-#: labels-or-None, detail, timestamp). Formatting into AuditRecord
-#: happens at flush time, off the enforcement hot path.
+#: labels-or-None, detail, timestamp). The ring keeps them raw beside
+#: their record id; formatting into AuditRecord happens when the log is
+#: queried, for the entries the query matches.
 _PendingEntry = Tuple[str, str, str, str, Optional[LabelSet], str, float]
+_RingEntry = Tuple[int, _PendingEntry]
+
+_counter_key = itemgetter(0, 1, 3)
+
+
+def _format(item: _RingEntry) -> AuditRecord:
+    record_id, (component, operation, principal, decision, labels, detail, when) = item
+    return AuditRecord(
+        record_id, when, component, operation, principal, decision, labels or LabelSet(), detail
+    )
 
 
 class AuditLog:
@@ -70,25 +82,27 @@ class AuditLog:
 
     There is one recording path: :meth:`record` (and its spellings
     :meth:`allowed`, :meth:`denied`, :meth:`note`) timestamps the
-    decision and appends a raw tuple to a ring buffer;
-    :class:`AuditRecord` construction, locking and counter updates are
-    deferred to :meth:`flush`. Every query flushes first, so observers
+    decision and appends a raw tuple to a pending buffer; locking,
+    counter updates, record ids and the capacity trim are deferred to
+    :meth:`flush`, and :class:`AuditRecord` construction to the query
+    that reads the entry. Every query flushes first, so observers
     always see a complete, exact, chronologically ordered log — only
-    *when* the formatting cost is paid differs from recording eagerly.
+    *when* (and whether) the formatting cost is paid differs from
+    recording eagerly.
     """
 
     def __init__(self, capacity: int = 10_000, clock: Callable[[], float] = time.time):
         self._lock = threading.Lock()
-        self._records: List[AuditRecord] = []
+        self._ring: Deque[_RingEntry] = deque(maxlen=capacity)
         self._capacity = capacity
         self._clock = clock
-        self._counters: Dict[tuple, int] = {}
+        self._counters: Counter[Tuple[str, str, str]] = Counter()
         self._pending: Deque[_PendingEntry] = deque()
-        #: Flush when this many decisions are pending, so the buffer is a
-        #: bounded ring even if no one queries the log for a long time.
-        #: Deliberately larger than small capacities: a flush only
-        #: materialises the last ``capacity`` entries (older ones would
-        #: be evicted immediately), so a big batch amortises formatting.
+        #: Flush when this many decisions are pending, so the buffer is
+        #: bounded even if no one queries the log for a long time.
+        #: Deliberately larger than small capacities: a flush only keeps
+        #: the last ``capacity`` entries (older ones would be evicted
+        #: immediately), so a big batch amortises the lock and the drain.
         self._flush_threshold = max(256, min(capacity, 4096))
 
     def record(
@@ -119,12 +133,12 @@ class AuditLog:
         self.record(component, operation, principal, DENIED, **kwargs)
 
     def flush(self) -> int:
-        """Materialise pending entries; returns how many.
+        """Move pending entries into the ring; returns how many.
 
         Counters are updated for *every* pending decision (totals stay
-        exact), but :class:`AuditRecord` objects are only built for the
-        newest ``capacity`` entries — anything older would be evicted by
-        the ring bound the moment it was appended.
+        exact), but only the newest ``capacity`` entries get a record id
+        and a place in the ring — anything older would be evicted the
+        moment it was appended. No :class:`AuditRecord` is built here.
         """
         pending = self._pending
         if not pending:
@@ -132,39 +146,36 @@ class AuditLog:
         with self._lock:
             # Drain under the lock: concurrent flushes must not partition
             # the pending entries, or records would interleave out of
-            # order and the ring trim could evict the wrong batch.
-            drained: List[_PendingEntry] = []
-            for _ in range(len(pending)):
-                try:
-                    drained.append(pending.popleft())
-                except IndexError:
-                    break
+            # order and the ring trim could evict the wrong batch. Only
+            # lock holders pop, so the length read is a lower bound.
+            pop = pending.popleft
+            drained = [pop() for _ in range(len(pending))]
             if not drained:
                 return 0
-            counters = self._counters
-            for entry in drained:
-                key = (entry[0], entry[1], entry[3])
-                counters[key] = counters.get(key, 0) + 1
-            records = self._records
-            keep_from = max(0, len(drained) - self._capacity)
-            for component, operation, principal, decision, labels, detail, when in drained[
-                keep_from:
-            ]:
-                records.append(
-                    AuditRecord(
-                        record_id=next(_record_ids),
-                        timestamp=when,
-                        component=component,
-                        operation=operation,
-                        principal=principal,
-                        decision=decision,
-                        labels=labels or LabelSet(),
-                        detail=detail,
-                    )
-                )
-            if len(records) > self._capacity:
-                del records[: len(records) - self._capacity]
+            self._counters.update(map(_counter_key, drained))
+            kept = drained[max(0, len(drained) - self._capacity) :]
+            self._ring.extend(zip(itertools.islice(_record_ids, len(kept)), kept))
         return len(drained)
+
+    def _raw(
+        self,
+        component: Optional[str] = None,
+        decision: Optional[str] = None,
+        principal: Optional[str] = None,
+    ) -> List[_RingEntry]:
+        """The ring entries a query matches, oldest first, unformatted."""
+        self.flush()
+        with self._lock:
+            snapshot = list(self._ring)
+        if component is None and decision is None and principal is None:
+            return snapshot
+        return [
+            item
+            for item in snapshot
+            if (component is None or item[1][0] == component)
+            and (decision is None or item[1][3] == decision)
+            and (principal is None or item[1][2] == principal)
+        ]
 
     # -- queries ---------------------------------------------------------
 
@@ -174,16 +185,7 @@ class AuditLog:
         decision: Optional[str] = None,
         principal: Optional[str] = None,
     ) -> List[AuditRecord]:
-        self.flush()
-        with self._lock:
-            snapshot = list(self._records)
-        return [
-            record
-            for record in snapshot
-            if (component is None or record.component == component)
-            and (decision is None or record.decision == decision)
-            and (principal is None or record.principal == principal)
-        ]
+        return list(map(_format, self._raw(component, decision, principal)))
 
     def denials(self, component: Optional[str] = None) -> List[AuditRecord]:
         return self.records(component=component, decision=DENIED)
@@ -218,13 +220,13 @@ class AuditLog:
     def clear(self) -> None:
         with self._lock:
             self._pending.clear()
-            self._records.clear()
+            self._ring.clear()
             self._counters.clear()
 
     def __len__(self) -> int:
         self.flush()
         with self._lock:
-            return len(self._records)
+            return len(self._ring)
 
     def __iter__(self) -> Iterable[AuditRecord]:
         return iter(self.records())

@@ -430,15 +430,11 @@ class ClusterRouter:
 
 def _audit_tuples(audit: AuditLog) -> List[tuple]:
     """*audit*'s decisions as comparable, picklable tuples (detail dropped)."""
+    # Straight off the log's raw ring: entry = (component, operation,
+    # principal, decision, labels-or-None, detail, timestamp).
     return [
-        (
-            record.component,
-            record.operation,
-            record.principal,
-            record.decision,
-            tuple(record.labels.to_uris()),
-        )
-        for record in audit.records()
+        (*entry[:4], tuple(entry[4].to_uris()) if entry[4] else ())
+        for _record_id, entry in audit._raw()
     ]
 
 

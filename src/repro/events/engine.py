@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.audit import AuditLog, default_audit_log
@@ -48,7 +47,7 @@ from repro.core.principals import UnitPrincipal
 from repro.events.broker import Broker
 from repro.events.context import LabelContext, current_labels
 from repro.events.event import Event, as_events
-from repro.events.jail import Jail, isolate_callback, _state as _jail_state
+from repro.events.jail import Jail, isolate_callback
 from repro.events.lanes import BLOCK, EngineStats, LaneScheduler
 from repro.events.store import LabeledStore
 from repro.events.supervision import (
@@ -600,14 +599,8 @@ class EventProcessingEngine:
             self.broker.unsubscribe(subscription_id)
         return True
 
-    @contextmanager
-    def _lifted_jail(self):
-        previous = getattr(_jail_state, "denied_prefixes", None)
-        _jail_state.denied_prefixes = None
-        try:
-            yield
-        finally:
-            _jail_state.denied_prefixes = previous
+    #: Entered around a privileged unit's callback (see :meth:`_invoke`).
+    _lifted_jail = staticmethod(Jail.lifted)
 
     # -- internal: label-checked publish ----------------------------------------------
 

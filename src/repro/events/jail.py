@@ -42,7 +42,6 @@ import copy
 import sys
 import threading
 import types
-from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 from repro.exceptions import IsolationError
@@ -135,6 +134,33 @@ def restricted_builtins() -> dict:
     return namespace
 
 
+class _Containment:
+    """One entry into (or, with ``denied=None``, lift out of) a jail.
+
+    A plain ``__enter__``/``__exit__`` object rather than a generator:
+    the engine enters one per delivery. Nested inside another jail the
+    effective denied set is the union of the enclosing sets — an inner
+    jail can only tighten the outer one — and leaving restores the set
+    that was in force on entry.
+    """
+
+    __slots__ = ("_denied", "_outer")
+
+    def __init__(self, denied: Optional[Tuple[str, ...]]):
+        self._denied = denied
+        self._outer: Optional[Tuple[str, ...]] = None
+
+    def __enter__(self) -> None:
+        outer = self._outer = getattr(_state, "denied_prefixes", None)
+        denied = self._denied
+        if denied is not None and outer is not None and outer is not denied:
+            denied = outer + tuple(prefix for prefix in denied if prefix not in outer)
+        _state.denied_prefixes = denied
+
+    def __exit__(self, *_exc_info: Any) -> None:
+        _state.denied_prefixes = self._outer
+
+
 class Jail:
     """Execution containment for unit callbacks.
 
@@ -148,23 +174,14 @@ class Jail:
         self._denied_prefixes = tuple(denied_prefixes)
         _ensure_hook()
 
-    @contextmanager
-    def contained(self):
-        """Enter the jail for the calling thread.
+    def contained(self) -> _Containment:
+        """Enter the jail for the calling thread (``with jail.contained():``)."""
+        return _Containment(self._denied_prefixes)
 
-        Nested inside another jail, the effective denied set is the union
-        of the enclosing sets — an inner jail can only tighten the outer
-        one — and leaving restores the set that was in force on entry.
-        """
-        outer = getattr(_state, "denied_prefixes", None)
-        denied = self._denied_prefixes
-        if outer is not None and outer is not denied:
-            denied = outer + tuple(prefix for prefix in denied if prefix not in outer)
-        _state.denied_prefixes = denied
-        try:
-            yield self
-        finally:
-            _state.denied_prefixes = outer
+    @staticmethod
+    def lifted() -> _Containment:
+        """Suspend containment on the calling thread, restoring it on exit."""
+        return _Containment(None)
 
     @property
     def active(self) -> bool:

@@ -7,6 +7,9 @@ import threading
 
 import pytest
 
+from repro.core.audit import AuditLog
+from repro.core.policy import parse_policy
+from repro.events import Broker, EventProcessingEngine, unit_from_function
 from repro.events import jail as jail_module
 from repro.events.jail import (
     DEFAULT_DENIED_PREFIXES,
@@ -118,6 +121,154 @@ class TestIODenial:
         with jail.contained():
             assert jail.active
         assert not jail.active
+
+
+def _in_force():
+    """The denied-prefix tuple on the calling thread (``None`` outside any jail)."""
+    return getattr(jail_module._state, "denied_prefixes", None)
+
+
+#: Written by jailed callbacks: isolation copies a callback's globals
+#: dictionary shallowly, so a module-level list is still this list.
+CASCADE_SEEN = []
+
+CASCADE_POLICY = parse_policy(
+    """
+    authority ecric.org.uk
+
+    unit first {
+        clearance label:conf:ecric.org.uk/patient
+    }
+
+    unit second {
+        clearance label:conf:ecric.org.uk/patient
+    }
+
+    unit exporter {
+        privileged
+    }
+    """
+)
+
+
+class TestContainmentObjects:
+    """``contained()`` / ``_lifted_jail()`` are plain enter/exit objects;
+    their nesting is what the generator versions did."""
+
+    def test_nested_different_jail_unions_and_restores(self):
+        outer, inner = Jail(("socket.", "os.")), Jail(("os.", "open"))
+        assert _in_force() is None
+        with outer.contained():
+            assert _in_force() == ("socket.", "os.")
+            with inner.contained():
+                assert _in_force() == ("socket.", "os.", "open")  # outer first, no repeat
+                with outer.contained():
+                    assert _in_force() == ("socket.", "os.", "open")
+                assert _in_force() == ("socket.", "os.", "open")
+            assert _in_force() == ("socket.", "os.")
+        assert _in_force() is None
+
+    def test_exception_inside_restores(self, jail):
+        with Jail(("socket.",)).contained():
+            with pytest.raises(IsolationError):
+                with jail.contained():
+                    open("/nonexistent-and-denied")
+            assert _in_force() == ("socket.",)
+            with pytest.raises(KeyError):
+                with jail.contained():
+                    raise KeyError("unit bug")
+            assert _in_force() == ("socket.",)
+        assert _in_force() is None
+
+    def test_lifted_inside_contained_and_back(self, jail, tmp_path):
+        engine = EventProcessingEngine(broker=Broker(), policy=CASCADE_POLICY, audit=AuditLog())
+        with engine._lifted_jail():  # a lift outside any jail is a no-op
+            assert _in_force() is None
+        with jail.contained():
+            with engine._lifted_jail():
+                assert _in_force() is None and not jail.active
+                (tmp_path / "lifted").write_text("privileged unit I/O")
+                with jail.contained():  # a jailed unit invoked by the privileged one
+                    assert _in_force() == DEFAULT_DENIED_PREFIXES
+                assert _in_force() is None
+            assert _in_force() == DEFAULT_DENIED_PREFIXES
+            with pytest.raises(IsolationError):
+                open(tmp_path / "contained-again", "w")
+            with pytest.raises(RuntimeError):
+                with engine._lifted_jail():
+                    raise RuntimeError("privileged unit bug")
+            assert _in_force() == DEFAULT_DENIED_PREFIXES
+        assert _in_force() is None
+
+    def test_two_threads_contained_independently(self):
+        barrier = threading.Barrier(2, timeout=30)
+        seen, errors = {}, []
+
+        def worker(name, prefixes):
+            try:
+                unit_jail = Jail(prefixes)
+                barrier.wait()
+                with unit_jail.contained():
+                    barrier.wait()  # both threads are inside their own jail now
+                    seen[name] = _in_force()
+                    barrier.wait()
+                seen[name + ":after"] = _in_force()
+            except BaseException as error:  # noqa: BLE001 - reported by the main thread
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=("a", ("socket.",))),
+            threading.Thread(target=worker, args=("b", ("os.",))),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert seen == {"a": ("socket.",), "b": ("os.",), "a:after": None, "b:after": None}
+        assert _in_force() is None
+
+    def test_same_jail_reentered_by_a_cascade_publish(self, tmp_path):
+        """Sync engine: a jailed unit's publish runs the next unit's
+        callback inside the first one's containment, on the same jail."""
+        engine = EventProcessingEngine(
+            broker=Broker(raise_errors=True),
+            policy=CASCADE_POLICY,
+            audit=AuditLog(),
+            raise_callback_errors=True,
+        )
+        target = tmp_path / "exported"
+
+        @unit_from_function("/in", name="first")
+        def first(unit, event):
+            CASCADE_SEEN.append(("first:before", _in_force()))
+            unit.publish("/next")
+            CASCADE_SEEN.append(("first:after", _in_force()))
+
+        @unit_from_function("/next", name="second")
+        def second(unit, event):
+            CASCADE_SEEN.append(("second", _in_force()))
+            unit.publish("/export")
+            CASCADE_SEEN.append(("second:after", _in_force()))
+
+        @unit_from_function("/export", name="exporter")
+        def exporter(unit, event):
+            CASCADE_SEEN.append(("exporter", _in_force()))
+            target.write_text("privileged, two jails down")
+
+        for unit in (first, second, exporter):
+            engine.register(unit)
+        del CASCADE_SEEN[:]
+        engine.publish("/in")
+        jailed = engine._jail._denied_prefixes
+        assert [name for name, _ in CASCADE_SEEN] == [
+            "first:before", "second", "exporter", "second:after", "first:after",
+        ]
+        assert all(
+            (state is None) if name == "exporter" else (state is jailed)
+            for name, state in CASCADE_SEEN
+        )
+        assert target.exists() and _in_force() is None
 
 
 def _reference_denies(event: str, denied) -> bool:
