@@ -17,18 +17,10 @@ policy files short while enforcement still compares concrete labels.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Iterable, Mapping
 
 from repro.core.labels import Label, LabelSet, parse_label
 from repro.exceptions import PolicyError
-
-#: Monotonic id source for :attr:`PrivilegeSet.generation`. Privilege
-#: sets are immutable, so a *generation* identifies one fixed grant
-#: table: any cache keyed by ``(labelset, generation)`` stays valid for
-#: ever, and grant/revoke invalidate it simply by producing a new
-#: instance with a new generation.
-_generations = itertools.count(1)
 
 #: Bound for the per-instance clearance decision cache.
 _COVER_CACHE_LIMIT = 1024
@@ -99,7 +91,7 @@ class PrivilegeSet:
     backend and frontend, so both have dedicated helpers here.
     """
 
-    __slots__ = ("_grants", "_generation", "_cover_cache")
+    __slots__ = ("_grants", "_cover_cache")
 
     def __init__(self, grants: Mapping[str, Iterable[Label | str]] | None = None):
         normalised: Dict[str, FrozenSet[Label]] = {kind: frozenset() for kind in PRIVILEGE_KINDS}
@@ -111,18 +103,7 @@ class PrivilegeSet:
             )
             normalised[kind] = coerced
         self._grants = normalised
-        self._generation = next(_generations)
         self._cover_cache: Dict[LabelSet, bool] = {}
-
-    @property
-    def generation(self) -> int:
-        """A unique id for this (immutable) grant table.
-
-        Clearance decisions are pure functions of ``(labels, generation)``,
-        so enforcement caches key on the generation and are invalidated
-        by :meth:`grant`/:meth:`revoke` producing a new instance.
-        """
-        return self._generation
 
     # -- construction ------------------------------------------------------
 
@@ -157,9 +138,9 @@ class PrivilegeSet:
     def grant(self, kind: str, *labels: Label | str) -> "PrivilegeSet":
         """A copy additionally holding *kind* over each of *labels*.
 
-        Returns a new instance (with a fresh :attr:`generation`) so every
-        memoized clearance decision derived from the old table is
-        invalidated rather than mutated.
+        Returns a new instance, so every clearance decision memoised on
+        the old table (:meth:`clearance_covers`) is left behind rather
+        than mutated.
         """
         if kind not in PRIVILEGE_KINDS:
             raise PolicyError(f"unknown privilege kind {kind!r}")
@@ -173,7 +154,7 @@ class PrivilegeSet:
     def revoke(self, kind: str, *labels: Label | str) -> "PrivilegeSet":
         """A copy without the exact grants (*kind*, label) for *labels*.
 
-        Like :meth:`grant` this produces a new generation, so stale
+        Like :meth:`grant` this produces a new instance, so stale
         cached decisions cannot outlive the revocation. Only exact grant
         labels are removed; use :meth:`without_clearance_for` to strip
         hierarchical ancestors covering a label.

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.audit import ALLOWED, DENIED, AuditLog, default_audit_log
-from repro.core.labels import LabelSet
+from repro.core.labels import EMPTY_LABELS, LabelSet
 from repro.core.privileges import PrivilegeSet
 from repro.events.event import Event
 from repro.events.index import TopicTrie
@@ -59,9 +59,6 @@ _subscription_seq = itertools.count(1)
 #: Bound on the topic → candidate-list cache; publishes to more distinct
 #: topics than this simply rebuild entries from the trie.
 _ROUTE_CACHE_LIMIT = 4096
-
-#: Bound on the per-subscription clearance decision cache.
-_DECISION_CACHE_LIMIT = 1024
 
 
 def match_topic(pattern: str, topic: str) -> bool:
@@ -102,12 +99,6 @@ class Subscription:
     segments: Tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
     #: Registration order; delivery iterates subscriptions in this order.
     seq: int = field(init=False, repr=False, compare=False, default=0)
-    #: Memoized §4.2 decisions keyed by event label set, valid for one
-    #: clearance generation.
-    _decision_cache: Dict[LabelSet, bool] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _cache_generation: int = field(init=False, repr=False, compare=False, default=-1)
     #: The denial detail is subscription-constant; format it once instead
     #: of per filtered event.
     _denial_detail: str = field(init=False, repr=False, compare=False, default="")
@@ -117,36 +108,18 @@ class Subscription:
         self.seq = next(_subscription_seq)
         self._denial_detail = f"subscription {self.subscription_id} lacks clearance"
 
-    def wants(self, event: Event) -> bool:
-        """Topic + selector match (no security decision here)."""
-        if not match_topic(self.topic, event.topic):
-            return False
-        if self.selector is not None and not self.selector.matches(event.attributes):
-            return False
-        return True
-
     def cleared_for(self, event: Event) -> bool:
-        """The §4.2 label check, memoized per (labels, clearance generation)."""
+        """The §4.2 label check. ``clearance_covers`` memoises per label
+        set on the immutable :class:`PrivilegeSet` itself, so assigning a
+        new :attr:`clearance` (a grant, a revoke) is all the invalidation
+        there is."""
         labels = event.labels
-        generation = self.clearance.generation
-        if generation != self._cache_generation:
-            self._decision_cache.clear()
-            self._cache_generation = generation
-        cache = self._decision_cache
-        decision = cache.get(labels)
-        if decision is None:
-            decision = self._evaluate_clearance(labels)
-            if len(cache) >= _DECISION_CACHE_LIMIT:
-                cache.clear()
-            cache[labels] = decision
-        return decision
-
-    def _evaluate_clearance(self, labels: LabelSet) -> bool:
         if not self.clearance.clearance_covers(labels):
             return False
-        if self.require_integrity and not labels.meets_integrity(self.require_integrity):
-            return False
-        return True
+        required = self.require_integrity
+        # Label sets are interned: identity spares the common case a
+        # Python-level ``__bool__`` per delivery.
+        return required is EMPTY_LABELS or labels.meets_integrity(required)
 
 
 class BrokerStats:

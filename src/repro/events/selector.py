@@ -91,50 +91,19 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST — each node evaluates to a value or to None (SQL NULL / unknown)
+# Evaluators — the parser builds one closure per grammar node; each maps
+# attributes to a value or to None (SQL NULL / unknown), with operators,
+# choice sets and patterns resolved once at parse time so the delivery
+# path pays no per-event tree walk or attribute re-lookup.
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    """AST node. ``evaluate`` is the reference tree-walking interpreter;
-    ``compile`` folds the node into a closure so the hot delivery path
-    pays no per-event tree walk or attribute re-lookup."""
-
-    __slots__ = ()
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Any:
-        raise NotImplementedError
-
-    def compile(self) -> _Evaluator:
-        raise NotImplementedError
+def _literal(value: Any) -> _Evaluator:
+    return lambda attributes: value
 
 
-class _Literal(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Any:
-        return self.value
-
-    def compile(self) -> _Evaluator:
-        value = self.value
-        return lambda attributes: value
-
-
-class _Attribute(_Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Any:
-        return attributes.get(self.name)
-
-    def compile(self) -> _Evaluator:
-        name = self.name
-        return lambda attributes: attributes.get(name)
+def _attribute(name: str) -> _Evaluator:
+    return lambda attributes: attributes.get(name)
 
 
 def _as_number(value: Any) -> Optional[float]:
@@ -148,38 +117,6 @@ def _as_number(value: Any) -> Optional[float]:
         return None
 
 
-def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
-    """Three-valued comparison with JMS-style numeric coercion."""
-    if left is None or right is None:
-        return None
-    if isinstance(left, bool) or isinstance(right, bool):
-        if op == "=":
-            return left is right
-        if op == "<>":
-            return left is not right
-        return None
-    if isinstance(left, (int, float)) or isinstance(right, (int, float)):
-        left_num, right_num = _as_number(left), _as_number(right)
-        if left_num is None or right_num is None:
-            return None if op not in ("=", "<>") else (op == "<>")
-        left, right = left_num, right_num
-    else:
-        left, right = str(left), str(right)
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise SelectorSyntaxError(f"unknown comparison operator {op!r}")
-
-
 _COMPARATOR_OPS = {
     "=": operator.eq,
     "<>": operator.ne,
@@ -189,343 +126,151 @@ _COMPARATOR_OPS = {
     ">=": operator.ge,
 }
 
+_ARITHMETIC_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
-def _make_comparator(op: str) -> Callable[[Any, Any], Optional[bool]]:
-    """A closure with the exact semantics of :func:`_compare`, but with
-    the operator resolved once at compile time instead of per event."""
-    if op not in _COMPARATOR_OPS:
-        raise SelectorSyntaxError(f"unknown comparison operator {op!r}")
+
+def _comparison(op: str, left: _Evaluator, right: _Evaluator) -> _Evaluator:
+    """Three-valued comparison with JMS-style numeric coercion."""
     apply_op = _COMPARATOR_OPS[op]
     is_eq = op == "="
     is_ne = op == "<>"
 
-    def compare(left: Any, right: Any) -> Optional[bool]:
-        if left is None or right is None:
+    def compare(attributes: Mapping[str, str]) -> Optional[bool]:
+        left_value, right_value = left(attributes), right(attributes)
+        if left_value is None or right_value is None:
             return None
-        if isinstance(left, bool) or isinstance(right, bool):
+        if isinstance(left_value, bool) or isinstance(right_value, bool):
             if is_eq:
-                return left is right
+                return left_value is right_value
             if is_ne:
-                return left is not right
+                return left_value is not right_value
             return None
-        if isinstance(left, (int, float)) or isinstance(right, (int, float)):
-            left_num, right_num = _as_number(left), _as_number(right)
+        if isinstance(left_value, (int, float)) or isinstance(right_value, (int, float)):
+            left_num, right_num = _as_number(left_value), _as_number(right_value)
             if left_num is None or right_num is None:
                 return None if not (is_eq or is_ne) else is_ne
             return apply_op(left_num, right_num)
-        return apply_op(str(left), str(right))
+        return apply_op(str(left_value), str(right_value))
 
     return compare
 
 
-class _Comparison(_Node):
-    __slots__ = ("op", "left", "right")
+def _arithmetic(op: str, left: _Evaluator, right: _Evaluator) -> _Evaluator:
+    if op == "/":
 
-    def __init__(self, op: str, left: _Node, right: _Node):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[bool]:
-        return _compare(self.op, self.left.evaluate(attributes), self.right.evaluate(attributes))
-
-    def compile(self) -> _Evaluator:
-        compare = _make_comparator(self.op)
-        left = self.left.compile()
-        right = self.right.compile()
-        return lambda attributes: compare(left(attributes), right(attributes))
-
-
-class _Arithmetic(_Node):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: _Node, right: _Node):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[float]:
-        left = _as_number(self.left.evaluate(attributes))
-        right = _as_number(self.right.evaluate(attributes))
-        if left is None or right is None:
-            return None
-        if self.op == "+":
-            return left + right
-        if self.op == "-":
-            return left - right
-        if self.op == "*":
-            return left * right
-        if self.op == "/":
-            if right == 0:
-                return None
-            return left / right
-        raise SelectorSyntaxError(f"unknown arithmetic operator {self.op!r}")
-
-    def compile(self) -> _Evaluator:
-        op = self.op
-        left = self.left.compile()
-        right = self.right.compile()
-        if op == "/":
-
-            def divide(attributes: Mapping[str, str]) -> Optional[float]:
-                left_num = _as_number(left(attributes))
-                right_num = _as_number(right(attributes))
-                if left_num is None or right_num is None or right_num == 0:
-                    return None
-                return left_num / right_num
-
-            return divide
-        if op == "+":
-            apply_op = operator.add
-        elif op == "-":
-            apply_op = operator.sub
-        elif op == "*":
-            apply_op = operator.mul
-        else:
-            raise SelectorSyntaxError(f"unknown arithmetic operator {op!r}")
-
-        def arith(attributes: Mapping[str, str]) -> Optional[float]:
+        def divide(attributes: Mapping[str, str]) -> Optional[float]:
             left_num = _as_number(left(attributes))
             right_num = _as_number(right(attributes))
-            if left_num is None or right_num is None:
+            if left_num is None or right_num is None or right_num == 0:
                 return None
-            return apply_op(left_num, right_num)
+            return left_num / right_num
 
-        return arith
+        return divide
+    apply_op = _ARITHMETIC_OPS[op]
+
+    def arith(attributes: Mapping[str, str]) -> Optional[float]:
+        left_num = _as_number(left(attributes))
+        right_num = _as_number(right(attributes))
+        if left_num is None or right_num is None:
+            return None
+        return apply_op(left_num, right_num)
+
+    return arith
 
 
-class _Negate(_Node):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: _Node):
-        self.operand = operand
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[float]:
-        value = _as_number(self.operand.evaluate(attributes))
+def _negate(operand: _Evaluator) -> _Evaluator:
+    def negate(attributes: Mapping[str, str]) -> Optional[float]:
+        value = _as_number(operand(attributes))
         return None if value is None else -value
 
-    def compile(self) -> _Evaluator:
-        operand = self.operand.compile()
-
-        def negate(attributes: Mapping[str, str]) -> Optional[float]:
-            value = _as_number(operand(attributes))
-            return None if value is None else -value
-
-        return negate
+    return negate
 
 
-class _Not(_Node):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: _Node):
-        self.operand = operand
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[bool]:
-        value = self.operand.evaluate(attributes)
+def _not(operand: _Evaluator) -> _Evaluator:
+    def invert(attributes: Mapping[str, str]) -> Optional[bool]:
+        value = operand(attributes)
         if value is None:
             return None
         return not bool(value)
 
-    def compile(self) -> _Evaluator:
-        operand = self.operand.compile()
-
-        def negate(attributes: Mapping[str, str]) -> Optional[bool]:
-            value = operand(attributes)
-            if value is None:
-                return None
-            return not bool(value)
-
-        return negate
+    return invert
 
 
-class _And(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Node, right: _Node):
-        self.left = left
-        self.right = right
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[bool]:
-        left = self.left.evaluate(attributes)
-        if left is False:
+def _and(left: _Evaluator, right: _Evaluator) -> _Evaluator:
+    def conjoin(attributes: Mapping[str, str]) -> Optional[bool]:
+        left_value = left(attributes)
+        if left_value is False:
             return False
-        right = self.right.evaluate(attributes)
-        if right is False:
+        right_value = right(attributes)
+        if right_value is False:
             return False
-        if left is None or right is None:
+        if left_value is None or right_value is None:
             return None
         return True
 
-    def compile(self) -> _Evaluator:
-        left = self.left.compile()
-        right = self.right.compile()
+    return conjoin
 
-        def conjoin(attributes: Mapping[str, str]) -> Optional[bool]:
-            left_value = left(attributes)
-            if left_value is False:
-                return False
-            right_value = right(attributes)
-            if right_value is False:
-                return False
-            if left_value is None or right_value is None:
-                return None
+
+def _or(left: _Evaluator, right: _Evaluator) -> _Evaluator:
+    def disjoin(attributes: Mapping[str, str]) -> Optional[bool]:
+        left_value = left(attributes)
+        if left_value is True:
             return True
-
-        return conjoin
-
-
-class _Or(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Node, right: _Node):
-        self.left = left
-        self.right = right
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[bool]:
-        left = self.left.evaluate(attributes)
-        if left is True:
+        right_value = right(attributes)
+        if right_value is True:
             return True
-        right = self.right.evaluate(attributes)
-        if right is True:
-            return True
-        if left is None or right is None:
+        if left_value is None or right_value is None:
             return None
         return False
 
-    def compile(self) -> _Evaluator:
-        left = self.left.compile()
-        right = self.right.compile()
-
-        def disjoin(attributes: Mapping[str, str]) -> Optional[bool]:
-            left_value = left(attributes)
-            if left_value is True:
-                return True
-            right_value = right(attributes)
-            if right_value is True:
-                return True
-            if left_value is None or right_value is None:
-                return None
-            return False
-
-        return disjoin
+    return disjoin
 
 
-class _Between(_Node):
-    __slots__ = ("operand", "low", "high", "negated")
-
-    def __init__(self, operand: _Node, low: _Node, high: _Node, negated: bool):
-        self.operand = operand
-        self.low = low
-        self.high = high
-        self.negated = negated
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[bool]:
-        value = _as_number(self.operand.evaluate(attributes))
-        low = _as_number(self.low.evaluate(attributes))
-        high = _as_number(self.high.evaluate(attributes))
-        if value is None or low is None or high is None:
+def _between(operand: _Evaluator, low: _Evaluator, high: _Evaluator, negated: bool) -> _Evaluator:
+    def between(attributes: Mapping[str, str]) -> Optional[bool]:
+        value = _as_number(operand(attributes))
+        low_value = _as_number(low(attributes))
+        high_value = _as_number(high(attributes))
+        if value is None or low_value is None or high_value is None:
             return None
-        result = low <= value <= high
-        return not result if self.negated else result
+        result = low_value <= value <= high_value
+        return not result if negated else result
 
-    def compile(self) -> _Evaluator:
-        operand = self.operand.compile()
-        low = self.low.compile()
-        high = self.high.compile()
-        negated = self.negated
-
-        def between(attributes: Mapping[str, str]) -> Optional[bool]:
-            value = _as_number(operand(attributes))
-            low_value = _as_number(low(attributes))
-            high_value = _as_number(high(attributes))
-            if value is None or low_value is None or high_value is None:
-                return None
-            result = low_value <= value <= high_value
-            return not result if negated else result
-
-        return between
+    return between
 
 
-class _In(_Node):
-    __slots__ = ("operand", "choices", "negated")
+def _in(operand: _Evaluator, choices: Tuple[str, ...], negated: bool) -> _Evaluator:
+    members = frozenset(choices)
 
-    def __init__(self, operand: _Node, choices: Tuple[str, ...], negated: bool):
-        self.operand = operand
-        self.choices = choices
-        self.negated = negated
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[bool]:
-        value = self.operand.evaluate(attributes)
+    def contains(attributes: Mapping[str, str]) -> Optional[bool]:
+        value = operand(attributes)
         if value is None:
             return None
-        result = str(value) in self.choices
-        return not result if self.negated else result
+        result = str(value) in members
+        return not result if negated else result
 
-    def compile(self) -> _Evaluator:
-        operand = self.operand.compile()
-        choices = frozenset(self.choices)
-        negated = self.negated
-
-        def contains(attributes: Mapping[str, str]) -> Optional[bool]:
-            value = operand(attributes)
-            if value is None:
-                return None
-            result = str(value) in choices
-            return not result if negated else result
-
-        return contains
+    return contains
 
 
-class _Like(_Node):
-    __slots__ = ("operand", "regex", "negated")
+def _like(operand: _Evaluator, pattern: str, escape: Optional[str], negated: bool) -> _Evaluator:
+    fullmatch = _like_to_regex(pattern, escape).fullmatch
 
-    def __init__(self, operand: _Node, pattern: str, escape: Optional[str], negated: bool):
-        self.operand = operand
-        self.regex = _like_to_regex(pattern, escape)
-        self.negated = negated
-
-    def evaluate(self, attributes: Mapping[str, str]) -> Optional[bool]:
-        value = self.operand.evaluate(attributes)
+    def like(attributes: Mapping[str, str]) -> Optional[bool]:
+        value = operand(attributes)
         if value is None:
             return None
-        result = self.regex.fullmatch(str(value)) is not None
-        return not result if self.negated else result
+        result = fullmatch(str(value)) is not None
+        return not result if negated else result
 
-    def compile(self) -> _Evaluator:
-        operand = self.operand.compile()
-        fullmatch = self.regex.fullmatch
-        negated = self.negated
-
-        def like(attributes: Mapping[str, str]) -> Optional[bool]:
-            value = operand(attributes)
-            if value is None:
-                return None
-            result = fullmatch(str(value)) is not None
-            return not result if negated else result
-
-        return like
+    return like
 
 
-class _IsNull(_Node):
-    __slots__ = ("operand", "negated")
+def _is_null(operand: _Evaluator, negated: bool) -> _Evaluator:
+    def is_null(attributes: Mapping[str, str]) -> bool:
+        result = operand(attributes) is None
+        return not result if negated else result
 
-    def __init__(self, operand: _Node, negated: bool):
-        self.operand = operand
-        self.negated = negated
-
-    def evaluate(self, attributes: Mapping[str, str]) -> bool:
-        is_null = self.operand.evaluate(attributes) is None
-        return not is_null if self.negated else is_null
-
-    def compile(self) -> _Evaluator:
-        operand = self.operand.compile()
-        negated = self.negated
-
-        def is_null(attributes: Mapping[str, str]) -> bool:
-            result = operand(attributes) is None
-            return not result if negated else result
-
-        return is_null
+    return is_null
 
 
 def _like_to_regex(pattern: str, escape: Optional[str]):
@@ -587,54 +332,54 @@ class _Parser:
 
     # -- grammar -------------------------------------------------------------
 
-    def parse(self) -> _Node:
+    def parse(self) -> _Evaluator:
         node = self._or_expr()
         if self._peek().kind != "end":
             raise SelectorSyntaxError(f"trailing input near {self._peek().value!r}")
         return node
 
-    def _or_expr(self) -> _Node:
+    def _or_expr(self) -> _Evaluator:
         node = self._and_expr()
         while self._accept("keyword", "OR"):
-            node = _Or(node, self._and_expr())
+            node = _or(node, self._and_expr())
         return node
 
-    def _and_expr(self) -> _Node:
+    def _and_expr(self) -> _Evaluator:
         node = self._not_expr()
         while self._accept("keyword", "AND"):
-            node = _And(node, self._not_expr())
+            node = _and(node, self._not_expr())
         return node
 
-    def _not_expr(self) -> _Node:
+    def _not_expr(self) -> _Evaluator:
         if self._accept("keyword", "NOT"):
-            return _Not(self._not_expr())
+            return _not(self._not_expr())
         return self._condition()
 
-    def _condition(self) -> _Node:
+    def _condition(self) -> _Evaluator:
         operand = self._sum()
         token = self._peek()
         if token.kind == "op" and token.value in ("=", "<>", "<", "<=", ">", ">="):
             self._advance()
-            return _Comparison(token.value, operand, self._sum())
+            return _comparison(token.value, operand, self._sum())
         negated = bool(self._accept("keyword", "NOT"))
         if self._accept("keyword", "BETWEEN"):
             low = self._sum()
             self._expect("keyword", "AND")
-            return _Between(operand, low, self._sum(), negated)
+            return _between(operand, low, self._sum(), negated)
         if self._accept("keyword", "IN"):
-            return _In(operand, self._literal_list(), negated)
+            return _in(operand, self._literal_list(), negated)
         if self._accept("keyword", "LIKE"):
             pattern = self._expect("string").value
             escape = None
             if self._accept("keyword", "ESCAPE"):
                 escape = self._expect("string").value
-            return _Like(operand, pattern, escape, negated)
+            return _like(operand, pattern, escape, negated)
         if negated:
             raise SelectorSyntaxError("NOT must be followed by BETWEEN, IN or LIKE here")
         if self._accept("keyword", "IS"):
             is_negated = bool(self._accept("keyword", "NOT"))
             self._expect("keyword", "NULL")
-            return _IsNull(operand, is_negated)
+            return _is_null(operand, is_negated)
         return operand
 
     def _literal_list(self) -> Tuple[str, ...]:
@@ -645,47 +390,47 @@ class _Parser:
         self._expect("op", ")")
         return tuple(values)
 
-    def _sum(self) -> _Node:
+    def _sum(self) -> _Evaluator:
         node = self._product()
         while True:
             token = self._peek()
             if token.kind == "op" and token.value in ("+", "-"):
                 self._advance()
-                node = _Arithmetic(token.value, node, self._product())
+                node = _arithmetic(token.value, node, self._product())
             else:
                 return node
 
-    def _product(self) -> _Node:
+    def _product(self) -> _Evaluator:
         node = self._unary()
         while True:
             token = self._peek()
             if token.kind == "op" and token.value in ("*", "/"):
                 self._advance()
-                node = _Arithmetic(token.value, node, self._unary())
+                node = _arithmetic(token.value, node, self._unary())
             else:
                 return node
 
-    def _unary(self) -> _Node:
+    def _unary(self) -> _Evaluator:
         if self._accept("op", "-"):
-            return _Negate(self._unary())
+            return _negate(self._unary())
         if self._accept("op", "+"):
             return self._unary()
         return self._primary()
 
-    def _primary(self) -> _Node:
+    def _primary(self) -> _Evaluator:
         token = self._peek()
         if token.kind in ("number", "string"):
             self._advance()
-            return _Literal(token.value)
+            return _literal(token.value)
         if token.kind == "keyword" and token.value in ("TRUE", "FALSE"):
             self._advance()
-            return _Literal(token.value == "TRUE")
+            return _literal(token.value == "TRUE")
         if token.kind == "keyword" and token.value == "NULL":
             self._advance()
-            return _Literal(None)
+            return _literal(None)
         if token.kind == "name":
             self._advance()
-            return _Attribute(token.value)
+            return _attribute(token.value)
         if self._accept("op", "("):
             node = self._or_expr()
             self._expect("op", ")")
@@ -696,25 +441,19 @@ class _Parser:
 class Selector:
     """A compiled selector; ``matches`` applies SQL semantics (NULL ≠ match).
 
-    Parsing produces both the AST (kept as the reference interpreter,
-    reachable via :meth:`matches_interpreted`) and a compiled closure
-    tree used by :meth:`matches` on the hot delivery path. Instances are
-    immutable and safe to share across subscriptions and threads.
+    Parsing builds the closure tree :meth:`matches` runs on the delivery
+    path. Instances are immutable and safe to share across subscriptions
+    and threads.
     """
 
-    __slots__ = ("text", "_root", "_compiled")
+    __slots__ = ("text", "_compiled")
 
     def __init__(self, text: str):
         self.text = text
-        self._root = _Parser(_tokenize(text)).parse()
-        self._compiled = self._root.compile()
+        self._compiled = _Parser(_tokenize(text)).parse()
 
     def matches(self, attributes: Mapping[str, str]) -> bool:
         return self._compiled(attributes) is True
-
-    def matches_interpreted(self, attributes: Mapping[str, str]) -> bool:
-        """The reference tree-walking evaluation (for equivalence tests)."""
-        return self._root.evaluate(attributes) is True
 
     def __repr__(self) -> str:
         return f"Selector({self.text!r})"

@@ -125,7 +125,7 @@ class MdtDeployment:
         self.workload = workload if workload is not None else generate_workload(config)
         self.directory = self.workload.directory
         # ``data_dir`` makes the deployment durable: both application
-        # databases gain per-shard WALs + snapshots (repro.storage.wal),
+        # databases gain per-shard WALs (repro.storage.wal),
         # the web database lives in an SQLite file, and replication
         # checkpoints persist so a restarted deployment resumes from the
         # last completed batch. Default **off**: the §5.3 benchmarks

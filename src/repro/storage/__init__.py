@@ -11,7 +11,7 @@ The MDT deployment uses three stores, all reproduced here:
   (:mod:`repro.storage.couchrest`). The seed implementation survives as
   the executable spec in :mod:`repro.storage.reference`;
   The application database is durable on request: per-shard write-ahead
-  logs with group-commit fsync batching and compacted snapshots
+  logs with group-commit fsync batching, compacted in place
   (:mod:`repro.storage.wal`), crash recovery and persisted replication
   checkpoints (:mod:`repro.storage.recovery`), proven against
   deterministic fault injection (:mod:`repro.storage.faults`) — see
@@ -50,7 +50,7 @@ from repro.storage.recovery import (
     open_durable_database,
     snapshot_durable,
 )
-from repro.storage.wal import ShardDurability, SnapshotStore, WalWriter, read_wal
+from repro.storage.wal import ShardDurability, WalWriter, read_wal
 
 __all__ = [
     "Change",
@@ -78,7 +78,6 @@ __all__ = [
     "snapshot_durable",
     "close_durable",
     "ShardDurability",
-    "SnapshotStore",
     "WalWriter",
     "read_wal",
 ]

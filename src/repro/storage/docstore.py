@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 from repro.core.labels import EMPTY_LABELS, LabelSet
 from repro.exceptions import DocumentConflict, DocumentNotFound, ReadOnlyError, SafeWebError
 from repro.taint import json_codec
-from repro.taint.labeled import labels_of, strip_labels
+from repro.taint.labeled import labels_of, strip_labels, with_labels
 from repro.taint.string import LabeledStr
 
 #: A map view callable: receives the (plain) document, yields
@@ -265,12 +265,12 @@ class _ViewIndex:
     emitted it, so exact-key queries touch only matching documents;
     documents with unhashable emitted keys land in ``unhashable_docs``
     and are scanned (equality may still hold where hashing cannot).
-    ``labeled_rows`` lazily caches the map output over the *labeled*
-    document for documents with a non-empty sidecar, so labeled view
-    rows are derived once per write instead of once per read.
+    The index itself holds nothing labelled: a labelled document's
+    labelled emissions are a per-revision form (see
+    :meth:`labelled_emissions`).
     """
 
-    __slots__ = ("map_function", "reduce_function", "rows", "by_key", "unhashable_docs", "labeled_rows")
+    __slots__ = ("map_function", "reduce_function", "rows", "by_key", "unhashable_docs")
 
     def __init__(self, map_function: MapFunction, reduce_function: Optional[ReduceFunction] = None):
         self.map_function = map_function
@@ -278,7 +278,19 @@ class _ViewIndex:
         self.rows: Dict[str, List[Tuple[Any, Any]]] = {}
         self.by_key: Dict[Any, Set[str]] = {}
         self.unhashable_docs: Set[str] = set()
-        self.labeled_rows: Dict[str, List[Tuple[Any, Any]]] = {}
+
+    def labelled_emissions(self, document: Dict[str, Any]) -> List[Tuple[Any, Any]]:
+        """This view's map output over a *labelled* document — the derive
+        callable for :meth:`_StoredDocument.form`, so it is computed once
+        per (view, revision) and dies with either. The map sees what it
+        saw at index time (body plus ``_id``, no ``_rev``) and fails the
+        same way: an error emits nothing, which leaves every row of the
+        document unpaired (see :meth:`Database._labelled_rows`)."""
+        del document["_rev"]
+        try:
+            return [(key, value) for key, value in self.map_function(document)]
+        except (KeyError, TypeError, AttributeError):
+            return []
 
 
 def _next_rev(current: Optional[str], canonical_body: str) -> str:
@@ -358,7 +370,10 @@ class Database:
         self._sequence = sequence if sequence is not None else SequenceAllocator()
         self._documents: Dict[str, _StoredDocument] = {}
         self._seq = 0  # last sequence recorded by *this* database
-        self._changes: List[Change] = []
+        #: The changes feed: each document's latest change, in ascending
+        #: sequence order (an update re-inserts its entry at the end), so
+        #: it grows with ids, not writes.
+        self._changes: Dict[str, Change] = {}
         self._views: Dict[str, _ViewIndex] = {}
         self._listeners: List[Callable[[List[Change]], None]] = []
         #: Optional :class:`repro.storage.wal.ShardDurability`; when set,
@@ -514,7 +529,7 @@ class Database:
         if stored.order == 0:
             stored.order = self._seq  # creations (and recreations) append
         change = Change(self._seq, stored.doc_id, stored.rev, stored.deleted)
-        self._changes.append(change)
+        self._record_change(change)
         if self._durability is not None:
             # Write-ahead under the same lock hold that installed the
             # revision: the log is strictly append-ordered with commits,
@@ -542,7 +557,7 @@ class Database:
 
     def _durable_point(self) -> None:
         """Single-document acknowledgement point: batched fsync + maybe
-        snapshot. Runs after the store lock is released; any thread's
+        compaction. Runs after the store lock is released; any thread's
         fsync covers every previously appended record."""
         durability = self._durability
         if durability is not None:
@@ -554,29 +569,6 @@ class Database:
         durability = self._durability
         if durability is not None:
             durability.batch_point(self)
-
-    def durable_state(self) -> Dict[str, Any]:
-        """The snapshot payload: every stored document (tombstones
-        included) at its latest change sequence, plus the shard's last
-        recorded sequence. Keeping tombstones preserves MVCC conflict
-        detection and replication of deletes across a restart."""
-        with self._lock:
-            docs = []
-            for change in self.changes(since=0):
-                stored = self._documents[change.doc_id]
-                docs.append(
-                    [
-                        "c",
-                        change.seq,
-                        stored.doc_id,
-                        stored.rev,
-                        stored.body,
-                        stored.sidecar,
-                        1 if stored.deleted else 0,
-                        stored.order,
-                    ]
-                )
-            return {"seq": self._seq, "docs": docs}
 
     def load_recovered(self, entries: Iterable[Tuple[int, _StoredDocument]]) -> None:
         """Install recovered ``(seq, stored_document)`` entries.
@@ -591,7 +583,7 @@ class Database:
         with self._lock:
             for seq, stored in entries:
                 self._documents[stored.doc_id] = stored
-                self._changes.append(Change(seq, stored.doc_id, stored.rev, stored.deleted))
+                self._record_change(Change(seq, stored.doc_id, stored.rev, stored.deleted))
                 if seq > self._seq:
                     self._seq = seq
 
@@ -738,9 +730,12 @@ class Database:
         Row order is stable: ascending document id, emissions in map
         order — identical to the seed store and across shard counts.
 
-        Ownership: emitted keys and values belong to the view index
-        (the seed store shared its index objects the same way) — treat
-        them as read-only, or mutate a copy. Documents resolved by
+        Ownership: emitted keys and values belong to the store (the
+        view index or, for a labelled document, the revision's labelled
+        emissions; the seed store shared its index objects the same way)
+        — treat them as read-only, or mutate a copy. A labelled
+        document's rows carry the labels of the fields this view emitted
+        them from (see :meth:`_labelled_rows`). Documents resolved by
         ``include_docs`` belong to the caller, like :meth:`get`'s, and
         are copied out when :attr:`ViewRow.value` is first read; each
         such row also exposes the stored revision's derived forms
@@ -753,27 +748,27 @@ class Database:
                 raise DocumentNotFound(f"no view {name!r} in database {self.name!r}")
             if reduce:
                 return self._reduce(view, key, clearance)
-            rows = self._matching_rows(view, key, clearance)
+            rows = self._matching_rows(view, key, clearance, labelled=not include_docs)
             if include_docs:
                 return [
                     ViewRow(stored.doc_id, emitted_key, _UNRESOLVED, stored)
                     for stored, emitted_key, _emitted_value in rows
                 ]
             return [
-                self._relabel_row(stored, emitted_key, emitted_value)
-                if stored.sidecar
-                else ViewRow(stored.doc_id, emitted_key, emitted_value)
+                ViewRow(stored.doc_id, emitted_key, emitted_value)
                 for stored, emitted_key, emitted_value in rows
             ]
 
     def _matching_rows(
-        self, view: _ViewIndex, key: Any, clearance: Optional[LabelSet]
+        self, view: _ViewIndex, key: Any, clearance: Optional[LabelSet], labelled: bool = False
     ) -> List[Tuple[_StoredDocument, Any, Any]]:
         """(revision, key, value) triples matching *key*, in row order.
 
         Each row carries the stored revision that emitted it, so callers
-        resolve documents and labels from exactly what was matched. Must
-        run under :attr:`_lock`.
+        resolve documents and labels from exactly what was matched. With
+        *labelled*, a labelled document's rows carry their labels (see
+        :meth:`_labelled_rows`); the index's stripped rows otherwise.
+        Must run under :attr:`_lock`.
         """
         if key is None or not _is_hashable(key):
             candidates: Iterable[str] = view.rows
@@ -790,7 +785,12 @@ class Database:
             stored = self._documents[doc_id]
             if clearance is not None and not stored.labels.flows_to(clearance):
                 continue
-            for emitted_key, emitted_value in view.rows[doc_id]:
+            emissions = view.rows[doc_id]
+            if labelled and stored.sidecar:
+                emissions = self._labelled_rows(view, stored, emissions)
+            for emitted_key, emitted_value in emissions:
+                # Labelled scalars compare by value, so the filter reads
+                # the same on either form of the row.
                 if key is not None and emitted_key != key:
                     continue
                 rows.append((stored, emitted_key, emitted_value))
@@ -826,39 +826,30 @@ class Database:
                 raise SafeWebError("view has no reduce function")
             return self._reduce_partial_locked(view, key, clearance)
 
-    def _relabel_row(self, stored: _StoredDocument, key: Any, value: Any) -> ViewRow:
-        """Re-derive a row from the labeled document (seed semantics).
+    @staticmethod
+    def _labelled_rows(
+        view: _ViewIndex, stored: _StoredDocument, emissions: List[Tuple[Any, Any]]
+    ) -> List[Tuple[Any, Any]]:
+        """*emissions* (the index's stripped rows for *stored*) with labels.
 
-        Views are searched in definition order for one whose index holds
-        this (key, value) for the document; that view's map output over
-        the *labeled* document (cached per write in ``labeled_rows``)
-        supplies the first emission whose stripped form matches. Must
-        run under :attr:`_lock`.
+        The view being served supplies them: its map output over the
+        labelled document, one per-revision form, pairs with the index
+        **by position** — the n-th row is the n-th labelled emission, so
+        two emissions that strip equal keep their own labels and no
+        other view is ever consulted. A row whose partner is missing or
+        does not strip back to it (a map that behaves differently on
+        labelled input) fails closed: key and value alike carry every
+        confidentiality label in the document and none of its integrity
+        labels (integrity is a claim; nobody checked it for this row).
         """
-        for view in self._views.values():
-            emissions = view.rows.get(stored.doc_id)
-            if emissions is None or (key, value) not in emissions:
-                continue
-            for emitted_key, emitted_value in self._labeled_rows(view, stored):
-                if (
-                    strip_labels(emitted_key) == key
-                    and strip_labels(emitted_value) == value
-                ):
-                    return ViewRow(stored.doc_id, emitted_key, emitted_value)
-            break
-        return ViewRow(stored.doc_id, key, value)
-
-    def _labeled_rows(self, view: _ViewIndex, stored: _StoredDocument) -> List[Tuple[Any, Any]]:
-        """Map output over the labeled document, cached until the doc changes."""
-        cached = view.labeled_rows.get(stored.doc_id)
-        if cached is not None:
-            return cached
-        # The map function gets its own copy, so neither a mutating map
-        # nor a caller mutating an emitted container can reach the
-        # revision's shared labeled form.
-        subject = json_codec.copy_containers(stored.labeled())
-        rows = [(emitted_key, emitted_value) for emitted_key, emitted_value in view.map_function(subject)]
-        view.labeled_rows[stored.doc_id] = rows
+        labelled = stored.form(view.labelled_emissions)
+        rows = []
+        for position, stripped in enumerate(emissions):
+            row = labelled[position] if position < len(labelled) else None
+            if row is None or (strip_labels(row[0]), strip_labels(row[1])) != stripped:
+                union = LabelSet(stored.labels.confidentiality)
+                row = (with_labels(stripped[0], union), with_labels(stripped[1], union))
+            rows.append(row)
         return rows
 
     def _index_one(self, view: _ViewIndex, stored: _StoredDocument) -> None:
@@ -876,7 +867,6 @@ class Database:
                         if not docs:
                             del view.by_key[emitted_key]
             view.unhashable_docs.discard(stored.doc_id)
-        view.labeled_rows.pop(stored.doc_id, None)
         if stored.deleted:
             return
         emissions = []
@@ -907,14 +897,21 @@ class Database:
         with self._lock:
             return self._seq
 
+    def _record_change(self, change: Change) -> None:
+        """Make *change* its document's one feed entry, at the end."""
+        self._changes.pop(change.doc_id, None)
+        self._changes[change.doc_id] = change
+
     def changes(self, since: int = 0) -> List[Change]:
         """Changes after sequence *since*, deduplicated to the latest per doc."""
+        recent: List[Change] = []
         with self._lock:
-            recent = [change for change in self._changes if change.seq > since]
-        latest: Dict[str, Change] = {}
-        for change in recent:
-            latest[change.doc_id] = change
-        return sorted(latest.values(), key=lambda change: change.seq)
+            for change in reversed(self._changes.values()):
+                if change.seq <= since:
+                    break
+                recent.append(change)
+        recent.reverse()
+        return recent
 
     def raw_document(self, doc_id: str) -> Optional[_StoredDocument]:
         """The stored form (replication reads this to push body+sidecar)."""

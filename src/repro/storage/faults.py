@@ -2,8 +2,8 @@
 
 The crash-recovery property suite (``tests/property/test_crash_recovery.py``)
 needs to stop the durable store at *exactly* one instrumented instant —
-mid-append, between an append and its fsync, between a snapshot rename
-and the WAL reset, between two shards' batch fsyncs — and then observe
+mid-append, between an append and its fsync, on either side of a
+compaction's rename, between two shards' batch fsyncs — and then observe
 what a recovery from the surviving files yields. Real kill -9 testing
 cannot hit those windows deterministically; this module makes every
 window a named **crash point**.
@@ -287,10 +287,9 @@ CRASH_POINTS = (
     "wal.append.after",    # frame written, not fsynced
     "wal.sync.before",     # about to fsync a group-commit batch
     "wal.sync.after",      # batch durable, ack not yet returned
-    "snapshot.begin",      # snapshot triggered, nothing written
-    "snapshot.written",    # tmp file written + fsynced, not renamed
-    "snapshot.renamed",    # snapshot live, WAL not yet reset
-    "wal.reset",           # WAL truncated after a snapshot
+    "compact.begin",       # compaction triggered, tmp log not yet written
+    "compact.fsynced",     # tmp log written + fsynced, not renamed
+    "compact.renamed",     # compacted log live, append handle reopened
     "checkpoint.before",   # batch applied, checkpoint not yet persisted
     "checkpoint.after",    # checkpoint persisted
 )

@@ -11,15 +11,14 @@ Layout of a durable store's directory::
     data_dir/
       meta.json            # {"name", "shards"} — shape guard on reopen
       shard-0/
-        wal.log            # CRC-framed commit records (repro.storage.wal)
-        snapshot.json      # CRC-checked compaction, atomically renamed
+        wal.log            # CRC-framed commit records (repro.storage.wal),
+                           # compacted in place by an atomic rename
       shard-1/ ...
 
-Recovery per shard: load the snapshot (if any), replay WAL records past
-the snapshot sequence, truncate any torn tail, then hand the merged
-entries to :meth:`~repro.storage.docstore.Database.load_recovered` —
-documents, revisions, label sidecars, tombstones and the synthesized
-changes feed all come back. The shared
+Recovery per shard: read the log, truncate any torn tail, then replay
+its records through :meth:`~repro.storage.docstore.Database.load_recovered`
+— documents, revisions, label sidecars, tombstones and the changes feed
+all come back. The shared
 :class:`~repro.storage.docstore.SequenceAllocator` is advanced to the
 highest sequence any shard recovered, so new writes continue the
 store-wide order. View indexes are rebuilt by the application's own
@@ -56,6 +55,7 @@ from repro.storage.wal import (
     DEFAULT_FSYNC_BATCH,
     DEFAULT_SNAPSHOT_EVERY,
     ShardDurability,
+    replace_file,
 )
 
 _META_FILE = "meta.json"
@@ -86,14 +86,7 @@ def _check_meta(directory: str, name: str, shards: int, faults: FaultInjector) -
                 f"refusing to reopen with shards={shards}"
             )
         return
-    tmp = path + ".tmp"
-    handle = faults.open(tmp, "wb")
-    try:
-        handle.write(json.dumps({"name": name, "shards": shards}).encode())
-        handle.fsync()
-    finally:
-        handle.close()
-    faults.replace(tmp, path)
+    replace_file(faults, path, json.dumps({"name": name, "shards": shards}).encode())
 
 
 def open_durable_database(
@@ -147,7 +140,7 @@ def flush_durable(database: DocumentDatabase) -> None:
 
 
 def snapshot_durable(database: DocumentDatabase) -> None:
-    """Force a compacted snapshot (and WAL reset) on every shard."""
+    """Force a compaction of every shard's log."""
     for shard in _shards_of(database):
         if shard.durability is not None:
             shard.durability.snapshot(shard)
@@ -165,7 +158,7 @@ def close_durable(database: DocumentDatabase) -> None:
 class CheckpointStore:
     """Atomically persisted replication checkpoints.
 
-    One JSON file (CRC-line framed like the snapshots), replaced via
+    One JSON file (a CRC-32 line in hex, then the body), replaced via
     rename after every completed batch. ``load`` returns ``{}`` for a
     missing or unreadable file — the replicator then restarts from
     sequence zero, which re-ships documents but never loses one.
@@ -173,7 +166,6 @@ class CheckpointStore:
 
     def __init__(self, path, faults: FaultInjector = NULL_FAULTS):
         self._path = os.fspath(path)
-        self._tmp = self._path + ".tmp"
         self._faults = faults
 
     @property
@@ -201,12 +193,5 @@ class CheckpointStore:
     def save(self, checkpoints: Dict[str, int]) -> None:
         body = json.dumps({"checkpoints": checkpoints}, separators=(",", ":")).encode()
         self._faults.hit("checkpoint.before")
-        handle = self._faults.open(self._tmp, "wb")
-        try:
-            handle.write(b"%08x\n" % zlib.crc32(body))
-            handle.write(body)
-            handle.fsync()
-        finally:
-            handle.close()
-        self._faults.replace(self._tmp, self._path)
+        replace_file(self._faults, self._path, b"%08x\n" % zlib.crc32(body) + body)
         self._faults.hit("checkpoint.after")

@@ -19,7 +19,11 @@ are pinned to this implementation:
 
 Do not "improve" this module; it is deliberately the slow, obviously
 correct version (the same role ``match_topic`` plays for the PR 1 topic
-trie).
+trie). Correcting it is a different matter: the seed relabelled a view
+row by searching *every* view for a matching stripped emission, which
+handed rows another view's labels or none — a bug the production store
+copied faithfully and no equivalence suite could see. Rows are now
+labelled by the view that emitted them, here and there.
 """
 
 from __future__ import annotations
@@ -28,14 +32,16 @@ import json
 import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.labels import LabelSet, parse_label
 from repro.exceptions import DocumentConflict, DocumentNotFound, ReadOnlyError, SafeWebError
 from repro.storage.docstore import Change, ViewRow, _next_rev, _StoredDocument
 from repro.taint import json_codec
-from repro.taint.labeled import labels_of, strip_labels
+from repro.taint.labeled import labels_of, strip_labels, with_labels
 
 
 class ReferenceDatabase:
-    """The seed :class:`~repro.storage.docstore.Database`, verbatim."""
+    """The seed :class:`~repro.storage.docstore.Database` (view relabelling
+    corrected, see the module docstring)."""
 
     def __init__(self, name: str, read_only: bool = False):
         self.name = name
@@ -176,40 +182,52 @@ class ReferenceDatabase:
         with self._lock:
             if name not in self._views:
                 raise DocumentNotFound(f"no view {name!r} in database {self.name!r}")
-            _map_function, index = self._views[name]
+            map_function, index = self._views[name]
             rows: List[ViewRow] = []
             for doc_id in sorted(index):
-                for emitted_key, emitted_value in index[doc_id]:
+                emissions = index[doc_id]
+                if not include_docs:
+                    emissions = self._labelled_rows(map_function, doc_id, emissions)
+                for emitted_key, emitted_value in emissions:
                     if key is not None and emitted_key != key:
                         continue
                     rows.append(ViewRow(doc_id, emitted_key, emitted_value))
         if include_docs:
-            resolved = []
-            for row in rows:
-                document = self.get(row.doc_id)
-                resolved.append(ViewRow(row.doc_id, row.key, document))
-            return resolved
-        return [self._relabel_row(row) for row in rows]
+            return [ViewRow(row.doc_id, row.key, self.get(row.doc_id)) for row in rows]
+        return rows
 
-    def _relabel_row(self, row: ViewRow) -> ViewRow:
-        with self._lock:
-            stored = self._documents.get(row.doc_id)
-        if stored is None or not stored.sidecar:
-            return row
-        # Re-derive the emission from the labeled document so emitted
-        # values keep field labels.
-        labeled = json_codec.decode_document(stored.body, stored.sidecar)
-        map_function = None
-        for name, (candidate, index) in self._views.items():
-            if row.doc_id in index and (row.key, row.value) in index[row.doc_id]:
-                map_function = candidate
-                break
-        if map_function is None:
-            return row
-        for emitted_key, emitted_value in map_function(labeled):
-            if strip_labels(emitted_key) == row.key and strip_labels(emitted_value) == row.value:
-                return ViewRow(row.doc_id, emitted_key, emitted_value)
-        return row
+    def _labelled_rows(
+        self, map_function: Callable, doc_id: str, emissions: List[Tuple[Any, Any]]
+    ) -> List[Tuple[Any, Any]]:
+        """The rows *this view* indexed for a document, labels re-attached.
+
+        The view's own map runs again over the labelled document (body
+        plus ``_id``, what it saw at index time) and its n-th emission
+        labels the n-th indexed row. A row whose partner is missing or
+        strips to something else carries every confidentiality label in
+        the document instead — never none.
+        """
+        stored = self._documents[doc_id]
+        if not stored.sidecar:
+            return emissions
+        labeled = self.get(doc_id)
+        del labeled["_rev"]
+        try:
+            candidates = [(k, v) for k, v in map_function(labeled)]
+        except (KeyError, TypeError, AttributeError):
+            candidates = []
+        union = LabelSet(
+            uri for uris in stored.sidecar.values() for uri in uris if parse_label(uri).is_confidentiality
+        )
+        rows = []
+        for position, (key, value) in enumerate(emissions):
+            if position < len(candidates):
+                labeled_key, labeled_value = candidates[position]
+                if strip_labels(labeled_key) == key and strip_labels(labeled_value) == value:
+                    rows.append((labeled_key, labeled_value))
+                    continue
+            rows.append((with_labels(key, union), with_labels(value, union)))
+        return rows
 
     def _index_document(self, stored: _StoredDocument) -> None:
         for name in self._views:

@@ -1,21 +1,24 @@
-"""Per-shard write-ahead log and compacted snapshots.
+"""Per-shard write-ahead log, compacted in place.
 
-Durability for the sharded document store (ROADMAP item 4) is built
-from two on-disk artefacts per shard, both living in the shard's data
-directory:
+Durability for the sharded document store (ROADMAP item 4) is one
+on-disk artefact per shard, ``wal.log`` in the shard's data directory:
+a header followed by CRC-framed records, one per committed revision,
+carrying exactly the single-pass labeled document encoding the store
+already holds in memory: the plain body plus the RFC 6901 label sidecar
+produced by :func:`repro.taint.json_codec.encode_document` at original
+write time, the assigned store-wide sequence, the MVCC revision and the
+insertion-order slot. Nothing is re-serialised on the way down — the
+LWeb position (PAPERS.md) that labels must persist *with* the data they
+guard falls out of reusing the stored form.
 
-* ``wal.log`` — an append-only log of CRC-framed records, one per
-  committed revision, carrying exactly the single-pass labeled document
-  encoding the store already holds in memory: the plain body plus the
-  RFC 6901 label sidecar produced by
-  :func:`repro.taint.json_codec.encode_document` at original write
-  time, the assigned store-wide sequence, the MVCC revision and the
-  insertion-order slot. Nothing is re-serialised on the way down — the
-  LWeb position (PAPERS.md) that labels must persist *with* the data
-  they guard falls out of reusing the stored form;
-* ``snapshot.json`` — a CRC-checked, atomically-renamed compaction of
-  the full shard state at one sequence; after a snapshot lands the WAL
-  is reset, bounding both log length and recovery time.
+**A snapshot is a compacted log.** Every *snapshot_every* records the
+shard rewrites its log as one record per document (the changes feed:
+each document's latest revision, tombstones included, in sequence
+order): ``wal.log.tmp`` is written and fsynced, then renamed over
+``wal.log`` (:func:`replace_file`) and the append handle reopened — one
+format, one reader, and the rename is the single commit point: before
+it the old log is authoritative, after it the new one, and both replay
+to the same store. That bounds log length and recovery time.
 
 **Group-commit fsync batching.** Appends land in the OS page cache
 immediately; ``fsync`` runs every *fsync_batch* records (``1`` = every
@@ -25,15 +28,15 @@ group commit. The acknowledgement contract this buys is spelled out in
 ``docs/DURABILITY.md``: recovery yields a *prefix* of the submitted
 write history, and every write covered by a completed fsync is in it.
 
-**Failure posture.** Any append or fsync error poisons the writer
-(:class:`~repro.exceptions.WalError` on further use): once the log tail
-is suspect, acknowledging more writes could leave a gap inside the
-recovered prefix, which is the one inexcusable outcome.
+**Failure posture.** Any append, fsync or compaction error poisons the
+writer (:class:`~repro.exceptions.WalError` on further use): once the
+log tail is suspect, acknowledging more writes could leave a gap inside
+the recovered prefix, which is the one inexcusable outcome.
 
 Every instrumented instant calls into a
 :class:`~repro.storage.faults.FaultInjector` (default: no-op), which is
 how the crash-recovery property suite stops the world mid-append,
-between fsyncs, or between a snapshot rename and the WAL reset.
+between fsyncs, or on either side of a compaction's rename.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.exceptions import WalError
 from repro.storage.docstore import _sidecar_labels, _StoredDocument
@@ -59,8 +62,35 @@ _FRAME = struct.Struct("<II")
 #: Default number of appended records between fsyncs (1 = sync every write).
 DEFAULT_FSYNC_BATCH = 8
 
-#: Default number of WAL records between compacted snapshots.
+#: Default number of WAL records between compactions.
 DEFAULT_SNAPSHOT_EVERY = 1024
+
+
+def _frame(payload: bytes) -> bytes:
+    """*payload* as it lies in the log: length, CRC-32, bytes."""
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def replace_file(
+    faults: FaultInjector, path: str, data: bytes, fsynced_point: Optional[str] = None
+) -> None:
+    """Make *data* the whole content of *path*, atomically.
+
+    ``path + ".tmp"`` is fully written and fsynced *before* it is renamed
+    over *path*, so a reader finds either the previous complete file or
+    the new complete file, never a partial one. *fsynced_point* names a
+    crash point to hit between the fsync and the rename.
+    """
+    tmp = path + ".tmp"
+    handle = faults.open(tmp, "wb")
+    try:
+        handle.write(data)
+        handle.fsync()
+    finally:
+        handle.close()
+    if fsynced_point is not None:
+        faults.hit(fsynced_point)
+    faults.replace(tmp, path)
 
 
 def encode_commit(seq: int, stored: _StoredDocument) -> bytes:
@@ -161,6 +191,7 @@ class WalWriter:
         self._faults = faults
         self._fsync_batch = fsync_batch
         self._failed = False
+        self._path = path
         self._file = faults.open(path, "ab")
         if self._file.written == 0:
             self._file.write(WAL_HEADER)
@@ -178,7 +209,7 @@ class WalWriter:
             self._guard()
             try:
                 self._faults.hit("wal.append.before")
-                frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+                frame = _frame(payload)
                 torn_keep = self._faults.take_torn_keep(len(frame))
                 if torn_keep is not None:
                     # A simulated mid-append crash: part of the frame
@@ -214,19 +245,32 @@ class WalWriter:
                 raise
             self.durable = self.appended
 
-    def reset(self) -> None:
-        """Truncate back to the header after a snapshot landed."""
+    def compact(self, payloads: Iterable[bytes]) -> None:
+        """Replace the whole log by header + one frame per payload.
+
+        The caller holds the shard lock and passes every record a replay
+        needs, pending ones included: the new log is fsynced before the
+        rename, so landing it is also a group commit. The append handle
+        is closed first and reopened on the new file; a failure anywhere
+        leaves a complete log on disk (old or new) and a poisoned writer.
+        """
         with self._lock:
             self._guard()
             try:
-                self._file.truncate_to(len(WAL_HEADER))
-                self._file.fsync()
-                self._faults.hit("wal.reset")
+                self._faults.hit("compact.begin")
+                self._file.close()
+                replace_file(
+                    self._faults,
+                    self._path,
+                    WAL_HEADER + b"".join(map(_frame, payloads)),
+                    "compact.fsynced",
+                )
+                self._file = self._faults.open(self._path, "ab")
+                self._faults.hit("compact.renamed")
             except BaseException:
                 self._failed = True
                 raise
-            self.appended = 0
-            self.durable = 0
+            self.durable = self.appended
 
     @property
     def pending(self) -> int:
@@ -248,72 +292,21 @@ class WalWriter:
         self._file.close()
 
 
-class SnapshotStore:
-    """One CRC-checked snapshot file, replaced atomically.
-
-    The tmp file is fully written and fsynced *before* the rename, so
-    ``snapshot.json`` is always either the previous complete snapshot or
-    the new complete snapshot — never a partial one. The CRC line guards
-    against bit rot and fault-injected corruption.
-    """
-
-    def __init__(self, directory: str, faults: FaultInjector = NULL_FAULTS):
-        self._path = os.path.join(os.fspath(directory), "snapshot.json")
-        self._tmp = self._path + ".tmp"
-        self._faults = faults
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    def write(self, payload: Dict) -> None:
-        body = json.dumps(payload, separators=(",", ":")).encode()
-        self._faults.hit("snapshot.begin")
-        handle = self._faults.open(self._tmp, "wb")
-        try:
-            handle.write(b"%08x\n" % zlib.crc32(body))
-            handle.write(body)
-            handle.fsync()
-        finally:
-            handle.close()
-        self._faults.hit("snapshot.written")
-        self._faults.replace(self._tmp, self._path)
-        self._faults.hit("snapshot.renamed")
-
-    def load(self) -> Optional[Dict]:
-        if not os.path.exists(self._path):
-            return None
-        with open(self._path, "rb") as handle:
-            raw = handle.read()
-        newline = raw.find(b"\n")
-        if newline < 0:
-            return None
-        body = raw[newline + 1 :]
-        try:
-            if int(raw[:newline], 16) != zlib.crc32(body):
-                return None
-            return json.loads(body)
-        except ValueError:
-            return None
-
-
 @dataclass
 class RecoveredShard:
     """What one shard's durability directory yielded at recovery."""
 
-    #: ``(seq, stored_document)`` in ascending sequence order — snapshot
-    #: state first, then replayed WAL records (later records override).
+    #: ``(seq, stored_document)`` in log order, which ascends by sequence
+    #: (later records override earlier ones for the same document).
     entries: List[Tuple[int, _StoredDocument]]
-    #: Highest sequence recovered (snapshot seq when the WAL was empty).
+    #: Highest sequence recovered (0 for an empty log).
     last_seq: int
     #: A torn or corrupt WAL tail was discarded.
     torn: bool
-    #: WAL records replayed on top of the snapshot.
-    replayed: int
 
 
 class ShardDurability:
-    """WAL + snapshot manager for one :class:`~repro.storage.docstore.Database`.
+    """WAL manager for one :class:`~repro.storage.docstore.Database`.
 
     Attached via
     :meth:`~repro.storage.docstore.Database.attach_durability`; the
@@ -334,51 +327,42 @@ class ShardDurability:
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._wal_path = os.path.join(self.directory, "wal.log")
-        self._snapshots = SnapshotStore(self.directory, faults)
         self._faults = faults
         self._fsync_batch = fsync_batch
         self._snapshot_every = snapshot_every
         self._writer: Optional[WalWriter] = None
-        self._snapshot_seq = 0
         self._records_since_snapshot = 0
 
     # -- recovery --------------------------------------------------------------
 
     def recover(self) -> RecoveredShard:
-        """Load snapshot + replay the WAL; open the writer for reuse.
+        """Replay the WAL; open the writer for reuse.
 
-        WAL records at or below the snapshot sequence are skipped (a
-        crash between the snapshot rename and the WAL reset leaves them
-        behind); a torn tail is measured here and truncated away by the
-        writer before any new append.
+        A torn tail is measured here and truncated away by the writer
+        before any new append. A directory written by a build that kept
+        compacted state in a second file is refused: its log alone is
+        missing every document compacted out of it.
         """
-        snapshot = self._snapshots.load()
-        entries: List[Tuple[int, _StoredDocument]] = []
-        snapshot_seq = 0
-        if snapshot is not None:
-            snapshot_seq = snapshot["seq"]
-            for record in snapshot["docs"]:
-                entries.append(decode_commit(record))
+        if os.path.exists(os.path.join(self.directory, "snapshot.json")):
+            raise WalError(
+                f"shard directory {self.directory!r} holds a snapshot.json from an "
+                "older on-disk format; refusing to open it without those documents"
+            )
         records, valid_length, torn = read_wal(self._wal_path)
-        replayed = 0
-        for record in records:
-            seq, stored = decode_commit(record)
-            if seq <= snapshot_seq:
-                continue
-            entries.append((seq, stored))
-            replayed += 1
-        entries.sort(key=lambda entry: entry[0])
-        last_seq = entries[-1][0] if entries else snapshot_seq
-        last_seq = max(last_seq, snapshot_seq)
+        entries = [decode_commit(record) for record in records]
         self._writer = WalWriter(
             self._wal_path,
             fsync_batch=self._fsync_batch,
             faults=self._faults,
             valid_length=valid_length,
         )
-        self._snapshot_seq = snapshot_seq
-        self._records_since_snapshot = replayed
-        return RecoveredShard(entries, last_seq, torn, replayed)
+        # Only records a compaction would drop count towards the next one
+        # — reopening an already-compact log must not rewrite it.
+        self._records_since_snapshot = len(entries) - len(
+            {stored.doc_id for _seq, stored in entries}
+        )
+        last_seq = entries[-1][0] if entries else 0
+        return RecoveredShard(entries, last_seq, torn)
 
     # -- the write path --------------------------------------------------------
 
@@ -388,12 +372,12 @@ class ShardDurability:
         self._records_since_snapshot += 1
 
     def commit_point(self, database) -> None:
-        """After a single-document write: batched fsync, maybe snapshot."""
+        """After a single-document write: batched fsync, maybe compact."""
         self._require_writer().maybe_sync()
         self._maybe_snapshot(database)
 
     def batch_point(self, database) -> None:
-        """After a replication batch: group-commit fsync, maybe snapshot."""
+        """After a replication batch: group-commit fsync, maybe compact."""
         self._require_writer().sync()
         self._maybe_snapshot(database)
 
@@ -405,18 +389,21 @@ class ShardDurability:
             self.snapshot(database)
 
     def snapshot(self, database) -> None:
-        """Compact: serialise the shard, land it atomically, reset the WAL.
+        """Compact: rewrite the log as the shard's changes feed — every
+        document (tombstones included, so MVCC conflict detection and
+        replication of deletes survive a restart) at its latest change.
 
         Runs entirely under the shard lock so no commit can slip between
-        the serialised state and the WAL reset — a record appended in
-        that window would be discarded by the reset without being in the
-        snapshot, losing an acknowledged write.
+        the state written and the handle swap — a record appended to the
+        old log in that window would be gone with it, losing an
+        acknowledged write.
         """
         with database._lock:
-            payload = database.durable_state()
-            self._snapshots.write(payload)
-            self._require_writer().reset()
-            self._snapshot_seq = payload["seq"]
+            documents = database._documents
+            self._require_writer().compact(
+                encode_commit(change.seq, documents[change.doc_id])
+                for change in database._changes.values()
+            )
             self._records_since_snapshot = 0
 
     # -- introspection ---------------------------------------------------------
@@ -424,14 +411,6 @@ class ShardDurability:
     @property
     def writer(self) -> Optional[WalWriter]:
         return self._writer
-
-    @property
-    def snapshot_seq(self) -> int:
-        return self._snapshot_seq
-
-    @property
-    def records_since_snapshot(self) -> int:
-        return self._records_since_snapshot
 
     def _require_writer(self) -> WalWriter:
         if self._writer is None:

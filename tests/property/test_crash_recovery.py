@@ -15,21 +15,22 @@ The durability contract (docs/DURABILITY.md):
 Random operation histories (MVCC puts, conflicting puts, deletes,
 labeled values) run against a durable store instrumented with a
 :class:`~repro.storage.faults.FaultInjector` armed to crash at each
-named crash point — mid-append, between append and fsync, inside
-snapshot compaction, between a snapshot rename and the WAL reset — and
-the surviving files are recovered and compared against every candidate
-prefix.
+named crash point — mid-append, between append and fsync, before a
+compaction's tmp log is written, after it is fsynced, after the rename
+that lands it — and the surviving files are recovered and compared
+against every candidate prefix.
 """
 
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.labels import conf_label
 from repro.exceptions import DocumentConflict, DocumentNotFound, WalError
-from repro.storage.faults import FaultInjector, SimulatedCrash
+from repro.storage.faults import CRASH_POINTS, FaultInjector, SimulatedCrash
 from repro.storage.recovery import (
     CheckpointStore,
     close_durable,
@@ -68,16 +69,8 @@ _operations = st.lists(
 
 #: Write-path crash points the single-store property iterates (the
 #: checkpoint.* points belong to the replication tests below).
-WAL_POINTS = (
-    "wal.append.before",
-    "wal.append.after",
-    "wal.sync.before",
-    "wal.sync.after",
-    "snapshot.begin",
-    "snapshot.written",
-    "snapshot.renamed",
-    "wal.reset",
-)
+WAL_POINTS = tuple(point for point in CRASH_POINTS if not point.startswith("checkpoint."))
+assert len(WAL_POINTS) == 7 and len(CRASH_POINTS) == 9
 
 VIEWS = {
     "by_k": lambda doc: [(doc["k"], None)] if "k" in doc else [],
@@ -289,8 +282,9 @@ def test_torn_append_recovers_every_acknowledged_write(operations, fsync_batch):
 @settings(max_examples=25, deadline=None)
 @given(operations=_operations, snapshot_every=st.sampled_from((2, 5)))
 def test_snapshot_compaction_preserves_equivalence(operations, snapshot_every):
-    """Frequent automatic snapshots (WAL resets included) never change
-    what a clean close + reopen recovers: the full history."""
+    """Frequent automatic compactions (the log replaced under the
+    writer's feet) never change what a clean close + reopen recovers:
+    the full history."""
     with tempfile.TemporaryDirectory() as root:
         directory = os.path.join(root, "db")
         database = open_durable_database(
@@ -309,6 +303,42 @@ def test_snapshot_compaction_preserves_equivalence(operations, snapshot_every):
             operations, len(operations)
         )
         close_durable(recovered)
+
+
+#: A history on which every write-path crash point fires with
+#: ``snapshot_every=3`` (updates, a delete, a recreate, labelled values).
+_MATRIX_HISTORY = [
+    ("put", "alpha", {"k": label("a", L_PATIENT)}),
+    ("put", "beta", {"k": 1, "name": label("b", L_MDT)}),
+    ("put", "alpha", {"k": "a2"}),
+    ("delete", "beta", None),
+    ("put", "gamma", {"name": "c", "mdt": label(3, L_MDT)}),
+    ("put", "beta", {"k": label("b2", L_PATIENT)}),
+    ("put", "delta", {"k": "d"}),
+    ("put", "alpha", {"k": label("a3", L_MDT)}),
+]
+
+
+@pytest.mark.parametrize("hit", [1, 2])
+@pytest.mark.parametrize("keep_tail", [None, 0, 7], ids=["process", "power", "power-torn"])
+@pytest.mark.parametrize("point", WAL_POINTS)
+def test_every_crash_point_fires_and_recovers_a_prefix(point, keep_tail, hit):
+    """The matrix docs/DURABILITY.md renders, point by point: a process
+    crash, a power loss and a power loss that leaves a torn tail at each
+    instrumented instant — the sampled properties above might miss one."""
+    with tempfile.TemporaryDirectory() as root:
+        directory = os.path.join(root, "db")
+        faults = FaultInjector().crash_at(point, hit=hit)
+        acked, floor, crashed = _drive(
+            directory, _MATRIX_HISTORY, faults, fsync_batch=2, snapshot_every=3
+        )
+        assert crashed and faults.crashed_at == point
+        if keep_tail is None:
+            faults.close_all()
+            floor = acked
+        else:
+            faults.power_loss(keep_tail_bytes=keep_tail)
+        _assert_prefix(directory, _MATRIX_HISTORY, acked, floor=floor, crashed=True)
 
 
 # -- replication durability edges ---------------------------------------------

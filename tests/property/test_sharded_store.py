@@ -7,8 +7,11 @@ histories (puts, MVCC updates, conflicting puts, deletes of live and
 missing documents, labeled and plain field values) are applied to the
 reference and to :class:`~repro.storage.docstore.ShardedDatabase` at
 several shard counts; every observable — document reads, label
-round-trips, view rows (with and without ``include_docs``), changes
-feed, ``update_seq`` — must match exactly. Batched replication of the
+round-trips, view rows (with and without ``include_docs``, each leaf with
+its labels), changes feed, ``update_seq`` — must match exactly. The
+reference being the seed, it shared the seed's bugs until PR 23
+corrected both sides' view relabelling; what keeps that honest is
+``tests/unit/storage/test_read_path.py``, which pins literal labels. Batched replication of the
 same histories must converge the target to the same observations.
 
 The production store decodes a revision's labeled form once and shares
@@ -80,6 +83,15 @@ VIEWS = {
     if isinstance(doc.get("tags"), list)
     else [],
     "fragile": lambda doc: [(doc["required"], None)],
+    # Two views over different fields of the same documents, keyed by
+    # ``_id``: whenever the fields strip equal, only the labels tell the
+    # rows apart — and "pairs" holds both emissions in one view.
+    "id_name": lambda doc: [(doc["_id"], doc.get("name"))],
+    "id_mdt": lambda doc: [(doc["_id"], doc.get("mdt"))],
+    "pairs": lambda doc: [(doc["_id"], doc.get("name")), (doc["_id"], doc.get("mdt"))],
+    # A map that answers differently for labelled input: its rows cannot
+    # be paired and must carry the document's confidentiality.
+    "label_count": lambda doc: [(doc["_id"], len(labels_of(doc.get("k"))))],
 }
 
 
@@ -144,19 +156,13 @@ def _labeled_form(value):
 
 
 def _view_observation(database, name, **kwargs):
-    """View rows in comparable form — or the exception the query raises.
-
-    Seed semantics re-run the map function over the *labeled* document
-    when re-attaching row labels, so a map that depends on a field the
-    labeled rendering lacks (e.g. ``_id``) raises at query time; the
-    incremental store must fault identically.
-    """
-    try:
-        rows = database.view(name, **kwargs)
-    except Exception as error:  # noqa: BLE001 - equivalence includes faults
-        return ("raises", type(error).__name__)
+    """View rows in comparable form: the label-per-leaf observable, on
+    plain rows as much as on ``include_docs`` ones. No query may raise —
+    a map that reads ``_id`` ("tags", "id_name") is served for labelled
+    documents exactly as it was indexed."""
     return [
-        (row.doc_id, _labeled_form(row.key), _labeled_form(row.value)) for row in rows
+        (row.doc_id, _labeled_form(row.key), _labeled_form(row.value))
+        for row in database.view(name, **kwargs)
     ]
 
 

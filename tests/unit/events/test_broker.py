@@ -298,38 +298,3 @@ class TestThreadedDispatch:
             assert engine.store_of("fragile").get("ok") == 3
         finally:
             broker.stop()
-
-
-class TestSubscriptionWants:
-    """`wants` is the topic+selector half of the match (no security)."""
-
-    def test_topic_and_selector(self):
-        from repro.events.selector import parse_selector
-        from repro.events.broker import Subscription
-        from repro.core.privileges import PrivilegeSet
-
-        subscription = Subscription(
-            subscription_id="s",
-            topic="/t/*",
-            callback=lambda e: None,
-            principal="p",
-            clearance=PrivilegeSet.empty(),
-            selector=parse_selector("type = 'cancer'"),
-        )
-        assert subscription.wants(Event("/t/a", {"type": "cancer"}))
-        assert not subscription.wants(Event("/t/a", {"type": "benign"}))
-        assert not subscription.wants(Event("/other", {"type": "cancer"}))
-
-    def test_wants_ignores_labels(self):
-        from repro.events.broker import Subscription
-        from repro.core.privileges import PrivilegeSet
-
-        subscription = Subscription(
-            subscription_id="s",
-            topic="/t",
-            callback=lambda e: None,
-            principal="p",
-            clearance=PrivilegeSet.empty(),
-        )
-        assert subscription.wants(Event("/t", labels=[PATIENT]))
-        assert not subscription.cleared_for(Event("/t", labels=[PATIENT]))

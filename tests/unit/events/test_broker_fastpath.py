@@ -73,14 +73,18 @@ class TestSelectorSharing:
 
 
 class TestClearanceMemoization:
-    def test_decisions_are_cached_per_label_set(self):
+    def test_decisions_are_memoised_on_the_privilege_set(self):
+        """One memo per delivery decision, and it lives on the immutable
+        privilege set — so two subscriptions sharing a clearance share it."""
         broker = Broker(audit=AuditLog())
         received = []
-        sub = broker.subscribe("/t", received.append, clearance=CLEARED)
+        clearance = PrivilegeSet({CLEARANCE: [PATIENT]})
+        for _ in range(2):
+            broker.subscribe("/t", received.append, clearance=clearance)
         for _ in range(3):
             broker.publish(Event("/t", labels=[PATIENT]))
-        assert len(received) == 3
-        assert sub._decision_cache == {LabelSet([PATIENT]): True}
+        assert len(received) == 6
+        assert clearance._cover_cache == {LabelSet([PATIENT]): True}
 
     def test_revoke_invalidates_cached_decision(self):
         broker = Broker(audit=AuditLog())
@@ -98,13 +102,6 @@ class TestClearanceMemoization:
         assert broker.publish(Event("/t", labels=[PATIENT])) == 0
         sub.clearance = sub.clearance.grant(CLEARANCE, PATIENT)
         assert broker.publish(Event("/t", labels=[PATIENT])) == 1
-
-    def test_generations_are_unique_per_instance(self):
-        first = PrivilegeSet({CLEARANCE: [PATIENT]})
-        second = PrivilegeSet({CLEARANCE: [PATIENT]})
-        assert first == second
-        assert first.generation != second.generation
-        assert first.grant(CLEARANCE, PATIENT).generation != first.generation
 
 
 class TestPublishMany:

@@ -2,7 +2,9 @@
 once and shared, so every reader must get documents it owns, from one
 consistent snapshot, carrying the labels of the *current* revision —
 and the revision's derived forms (``ViewRow.form``, ``ViewRow.json``)
-are the store's own, whatever a reader does to its copy."""
+are the store's own, whatever a reader does to its copy. Plain view rows
+carry the labels of the fields their own view emitted them from, and the
+changes feed holds one entry per document."""
 
 import sys
 import threading
@@ -12,6 +14,7 @@ import pytest
 from repro.core.labels import LabelSet, conf_label, int_label
 from repro.storage import Database, Replicator, ShardedDatabase, ViewRow
 from repro.storage.recovery import close_durable, open_durable_database
+from repro.storage.reference import ReferenceDatabase
 from repro.taint import is_user_tainted, json_codec, label, labels_of
 from repro.web.templates import TemplateRegistry
 
@@ -150,8 +153,8 @@ class TestIncludeDocsSnapshot:
     def _interpose(database, write):
         matching_rows = database._matching_rows
 
-        def matching_rows_then_write(*args):
-            rows = matching_rows(*args)
+        def matching_rows_then_write(*args, **kwargs):
+            rows = matching_rows(*args, **kwargs)
             write()
             return rows
 
@@ -383,3 +386,120 @@ class TestDerivedForms:
         # One store won per revision: later readers share it.
         settled = [row.form(derive) for row in database.view("by_kind", include_docs=True)]
         assert all(a is b for a, b in zip(settled, [row.form(derive) for row in rows]))
+
+
+@pytest.fixture(params=["database", "sharded", "reference"])
+def labelled_store(request):
+    """The production store, its sharded form and the executable spec:
+    the spec is in the list because it used to share every bug below."""
+    if request.param == "database":
+        return Database("app")
+    if request.param == "sharded":
+        return ShardedDatabase("app", shards=4)
+    return ReferenceDatabase("app")
+
+
+def _row_labels(rows):
+    return [(row.doc_id, row.key, labels_of(row.key), row.value, labels_of(row.value)) for row in rows]
+
+
+class TestViewRowsAreLabelledByTheirOwnView:
+    """A plain ``view()`` row carries the labels of the fields *its* view
+    emitted it from: no other view is consulted, equal-stripped emissions
+    keep their own labels, and a row the view cannot vouch for carries
+    the whole document's confidentiality rather than none."""
+
+    def test_another_view_with_the_same_stripped_row_cannot_unlabel_it(self, labelled_store):
+        labelled_store.define_view("public", lambda doc: [(doc["kind"], doc["ward"])])
+        labelled_store.define_view("secret", lambda doc: [(doc["kind"], doc["diagnosis_code"])])
+        labelled_store.put(
+            {"_id": "p", "kind": "k", "ward": "7", "diagnosis_code": label("7", PATIENT)}
+        )
+        assert _row_labels(labelled_store.view("secret")) == [
+            ("p", "k", LabelSet(), "7", LabelSet([PATIENT]))
+        ]
+        assert _row_labels(labelled_store.view("public")) == [
+            ("p", "k", LabelSet(), "7", LabelSet())
+        ]
+        # ... in either definition order.
+        labelled_store.define_view("public", lambda doc: [(doc["kind"], doc["ward"])])
+        assert labels_of(labelled_store.view("secret", key="k")[0].value) == LabelSet([PATIENT])
+        (row,) = labelled_store.view("secret", include_docs=True)
+        assert labels_of(row.value["diagnosis_code"]) == LabelSet([PATIENT])
+
+    def test_equal_stripped_emissions_in_one_view_keep_their_own_labels(self, labelled_store):
+        labelled_store.define_view(
+            "codes", lambda doc: [("code", doc["first"]), ("other", 0), ("code", doc["second"])]
+        )
+        labelled_store.put(
+            {"_id": "p", "first": label("v", PATIENT), "second": label("v", MDT, TRUSTED)}
+        )
+        assert _row_labels(labelled_store.view("codes", key="code")) == [
+            ("p", "code", LabelSet(), "v", LabelSet([PATIENT])),
+            ("p", "code", LabelSet(), "v", LabelSet([MDT, TRUSTED])),
+        ]
+        assert [labels_of(row.value) for row in labelled_store.view("codes")] == [
+            LabelSet([PATIENT]), LabelSet(), LabelSet([MDT, TRUSTED]),
+        ]
+
+    def test_a_map_reading_the_id_serves_labelled_documents(self, labelled_store):
+        labelled_store.define_view("names", lambda doc: [(doc["_id"], doc["name"])])
+        labelled_store.put({"_id": "a", "name": label("alice", PATIENT)})
+        labelled_store.put({"_id": "b", "name": "bob"})
+        assert _row_labels(labelled_store.view("names")) == [
+            ("a", "a", LabelSet(), "alice", LabelSet([PATIENT])),
+            ("b", "b", LabelSet(), "bob", LabelSet()),
+        ]
+
+    def test_a_row_that_cannot_be_paired_carries_the_documents_confidentiality(
+        self, labelled_store
+    ):
+        """A map that answers differently for labelled input: the index
+        holds 0, the labelled emission says 1. Also one that fails
+        outright (``KeyError``) on labelled input. Neither row may come back bare, and
+        neither may claim an integrity nobody checked."""
+        labelled_store.define_view(
+            "counts", lambda doc: [(doc["kind"], len(labels_of(doc["name"])))]
+        )
+        labelled_store.define_view(
+            "brittle",
+            lambda doc: [(doc["kind"], {0: 0}[len(labels_of(doc["name"]))])],
+        )
+        labelled_store.put(
+            {"_id": "p", "kind": "k", "name": label("alice", PATIENT), "mdt": label("3", MDT, TRUSTED)}
+        )
+        labelled_store.put({"_id": "q", "kind": "k", "name": "bob", "mdt": "3"})
+        union = LabelSet([PATIENT, MDT])
+        for view in ("counts", "brittle"):
+            assert _row_labels(labelled_store.view(view)) == [
+                ("p", "k", union, 0, union),
+                ("q", "k", LabelSet(), 0, LabelSet()),
+            ]
+
+    def test_rows_follow_the_current_revision(self, labelled_store):
+        """The labelled emissions live on the revision: a rewrite that
+        changes only the labels is served with the new ones."""
+        labelled_store.define_view("names", lambda doc: [(doc["_id"], doc["name"])])
+        rev = labelled_store.put({"_id": "a", "name": label("alice", PATIENT)})["rev"]
+        assert labels_of(labelled_store.view("names")[0].value) == LabelSet([PATIENT])
+        rev = labelled_store.put({"_id": "a", "_rev": rev, "name": label("alice", MDT)})["rev"]
+        assert labels_of(labelled_store.view("names")[0].value) == LabelSet([MDT])
+        labelled_store.put({"_id": "a", "_rev": rev, "name": "alice"})
+        assert labels_of(labelled_store.view("names")[0].value) == LabelSet()
+
+
+class TestBoundedFeed:
+    def test_feed_holds_one_entry_per_document_and_reads_like_the_reference(self):
+        database, reference = Database("app"), ReferenceDatabase("ref")
+        for index in range(20_000):
+            document = {"_id": f"doc-{index * 7 % 100}", "n": index}
+            database.upsert(document)
+            current = reference.get_or_none(document["_id"])
+            reference.put({**document, "_rev": current["_rev"]} if current else document)
+        assert len(database._changes) <= 100
+        assert database.update_seq == reference.update_seq == 20_000
+        for since in (0, 1, 19_899, 19_900, 19_901, 19_950, 19_999, 20_000, 20_001):
+            assert database.changes(since=since) == reference.changes(since=since)
+        # Every distinct answer lies in the last 100 sequences.
+        for since in range(19_890, 20_001):
+            assert database.changes(since=since) == reference.changes(since=since)

@@ -1,7 +1,7 @@
 """Unit tests for the durability primitives: CRC-framed WAL records,
 torn-tail tolerance at every byte boundary, fsync-failure poisoning,
-atomic snapshots, the data-directory shape guard and the persisted
-replication checkpoints."""
+atomic in-place compaction, the data-directory shape guards and the
+persisted replication checkpoints."""
 
 import os
 
@@ -10,10 +10,15 @@ import pytest
 from repro.exceptions import WalError
 from repro.storage.docstore import _StoredDocument, _sidecar_labels
 from repro.storage.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
-from repro.storage.recovery import CheckpointStore, open_durable_database
+from repro.storage.recovery import (
+    CheckpointStore,
+    close_durable,
+    flush_durable,
+    open_durable_database,
+    snapshot_durable,
+)
 from repro.storage.wal import (
     WAL_HEADER,
-    SnapshotStore,
     WalWriter,
     decode_commit,
     encode_commit,
@@ -173,41 +178,138 @@ def test_fsync_batch_must_be_positive(tmp_path):
         WalWriter(str(tmp_path / "wal.log"), fsync_batch=0)
 
 
-# -- snapshots ------------------------------------------------------------------
+# -- compaction -----------------------------------------------------------------
 
 
-def test_snapshot_roundtrip_and_corruption(tmp_path):
-    store = SnapshotStore(str(tmp_path))
-    assert store.load() is None
-    store.write({"seq": 9, "docs": []})
-    assert store.load() == {"seq": 9, "docs": []}
-    data = bytearray(open(store.path, "rb").read())
-    data[-1] ^= 0xFF
-    open(store.path, "wb").write(bytes(data))
-    assert store.load() is None  # CRC mismatch reads as absent
+def _payloads(path):
+    records, _valid, torn = read_wal(path)
+    assert torn is False
+    return [(record[1], record[2]) for record in records]
 
 
-def test_snapshot_write_is_atomic_under_crash(tmp_path):
+def test_compaction_replaces_the_log_and_appends_continue(tmp_path):
+    path = str(tmp_path / "wal.log")
+    writer = WalWriter(path, fsync_batch=8)
+    for index in range(4):
+        writer.append(encode_commit(index + 1, _stored(doc_id="d")))
+    assert writer.pending == 4
+    writer.compact([encode_commit(4, _stored(doc_id="d"))])
+    assert writer.pending == 0  # the new log was fsynced before it landed
+    assert _payloads(path) == [(4, "d")]
+    assert os.listdir(tmp_path) == ["wal.log"]
+    writer.append(encode_commit(5, _stored(doc_id="e")))
+    writer.sync()
+    writer.close()
+    assert _payloads(path) == [(4, "d"), (5, "e")]
+
+
+@pytest.mark.parametrize(
+    "point, survivor",
+    [("compact.begin", "old"), ("compact.fsynced", "old"), ("compact.renamed", "new")],
+)
+@pytest.mark.parametrize("power_loss", [False, True])
+def test_compaction_is_atomic_under_crash(tmp_path, point, survivor, power_loss):
+    """Old log or new log, never a mix — and either replays to the same
+    documents, because the new log is written from all of the old."""
+    path = str(tmp_path / "wal.log")
     faults = FaultInjector()
-    store = SnapshotStore(str(tmp_path), faults)
-    store.write({"seq": 1, "docs": []})
-    faults.crash_at("snapshot.written")
+    writer = WalWriter(path, fsync_batch=1, faults=faults)
+    for index in range(3):
+        writer.append(encode_commit(index + 1, _stored(doc_id="d", rev=f"{index + 1}-r")))
+        writer.sync()
+    old = open(path, "rb").read()
+    faults.crash_at(point)
     with pytest.raises(SimulatedCrash):
-        store.write({"seq": 2, "docs": []})
-    # The tmp file was written but never renamed: the old snapshot survives.
-    assert store.load() == {"seq": 1, "docs": []}
+        writer.compact([encode_commit(3, _stored(doc_id="d", rev="3-r"))])
+    assert writer.failed
+    if power_loss:
+        faults.power_loss(keep_tail_bytes=5)
+    else:
+        faults.close_all()
+    if survivor == "old":
+        assert open(path, "rb").read() == old
+        assert _payloads(path) == [(1, "d"), (2, "d"), (3, "d")]
+    else:
+        assert _payloads(path) == [(3, "d")]
+    # Whatever survived, a reopened writer appends at a frame boundary.
+    _, valid, _ = read_wal(path)
+    reopened = WalWriter(path, fsync_batch=1, valid_length=valid)
+    reopened.append(encode_commit(4, _stored(doc_id="e")))
+    reopened.sync()
+    reopened.close()
+    assert _payloads(path)[-2:] == [(3, "d"), (4, "e")]
 
 
-# -- the data-directory shape guard ---------------------------------------------
+def test_failed_compaction_poisons_the_writer_and_keeps_the_old_log(tmp_path):
+    path = str(tmp_path / "wal.log")
+    faults = FaultInjector()
+    writer = WalWriter(path, fsync_batch=1, faults=faults)
+    writer.append(encode_commit(1, _stored()))
+    writer.sync()
+    faults.fail_fsync()  # the tmp log's fsync
+    with pytest.raises(OSError):
+        writer.compact([encode_commit(1, _stored())])
+    with pytest.raises(WalError):
+        writer.append(encode_commit(2, _stored()))
+    assert _payloads(path) == [(1, "doc-1")]
+
+
+def test_a_clean_close_leaves_one_file_per_shard(tmp_path):
+    directory = str(tmp_path / "db")
+    database = open_durable_database(directory, "t", shards=2, snapshot_every=3)
+    for index in range(20):
+        database.upsert({"_id": f"doc-{index % 5}", "n": index})
+    snapshot_durable(database)
+    flush_durable(database)
+    close_durable(database)
+    assert sorted(os.listdir(directory)) == ["meta.json", "shard-0", "shard-1"]
+    for shard in ("shard-0", "shard-1"):
+        assert os.listdir(os.path.join(directory, shard)) == ["wal.log"]
+    recovered = open_durable_database(directory, "t", shards=2)
+    assert [recovered.get(f"doc-{index}")["n"] for index in range(5)] == [15, 16, 17, 18, 19]
+    assert recovered.update_seq == 20
+    close_durable(recovered)
+
+
+def test_reopening_a_compact_log_does_not_rewrite_it(tmp_path):
+    """Only records a compaction would drop count towards the next one."""
+    directory = str(tmp_path / "db")
+    database = open_durable_database(directory, "t", snapshot_every=4)
+    for index in range(6):
+        database.put({"_id": f"doc-{index}"})  # compacts at 4: six records, none redundant
+    flush_durable(database)
+    close_durable(database)
+    faults = FaultInjector()
+    reopened = open_durable_database(directory, "t", snapshot_every=4, faults=faults)
+    reopened.put({"_id": "doc-6"})
+    assert "compact.begin" not in faults.hits
+    close_durable(reopened)
+
+
+# -- the data-directory shape guards --------------------------------------------
 
 
 def test_meta_guard_refuses_mismatched_shard_count(tmp_path):
     directory = str(tmp_path / "db")
     db = open_durable_database(directory, "t", shards=4)
-    from repro.storage.recovery import close_durable
     close_durable(db)
     with pytest.raises(WalError):
         open_durable_database(directory, "t", shards=2)
+
+
+def test_a_directory_with_an_older_builds_snapshot_is_refused(tmp_path):
+    """Older builds compacted into ``snapshot.json`` and truncated the
+    log: opening such a shard from ``wal.log`` alone would silently drop
+    every compacted document."""
+    directory = str(tmp_path / "db")
+    database = open_durable_database(directory, "t")
+    database.put({"_id": "kept"})
+    flush_durable(database)
+    close_durable(database)
+    with open(os.path.join(directory, "shard-0", "snapshot.json"), "wb") as handle:
+        handle.write(b'00000000\n{"seq":9,"docs":[]}')
+    with pytest.raises(WalError, match="snapshot.json"):
+        open_durable_database(directory, "t")
 
 
 # -- checkpoint store -------------------------------------------------------------

@@ -19,6 +19,9 @@ from repro.mdt.deployment import MdtDeployment
 from repro.mdt.federation import federate
 from repro.mdt.portal import build_portal
 from repro.mdt.vulnerabilities import Vulnerability
+from repro.storage.recovery import CheckpointStore, open_durable_database
+from repro.storage.replication import ContinuousReplicator, Replicator
+from repro.storage.wal import ShardDurability, WalWriter
 from repro.web.http import HttpServer
 from repro.web.pagecache import PageCache
 from repro.web.sessions import SessionMiddleware
@@ -39,6 +42,12 @@ BUDGET = {
     LaneScheduler: 8,
     SupervisionPolicy: 7,
     Vulnerability: 12,  # a dataclass: its signature is its fields
+    open_durable_database: 7,
+    ShardDurability: 4,
+    WalWriter: 4,
+    Replicator: 4,
+    ContinuousReplicator: 7,
+    CheckpointStore: 2,
 }
 
 
