@@ -29,10 +29,10 @@ test-unit:
 test-security:
 	$(PYTHON) -m pytest tests/security -q
 
-## The document store: unit suites plus the reference-equivalence and crash-recovery property suites.
+## The document store: unit suites plus the reference-equivalence, write-path and crash-recovery property suites.
 test-storage:
 	$(PYTHON) -m pytest tests/unit/storage tests/property/test_sharded_store.py \
-		tests/property/test_crash_recovery.py -q
+		tests/property/test_write_path.py tests/property/test_crash_recovery.py -q
 
 # ...plus the STOMP suites that share its I/O core (plain, TLS, bridge robustness).
 ## The multi-process cluster engine: equivalence, chaos, deployment and STOMP fabric tests.

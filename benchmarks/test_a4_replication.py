@@ -9,7 +9,8 @@ import itertools
 from repro.bench.reporting import format_table
 from repro.bench.timing import measure_interleaved, measure_latency
 from repro.core.labels import LabelSet
-from repro.mdt.labels import mdt_label
+from repro.mdt.labels import mdt_label, patient_label
+from repro.mdt.storage_unit import SENSITIVE_RECORD_FIELDS, define_application_views
 from repro.storage.docstore import Database
 from repro.storage.replication import Replicator
 from repro.taint import with_labels
@@ -20,7 +21,17 @@ LABELS = LabelSet([mdt_label("1")])
 #: of medians: a checkpoint read against a hundred writes — a small
 #: fraction, whatever the host is doing.
 INCREMENTAL_RATIO_BAND = (0.0001, 0.50)
+#: put of the storage unit's record document (16 fields, ten of them
+#: wrapped by ``with_labels`` as ``DataStorage.on_record`` does, the four
+#: application views maintained) / the same document unlabelled, ratio of
+#: medians. PR 24, 2-core host, nine runs (six beside a busy loop):
+#: 1.58–1.67 (plain ≈ 21–31 µs, labelled ≈ 34–51 µs); the parent commit
+#: read 1.93–2.06 (≈ 39–50 / ≈ 81–96 µs). The band is around the measured
+#: ratio; what pins the per-field passes staying out is a count
+#: (``tests/unit/storage/test_write_work.py``), not this edge.
+LABELLED_PUT_RATIO_BAND = (1.2, 2.0)
 _ids = itertools.count()
+RECORD_LABELS = LabelSet([mdt_label("1"), patient_label("42")])
 
 
 def _plain_doc() -> dict:
@@ -34,14 +45,35 @@ def _labeled_doc() -> dict:
     return doc
 
 
+def _record_doc(labels: LabelSet) -> dict:
+    """The document ``DataStorage.on_record`` writes for one event."""
+    doc = {
+        "_id": f"record-{next(_ids)}",
+        "type": "record",
+        "mid": "1",
+        "hospital": "addenbrookes",
+        "region": "east",
+        "tumour_count": "1",
+    }
+    for field in SENSITIVE_RECORD_FIELDS:
+        doc[field] = with_labels(field, labels) if labels else field
+    return doc
+
+
+def _application_db(name: str) -> Database:
+    db = Database(name)
+    define_application_views(db)
+    return db
+
+
 def test_put_plain(benchmark):
-    db = Database("bench-plain")
-    benchmark(lambda: db.put(_plain_doc()))
+    db = _application_db("bench-plain")
+    benchmark(lambda: db.put(_record_doc(LabelSet())))
 
 
 def test_put_labeled(benchmark):
-    db = Database("bench-labeled")
-    benchmark(lambda: db.put(_labeled_doc()))
+    db = _application_db("bench-labeled")
+    benchmark(lambda: db.put(_record_doc(RECORD_LABELS)))
 
 
 def test_replication_pass(benchmark):
@@ -58,11 +90,11 @@ def test_replication_pass(benchmark):
 
 
 def test_a4_report(benchmark, report):
-    plain_db = Database("report-plain")
-    labeled_db = Database("report-labeled")
+    plain_db = _application_db("report-plain")
+    labeled_db = _application_db("report-labeled")
     put_plain, put_labeled = measure_interleaved(
-        lambda: plain_db.put(_plain_doc()),
-        lambda: labeled_db.put(_labeled_doc()),
+        lambda: plain_db.put(_record_doc(LabelSet())),
+        lambda: labeled_db.put(_record_doc(RECORD_LABELS)),
         iterations=1500,
     )
 
@@ -87,8 +119,9 @@ def test_a4_report(benchmark, report):
         + format_table(
             ("operation", "median"),
             [
-                ("document put (plain)", f"{put_plain.median * 1e6:.2f} µs"),
-                ("document put (labeled sidecar)", f"{put_labeled.median * 1e6:.2f} µs"),
+                ("record put (plain, 4 views)", f"{put_plain.median * 1e6:.2f} µs"),
+                ("record put (10 labelled fields)", f"{put_labeled.median * 1e6:.2f} µs"),
+                ("labelled / plain", f"{put_labeled.median / put_plain.median:.2f}x"),
                 ("document get (labels re-attached)", f"{read_labeled.median * 1e6:.2f} µs"),
                 ("full replication pass (100 docs)", f"{fresh_replication.median * 1e3:.3f} ms"),
                 ("incremental pass (no changes)", f"{incremental_pass.median * 1e6:.2f} µs"),
@@ -98,3 +131,5 @@ def test_a4_report(benchmark, report):
     # Incremental replication must be cheap when there is nothing to move.
     low, high = INCREMENTAL_RATIO_BAND
     assert low < incremental_pass.median / fresh_replication.median < high
+    low, high = LABELLED_PUT_RATIO_BAND
+    assert low < put_labeled.median / put_plain.median < high

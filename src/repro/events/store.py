@@ -172,6 +172,8 @@ class LabeledStore:
         """
         add_set = LabelSet(add)
         remove_set = LabelSet(remove)
+        if not add_set and not remove_set:
+            return base  # nothing to declassify or endorse
         privileges = self._principal.privileges
         effective_removals = base.intersection(remove_set)
         missing = privileges.missing_declassification(effective_removals)

@@ -289,7 +289,7 @@ class _ViewIndex:
         del document["_rev"]
         try:
             return [(key, value) for key, value in self.map_function(document)]
-        except (KeyError, TypeError, AttributeError):
+        except Exception:
             return []
 
 
@@ -307,10 +307,14 @@ def _next_rev(current: Optional[str], canonical_body: str) -> str:
 
 
 def _sidecar_labels(sidecar: Dict[str, List[str]]) -> LabelSet:
-    """The union of every label set in a sidecar (interned, cheap)."""
+    """The union of every label set in a sidecar (interned, cheap); a run of
+    equal URI lists — one event-level set stamped on every field — parses once."""
     combined = EMPTY_LABELS
+    previous = None
     for uris in sidecar.values():
-        combined = combined.union(LabelSet.from_uris(tuple(uris)))
+        if uris != previous:
+            combined = combined.union(LabelSet.from_uris(uris))
+            previous = uris
     return combined
 
 
@@ -348,6 +352,24 @@ def _is_hashable(value: Any) -> bool:
     except TypeError:
         return False
     return True
+
+
+def _same_key_slots(previous: Sequence[Tuple[Any, Any]], emissions: Sequence[Tuple[Any, Any]]) -> bool:
+    """Do two emission lists occupy the same ``by_key`` slots — equal keys,
+    pairwise, every one hashable?"""
+    try:
+        return len(previous) == len(emissions) and all(
+            old == new and hash(old) == hash(new) for (old, _), (new, _) in zip(previous, emissions)
+        )
+    except TypeError:
+        return False
+
+
+def _map_input(stored: _StoredDocument) -> Any:
+    """What a map function is shown for *stored*: the plain body plus ``_id``,
+    built once per commit for every view — a map must not mutate it."""
+    body = stored.body
+    return {**body, "_id": stored.doc_id} if isinstance(body, dict) else body
 
 
 class Database:
@@ -389,19 +411,21 @@ class Database:
         split into the sidecar before the plain body is stored, and the
         presented ``_rev`` must match the stored revision (MVCC).
         """
-        result, change = self._put(document)
+        result, change = self._put(document, adopt=False)
         self._durable_point()
         self._notify([change])
         return result
 
-    def _put(self, document: Dict[str, Any]) -> Tuple[Dict[str, Any], Change]:
-        """The write itself, without listener notification (see callers)."""
+    def _put(self, document: Dict[str, Any], adopt: bool) -> Tuple[Dict[str, Any], Change]:
+        """The write itself, without listener notification (see callers). With *adopt*
+        the current revision, if any, stands in for the presented one, under the lock."""
         self._guard_writable()
         if "_id" not in document:
             raise SafeWebError("document requires an _id")
         doc_id = strip_labels(str(document["_id"]))
-        presented_rev = document.get("_rev")
-        body = {k: v for k, v in document.items() if k not in ("_id", "_rev")}
+        body = dict(document)
+        del body["_id"]
+        presented_rev = body.pop("_rev", None)
         plain, sidecar = json_codec.encode_document(body)
         # One serialisation doubles as eager storable-JSON validation and
         # the revision digest input (identical digests to the former
@@ -410,7 +434,10 @@ class Database:
 
         with self._lock:
             existing = self._documents.get(doc_id)
-            if existing is not None and not existing.deleted:
+            live = existing is not None and not existing.deleted
+            if adopt:
+                presented_rev = existing.rev if live else None
+            if live:
                 if presented_rev != existing.rev:
                     raise DocumentConflict(
                         f"revision mismatch for {doc_id!r}",
@@ -435,22 +462,10 @@ class Database:
 
         Atomically adopts the current revision (if any) under the store
         lock, so the get-then-put race the seed's consumers worked
-        around with retries cannot happen within one database.
+        around with retries cannot happen within one database;
+        listeners still fire after the lock is released.
         """
-        self._guard_writable()
-        if "_id" not in document:
-            raise SafeWebError("document requires an _id")
-        doc_id = strip_labels(str(document["_id"]))
-        # Revision adoption and commit share one lock hold (no MVCC race
-        # window), but listeners still fire after the lock is released.
-        with self._lock:
-            fresh = dict(document)
-            existing = self._documents.get(doc_id)
-            if existing is not None and not existing.deleted:
-                fresh["_rev"] = existing.rev
-            else:
-                fresh.pop("_rev", None)
-            result, change = self._put(fresh)
+        result, change = self._put(document, adopt=True)
         self._durable_point()
         self._notify([change])
         return result
@@ -535,8 +550,9 @@ class Database:
             # revision: the log is strictly append-ordered with commits,
             # so recovery always yields a prefix of the commit history.
             self._durability.log_commit(stored, self._seq)
+        document = _map_input(stored)
         for view in self._views.values():
-            self._index_one(view, stored)
+            self._index_one(view, stored, document)
         return change
 
     # -- durability -----------------------------------------------------------
@@ -700,7 +716,7 @@ class Database:
             view = _ViewIndex(map_function, reduce_function)
             self._views[name] = view
             for stored in self._documents.values():
-                self._index_one(view, stored)
+                self._index_one(view, stored, _map_input(stored))
 
     def view(
         self,
@@ -852,42 +868,43 @@ class Database:
             rows.append(row)
         return rows
 
-    def _index_one(self, view: _ViewIndex, stored: _StoredDocument) -> None:
-        """(Re-)index one document into one view; tombstones invalidate.
+    def _index_one(self, view: _ViewIndex, stored: _StoredDocument, document: Any) -> None:
+        """(Re-)index one revision into one view; tombstones invalidate.
 
-        Must run under :attr:`_lock`.
+        *document* is ``_map_input(stored)``. Must run under :attr:`_lock`.
         """
-        previous = view.rows.pop(stored.doc_id, None)
-        if previous is not None:
-            for emitted_key, _value in previous:
-                if _is_hashable(emitted_key):
-                    docs = view.by_key.get(emitted_key)
-                    if docs is not None:
-                        docs.discard(stored.doc_id)
-                        if not docs:
-                            del view.by_key[emitted_key]
-            view.unhashable_docs.discard(stored.doc_id)
-        if stored.deleted:
-            return
+        doc_id = stored.doc_id
         emissions = []
-        document = dict(stored.body) if isinstance(stored.body, dict) else stored.body
-        if isinstance(document, dict):
-            document["_id"] = stored.doc_id
-        try:
-            for emitted in view.map_function(document):
-                emitted_key, emitted_value = emitted
-                emissions.append((strip_labels(emitted_key), strip_labels(emitted_value)))
-        except (KeyError, TypeError, AttributeError):
-            # CouchDB semantics: a map function that fails on a document
-            # simply emits nothing for it.
-            emissions = []
+        if not stored.deleted:
+            try:
+                for emitted_key, emitted_value in view.map_function(document):
+                    emissions.append((strip_labels(emitted_key), strip_labels(emitted_value)))
+            except Exception:
+                # CouchDB semantics: a map function that fails on a document,
+                # however it fails, emits nothing for it (the write stands).
+                emissions = []
+        previous = view.rows.get(doc_id, ())
         if emissions:
-            view.rows[stored.doc_id] = emissions
-            for emitted_key, _value in emissions:
-                if _is_hashable(emitted_key):
-                    view.by_key.setdefault(emitted_key, set()).add(stored.doc_id)
-                else:
-                    view.unhashable_docs.add(stored.doc_id)
+            view.rows[doc_id] = emissions
+        elif previous:
+            del view.rows[doc_id]
+        else:
+            return  # was not in this view, still is not
+        if _same_key_slots(previous, emissions):
+            return
+        for emitted_key, _value in previous:
+            if _is_hashable(emitted_key):
+                docs = view.by_key.get(emitted_key)
+                if docs is not None:
+                    docs.discard(doc_id)
+                    if not docs:
+                        del view.by_key[emitted_key]
+        view.unhashable_docs.discard(doc_id)
+        for emitted_key, _value in emissions:
+            if _is_hashable(emitted_key):
+                view.by_key.setdefault(emitted_key, set()).add(doc_id)
+            else:
+                view.unhashable_docs.add(doc_id)
 
     # -- changes feed ------------------------------------------------------------------
 

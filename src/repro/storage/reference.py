@@ -214,7 +214,7 @@ class ReferenceDatabase:
         del labeled["_rev"]
         try:
             candidates = [(k, v) for k, v in map_function(labeled)]
-        except (KeyError, TypeError, AttributeError):
+        except Exception:
             candidates = []
         union = LabelSet(
             uri for uris in stored.sidecar.values() for uri in uris if parse_label(uri).is_confidentiality
@@ -246,9 +246,9 @@ class ReferenceDatabase:
             for emitted in map_function(document):
                 emitted_key, emitted_value = emitted
                 emissions.append((strip_labels(emitted_key), strip_labels(emitted_value)))
-        except (KeyError, TypeError, AttributeError):
-            # CouchDB semantics: a map function that fails on a document
-            # simply emits nothing for it.
+        except Exception:
+            # CouchDB semantics: a map function that fails on a document,
+            # whatever it raises, emits nothing for it (the write stands).
             emissions = []
         if emissions:
             index[stored.doc_id] = emissions

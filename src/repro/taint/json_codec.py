@@ -155,12 +155,23 @@ def _strip_with_pointers(value: Any, pointer: str, sidecar: Dict[str, List[str]]
             sidecar[pointer or ""] = direct.to_uris()
         return plain_scalar(value)
     if isinstance(value, dict):
-        return {
-            strip_labels(key): _strip_with_pointers(
-                item, f"{pointer}/{_escape_pointer_token(str(key))}", sidecar
-            )
-            for key, item in value.items()
-        }
+        plain = {}
+        for key, item in value.items():
+            if type(key) is str and "~" not in key and "/" not in key:
+                plain_key = token = key  # is its own stripped form and pointer token
+            else:
+                plain_key, token = strip_labels(key), _escape_pointer_token(str(key))
+            if type(item) in PLAIN_TYPES:
+                plain[plain_key] = item
+                continue
+            direct = getattr(item, LABELS_ATTR, None)
+            if direct is None:
+                plain[plain_key] = _strip_with_pointers(item, f"{pointer}/{token}", sidecar)
+            else:
+                if direct:
+                    sidecar[f"{pointer}/{token}"] = direct.to_uris()
+                plain[plain_key] = plain_scalar(item)
+        return plain
     if isinstance(value, (list, tuple)):
         rebuilt = [
             _strip_with_pointers(item, f"{pointer}/{index}", sidecar)

@@ -124,6 +124,19 @@ def label(value: Any, *labels: Label | str) -> Any:
     return with_labels(value, labels_of(value).add(*labels))
 
 
+#: Exact built-in scalar type -> its labelled subclass, in ladder order; filled by
+#: the first :func:`with_labels` call (``taint.string``/``number`` import this module).
+_LABELED_TYPES: dict = {}
+
+
+def _resolve_labeled_types() -> dict:
+    from repro.taint.number import LabeledFloat, LabeledInt
+    from repro.taint.string import LabeledBytes, LabeledStr
+
+    _LABELED_TYPES.update({str: LabeledStr, bytes: LabeledBytes, int: LabeledInt, float: LabeledFloat})
+    return _LABELED_TYPES
+
+
 def with_labels(value: Any, labels: LabelSet, user_taint: bool | None = None) -> Any:
     """Return *value* rewrapped to carry exactly *labels*.
 
@@ -135,21 +148,18 @@ def with_labels(value: Any, labels: LabelSet, user_taint: bool | None = None) ->
     has for Ruby's ``nil``/``true``/``false``. Containers are rebuilt
     with every leaf labeled.
     """
-    from repro.taint.number import LabeledFloat, LabeledInt
-    from repro.taint.string import LabeledBytes, LabeledStr
-
+    wrappers = _LABELED_TYPES or _resolve_labeled_types()
+    wrapper = wrappers.get(type(value))
+    if wrapper is not None:
+        # Never user-tainted: the constructors read ``None`` as False.
+        return wrapper(value, labels, user_taint)
     if user_taint is None:
         user_taint = is_user_tainted(value)
     if value is None or isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        return LabeledStr(value, labels=labels, user_taint=user_taint)
-    if isinstance(value, bytes):
-        return LabeledBytes(value, labels=labels, user_taint=user_taint)
-    if isinstance(value, int):
-        return LabeledInt(value, labels=labels, user_taint=user_taint)
-    if isinstance(value, float):
-        return LabeledFloat(value, labels=labels, user_taint=user_taint)
+    for base, wrapper in wrappers.items():
+        if isinstance(value, base):
+            return wrapper(value, labels=labels, user_taint=user_taint)
     if isinstance(value, dict):
         # Keys are structural identifiers: they stay unlabeled (matching
         # the document sidecar, which records value labels only), though
@@ -196,7 +206,7 @@ def strip_labels(value: Any) -> Any:
     the response body once the label check passed). Enforcement code must
     use ``declassify`` helpers on the engine/middleware instead.
     """
-    if value is None or isinstance(value, bool):
+    if type(value) in PLAIN_TYPES:
         return value
     if is_labeled(value):
         return plain_scalar(value)

@@ -83,6 +83,10 @@ VIEWS = {
     if isinstance(doc.get("tags"), list)
     else [],
     "fragile": lambda doc: [(doc["required"], None)],
+    # Fails with whatever the fields provoke — KeyError, TypeError (an int
+    # has no len), ZeroDivisionError, ValueError (a too-wide emission) —
+    # and always "emits nothing", in both stores.
+    "ratio": lambda doc: [(doc["_id"], 6 // len(doc["tags"]))] if doc.get("k") != 0 else [(1, 2, 3)],
     # Two views over different fields of the same documents, keyed by
     # ``_id``: whenever the fields strip equal, only the labels tell the
     # rows apart — and "pairs" holds both emissions in one view.

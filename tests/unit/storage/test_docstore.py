@@ -122,6 +122,11 @@ class TestLabelPersistence:
         assert db.get("r1")["_id"] == "r1"
 
 
+def _fails_after_emitting(doc):
+    yield "ok", 1
+    raise RuntimeError("half-way through the emissions")
+
+
 class TestViews:
     def test_define_and_query(self, db):
         db.define_view("by_mdt", lambda doc: [(doc["mdt"], None)] if "mdt" in doc else [])
@@ -159,6 +164,53 @@ class TestViews:
         db.define_view("fragile", lambda doc: [(doc["required"], None)])
         db.put({"_id": "r1", "other": 1})
         assert db.view("fragile") == []
+
+    @pytest.mark.parametrize(
+        "broken_map",
+        [lambda doc: [(1 / 0, None)], lambda doc: [(1, 2, 3)], _fails_after_emitting],
+        ids=["zero-division", "wide-emission", "fails-after-emitting"],
+    )
+    def test_a_map_that_raises_anything_never_half_commits_a_write(self, tmp_path, broken_map):
+        """Whatever a map raises it "emits nothing"; the write that
+        triggered the indexing is whole: acknowledged, indexed by every
+        other view (defined before or after), announced, and durable."""
+        from repro.storage.recovery import close_durable, flush_durable, open_durable_database
+
+        live = open_durable_database(str(tmp_path / "db"), "app")
+        live.define_view("broken", broken_map)
+        live.define_view("by_n", lambda doc: [(doc["n"], None)])
+        seen = []
+        live.add_change_listener(seen.extend)
+
+        first = live.put({"_id": "r1", "n": 1, "name": label("alice", PATIENT)})
+        second = live.upsert({"_id": "r1", "n": 2, "name": label("alice", PATIENT)})
+        live.replication_put("r2", "1-abc", {"n": 2}, {})
+        live.define_view("later", lambda doc: [(doc["_id"], doc["n"])])
+        live.define_view("broken_later", broken_map)
+
+        assert first["rev"].startswith("1-") and second["rev"].startswith("2-")
+        assert [(c.doc_id, c.rev) for c in seen] == [
+            ("r1", first["rev"]), ("r1", second["rev"]), ("r2", "1-abc"),
+        ]
+        assert live.view("broken") == [] and live.view("broken_later") == []
+        assert [row.doc_id for row in live.view("by_n", key=2)] == ["r1", "r2"]
+        assert [(row.key, row.value) for row in live.view("later")] == [("r1", 2), ("r2", 2)]
+        # The map runs again over the labelled document to label plain rows;
+        # failing there, the row keeps the document's confidentiality.
+        live.define_view("shy", lambda doc: [(doc["n"], 1 // (not labels_of(doc.get("name"))))])
+        assert [(row.key, labels_of(row.value)) for row in live.view("shy")] == [
+            (2, LabelSet([PATIENT])), (2, LabelSet()),
+        ]
+
+        flush_durable(live)
+        close_durable(live)
+        reopened = open_durable_database(str(tmp_path / "db"), "app")
+        assert reopened.all_docs() == live.all_docs()
+        assert reopened.changes() == live.changes()
+        reopened.define_view("broken", broken_map)
+        reopened.define_view("by_n", lambda doc: [(doc["n"], None)])
+        assert reopened.view("broken") == [] and reopened.view("by_n") == live.view("by_n")
+        close_durable(reopened)
 
     def test_unknown_view(self, db):
         with pytest.raises(DocumentNotFound):
