@@ -34,13 +34,14 @@ test-storage:
 	$(PYTHON) -m pytest tests/unit/storage tests/property/test_sharded_store.py \
 		tests/property/test_write_path.py tests/property/test_crash_recovery.py -q
 
-# ...plus the STOMP suites that share its I/O core (plain, TLS, bridge robustness).
+# ...plus the STOMP suites that share its I/O core (plain, TLS, bridge robustness, receipt window).
 ## The multi-process cluster engine: equivalence, chaos, deployment and STOMP fabric tests.
 test-cluster:
 	$(PYTHON) -m pytest tests/property/test_cluster_engine.py tests/integration/test_cluster_deployment.py \
 		tests/integration/test_cluster_control.py \
 		tests/unit/events/test_stomp_link.py tests/integration/test_stomp.py \
-		tests/integration/test_tls.py tests/integration/test_bridge_robustness.py -q
+		tests/integration/test_tls.py tests/integration/test_bridge_robustness.py \
+		tests/integration/test_receipt_window.py -q
 
 ## Quick benchmark smoke: the broker ablation and throughput experiments.
 bench-smoke:

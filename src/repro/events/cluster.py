@@ -121,9 +121,9 @@ class ClusterRouter:
     A Broker-compatible facade that routes publishes to the shard owning
     the topic and fans subscriptions out to the shards that can match
     them. One STOMP connection per (role, principal, shard): *publish*
-    and *subscribe* connections are deliberately separate so that a
-    delivery callback can block on publish-receipt confirmation without
-    deadlocking its own listener thread.
+    and *subscribe* connections are deliberately separate, so a
+    delivery's ACK can wait on publish receipts while its listener
+    thread moves on to the next delivery.
 
     Deliveries arrive as codec bodies and are decoded back into labeled
     events (:func:`~repro.events.cluster_codec.decode_event`); a body
@@ -151,6 +151,8 @@ class ClusterRouter:
         self._unit_locks: Dict[str, threading.Lock] = {}
         self._subscriptions: Dict[str, _RouterSubscription] = {}
         self._ids = itertools.count(1)
+        #: ``.runs``: the (link, run) pairs published by this thread's delivery.
+        self._cascade = threading.local()
         #: Worker-side tee of DLQ-topic publishes (clearance-free
         #: accounting; the DLQ events themselves still flow through the
         #: label-checked broker like any other event).
@@ -213,10 +215,7 @@ class ClusterRouter:
     # -- the Broker surface ----------------------------------------------------
 
     def publish(self, event: Event, publisher: str = "anonymous") -> int:
-        self._tee_dlq(event, publisher)
-        shard = self._ring.node_for(event.topic)
-        self._bridge("pub", publisher, shard).publish(self._transport(event))
-        return 0
+        return self.publish_many([event], publisher)
 
     def publish_many(self, events, publisher: str = "anonymous") -> int:
         """Batched cross-shard publish: one receipt-confirmed run per shard."""
@@ -226,8 +225,10 @@ class ClusterRouter:
             by_shard.setdefault(self._ring.node_for(event.topic), []).append(
                 self._transport(event)
             )
+        runs = getattr(self._cascade, "runs", [])
         for shard, batch in by_shard.items():
-            self._bridge("pub", publisher, shard).publish_many(batch)
+            bridge = self._bridge("pub", publisher, shard)
+            runs.append((bridge, bridge.publish_many(batch)))
         return 0
 
     def subscribe(
@@ -329,6 +330,7 @@ class ClusterRouter:
                 # Not a cluster body — a foreign STOMP publisher on the
                 # same fabric. Deliver the transport event as-is.
                 event = transport
+            runs = self._cascade.runs = []
             try:
                 with unit_lock:
                     callback(event)
@@ -336,21 +338,26 @@ class ClusterRouter:
                 denied("callback", event, repr(error))
                 bridge.nack(message_id)
                 return
-            # Cascade durability before the ack: everything the callback
-            # published must be receipt-confirmed at its shard before
-            # this delivery is acknowledged — a crash in the gap yields
-            # a duplicate (at-least-once), never a gap. Unconfirmed after
-            # ack_timeout, the delivery is refused instead: the shard
-            # dead-letters it under its original labels.
-            if self.drain(self._ack_timeout):
+            if not runs:  # spares the common case the closure cycle below
                 bridge.ack(message_id)
-            else:
-                denied(
-                    "cascade",
-                    event,
-                    f"cascade publishes unconfirmed after {self._ack_timeout}s",
-                )
-                bridge.nack(message_id)
+                return
+            # Cascade durability: ACK once the callback's runs are receipt-
+            # confirmed (a crash in the gap yields a duplicate, never a gap);
+            # parked, or late past ack_timeout, the shard dead-letters it.
+            started = time.monotonic()
+
+            def confirmed(ok: bool) -> None:
+                if ok and runs:  # one run at a time; any parked run refuses
+                    link, run = runs.pop()
+                    link.after_confirmed(confirmed, run)
+                elif ok and time.monotonic() - started <= self._ack_timeout:
+                    bridge.ack(message_id)
+                else:
+                    late = f"unconfirmed after {self._ack_timeout}s"
+                    denied("cascade", event, f"cascade publishes {late if ok else 'parked'}")
+                    bridge.nack(message_id)
+
+            confirmed(True)
 
         return deliver
 
@@ -408,7 +415,8 @@ class ClusterRouter:
         )
 
     def queues_empty(self) -> bool:
-        return all(bridge.probe()["outgoing_depth"] == 0 for _, bridge in self._links())
+        probes = [bridge.probe() for _, bridge in self._links()]
+        return all(p["outgoing_depth"] == 0 and p["unconfirmed"] == 0 for p in probes)
 
     def close(self) -> None:
         with self._bridge_lock:

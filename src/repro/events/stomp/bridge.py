@@ -21,8 +21,8 @@ session and **resubscribes every tracked subscription** before the
 event is sent again; only after ``max_send_attempts`` failures is the
 event parked on :attr:`StompBrokerBridge.dead_letters` (audited) — the
 sender thread itself never dies, and nothing is lost silently. Sends
-are receipt-confirmed so a death of the socket mid-send is detected on
-the sender thread, not swallowed by the listener.
+are receipt-confirmed, :data:`SEND_WINDOW` runs at a time: a link death
+resends them all in order — repeating up to a window of events, losing none.
 
 Clearance passed to ``subscribe`` is advisory here: the *server* resolves
 the connection's principal against its own policy, so a buggy or
@@ -31,6 +31,8 @@ compromised engine host cannot claim clearance it does not have.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import queue
 import threading
 import time
@@ -41,7 +43,11 @@ from repro.core.labels import LabelSet
 from repro.core.privileges import PrivilegeSet
 from repro.events.event import Event
 from repro.events.stomp.client import StompClient
+from repro.exceptions import SafeWebError
 from repro.faults import NULL_FAULTS, ChaosInjector, SimulatedCrash
+
+#: Most runs a link keeps sent but not yet receipt-confirmed.
+SEND_WINDOW = 8
 
 
 class _BridgeStats:
@@ -53,6 +59,17 @@ class _BridgeStats:
         self.errors = 0
         self.reconnects = 0
         self.dead_lettered = 0
+
+
+class _Run:
+    """Events sent as one unit, and the callbacks waiting on its receipt."""
+
+    __slots__ = ("events", "markers", "ok")
+
+    def __init__(self, events: List[Event]):
+        self.events = events
+        self.markers: List[Callable[[bool], None]] = []
+        self.ok: Optional[bool] = None  # True once receipted, False once parked
 
 
 class _BridgeSubscription:
@@ -98,9 +115,14 @@ class StompBrokerBridge:
         self._audit = audit if audit is not None else default_audit_log()
         self._chaos = chaos
         self._client = self._new_client()
-        #: Runs of events to send (a single publish is a run of one),
-        #: drain markers (threading.Event) and the None stop sentinel.
-        self._outgoing: "queue.Queue[List[Event] | threading.Event | None]" = queue.Queue()
+        #: Runs to send (a single publish is a run of one), () to wake
+        #: the sender, None to stop it.
+        self._outgoing: "queue.Queue[_Run | tuple | None]" = queue.Queue()
+        #: Sent runs not yet settled (oldest first) and the run queued last.
+        self._window: List[_Run] = []
+        self._last: Optional[_Run] = None
+        self._settled = threading.Condition()
+        self._lost = False  # the current session died under unconfirmed runs
         self._sender: Optional[threading.Thread] = None
         self._subscriptions: Dict[str, _BridgeSubscription] = {}
         #: subscription_id -> kwargs needed to re-issue it on reconnect.
@@ -152,14 +174,24 @@ class StompBrokerBridge:
         self._subscription_specs.clear()
 
     def drain(self, timeout: float = 5.0) -> bool:
-        """Block until queued publishes were sent (or dead-lettered).
+        """Block until queued publishes were receipt-confirmed (or dead-lettered).
 
         False when *timeout* ran out first: something queued before the
         call is still unconfirmed.
         """
         done = threading.Event()
-        self._outgoing.put(done)
+        self.after_confirmed(lambda ok: done.set())
         return done.wait(timeout)
+
+    def after_confirmed(self, callback: Callable[[bool], None], run: Optional[_Run] = None):
+        """Call ``callback(ok)``, maybe on the link's I/O thread, once *run* (by
+        default: all queued so far) is receipt-confirmed, *ok*, or dead-lettered."""
+        with self._settled:
+            run = run or self._last
+            if run is not None and run.ok is None:
+                run.markers.append(callback)
+                return
+        callback(run is None or run.ok)
 
     # -- health ---------------------------------------------------------------
 
@@ -178,6 +210,7 @@ class StompBrokerBridge:
             "connected": self._client.connected,
             "sender_alive": self._sender is not None and self._sender.is_alive(),
             "outgoing_depth": self._outgoing.qsize(),
+            "unconfirmed": len(self._window),
             "subscriptions": len(self._subscriptions),
             "published": self.stats.published,
             "delivered": self.stats.delivered,
@@ -260,24 +293,26 @@ class StompBrokerBridge:
     def subscriptions_for(self, principal: str) -> List[_BridgeSubscription]:
         return [s for s in self._subscriptions.values() if s.principal == principal]
 
-    def publish(self, event: Event, publisher: str = "anonymous") -> int:
-        """Queue an event for transmission (jail-safe); returns 0."""
+    def publish(self, event: Event, publisher: str = "anonymous") -> Optional[_Run]:
+        """Queue an event for transmission (jail-safe); see :meth:`publish_many`."""
         return self.publish_many([event], publisher)
 
-    def publish_many(self, events, publisher: str = "anonymous") -> int:
+    def publish_many(self, events, publisher: str = "anonymous") -> Optional[_Run]:
         """Queue a batch; the sender writes the run back-to-back.
 
         Only the final SEND of the run asks for a receipt — the server
         processes a connection's frames in order, so one confirmation
         covers the whole batch, and the back-to-back frames coalesce
-        into :meth:`Broker.publish_many` runs on the server side.
-        """
+        into :meth:`Broker.publish_many` runs on the server side. Returns
+        the queued run (None for no events), for :meth:`after_confirmed`."""
         batch = list(events)
         if not batch:
-            return 0
+            return None
         self.stats.published += len(batch)
-        self._outgoing.put(batch)
-        return 0
+        with self._settled:  # default markers wait on the run queued last
+            run = self._last = _Run(batch)
+            self._outgoing.put(run)
+        return run
 
     def __len__(self) -> int:
         return len(self._subscriptions)
@@ -285,72 +320,110 @@ class StompBrokerBridge:
     # -- internals ------------------------------------------------------------------
 
     def _send_loop(self) -> None:
+        """Send runs without waiting for their receipts, at most
+        :data:`SEND_WINDOW` unconfirmed; any failure goes to :meth:`_resend`."""
         while True:
-            item = self._outgoing.get()
+            try:
+                item = self._outgoing.get(timeout=self._client._timeout if self._window else None)
+            except queue.Empty:
+                self._resend(SafeWebError("no RECEIPT in time"))
+                continue
             if item is None:
                 return
-            if isinstance(item, threading.Event):
-                item.set()
-            else:
-                self._send_run(item)
+            failure = self._wait(lambda: len(self._window) < SEND_WINDOW)
+            if item:
+                with self._settled:
+                    self._window.append(item)
+                failure = failure or self._transmit([item])
+            if failure is not None:
+                self._resend(failure)
 
-    def _send_run(self, events: List[Event]) -> bool:
-        """Send a run of one or more events; survive link failures as one unit.
-
-        The frames go out back-to-back and only the last asks for a
-        receipt — the server processes a connection's frames in order,
-        so one confirmation covers the run. Each failed attempt is
-        audited; between attempts the session is re-established
-        (reconnect + resubscribe) with exponential backoff and the whole
-        run is sent again — the far side may see leading events twice,
-        which the at-least-once contract permits. After the attempt
-        budget every event of the run is parked on :attr:`dead_letters`
-        with one final audit record, under the union of the run's
-        labels — the loop keeps draining either way.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                self._chaos.hit("bridge.send")
-                last = len(events) - 1
-                for index, event in enumerate(events):
-                    self._client.send(
+    def _transmit(self, runs: List[_Run]) -> Optional[Exception]:
+        """Send *runs*, tracking a receipt on each one's last frame; the error if one raised."""
+        client = self._client
+        try:
+            self._chaos.hit("bridge.send")
+            for run in runs:
+                last = len(run.events) - 1
+                for index, event in enumerate(run.events):
+                    client.send(
                         event.topic,
                         attributes=event.attributes,
                         payload=event.payload or "",
                         labels=event.labels,
-                        receipt=index == last,
+                        receipt=index == last and functools.partial(self._on_receipt, client, run),
                     )
-                return True
-            except SimulatedCrash:
-                raise
-            except Exception as error:  # noqa: BLE001 - the sender must keep draining
-                self.stats.errors += 1
-                labels = LabelSet(label for event in events for label in event.labels)
-                run = ", ".join(sorted({event.topic for event in events}))
-                if len(events) > 1:
-                    run += f" (batch of {len(events)})"
+        except SimulatedCrash:
+            raise
+        except Exception as error:  # noqa: BLE001 - the sender must keep draining
+            return error
+        return None
+
+    def _on_receipt(self, client: StompClient, run: _Run, ok: bool) -> None:
+        if ok:
+            self._settle([run])
+        elif client is self._client:  # not a session the ladder already replaced
+            with self._settled:
+                self._lost = True
+                self._settled.notify_all()
+            self._outgoing.put(())  # wake an idle sender to resend
+
+    def _resend(self, error: Optional[Exception]) -> None:
+        """Survive a link failure: every unconfirmed run, in order, as one unit.
+
+        Each failed attempt is audited; between attempts the session is
+        re-established with backoff and the unit sent again, awaiting its
+        receipt — a run may arrive twice (at-least-once). After the attempt
+        budget the unit is parked on :attr:`dead_letters`."""
+        for attempt in itertools.count(1):
+            with self._settled:
+                unit = [run for run in self._window if run.ok is None]
+            if error is None or not unit:
+                return  # resent, or confirmed meanwhile after all
+            events = [event for run in unit for event in run.events]
+            self.stats.errors += 1
+            labels = LabelSet(label for event in events for label in event.labels)
+            described = ", ".join(sorted({event.topic for event in events}))
+            if len(events) > 1:
+                described += f" (batch of {len(events)})"
+            detail = f"send to {described} failed (attempt {attempt}): {error!r}"
+            self._audit.denied("bridge", "send", self._login, labels=labels, detail=detail)
+            if attempt >= self._max_send_attempts or not self._reconnect:
+                detail = f"event for {described} parked after {attempt} attempt(s)"
                 self._audit.denied(
-                    "bridge",
-                    "send",
-                    self._login,
-                    labels=labels,
-                    detail=f"send to {run} failed (attempt {attempt}): {error!r}",
+                    "bridge", "dead_letter", self._login, labels=labels, detail=detail
                 )
-                if attempt >= self._max_send_attempts or not self._reconnect:
-                    self.stats.dead_lettered += len(events)
-                    self.dead_letters.extend(events)
-                    self._audit.denied(
-                        "bridge",
-                        "dead_letter",
-                        self._login,
-                        labels=labels,
-                        detail=f"event for {run} parked after {attempt} attempt(s)",
-                    )
-                    return False
-                self._backoff(attempt)
-                self._reestablish()
+                self._settle(unit, False)
+                return
+            self._backoff(attempt)
+            self._reestablish()
+            self._lost = False
+            error = self._transmit(unit) or self._wait(lambda: unit[-1].ok is not None)
+
+    def _wait(self, done: Callable[[], bool]) -> Optional[Exception]:
+        """Wait until *done*; the link's failure instead, if it comes first."""
+        with self._settled:
+            if not self._settled.wait_for(lambda: self._lost or done(), self._client._timeout):
+                return SafeWebError("no RECEIPT in time")
+        return SafeWebError("connection lost") if self._lost else None
+
+    def _settle(self, runs: List[_Run], ok: bool = True) -> None:
+        """Confirm or park (on :attr:`dead_letters`) *runs*; call their markers."""
+        with self._settled:
+            runs = [run for run in runs if run.ok is None]  # not a late RECEIPT
+            for run in runs:
+                run.ok = ok
+                if not ok:
+                    self.stats.dead_lettered += len(run.events)
+                    self.dead_letters.extend(run.events)
+            while self._window and self._window[0].ok is not None:
+                del self._window[0]
+            self._settled.notify_all()
+        for callback in [callback for run in runs for callback in run.markers]:
+            try:
+                callback(ok)
+            except Exception as error:  # noqa: BLE001 - the link's threads must survive
+                self._audit.denied("bridge", "confirm", self._login, detail=repr(error))
 
     def _backoff(self, attempt: int) -> None:
         if self._backoff_base <= 0:

@@ -69,6 +69,9 @@ class StompClient:
         self._control: "queue.Queue[Frame]" = queue.Queue()
         #: One receipt-confirmed exchange at a time: no RECEIPT is stolen.
         self._exchange = threading.Lock()
+        #: This session's tracked SEND receipts, oldest first.
+        self._receipts: Dict[str, Callable[[bool], None]] = {}
+        self._receipts_lock = threading.Lock()
         self._connected = threading.Event()
         self.errors: list = []
 
@@ -78,19 +81,20 @@ class StompClient:
         # A fresh control queue, bound to this session's listener: an
         # earlier session's connection-lost notice must not fail this one.
         control = self._control = queue.Queue()
+        receipts = self._receipts = {}
         sock = socket.create_connection((self._host, self._port), timeout=self._timeout)
         if self._tls_context is not None:
             sock = self._tls_context.wrap_socket(sock, server_hostname=self._host)
         self._sock = sock
         self._link = FrameLink(
             sock,
-            functools.partial(self._on_frames, control),
+            functools.partial(self._on_frames, control, receipts),
             write_timeout=self._timeout,
             before_write=functools.partial(self._chaos.hit, "stomp.client.flush"),
         )
         threading.Thread(
             target=self._listen,
-            args=(self._link, control),
+            args=(self._link, control, receipts),
             name="safeweb-stomp-client",
             daemon=True,
         ).start()
@@ -126,8 +130,10 @@ class StompClient:
         attributes: Optional[dict] = None,
         payload: "str | bytes" = "",
         labels: LabelSet | Iterable[Label | str] = (),
-        receipt: bool = False,
+        receipt: "bool | Callable[[bool], None]" = False,
     ) -> None:
+        """Publish one event. ``receipt=True`` blocks until it is confirmed; a
+        callable is called back, ``receipt(ok)``, by the listener — never raise."""
         if not isinstance(labels, LabelSet):
             labels = LabelSet(labels)
         headers = {"destination": destination}
@@ -138,8 +144,10 @@ class StompClient:
         if labels:
             headers[LABEL_HEADER] = ",".join(labels.to_uris())
         frame = Frame("SEND", headers, payload or "")
-        if receipt:
+        if receipt is True:
             self._confirmed(frame)
+        elif receipt:
+            self._track(frame, receipt)
         else:
             self._transmit(frame)
 
@@ -204,6 +212,21 @@ class StompClient:
             self._transmit(frame)
             self._await_control("RECEIPT", receipt, timeout)
 
+    def _track(self, frame: Frame, on_receipt: Callable[[bool], None]) -> None:
+        frame.headers["receipt"] = receipt = f"send-{next(_client_ids)}"
+        with self._receipts_lock:  # settled exactly once, even on a dying link
+            if not self._connected.is_set():
+                raise SafeWebError("connection lost")
+            self._receipts[receipt] = on_receipt
+            self._transmit(frame)
+
+    def _settle_receipts(self, receipts: dict, ok: bool, *names: str) -> None:
+        """Call ``on_receipt(ok)`` for the tracked receipts *names* (all if none)."""
+        with self._receipts_lock:
+            settled = [receipts.pop(name, None) for name in names or list(receipts)]
+        for on_receipt in filter(None, settled):
+            on_receipt(ok)
+
     def _await_control(
         self, command: str, receipt: Optional[str] = None, timeout: Optional[float] = None
     ) -> Frame:
@@ -226,23 +249,29 @@ class StompClient:
             if receipt is None or frame.header("receipt-id") == receipt:
                 return frame
 
-    def _listen(self, link: FrameLink, control: "queue.Queue[Frame]") -> None:
+    def _listen(self, link: FrameLink, control: "queue.Queue[Frame]", receipts) -> None:
         try:
             link.run()
         except InjectedFault:
             pass  # an injected flush fault is a socket death like any other
         finally:
             self._connected.clear()
-            # Fail any blocked _await_control caller fast, and make the
-            # *next* blocking call fail too (sends are fire-and-forget
-            # otherwise): a dead connection must be observable.
+            # Fail any blocked _await_control caller and tracked receipt
+            # fast, and make the *next* blocking call fail too (sends are
+            # fire-and-forget otherwise): a dead connection must be observable.
+            self._settle_receipts(receipts, False)
             control.put(Frame("ERROR", {"message": "connection lost"}))
 
-    def _on_frames(self, control: "queue.Queue[Frame]", frames: List[Frame]) -> None:
+    def _on_frames(self, control: "queue.Queue[Frame]", receipts, frames: List[Frame]) -> None:
         for frame in frames:
             if frame.command == "MESSAGE":
                 self._on_message(frame)
+            elif frame.command == "RECEIPT" and frame.header("receipt-id") in receipts:
+                self._settle_receipts(receipts, True, frame.header("receipt-id"))
             else:
+                if frame.command == "ERROR":
+                    # Sent ahead of earlier frames' RECEIPTs: no SEND is known good.
+                    self._settle_receipts(receipts, False)
                 control.put(frame)
 
     def _on_message(self, frame: Frame) -> None:

@@ -146,7 +146,15 @@ class TestSendLoopSurvivesSocketDeath:
             sender.publish(Event("/t", {}, payload="one"))
             sender.publish(Event("/t", {}, payload="two"))
             sender.drain(10)
-            assert wait_for(lambda: [e.payload for e in seen] == ["one", "two"], 10)
+
+            def payloads():
+                return [event.payload for event in seen]
+
+            assert wait_for(lambda: [p for p in payloads() if p != "one"] == ["two"], 10)
+            # At-least-once: "one" was unconfirmed when the link died, so
+            # it may be resent; order holds either way.
+            assert payloads().count("one") in (1, 2)
+            assert payloads()[-1] == "two"
             assert sender.stats.reconnects == 1
             assert chaos.arrivals("stomp.client.flush") >= 4
         finally:
