@@ -38,7 +38,7 @@ test-storage:
 ## The multi-process cluster engine: equivalence, chaos, deployment and STOMP fabric tests.
 test-cluster:
 	$(PYTHON) -m pytest tests/property/test_cluster_engine.py tests/integration/test_cluster_deployment.py \
-		tests/integration/test_cluster_control.py \
+		tests/integration/test_cluster_control.py tests/integration/test_cluster_blocking.py \
 		tests/unit/events/test_stomp_link.py tests/integration/test_stomp.py \
 		tests/integration/test_tls.py tests/integration/test_bridge_robustness.py \
 		tests/integration/test_receipt_window.py -q

@@ -18,8 +18,8 @@ Three passes:
   writes / publishes / SQL execution are sinks; paths that skip
   ``repro.taint.sanitize`` are flagged.
 * **Lock-order race detector** (:mod:`repro.analysis.locks`) — extracts
-  the lock-acquisition graph (shard locks, lane mailbox locks, cluster
-  router locks, …), reports cycles and acquisitions of a coarser lock
+  the lock-acquisition graph (shard locks, broker and STOMP locks,
+  cluster router locks, …), reports cycles and acquisitions of a coarser lock
   while a finer one is held.
 
 Entry points: :func:`analyze` (used by ``scripts/analyze.py`` and

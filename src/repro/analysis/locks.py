@@ -11,9 +11,9 @@ Acquisitions are recognised from ``with`` statements (the tree's only
 idiom) plus a **one-level call summary**: a call made under a held lock
 contributes edges to every lock the callee acquires directly. Callees
 resolve through ``self.method``, module-level functions, and a light
-field/variable type inference (``self._lanes[name] = ExecutionLane(...)``
-types ``lane.condition``; ``lock = self._unit_lock(p)`` resolves through
-the method's lock-return summary). Calls that cannot be resolved —
+field/variable type inference (``self._sequence = SequenceAllocator()``
+resolves ``self._sequence.reserve``; ``lock = self._unit_lock(p)``
+resolves through the method's lock-return summary). Calls that cannot be resolved —
 opaque unit callbacks in particular — contribute nothing, which is
 deliberate: the jail, not the lock graph, is the contract at that
 boundary.
@@ -54,12 +54,6 @@ LOCK_HIERARCHY: Dict[str, Dict[str, int]] = {
     "storage": {
         "Database._lock": 0,
         "SequenceAllocator._lock": 1,
-    },
-    "lanes": {
-        "LaneScheduler._lanes_lock": 0,
-        "ExecutionLane.condition": 1,
-        "LaneScheduler._idle": 2,
-        "EngineStats._lock": 3,
     },
     "cluster": {
         "ClusterRouter._unit_locks[*]": 0,

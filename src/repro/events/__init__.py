@@ -15,7 +15,7 @@ from repro.events.jail import Jail, isolate_callback
 from repro.events.unit import Unit, unit_from_function
 from repro.events.engine import EventProcessingEngine
 from repro.events.cluster import ClusterEngine, ClusterRouter
-from repro.events.lanes import EngineStats, ExecutionLane, LaneScheduler
+from repro.events.lanes import EngineStats
 from repro.events.ring import HashRing, stable_hash
 from repro.events.supervision import (
     CircuitBreaker,
@@ -34,8 +34,6 @@ __all__ = [
     "Supervisor",
     "dlq_topic",
     "EngineStats",
-    "ExecutionLane",
-    "LaneScheduler",
     "Event",
     "LabelContext",
     "current_labels",

@@ -1,8 +1,10 @@
 """Multi-process cluster engine: topic-sharded brokers + pinned workers.
 
-PR 5's laned engine tops out at GIL parity on CPU-bound pipelines; this
-module moves past it with *process*-level parallelism over the existing
-STOMP fabric (docs/CLUSTER.md has the full contract):
+The in-process engine runs every callback on the delivering thread, so
+one GIL bounds a CPU-bound pipeline and a unit that blocks on I/O stalls
+its publisher. This module is the way to run units in parallel:
+*process*-level parallelism over the existing STOMP fabric
+(docs/CLUSTER.md has the full contract):
 
 * **Broker shards** — N broker processes, each an ordinary
   ``Broker(threaded=True)`` behind a :class:`StompServer`. The topic
@@ -130,8 +132,8 @@ class ClusterRouter:
     whose recorded labels disagree with the transport header the shard's
     clearance check enforced is audited-denied and consumed, never
     delivered. Per-principal delivery locks serialise a unit's callbacks
-    across its subscriptions — the same guarantee the laned engine's
-    per-unit mailboxes make.
+    across its subscriptions, so a unit's callbacks never race each other
+    or its labelled store.
     """
 
     def __init__(
@@ -541,7 +543,7 @@ def _worker_main(
         engine.drain(message.get("timeout", 10.0))
         confirmed = router.drain()
         return {
-            "activity": engine.stats.dispatched + engine.stats.queued + router.activity(),
+            "activity": engine.stats.dispatched + router.activity(),
             "idle": confirmed and router.queues_empty(),
         }
 

@@ -8,11 +8,11 @@ it; publishing stamps it onto outgoing events.
 The set is tracked per thread with an explicit stack so nested contexts
 (e.g. a privileged unit synchronously draining a queue) restore cleanly.
 
-The parallel engine's worker threads rely on exactly this per-thread
-tracking to carry the context **per task**: each lane task enters a
-fresh ``LabelContext(event.labels)`` on whichever worker runs it and
-pops it on exit, so a worker holds no ambient labels between tasks and
-two lanes' ambient sets can never bleed into each other (see
+Deliveries run on whichever thread delivers them — the publisher, a
+threaded broker's dispatcher, an HTTP worker, a cluster worker's bridge
+listener — and each enters a fresh ``LabelContext(event.labels)`` and
+pops it on exit, so a thread holds no ambient labels between deliveries
+and two threads' ambient sets can never bleed into each other (see
 docs/ENGINE.md).
 """
 

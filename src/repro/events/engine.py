@@ -13,31 +13,20 @@ The engine is the runtime environment for units. Its key functions:
    (importers/exporters) run outside the jail but may have clearance for
    chosen labels withheld so they can never receive those events.
 
-Execution modes
----------------
+Execution
+---------
 
-``workers=0`` (the default) is the seed behaviour and the executable
-reference: every delivery runs synchronously on the publisher's thread,
-cascades nest, and exceptions propagate to the publisher when
-``raise_callback_errors`` is set.
-
-``workers=N`` turns on the **parallel engine**: each unit gets a serial
-execution lane (per-unit FIFO, a unit's callbacks never race its own
-labelled store) multiplexed over N shared worker threads
-(:mod:`repro.events.lanes`). The broker still matches topics, selectors
-and clearance on the publishing thread — enforcement is unchanged — but
-the matched callback is handed to the unit's lane instead of being
-invoked inline. LabelContext and jail containment are established *per
-task* on whichever worker runs it, so label tracking and isolation are
-identical to the synchronous mode; the property suite
-(tests/property/test_parallel_engine.py) pins the equivalence. See
-docs/ENGINE.md for the ordering guarantees and backpressure knobs.
+Every delivery runs synchronously on the thread that delivers it — the
+publisher's, or a threaded broker's dispatcher — and cascades nest.
+Exceptions propagate to the publisher when ``raise_callback_errors`` is
+set. Units that block on I/O, or that need to run in parallel, go to
+the cluster engine (:mod:`repro.events.cluster`), whose workers each run
+this same engine in their own process (docs/CLUSTER.md).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.audit import AuditLog, default_audit_log
@@ -48,10 +37,9 @@ from repro.events.broker import Broker
 from repro.events.context import LabelContext, current_labels
 from repro.events.event import Event, as_events
 from repro.events.jail import Jail, isolate_callback
-from repro.events.lanes import BLOCK, EngineStats, LaneScheduler
+from repro.events.lanes import EngineStats
 from repro.events.store import LabeledStore
 from repro.events.supervision import (
-    ALREADY_SUSPENDED,
     RESTART,
     SUSPEND,
     SupervisionPolicy,
@@ -77,9 +65,8 @@ class _UnitServices:
     the instance itself.
     """
 
-    def __init__(self, engine: "EventProcessingEngine", unit: Unit, principal: UnitPrincipal):
+    def __init__(self, engine: "EventProcessingEngine", principal: UnitPrincipal):
         self._engine = engine
-        self._unit = unit
         self.principal = principal
         self.store = LabeledStore(principal, audit=engine.audit)
         #: Set by unregister: a detached unit (or a jail-isolated clone
@@ -120,6 +107,10 @@ class _UnitServices:
 class EventProcessingEngine:
     """Runs units against a broker under IFC enforcement."""
 
+    #: Deliveries never leave the delivering thread. The frozen benchmark
+    #: harness reads this; it is constant (docs/ENGINE.md).
+    parallel = False
+
     def __init__(
         self,
         broker: Optional[Broker] = None,
@@ -127,9 +118,6 @@ class EventProcessingEngine:
         audit: Optional[AuditLog] = None,
         isolation: bool = True,
         raise_callback_errors: bool = False,
-        workers: int = 0,
-        mailbox_capacity: int = 1024,
-        backpressure: str = BLOCK,
         supervision: Optional[SupervisionPolicy | Supervisor] = None,
         chaos: ChaosInjector = NULL_FAULTS,
     ):
@@ -161,21 +149,6 @@ class EventProcessingEngine:
         # per name, so a plain dict lookup on the delivery fast path
         # avoids a method call per event.
         self._unit_supervisors: Dict[str, UnitSupervisor] = {}
-        self._scheduler: Optional[LaneScheduler] = None
-        if workers:
-            self._scheduler = LaneScheduler(
-                workers,
-                self._run_task,
-                self.stats,
-                mailbox_capacity=mailbox_capacity,
-                backpressure=backpressure,
-                on_drop=self._audit_drop,
-            )
-
-    @property
-    def parallel(self) -> bool:
-        """True when deliveries run on execution lanes, not the publisher."""
-        return self._scheduler is not None
 
     # -- unit lifecycle ------------------------------------------------------
 
@@ -190,7 +163,7 @@ class EventProcessingEngine:
         with self._lock:
             if unit.name in self._units:
                 raise SafeWebError(f"unit {unit.name!r} already registered")
-            services = _UnitServices(self, unit, principal)
+            services = _UnitServices(self, principal)
             self._units[unit.name] = unit
             self._services[unit.name] = services
         unit.attach(services)
@@ -199,7 +172,7 @@ class EventProcessingEngine:
         return unit
 
     def unregister(self, unit_name: str) -> None:
-        """Detach a unit: subscriptions, services handle and lane all go.
+        """Detach a unit: its subscriptions and services handle go.
 
         Subscriptions are removed under the *principal* name they were
         registered with (which the policy may decouple from the unit
@@ -214,11 +187,6 @@ class EventProcessingEngine:
         principal_name = services.principal.name if services is not None else unit_name
         for subscription in self.broker.subscriptions_for(principal_name):
             self.broker.unsubscribe(subscription.subscription_id)
-        if self._scheduler is not None:
-            # Already-accepted deliveries finish before the unit is torn
-            # down; in-flight submissions racing the unsubscribe above
-            # are dropped with an audit record, never raised.
-            self._scheduler.close_lane(principal_name)
         if unit is not None:
             try:
                 unit.teardown()
@@ -245,54 +213,18 @@ class EventProcessingEngine:
         with self._lock:
             return self._services[unit_name].store
 
-    # -- parallel lifecycle ---------------------------------------------------
+    # -- draining --------------------------------------------------------------
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Wait until every queued delivery (and its cascade) completed.
+        """Wait until the broker has delivered everything queued.
 
-        False when *timeout* ran out first. A synchronous engine is
-        drained as soon as its broker is (at once, unless the broker is
-        threaded). With lanes the loop alternates between the broker
-        queue and the lanes until neither produced new work — a worker
-        callback may publish into the broker, whose dispatcher then
-        refills the lanes.
+        False when *timeout* ran out first. At once unless the broker is
+        threaded: every cascade runs inside the delivery that caused it.
         """
-        if self._scheduler is None:
-            return self.broker.drain(timeout)
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return self._scheduler.idle
-            # Stability check: one full round (broker → lanes → broker
-            # again) during which nothing was accepted or executed. The
-            # trailing broker drain matters: a callback may publish into
-            # a threaded broker just before finishing, and the event sits
-            # in the dispatcher queue while the lanes are momentarily
-            # idle — the second drain forces that handoff to happen (and
-            # show up in the counters) before quiescence is declared.
-            before = (self.stats.queued, self.stats.dispatched)
-            if not (
-                self.broker.drain(remaining)
-                and self._scheduler.drain(max(deadline - time.monotonic(), 0.001))
-                and self.broker.drain(max(deadline - time.monotonic(), 0.001))
-            ):
-                return False
-            after = (self.stats.queued, self.stats.dispatched)
-            if after == before and self._scheduler.idle:
-                return True
+        return self.broker.drain(timeout)
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Gracefully drain the lanes and shut the worker pool down."""
-        if self._scheduler is not None:
-            self.drain(timeout)
-            self._scheduler.stop(timeout)
-
-    def lane_depths(self) -> Dict[str, int]:
-        """Current mailbox depth per unit lane (empty when synchronous)."""
-        if self._scheduler is None:
-            return {}
-        return self._scheduler.lane_depths()
+    def stop(self) -> None:
+        """Nothing to stop: the engine owns no threads."""
 
     # -- ingress for non-unit producers ----------------------------------------
 
@@ -343,29 +275,13 @@ class EventProcessingEngine:
 
         # A chaos fault at the deliver point raises on the delivering
         # thread, where the broker's containment audits it as a denied
-        # delivery — the same observable outcome in both engine modes.
+        # delivery.
         deliver_point = f"engine.deliver:{principal.name}"
 
-        if self._scheduler is not None:
-            # Parallel mode: the broker's matching and clearance checks
-            # still run on the publishing thread; the matched callback is
-            # handed to the unit's serial lane. The security context
-            # travels inside the task (principal + event), re-established
-            # by _run_task on whichever worker executes it.
-            lane = self._scheduler.lane(principal.name)
-            submit = self._scheduler.submit
-
-            def deliver(event: Event) -> None:
-                if self._chaos_active:
-                    self._chaos.hit(deliver_point)
-                submit(lane, (principal, callback, event))
-
-        else:
-
-            def deliver(event: Event) -> None:
-                if self._chaos_active:
-                    self._chaos.hit(deliver_point)
-                self._run_callback(principal, callback, event)
+        def deliver(event: Event) -> None:
+            if self._chaos_active:
+                self._chaos.hit(deliver_point)
+            self._run_callback(principal, callback, event)
 
         self.broker.subscribe(
             topic,
@@ -374,51 +290,6 @@ class EventProcessingEngine:
             clearance=principal.effective_clearance(),
             selector=selector,
             require_integrity=require_integrity,
-        )
-
-    def _run_task(self, task) -> None:
-        """Execute one lane task on a worker thread.
-
-        The LabelContext and jail containment are established inside
-        :meth:`_run_callback`, per task — workers carry no ambient
-        security state between tasks. Exceptions are audited by
-        :meth:`_run_callback` and swallowed here: in parallel mode there
-        is no publisher stack to propagate them to, and a raising unit
-        must never take a shared worker down (``raise_callback_errors``
-        only changes synchronous-mode behaviour).
-        """
-        principal, callback, event = task
-        if self._chaos_active:
-            try:
-                self._chaos.hit(f"lane.execute:{principal.name}")
-            except Exception as error:  # noqa: BLE001 - injected lane fault
-                # The task never reached the callback: audit the loss and
-                # (when supervised) dead-letter it, so a lane-level fault
-                # is no more silent than a callback failure.
-                self.stats.bump("callback_errors")
-                self.audit.denied(
-                    "engine",
-                    "lane",
-                    principal.name,
-                    labels=event.labels,
-                    detail=f"lane execution fault: {error!r}",
-                )
-                if self.supervisor is not None:
-                    self._dead_letter(principal, event, repr(error), attempts=0)
-                return
-        try:
-            self._run_callback(principal, callback, event)
-        except Exception:  # noqa: BLE001 - audited + counted in _run_callback
-            pass
-
-    def _audit_drop(self, lane_name: str, task, reason: str) -> None:
-        _principal, _callback, event = task
-        self.audit.denied(
-            "engine",
-            "enqueue",
-            lane_name,
-            labels=event.labels,
-            detail=f"event dropped: {reason}",
         )
 
     def _run_callback(self, principal: UnitPrincipal, callback, event: Event) -> None:
@@ -544,23 +415,19 @@ class EventProcessingEngine:
                     f"{unit_sup.policy.restart_window}s; deliveries now dead-letter"
                 ),
             )
-        elif decision == ALREADY_SUSPENDED:  # pragma: no cover - racing failures
-            pass
 
     def _restart_unit(self, principal_name: str) -> bool:
         """One-for-one restart: run ``teardown``, register the unit's
         subscriptions afresh via ``setup``, then drop the old ones.
         Re-registration rebuilds the jail-isolated callback clones, so a
         restarted unit starts from the unit instance's current state
-        with fresh subscription wiring. The unit's lane (if any) stays
-        open — queued deliveries continue to the restarted unit in FIFO
-        order.
+        with fresh subscription wiring.
 
         The new subscriptions go live *before* the old ones are removed:
         an event published concurrently with the swap may be delivered
         through both (at-least-once), but never falls into a window with
         no matching subscription (silent loss). Unsubscribe-first had
-        exactly that hole under the laned engine.
+        exactly that hole whenever another thread published mid-swap.
         """
         with self._lock:
             unit = None

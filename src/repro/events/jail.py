@@ -27,12 +27,11 @@ the way Ruby's taint-write rule does. Under the paper's threat model —
 buggy, not malicious, code — the paths that matter (I/O, globals,
 closures, shared unit state) are all closed.
 
-Containment is per-thread state, which is what lets the parallel
-engine carry the jail **per task**: a worker enters
-:meth:`Jail.contained` around each non-privileged principal's callback
-and leaves it afterwards, so the same pool thread can run a jailed
-task, then a privileged one, with no state carried over (see
-docs/ENGINE.md).
+Containment is per-thread state, so the engine carries the jail **per
+delivery**: whichever thread delivers enters :meth:`Jail.contained`
+around each non-privileged principal's callback and leaves it
+afterwards, so one thread can run a jailed callback, then a privileged
+one, with no state carried over (see docs/ENGINE.md).
 """
 
 from __future__ import annotations

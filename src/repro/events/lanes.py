@@ -1,88 +1,38 @@
-"""Per-unit execution lanes over a shared worker pool (paper §4.3, scaled).
+"""The event processing engine's counter block.
 
-The seed engine delivers every event synchronously on the publisher's
-thread, so one slow unit stalls the whole pipeline and multi-unit
-deployments cannot overlap independent work. This module supplies the
-actor-style runtime the parallel engine multiplexes units onto:
-
-* every unit gets one :class:`ExecutionLane` — a bounded FIFO mailbox.
-  A lane is owned by at most one worker at a time, so a unit's callbacks
-  run strictly in arrival order and never race each other (or the
-  unit's labelled store);
-* lanes are multiplexed over a small shared pool of worker threads.
-  Workers claim a ready lane, drain up to :attr:`LaneScheduler.batch`
-  tasks from it in one mailbox lock hold (batched dispatch), then hand
-  the lane back if it still holds work;
-* mailboxes are bounded. When one fills, the configured backpressure
-  policy applies: ``"block"`` makes the producer wait for space (the
-  default — lossless, but a cyclic unit graph whose mailboxes all fill
-  can deadlock the pool, see docs/ENGINE.md), ``"drop"`` discards the
-  newest task and records the loss in the audit log and in
-  :attr:`EngineStats.dropped`;
-* security context is carried **per task, not per thread**: the
-  scheduler stores ``(principal, callback, event)`` and the engine's
-  task runner re-establishes the LabelContext and (for unjailed
-  principals) jail containment around every single callback, exactly as
-  the synchronous path does. Worker threads keep no ambient state
-  between tasks.
-
-:class:`EngineStats` is the counter block benchmarks and the drain logic
-read; all counters are exact (every mutation goes through the stats
-object's internal lock).
+:class:`EngineStats` is the one thing left in this module: the frozen
+benchmark harness names it by this path, so it stays here until the
+harness is next revised (docs/ENGINE.md).
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.exceptions import SafeWebError
-
-#: A unit of work: (principal, isolated callback, event). Kept as a plain
-#: tuple so enqueueing from inside the IFC jail allocates nothing that
-#: could trip the audit hook.
-Task = Tuple[object, Callable, object]
-
-#: Sentinel a worker interprets as "exit".
-_STOP = object()
-
-#: How a full mailbox treats a new task.
-BLOCK = "block"
-DROP = "drop"
-
-BACKPRESSURE_POLICIES = (BLOCK, DROP)
+from typing import Dict
 
 
 class EngineStats:
-    """Counters for the parallel engine (exact, cheap to read).
+    """Counters for the event processing engine (exact, cheap to read).
 
-    ``dispatched`` counts callbacks actually executed (synchronous mode
-    increments it too, so seed-vs-laned comparisons line up), ``queued``
-    counts tasks accepted into a mailbox, ``dropped`` counts tasks
-    discarded by the ``"drop"`` backpressure policy, ``callback_errors``
-    counts unit exceptions (security violations and plain bugs alike),
-    and ``max_lane_depth`` high-watermarks the deepest mailbox seen.
-    Supervised engines (repro.events.supervision) additionally count
-    ``retries`` (failed callback re-invocations), ``restarts``
-    (one-for-one unit restarts) and ``dead_lettered`` (events published
-    to a ``/_dlq.<unit>`` topic); all three stay 0 without supervision.
+    ``dispatched`` counts deliveries (one per matched callback; a
+    supervised retry is not a new one), ``callback_errors`` counts unit
+    exceptions (security violations and
+    plain bugs alike). Supervised engines (repro.events.supervision)
+    additionally count ``retries`` (failed callback re-invocations),
+    ``restarts`` (one-for-one unit restarts) and ``dead_lettered``
+    (events published to a ``/_dlq.<unit>`` topic); all three stay 0
+    without supervision.
 
-    Counters are bumped from many threads (workers, producers, lanes),
-    and both the engine's drain loop and the equivalence tests rely on
-    them being *exact* — a CPython ``+=`` is load/add/store and can lose
-    increments under preemption — so every mutation goes through
+    Deliveries run on whichever thread delivers — the publisher, a
+    threaded broker's dispatcher, an HTTP worker, a cluster worker's
+    bridge listener — and a CPython ``+=`` is load/add/store that can
+    lose increments under preemption, so every mutation goes through
     :meth:`bump` under one internal lock.
     """
 
     __slots__ = (
         "dispatched",
-        "queued",
-        "dropped",
         "callback_errors",
-        "max_lane_depth",
-        "batches",
         "retries",
         "restarts",
         "dead_lettered",
@@ -91,289 +41,22 @@ class EngineStats:
 
     def __init__(self) -> None:
         self.dispatched = 0
-        self.queued = 0
-        self.dropped = 0
         self.callback_errors = 0
-        self.max_lane_depth = 0
-        #: Lane activations: one batch = one mailbox drain by a worker.
-        self.batches = 0
         self.retries = 0
         self.restarts = 0
         self.dead_lettered = 0
         self._lock = threading.Lock()
 
-    def bump(self, counter: str, amount: int = 1) -> None:
+    def bump(self, counter: str) -> None:
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-
-    def record_depth(self, depth: int) -> None:
-        with self._lock:
-            self.queued += 1
-            if depth > self.max_lane_depth:
-                self.max_lane_depth = depth
+            setattr(self, counter, getattr(self, counter) + 1)
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "dispatched": self.dispatched,
-                "queued": self.queued,
-                "dropped": self.dropped,
                 "callback_errors": self.callback_errors,
-                "max_lane_depth": self.max_lane_depth,
-                "batches": self.batches,
                 "retries": self.retries,
                 "restarts": self.restarts,
                 "dead_lettered": self.dead_lettered,
             }
-
-
-class ExecutionLane:
-    """One unit's serial mailbox.
-
-    The ``scheduled`` flag is the single-owner guarantee: a lane is on
-    the ready queue or owned by exactly one worker while it is True, so
-    two workers can never execute one unit's callbacks concurrently.
-    """
-
-    __slots__ = ("name", "mailbox", "capacity", "scheduled", "closed", "condition")
-
-    def __init__(self, name: str, capacity: int):
-        self.name = name
-        self.mailbox: deque = deque()
-        self.capacity = capacity
-        self.scheduled = False
-        self.closed = False
-        self.condition = threading.Condition()
-
-    @property
-    def depth(self) -> int:
-        return len(self.mailbox)
-
-
-class LaneScheduler:
-    """Multiplexes per-unit lanes over a bounded worker pool."""
-
-    def __init__(
-        self,
-        workers: int,
-        run_task: Callable[[Task], None],
-        stats: EngineStats,
-        mailbox_capacity: int = 1024,
-        backpressure: str = BLOCK,
-        batch: int = 32,
-        on_drop: Optional[Callable[[str, Task, str], None]] = None,
-        name: str = "safeweb-lane",
-    ):
-        if workers < 1:
-            raise SafeWebError("a lane scheduler needs at least one worker")
-        if mailbox_capacity < 1:
-            raise SafeWebError("mailbox_capacity must be at least 1")
-        if backpressure not in BACKPRESSURE_POLICIES:
-            raise SafeWebError(
-                f"unknown backpressure policy {backpressure!r}; "
-                f"expected one of {BACKPRESSURE_POLICIES}"
-            )
-        self.workers = workers
-        self.mailbox_capacity = mailbox_capacity
-        self.backpressure = backpressure
-        self.batch = batch
-        self._run_task = run_task
-        self._stats = stats
-        self._on_drop = on_drop
-        self._lanes: Dict[str, ExecutionLane] = {}
-        self._lanes_lock = threading.Lock()
-        self._ready: "queue.SimpleQueue[object]" = queue.SimpleQueue()
-        #: queued-but-not-finished task count; drain() waits for zero.
-        self._pending = 0
-        self._idle = threading.Condition()
-        self._stopped = False
-        self._threads: List[threading.Thread] = [
-            threading.Thread(target=self._worker, name=f"{name}-{index}", daemon=True)
-            for index in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    # -- lane management ------------------------------------------------------
-
-    def lane(self, name: str) -> ExecutionLane:
-        """The (created-on-demand) lane for *name*."""
-        with self._lanes_lock:
-            lane = self._lanes.get(name)
-            if lane is None or lane.closed:
-                # A closed lane belongs to an unregistered unit; a new
-                # registration under the same principal gets a fresh one
-                # (the old lane still drains whatever it had accepted).
-                lane = ExecutionLane(name, self.mailbox_capacity)
-                self._lanes[name] = lane
-            return lane
-
-    def lane_depths(self) -> Dict[str, int]:
-        with self._lanes_lock:
-            return {name: lane.depth for name, lane in self._lanes.items()}
-
-    # -- producer side --------------------------------------------------------
-
-    def submit(self, lane: ExecutionLane, task: Task) -> bool:
-        """Enqueue *task* on *lane*; returns False when dropped.
-
-        Blocks while the mailbox is full under the ``"block"`` policy.
-        Raises :class:`SafeWebError` after :meth:`stop`.
-        """
-        with lane.condition:
-            if self._stopped:
-                raise SafeWebError(
-                    f"lane {lane.name!r} is closed; the engine has been stopped"
-                )
-            if lane.closed:
-                # The unit has been unregistered; a delivery that was
-                # already in flight when the subscription went away is
-                # dropped (and audited), not raised into the publisher.
-                self._stats.bump("dropped")
-                if self._on_drop is not None:
-                    self._on_drop(lane.name, task, "unit unregistered")
-                return False
-            if len(lane.mailbox) >= lane.capacity:
-                if self.backpressure == DROP:
-                    self._stats.bump("dropped")
-                    if self._on_drop is not None:
-                        self._on_drop(lane.name, task, "mailbox full")
-                    return False
-                while len(lane.mailbox) >= lane.capacity:
-                    lane.condition.wait()
-                    if self._stopped:
-                        raise SafeWebError(
-                            f"lane {lane.name!r} closed while waiting for mailbox space"
-                        )
-                    if lane.closed:
-                        # The unit was unregistered while we waited for
-                        # space: same contract as the non-blocking path —
-                        # drop with audit, never raise into the publisher.
-                        self._stats.bump("dropped")
-                        if self._on_drop is not None:
-                            self._on_drop(lane.name, task, "unit unregistered")
-                        return False
-            # Count the task as pending *before* it becomes poppable, so
-            # drain() can never observe a momentarily-negative balance.
-            with self._idle:
-                self._pending += 1
-            lane.mailbox.append(task)
-            self._stats.record_depth(len(lane.mailbox))
-            schedule = not lane.scheduled
-            if schedule:
-                lane.scheduled = True
-        if schedule:
-            self._ready.put(lane)
-        return True
-
-    # -- worker side ----------------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            item = self._ready.get()
-            if item is _STOP:
-                return
-            lane: ExecutionLane = item  # type: ignore[assignment]
-            with lane.condition:
-                batch = [
-                    lane.mailbox.popleft()
-                    for _ in range(min(self.batch, len(lane.mailbox)))
-                ]
-                lane.condition.notify_all()  # space freed for blocked producers
-            self._stats.bump("batches")
-            run = self._run_task
-            stats = self._stats
-            for task in batch:
-                # run_task (the engine's callback runner) contains its
-                # own error handling; anything escaping it is a harness
-                # bug that still must not kill the worker.
-                try:
-                    run(task)
-                except Exception:  # noqa: BLE001 - lanes must survive unit bugs
-                    stats.bump("callback_errors")
-            with lane.condition:
-                # A closed lane (unregistered unit) still drains what it
-                # already accepted — it only refuses new submissions.
-                if lane.mailbox:
-                    self._ready.put(lane)
-                else:
-                    lane.scheduled = False
-                    lane.condition.notify_all()  # wake close_lane waiters
-            with self._idle:
-                self._pending -= len(batch)
-                if self._pending <= 0:
-                    self._idle.notify_all()
-
-    # -- lifecycle ------------------------------------------------------------
-
-    @property
-    def idle(self) -> bool:
-        with self._idle:
-            return self._pending == 0
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        """Block until every queued task has finished; False on timeout."""
-        with self._idle:
-            return self._idle.wait_for(lambda: self._pending == 0, timeout)
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Drain, then shut the worker pool down.
-
-        Graceful: queued work completes first. Afterwards ``submit``
-        raises; a task that raced the shutdown flag into a mailbox is
-        swept out afterwards with a drop audit record — either way no
-        task is silently accepted into a dead pool.
-        """
-        self.drain(timeout)
-        self._stopped = True
-        with self._lanes_lock:
-            lanes = list(self._lanes.values())
-        for lane in lanes:
-            with lane.condition:
-                lane.condition.notify_all()  # release blocked producers
-        for _ in self._threads:
-            self._ready.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout)
-        # A submit that passed the _stopped check concurrently with the
-        # flag flip may have appended after the workers left: sweep any
-        # residue so nothing is lost *silently* and drain() stays sound.
-        for lane in lanes:
-            with lane.condition:
-                leftovers = len(lane.mailbox)
-                while lane.mailbox:
-                    task = lane.mailbox.popleft()
-                    self._stats.bump("dropped")
-                    if self._on_drop is not None:
-                        self._on_drop(lane.name, task, "scheduler stopped")
-            if leftovers:
-                with self._idle:
-                    self._pending -= leftovers
-                    if self._pending <= 0:
-                        self._idle.notify_all()
-
-    def close_lane(self, name: str, timeout: float = 10.0) -> bool:
-        """Close a unit's lane (unregister) and wait for it to empty.
-
-        New submissions to a closed lane are dropped (with audit);
-        already-accepted tasks still run — this blocks until they have,
-        so the caller can safely tear the unit down afterwards. When
-        called *from a pool worker* (a unit unregistering itself, or a
-        peer, mid-callback) the wait is skipped — the waiting thread is
-        the one the lane needs to make progress — and any queued tasks
-        simply finish after the current callback returns. Returns False
-        when the lane was not (observed) empty.
-        """
-        with self._lanes_lock:
-            lane = self._lanes.get(name)
-        if lane is None:
-            return True
-        on_worker = threading.current_thread() in self._threads
-        with lane.condition:
-            lane.closed = True
-            lane.condition.notify_all()
-            if on_worker:
-                return not lane.mailbox and not lane.scheduled
-            return lane.condition.wait_for(
-                lambda: not lane.mailbox and not lane.scheduled, timeout
-            )

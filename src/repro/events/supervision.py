@@ -24,8 +24,9 @@ machinery the engine wires around every supervised callback:
 The contract the property suite (tests/property/test_supervision.py)
 pins: under injected faults, every delivered event is **observed** by
 the unit, **dead-lettered** with its labels intact, or **audited as
-denied** — never silently lost — and the synchronous and laned engines
-reach the same outcome under the same fault schedule.
+denied** — never silently lost. The cluster suite
+(tests/property/test_cluster_engine.py) pins the same guarantee across a
+worker process's death.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class UnitSupervisor:
 
     The hot path (a successful delivery) touches only plain attribute
     reads; the failure path takes the lock to keep the restart window
-    exact under concurrent lanes.
+    exact when several threads deliver to one unit.
     """
 
     __slots__ = ("name", "policy", "suspended", "restart_count", "_restarts", "_clock", "_lock")

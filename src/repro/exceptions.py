@@ -89,7 +89,7 @@ class CircuitOpenError(SafeWebError):
 
     Raised instead of attempting a call against a backend that has been
     failing: the caller sheds load immediately (and, under supervision,
-    dead-letters the event) rather than stalling a lane on a sick
+    dead-letters the event) rather than stalling the pipeline on a sick
     dependency. See ``docs/ROBUSTNESS.md``."""
 
     def __init__(self, message: str, breaker: str = ""):

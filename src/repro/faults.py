@@ -2,8 +2,7 @@
 
 PR 6 taught the storage tier to crash deterministically at named points
 (:mod:`repro.storage.faults`); this module generalises that machinery so
-the *event* tier — broker dispatch, execution lanes, the supervised
-engine, STOMP bridge sockets and federation hops — can be driven through
+the *event* tier — broker dispatch, the supervised engine, STOMP bridge sockets and federation hops — can be driven through
 the same kind of schedule. Three fault shapes are supported at every
 named point:
 
@@ -20,13 +19,12 @@ named point:
 
 Instrumented code calls ``chaos.hit("point")`` at each instant. With the
 default :data:`NULL_FAULTS` injector every call is a cheap no-op — and
-the hot paths (engine delivery, lane execution) skip the call entirely
-when no injector is armed, so production deployments pay one attribute
-check. Arrival counts are per-point and deterministic wherever execution
-is serialised (per-unit FIFO lanes, the single broker dispatcher, the
-single bridge sender), which is what lets the supervision property suite
-replay *the same* fault schedule against the synchronous and the laned
-engine and require identical outcomes.
+the hot path (engine delivery) skips the call entirely when no injector
+is armed, so production deployments pay one attribute check. Arrival
+counts are per-point and deterministic wherever execution is serialised
+(the synchronous engine, the single broker dispatcher, the single bridge
+sender), which is what lets the supervision property suite replay a
+generated fault schedule and predict its outcome.
 
 Point names are dotted, with an optional ``:<qualifier>`` suffix for
 per-instance points (e.g. ``engine.callback.before:aggregator``). The
@@ -194,8 +192,7 @@ NULL_FAULTS = _NullChaos()
 EVENT_CHAOS_POINTS = (
     "broker.publish",                # publish accepted into the broker
     "broker.dispatch",               # threaded dispatcher picks the event up
-    "engine.deliver:<unit>",         # matched + cleared, handed to lane/callback
-    "lane.execute:<unit>",           # lane task claimed by a worker (laned only)
+    "engine.deliver:<unit>",         # matched + cleared, handed to the callback
     "engine.callback.before:<unit>", # about to enter LabelContext + jail
     "engine.callback.after:<unit>",  # callback returned, delivery not yet acked
     "bridge.connect",                # bridge (re)connecting its STOMP client

@@ -13,11 +13,11 @@ regression suite (``tests/security``) and the runnable demonstration
   ``unprotected`` overrides applied) and expects the oracle to find the
   disclosure — proving the injection is live, not a strawman.
 
-Deployment-matrix keyword arguments (``parallel_engine``, ``shards``,
+Deployment-matrix keyword arguments (``supervision``, ``shards``,
 ``cached_auth``, ``page_cache``, ``data_dir``, …) pass straight through
 to :class:`~repro.mdt.deployment.MdtDeployment`, so the same contract is
-asserted across sync/laned engines, cached/uncached web paths and
-sharded/durable stores.
+asserted with callback errors propagated or supervised, across
+cached/uncached web paths and sharded/durable stores.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.core.audit import DENIED
+from repro.events.supervision import SupervisionPolicy
 from repro.exceptions import SecurityViolation
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.vulnerabilities import (
@@ -36,10 +37,14 @@ from repro.mdt.vulnerabilities import (
 )
 from repro.mdt.workload import Workload, WorkloadConfig
 
-#: The deployment-matrix axes the security suite sweeps.
+#: The deployment-matrix axes the security suite sweeps. The engine
+#: axis is its failure handling: ``sync`` propagates a callback's
+#: security violation to the publisher, ``supervised`` contains it
+#: (audit, retry, dead-letter) — the denial must be labelled, and
+#: nothing may leak through the dead-letter topic, either way.
 ENGINE_MATRIX: Dict[str, Dict[str, Any]] = {
     "sync": {},
-    "laned": {"parallel_engine": 2},
+    "supervised": {"supervision": SupervisionPolicy()},
 }
 WEB_MATRIX: Dict[str, Dict[str, Any]] = {
     "uncached": {},
@@ -111,11 +116,6 @@ def _expected_denials(deployment: MdtDeployment, entry: Vulnerability) -> int:
 
 
 def _cleanup(deployment: MdtDeployment) -> None:
-    try:
-        if deployment.engine.parallel:
-            deployment.engine.stop()
-    except Exception:  # noqa: BLE001 - cleanup must not mask the result
-        pass
     spool = deployment.corpus_state.get("export_spool")
     if spool:
         try:

@@ -113,7 +113,6 @@ class MdtDeployment:
         shards: int = 1,
         cached_auth: bool = False,
         page_cache: bool = False,
-        parallel_engine: int = 0,
         supervision=None,
         storage_breaker=None,
         data_dir: Optional[str] = None,
@@ -142,13 +141,6 @@ class MdtDeployment:
         self.main_db = self.workload.main_db
         self.broker = Broker(audit=self.audit, label_checks=label_checks_in_broker,
                              raise_errors=True)
-        # ``parallel_engine=N`` runs units on N-worker execution lanes
-        # (repro.events.lanes). Default **off**: the §5.3 benchmarks
-        # (E1/E3) pin the paper's synchronous cost shape, and callback
-        # exceptions propagating to the publisher (raise_callback_errors)
-        # only exist in synchronous mode. Pipeline drivers drain the
-        # lanes between stages, so the stage ordering contract holds in
-        # both modes.
         # ``supervision`` (a repro.events.supervision.SupervisionPolicy)
         # arms the retry / dead-letter / restart ladder around every unit
         # callback; ``storage_breaker`` (a CircuitBreaker) guards the
@@ -160,8 +152,7 @@ class MdtDeployment:
             policy=self.workload.policy,
             audit=self.audit,
             isolation=isolation,
-            raise_callback_errors=not parallel_engine and supervision is None,
-            workers=parallel_engine,
+            raise_callback_errors=supervision is None,
             supervision=supervision,
         )
         # ``shards > 1`` hash-partitions both application databases; the
@@ -338,19 +329,15 @@ class MdtDeployment:
             self.engine.publish(topic, attributes, publisher="scheduler")
 
     def _settle(self, timeout: float = 60.0) -> None:
-        """Pipeline-stage barrier: wait for lanes to empty (parallel mode).
+        """Pipeline-stage barrier: wait for the cluster to drain.
 
-        Synchronous engines finish each cascade inside ``publish``, so
-        this is a no-op there; laned engines must drain before the next
-        stage's control events are published (the aggregator must have
-        merged every case report before metrics are computed over them).
-        A drain timeout fails loudly — running the next stage over a
-        partially-processed backlog would silently corrupt the metrics.
+        The in-process engine finishes each cascade inside ``publish``,
+        so this is a no-op without a cluster; with one, the next stage's
+        control events must wait until the aggregator has merged every
+        case report. A drain timeout fails loudly — running the next
+        stage over a partially-processed backlog would silently corrupt
+        the metrics.
         """
-        if self.engine.parallel and not self.engine.drain(timeout):
-            raise SafeWebError(
-                f"pipeline stage barrier: engine lanes did not drain within {timeout}s"
-            )
         if self.cluster is not None and not self.cluster.drain(timeout):
             raise SafeWebError(
                 f"pipeline stage barrier: cluster did not drain within {timeout}s"
@@ -385,7 +372,6 @@ class MdtDeployment:
         report = {
             "healthy": True,
             "engine": {
-                "parallel": self.engine.parallel,
                 "units": self.engine.unit_names,
                 "stats": self.engine.stats.snapshot(),
             },

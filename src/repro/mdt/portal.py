@@ -107,7 +107,6 @@ def sanitize_probe(report: dict) -> dict:
     safe = {
         "healthy": bool(report.get("healthy", False)),
         "engine": {
-            "parallel": engine.get("parallel"),
             "units": len(engine.get("units") or ()),
             "stats": engine.get("stats"),
         },

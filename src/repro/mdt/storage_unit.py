@@ -52,7 +52,7 @@ class DataStorage(Unit):
     every write: when the backend keeps failing the breaker opens and
     writes are rejected fast with
     :class:`~repro.exceptions.CircuitOpenError` instead of stalling the
-    unit's lane — under a supervised engine those events dead-letter
+    pipeline — under a supervised engine those events dead-letter
     (with labels intact) rather than piling up behind a sick database.
     """
 

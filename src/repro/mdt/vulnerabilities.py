@@ -1093,8 +1093,7 @@ def build_vulnerable_deployment(
     taint checks go off, plus whatever tier-specific safety net the
     entry's ``unprotected`` mapping names (explicit keyword arguments
     win over both). Additional keyword arguments (``shards``,
-    ``parallel_engine``, ``cached_auth``, ``page_cache``, ``data_dir``,
-    …) reach :class:`~repro.mdt.deployment.MdtDeployment` unchanged, so
+    ``cached_auth``, ``page_cache``, ``data_dir``, …) reach :class:`~repro.mdt.deployment.MdtDeployment` unchanged, so
     the corpus runs across the whole deployment matrix.
     """
     vulnerability = VULNERABILITIES[name]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.labels import LabelSet
 from repro.events.supervision import CircuitBreaker, SupervisionPolicy
-from repro.exceptions import FirewallError, ReadOnlyError
+from repro.exceptions import FirewallError, ReadOnlyError, SafeWebError
 from repro.mdt import MdtDeployment, WorkloadConfig, mdt_label
 from repro.mdt.deployment import Zone
 from repro.taint import labels_of
@@ -250,46 +250,51 @@ class TestShardedDeployment:
         assert sharded.app_db.view("records/count_by_mid", reduce=True) == len(records)
 
 
-class TestParallelEngineDeployment:
-    """The full Figure 4 pipeline on the laned parallel engine.
+class TestClusterEngineDeployment:
+    """The full Figure 4 pipeline with the aggregator on the cluster.
 
-    ``parallel_engine=4`` runs the producer, aggregator and storage
-    units on per-unit execution lanes over 4 workers; the pipeline
-    drivers drain the lanes between stages. Everything the portal
-    serves — documents, labels, metrics — must be identical to the
-    synchronous deployment's output.
+    ``cluster_workers=2`` runs the aggregator in a worker process — the
+    one way to run units in parallel; the pipeline drivers drain the
+    cluster between stages. Everything the portal serves — documents,
+    labels, metrics — must be identical to the in-process deployment's
+    output.
     """
 
     @pytest.fixture(scope="class")
-    def parallel(self) -> MdtDeployment:
-        deployment = MdtDeployment(CONFIG, parallel_engine=4)
-        deployment.run_pipeline()
-        yield deployment
-        deployment.engine.stop()
+    def clustered(self) -> MdtDeployment:
+        deployment = MdtDeployment(CONFIG, cluster_workers=2)
+        try:
+            deployment.run_pipeline()
+            yield deployment
+        finally:
+            deployment.close()
 
-    def test_same_documents_as_synchronous(self, deployment, parallel):
-        assert_same_documents(deployment, parallel)
+    def test_same_documents_as_synchronous(self, deployment, clustered):
+        assert_same_documents(deployment, clustered)
 
-    def test_lanes_actually_carried_the_pipeline(self, parallel):
-        assert parallel.engine.parallel
-        stats = parallel.engine.stats
-        assert stats.dispatched > 0 and stats.queued == stats.dispatched
-        assert stats.dropped == 0
-        # One lane per registered unit principal.
-        assert set(parallel.engine.lane_depths()) == {
-            "data_producer", "data_aggregator", "data_storage",
-        }
+    def test_cluster_actually_carried_the_aggregator(self, clustered):
+        assert "data_aggregator" not in clustered.engine.unit_names
+        assert set(clustered.cluster.placements()) == {"data_aggregator"}
+        stats = clustered.cluster.stats()
+        assert sum(worker["dispatched"] for worker in stats.values()) > 0
 
-    def test_no_security_denials_in_normal_operation(self, parallel):
-        assert parallel.audit.count(decision="denied") == 0
+    def test_no_security_denials_in_normal_operation(self, clustered):
+        assert clustered.audit.count(decision="denied") == 0
 
-    def test_portal_serves_identical_records(self, deployment, parallel):
-        assert_same_records_page(deployment, parallel)
+    def test_portal_serves_identical_records(self, deployment, clustered):
+        assert_same_records_page(deployment, clustered)
 
-    def test_incremental_rerun_converges(self, parallel):
-        before = sorted(parallel.app_db.all_doc_ids())
-        parallel.run_pipeline()
-        assert sorted(parallel.app_db.all_doc_ids()) == before
+    def test_incremental_rerun_converges(self, clustered):
+        before = sorted(clustered.app_db.all_doc_ids())
+        clustered.run_pipeline()
+        assert sorted(clustered.app_db.all_doc_ids()) == before
+
+    def test_stage_barrier_fails_loudly_when_the_cluster_does_not_drain(
+        self, clustered, monkeypatch
+    ):
+        monkeypatch.setattr(clustered.cluster, "drain", lambda timeout: False)
+        with pytest.raises(SafeWebError, match="cluster did not drain"):
+            clustered._settle(0.1)
 
 
 class TestRobustDeployment:

@@ -20,10 +20,11 @@ observable semantics to the single-process synchronous reference:
   loses an event: each one is observed by the restarted unit, parked on
   the unit's DLQ under its original labels, or audited-denied.
 
-Scenarios keep every unit on a single inbound subscription for the same
-reason the laned-engine suite does (see test_parallel_engine.py): the
-synchronous engine nests cascades inside the outer delivery, so
-multi-in-edge interleaving is deliberately out of scope.
+Scenarios keep every unit on a single inbound subscription: the
+synchronous engine nests cascades inside the outer delivery while the
+cluster runs them as separate deliveries, so a unit fed by two sources
+may see their events interleaved differently, and multi-in-edge
+interleaving is deliberately out of scope.
 
 Store dumps cross a JSON boundary (the codec), which renders tuples as
 lists — the synchronous reference is normalised through the same codec

@@ -1,4 +1,4 @@
-"""Property suite: no silent loss under injected faults, sync ≡ laned.
+"""Property suite: no silent loss under injected faults.
 
 The supervision contract (docs/ROBUSTNESS.md) says that under injected
 faults every event delivered to a unit is
@@ -13,26 +13,27 @@ faults every event delivered to a unit is
 and never silently lost. These properties drive *generated* fault
 schedules over the engine-tier chaos points
 (``engine.deliver:<unit>``, ``engine.callback.before:<unit>``,
-``engine.callback.after:<unit>``) against both engines and require:
+``engine.callback.after:<unit>``) and require:
 
 1. the accounting above holds exactly (lost events == injected
    delivery faults == broker containment denials);
-2. the synchronous and laned engines produce identical per-unit
-   observation sequences, dead-letter streams and supervision counters
-   under the *same* schedule;
+2. an inline and a threaded broker (deliveries on the dispatcher
+   thread) produce identical per-unit observation sequences,
+   dead-letter streams and supervision counters under the *same*
+   schedule;
 3. a deliberately lossy supervisor (drops dead letters instead of
    publishing them) is caught by the same checker.
 
-The remaining named points are pinned deterministically below
-(``broker.publish``, ``broker.dispatch``, ``lane.execute:<unit>``) and
-in the integration suites (``bridge.*``, ``stomp.client.flush`` in
+The cluster engine's version of the guarantee — across a worker
+process's death — is tests/property/test_cluster_engine.py's. The
+remaining named points are pinned deterministically below
+(``broker.publish``, ``broker.dispatch``) and in the integration suites
+(``bridge.*``, ``stomp.client.flush`` in
 tests/integration/test_bridge_robustness.py; ``federation.*`` in
 tests/integration/test_federation_restart.py).
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +51,7 @@ from repro.events import (
     dlq_topic,
 )
 from repro.faults import ChaosInjector, InjectedFault
+from tests.threaded import settle
 
 AUTHORITY = "ecric.org.uk"
 TAG_ROOT = conf_label(AUTHORITY, "tag")
@@ -66,10 +68,7 @@ RETRY_BUDGET = 1
 POLICY_KW = dict(
     retry_budget=RETRY_BUDGET,
     # max_restarts=0 suspends a unit on its first exhausted delivery —
-    # the restart path itself is pinned by the unit tests; keeping it
-    # out of the generated runs keeps both engines' schedules exactly
-    # aligned (a restart swaps broker subscriptions concurrently with
-    # laned publishes, which is at-least-once, not deterministic).
+    # the restart path itself is pinned by the unit tests.
     max_restarts=0,
     restart_window=60.0,
 )
@@ -148,15 +147,15 @@ def arm(faults) -> ChaosInjector:
     return chaos
 
 
-def run_scenario(units, events, faults, workers, supervisor=None):
+def run_scenario(units, events, faults, supervisor=None, threaded=False):
     """Run one fault schedule; returns the per-unit outcome."""
     chaos = arm(faults)
     audit = AuditLog()
+    broker = Broker(threaded=threaded, audit=audit, chaos=chaos)
     engine = EventProcessingEngine(
-        broker=Broker(audit=audit, chaos=chaos),
+        broker=broker,
         policy=build_policy(units),
         audit=audit,
-        workers=workers,
         supervision=supervisor or SupervisionPolicy(**POLICY_KW),
         chaos=chaos,
     )
@@ -175,28 +174,29 @@ def run_scenario(units, events, faults, workers, supervisor=None):
             engine.publish(
                 event["topic"], payload=event["payload"], labels=list(event["labels"])
             )
-        if workers:
-            assert engine.drain(30), "laned engine failed to drain"
-        observed = {
-            unit: list(engine.store_of(unit).get("obs", [])) for unit in units
-        }
-        denials = {unit: 0 for unit in units}
-        for record in audit.records():
-            if (
-                record.component == "broker"
-                and record.operation == "deliver"
-                and record.decision == "denied"
-                and record.principal in denials
-            ):
-                denials[record.principal] += 1
-        return {
-            "observed": observed,
-            "dlq": dlq,
-            "denials": denials,
-            "stats": engine.stats.snapshot(),
-        }
+        # On a threaded broker a dead letter is published from the
+        # dispatcher thread, so it queues behind the first drain.
+        settle(broker)
     finally:
-        engine.stop()
+        broker.stop()
+    observed = {
+        unit: list(engine.store_of(unit).get("obs", [])) for unit in units
+    }
+    denials = {unit: 0 for unit in units}
+    for record in audit.records():
+        if (
+            record.component == "broker"
+            and record.operation == "deliver"
+            and record.decision == "denied"
+            and record.principal in denials
+        ):
+            denials[record.principal] += 1
+    return {
+        "observed": observed,
+        "dlq": dlq,
+        "denials": denials,
+        "stats": engine.stats.snapshot(),
+    }
 
 
 def check_no_silent_loss(units, events, faults, outcome):
@@ -246,35 +246,34 @@ class TestNoSilentLoss:
     @settings(max_examples=40, deadline=None)
     def test_synchronous_engine_never_loses_silently(self, scenario):
         units, events, faults = scenario
-        outcome = run_scenario(units, events, faults, workers=0)
+        outcome = run_scenario(units, events, faults)
         check_no_silent_loss(units, events, faults, outcome)
 
-    @given(scenarios(), st.sampled_from([2, 4]))
+    @given(scenarios())
     @settings(max_examples=25, deadline=None)
-    def test_laned_engine_never_loses_silently(self, scenario, workers):
+    def test_threaded_broker_never_loses_silently(self, scenario):
         units, events, faults = scenario
-        outcome = run_scenario(units, events, faults, workers=workers)
+        outcome = run_scenario(units, events, faults, threaded=True)
         check_no_silent_loss(units, events, faults, outcome)
 
 
-class TestSyncLanedEquivalence:
-    @given(scenarios(), st.sampled_from([2, 4]))
+class TestInlineThreadedEquivalence:
+    @given(scenarios())
     @settings(max_examples=25, deadline=None)
-    def test_same_fault_schedule_same_outcome(self, scenario, workers):
+    def test_same_fault_schedule_same_outcome(self, scenario):
         units, events, faults = scenario
-        sync = run_scenario(units, events, faults, workers=0)
-        laned = run_scenario(units, events, faults, workers=workers)
-        assert laned["observed"] == sync["observed"]
+        inline = run_scenario(units, events, faults)
+        threaded = run_scenario(units, events, faults, threaded=True)
+        assert threaded["observed"] == inline["observed"]
         assert {
-            unit: [(e.payload, e["dlq_reason"]) for e in laned["dlq"][unit]]
+            unit: [(e.payload, e["dlq_reason"]) for e in threaded["dlq"][unit]]
             for unit in units
         } == {
-            unit: [(e.payload, e["dlq_reason"]) for e in sync["dlq"][unit]]
+            unit: [(e.payload, e["dlq_reason"]) for e in inline["dlq"][unit]]
             for unit in units
         }
-        assert laned["denials"] == sync["denials"]
-        for counter in ("dispatched", "retries", "dead_lettered", "callback_errors"):
-            assert laned["stats"][counter] == sync["stats"][counter], counter
+        assert threaded["denials"] == inline["denials"]
+        assert threaded["stats"] == inline["stats"]
 
 
 class LossySupervisor(Supervisor):
@@ -297,7 +296,7 @@ class TestLossDetection:
 
     def test_honest_supervisor_accounts_for_the_event(self):
         units, events, faults = self._scenario()
-        outcome = run_scenario(units, events, faults, workers=0)
+        outcome = run_scenario(units, events, faults)
         check_no_silent_loss(units, events, faults, outcome)
         assert [e.payload for e in outcome["dlq"]["u0"]] == ["p0"]
 
@@ -307,20 +306,19 @@ class TestLossDetection:
             units,
             events,
             faults,
-            workers=0,
             supervisor=LossySupervisor(SupervisionPolicy(**POLICY_KW)),
         )
         with pytest.raises(AssertionError):
             check_no_silent_loss(units, events, faults, outcome)
 
-    def test_lossy_supervisor_detected_on_laned_engine_too(self):
+    def test_lossy_supervisor_detected_on_threaded_broker_too(self):
         units, events, faults = self._scenario()
         outcome = run_scenario(
             units,
             events,
             faults,
-            workers=2,
             supervisor=LossySupervisor(SupervisionPolicy(**POLICY_KW)),
+            threaded=True,
         )
         with pytest.raises(AssertionError):
             check_no_silent_loss(units, events, faults, outcome)
@@ -369,38 +367,3 @@ class TestRemainingNamedPoints:
             and record.decision == "denied"
             for record in audit.records()
         )
-
-    def test_lane_execute_fault_dead_letters_and_audits(self):
-        chaos = ChaosInjector().fail_at("lane.execute:u0", on=1)
-        audit = AuditLog()
-        engine = EventProcessingEngine(
-            broker=Broker(audit=audit, chaos=chaos),
-            policy=build_policy(["u0"]),
-            audit=audit,
-            workers=2,
-            supervision=SupervisionPolicy(**POLICY_KW),
-            chaos=chaos,
-        )
-        dlq = []
-        engine.broker.subscribe(
-            dlq_topic("u0"),
-            dlq.append,
-            principal="dlq-inspector",
-            clearance=PrivilegeSet({"clearance": [TAG_ROOT]}),
-        )
-        engine.register(Recorder("u0"))
-        try:
-            engine.publish("/ext/u0", payload="p0", labels=[POOL[0]])
-            engine.publish("/ext/u0", payload="p1", labels=[POOL[0]])
-            assert engine.drain(10)
-            assert [p for p, _ in engine.store_of("u0").get("obs")] == ["p1"]
-            assert [e.payload for e in dlq] == ["p0"]
-            assert dlq[0]["dlq_reason"].startswith("InjectedFault")
-            assert any(
-                record.component == "engine"
-                and record.operation == "lane"
-                and record.decision == "denied"
-                for record in audit.records()
-            )
-        finally:
-            engine.stop()

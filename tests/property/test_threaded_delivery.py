@@ -1,9 +1,11 @@
-"""Property suite: the laned parallel engine ≡ the seed synchronous engine.
+"""Property suite: the engine over a threaded broker ≡ over the inline one.
 
-The parallel engine (``EventProcessingEngine(workers=N)``) multiplexes
-per-unit serial lanes over a shared worker pool. These properties pin
-its observable semantics to the synchronous reference over *generated*
-unit graphs and event sequences:
+``Broker(threaded=True)`` hands every delivery to a dispatcher thread —
+the way the STOMP server and the async pipeline run the engine. The
+engine establishes the LabelContext and jail containment per delivery,
+on whichever thread delivers, so these properties pin the threaded run's
+observable semantics to the inline reference over *generated* unit
+graphs and event sequences:
 
 * **per-unit observation order** — each unit's store-logged sequence of
   (topic, payload, labels) is identical;
@@ -17,14 +19,12 @@ unit graphs and event sequences:
   part of the generated behaviour vocabulary and also pinned by
   deterministic cases below.
 
-Scope of the equivalence (documented in docs/ENGINE.md): generated
-pipeline graphs give every unit a single inbound subscription, because
-the synchronous engine *nests* cascaded deliveries inside the outer
-delivery loop — a unit subscribed both to an external topic and to a
-topic published by a peer observes the nested cascade first in
-synchronous mode, while lanes deliver in arrival order. Per-source FIFO
-(the guarantee the lanes actually make) is pinned separately for fan-in
-graphs below.
+Generated pipeline graphs give every unit a single inbound subscription:
+the inline broker *nests* a cascade inside the delivery that caused it,
+while the dispatcher queues it behind the events already published, so a
+unit fed by two sources may see their events interleaved differently.
+Per-source FIFO — the guarantee the dispatcher does make — is pinned
+separately for fan-in graphs below.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from repro.core.audit import AuditLog
-from repro.core.labels import LabelSet, conf_label, int_label
+from repro.core.labels import conf_label, int_label
 from repro.core.policy import Policy, PolicyDocument, UnitSpec
 from repro.events import Broker, EventProcessingEngine, Unit
+from tests.threaded import settle
 
 AUTHORITY = "ecric.org.uk"
 POOL = [conf_label(AUTHORITY, "tag", str(index)) for index in range(4)]
@@ -62,8 +63,8 @@ def unit_specs(draw):
     specs = []
     for index in range(count):
         # Upstream: an external topic, or the output topic of an earlier
-        # unit (chains and fan-out; single in-edge keeps the synchronous
-        # nested-cascade order and the laned arrival order identical).
+        # unit (chains and fan-out; a single in-edge keeps the inline
+        # nested-cascade order and the dispatcher's arrival order equal).
         if index == 0 or draw(st.booleans()):
             source = draw(st.sampled_from(EXTERNAL_TOPICS))
         else:
@@ -161,14 +162,12 @@ class ScriptedUnit(Unit):
                 handle.write(event.payload or "")
 
 
-def run_scenario(specs, events, workers: int, batch: bool = False):
+def run_scenario(specs, events, threaded: bool, batch: bool = False):
     """Run the scenario; returns (stores, audit multiset, dispatched)."""
     audit = AuditLog()
+    broker = Broker(threaded=threaded, audit=audit)
     engine = EventProcessingEngine(
-        broker=Broker(audit=audit),
-        policy=build_policy(specs),
-        audit=audit,
-        workers=workers,
+        broker=broker, policy=build_policy(specs), audit=audit
     )
     for spec in specs:
         engine.register(ScriptedUnit(spec))
@@ -188,7 +187,7 @@ def run_scenario(specs, events, workers: int, batch: bool = False):
                 engine.publish(
                     event["topic"], payload=event["payload"], labels=event["labels"]
                 )
-        assert engine.drain(30), "parallel engine failed to drain"
+        settle(broker)
         stores = {}
         for spec in specs:
             store = engine.store_of(spec["name"])
@@ -208,29 +207,29 @@ def run_scenario(specs, events, workers: int, batch: bool = False):
         )
         return stores, decisions, engine.stats.dispatched
     finally:
-        engine.stop()
+        broker.stop()
 
 
-class TestLanedEquivalence:
-    @given(unit_specs(), event_sequences(), st.sampled_from([2, 4]))
+class TestThreadedEquivalence:
+    @given(unit_specs(), event_sequences())
     @settings(max_examples=30, deadline=None)
-    def test_parallel_engine_matches_synchronous_reference(
-        self, specs, events, workers
-    ):
-        sync_stores, sync_audit, sync_dispatched = run_scenario(specs, events, 0)
-        par_stores, par_audit, par_dispatched = run_scenario(specs, events, workers)
-        assert par_stores == sync_stores
-        assert par_audit == sync_audit
-        assert par_dispatched == sync_dispatched
+    def test_threaded_broker_matches_inline_reference(self, specs, events):
+        inline_stores, inline_audit, inline_dispatched = run_scenario(
+            specs, events, threaded=False
+        )
+        stores, audit, dispatched = run_scenario(specs, events, threaded=True)
+        assert stores == inline_stores
+        assert audit == inline_audit
+        assert dispatched == inline_dispatched
 
     @given(unit_specs(), event_sequences())
     @settings(max_examples=15, deadline=None)
     def test_batched_dispatch_matches_per_event_publish(self, specs, events):
-        """publish_batch through the laned engine ≡ per-event sync publish."""
-        sync_stores, sync_audit, _ = run_scenario(specs, events, 0)
-        par_stores, par_audit, _ = run_scenario(specs, events, 4, batch=True)
-        assert par_stores == sync_stores
-        assert par_audit == sync_audit
+        """publish_batch through the dispatcher ≡ per-event inline publish."""
+        inline_stores, inline_audit, _ = run_scenario(specs, events, threaded=False)
+        stores, audit, _ = run_scenario(specs, events, threaded=True, batch=True)
+        assert stores == inline_stores
+        assert audit == inline_audit
 
 
 class FanInRecorder(Unit):
@@ -253,46 +252,43 @@ class FanInRecorder(Unit):
 
 
 class TestFanInPerSourceOrder:
-    """Fan-in graphs: the lanes guarantee per-source FIFO, and the final
-    store state (per-source logs) is identical to the synchronous run."""
+    """Fan-in graphs: the dispatcher keeps per-source FIFO, and the final
+    store state (per-source logs) is identical to the inline run."""
 
     @given(
         st.lists(
             st.tuples(st.sampled_from(EXTERNAL_TOPICS), label_subset),
             min_size=1,
             max_size=25,
-        ),
-        st.integers(2, 4),
+        )
     )
     @settings(max_examples=20, deadline=None)
-    def test_per_source_logs_identical(self, events, workers):
-        def run(worker_count):
+    def test_per_source_logs_identical(self, events):
+        def run(threaded):
             audit = AuditLog()
             document = PolicyDocument(authority=AUTHORITY)
             document.units["fanin"] = UnitSpec(
                 name="fanin",
                 grants={"clearance": [conf_label(AUTHORITY, "tag").uri]},
             )
+            broker = Broker(threaded=threaded, audit=audit)
             engine = EventProcessingEngine(
-                broker=Broker(audit=audit),
-                policy=Policy(document),
-                audit=audit,
-                workers=worker_count,
+                broker=broker, policy=Policy(document), audit=audit
             )
             engine.register(FanInRecorder("fanin", EXTERNAL_TOPICS))
             try:
                 for index, (topic, labels) in enumerate(events):
                     engine.publish(topic, payload=f"p{index}", labels=list(labels))
-                assert engine.drain(30)
+                settle(broker)
                 store = engine.store_of("fanin")
                 return {key: store.get(key) for key in store.keys()}, {
                     key: tuple(store.labels_for(key).to_uris())
                     for key in store.keys()
                 }
             finally:
-                engine.stop()
+                broker.stop()
 
-        assert run(0) == run(workers)
+        assert run(threaded=False) == run(threaded=True)
 
 
 class TestDeterministicDenialEquivalence:
@@ -316,33 +312,36 @@ class TestDeterministicDenialEquivalence:
         return spec
 
     def _both(self, spec, events):
-        return run_scenario([spec], events, 0), run_scenario([spec], events, 4)
+        return (
+            run_scenario([spec], events, threaded=False),
+            run_scenario([spec], events, threaded=True),
+        )
 
     def test_jailed_io_denied_identically(self):
         events = [{"topic": "/ext/a", "payload": "x", "labels": (POOL[0],), "secret": False}]
-        sync, parallel = self._both(self._spec("io"), events)
-        assert sync == parallel
-        audit = sync[1]
+        inline, threaded = self._both(self._spec("io"), events)
+        assert inline == threaded
+        audit = inline[1]
         assert any(key[1] == "callback" and key[3] == "denied" for key in audit)
 
     def test_declassification_denied_identically(self):
         events = [{"topic": "/ext/a", "payload": "x", "labels": (POOL[0],), "secret": False}]
-        sync, parallel = self._both(self._spec("declassify"), events)
-        assert sync == parallel
-        audit = sync[1]
+        inline, threaded = self._both(self._spec("declassify"), events)
+        assert inline == threaded
+        audit = inline[1]
         assert any(key[1] == "declassify" and key[3] == "denied" for key in audit)
 
     def test_declassification_allowed_identically(self):
         events = [{"topic": "/ext/a", "payload": "x", "labels": (POOL[0],), "secret": False}]
         spec = self._spec("declassify", declassification=tuple(POOL))
-        sync, parallel = self._both(spec, events)
-        assert sync == parallel
-        audit = sync[1]
+        inline, threaded = self._both(spec, events)
+        assert inline == threaded
+        audit = inline[1]
         assert not any(key[1] == "declassify" and key[3] == "denied" for key in audit)
 
     def test_endorsement_denied_identically(self):
         events = [{"topic": "/ext/a", "payload": "x", "labels": (), "secret": False}]
-        sync, parallel = self._both(self._spec("endorse"), events)
-        assert sync == parallel
-        audit = sync[1]
+        inline, threaded = self._both(self._spec("endorse"), events)
+        assert inline == threaded
+        audit = inline[1]
         assert any(key[1] == "endorse" and key[3] == "denied" for key in audit)

@@ -10,7 +10,7 @@ it runs against:
   must produce the entry's expected labelled denial (HTTP status and/or
   denied audit record).
 
-The matrix: every entry × sync/laned engine; every HTTP-path entry ×
+The matrix: every entry × sync/supervised engine; every HTTP-path entry ×
 cached auth + page cache; a representative sample × sharded and durable
 stores. A regression in any enforcement layer (response label check,
 taint check, CSRF, broker clearance filter, engine declassification,
@@ -55,7 +55,7 @@ def assert_exploited(result):
 @pytest.mark.parametrize("engine", sorted(ENGINE_MATRIX))
 @pytest.mark.parametrize("name", entry_names())
 class TestTwoDirections:
-    """The core contract, across sync and laned engines."""
+    """The core contract, with callback errors propagated or supervised."""
 
     def test_protected_denies_with_label(self, name, engine, workload):
         result = run_entry(name, protected=True, workload=workload,
@@ -66,6 +66,20 @@ class TestTwoDirections:
         result = run_entry(name, protected=False, workload=workload,
                            **ENGINE_MATRIX[engine])
         assert_exploited(result)
+
+
+@pytest.mark.parametrize("name", ["unlabeled_republish", "export_feed"])
+def test_supervised_engine_contains_what_sync_propagates(name, workload):
+    """The engine axis is not vacuous: where the synchronous engine hands
+    a callback's violation to the publisher, the supervised one keeps it
+    inside the engine — and the denial is audited all the same."""
+    sync = run_entry(name, protected=True, workload=workload, **ENGINE_MATRIX["sync"])
+    supervised = run_entry(name, protected=True, workload=workload,
+                           **ENGINE_MATRIX["supervised"])
+    assert sync.violation is not None and sync.deployment.engine.supervisor is None
+    assert supervised.violation is None
+    assert supervised.deployment.engine.supervisor is not None
+    assert supervised.denials >= sync.denials >= 1
 
 
 @pytest.mark.parametrize("name", http_entry_names())

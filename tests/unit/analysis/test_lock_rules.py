@@ -182,9 +182,6 @@ class TestRealTree:
         expected = {
             "Database._lock",
             "SequenceAllocator._lock",
-            "LaneScheduler._lanes_lock",
-            "LaneScheduler._idle",
-            "ExecutionLane.condition",
             "EngineStats._lock",
             "ClusterRouter._bridge_lock",
             "ClusterRouter._dlq_lock",

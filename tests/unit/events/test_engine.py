@@ -1,5 +1,8 @@
 """Unit tests for the event processing engine (paper §4.3)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core.audit import AuditLog
@@ -7,6 +10,7 @@ from repro.core.labels import LabelSet, conf_label, int_label
 from repro.core.policy import parse_policy
 from repro.events import Broker, Event, EventProcessingEngine, Unit, unit_from_function
 from repro.exceptions import SafeWebError
+from tests.threaded import settle
 
 PATIENT_ROOT = conf_label("ecric.org.uk", "patient")
 PATIENT_1 = PATIENT_ROOT.child("1")
@@ -176,6 +180,309 @@ class TestRegistration:
             services.publish("/t", None, None, (), (), False)
         with pytest.raises(SafeWebError):
             services.register_subscription("/t", lambda e: None, None)
+
+    def test_raising_teardown_still_revokes_services(self):
+        engine = make_engine()
+        unit = Collector()
+        unit.teardown = lambda: (_ for _ in ()).throw(ValueError("teardown bug"))
+        engine.register(unit)
+        services = unit._services
+        engine.unregister("collector")  # must not raise
+        with pytest.raises(SafeWebError):
+            services.publish("/t", None, None, (), (), False)
+        assert engine.audit.count(
+            component="engine", operation="teardown", decision="denied"
+        ) == 1
+        assert engine.audit.count(
+            component="engine", operation="unregister", decision="allowed"
+        ) == 1
+
+
+class TestStatsAndDrain:
+    def test_stats_snapshot_shape(self):
+        engine = make_engine()
+        assert set(engine.stats.snapshot()) == {
+            "dispatched",
+            "callback_errors",
+            "retries",
+            "restarts",
+            "dead_lettered",
+        }
+
+    def test_engine_is_synchronous(self):
+        engine = make_engine()
+        engine.register(Collector())
+        engine.publish("/patient_report", {"type": "cancer", "patient_id": "p1"})
+        # The delivery ran inside publish: nothing is left to wait for.
+        assert engine.stats.dispatched == 1
+        assert not engine.parallel
+        assert engine.drain(1)
+        engine.stop()
+
+
+class Tally(Unit):
+    """Counts its deliveries on ``/in`` in the labelled store."""
+
+    unit_name = "reader"
+
+    def setup(self):
+        self.subscribe("/in", self.on_event)
+
+    def on_event(self, event):
+        self.store.set("n", self.store.get("n", 0) + 1)
+
+
+class Stamper(Unit):
+    """Write-only: each key's labels are exactly the ambient set the
+    engine established for the delivery that wrote it."""
+
+    unit_name = "reader"
+
+    def setup(self):
+        self.subscribe("/in", self.on_event)
+
+    def on_event(self, event):
+        self.store.set(f"k:{event['i']}", event["i"])
+
+
+class TestThreadedBroker:
+    """The engine over ``Broker(threaded=True)``: every delivery runs on
+    the dispatcher thread, under the same per-delivery security context
+    the publisher's thread gets from the inline broker."""
+
+    @pytest.fixture
+    def engine(self):
+        engine = make_engine(broker=Broker(threaded=True, raise_errors=True))
+        yield engine
+        engine.broker.stop()
+
+    def test_deliveries_run_on_the_dispatcher_in_publish_order(self, engine):
+        class Sequencer(Unit):
+            unit_name = "reader"
+
+            def setup(self):
+                self.subscribe("/in", self.on_event)
+
+            def on_event(self, event):
+                log = self.store.get("order", [])
+                log.append(int(event["i"]))
+                self.store.set("order", log)
+                self.store.set("thread", threading.current_thread().name)
+
+        engine.register(Sequencer())
+        for index in range(300):
+            engine.publish("/in", {"i": str(index)})
+        assert engine.drain(10)
+        store = engine.store_of("reader")
+        assert store.get("order") == list(range(300))
+        assert store.get("thread") == engine.broker._dispatcher.name
+
+    def test_ambient_labels_established_per_delivery(self, engine):
+        engine.register(Stamper())
+        engine.publish("/in", {"i": "labelled"}, labels=[PATIENT_1])
+        engine.publish("/in", {"i": "plain"})
+        assert engine.drain(10)
+        store = engine.store_of("reader")
+        assert store.labels_for("k:labelled") == LabelSet([PATIENT_1])
+        assert store.labels_for("k:plain") == LabelSet()
+
+    def test_jail_contains_the_dispatcher_thread(self, engine, tmp_path):
+        target = tmp_path / "leak.txt"
+
+        @unit_from_function("/in", name="reader")
+        def exfiltrate(unit, event):
+            with open(target, "w") as handle:
+                handle.write("secret")
+
+        engine.register(exfiltrate)
+        engine.publish("/in", labels=[PATIENT_1])
+        assert engine.drain(10)
+        assert not target.exists()
+        assert engine.audit.count(
+            component="engine", operation="callback", decision="denied"
+        ) == 1
+        assert engine.stats.callback_errors == 1
+        assert engine.broker._dispatcher.is_alive()
+
+    def test_privileged_unit_keeps_io_on_the_dispatcher_thread(self, engine, tmp_path):
+        target = tmp_path / "export.txt"
+
+        @unit_from_function("/in", name="importer")
+        def exporter(unit, event):
+            target.write_text("exported")
+
+        engine.register(exporter)
+        engine.publish("/in")
+        assert engine.drain(10)
+        assert target.read_text() == "exported"
+
+    def test_cascades_reach_their_subscribers(self, engine):
+        class Head(Unit):
+            unit_name = "reader"
+
+            def setup(self):
+                self.subscribe("/in", self.on_event)
+
+            def on_event(self, event):
+                self.publish("/mid", {"hop": "1"})
+
+        class Tail(Unit):
+            unit_name = "sink"
+
+            def setup(self):
+                self.subscribe("/mid", self.on_event)
+
+            def on_event(self, event):
+                self.store.set("hops", self.store.get("hops", 0) + 1)
+
+        engine.register(Head())
+        engine.register(Tail())
+        for _ in range(50):
+            engine.publish("/in")
+        settle(engine.broker)
+        assert engine.store_of("sink").get("hops") == 50
+
+    def test_unregister_stops_delivery(self, engine):
+        engine.register(Tally())
+        store = engine.store_of("reader")
+        engine.publish("/in")
+        assert engine.drain(10)
+        engine.unregister("reader")
+        engine.publish("/in")
+        assert engine.drain(10)
+        assert store.get("n") == 1
+
+    def test_events_queued_for_an_unregistered_unit_are_not_delivered(self, engine):
+        """A unit that unregisters while events for it still sit in the
+        dispatcher queue never sees them — and none of them fails
+        against the closed services handle as a spurious denial."""
+        gate = threading.Event()
+        engine.broker.subscribe("/gate", lambda event: gate.wait(5), principal="gatekeeper")
+        engine.register(Tally())
+        store = engine.store_of("reader")
+        engine.publish("/gate")  # holds the dispatcher
+        for _ in range(5):
+            engine.publish("/in")
+        engine.unregister("reader")
+        gate.set()
+        assert engine.drain(10)
+        assert store.get("n") is None
+        assert engine.stats.callback_errors == 0
+        assert engine.audit.count(component="engine", decision="denied") == 0
+
+    def test_self_unregister_from_callback_does_not_stall(self, engine):
+        class SelfRemover(Unit):
+            unit_name = "importer"
+
+            def setup(self):
+                self.subscribe("/in", self.on_event)
+
+            def on_event(self, event):
+                self.store.set("ran", True)
+                event_engine.unregister("importer")
+
+        event_engine = engine
+        engine.register(SelfRemover())
+        store = engine.store_of("importer")
+        start = time.monotonic()
+        engine.publish("/in")
+        assert engine.drain(10)
+        elapsed = time.monotonic() - start
+        assert store.get("ran") is True
+        assert engine.unit_names == []
+        assert elapsed < 5, f"self-unregister stalled the dispatcher for {elapsed:.1f}s"
+
+    def test_stop_leaves_the_broker_delivering(self, engine):
+        """``stop`` is a no-op: the engine owns no threads, the broker's
+        dispatcher is the broker's."""
+        assert EventProcessingEngine.parallel is False
+        engine.register(Tally())
+        engine.stop()
+        engine.publish("/in")
+        assert engine.drain(10)
+        assert engine.store_of("reader").get("n") == 1
+
+
+class TestConcurrentPublishers:
+    """Several threads publishing into one engine over the inline broker:
+    each delivery runs on its publisher's thread, in its own context."""
+
+    THREADS = 4
+
+    def run_threads(self, publish_from) -> None:
+        errors = []
+        start = threading.Barrier(self.THREADS, timeout=30)
+
+        def worker(index):
+            try:
+                start.wait()
+                publish_from(index)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+
+    def test_each_publisher_keeps_its_own_labels(self):
+        engine = make_engine()
+        engine.register(Stamper())
+
+        def publish_from(index):
+            label = PATIENT_ROOT.child(str(index))
+            for n in range(50):
+                engine.publish("/in", {"i": f"{index}:{n}"}, labels=[label])
+
+        self.run_threads(publish_from)
+        store = engine.store_of("reader")
+        assert len(store.keys()) == self.THREADS * 50
+        for key in store.keys():
+            index = key.split(":")[1]
+            assert store.labels_for(key) == LabelSet([PATIENT_ROOT.child(index)]), key
+
+    def test_jail_contains_every_concurrent_delivery(self, tmp_path):
+        engine = make_engine(broker=Broker(), raise_callback_errors=False)
+
+        @unit_from_function("/in", name="reader")
+        def leaker(unit, event):
+            (tmp_path / f"leak-{event['i']}").write_text("secret")
+
+        @unit_from_function("/in", name="importer")
+        def exporter(unit, event):
+            (tmp_path / f"export-{event['i']}").write_text("exported")
+
+        engine.register(leaker)
+        engine.register(exporter)
+
+        def publish_from(index):
+            for n in range(25):
+                engine.publish("/in", {"i": f"{index}-{n}"})
+
+        self.run_threads(publish_from)
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(
+            f"export-{index}-{n}" for index in range(self.THREADS) for n in range(25)
+        )
+        assert engine.audit.count(
+            component="engine", operation="callback", decision="denied"
+        ) == self.THREADS * 25
+
+    def test_stats_count_every_concurrent_dispatch(self):
+        engine = make_engine()
+        engine.register(Tally())
+
+        def publish_from(index):
+            for _ in range(250):
+                engine.publish("/in")
+
+        self.run_threads(publish_from)
+        assert engine.stats.dispatched == self.THREADS * 250
 
 
 class TestListing1Pipeline:

@@ -9,6 +9,8 @@ scratch, and a callback that succeeds after a retry publishes and
 audits exactly once.
 """
 
+import threading
+
 import pytest
 
 from repro.core.audit import AuditLog
@@ -37,6 +39,7 @@ from repro.events.supervision import (
     is_dlq_topic,
 )
 from repro.exceptions import CircuitOpenError, IsolationError, SafeWebError
+from tests.threaded import settle
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 
@@ -66,13 +69,12 @@ class FakeClock:
         self.now += seconds
 
 
-def make_engine(supervision, workers: int = 0, audit: AuditLog = None):
+def make_engine(supervision, audit: AuditLog = None, threaded: bool = False):
     audit = audit if audit is not None else AuditLog()
     return EventProcessingEngine(
-        broker=Broker(audit=audit),
+        broker=Broker(threaded=threaded, audit=audit),
         policy=POLICY,
         audit=audit,
-        workers=workers,
         supervision=supervision,
     )
 
@@ -472,20 +474,149 @@ class TestSupervisedEngine:
         assert engine.store_of("flaky").get("attempts") == 1
         assert engine.stats.snapshot()["dead_lettered"] == 2
 
-    def test_laned_engine_same_supervised_outcome(self):
-        audit = AuditLog()
-        engine = make_engine(SupervisionPolicy(retry_budget=2), workers=2, audit=audit)
+
+class TestSupervisedEngineOnDispatcher:
+    """The ladder on a threaded broker's long-lived dispatcher thread:
+    nothing a failed attempt set up — ambient labels, containment — may
+    outlive it into the next delivery that thread runs."""
+
+    @pytest.fixture
+    def engine_for(self):
+        engines = []
+
+        def build(supervision):
+            engine = make_engine(supervision, threaded=True)
+            engines.append(engine)
+            return engine
+
+        yield build
+        for engine in engines:
+            engine.broker.stop()
+
+    def test_success_after_retry_observes_event_once(self, engine_for):
+        engine = engine_for(SupervisionPolicy(retry_budget=2))
         engine.register(FlakyUnit(failures_before_success=1))
-        try:
-            engine.publish("/in", payload="p1", labels=[PATIENT])
-            assert engine.drain(10)
-            store = engine.store_of("flaky")
-            assert store.get("seen") == ["p1"]
-            snapshot = engine.stats.snapshot()
-            assert snapshot["retries"] == 1
-            assert snapshot["dead_lettered"] == 0
-        finally:
-            engine.stop()
+        engine.publish("/in", payload="p1", labels=[PATIENT])
+        settle(engine.broker)
+        store = engine.store_of("flaky")
+        assert store.get("seen") == ["p1"]
+        assert store.get("attempts") == 2
+        snapshot = engine.stats.snapshot()
+        assert snapshot["retries"] == 1
+        assert snapshot["dead_lettered"] == 0
+
+    def test_failed_delivery_leaves_no_ambient_labels_behind(self, engine_for):
+        class LabelProbe(Unit):
+            unit_name = "flaky"
+
+            def setup(self):
+                self.subscribe("/in", self.on_event)
+
+            def on_event(self, event):
+                entered = tuple(sorted(current_labels().to_uris()))
+                self.store.set(f"ambient:{event.payload}", entered)
+                if event.payload == "dies":
+                    raise RuntimeError("dies inside a labelled context")
+
+        engine = engine_for(SupervisionPolicy(retry_budget=0, max_restarts=5))
+        engine.register(LabelProbe())
+        engine.publish("/in", payload="dies", labels=[PATIENT])
+        engine.publish("/in", payload="plain")
+        settle(engine.broker)
+        # Same dispatcher thread, next delivery: it enters with its own
+        # event's labels (none), not the failed attempt's.
+        store = engine.store_of("flaky")
+        assert store.get("ambient:dies") == (PATIENT.uri,)
+        assert store.get("ambient:plain") == ()
+
+    def test_failed_jailed_delivery_leaves_the_dispatcher_unjailed(self, engine_for, tmp_path):
+        target = tmp_path / "after.txt"
+        engine = engine_for(SupervisionPolicy(retry_budget=1))
+        engine.register(FlakyUnit(failures_before_success=99))
+        written = threading.Event()
+
+        def plain_subscriber(event):
+            target.write_text("the dispatcher is free again")
+            written.set()
+
+        engine.broker.subscribe("/after", plain_subscriber, principal="exporter")
+        engine.publish("/in", payload="p1")
+        engine.publish("/after")
+        settle(engine.broker)
+        assert written.is_set() and target.exists()
+        assert engine.stats.snapshot()["dead_lettered"] == 1
+
+    def test_exhausted_budget_dead_letters_with_labels(self, engine_for):
+        engine = engine_for(SupervisionPolicy(retry_budget=1, max_restarts=3))
+        collected = dlq_tap(
+            engine, "flaky", clearance=PrivilegeSet({"clearance": [PATIENT]})
+        )
+        engine.register(FlakyUnit(failures_before_success=99))
+        engine.publish("/in", payload="p1", labels=[PATIENT])
+        settle(engine.broker)
+        assert [event.payload for event in collected] == ["p1"]
+        dead = collected[0]
+        assert dead.labels == LabelSet([PATIENT])
+        assert dead["dlq_attempts"] == "2"
+        snapshot = engine.stats.snapshot()
+        assert snapshot["dead_lettered"] == 1
+        assert snapshot["restarts"] == 1
+
+
+class TestRestartUnderConcurrentPublishers:
+    def test_restarts_lose_no_event_published_from_other_threads(self):
+        """Every failing delivery restarts the unit (new subscriptions
+        live before the old ones go) while three other threads keep
+        publishing into the inline broker: each of their events is
+        observed at least once, none falls between the two wirings."""
+
+        class Recorder(Unit):
+            unit_name = "flaky"
+
+            def setup(self):
+                self.subscribe("/in", self.on_event)
+
+            def on_event(self, event):
+                if event.payload.startswith("boom"):
+                    raise RuntimeError(event.payload)
+                self.store.set(f"seen:{event.payload}", True)
+
+        engine = make_engine(
+            SupervisionPolicy(retry_budget=0, max_restarts=1000, restart_window=60.0)
+        )
+        collected = dlq_tap(engine, "flaky")
+        engine.register(Recorder())
+        start = threading.Barrier(4, timeout=30)
+        errors = []
+
+        def publish(prefix):
+            try:
+                start.wait()
+                for index in range(100):
+                    engine.publish("/in", payload=f"{prefix}{index}")
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=publish, args=("boom",))] + [
+            threading.Thread(target=publish, args=(f"t{n}-",)) for n in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        store = engine.store_of("flaky")
+        missing = [
+            f"t{n}-{index}"
+            for n in range(3)
+            for index in range(100)
+            if not store.get(f"seen:t{n}-{index}")
+        ]
+        assert missing == []
+        assert sorted(event.payload for event in collected) == sorted(
+            f"boom{index}" for index in range(100)
+        )
+        assert engine.stats.snapshot()["restarts"] == 100
 
 
 class TestBreakerGuardedStorage:

@@ -12,7 +12,6 @@ from repro.core.audit import AuditLog
 from repro.events.broker import Broker
 from repro.events.cluster import ClusterEngine, ClusterRouter
 from repro.events.engine import EventProcessingEngine
-from repro.events.lanes import LaneScheduler
 from repro.events.stomp.bridge import StompBrokerBridge
 from repro.events.supervision import SupervisionPolicy
 from repro.mdt.deployment import MdtDeployment
@@ -27,19 +26,18 @@ from repro.web.pagecache import PageCache
 from repro.web.sessions import SessionMiddleware
 
 BUDGET = {
-    MdtDeployment: 18,
+    MdtDeployment: 17,
     build_portal: 10,
     SessionMiddleware: 5,
     HttpServer: 8,
     PageCache: 1,
     federate: 3,
-    EventProcessingEngine: 10,
+    EventProcessingEngine: 7,
     Broker: 6,
     AuditLog: 2,
     StompBrokerBridge: 11,
     ClusterEngine: 6,
     ClusterRouter: 3,
-    LaneScheduler: 8,
     SupervisionPolicy: 7,
     Vulnerability: 12,  # a dataclass: its signature is its fields
     open_durable_database: 7,
