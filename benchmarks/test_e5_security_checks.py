@@ -9,8 +9,8 @@ the safety net cannot be a denial-of-service vector.
 
 from repro.bench.reporting import format_table
 from repro.bench.timing import measure_interleaved
-from repro.mdt.vulnerabilities import build_vulnerable_deployment
 from repro.mdt.workload import WorkloadConfig, generate_workload
+from tests.security.corpus.vulnerabilities import build_vulnerable_deployment
 
 #: blocked / allowed, ratio of medians: a denial skips nothing the
 #: allowed request does except the body, so about one — same order of

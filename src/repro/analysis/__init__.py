@@ -29,7 +29,6 @@ Entry points: :func:`analyze` (used by ``scripts/analyze.py`` and
 
 from repro.analysis.findings import Finding, RuleInfo, RULES, Severity
 from repro.analysis.framework import (
-    CORPUS_MODULES,
     Project,
     analyze,
     analyze_source,
@@ -43,7 +42,6 @@ __all__ = [
     "RULES",
     "Severity",
     "Project",
-    "CORPUS_MODULES",
     "analyze",
     "analyze_source",
     "load_project",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -54,29 +54,6 @@ def import_aliases(tree: ast.Module) -> Dict[str, str]:
             for alias in node.names:
                 aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
     return aliases
-
-
-def iter_functions(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.FunctionDef, Optional[ast.ClassDef]]]:
-    """Every function/method in the module with its enclosing class.
-
-    Nested functions are yielded too (with the class of the outermost
-    enclosing method, if any) — handlers are routinely defined inside
-    builder functions.
-    """
-
-    def walk(node: ast.AST, cls: Optional[ast.ClassDef]):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from walk(child, child)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, cls
-                yield from walk(child, cls)
-            else:
-                yield from walk(child, cls)
-
-    yield from walk(tree, None)
 
 
 def arg_names(func: ast.FunctionDef) -> List[str]:

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.findings import RULES
-from repro.analysis.framework import CORPUS_MODULES, analyze, load_project
+from repro.analysis.framework import analyze, load_project
 from repro.analysis.locks import build_lock_graph
 
 
@@ -37,12 +37,6 @@ def _parser() -> argparse.ArgumentParser:
         "--rules",
         default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--corpus",
-        action="store_true",
-        help="include the vulnerability corpus modules, which the default "
-        "run excludes (they are intentionally leaky ground truth)",
     )
     parser.add_argument(
         "--no-suppress",
@@ -91,10 +85,8 @@ def _run(args: argparse.Namespace) -> int:
     if root is None and paths == ["src/repro"] and Path("src/repro").is_dir():
         root = "src"
 
-    exclude = () if args.corpus else CORPUS_MODULES
-
     if args.lock_graph:
-        project = load_project(paths, root=root, exclude=exclude)
+        project = load_project(paths, root=root)
         print(build_lock_graph(project).to_dot())
         return 0
 
@@ -109,7 +101,6 @@ def _run(args: argparse.Namespace) -> int:
     findings = analyze(
         paths,
         root=root,
-        exclude=exclude,
         rules=rules,
         respect_suppressions=not args.no_suppress,
     )

@@ -4,11 +4,6 @@ A :class:`Project` is a set of parsed modules (path, source, AST,
 suppressions). :func:`analyze` runs the three passes — IFC lint rules,
 taint summaries, the lock-order detector — over a project and returns
 the surviving findings sorted by (file, line, rule).
-
-The adversarial vulnerability corpus (``repro/mdt/vulnerabilities.py``)
-is excluded from the default run: it is the repo's ground-truth registry
-of *intentionally* leaky code, kept analyzable on demand (``--corpus``)
-so the suite can pin that the analyzer statically flags its injections.
 """
 
 from __future__ import annotations
@@ -23,11 +18,6 @@ from repro.analysis.findings import (
     is_suppressed,
     parse_suppressions,
 )
-
-#: Modules that ARE the bug corpus — excluded from the clean-tree run,
-#: analyzed explicitly by the corpus-detection tests and ``--corpus``.
-CORPUS_MODULES = ("repro/mdt/vulnerabilities.py",)
-
 
 @dataclass
 class ModuleSource:
@@ -74,13 +64,11 @@ def _iter_python_files(path: Path) -> Iterable[Path]:
 def load_project(
     paths: Sequence[Path | str],
     root: Optional[Path | str] = None,
-    exclude: Sequence[str] = CORPUS_MODULES,
 ) -> Project:
     """Parse every ``.py`` file under *paths* into a :class:`Project`.
 
     *root* anchors the relative paths findings report (defaults to the
-    common parent of *paths*); *exclude* lists relative-path suffixes to
-    skip (the corpus modules by default).
+    first path, or its directory when it is a file).
     """
     resolved = [Path(p).resolve() for p in paths]
     if root is None:
@@ -99,8 +87,6 @@ def load_project(
                 rel = file_path.relative_to(base).as_posix()
             except ValueError:
                 rel = file_path.as_posix()
-            if any(rel.endswith(suffix) for suffix in exclude):
-                continue
             modules.append(ModuleSource.parse(file_path, rel))
     return Project(modules, base)
 
@@ -124,12 +110,11 @@ def _run_passes(project: Project, rules: Optional[Sequence[str]]) -> List[Findin
 def analyze(
     paths: Sequence[Path | str],
     root: Optional[Path | str] = None,
-    exclude: Sequence[str] = CORPUS_MODULES,
     rules: Optional[Sequence[str]] = None,
     respect_suppressions: bool = True,
 ) -> List[Finding]:
     """Run every pass over *paths* and return the sorted findings."""
-    project = load_project(paths, root=root, exclude=exclude)
+    project = load_project(paths, root=root)
     return analyze_project(
         project, rules=rules, respect_suppressions=respect_suppressions
     )

@@ -27,10 +27,13 @@ MIDDLEWARE_COMPONENTS: Dict[str, Tuple[str, ...]] = {
     "storage substrate": ("storage",),
 }
 
-#: The application-trusted pieces: privileged units + privilege admin.
+#: The application-trusted pieces: the privileged units, and the
+#: federation gateway, which writes other regions' aggregates into the
+#: application database itself, outside any unit's label checks.
 APPLICATION_TRUSTED: Tuple[str, ...] = (
     "mdt/producer.py",
     "mdt/storage_unit.py",
+    "mdt/federation.py",
 )
 
 #: Application code whose bugs SafeWeb contains (no audit required).
@@ -40,7 +43,6 @@ APPLICATION_UNTRUSTED: Tuple[str, ...] = (
     "mdt/metrics.py",
     "mdt/workload.py",
     "mdt/deployment.py",
-    "mdt/vulnerabilities.py",
     "mdt/labels.py",
 )
 

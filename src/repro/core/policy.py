@@ -198,9 +198,6 @@ class Policy:
 
     # -- mutation (programmatic policies) -------------------------------------
 
-    def add_unit(self, unit: UnitPrincipal) -> None:
-        self._units[unit.name] = unit
-
     def add_user(self, user: UserPrincipal) -> None:
         self._users[user.name] = user
 

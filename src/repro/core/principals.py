@@ -13,7 +13,7 @@ import hashlib
 import hmac
 from typing import Iterable, Optional
 
-from repro.core.labels import Label, LabelSet, parse_label
+from repro.core.labels import Label, LabelSet
 from repro.core.privileges import PrivilegeSet
 
 
@@ -127,10 +127,6 @@ class UserPrincipal(Principal):
         actual = _digest(self.password_salt, candidate)
         return hmac.compare_digest(expected, actual)
 
-    def readable_labels(self) -> LabelSet:
-        """The confidentiality labels this user is cleared for (grant roots)."""
-        return LabelSet(self.privileges.labels_for("clearance"))
-
 
 def _derive_salt(name: str) -> str:
     return hashlib.sha256(f"safeweb-salt:{name}".encode()).hexdigest()[:16]
@@ -138,10 +134,3 @@ def _derive_salt(name: str) -> str:
 
 def _digest(salt: str, password: str) -> str:
     return hashlib.sha256(f"{salt}:{password}".encode()).hexdigest()
-
-
-def coerce_label(value: Label | str) -> Label:
-    """Shared helper: accept a :class:`Label` or its URI form."""
-    if isinstance(value, Label):
-        return value
-    return parse_label(value)

@@ -21,9 +21,8 @@ Publish cost is kept independent of the number of subscriptions through
 four layers, none of which weakens a check:
 
 1. candidate subscriptions come from a segment trie
-   (:class:`~repro.events.index.TopicTrie`) instead of a linear scan —
-   :func:`match_topic` remains as the reference matcher and the property
-   suite proves the trie equivalent to it;
+   (:class:`~repro.events.index.TopicTrie`) instead of a linear scan;
+   ``tests/property/test_topic_index.py`` holds it to the seed matcher;
 2. resolved candidate lists are cached per concrete topic and
    invalidated on any subscribe/unsubscribe;
 3. selector evaluation uses compiled closures, and identical selector
@@ -32,8 +31,8 @@ four layers, none of which weakens a check:
    generation)`` and audit records are deferred through
    :meth:`~repro.core.audit.AuditLog.note`.
 
-:class:`BrokerStats` exposes ``index_hits`` / ``route_cache_hits`` /
-``scans`` so benchmarks (A1/E4) can attribute wins to each layer.
+:class:`BrokerStats` exposes ``index_hits`` / ``route_cache_hits`` so
+benchmarks (A1/E4) can attribute wins to each layer.
 """
 
 from __future__ import annotations
@@ -59,28 +58,6 @@ _subscription_seq = itertools.count(1)
 #: Bound on the topic → candidate-list cache; publishes to more distinct
 #: topics than this simply rebuild entries from the trie.
 _ROUTE_CACHE_LIMIT = 4096
-
-
-def match_topic(pattern: str, topic: str) -> bool:
-    """Match a subscription pattern against an event topic.
-
-    This is the reference implementation the trie index is proven
-    equivalent to; the delivery path itself no longer calls it.
-    """
-    if pattern == topic:
-        return True
-    pattern_parts = pattern.strip("/").split("/")
-    topic_parts = topic.strip("/").split("/")
-    for index, part in enumerate(pattern_parts):
-        if part == "#":
-            # '#' must be the last pattern segment and match at least one
-            # topic segment.
-            return index == len(pattern_parts) - 1 and index < len(topic_parts)
-        if index >= len(topic_parts):
-            return False
-        if part != "*" and part != topic_parts[index]:
-            return False
-    return len(pattern_parts) == len(topic_parts)
 
 
 @dataclass(slots=True)
@@ -133,7 +110,6 @@ class BrokerStats:
         "errors",
         "index_hits",
         "route_cache_hits",
-        "scans",
         "candidates",
     )
 
@@ -147,8 +123,6 @@ class BrokerStats:
         self.index_hits = 0
         #: Deliveries served straight from the per-topic route cache.
         self.route_cache_hits = 0
-        #: Deliveries that fell back to the legacy linear scan.
-        self.scans = 0
         #: Total candidate subscriptions examined across deliveries.
         self.candidates = 0
 
@@ -161,7 +135,6 @@ class BrokerStats:
             "errors": self.errors,
             "index_hits": self.index_hits,
             "route_cache_hits": self.route_cache_hits,
-            "scans": self.scans,
             "candidates": self.candidates,
         }
 
@@ -184,10 +157,6 @@ class Broker:
     in-process pipelines. ``threaded=True`` enqueues events and a
     dispatcher thread delivers them, which is how the STOMP server runs
     so that jailed publishers never perform socket I/O themselves.
-
-    ``use_index=False`` routes through the legacy linear scan over
-    :func:`match_topic` — kept for the equivalence property tests and as
-    an escape hatch; semantics are identical either way.
     """
 
     def __init__(
@@ -196,7 +165,6 @@ class Broker:
         audit: Optional[AuditLog] = None,
         label_checks: bool = True,
         raise_errors: bool = False,
-        use_index: bool = True,
         chaos: ChaosInjector = NULL_FAULTS,
     ):
         self._lock = threading.RLock()
@@ -212,7 +180,6 @@ class Broker:
         #: propagate to the publisher instead of being contained — the
         #: engine relies on this to surface SecurityViolations in tests.
         self._raise_errors = raise_errors
-        self._use_index = use_index
         self._index: TopicTrie[Subscription] = TopicTrie()
         self._routes: Dict[str, Sequence[_RouteEntry]] = {}
         self.stats = BrokerStats()
@@ -411,16 +378,8 @@ class Broker:
     def _build_route(self, topic: str) -> _Route:
         """Resolve and cache the prepared candidate list for *topic*."""
         with self._lock:
-            if self._use_index:
-                matched = self._index.match(topic)
-                self.stats.index_hits += 1
-            else:
-                matched = [
-                    subscription
-                    for subscription in self._subscriptions.values()
-                    if match_topic(subscription.topic, topic)
-                ]
-                self.stats.scans += 1
+            matched = self._index.match(topic)
+            self.stats.index_hits += 1
             matched.sort(key=lambda subscription: subscription.seq)
             entries = tuple(
                 (

@@ -1,13 +1,13 @@
 """Topic subscription index: a segment trie with wildcard nodes (§4.2).
 
-The broker's reference matcher, :func:`repro.events.broker.match_topic`,
-compares one pattern against one topic in O(segments). With N
-subscriptions a publish therefore costs O(N · segments). This module
-replaces that linear scan with a trie keyed by topic segment so a
+The seed broker compared one pattern against one topic at a time, in
+O(segments). With N subscriptions a publish therefore cost
+O(N · segments). This module replaces that linear scan with a trie keyed by topic segment so a
 publish visits only the nodes reachable from the event's topic —
 O(segments) for the common exact-topic case, independent of N.
 
-Pattern language (identical to :func:`match_topic`):
+Pattern language (the seed matcher's, kept in ``tests/reference/topics.py``
+and held equal by ``tests/property/test_topic_index.py``):
 
 * a literal segment matches itself;
 * ``*`` matches exactly one segment of any value;

@@ -33,10 +33,6 @@ class SecurityViolation(SafeWebError):
     """
 
 
-class ClearanceError(SecurityViolation):
-    """A principal attempted to read data above its clearance."""
-
-
 class DeclassificationError(SecurityViolation):
     """A principal attempted to remove a label without the privilege."""
 

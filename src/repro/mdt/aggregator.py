@@ -16,8 +16,8 @@ State lives exclusively in the labelled key-value store:
 * ``metric:<mdt-id>`` — the computed per-MDT metric, read back by the
   regional aggregation.
 
-The §5.2 *design error* injection
-(:class:`repro.mdt.vulnerabilities.BuggyDataAggregator`) overrides
+The §5.2 *design error* injection (``BuggyDataAggregator`` in
+``tests/security/corpus/vulnerabilities.py``) overrides
 :meth:`DataAggregator.match_key` to match case events by the within-MDT
 ``local_case_number`` alone — "ignoring the hospital of origin" — so
 records mix data of different MDTs. The mixed records carry both MDTs'

@@ -236,10 +236,6 @@ class MdtDeployment:
             csrf_protect=csrf_protect,
             health_probe=self.probe,
         )
-        #: Scratch space for the §5.2 corpus harness: injection patches
-        #: stash their artefacts (observer sinks, side-channel handles)
-        #: here so attacks and oracles can reach them.
-        self.corpus_state: dict = {}
 
     # -- cluster offload ----------------------------------------------------------
 

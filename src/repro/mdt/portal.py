@@ -17,8 +17,8 @@ application database replica. Routes:
   privileges to new MDTs (the paper's 142 audited frontend LOC).
 
 The handlers here are the clean application; the §5.2 evaluation injects
-its CVE-style bugs by patching a built deployment
-(:mod:`repro.mdt.vulnerabilities`), never by a switch in this module.
+its CVE-style bugs by patching a built deployment (the corpus under
+``tests/security/corpus/``), never by a switch in this module.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ The MDT deployment uses three stores, all reproduced here:
   same API (:class:`~repro.storage.docstore.ShardedDatabase`), with
   batched CouchDB-style push replication
   (:mod:`repro.storage.replication`) and a CouchRest-like model layer
-  (:mod:`repro.storage.couchrest`). The seed implementation survives as
-  the executable spec in :mod:`repro.storage.reference`;
-  The application database is durable on request: per-shard write-ahead
+  (:mod:`repro.storage.couchrest`). The application database is durable
+  on request: per-shard write-ahead
   logs with group-commit fsync batching, compacted in place
   (:mod:`repro.storage.wal`), crash recovery and persisted replication
   checkpoints (:mod:`repro.storage.recovery`), proven against
@@ -38,7 +37,6 @@ from repro.storage.replication import (
     Replicator,
     replicate,
 )
-from repro.storage.reference import ReferenceDatabase
 from repro.storage.couchrest import Model
 from repro.storage.webdb import WebDatabase
 from repro.storage.maindb import MainDatabase, Patient, Treatment, Tumour
@@ -58,7 +56,6 @@ __all__ = [
     "DocumentDatabase",
     "ShardedDatabase",
     "ViewRow",
-    "ReferenceDatabase",
     "Replicator",
     "ReplicationResult",
     "ContinuousReplicator",

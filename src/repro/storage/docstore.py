@@ -30,8 +30,8 @@ Implemented CouchDB behaviours the reproduction relies on:
 
 Enforcement semantics (which rows a reader sees, which labels they
 carry, how ``update_seq`` advances) are pinned byte-identical to the
-seed implementation, preserved as the executable specification in
-:mod:`repro.storage.reference` and enforced by
+seed implementation, kept as the executable specification in
+``tests/reference/store.py`` and enforced by
 ``tests/property/test_sharded_store.py``.
 """
 

@@ -231,13 +231,6 @@ class FaultInjector(ChaosInjector):
             for tracked in list(self._open_files.values()):
                 tracked.close()
 
-    def durable_lengths(self) -> Dict[str, Tuple[int, int]]:
-        """Snapshot of the (durable, written) ledger, for assertions."""
-        with self._lock:
-            for tracked in self._open_files.values():
-                self._sync_ledger(tracked)
-            return dict(self._ledger)
-
 
 class _NullInjector(FaultInjector):
     """The production no-op injector: crash points cost one method call,

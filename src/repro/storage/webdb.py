@@ -308,22 +308,6 @@ class WebDatabase:
 
     # -- deployment configuration -------------------------------------------
 
-    def config_get(self, key: str) -> Optional[str]:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT value FROM config WHERE key = ?", (key,)
-            ).fetchone()
-        return None if row is None else row["value"]
-
-    def config_set(self, key: str, value: str) -> None:
-        with self._lock:
-            self._connection.execute(
-                "INSERT INTO config (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (key, value),
-            )
-            self._connection.commit()
-
     def config_setdefault(self, key: str, value: str) -> str:
         """Persist *value* under *key* unless one exists; return the winner.
 

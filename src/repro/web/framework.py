@@ -18,7 +18,6 @@ benchmarks.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import (
@@ -42,37 +41,21 @@ def halt(status: int = 500, body: str = "", headers: Optional[Dict[str, str]] = 
     raise HaltRequest(status, body, headers)
 
 
-def _compile_route(pattern: str) -> re.Pattern:
-    if not pattern.startswith("/"):
-        raise SafeWebError(f"route pattern must start with '/': {pattern!r}")
-    regex = ""
-    position = 0
-    for match in _PARAM_RE.finditer(pattern):
-        regex += re.escape(pattern[position : match.start()])
-        regex += f"(?P<{match.group(1)}>[^/]+)"
-        position = match.end()
-    regex += re.escape(pattern[position:])
-    if regex.endswith(re.escape("/*")):
-        regex = regex[: -len(re.escape("/*"))] + "(?P<splat>/.*)?"
-    return re.compile(f"^{regex}$")
-
-
 class Route:
-    __slots__ = ("method", "pattern", "regex", "handler")
+    __slots__ = ("method", "pattern", "handler")
 
     def __init__(self, method: str, pattern: str, handler: Callable):
+        # The trie's pattern parser validates nothing: it drops whatever
+        # precedes the first '/' ("foo" would route as "/") and a repeated
+        # capture name would break its backtracking at dispatch time.
+        if not pattern.startswith("/"):
+            raise SafeWebError(f"route pattern must start with '/': {pattern!r}")
+        names = _PARAM_RE.findall(pattern)
+        if len(names) != len(set(names)):
+            raise SafeWebError(f"route pattern repeats a capture name: {pattern!r}")
         self.method = method
         self.pattern = pattern
-        self.regex = _compile_route(pattern)
         self.handler = handler
-
-    def match(self, method: str, path: str) -> Optional[Dict[str, str]]:
-        if method != self.method:
-            return None
-        found = self.regex.match(path)
-        if found is None:
-            return None
-        return {k: v for k, v in found.groupdict().items() if v is not None}
 
 
 class SafeWebApp:
@@ -80,15 +63,11 @@ class SafeWebApp:
 
     Dispatch runs on a :class:`~repro.web.routing.TrieRouter` compiled
     lazily from the route table (and invalidated by further route
-    registration); the seed linear regex scan is preserved as
-    :meth:`match_reference` and stays property-tested equivalent. Set
-    ``compiled_router=False`` to dispatch through the reference matcher
-    (the property suite's seed-pipeline world).
+    registration).
     """
 
-    def __init__(self, name: str = "safeweb-app", compiled_router: bool = True):
+    def __init__(self, name: str = "safeweb-app"):
         self.name = name
-        self.compiled_router = compiled_router
         self._routes: List[Route] = []
         self._trie: Optional[TrieRouter] = None
         self._before: List[Callable[[Request], None]] = []
@@ -138,20 +117,6 @@ class SafeWebApp:
 
     # -- matching -----------------------------------------------------------------
 
-    def match_reference(
-        self, method: str, path: str
-    ) -> Optional[Tuple["Route", Dict[str, str]]]:
-        """The seed matcher: linear scan, one regex per route.
-
-        Kept as the executable specification the trie is property-tested
-        against (``tests/property/test_router.py``).
-        """
-        for route in self._routes:
-            captures = route.match(method, path)
-            if captures is not None:
-                return route, captures
-        return None
-
     def _compiled(self) -> TrieRouter:
         trie = self._trie
         if trie is None:
@@ -162,9 +127,7 @@ class SafeWebApp:
         return trie
 
     def match(self, method: str, path: str) -> Optional[Tuple["Route", Dict[str, str]]]:
-        if self.compiled_router:
-            return self._compiled().match(method, path)
-        return self.match_reference(method, path)
+        return self._compiled().match(method, path)
 
     # -- dispatch -----------------------------------------------------------------
 

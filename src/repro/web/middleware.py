@@ -102,7 +102,7 @@ class SafeWebMiddleware:
     def check_response(self, request: Request, response: Response) -> Optional[Response]:
         # Public paths skip *authentication*, never the response checks:
         # a route marked public by mistake (the "missing after-hook"
-        # corpus injection) must still be unable to emit labelled data —
+        # bug shape) must still be unable to emit labelled data —
         # with no principal attached, any confidentiality label denies.
         started = time.perf_counter()
         try:

@@ -19,11 +19,10 @@ table:
 * **method dispatch** happens at the leaf: terminals are keyed by HTTP
   method.
 
-The seed matcher survives untouched as the executable reference
-(:meth:`repro.web.framework.Route.match`, driven linearly by
-:meth:`repro.web.framework.SafeWebApp.match_reference`);
-``tests/property/test_router.py`` generates route tables and request
-paths and proves the trie observation-equivalent, including the
+The seed matcher survives as the executable reference in
+``tests/reference/router.py``; ``tests/property/test_router.py``
+generates route tables and request paths and proves the trie
+observation-equivalent, including the
 first-match-wins rule for overlapping patterns: every terminal carries
 its registration order and the walk returns the lowest-ordered match,
 exactly what the linear scan would have produced.

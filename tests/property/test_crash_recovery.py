@@ -5,7 +5,7 @@ The durability contract (docs/DURABILITY.md):
 
 1. **Prefix** — a store recovered after a crash is observation-
    equivalent to the in-memory executable specification
-   (:class:`~repro.storage.reference.ReferenceDatabase`) replaying some
+   (:class:`~tests.reference.store.ReferenceDatabase`) replaying some
    prefix of the submitted operation history;
 2. **No acknowledged-after-fsync loss** — every write acknowledged
    while the WAL had no un-fsynced records is inside that prefix, even
@@ -39,9 +39,9 @@ from repro.storage.recovery import (
     snapshot_durable,
 )
 from repro.storage.docstore import make_database
-from repro.storage.reference import ReferenceDatabase
 from repro.storage.replication import Replicator
 from repro.taint import label, labels_of
+from tests.reference.store import ReferenceDatabase
 
 L_PATIENT = conf_label("ecric.org.uk", "patient", "9")
 L_MDT = conf_label("ecric.org.uk", "mdt", "3")

@@ -41,6 +41,7 @@ from repro.web import (
     TrieRouter,
 )
 from repro.web.framework import Route
+from tests.reference.router import LinearScanApp, match_reference, route_match
 
 # ---------------------------------------------------------------------------
 # Router equivalence
@@ -114,7 +115,7 @@ def request_paths(draw, routes):
 def linear_reference(routes, method, path):
     """The seed matcher: first route whose regex matches wins."""
     for index, route in enumerate(routes):
-        captures = route.match(method, path)
+        captures = route_match(route, method, path)
         if captures is not None:
             return index, captures
     return None
@@ -206,7 +207,7 @@ class TestAppDispatchEquivalence:
         method = data.draw(methods)
         path = data.draw(request_paths(routes))
         fast = app.match(method, path)
-        reference = app.match_reference(method, path)
+        reference = match_reference(app._routes, method, path)
         if reference is None:
             assert fast is None
         else:
@@ -234,7 +235,7 @@ def build_world(tuned: bool):
     store.put({"_id": "doc-a", "value": "va-0"})
     store.put({"_id": "doc-b", "value": "vb-0"})
 
-    app = SafeWebApp(compiled_router=tuned)
+    app = SafeWebApp() if tuned else LinearScanApp()
     authenticator = (CachingAuthenticator if tuned else BasicAuthenticator)(webdb)
     middleware = SafeWebMiddleware(authenticator, public_paths={"/public"})
     middleware.install(app)

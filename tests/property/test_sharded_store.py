@@ -1,7 +1,7 @@
 """Property suite: the sharded, incrementally-indexed store is
 observation-equivalent to the seed sequential store.
 
-:class:`~repro.storage.reference.ReferenceDatabase` is the seed
+:class:`~tests.reference.store.ReferenceDatabase` is the seed
 implementation kept as the executable specification. Random operation
 histories (puts, MVCC updates, conflicting puts, deletes of live and
 missing documents, labeled and plain field values) are applied to the
@@ -33,9 +33,9 @@ from hypothesis import strategies as st
 from repro.core.labels import LabelSet, conf_label, int_label
 from repro.exceptions import DocumentConflict, DocumentNotFound
 from repro.storage import Replicator, ShardedDatabase
-from repro.storage.reference import ReferenceDatabase
 from repro.taint import is_user_tainted, json_codec, label, labels_of, with_labels
 from repro.web.templates import TemplateRegistry
+from tests.reference.store import ReferenceDatabase
 
 L_PATIENT = conf_label("ecric.org.uk", "patient", "9")
 L_MDT = conf_label("ecric.org.uk", "mdt", "3")

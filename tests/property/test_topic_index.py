@@ -1,23 +1,28 @@
-"""Property tests: the trie index is exactly the legacy linear scan.
+"""Property tests: the broker's trie routing is exactly the seed linear scan.
 
-The broker's delivery fast path replaced the O(N) `match_topic` scan
-with a segment trie (:mod:`repro.events.index`) plus a per-topic route
-cache. These properties prove the replacement changes nothing
-observable: for arbitrary patterns and topics — including ``*``,
-trailing ``#``, the "``#`` must match at least one segment" rule and
-degenerate non-final-``#`` patterns — both paths select the same
-subscriptions, deliver the same events, and record the same audit
-outcomes.
+The broker's delivery path replaced the O(N) scan over the seed matcher
+(``tests/reference/topics.py``) with a segment trie
+(:mod:`repro.events.index`) plus a per-topic route cache. These
+properties prove the replacement changes nothing observable: for
+arbitrary patterns and topics — including ``*``, trailing ``#``, the
+"``#`` must match at least one segment" rule and degenerate
+non-final-``#`` patterns — the trie selects the subscriptions the seed
+matcher selects, and the broker delivers exactly what the seed matcher,
+each subscription's selector and its clearance imply, in registration
+order, with the audit decisions that implies.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet, conf_label
 from repro.core.privileges import CLEARANCE, PrivilegeSet
-from repro.events.broker import Broker, match_topic
+from repro.events.broker import Broker
 from repro.events.event import Event
 from repro.events.index import TopicTrie
+from tests.reference.topics import match_topic
 
 # Small alphabets maximise collisions between patterns and topics, which
 # is where matching bugs live.
@@ -84,19 +89,14 @@ class TestTrieEquivalence:
             assert set(trie.match(topic)) == expected
 
 
-def _mirrored_brokers():
-    """An indexed broker and a legacy linear-scan broker, same audit shape."""
-    indexed = Broker(audit=AuditLog(), use_index=True)
-    scanning = Broker(audit=AuditLog(), use_index=False)
-    return indexed, scanning
-
-
 _SELECTORS = (None, "kind = 'cancer'", "stage > 1", "kind = 'cancer' AND stage > 1")
 _CLEARANCES = (
     PrivilegeSet.empty(),
     PrivilegeSet({CLEARANCE: [PATIENT]}),
     PrivilegeSet({CLEARANCE: [PATIENT, MDT]}),
 )
+#: The labels each clearance above covers, spelled out for the expectation.
+_CLEARED_FOR = (frozenset(), frozenset([PATIENT]), frozenset([PATIENT, MDT]))
 _LABEL_CHOICES = (LabelSet(), LabelSet([PATIENT]), LabelSet([PATIENT, MDT]))
 _ATTRIBUTE_CHOICES = (
     {},
@@ -118,50 +118,60 @@ event_specs = st.tuples(
 
 
 class TestBrokerEquivalence:
-    """Full delivery semantics: topic, selector, labels, audit outcomes."""
+    """Full delivery semantics: topic, selector, labels, order, audit."""
 
     @settings(deadline=None)
     @given(
         st.lists(subscription_specs, min_size=1, max_size=8),
         st.lists(event_specs, min_size=1, max_size=8),
     )
-    def test_indexed_delivery_equals_linear_scan(self, sub_specs, ev_specs):
-        indexed, scanning = _mirrored_brokers()
-        received = {True: {}, False: {}}
-        for use_index, broker in ((True, indexed), (False, scanning)):
-            for index, (pattern, sel_index, clr_index) in enumerate(sub_specs):
-                inbox = received[use_index].setdefault(index, [])
-                broker.subscribe(
-                    pattern,
-                    inbox.append,
-                    principal=f"unit-{index}",
-                    clearance=_CLEARANCES[clr_index],
-                    selector=_SELECTORS[sel_index],
-                    subscription_id=f"sub-{index}",
-                )
+    def test_delivery_equals_seed_semantics(self, sub_specs, ev_specs):
+        """The one broker against a test-side expectation: the seed matcher
+        picks the topic's subscriptions, each one's selector and then its
+        clearance filter them, survivors are called in registration order."""
+        audit = AuditLog()
+        broker = Broker(audit=audit)
+        delivered_log = []
+        subscriptions = [
+            broker.subscribe(
+                pattern,
+                lambda event, index=index: delivered_log.append((index, event)),
+                principal=f"unit-{index}",
+                clearance=_CLEARANCES[clr_index],
+                selector=_SELECTORS[sel_index],
+                subscription_id=f"sub-{index}",
+            )
+            for index, (pattern, sel_index, clr_index) in enumerate(sub_specs)
+        ]
 
+        expected_log = []
+        expected_audit = Counter()
         for topic, attr_index, label_index in ev_specs:
-            event_indexed = Event(
-                topic, _ATTRIBUTE_CHOICES[attr_index], labels=_LABEL_CHOICES[label_index]
-            )
-            event_scanned = Event(
-                topic, _ATTRIBUTE_CHOICES[attr_index], labels=_LABEL_CHOICES[label_index]
-            )
-            assert indexed.publish(event_indexed) == scanning.publish(event_scanned)
+            labels = _LABEL_CHOICES[label_index]
+            event = Event(topic, _ATTRIBUTE_CHOICES[attr_index], labels=labels)
+            expected_audit["broker", "publish", "anonymous", "allowed", labels] += 1
+            deliveries = 0
+            for index, subscription in enumerate(subscriptions):
+                if not match_topic(subscription.topic, topic):
+                    continue
+                selector = subscription.selector
+                if selector is not None and not selector.matches(event.attributes):
+                    continue
+                if not set(labels) <= _CLEARED_FOR[sub_specs[index][2]]:
+                    expected_audit["broker", "deliver", f"unit-{index}", "denied", labels] += 1
+                    continue
+                expected_audit["broker", "deliver", f"unit-{index}", "allowed", labels] += 1
+                expected_log.append((index, event))
+                deliveries += 1
+            assert broker.publish(event) == deliveries
 
-        for index in range(len(sub_specs)):
-            indexed_topics = [event.topic for event in received[True][index]]
-            scanned_topics = [event.topic for event in received[False][index]]
-            assert indexed_topics == scanned_topics, f"subscription {index} diverged"
-
-        indexed_stats = indexed.stats.snapshot()
-        scanning_stats = scanning.stats.snapshot()
-        for counter in ("published", "delivered", "label_filtered", "selector_filtered", "errors"):
-            assert indexed_stats[counter] == scanning_stats[counter], counter
-        assert indexed_stats["scans"] == 0
-        assert scanning_stats["index_hits"] == 0
-
-        for decision in ("allowed", "denied"):
-            assert indexed._audit.count(component="broker", decision=decision) == (
-                scanning._audit.count(component="broker", decision=decision)
-            ), decision
+        assert [(index, id(event)) for index, event in delivered_log] == [
+            (index, id(event)) for index, event in expected_log
+        ]
+        assert Counter(
+            (record.component, record.operation, record.principal, record.decision, record.labels)
+            for record in audit.records()
+        ) == expected_audit
+        stats = broker.stats.snapshot()
+        assert stats["published"] == len(ev_specs)
+        assert stats["index_hits"] + stats["route_cache_hits"] == len(ev_specs)

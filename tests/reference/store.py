@@ -18,12 +18,12 @@ are pinned to this implementation:
   never a durable store.
 
 Do not "improve" this module; it is deliberately the slow, obviously
-correct version (the same role ``match_topic`` plays for the PR 1 topic
-trie). Correcting it is a different matter: the seed relabelled a view
-row by searching *every* view for a matching stripped emission, which
-handed rows another view's labels or none — a bug the production store
-copied faithfully and no equivalence suite could see. Rows are now
-labelled by the view that emitted them, here and there.
+correct version (the same role ``tests/reference/topics.py`` plays for
+the topic trie). Correcting it is a different matter: the seed
+relabelled a view row by searching *every* view for a matching stripped
+emission, which handed rows another view's labels or none — a bug the
+production store copied faithfully and no equivalence suite could see.
+Rows are now labelled by the view that emitted them, here and there.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Harness for the §5.2 adversarial vulnerability corpus.
 
-Runs one :class:`~repro.mdt.vulnerabilities.Vulnerability` entry in one
-direction and reduces the outcome to a :class:`CorpusResult` the
+Runs one :class:`~tests.security.corpus.vulnerabilities.Vulnerability`
+entry in one direction and reduces the outcome to a :class:`CorpusResult` the
 regression suite (``tests/security``) and the runnable demonstration
 (``examples/vulnerability_injection.py``) both assert against:
 
@@ -30,12 +30,12 @@ from repro.core.audit import DENIED
 from repro.events.supervision import SupervisionPolicy
 from repro.exceptions import SecurityViolation
 from repro.mdt.deployment import MdtDeployment
-from repro.mdt.vulnerabilities import (
+from repro.mdt.workload import Workload, WorkloadConfig
+from tests.security.corpus.vulnerabilities import (
     VULNERABILITIES,
     Vulnerability,
     build_vulnerable_deployment,
 )
-from repro.mdt.workload import Workload, WorkloadConfig
 
 #: The deployment-matrix axes the security suite sweeps. The engine
 #: axis is its failure handling: ``sync`` propagates a callback's
@@ -116,7 +116,7 @@ def _expected_denials(deployment: MdtDeployment, entry: Vulnerability) -> int:
 
 
 def _cleanup(deployment: MdtDeployment) -> None:
-    spool = deployment.corpus_state.get("export_spool")
+    spool = deployment.scratch.get("export_spool")
     if spool:
         try:
             os.unlink(spool)

@@ -33,6 +33,7 @@ portal before the leak would surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 from urllib.parse import quote
 
@@ -95,6 +96,16 @@ class Vulnerability:
     expected_status: Optional[int] = None
     #: ``(component, operation)`` of the expected denied audit record.
     expected_audit: Optional[Tuple[str, str]] = None
+
+
+class VulnerableDeployment(MdtDeployment):
+    """An :class:`MdtDeployment` with scratch space for the corpus: a patch
+    stashes what it installs (observer sinks, side-channel handles) where
+    the entry's attack and oracle can reach it."""
+
+    @cached_property
+    def scratch(self) -> Dict[str, Any]:
+        return {}
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -252,7 +263,7 @@ def _attack_confusable_user(deployment: MdtDeployment) -> Dict[str, Any]:
 
 def _patch_noticeboard(deployment: MdtDeployment) -> None:
     app = deployment.portal
-    board = deployment.corpus_state.setdefault("noticeboard", [])
+    board = deployment.scratch.setdefault("noticeboard", [])
 
     @app.post("/noticeboard")
     def post_notice(request):
@@ -406,7 +417,7 @@ def _patch_extranet_replica(deployment: MdtDeployment) -> None:
     # BUG: wholesale replication — the filter that should keep
     # MDT-labelled documents out of the extranet store is missing.
     Replicator(deployment.app_db, extranet).replicate()
-    deployment.corpus_state["extranet_db"] = extranet
+    deployment.scratch["extranet_db"] = extranet
     app = deployment.portal
 
     @app.get("/extranet/summary")
@@ -586,12 +597,12 @@ def _patch_feed_republisher(deployment: MdtDeployment) -> None:
     engine.register(
         observer, principal=UnitPrincipal("feed_observer", privileges=PrivilegeSet.empty())
     )
-    deployment.corpus_state["feed_observer"] = observer
+    deployment.scratch["feed_observer"] = observer
 
 
 def _attack_feed_republish(deployment: MdtDeployment) -> Dict[str, Any]:
     violation = _trigger(deployment, "/control/import")
-    observer = deployment.corpus_state["feed_observer"]
+    observer = deployment.scratch["feed_observer"]
     return {"violation": violation, "text": "\n".join(observer.sink)}
 
 
@@ -603,12 +614,12 @@ def _patch_regional_collector(deployment: MdtDeployment) -> None:
             "regional_collector", mdt_label("1"), mdt_label("2")
         ),
     )
-    deployment.corpus_state["regional_collector"] = collector
+    deployment.scratch["regional_collector"] = collector
 
 
 def _attack_regional_collector(deployment: MdtDeployment) -> Dict[str, Any]:
     violation = _trigger(deployment, "/control/import")
-    collector = deployment.corpus_state["regional_collector"]
+    collector = deployment.scratch["regional_collector"]
     return {"violation": violation, "text": "\n".join(collector.sink)}
 
 
@@ -643,12 +654,12 @@ def _patch_metric_exporter(deployment: MdtDeployment) -> None:
         observer,
         principal=UnitPrincipal("export_observer", privileges=PrivilegeSet.empty()),
     )
-    deployment.corpus_state["export_observer"] = observer
+    deployment.scratch["export_observer"] = observer
 
 
 def _attack_metric_export(deployment: MdtDeployment) -> Dict[str, Any]:
     violation = _trigger(deployment, "/control/aggregate", {"mdt_id": "3"})
-    observer = deployment.corpus_state["export_observer"]
+    observer = deployment.scratch["export_observer"]
     return {"violation": violation, "observed": list(observer.sink)}
 
 
@@ -749,7 +760,7 @@ def _patch_export_feed(deployment: MdtDeployment) -> None:
 
     handle, path = tempfile.mkstemp(prefix="safeweb-export-", suffix=".feed")
     os.close(handle)
-    deployment.corpus_state["export_spool"] = path
+    deployment.scratch["export_spool"] = path
     deployment.engine.register(
         _ExportGateway(path),
         principal=_clearance_principal("export_gateway", mdt_label_root()),
@@ -1085,7 +1096,7 @@ def build_vulnerable_deployment(
     check_labels: bool = True,
     run_pipeline: bool = True,
     **deployment_kwargs,
-) -> MdtDeployment:
+) -> VulnerableDeployment:
     """A deployment with one corpus bug injected.
 
     ``check_labels=False`` builds the *unprotected* variant used to show
@@ -1104,7 +1115,7 @@ def build_vulnerable_deployment(
         kwargs.setdefault("check_taint", False)
         for key, value in vulnerability.unprotected.items():
             kwargs.setdefault(key, value)
-    deployment = MdtDeployment(workload=workload, check_labels=check_labels, **kwargs)
+    deployment = VulnerableDeployment(workload=workload, check_labels=check_labels, **kwargs)
     if vulnerability.patch is not None and not vulnerability.patch_after_pipeline:
         vulnerability.patch(deployment)
     if run_pipeline:

@@ -19,7 +19,7 @@ isolation jail) turns at least one of these cells red.
 
 import pytest
 
-from repro.mdt.corpus import (
+from tests.security.corpus.harness import (
     ENGINE_MATRIX,
     WEB_MATRIX,
     entry_names,

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from repro.mdt.deployment import MdtDeployment
-from repro.mdt.vulnerabilities import VULNERABILITIES, build_vulnerable_deployment
+from tests.security.corpus.vulnerabilities import VULNERABILITIES, build_vulnerable_deployment
 
 VALID_TIERS = {"web", "storage", "events", "multi"}
 

@@ -14,9 +14,9 @@ from urllib.parse import quote
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.labels import mdt_label
 from repro.mdt.portal import PORTAL_TEMPLATES
-from repro.mdt.vulnerabilities import XSS_PAYLOAD
 from repro.taint import html_escape, label
 from repro.web.templates import TemplateRegistry
+from tests.security.corpus.vulnerabilities import XSS_PAYLOAD
 
 
 def test_stored_payload_is_escaped_on_first_render_and_every_replay(workload):

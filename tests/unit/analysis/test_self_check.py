@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 from repro.analysis.findings import _SUPPRESS_RE
-from repro.analysis.framework import CORPUS_MODULES, analyze
+from repro.analysis.framework import analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC = REPO_ROOT / "src"
@@ -22,14 +22,14 @@ def test_clean_tree_has_zero_findings():
     assert findings == [], f"unexpected analyzer findings:\n{rendered}"
 
 
-def test_corpus_is_excluded_by_default_but_analyzable_on_demand():
-    explicit = analyze(
-        [SRC / "repro" / "mdt" / "vulnerabilities.py"], root=SRC, exclude=()
-    )
-    assert explicit, "the corpus must produce findings when analyzed explicitly"
-    default = analyze([SRC / "repro" / "mdt"], root=SRC)
-    assert [f for f in default if f.path.endswith("vulnerabilities.py")] == []
-    assert CORPUS_MODULES == ("repro/mdt/vulnerabilities.py",)
+def test_corpus_is_analyzed_by_its_own_path():
+    """Nothing in src/ is excluded; the leaky corpus is test code, and
+    analyzed from its own directory it trips the rule that exempts paths
+    under ``tests/``."""
+    corpus = REPO_ROOT / "tests" / "security" / "corpus" / "vulnerabilities.py"
+    findings = analyze([corpus])
+    assert {finding.path for finding in findings} == {"vulnerabilities.py"}
+    assert "ifc-checks-disabled" in {finding.rule for finding in findings}
 
 
 def _scannable_modules():

@@ -2,7 +2,13 @@
 
 from pathlib import Path
 
-from repro.bench.loc_audit import audit_repository, count_loc
+import repro
+from repro.bench.loc_audit import (
+    APPLICATION_TRUSTED,
+    APPLICATION_UNTRUSTED,
+    audit_repository,
+    count_loc,
+)
 from repro.bench.reporting import comparison_table, format_table
 
 
@@ -75,3 +81,10 @@ class TestAuditRepository:
             "application trusted",
             "application untrusted",
         }
+
+    def test_every_mdt_module_is_classified_exactly_once(self):
+        mdt = Path(repro.__file__).parent / "mdt"
+        modules = sorted(
+            f"mdt/{path.name}" for path in mdt.glob("*.py") if path.name != "__init__.py"
+        )
+        assert sorted(APPLICATION_TRUSTED + APPLICATION_UNTRUSTED) == modules

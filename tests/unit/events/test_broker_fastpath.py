@@ -22,7 +22,6 @@ class TestRouteCache:
         stats = broker.stats.snapshot()
         assert stats["index_hits"] == 1
         assert stats["route_cache_hits"] == 2
-        assert stats["scans"] == 0
         assert stats["candidates"] == 3
 
     def test_subscribe_invalidates_route_cache(self):
@@ -48,15 +47,7 @@ class TestRouteCache:
         broker.subscribe("/mdt/#", hits.append)
         assert broker.publish(Event("/mdt/42/report")) == 2
         assert broker.publish(Event("/mdt/42")) == 1
-        assert broker.stats.scans == 0
-
-    def test_legacy_scan_mode(self):
-        broker = Broker(audit=AuditLog(), use_index=False)
-        broker.subscribe("/t", lambda e: None)
-        assert broker.publish(Event("/t")) == 1
-        stats = broker.stats.snapshot()
-        assert stats["scans"] == 1
-        assert stats["index_hits"] == 0
+        assert broker.stats.index_hits == 2
 
 
 class TestSelectorSharing:

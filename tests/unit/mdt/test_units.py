@@ -9,10 +9,10 @@ from repro.mdt.aggregator import DataAggregator
 from repro.mdt.labels import mdt_aggregate_label, mdt_label, region_aggregate_label
 from repro.mdt.producer import DataProducer
 from repro.mdt.storage_unit import DataStorage, define_application_views
-from repro.mdt.vulnerabilities import BuggyDataAggregator
 from repro.mdt.workload import WorkloadConfig, generate_workload
 from repro.storage.docstore import Database
 from repro.taint import labels_of
+from tests.security.corpus.vulnerabilities import BuggyDataAggregator
 
 CONFIG = WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=13)
 

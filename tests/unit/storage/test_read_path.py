@@ -14,9 +14,9 @@ import pytest
 from repro.core.labels import LabelSet, conf_label, int_label
 from repro.storage import Database, Replicator, ShardedDatabase, ViewRow
 from repro.storage.recovery import close_durable, open_durable_database
-from repro.storage.reference import ReferenceDatabase
 from repro.taint import is_user_tainted, json_codec, label, labels_of
 from repro.web.templates import TemplateRegistry
+from tests.reference.store import ReferenceDatabase
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 MDT = conf_label("ecric.org.uk", "mdt", "1")

@@ -8,6 +8,7 @@ import inspect
 
 import pytest
 
+from repro.analysis.framework import analyze, load_project
 from repro.core.audit import AuditLog
 from repro.events.broker import Broker
 from repro.events.cluster import ClusterEngine, ClusterRouter
@@ -17,13 +18,14 @@ from repro.events.supervision import SupervisionPolicy
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.federation import federate
 from repro.mdt.portal import build_portal
-from repro.mdt.vulnerabilities import Vulnerability
 from repro.storage.recovery import CheckpointStore, open_durable_database
 from repro.storage.replication import ContinuousReplicator, Replicator
 from repro.storage.wal import ShardDurability, WalWriter
 from repro.web.http import HttpServer
 from repro.web.pagecache import PageCache
+from repro.web.framework import SafeWebApp
 from repro.web.sessions import SessionMiddleware
+from tests.security.corpus.vulnerabilities import Vulnerability
 
 BUDGET = {
     MdtDeployment: 17,
@@ -33,7 +35,7 @@ BUDGET = {
     PageCache: 1,
     federate: 3,
     EventProcessingEngine: 7,
-    Broker: 6,
+    Broker: 5,
     AuditLog: 2,
     StompBrokerBridge: 11,
     ClusterEngine: 6,
@@ -46,6 +48,9 @@ BUDGET = {
     Replicator: 4,
     ContinuousReplicator: 7,
     CheckpointStore: 2,
+    SafeWebApp: 1,
+    load_project: 2,
+    analyze: 4,
 }
 
 

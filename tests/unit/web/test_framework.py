@@ -96,9 +96,13 @@ class TestRouting:
 
         assert client.get("/static/css/site.css").text == "static"
 
-    def test_bad_pattern_rejected(self, app):
+    @pytest.mark.parametrize("pattern", ["no-slash", "records/:mid", "*", "", "/a/:x/b/:x"])
+    def test_bad_pattern_rejected(self, app, client, pattern):
+        # The trie alone would route "no-slash" as "/", and fail at
+        # dispatch on a repeated capture name.
         with pytest.raises(SafeWebError):
-            app.get("no-slash")(lambda request: "x")
+            app.get(pattern)(lambda request: "x")
+        assert client.get("/").status == 404
 
 
 class TestReturnValues:
