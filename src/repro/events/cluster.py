@@ -284,7 +284,8 @@ class ClusterRouter:
         ]
 
     def drain(self, timeout: float = 5.0) -> bool:
-        """Flush every publish connection; True when all were receipt-confirmed."""
+        """Flush every publish connection; True when all were
+        receipt-confirmed or dead-lettered, False on a timeout."""
         # A list, not a generator: every link is flushed even if one times out.
         return all(
             [bridge.drain(timeout) for (role, _, _), bridge in self._links() if role == "pub"]

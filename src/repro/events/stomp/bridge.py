@@ -302,9 +302,10 @@ class StompBrokerBridge:
 
         Only the final SEND of the run asks for a receipt — the server
         processes a connection's frames in order, so one confirmation
-        covers the whole batch, and the back-to-back frames coalesce
-        into :meth:`Broker.publish_many` runs on the server side. Returns
-        the queued run (None for no events), for :meth:`after_confirmed`."""
+        covers the whole batch. The link writes everything queued in one
+        send, so the frames tend to arrive together and the server
+        publishes them as :meth:`Broker.publish_many` runs. Returns the
+        queued run (None for no events), for :meth:`after_confirmed`."""
         batch = list(events)
         if not batch:
             return None

@@ -83,6 +83,9 @@ class StompClient:
         control = self._control = queue.Queue()
         receipts = self._receipts = {}
         sock = socket.create_connection((self._host, self._port), timeout=self._timeout)
+        # Frames are small and often follow an unacknowledged one; with
+        # Nagle's algorithm on they would wait for the peer's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self._tls_context is not None:
             sock = self._tls_context.wrap_socket(sock, server_hostname=self._host)
         self._sock = sock

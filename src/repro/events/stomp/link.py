@@ -10,7 +10,8 @@ Any other thread hands a frame over with :meth:`FrameLink.send`: append
 it to the outgoing queue, write one byte to a ``socketpair`` the I/O
 thread selects on beside the data socket. That thread blocks without a
 timeout, so a queued frame leaves as soon as it is scheduled and an idle
-link makes no wake-ups at all.
+link makes no wake-ups at all. When it wakes it writes everything queued
+in one send, so frames queued back to back share a segment.
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ class FrameLink:
                 # bytes TLS has already decrypted are invisible to select.
                 unread = False
                 while True:
+                    # Read before the flush: what was queued ahead of
+                    # stop() is then in it.
+                    stopping = self._stopping
                     self._flush()
-                    if self._stopping:
+                    if stopping:
                         return
                     if not unread:
                         ready = [key.fileobj for key, _ in selector.select()]
@@ -121,14 +125,21 @@ class FrameLink:
             pass  # the connection died; the caller's clean-up reports it
 
     def _flush(self) -> None:
-        if not self._outgoing:
-            return
-        self.sock.settimeout(self._write_timeout)
+        # One write for what is queued now. A frame another thread queues
+        # meanwhile brings its own wake byte and goes in the next write, so
+        # a sender that keeps appending cannot hold this one back. A
+        # ``before_write`` that raises still lets the frames ahead of it out.
+        data: List[bytes] = []
         try:
-            while self._outgoing:
+            for _ in range(len(self._outgoing)):
                 frame = self._outgoing.popleft()
                 if self._before_write is not None:
                     self._before_write()
-                self.sock.sendall(encode_frame(frame))
+                data.append(encode_frame(frame))
         finally:
-            self.sock.settimeout(0)
+            if data:
+                self.sock.settimeout(self._write_timeout)
+                try:
+                    self.sock.sendall(b"".join(data))
+                finally:
+                    self.sock.settimeout(0)

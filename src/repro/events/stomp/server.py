@@ -20,6 +20,7 @@ paper's "extended with SSL support at the transport layer".
 from __future__ import annotations
 
 import itertools
+import socket
 import socketserver
 import ssl
 import threading
@@ -116,6 +117,8 @@ class _Connection(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         sock = self.request
+        # As on the client: a small frame must not wait for a delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             if self.server.tls_context is not None:
                 sock = self.server.tls_context.wrap_socket(sock, server_side=True)

@@ -4,6 +4,8 @@ import socket
 import threading
 import time
 
+import pytest
+
 from repro.events.stomp.frames import Frame, FrameParser, encode_frame
 from repro.events.stomp.link import FrameLink
 
@@ -35,7 +37,8 @@ class _RecordSocket:
     def __init__(self, real, chunks):
         self._real = real
         self._chunks = list(chunks)
-        self.sent = b""
+        #: The argument of each ``sendall`` call, in order.
+        self.writes = []
 
     def __enter__(self):
         return self
@@ -60,7 +63,7 @@ class _RecordSocket:
         raise BlockingIOError
 
     def sendall(self, data):
-        self.sent += data
+        self.writes.append(data)
 
 
 class TestFrameLink:
@@ -81,6 +84,86 @@ class TestFrameLink:
             thread.join(5)
             theirs.close()
         assert not thread.is_alive()
+
+    def test_frames_queued_together_leave_in_one_write(self):
+        """Back-to-back frames share a segment rather than each waiting on
+        the last one's ACK. A flush writes what was queued when it began:
+        a frame queued during it goes in the next write, so a sender that
+        keeps appending cannot keep the first frames off the wire."""
+        ours, theirs = socket.socketpair()
+        sock = _RecordSocket(ours, [])
+        late = Frame("SEND", {"destination": "/t", "n": "late"})
+        queued_late = []
+
+        def before_write():  # queues one more frame during the first flush
+            if not queued_late:
+                queued_late.append(late)
+                link.send(late)
+
+        link = FrameLink(
+            sock, lambda frames: None, write_timeout=1.0, before_write=before_write
+        )
+        frames = [Frame("SEND", {"destination": "/t", "n": str(i)}) for i in range(3)]
+        for frame in frames:
+            link.send(frame)
+        thread = run_in_thread(link)
+        try:
+            assert wait_for(lambda: len(sock.writes) == 2)
+        finally:
+            link.stop()
+            thread.join(5)
+            theirs.close()
+        assert not thread.is_alive()
+        assert sock.writes == [
+            b"".join(encode_frame(frame) for frame in frames),
+            encode_frame(late),
+        ]
+
+    def test_stop_during_a_flush_still_writes_what_was_queued_before_it(self):
+        ours, theirs = socket.socketpair()
+        sock = _RecordSocket(ours, [])
+        first, last = (Frame("SEND", {"destination": "/t", "n": n}) for n in ("first", "last"))
+        sender = threading.Thread(target=lambda: (link.send(last), link.stop()))
+
+        def before_write():  # another thread sends and stops mid-flush
+            if sender.ident is None:  # not started yet
+                sender.start()
+                sender.join(5)
+
+        link = FrameLink(
+            sock, lambda frames: None, write_timeout=1.0, before_write=before_write
+        )
+        link.send(first)
+        thread = run_in_thread(link)
+        thread.join(5)
+        theirs.close()
+        assert not thread.is_alive()
+        assert sock.writes == [encode_frame(first), encode_frame(last)]
+
+    def test_a_failing_before_write_still_writes_the_frames_ahead_of_it(self):
+        """The one-write flush fails where a write per frame would: the
+        frames before the fault are written, the faulting one is dropped
+        and the rest stay queued."""
+        ours, theirs = socket.socketpair()
+        sock = _RecordSocket(ours, [])
+        calls = []
+
+        def before_write():
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+
+        link = FrameLink(
+            sock, lambda frames: None, write_timeout=1.0, before_write=before_write
+        )
+        frames = [Frame("SEND", {"destination": "/t", "n": str(i)}) for i in range(3)]
+        for frame in frames:
+            link.send(frame)
+        with pytest.raises(RuntimeError, match="injected"):
+            link.run()
+        theirs.close()
+        assert sock.writes == [encode_frame(frames[0])]
+        assert list(link._outgoing) == [frames[2]]
 
     def test_frames_cross_both_ways_and_stop_flushes_first(self):
         left_sock, right_sock = socket.socketpair()
