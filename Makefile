@@ -34,10 +34,13 @@ test-storage:
 	$(PYTHON) -m pytest tests/unit/storage tests/property/test_sharded_store.py \
 		tests/property/test_write_path.py tests/property/test_crash_recovery.py -q
 
-# ...plus the STOMP suites that share its I/O core (plain, TLS, bridge robustness, receipt window).
-## The multi-process cluster engine: equivalence, chaos, deployment and STOMP fabric tests.
+# First the equivalence oracle's cluster cells (engine modes, drain barrier, worker kill,
+# cluster deployment profiles), then the cluster's own suites and the STOMP suites that
+# share its I/O core (plain, TLS, bridge robustness, receipt window).
+## The multi-process cluster engine: oracle cluster modes, chaos, deployment and STOMP fabric tests.
 test-cluster:
-	$(PYTHON) -m pytest tests/property/test_cluster_engine.py tests/integration/test_cluster_deployment.py \
+	$(PYTHON) -m pytest tests/property/test_oracle.py tests/integration/test_deployment_oracle.py -k cluster -q
+	$(PYTHON) -m pytest tests/integration/test_cluster_deployment.py \
 		tests/integration/test_cluster_control.py tests/integration/test_cluster_blocking.py \
 		tests/unit/events/test_stomp_link.py tests/integration/test_stomp.py \
 		tests/integration/test_tls.py tests/integration/test_bridge_robustness.py \

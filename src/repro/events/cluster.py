@@ -32,8 +32,8 @@ its publisher. This module is the way to run units in parallel:
   observed, dead-lettered or audited-denied — never lost.
 
 The single-process synchronous engine remains the executable reference;
-``tests/property/test_cluster_engine.py`` pins the cluster's stores,
-labels and audit-decision multisets against it.
+the equivalence oracle (``tests/property/test_oracle.py``) pins the
+cluster's stores, labels and audit-decision multisets against it.
 """
 
 from __future__ import annotations

@@ -21,12 +21,11 @@ machinery the engine wires around every supervised callback:
 * :class:`CircuitBreaker` — a closed → open → half-open state machine
   guarding calls into a backend; every state transition is audited.
 
-The contract the property suite (tests/property/test_supervision.py)
-pins: under injected faults, every delivered event is **observed** by
+The contract the fault-schedule properties (tests/property/test_oracle.py)
+pin: under injected faults, every delivered event is **observed** by
 the unit, **dead-lettered** with its labels intact, or **audited as
-denied** — never silently lost. The cluster suite
-(tests/property/test_cluster_engine.py) pins the same guarantee across a
-worker process's death.
+denied** — never silently lost. The same suite's worker-kill test pins
+the guarantee across a cluster worker process's death.
 """
 
 from __future__ import annotations

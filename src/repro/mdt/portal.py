@@ -191,7 +191,7 @@ def build_portal(
 
     cache = None
     if page_cache and check_labels:
-        cache = PageCache(audit=audit)
+        cache = PageCache()
         # Cache policy per route: a hit skips the handler, so any route
         # whose handler enforces checks *beyond* the IFC label set (the
         # Listing 3 ACL on /records, the region-equality checks, the

@@ -151,6 +151,10 @@ class HttpServer:
     def _serve_connection(self, connection: socket.socket, address) -> None:
         # Timeout first so a stalled TLS handshake cannot pin the worker.
         connection.settimeout(_KEEP_ALIVE_TIMEOUT)
+        # A streamed page leaves as head, chunks and terminator in
+        # separate writes; with Nagle on, each small write behind an
+        # unacknowledged one waits out the client's delayed ACK.
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self._tls_context is not None:
             connection = self._tls_context.wrap_socket(connection, server_side=True)
         reader = connection.makefile("rb")

@@ -33,9 +33,10 @@ Safety invariants, each pinned by tests:
   principal beyond the label check (the MDT front page) register with
   ``vary_user=True``; their entries additionally match on the username.
 
-Cached hits are audited with the page's label set under the same
-``("frontend", "respond")`` event the fresh path emits, so the audit
-trail is observation-equivalent too.
+A hit is released as the page's text carrying the label set it was
+generated with, so the SafeWeb middleware's after-hook makes (and
+audits) the release decision for a hit exactly as for a fresh page:
+the response label set and the audit trail are observation-equivalent.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.audit import AuditLog, default_audit_log
 from repro.exceptions import HaltRequest
 from repro.core.labels import LabelSet
-from repro.taint import strip_labels
+from repro.taint import strip_labels, with_labels
 from repro.web.framework import ROUTE_ENV_KEY, SafeWebApp
 from repro.web.request import Request
 from repro.web.response import Response
@@ -82,14 +82,13 @@ class PageCache:
     #: cheap to regenerate and an invalidation empties the cache anyway).
     MAX_ENTRIES = 512
 
-    def __init__(self, audit: Optional[AuditLog] = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._routes: Dict[str, bool] = {}  # pattern -> vary_user
         self._entries: Dict[
             Tuple[str, Tuple[Tuple[str, str], ...], Optional[str]], _Entry
         ] = {}
         self._epoch = 0
-        self._audit = audit if audit is not None else default_audit_log()
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -161,14 +160,14 @@ class PageCache:
             self.misses += 1
             request.env[CACHE_ENV_KEY] = "miss"
             return
-        if entry.labels.confidentiality:
-            if user is None or not user.privileges.clearance_covers(entry.labels):
-                # Not dominant: regenerate, and let the after-hook make
-                # (and audit) the denial exactly as the fresh path would.
-                self.misses += 1
-                request.env[CACHE_ENV_KEY] = "miss"
-                return
-            self._audit.allowed("frontend", "respond", user.name, labels=entry.labels)
+        if entry.labels.confidentiality and (
+            user is None or not user.privileges.clearance_covers(entry.labels)
+        ):
+            # Not dominant: regenerate, and let the after-hook make
+            # (and audit) the denial exactly as the fresh path would.
+            self.misses += 1
+            request.env[CACHE_ENV_KEY] = "miss"
+            return
         self.hits += 1
         request.env[CACHE_ENV_KEY] = "hit"
         raise HaltRequest(entry.status, entry.body, dict(entry.headers))
@@ -189,7 +188,7 @@ class PageCache:
                 for name, value in response.headers.items()
                 if name.lower() != "content-length"
             },
-            body=str(strip_labels(response.body_text())),
+            body=with_labels(str(strip_labels(response.body_text())), labels),
             labels=labels,
             user=request.user.name if vary_user and request.user else None,
         )

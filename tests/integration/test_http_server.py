@@ -3,11 +3,15 @@
 import base64
 import http.client
 import json
+import socket
+import statistics
+import time
 
 import pytest
 
 from repro.mdt import MdtDeployment, WorkloadConfig
 from repro.web.http import HttpServer
+from repro.web.response import Response
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +111,38 @@ class TestPortalOverSockets:
         for thread in threads:
             thread.join()
         assert outcomes.count(200) == len(outcomes)
+
+
+class TestStreamedResponses:
+    """A page above ``stream_threshold`` leaves in many writes: head,
+    one per chunk, terminator. None of them may wait for the client's
+    delayed ACK (≈ 40 ms on Linux) behind the one before it."""
+
+    PAGE = b"x" * (48 * 1024)
+
+    @pytest.fixture()
+    def server(self):
+        server = HttpServer(
+            lambda request: Response(body=self.PAGE),
+            workers=1,
+            stream_threshold=1024,
+            chunk_size=1024,
+        ).start()
+        yield server
+        server.stop()
+
+    def test_streamed_keep_alive_page_is_not_held_by_nagle(self, server):
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        elapsed = []
+        for _ in range(20):
+            started = time.perf_counter()
+            connection.request("GET", "/")
+            response = connection.getresponse()
+            assert response.getheader("Transfer-Encoding") == "chunked"
+            assert response.read() == self.PAGE
+            elapsed.append(time.perf_counter() - started)
+        with server._connections_lock:
+            (accepted,) = server._connections
+        assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        connection.close()
+        assert statistics.median(elapsed) < 0.015

@@ -10,14 +10,12 @@ import json
 import pytest
 
 from repro.core.labels import LabelSet
-from repro.events.supervision import CircuitBreaker, SupervisionPolicy
-from repro.exceptions import FirewallError, ReadOnlyError, SafeWebError
-from repro.mdt import MdtDeployment, WorkloadConfig, mdt_label
+from repro.events.supervision import CircuitBreaker
+from repro.exceptions import FirewallError, ReadOnlyError
+from repro.mdt import MdtDeployment, mdt_label
 from repro.mdt.deployment import Zone
 from repro.taint import labels_of
-
-
-CONFIG = WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=5, seed=7)
+from tests.property.oracle import CONFIG, ENGINE_MATRIX, STORE_MATRIX
 
 
 @pytest.fixture(scope="module")
@@ -25,32 +23,6 @@ def deployment() -> MdtDeployment:
     deployment = MdtDeployment(CONFIG)
     deployment.run_pipeline()
     return deployment
-
-
-def assert_same_documents(reference: MdtDeployment, other: MdtDeployment) -> None:
-    """Same ``app_db`` documents, field for field, with the same labels.
-
-    Other tests re-run the reference pipeline (bumping ``_rev``), so
-    revisions are not compared.
-    """
-    assert sorted(other.app_db.all_doc_ids()) == sorted(reference.app_db.all_doc_ids())
-    for doc_id in reference.app_db.all_doc_ids():
-        expected = reference.app_db.get(doc_id)
-        actual = other.app_db.get(doc_id)
-        assert set(expected) == set(actual)
-        for field in expected:
-            if field == "_rev":
-                continue
-            assert expected[field] == actual[field]
-            assert labels_of(expected[field]) == labels_of(actual[field])
-
-
-def assert_same_records_page(reference: MdtDeployment, other: MdtDeployment) -> None:
-    """``/records/1`` is served, and identically, by both deployments."""
-    expected = reference.client_for("mdt1").get("/records/1")
-    actual = other.client_for("mdt1").get("/records/1")
-    assert actual.status == expected.status == 200
-    assert actual.json() == expected.json()
 
 
 class TestBackendPipeline:
@@ -220,16 +192,14 @@ class TestDeploymentSecurity:
 
 
 class TestShardedDeployment:
-    """The full Figure 4 pipeline over sharded application databases."""
+    """What only a sharded store has to show; that it stores and serves
+    what the unsharded one does is tests/integration/test_deployment_oracle.py's."""
 
     @pytest.fixture(scope="class")
     def sharded(self) -> MdtDeployment:
-        deployment = MdtDeployment(CONFIG, shards=4)
+        deployment = MdtDeployment(CONFIG, **STORE_MATRIX["sharded"])
         deployment.run_pipeline()
         return deployment
-
-    def test_same_documents_as_unsharded(self, deployment, sharded):
-        assert_same_documents(deployment, sharded)
 
     def test_replication_reaches_sharded_dmz(self, sharded):
         assert sorted(sharded.dmz_db.all_doc_ids()) == sorted(
@@ -237,9 +207,6 @@ class TestShardedDeployment:
         )
         with pytest.raises(ReadOnlyError):
             sharded.dmz_db.put({"_id": "evil", "x": 1})
-
-    def test_portal_serves_identical_records(self, deployment, sharded):
-        assert_same_records_page(deployment, sharded)
 
     def test_reduce_view_counts_records(self, sharded):
         records = [
@@ -250,93 +217,18 @@ class TestShardedDeployment:
         assert sharded.app_db.view("records/count_by_mid", reduce=True) == len(records)
 
 
-class TestClusterEngineDeployment:
-    """The full Figure 4 pipeline with the aggregator on the cluster.
-
-    ``cluster_workers=2`` runs the aggregator in a worker process — the
-    one way to run units in parallel; the pipeline drivers drain the
-    cluster between stages. Everything the portal serves — documents,
-    labels, metrics — must be identical to the in-process deployment's
-    output.
-    """
-
-    @pytest.fixture(scope="class")
-    def clustered(self) -> MdtDeployment:
-        deployment = MdtDeployment(CONFIG, cluster_workers=2)
-        try:
-            deployment.run_pipeline()
-            yield deployment
-        finally:
-            deployment.close()
-
-    def test_same_documents_as_synchronous(self, deployment, clustered):
-        assert_same_documents(deployment, clustered)
-
-    def test_cluster_actually_carried_the_aggregator(self, clustered):
-        assert "data_aggregator" not in clustered.engine.unit_names
-        assert set(clustered.cluster.placements()) == {"data_aggregator"}
-        stats = clustered.cluster.stats()
-        assert sum(worker["dispatched"] for worker in stats.values()) > 0
-
-    def test_no_security_denials_in_normal_operation(self, clustered):
-        assert clustered.audit.count(decision="denied") == 0
-
-    def test_portal_serves_identical_records(self, deployment, clustered):
-        assert_same_records_page(deployment, clustered)
-
-    def test_incremental_rerun_converges(self, clustered):
-        before = sorted(clustered.app_db.all_doc_ids())
-        clustered.run_pipeline()
-        assert sorted(clustered.app_db.all_doc_ids()) == before
-
-    def test_stage_barrier_fails_loudly_when_the_cluster_does_not_drain(
-        self, clustered, monkeypatch
-    ):
-        monkeypatch.setattr(clustered.cluster, "drain", lambda timeout: False)
-        with pytest.raises(SafeWebError, match="cluster did not drain"):
-            clustered._settle(0.1)
-
-
 class TestRobustDeployment:
-    """The error-handling and flush-policy keywords, fault-free.
+    """``supervision`` arms the retry / dead-letter / restart ladder and
+    ``storage_breaker`` guards the storage unit's writes. Fault-free,
+    both must be armed and quiet; that they change nothing stored or
+    served is tests/integration/test_deployment_oracle.py's."""
 
-    ``supervision`` arms the retry / dead-letter / restart ladder and
-    ``storage_breaker`` guards the storage unit's writes; with no faults
-    occurring neither may change what the pipeline stores or serves.
-    ``fsync_batch`` only moves the WAL's commit points.
-    """
-
-    @pytest.fixture(scope="class")
-    def breaker(self) -> CircuitBreaker:
-        return CircuitBreaker("data_storage")
-
-    @pytest.fixture(scope="class")
-    def supervised(self, breaker) -> MdtDeployment:
-        deployment = MdtDeployment(
-            CONFIG, supervision=SupervisionPolicy(), storage_breaker=breaker
+    def test_supervisor_and_breaker_are_armed_and_quiet(self):
+        breaker = CircuitBreaker("data_storage")
+        supervised = MdtDeployment(
+            CONFIG, storage_breaker=breaker, **ENGINE_MATRIX["supervised"]
         )
-        deployment.run_pipeline()
-        return deployment
-
-    def test_same_documents_as_unsupervised(self, deployment, supervised):
-        assert_same_documents(deployment, supervised)
-
-    def test_supervisor_and_breaker_are_armed_and_quiet(self, supervised, breaker):
+        supervised.run_pipeline()
         assert supervised.engine.supervisor is not None
         assert breaker.state == "closed"
         assert supervised.audit.count(decision="denied") == 0
-
-    def test_portal_serves_identical_records(self, deployment, supervised):
-        assert_same_records_page(deployment, supervised)
-
-    def test_fsync_every_record_reopens_to_the_same_documents(self, tmp_path):
-        config = WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3)
-        first = MdtDeployment(config, data_dir=tmp_path, fsync_batch=1)
-        first.run_pipeline()
-        doc_ids = first.app_db.all_doc_ids()
-        first.close()
-        second = MdtDeployment(config, data_dir=tmp_path, fsync_batch=1)
-        try:
-            assert doc_ids and second.app_db.all_doc_ids() == doc_ids
-        finally:
-            second.close()

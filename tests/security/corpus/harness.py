@@ -14,8 +14,9 @@ regression suite (``tests/security``) and the runnable demonstration
   disclosure — proving the injection is live, not a strawman.
 
 Deployment-matrix keyword arguments (``supervision``, ``shards``,
-``cached_auth``, ``page_cache``, ``data_dir``, …) pass straight through
-to :class:`~repro.mdt.deployment.MdtDeployment`, so the same contract is
+``cached_auth``, ``page_cache``, ``data_dir``, …; the axes are defined
+once, in ``tests/property/oracle.py``) pass straight through to
+:class:`~repro.mdt.deployment.MdtDeployment`, so the same contract is
 asserted with callback errors propagated or supervised, across
 cached/uncached web paths and sharded/durable stores.
 """
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.core.audit import DENIED
-from repro.events.supervision import SupervisionPolicy
 from repro.exceptions import SecurityViolation
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.workload import Workload, WorkloadConfig
@@ -36,25 +36,6 @@ from tests.security.corpus.vulnerabilities import (
     Vulnerability,
     build_vulnerable_deployment,
 )
-
-#: The deployment-matrix axes the security suite sweeps. The engine
-#: axis is its failure handling: ``sync`` propagates a callback's
-#: security violation to the publisher, ``supervised`` contains it
-#: (audit, retry, dead-letter) — the denial must be labelled, and
-#: nothing may leak through the dead-letter topic, either way.
-ENGINE_MATRIX: Dict[str, Dict[str, Any]] = {
-    "sync": {},
-    "supervised": {"supervision": SupervisionPolicy()},
-}
-WEB_MATRIX: Dict[str, Dict[str, Any]] = {
-    "uncached": {},
-    "cached": {"cached_auth": True, "page_cache": True},
-}
-STORE_MATRIX: Dict[str, Dict[str, Any]] = {
-    "single": {},
-    "sharded": {"shards": 3},
-}
-
 
 def entry_names(*tiers: str) -> List[str]:
     """Corpus entry names, optionally restricted to the given tiers."""

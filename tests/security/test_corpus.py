@@ -19,13 +19,14 @@ isolation jail) turns at least one of these cells red.
 
 import pytest
 
-from tests.security.corpus.harness import (
-    ENGINE_MATRIX,
-    WEB_MATRIX,
-    entry_names,
-    http_entry_names,
-    run_entry,
-)
+from tests.property.oracle import ENGINE_MATRIX, STORE_MATRIX, WEB_MATRIX
+from tests.security.corpus.harness import entry_names, http_entry_names, run_entry
+
+# The cluster axis (CLUSTER_MATRIX) is not swept here: several entries
+# inject their bug by swapping the in-process aggregator, which a cluster
+# deployment runs in a worker process instead, and each cluster start
+# costs about a second per cell. tests/integration/test_deployment_oracle.py
+# holds cluster deployments to the default deployment's trace instead.
 
 
 def assert_contained(result):
@@ -115,10 +116,14 @@ STORE_SAMPLE = (
 @pytest.mark.parametrize("name", STORE_SAMPLE)
 class TestShardedStore:
     def test_protected_denies_with_label(self, name, workload):
-        assert_contained(run_entry(name, protected=True, workload=workload, shards=3))
+        assert_contained(
+            run_entry(name, protected=True, workload=workload, **STORE_MATRIX["sharded"])
+        )
 
     def test_unprotected_discloses(self, name, workload):
-        assert_exploited(run_entry(name, protected=False, workload=workload, shards=3))
+        assert_exploited(
+            run_entry(name, protected=False, workload=workload, **STORE_MATRIX["sharded"])
+        )
 
 
 @pytest.mark.parametrize("name", STORE_SAMPLE)

@@ -10,7 +10,6 @@ from repro.core.labels import LabelSet, conf_label, int_label
 from repro.core.policy import parse_policy
 from repro.events import Broker, Event, EventProcessingEngine, Unit, unit_from_function
 from repro.exceptions import SafeWebError
-from tests.threaded import settle
 
 PATIENT_ROOT = conf_label("ecric.org.uk", "patient")
 PATIENT_1 = PATIENT_ROOT.child("1")
@@ -247,8 +246,7 @@ class Stamper(Unit):
 
 class TestThreadedBroker:
     """The engine over ``Broker(threaded=True)``: every delivery runs on
-    the dispatcher thread, under the same per-delivery security context
-    the publisher's thread gets from the inline broker."""
+    the dispatcher thread; unit lifecycle on that thread."""
 
     @pytest.fixture
     def engine(self):
@@ -277,70 +275,9 @@ class TestThreadedBroker:
         assert store.get("order") == list(range(300))
         assert store.get("thread") == engine.broker._dispatcher.name
 
-    def test_ambient_labels_established_per_delivery(self, engine):
-        engine.register(Stamper())
-        engine.publish("/in", {"i": "labelled"}, labels=[PATIENT_1])
-        engine.publish("/in", {"i": "plain"})
-        assert engine.drain(10)
-        store = engine.store_of("reader")
-        assert store.labels_for("k:labelled") == LabelSet([PATIENT_1])
-        assert store.labels_for("k:plain") == LabelSet()
-
-    def test_jail_contains_the_dispatcher_thread(self, engine, tmp_path):
-        target = tmp_path / "leak.txt"
-
-        @unit_from_function("/in", name="reader")
-        def exfiltrate(unit, event):
-            with open(target, "w") as handle:
-                handle.write("secret")
-
-        engine.register(exfiltrate)
-        engine.publish("/in", labels=[PATIENT_1])
-        assert engine.drain(10)
-        assert not target.exists()
-        assert engine.audit.count(
-            component="engine", operation="callback", decision="denied"
-        ) == 1
-        assert engine.stats.callback_errors == 1
-        assert engine.broker._dispatcher.is_alive()
-
-    def test_privileged_unit_keeps_io_on_the_dispatcher_thread(self, engine, tmp_path):
-        target = tmp_path / "export.txt"
-
-        @unit_from_function("/in", name="importer")
-        def exporter(unit, event):
-            target.write_text("exported")
-
-        engine.register(exporter)
-        engine.publish("/in")
-        assert engine.drain(10)
-        assert target.read_text() == "exported"
-
-    def test_cascades_reach_their_subscribers(self, engine):
-        class Head(Unit):
-            unit_name = "reader"
-
-            def setup(self):
-                self.subscribe("/in", self.on_event)
-
-            def on_event(self, event):
-                self.publish("/mid", {"hop": "1"})
-
-        class Tail(Unit):
-            unit_name = "sink"
-
-            def setup(self):
-                self.subscribe("/mid", self.on_event)
-
-            def on_event(self, event):
-                self.store.set("hops", self.store.get("hops", 0) + 1)
-
-        engine.register(Head())
-        engine.register(Tail())
-        for _ in range(50):
-            engine.publish("/in")
-        settle(engine.broker)
-        assert engine.store_of("sink").get("hops") == 50
+    # Per-delivery ambient labels, the jail (and its lifting for
+    # privileged units) and cascades on the dispatcher thread are the
+    # equivalence oracle's threaded modes (tests/property/test_oracle.py).
 
     def test_unregister_stops_delivery(self, engine):
         engine.register(Tally())

@@ -39,7 +39,7 @@ from repro.events.supervision import (
     is_dlq_topic,
 )
 from repro.exceptions import CircuitOpenError, IsolationError, SafeWebError
-from tests.threaded import settle
+from tests.property.oracle import settle
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 

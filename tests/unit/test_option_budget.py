@@ -32,7 +32,7 @@ BUDGET = {
     build_portal: 10,
     SessionMiddleware: 5,
     HttpServer: 8,
-    PageCache: 1,
+    PageCache: 0,
     federate: 3,
     EventProcessingEngine: 7,
     Broker: 5,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.audit import AuditLog
 from repro.core.labels import conf_label
 from repro.core.privileges import CLEARANCE
 from repro.storage import WebDatabase
@@ -44,7 +45,8 @@ def store():
 @pytest.fixture()
 def world(webdb, store):
     app = SafeWebApp()
-    middleware = SafeWebMiddleware(BasicAuthenticator(webdb))
+    app.audit = AuditLog()
+    middleware = SafeWebMiddleware(BasicAuthenticator(webdb), audit=app.audit)
     middleware.install(app)
     cache = PageCache()
     cache.cacheable("/page/:which")
@@ -93,6 +95,20 @@ class TestHitsAndMisses:
         assert first.text == second.text
         assert renders["count"] == 1
         assert cache.hits == 1 and cache.stores == 1
+
+    def test_hit_carries_the_page_labels_to_the_label_check(self, world):
+        # A hit released as plain text would carry no label set, and the
+        # middleware's check would pass it unexamined.
+        app, cache, _renders = world
+        client = TestClient(app)
+        fresh = client.get("/page/1", auth=("mdt1", "pw1"))
+        hit = client.get("/page/1", auth=("mdt1", "pw1"))
+        assert cache.hits == 1
+        assert fresh.response.labels.to_uris() == ["label:conf:ecric.org.uk/mdt/1"]
+        assert hit.response.labels.to_uris() == ["label:conf:ecric.org.uk/mdt/1"]
+        assert hit.text == fresh.text == "page 1: one"
+        # One audited release each, made by the after-hook both times.
+        assert app.audit.count(component="frontend", operation="respond", decision="allowed") == 2
 
     def test_headers_and_length_preserved(self, world):
         app, cache, _renders = world

@@ -240,7 +240,7 @@ class TestOneResolver:
     ):
         cache = None
         if page_cache:
-            cache = PageCache(audit=app.audit)
+            cache = PageCache()
             cache.cacheable("/secret", vary_user=True)
             cache.install(app)
         client = TestClient(app)
