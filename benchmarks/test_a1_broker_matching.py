@@ -17,8 +17,7 @@ formatted every one of them (docs/BENCHMARKS.md "PR 22").
 
 import gc
 
-from repro.bench.reporting import format_table
-from repro.bench.timing import measure_interleaved
+from benchmarks.harness import format_table, measure_interleaved
 from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet
 from repro.core.privileges import PrivilegeSet

@@ -21,8 +21,7 @@ Variants are sampled alternately and compared by their medians.
 import itertools
 import json
 
-from repro.bench.reporting import format_table
-from repro.bench.timing import measure_interleaved, overhead_percent
+from benchmarks.harness import format_table, measure_interleaved, overhead_percent
 from repro.core.labels import LabelSet
 from repro.mdt.labels import mdt_label
 from repro.storage import Database

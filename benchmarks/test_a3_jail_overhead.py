@@ -7,8 +7,7 @@ registration, and labelled store reads/writes of an aggregator-shaped
 record — outside the jail and inside it, where units actually run them.
 """
 
-from repro.bench.reporting import format_table
-from repro.bench.timing import measure_interleaved, measure_latency, overhead_percent
+from benchmarks.harness import format_table, measure_interleaved, overhead_percent
 from repro.core.labels import LabelSet
 from repro.core.principals import UnitPrincipal
 from repro.core.privileges import PrivilegeSet
@@ -101,13 +100,17 @@ def test_a3_report(benchmark, report):
     store = LabeledStore(UnitPrincipal("bench", privileges=PrivilegeSet.empty()))
     with LabelContext(LABELS):
         store.set("key", {"rows": [1, 2, 3]})
-        write = measure_latency(lambda: store.set("key", {"rows": [1, 2, 3]}), iterations=2000)
-        read = measure_latency(lambda: store.get("key"), iterations=2000)
+        (write,) = measure_interleaved(
+            lambda: store.set("key", {"rows": [1, 2, 3]}), iterations=2000
+        )
+        (read,) = measure_interleaved(lambda: store.get("key"), iterations=2000)
 
         store.set("record", RECORD)
         with JAIL.contained():
-            jailed_write = measure_latency(lambda: store.set("record", RECORD), iterations=2000)
-            jailed_read = measure_latency(lambda: store.get("record"), iterations=2000)
+            (jailed_write,) = measure_interleaved(
+                lambda: store.set("record", RECORD), iterations=2000
+            )
+            (jailed_read,) = measure_interleaved(lambda: store.get("record"), iterations=2000)
 
     audited, audited_jailed = measure_interleaved(
         _audited, _audited_jailed, iterations=2000, warmup=200
@@ -116,7 +119,7 @@ def test_a3_report(benchmark, report):
     def handler(event):
         return event
 
-    clone = measure_latency(lambda: isolate_callback(handler), iterations=1000)
+    (clone,) = measure_interleaved(lambda: isolate_callback(handler), iterations=1000)
     benchmark(_work_jailed)
 
     report(

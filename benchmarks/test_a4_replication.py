@@ -6,8 +6,7 @@ push replication passes, and the read-back that re-attaches labels.
 
 import itertools
 
-from repro.bench.reporting import format_table
-from repro.bench.timing import measure_interleaved, measure_latency
+from benchmarks.harness import format_table, measure_interleaved
 from repro.core.labels import LabelSet
 from repro.mdt.labels import mdt_label, patient_label
 from repro.mdt.storage_unit import SENSITIVE_RECORD_FIELDS, define_application_views
@@ -99,7 +98,7 @@ def test_a4_report(benchmark, report):
     )
 
     labeled_db.put({"_id": "read-me", "name": with_labels("alice", LABELS)})
-    read_labeled = measure_latency(lambda: labeled_db.get("read-me"), iterations=1500)
+    (read_labeled,) = measure_interleaved(lambda: labeled_db.get("read-me"), iterations=1500)
 
     source = Database("report-src")
     target = Database("report-dst", read_only=True)

@@ -18,8 +18,7 @@ prices that too: the first page after every record was rewritten, where
 both variants decode and render all rows again.
 """
 
-from repro.bench.reporting import format_table
-from repro.bench.timing import measure_interleaved, overhead_percent
+from benchmarks.harness import format_table, measure_interleaved, overhead_percent
 
 PAPER_BASELINE_MS = 158.0
 PAPER_PROTECTED_MS = 180.0

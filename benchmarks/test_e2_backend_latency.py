@@ -10,8 +10,7 @@ broker -> storage -> application database, per event.
 
 import pytest
 
-from repro.bench.reporting import format_table
-from repro.bench.timing import measure_interleaved, overhead_percent
+from benchmarks.harness import format_table, measure_interleaved, overhead_percent
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.workload import WorkloadConfig
 

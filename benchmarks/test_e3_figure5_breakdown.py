@@ -8,15 +8,41 @@ Absolute values are hardware-bound; the reproduced *shape* is: the same
 components exist, authentication and template rendering dominate the
 frontend, event processing dominates the backend, and the label-related
 components are minority shares in both tiers.
+
+Each component is measured on the real MDT deployment. Frontend spans
+come from the middleware/portal instrumentation
+(``request.env["safeweb.timings"]``); label propagation is the extra
+template time under tracking plus the response check, against a
+deployment with enforcement off. Backend: event processing is the
+pipeline with enforcement off, label management the delta when it is on,
+serialisation the STOMP frame codec on a real event. Every difference of
+two deployments is taken between medians sampled alternately and
+reported as measured: a label component that enforcement has made nearly
+free may read slightly below zero on a noisy host.
 """
 
-from repro.bench.breakdown import (
-    PAPER_BACKEND_BREAKDOWN,
-    PAPER_FRONTEND_BREAKDOWN,
-    backend_breakdown,
-    frontend_breakdown,
-)
-from repro.bench.reporting import comparison_table
+# ifc: allow-file[ifc-checks-disabled] -- ablation harness: isolates the
+# cost of each enforcement tier by rebuilding the deployment with that
+# tier switched off; production code never disables enforcement.
+
+import statistics
+
+from benchmarks.harness import PAPER_FRONTEND_BREAKDOWN, comparison_table, measure_interleaved
+from repro.core.labels import LabelSet
+from repro.events.event import Event
+from repro.events.stomp.frames import FrameParser, encode_frame
+from repro.events.stomp.server import event_to_message
+from repro.mdt.deployment import MdtDeployment
+from repro.mdt.labels import mdt_label
+from repro.mdt.workload import WorkloadConfig
+from repro.web.middleware import TIMINGS_KEY
+
+#: Paper values, milliseconds (Figure 5).
+PAPER_BACKEND_BREAKDOWN = {
+    "event_processing": 51.0,
+    "serialisation": 20.0,
+    "label_management": 13.0,
+}
 
 #: Frontend: label propagation as a share of the page. The paper reads
 #: 17/180 ≈ 0.09; with rows rendered once per revision the tracked and
@@ -31,20 +57,113 @@ LABEL_SHARE_BAND = (-0.05, 0.50)
 ENFORCED_RATIO_BAND = (0.90, 11.00)
 
 
+def frontend_breakdown(iterations=50):
+    """Per-component medians (ms) on the MDT front page, and the page's."""
+    config = WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=10, seed=3)
+    protected = MdtDeployment(config=config)
+    protected.run_pipeline()
+    baseline = MdtDeployment(
+        config=config, check_labels=False, isolation=False, label_events=False
+    )
+    baseline.run_pipeline()
+
+    def sampled(deployment, spans):
+        client = deployment.client_for("mdt1")
+
+        def request():
+            assert client.get("/").ok
+            timings = client.last_request.env.get(TIMINGS_KEY, {})
+            for name, samples in spans.items():
+                samples.append(timings.get(name, 0.0))
+
+        return request
+
+    spans = {
+        name: []
+        for name in ("authentication", "privilege_fetching", "template_rendering", "label_check")
+    }
+    baseline_spans = {"template_rendering": []}
+    totals, _baseline_totals = measure_interleaved(
+        sampled(protected, spans), sampled(baseline, baseline_spans),
+        iterations=iterations, warmup=5,
+    )
+
+    def median_ms(samples):
+        return statistics.median(samples[-iterations:]) * 1000  # warm-up rounds dropped
+
+    plain_template_ms = median_ms(baseline_spans["template_rendering"])
+    components = {
+        "authentication": median_ms(spans["authentication"]),
+        "privilege_fetching": median_ms(spans["privilege_fetching"]),
+        "template_rendering": plain_template_ms,
+        "label_propagation": median_ms(spans["template_rendering"])
+        - plain_template_ms
+        + median_ms(spans["label_check"]),
+    }
+    total_ms = totals.median * 1000
+    components["other"] = max(0.0, total_ms - sum(components.values()))
+    return components, total_ms
+
+
+def backend_breakdown(iterations=200):
+    """Per-event component medians (ms) over the real event pipeline."""
+    config = WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=10, seed=5)
+    plain = MdtDeployment(
+        config=config,
+        isolation=False,
+        label_checks_in_broker=False,
+        check_labels=False,
+        label_events=False,
+    )
+    protected = MdtDeployment(config=config)
+
+    def pipeline_pass(deployment):
+        def one_pass():
+            deployment.import_data()
+            deployment.aggregate()
+
+        return one_pass
+
+    processing, enforced = measure_interleaved(
+        pipeline_pass(plain), pipeline_pass(protected),
+        iterations=max(3, iterations // 25), warmup=1,
+    )
+    # Every pass publishes the same events; the warm-up pass counted too.
+    events_per_pass = protected.producer.events_published // (enforced.count + 1)
+
+    sample = Event(
+        "/patient_report",
+        next(plain.main_db.case_records()).to_attributes(),
+        labels=LabelSet([mdt_label("1")]),
+    )
+    parser = FrameParser()
+    (serialisation,) = measure_interleaved(
+        lambda: parser.feed(encode_frame(event_to_message(sample, "sub-1"))),
+        iterations=iterations,
+    )
+
+    processing_ms = processing.median * 1000 / events_per_pass
+    return {
+        "event_processing": processing_ms,
+        "serialisation": serialisation.median * 1000,
+        "label_management": enforced.median * 1000 / events_per_pass - processing_ms,
+    }
+
+
 def test_figure5_frontend(benchmark, report):
-    measured = benchmark.pedantic(frontend_breakdown, rounds=1, iterations=1)
+    measured, total_ms = benchmark.pedantic(frontend_breakdown, rounds=1, iterations=1)
     report(
         comparison_table(
             "E3 — Figure 5, frontend processing latency",
             PAPER_FRONTEND_BREAKDOWN,
-            measured.components,
+            measured,
         )
     )
     # Every paper component is measured.
-    assert set(measured.components) == set(PAPER_FRONTEND_BREAKDOWN)
+    assert set(measured) == set(PAPER_FRONTEND_BREAKDOWN)
     # Label propagation is a minority share of the page cost.
     low, high = LABEL_SHARE_BAND
-    assert low < measured.share("label_propagation") < high
+    assert low < measured["label_propagation"] / total_ms < high
 
 
 def test_figure5_backend(benchmark, report):
@@ -53,17 +172,17 @@ def test_figure5_backend(benchmark, report):
         comparison_table(
             "E3 — Figure 5, backend processing latency",
             PAPER_BACKEND_BREAKDOWN,
-            measured.components,
+            measured,
         )
     )
-    assert set(measured.components) == set(PAPER_BACKEND_BREAKDOWN)
+    assert set(measured) == set(PAPER_BACKEND_BREAKDOWN)
     # NOTE: the paper's ordering (processing 61% > serialisation 24% >
     # label management 15%) does NOT reproduce at our absolute scale —
     # our substrate's per-event processing is microseconds, so the fixed
     # enforcement cost becomes the largest share. EXPERIMENTS.md discusses
     # this divergence; the invariant that must hold is that enforcement
     # remains the same order of magnitude as the work it protects.
-    processing = measured.components["event_processing"]
-    assert processing > 0 and measured.components["serialisation"] > 0
+    processing = measured["event_processing"]
+    assert processing > 0 and measured["serialisation"] > 0
     low, high = ENFORCED_RATIO_BAND
-    assert low < (processing + measured.components["label_management"]) / processing < high
+    assert low < (processing + measured["label_management"]) / processing < high

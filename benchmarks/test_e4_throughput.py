@@ -14,9 +14,15 @@ against a baseline that only records the publish (docs/BENCHMARKS.md
 "PR 22").
 """
 
-from repro.bench.reporting import format_table
-from repro.bench.throughput import event_window, measure_throughput
-from repro.bench.timing import measure_interleaved
+from benchmarks.harness import format_table, measure_interleaved
+from repro.core.audit import AuditLog
+from repro.core.labels import LabelSet
+from repro.core.policy import parse_policy
+from repro.events.broker import Broker
+from repro.events.engine import EventProcessingEngine
+from repro.events.event import Event
+from repro.events.unit import Unit
+from repro.mdt.labels import mdt_label
 
 PAPER_BASELINE_EPS = 4455.0
 PAPER_PROTECTED_EPS = 3817.0
@@ -33,25 +39,64 @@ WINDOW = 2_000
 #: collapse, and not faster than the baseline by more than noise.
 RATIO_BAND = (0.10, 1.10)
 
+POLICY = parse_policy(
+    """
+    authority ecric.org.uk
+
+    unit bench_consumer {
+        clearance label:conf:ecric.org.uk/mdt
+    }
+    """
+)
+
+
+class _ConsumerUnit(Unit):
+    """Minimal per-event work, like the paper's consumer."""
+
+    unit_name = "bench_consumer"
+
+    def setup(self) -> None:
+        self.subscribe("/bench/events", self.on_event)
+
+    def on_event(self, event: Event) -> None:
+        # A tiny amount of attribute work so the callback is not empty.
+        _value = event.get("n", "0")
+
+
+def event_window(protected=True):
+    """Build the producer/consumer pair; each call of the result publishes
+    one window of :data:`WINDOW` events through it and returns the
+    deliveries.
+
+    ``protected=False`` — no broker label checks, no jail, unlabelled
+    events — is the paper's baseline ("without label tracking").
+    """
+    audit = AuditLog(capacity=16)
+    broker = Broker(label_checks=protected, audit=audit)
+    engine = EventProcessingEngine(broker=broker, policy=POLICY, audit=audit, isolation=protected)
+    engine.register(_ConsumerUnit())
+    labels = LabelSet([mdt_label("1")]) if protected else LabelSet()
+
+    def publish_window():
+        delivered = 0
+        for index in range(WINDOW):
+            event = Event("/bench/events", {"n": str(index)}, labels=labels)
+            delivered += broker.publish(event, publisher="bench_producer")
+        return delivered
+
+    return publish_window
+
 
 def test_throughput_baseline(benchmark):
-    result = benchmark.pedantic(
-        lambda: measure_throughput(
-            events=EVENTS, label_checks=False, isolation=False, labelled_events=False
-        ),
-        rounds=3,
-        iterations=1,
+    delivered = benchmark.pedantic(
+        event_window(protected=False), rounds=EVENTS // WINDOW, iterations=1
     )
-    assert result.events_per_second > 0
+    assert delivered == WINDOW
 
 
 def test_throughput_with_label_tracking(benchmark):
-    result = benchmark.pedantic(
-        lambda: measure_throughput(events=EVENTS),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.events_per_second > 0
+    delivered = benchmark.pedantic(event_window(), rounds=EVENTS // WINDOW, iterations=1)
+    assert delivered == WINDOW
 
 
 def test_e4_report(benchmark, report):
@@ -60,17 +105,15 @@ def test_e4_report(benchmark, report):
     baseline, protected = (
         WINDOW / stats.median
         for stats in measure_interleaved(
-            event_window(WINDOW, label_checks=False, isolation=False, labelled_events=False),
-            event_window(WINDOW),
+            event_window(protected=False),
+            event_window(),
             iterations=EVENTS // WINDOW,
             warmup=1,
         )
     )
     benchmark.extra_info["baseline_eps"] = baseline
     benchmark.extra_info["protected_eps"] = protected
-    benchmark.pedantic(
-        lambda: measure_throughput(events=2_000), rounds=1, iterations=1
-    )
+    benchmark.pedantic(event_window(), rounds=1, iterations=1)
 
     report(
         "E4 — event throughput (paper: 4455 -> 3817 ev/s, -17%)\n"

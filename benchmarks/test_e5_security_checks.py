@@ -7,8 +7,7 @@ adds the quantitative angle the paper implies: a request the middleware
 the safety net cannot be a denial-of-service vector.
 """
 
-from repro.bench.reporting import format_table
-from repro.bench.timing import measure_interleaved
+from benchmarks.harness import format_table, measure_interleaved
 from repro.mdt.workload import WorkloadConfig, generate_workload
 from tests.security.corpus.vulnerabilities import build_vulnerable_deployment
 

@@ -11,10 +11,11 @@ Public surface by tier:
 * :mod:`repro.taint` — variable-level taint tracking;
 * :mod:`repro.storage` — document store, replication, web database;
 * :mod:`repro.web` — the web frontend and SafeWeb middleware;
-* :mod:`repro.mdt` — the MDT web portal case study;
-  the §5.2 attack corpus and the executable specs the property suites
-  compare against are test code, under ``tests/``;
-* :mod:`repro.bench` — the evaluation harness.
+* :mod:`repro.mdt` — the MDT web portal case study.
+
+The §5.2 attack corpus and the executable specs the property suites
+compare against are test code, under ``tests/``; the §5.3 evaluation
+harness is ``benchmarks/``.
 
 The most commonly used names are re-exported here.
 """

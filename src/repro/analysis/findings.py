@@ -136,7 +136,7 @@ RULES: Dict[str, RuleInfo] = {
             "label_events/isolation/label_checks_in_broker) is turned off "
             "outside tests/.",
             "never disable enforcement in production code; the ablation "
-            "benchmarks that must are file-suppressed with a reason.",
+            "benchmarks that must live under benchmarks/, outside src/.",
         ),
         RuleInfo(
             "ifc-label-drop",

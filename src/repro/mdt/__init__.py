@@ -15,8 +15,9 @@ backend (Figure 4):
   aggregates into the application database.
 
 The Sinatra-style frontend (:mod:`repro.mdt.portal`) serves the DMZ
-replica, and :mod:`repro.mdt.deployment` wires the whole of Figure 4
-together, zones and firewall included.
+replica; its one trusted route, privilege assignment, is
+:mod:`repro.mdt.admin`. :mod:`repro.mdt.deployment` wires the whole of
+Figure 4 together, zones and firewall included.
 """
 
 from repro.mdt.labels import (

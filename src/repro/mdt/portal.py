@@ -14,7 +14,8 @@ application database replica. Routes:
 * ``POST /feedback``       — F1's feedback hook (acknowledged only;
   handling is external, e.g. secure NHS email);
 * ``POST /admin/mdts``     — the trusted admin surface that assigns
-  privileges to new MDTs (the paper's 142 audited frontend LOC).
+  privileges to new MDTs, kept apart in :mod:`repro.mdt.admin` (the
+  paper's 142 audited frontend LOC).
 
 The handlers here are the clean application; the §5.2 evaluation injects
 its CVE-style bugs by patching a built deployment (the corpus under
@@ -27,7 +28,7 @@ import json
 from typing import Callable, Optional, Tuple
 
 from repro.core.audit import AuditLog
-from repro.mdt.labels import mdt_label
+from repro.mdt.admin import register_admin_routes
 from repro.mdt.workload import MdtDirectory
 from repro.storage.docstore import Database
 from repro.storage.webdb import WebDatabase
@@ -342,23 +343,6 @@ def build_portal(
             halt(400, "empty feedback")
         return 202, "feedback received"
 
-    @app.post("/admin/mdts")
-    def create_mdt_user(request: Request):
-        # The paper's trusted frontend code: assigning privileges to new
-        # MDTs (142 LOC in the original; audited, not protected by IFC).
-        user_id = webdb.user_id(request.user.name)
-        if user_id is None or not webdb.is_admin(user_id):
-            halt(403, "admin only")
-        mid = str(request.params.get("mdt_id", ""))
-        username = str(request.params.get("username", ""))
-        password = str(request.params.get("password", ""))
-        info = directory.find_or_none(mid)
-        if info is None or not username or not password:
-            halt(400, "mdt_id, username and password required")
-        new_id = webdb.add_user(username, password, mdt=mid, region=info.region)
-        webdb.grant_label_privilege(new_id, "clearance", mdt_label(mid).uri)
-        webdb.grant_label_privilege(new_id, "declassification", mdt_label(mid).uri)
-        webdb.grant_acl(new_id, hospital=info.hospital, clinic=info.clinic)
-        return 201, "mdt user created"
+    register_admin_routes(app, webdb, directory)
 
     return app, middleware
