@@ -165,3 +165,24 @@ def test_every_mdt_module_is_classified_exactly_once():
         if path.name != "__init__.py"
     ]
     assert sorted(classified) == sorted(modules)
+
+
+def test_inventory_structure():
+    rows = audit_repository()
+    loc = {(category, name): count for category, name, count in rows}
+    assert len(loc) == len(rows)
+    assert all(count > 0 for count in loc.values())
+    totals = {
+        category: sum(count for (c, _), count in loc.items() if c == category)
+        for category in COMPONENTS
+    }
+    assert totals[MIDDLEWARE] > 1000
+    assert 0 < totals[TRUSTED] < totals[UNTRUSTED]
+
+
+def test_rows_cover_all_categories():
+    rows = audit_repository()
+    assert {category for category, _, _ in rows} == {MIDDLEWARE, TRUSTED, UNTRUSTED}
+    for category, components in COMPONENTS.items():
+        names = [name for c, name, _ in rows if c == category]
+        assert names == sorted(components)
