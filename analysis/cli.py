@@ -8,9 +8,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.findings import RULES
-from repro.analysis.framework import analyze, load_project
-from repro.analysis.locks import build_lock_graph
+from analysis.findings import RULES
+from analysis.framework import analyze, load_project
+from analysis.locks import build_lock_graph
 
 
 def _parser() -> argparse.ArgumentParser:

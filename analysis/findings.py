@@ -216,7 +216,7 @@ RULES: Dict[str, RuleInfo] = {
             "inverting the configured hierarchy for its subsystem.",
             "restructure so registry/store locks are taken before (or "
             "released ahead of) leaf locks; see LOCK_HIERARCHY in "
-            "repro/analysis/locks.py.",
+            "analysis/locks.py.",
         ),
     )
 }

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
-from repro.analysis.findings import (
+from analysis.findings import (
     Finding,
     is_suppressed,
     parse_suppressions,
@@ -93,9 +93,9 @@ def load_project(
 
 def _run_passes(project: Project, rules: Optional[Sequence[str]]) -> List[Finding]:
     # Imported here: the passes import this module's dataclasses.
-    from repro.analysis.ifc_rules import run_ifc_rules
-    from repro.analysis.locks import run_lock_rules
-    from repro.analysis.taint import run_taint_rules
+    from analysis.ifc_rules import run_ifc_rules
+    from analysis.locks import run_lock_rules
+    from analysis.taint import run_taint_rules
 
     findings: List[Finding] = []
     findings.extend(run_ifc_rules(project))

@@ -4,7 +4,7 @@ These rules machine-check the internal contracts the fast paths of PRs
 1–9 rely on (interned labels, jail discipline, hook-guarded routes) and
 the classic injection shapes the §5.2 corpus exercises. Each rule is a
 narrow AST pattern; anything needing dataflow lives in
-:mod:`repro.analysis.taint`.
+:mod:`analysis.taint`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import ast
 import re
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import (
+from analysis.astutil import (
     call_attr,
     call_name,
     contains_chain_rooted_at,
@@ -21,8 +21,8 @@ from repro.analysis.astutil import (
     is_const,
     keyword_arg,
 )
-from repro.analysis.findings import Finding, RULES
-from repro.analysis.framework import ModuleSource, Project
+from analysis.findings import Finding, RULES
+from analysis.framework import ModuleSource, Project
 
 #: Attributes that are Label/LabelSet internals (mutation or even read
 #: access outside core/labels.py couples code to the intern machinery).

@@ -42,9 +42,9 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.astutil import dotted_name
-from repro.analysis.findings import Finding, RULES
-from repro.analysis.framework import ModuleSource, Project
+from analysis.astutil import dotted_name
+from analysis.findings import Finding, RULES
+from analysis.framework import ModuleSource, Project
 
 #: The sanctioned coarse→fine acquisition order per subsystem (rank 0 is
 #: the coarsest — the lock legitimately held the longest / taken first).

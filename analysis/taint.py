@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import (
+from analysis.astutil import (
     arg_names,
     assigned_names,
     call_attr,
@@ -40,9 +40,9 @@ from repro.analysis.astutil import (
     dotted_name,
     import_aliases,
 )
-from repro.analysis.findings import Finding, RULES
-from repro.analysis.framework import ModuleSource, Project
-from repro.analysis.ifc_rules import _unit_classes, _handler_methods
+from analysis.findings import Finding, RULES
+from analysis.framework import ModuleSource, Project
+from analysis.ifc_rules import _unit_classes, _handler_methods
 
 USER = "user"
 LABELED = "labeled"

@@ -122,7 +122,7 @@ class Archive(Unit):
         self._db.put(doc)
         # …and the firm-wide total is declassified and relabelled, the
         # §3.1 aggregate pattern.
-        assert self.principal.privileges.can_declassify(event.labels)
+        assert not self.principal.privileges.missing_declassification(event.labels)
         totals = [
             int(str(row["exposure"]))
             for row in (self._db.get_or_none("exposure-equities"),

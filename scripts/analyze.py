@@ -4,9 +4,9 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.analysis.cli import main  # noqa: E402
+from analysis.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     raise SystemExit(main())

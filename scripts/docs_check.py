@@ -8,9 +8,10 @@ the tier-1 suite) scans every ``docs/*.md`` and the root ``README.md`` for:
   ``repro.storage.docstore.ShardedDatabase``) — the module must exist
   under ``src/``; one trailing attribute is resolved by import;
 * repo-relative file paths (``src/…``, ``scripts/…``, ``tests/…``,
-  ``docs/…``, ``benchmarks/…``, ``examples/…``, ``perf/…`` and
-  ``BENCHMARK.json``) — the file must exist; ``perf/out/…`` is where
-  benchmark runs write and is git-ignored, so it is not a reference;
+  ``docs/…``, ``benchmarks/…``, ``examples/…``, ``analysis/…``,
+  ``perf/…`` and ``BENCHMARK.json``) — the file must exist;
+  ``perf/out/…`` is where benchmark runs write and is git-ignored, so it
+  is not a reference;
 * Make target references (``make bench-smoke``) — the target must be
   defined in the Makefile.
 
@@ -31,7 +32,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 PATH_RE = re.compile(
-    r"\b(?:(?:(?:src|scripts|tests|docs|benchmarks|examples)/|perf/(?!out\b))[A-Za-z0-9_./-]+"
+    r"\b(?:(?:(?:src|scripts|tests|docs|benchmarks|examples|analysis)/|perf/(?!out\b))"
+    r"[A-Za-z0-9_./-]+"
     r"|BENCHMARK\.json|Makefile|README\.md|ROADMAP\.md|CHANGES\.md"
     r"|PAPER\.md|PAPERS\.md|SNIPPETS\.md)"
 )

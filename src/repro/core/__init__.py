@@ -19,7 +19,6 @@ from repro.core.privileges import (
     CLEARANCE_LOW_INTEGRITY,
     DECLASSIFICATION,
     ENDORSEMENT,
-    Privilege,
     PrivilegeSet,
 )
 from repro.core.principals import Principal, UnitPrincipal, UserPrincipal
@@ -38,7 +37,6 @@ __all__ = [
     "CLEARANCE_LOW_INTEGRITY",
     "DECLASSIFICATION",
     "ENDORSEMENT",
-    "Privilege",
     "PrivilegeSet",
     "Principal",
     "UnitPrincipal",

@@ -30,21 +30,15 @@ Block bodies contain one directive per line. Privilege directives
 ``clearance_low_integrity``) take a label URI; hierarchical grants apply to
 the whole subtree under the URI. ``withhold`` in a unit block names labels
 whose events must never be delivered to that (privileged) unit.
-
-For policies with *dynamic* privileges the paper suggests a label manager
-that delegates at runtime; :class:`LabelManager` implements that extension.
 """
 
 from __future__ import annotations
 
-import os
-
 import json
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from repro.core.labels import Label, parse_label
+from repro.core.labels import parse_label
 from repro.core.principals import UnitPrincipal, UserPrincipal
 from repro.core.privileges import PRIVILEGE_KINDS, PrivilegeSet
 from repro.exceptions import LabelError, PolicyError
@@ -280,119 +274,3 @@ def parse_policy_document(text: str) -> PolicyDocument:
     if block_kind is not None:
         raise PolicyError(f"unterminated {block_kind} block {block_name!r}")
     return document
-
-
-def load_policy(path: "str | os.PathLike[str]") -> Policy:
-    """Load a policy from a ``.policy`` (text) or ``.json`` file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if str(path).endswith(".json"):
-        return Policy(PolicyDocument.from_json(text))
-    return parse_policy(text)
-
-
-class LabelManager:
-    """Runtime privilege delegation (the paper's §4.1 extension point).
-
-    Each label has an *owner* — the principal that created it. The owner
-    implicitly holds every privilege over the label and may delegate any
-    subset to other principals. Delegations may themselves be marked
-    delegatable, forming a chain; revoking a delegation revokes everything
-    granted *through* it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._owners: Dict[Label, str] = {}
-        # (kind, label, grantee) -> (granter, delegatable)
-        self._delegations: Dict[tuple, tuple] = {}
-
-    def create_label(self, owner: str, label: Label | str) -> Label:
-        if isinstance(label, str):
-            label = parse_label(label)
-        with self._lock:
-            current = self._owners.get(label)
-            if current is not None and current != owner:
-                raise PolicyError(f"label {label.uri} already owned by {current!r}")
-            self._owners[label] = owner
-        return label
-
-    def owner_of(self, label: Label) -> Optional[str]:
-        with self._lock:
-            return self._owners.get(label)
-
-    def delegate(
-        self,
-        granter: str,
-        grantee: str,
-        kind: str,
-        label: Label | str,
-        delegatable: bool = False,
-    ) -> None:
-        """Record a delegation after verifying the granter's authority."""
-        if kind not in PRIVILEGE_KINDS:
-            raise PolicyError(f"unknown privilege kind {kind!r}")
-        if isinstance(label, str):
-            label = parse_label(label)
-        with self._lock:
-            if not self._may_grant_locked(granter, kind, label):
-                raise PolicyError(
-                    f"{granter!r} holds no delegatable {kind} over {label.uri}"
-                )
-            self._delegations[(kind, label, grantee)] = (granter, delegatable)
-
-    def revoke(self, granter: str, grantee: str, kind: str, label: Label | str) -> None:
-        """Remove a delegation and, transitively, grants made through it."""
-        if isinstance(label, str):
-            label = parse_label(label)
-        with self._lock:
-            key = (kind, label, grantee)
-            entry = self._delegations.get(key)
-            if entry is None or entry[0] != granter:
-                raise PolicyError(
-                    f"no delegation of {kind} over {label.uri} from {granter!r} to {grantee!r}"
-                )
-            del self._delegations[key]
-            self._revoke_orphans_locked()
-
-    def privileges_of(self, principal: str) -> PrivilegeSet:
-        """The privilege set a principal currently holds via this manager."""
-        with self._lock:
-            grants: Dict[str, List[Label]] = {}
-            for label, owner in self._owners.items():
-                if owner == principal:
-                    for kind in PRIVILEGE_KINDS:
-                        grants.setdefault(kind, []).append(label)
-            for (kind, label, grantee), _entry in self._delegations.items():
-                if grantee == principal:
-                    grants.setdefault(kind, []).append(label)
-            return PrivilegeSet(grants)
-
-    def holds(self, principal: str, kind: str, label: Label) -> bool:
-        with self._lock:
-            return self._holds_locked(principal, kind, label)
-
-    # -- internal ------------------------------------------------------------
-
-    def _holds_locked(self, principal: str, kind: str, label: Label) -> bool:
-        if self._owners.get(label) == principal:
-            return True
-        return (kind, label, principal) in self._delegations
-
-    def _may_grant_locked(self, granter: str, kind: str, label: Label) -> bool:
-        if self._owners.get(label) == granter:
-            return True
-        entry = self._delegations.get((kind, label, granter))
-        return entry is not None and entry[1]  # delegatable
-
-    def _revoke_orphans_locked(self) -> None:
-        # Iterate until fixpoint: a delegation is valid only while its
-        # granter still holds a grantable privilege.
-        changed = True
-        while changed:
-            changed = False
-            for key, (granter, _delegatable) in list(self._delegations.items()):
-                kind, label, _grantee = key
-                if not self._may_grant_locked(granter, kind, label):
-                    del self._delegations[key]
-                    changed = True

@@ -42,39 +42,6 @@ PRIVILEGE_KINDS = (
 )
 
 
-class Privilege:
-    """A single (kind, label) grant.
-
-    Mostly useful as a unit of delegation; enforcement code works with
-    :class:`PrivilegeSet`.
-    """
-
-    __slots__ = ("kind", "label")
-
-    def __init__(self, kind: str, label: Label | str):
-        if kind not in PRIVILEGE_KINDS:
-            raise PolicyError(f"unknown privilege kind {kind!r}")
-        if isinstance(label, str):
-            label = parse_label(label)
-        self.kind = kind
-        self.label = label
-
-    def covers(self, label: Label) -> bool:
-        """True when this grant covers *label* (exactly or hierarchically)."""
-        return self.label.is_ancestor_of(label)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Privilege):
-            return NotImplemented
-        return self.kind == other.kind and self.label == other.label
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.label))
-
-    def __repr__(self) -> str:
-        return f"Privilege({self.kind!r}, {self.label.uri!r})"
-
-
 class PrivilegeSet:
     """An immutable collection of privileges held by a principal.
 
@@ -110,13 +77,6 @@ class PrivilegeSet:
     @classmethod
     def empty(cls) -> "PrivilegeSet":
         return _EMPTY
-
-    @classmethod
-    def from_privileges(cls, privileges: Iterable[Privilege]) -> "PrivilegeSet":
-        grants: Dict[str, set] = {kind: set() for kind in PRIVILEGE_KINDS}
-        for privilege in privileges:
-            grants[privilege.kind].add(privilege.label)
-        return cls(grants)
 
     def merge(self, other: "PrivilegeSet") -> "PrivilegeSet":
         """The union of two privilege sets (e.g. role + user grants)."""
@@ -217,14 +177,6 @@ class PrivilegeSet:
             cache.clear()
         cache[labels] = decision
         return decision
-
-    def can_declassify(self, labels: LabelSet | Iterable[Label]) -> bool:
-        """True when every confidentiality label in *labels* may be removed."""
-        if not isinstance(labels, LabelSet):
-            labels = LabelSet(labels)
-        return all(
-            self.grants(DECLASSIFICATION, label) for label in labels.confidentiality
-        )
 
     def can_endorse(self, labels: LabelSet | Iterable[Label]) -> bool:
         """True when every integrity label in *labels* may be added."""

@@ -339,7 +339,6 @@ class EventProcessingEngine:
                 )
                 if supervisor.retryable(error) and attempts <= supervisor.policy.retry_budget:
                     self.stats.bump("retries")
-                    unit_sup.sleep_before_retry(attempts)
                     attempts += 1
                     continue
                 self._dead_letter(principal, event, repr(error), attempts=attempts)
@@ -390,7 +389,6 @@ class EventProcessingEngine:
         decision = unit_sup.note_failure()
         if decision == RESTART:
             self.stats.bump("restarts")
-            unit_sup.sleep_before_restart()
             if self._restart_unit(principal.name):
                 self.audit.allowed(
                     "supervisor",

@@ -9,9 +9,10 @@ topic to different shards from different processes.
 
 Classic Karger-style ring: each node is planted at ``vnodes`` points on
 a 2^64 ring; a key is owned by the first node clockwise from the key's
-hash. Virtual nodes smooth the partition sizes; removing a node only
-reassigns the keys it owned (the property the cluster's drain/rebalance
-path relies on).
+hash. Virtual nodes smooth the partition sizes. A ring without one node
+gives each key that node did not own to the same owner, so
+:meth:`HashRing.preference` predicts where a key lands when a node is
+gone (the cluster's restart path walks it past dead workers).
 
 Routing note: wildcard subscriptions (``*``/``#`` patterns) cannot be
 hashed to one shard — the cluster registers those on *every* shard and
@@ -71,13 +72,6 @@ class HashRing:
             self._points.append((stable_hash(f"{node}#{replica}"), node))
         self._rebuild()
 
-    def remove_node(self, node: str) -> None:
-        if node not in self._nodes:
-            raise SafeWebError(f"ring does not contain node {node!r}")
-        del self._nodes[node]
-        self._points = [point for point in self._points if point[1] != node]
-        self._rebuild()
-
     def _rebuild(self) -> None:
         self._points.sort()
         self._keys = [point for point, _node in self._points]
@@ -96,8 +90,8 @@ class HashRing:
     def preference(self, key: str, count: int = 2) -> List[str]:
         """The first *count* distinct nodes clockwise from *key*.
 
-        The head is :meth:`node_for`; the tail is where the key lands if
-        earlier nodes leave — the restart path's fallback order.
+        The head is :meth:`node_for`; the tail is where the key lands on a
+        ring without the earlier nodes — the restart path's fallback order.
         """
         if not self._points:
             raise SafeWebError("hash ring is empty")

@@ -6,11 +6,11 @@ buggy unit callback, a sick storage backend or a flapping link must not
 silently lose labelled events. This module supplies the Erlang-style
 machinery the engine wires around every supervised callback:
 
-* :class:`SupervisionPolicy` — the knobs: per-event retry budget with
-  exponential backoff, one-for-one unit restarts bounded by
-  max-restarts-per-window, and whether exhausted events dead-letter;
+* :class:`SupervisionPolicy` — the knobs: per-event retry budget,
+  one-for-one unit restarts bounded by max-restarts-per-window, and
+  whether exhausted events dead-letter;
 * :class:`UnitSupervisor` — per-unit bookkeeping (failure window,
-  suspension state, backoff sleeps);
+  suspension state);
 * :class:`Supervisor` — the engine-side coordinator that owns the unit
   supervisors and publishes **dead-letter events**: topic
   ``/_dlq.<unit>``, carrying the failed event's payload and attributes
@@ -60,33 +60,21 @@ class SupervisionPolicy:
     """The restart/retry/dead-letter knobs for a supervised engine.
 
     ``retry_budget`` is the number of *re*-invocations after the first
-    failure (0 = fail straight to the dead-letter topic). Retries sleep
-    ``retry_backoff * 2**(attempt-1)`` seconds, capped at
-    ``backoff_max``; unit restarts back off the same way on
-    ``restart_backoff``. A unit that needs more than ``max_restarts``
-    restarts within ``restart_window`` seconds is **suspended**: its
-    subscriptions stay live, but every subsequent delivery dead-letters
-    immediately (audited), so nothing is ever dropped without a trace.
+    failure (0 = fail straight to the dead-letter topic); retries and
+    restarts follow the failure at once, without a backoff sleep. A
+    unit that needs more than ``max_restarts`` restarts within
+    ``restart_window`` seconds is **suspended**: its subscriptions stay
+    live, but every subsequent delivery dead-letters immediately
+    (audited), so nothing is ever dropped without a trace.
     """
 
-    __slots__ = (
-        "retry_budget",
-        "retry_backoff",
-        "max_restarts",
-        "restart_window",
-        "restart_backoff",
-        "backoff_max",
-        "dead_letter",
-    )
+    __slots__ = ("retry_budget", "max_restarts", "restart_window", "dead_letter")
 
     def __init__(
         self,
         retry_budget: int = 2,
-        retry_backoff: float = 0.0,
         max_restarts: int = 3,
         restart_window: float = 30.0,
-        restart_backoff: float = 0.0,
-        backoff_max: float = 1.0,
         dead_letter: bool = True,
     ):
         if retry_budget < 0:
@@ -96,18 +84,9 @@ class SupervisionPolicy:
         if restart_window <= 0:
             raise SafeWebError("restart_window must be positive")
         self.retry_budget = retry_budget
-        self.retry_backoff = retry_backoff
         self.max_restarts = max_restarts
         self.restart_window = restart_window
-        self.restart_backoff = restart_backoff
-        self.backoff_max = backoff_max
         self.dead_letter = dead_letter
-
-    def backoff(self, base: float, attempt: int) -> float:
-        """Exponential backoff for the *attempt*-th retry/restart (1-based)."""
-        if base <= 0:
-            return 0.0
-        return min(base * (2 ** (attempt - 1)), self.backoff_max)
 
 
 #: Decisions note_failure can return.
@@ -153,16 +132,6 @@ class UnitSupervisor:
             restarts.append(now)
             self.restart_count += 1
             return RESTART
-
-    def sleep_before_retry(self, attempt: int) -> None:
-        delay = self.policy.backoff(self.policy.retry_backoff, attempt)
-        if delay:
-            time.sleep(delay)
-
-    def sleep_before_restart(self) -> None:
-        delay = self.policy.backoff(self.policy.restart_backoff, max(self.restart_count, 1))
-        if delay:
-            time.sleep(delay)
 
 
 class Supervisor:

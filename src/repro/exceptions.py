@@ -56,11 +56,6 @@ class IsolationError(SecurityViolation):
     state mutation) — the analogue of a Ruby ``$SAFE=4`` SecurityError."""
 
 
-class IntegrityError(SecurityViolation):
-    """Low-integrity data attempted to enter a component that requires an
-    integrity label the data does not carry."""
-
-
 class ReadOnlyError(SafeWebError):
     """A write was attempted on a read-only database replica (requirement S1)."""
 

@@ -7,8 +7,7 @@ The MDT deployment uses three stores, all reproduced here:
   changes feed (:mod:`repro.storage.docstore`), hash-sharded behind the
   same API (:class:`~repro.storage.docstore.ShardedDatabase`), with
   batched CouchDB-style push replication
-  (:mod:`repro.storage.replication`) and a CouchRest-like model layer
-  (:mod:`repro.storage.couchrest`). The application database is durable
+  (:mod:`repro.storage.replication`). The application database is durable
   on request: per-shard write-ahead
   logs with group-commit fsync batching, compacted in place
   (:mod:`repro.storage.wal`), crash recovery and persisted replication
@@ -37,7 +36,6 @@ from repro.storage.replication import (
     Replicator,
     replicate,
 )
-from repro.storage.couchrest import Model
 from repro.storage.webdb import WebDatabase
 from repro.storage.maindb import MainDatabase, Patient, Treatment, Tumour
 from repro.storage.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
@@ -60,7 +58,6 @@ __all__ = [
     "ReplicationResult",
     "ContinuousReplicator",
     "replicate",
-    "Model",
     "WebDatabase",
     "MainDatabase",
     "Patient",

@@ -87,30 +87,7 @@ class MainDatabase:
         self._treatments_by_tumour: Dict[str, List[str]] = {}
         self._patients_by_mdt: Dict[str, List[str]] = {}
 
-    # -- inserts -------------------------------------------------------------
-
-    def insert_patient(self, patient: Patient) -> None:
-        with self._lock:
-            if patient.patient_id in self._patients:
-                raise ValueError(f"duplicate patient {patient.patient_id!r}")
-            self._patients[patient.patient_id] = patient
-            self._patients_by_mdt.setdefault(patient.mdt_id, []).append(patient.patient_id)
-
-    def insert_tumour(self, tumour: Tumour) -> None:
-        with self._lock:
-            if tumour.patient_id not in self._patients:
-                raise ValueError(f"tumour references unknown patient {tumour.patient_id!r}")
-            self._tumours[tumour.tumour_id] = tumour
-            self._tumours_by_patient.setdefault(tumour.patient_id, []).append(tumour.tumour_id)
-
-    def insert_treatment(self, treatment: Treatment) -> None:
-        with self._lock:
-            if treatment.tumour_id not in self._tumours:
-                raise ValueError(f"treatment references unknown tumour {treatment.tumour_id!r}")
-            self._treatments[treatment.treatment_id] = treatment
-            self._treatments_by_tumour.setdefault(treatment.tumour_id, []).append(
-                treatment.treatment_id
-            )
+    # -- loading -------------------------------------------------------------
 
     def bulk_load(
         self,
@@ -118,15 +95,14 @@ class MainDatabase:
         tumours: Iterable[Tumour] = (),
         treatments: Iterable[Treatment] = (),
     ) -> None:
-        """Insert many rows under one lock acquisition, atomically.
+        """Insert rows under one lock acquisition, atomically.
 
         Referential order is enforced within the call (patients before
-        tumours before treatments), matching the per-row insert checks —
-        but validation runs over the *whole* batch before any row is
+        tumours before treatments; a duplicate patient id is refused),
+        and validation runs over the *whole* batch before any row is
         applied, so a bad row midway leaves the database untouched
-        instead of half-loaded. The workload generator uses this so
-        building a large synthetic registry is one critical section,
-        not one per row.
+        instead of half-loaded. The workload generator builds its
+        synthetic registry with one call.
         """
         patients = list(patients)
         tumours = list(tumours)

@@ -8,7 +8,7 @@ their operators; CPython's built-in types are closed, so this package
 takes the Resin-style approach instead: labeled *subclasses* of ``str``,
 ``int``, ``float`` and ``bytes`` whose operators propagate labels, plus a
 framework guarantee that data entering application code from the
-application database is already wrapped (see ``repro.storage.couchrest``).
+application database is already wrapped (see ``repro.storage.docstore``).
 Application code then manipulates values normally and labels follow.
 
 Alongside confidentiality/integrity labels, labeled values carry a

@@ -128,9 +128,6 @@ class PageCache:
                 self._entries.clear()
                 self.invalidations += 1
 
-    def invalidate_all(self) -> None:
-        self._on_changes(())
-
     # -- the hooks ---------------------------------------------------------
 
     def _key(

@@ -86,9 +86,5 @@ class Request:
         for key, value in captures.items():
             self.params[key] = mark_user_input(urllib.parse.unquote(value))
 
-    @property
-    def is_json(self) -> bool:
-        return self.headers.get("content-type", "").startswith("application/json")
-
     def __repr__(self) -> str:
         return f"Request({self.method} {self.path})"

@@ -50,9 +50,6 @@ class Response:
     def content_type(self) -> str:
         return self.headers.get("Content-Type", "")
 
-    def set_content_type(self, value: str) -> None:
-        self.headers["Content-Type"] = value
-
     # -- serialisation ----------------------------------------------------------
 
     @property

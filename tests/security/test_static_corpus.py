@@ -19,7 +19,7 @@ from typing import Dict, Set, Tuple
 
 import pytest
 
-from repro.analysis.framework import analyze
+from analysis.framework import analyze
 
 CORPUS = Path(__file__).resolve().parent / "corpus" / "vulnerabilities.py"
 

@@ -1,13 +1,13 @@
 """Findings, the rule catalogue and the suppression syntax."""
 
-from repro.analysis.findings import (
+from analysis.findings import (
     RULES,
     Finding,
     Severity,
     is_suppressed,
     parse_suppressions,
 )
-from repro.analysis.framework import analyze_source
+from analysis.framework import analyze_source
 
 
 def _finding(path="m.py", line=3, rule="ifc-raw-json"):

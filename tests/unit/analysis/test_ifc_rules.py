@@ -1,6 +1,6 @@
 """Fixture-driven positive/negative tests for the syntactic IFC rules."""
 
-from repro.analysis.framework import analyze_source
+from analysis.framework import analyze_source
 
 
 def rules_of(source: str, rel: str = "snippet.py"):

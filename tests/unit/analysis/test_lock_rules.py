@@ -2,8 +2,8 @@
 
 from pathlib import Path
 
-from repro.analysis.framework import ModuleSource, Project, analyze_source, load_project
-from repro.analysis.locks import LOCK_HIERARCHY, build_lock_graph
+from analysis.framework import ModuleSource, Project, analyze_source, load_project
+from analysis.locks import LOCK_HIERARCHY, build_lock_graph
 
 REPO_SRC = Path(__file__).resolve().parents[3] / "src"
 

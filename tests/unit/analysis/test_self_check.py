@@ -9,8 +9,8 @@ analyzed tree. Should one ever be sanctioned, it must carry a reason.
 import re
 from pathlib import Path
 
-from repro.analysis.findings import _SUPPRESS_RE
-from repro.analysis.framework import analyze
+from analysis.findings import _SUPPRESS_RE
+from analysis.framework import analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC = REPO_ROOT / "src"
@@ -33,11 +33,7 @@ def test_corpus_is_analyzed_by_its_own_path():
 
 
 def _scannable_modules():
-    """Everything under src/repro except the analyzer itself, whose
-    docstrings and CLI help quote the suppression syntax as documentation."""
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        if "repro/analysis/" not in path.as_posix():
-            yield path
+    return sorted((SRC / "repro").rglob("*.py"))
 
 
 def test_every_suppression_in_src_carries_a_reason():

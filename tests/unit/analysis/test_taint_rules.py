@@ -2,8 +2,8 @@
 
 from pathlib import Path
 
-from repro.analysis.framework import ModuleSource, analyze_source
-from repro.analysis.taint import LABELED, _all_functions, _FunctionAnalysis, _module_context
+from analysis.framework import ModuleSource, analyze_source
+from analysis.taint import LABELED, _all_functions, _FunctionAnalysis, _module_context
 
 
 def rules_of(source: str, rel: str = "snippet.py"):

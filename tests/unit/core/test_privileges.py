@@ -7,7 +7,6 @@ from repro.core.privileges import (
     CLEARANCE,
     DECLASSIFICATION,
     ENDORSEMENT,
-    Privilege,
     PrivilegeSet,
 )
 from repro.exceptions import PolicyError
@@ -17,26 +16,6 @@ PATIENT_1 = PATIENT_ROOT.child("1")
 PATIENT_2 = PATIENT_ROOT.child("2")
 MDT_1 = conf_label("ecric.org.uk", "mdt", "1")
 MDT_INT = int_label("ecric.org.uk", "mdt")
-
-
-class TestPrivilege:
-    def test_covers_exact_and_hierarchical(self):
-        grant = Privilege(CLEARANCE, PATIENT_ROOT)
-        assert grant.covers(PATIENT_ROOT)
-        assert grant.covers(PATIENT_1)
-        assert not grant.covers(MDT_1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(PolicyError):
-            Privilege("superuser", PATIENT_1)
-
-    def test_accepts_uri_strings(self):
-        grant = Privilege(CLEARANCE, PATIENT_1.uri)
-        assert grant.label == PATIENT_1
-
-    def test_eq_hash(self):
-        assert Privilege(CLEARANCE, PATIENT_1) == Privilege(CLEARANCE, PATIENT_1.uri)
-        assert len({Privilege(CLEARANCE, PATIENT_1), Privilege(CLEARANCE, PATIENT_1)}) == 1
 
 
 class TestPrivilegeSet:
@@ -62,14 +41,14 @@ class TestPrivilegeSet:
         privileges = PrivilegeSet.empty()
         assert privileges.clearance_covers(LabelSet([MDT_INT]))
 
-    def test_can_declassify(self):
+    def test_declassification_covers_granted_labels_only(self):
         privileges = PrivilegeSet({DECLASSIFICATION: [MDT_1]})
-        assert privileges.can_declassify(LabelSet([MDT_1]))
-        assert not privileges.can_declassify(LabelSet([PATIENT_1]))
+        assert privileges.missing_declassification(LabelSet([MDT_1])) == frozenset()
+        assert privileges.missing_declassification(LabelSet([PATIENT_1])) == {PATIENT_1}
 
     def test_clearance_does_not_imply_declassification(self):
         privileges = PrivilegeSet({CLEARANCE: [MDT_1]})
-        assert not privileges.can_declassify(LabelSet([MDT_1]))
+        assert privileges.missing_declassification(LabelSet([MDT_1])) == {MDT_1}
 
     def test_can_endorse(self):
         privileges = PrivilegeSet({ENDORSEMENT: [MDT_INT]})
@@ -91,13 +70,13 @@ class TestPrivilegeSet:
         b = PrivilegeSet({CLEARANCE: [PATIENT_1], DECLASSIFICATION: [MDT_1]})
         merged = a.merge(b)
         assert merged.clearance_covers(LabelSet([MDT_1, PATIENT_1]))
-        assert merged.can_declassify(LabelSet([MDT_1]))
+        assert merged.missing_declassification(LabelSet([MDT_1])) == frozenset()
 
     def test_restrict(self):
         privileges = PrivilegeSet({CLEARANCE: [MDT_1], DECLASSIFICATION: [MDT_1]})
         only_clearance = privileges.restrict([CLEARANCE])
         assert only_clearance.grants(CLEARANCE, MDT_1)
-        assert not only_clearance.can_declassify(LabelSet([MDT_1]))
+        assert only_clearance.missing_declassification(LabelSet([MDT_1])) == {MDT_1}
 
     def test_without_clearance_for_exact(self):
         privileges = PrivilegeSet({CLEARANCE: [MDT_1, PATIENT_1]})
@@ -122,10 +101,3 @@ class TestPrivilegeSet:
     def test_dict_round_trip(self):
         privileges = PrivilegeSet({CLEARANCE: [MDT_1], ENDORSEMENT: [MDT_INT]})
         assert PrivilegeSet.from_dict(privileges.to_dict()) == privileges
-
-    def test_from_privileges(self):
-        privileges = PrivilegeSet.from_privileges(
-            [Privilege(CLEARANCE, MDT_1), Privilege(DECLASSIFICATION, MDT_1)]
-        )
-        assert privileges.grants(CLEARANCE, MDT_1)
-        assert privileges.can_declassify(LabelSet([MDT_1]))

@@ -112,13 +112,6 @@ class TestPolicyAndTopics:
         with pytest.raises(SafeWebError):
             SupervisionPolicy(restart_window=0)
 
-    def test_exponential_backoff_capped(self):
-        policy = SupervisionPolicy(retry_backoff=0.1, backoff_max=0.25)
-        assert policy.backoff(0.1, 1) == pytest.approx(0.1)
-        assert policy.backoff(0.1, 2) == pytest.approx(0.2)
-        assert policy.backoff(0.1, 3) == pytest.approx(0.25)
-        assert policy.backoff(0.0, 5) == 0.0
-
 
 class TestUnitSupervisor:
     def test_restarts_until_window_budget_spent(self):
@@ -642,46 +635,3 @@ class TestBreakerGuardedStorage:
             storage._upsert({"_id": "x"})
         assert db.calls == 2  # the open breaker shed the third write
         assert storage.documents_written == 0
-
-    def test_couchrest_model_breaker_trips_and_recovers(self):
-        from repro.storage.couchrest import Model
-        from repro.storage.docstore import Database
-
-        class FlakyDatabase:
-            def __init__(self, real):
-                self._real = real
-                self.fail = False
-                self.put_calls = 0
-
-            def __getattr__(self, name):
-                return getattr(self._real, name)
-
-            def put(self, document):
-                self.put_calls += 1
-                if self.fail:
-                    raise RuntimeError("backend down")
-                return self._real.put(document)
-
-        class Gadget(Model):
-            view_by = ("kind",)
-
-        clock = FakeClock()
-        db = FlakyDatabase(Database("app"))
-        Gadget.use(db, breaker=CircuitBreaker("models", failure_threshold=1, reset_timeout=10.0, clock=clock))
-        Gadget({"kind": "a"}).save()
-
-        db.fail = True
-        with pytest.raises(RuntimeError):
-            Gadget({"kind": "b"}).save()
-        calls_when_open = db.put_calls
-        with pytest.raises(CircuitOpenError):
-            Gadget({"kind": "c"}).save()
-        assert db.put_calls == calls_when_open  # rejected without backend contact
-        # Reads are shed too while the breaker is open.
-        with pytest.raises(CircuitOpenError):
-            Gadget.by_kind(key="a")
-
-        clock.advance(10.0)
-        db.fail = False
-        Gadget({"kind": "d"}).save()  # half-open probe succeeds, breaker closes
-        assert [model["kind"] for model in Gadget.by_kind(key="d")] == ["d"]

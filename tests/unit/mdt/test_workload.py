@@ -84,7 +84,8 @@ class TestPolicy:
 
     def test_storage_can_declassify_mdt_labels(self, workload):
         storage = workload.policy.unit("data_storage")
-        assert storage.privileges.can_declassify(LabelSet([mdt_label("3")]))
+        missing = storage.privileges.missing_declassification(LabelSet([mdt_label("3")]))
+        assert missing == frozenset()
 
     def test_user_clearances_follow_policy_p1(self, workload):
         user = workload.policy.user("mdt1")

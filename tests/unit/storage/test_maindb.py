@@ -20,29 +20,37 @@ def patient(pid="p1", mdt="1", hospital="h1", region="east") -> Patient:
 @pytest.fixture()
 def db() -> MainDatabase:
     database = MainDatabase()
-    database.insert_patient(patient("p1", mdt="1"))
-    database.insert_patient(patient("p2", mdt="1"))
-    database.insert_patient(patient("p3", mdt="2", region="west"))
-    database.insert_tumour(Tumour("t1", "p1", "breast", "2", "2010-01-01"))
-    database.insert_tumour(Tumour("t2", "p1", "lung", "3", "2010-06-01"))
-    database.insert_tumour(Tumour("t3", "p3", "breast", "1", "2011-01-01"))
-    database.insert_treatment(Treatment("tr1", "t1", "surgery", "2010-02-01", "complete"))
-    database.insert_treatment(Treatment("tr2", "t1", "chemo", "2010-03-01", None))
+    database.bulk_load(
+        patients=[
+            patient("p1", mdt="1"),
+            patient("p2", mdt="1"),
+            patient("p3", mdt="2", region="west"),
+        ],
+        tumours=[
+            Tumour("t1", "p1", "breast", "2", "2010-01-01"),
+            Tumour("t2", "p1", "lung", "3", "2010-06-01"),
+            Tumour("t3", "p3", "breast", "1", "2011-01-01"),
+        ],
+        treatments=[
+            Treatment("tr1", "t1", "surgery", "2010-02-01", "complete"),
+            Treatment("tr2", "t1", "chemo", "2010-03-01", None),
+        ],
+    )
     return database
 
 
 class TestIntegrity:
     def test_duplicate_patient_rejected(self, db):
         with pytest.raises(ValueError):
-            db.insert_patient(patient("p1"))
+            db.bulk_load(patients=[patient("p1")])
 
     def test_tumour_requires_patient(self, db):
         with pytest.raises(ValueError):
-            db.insert_tumour(Tumour("tx", "ghost", "breast", "1", "2011-01-01"))
+            db.bulk_load(tumours=[Tumour("tx", "ghost", "breast", "1", "2011-01-01")])
 
     def test_treatment_requires_tumour(self, db):
         with pytest.raises(ValueError):
-            db.insert_treatment(Treatment("trx", "ghost", "surgery", "2011-01-01"))
+            db.bulk_load(treatments=[Treatment("trx", "ghost", "surgery", "2011-01-01")])
 
 
 class TestQueries:
@@ -104,7 +112,7 @@ class TestAtomicBulkLoad:
 
     def test_duplicate_patient_rolls_back_everything(self):
         db = MainDatabase()
-        db.insert_patient(patient("p1"))
+        db.bulk_load(patients=[patient("p1")])
         with pytest.raises(ValueError):
             db.bulk_load(patients=[patient("p2"), patient("p1")])
         assert db.counts()["patients"] == 1

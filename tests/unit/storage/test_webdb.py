@@ -63,7 +63,7 @@ class TestLabelPrivileges:
         db.grant_label_privilege(user_id, DECLASSIFICATION, MDT_1.uri)
         privileges = db.privileges_for(user_id)
         assert privileges.clearance_covers(LabelSet([MDT_1]))
-        assert privileges.can_declassify(LabelSet([MDT_1]))
+        assert privileges.missing_declassification(LabelSet([MDT_1])) == frozenset()
 
     def test_grant_is_idempotent(self, db):
         user_id = db.add_user("mdt1", "secret")

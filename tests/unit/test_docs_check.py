@@ -34,7 +34,7 @@ def broken_tree(tmp_path: Path) -> Path:
     (tmp_path / "docs").mkdir()
     (tmp_path / "Makefile").write_text("real-target:\n\ttrue\n")
     (tmp_path / "docs" / "BAD.md").write_text(
-        "See `repro.storage.nonexistent_module`, `scripts/gone.py` and\n"
+        "See `repro.storage.nonexistent_module`, `scripts/gone.py`, `analysis/gone.py` and\n"
         "`perf/gone.py`, then run `make vanished-target` or `make real-target`.\n"
     )
     (tmp_path / "README.md").write_text("Run `make readme-only-target`.\n")
@@ -46,6 +46,7 @@ def test_broken_references_fail(broken_tree: Path):
     assert result.returncode == 1
     assert "nonexistent_module" in result.stderr
     assert "scripts/gone.py" in result.stderr
+    assert "analysis/gone.py" in result.stderr
     assert "perf/gone.py" in result.stderr
     assert "vanished-target" in result.stderr
     assert "README.md: unknown make target 'readme-only-target'" in result.stderr

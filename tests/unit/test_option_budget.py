@@ -8,7 +8,7 @@ import inspect
 
 import pytest
 
-from repro.analysis.framework import analyze, load_project
+from analysis.framework import analyze, load_project
 from repro.core.audit import AuditLog
 from repro.events.broker import Broker
 from repro.events.cluster import ClusterEngine, ClusterRouter
@@ -40,7 +40,7 @@ BUDGET = {
     StompBrokerBridge: 11,
     ClusterEngine: 6,
     ClusterRouter: 3,
-    SupervisionPolicy: 7,
+    SupervisionPolicy: 4,
     Vulnerability: 12,  # a dataclass: its signature is its fields
     open_durable_database: 7,
     ShardDurability: 4,

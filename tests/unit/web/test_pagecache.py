@@ -197,10 +197,10 @@ class TestInvalidation:
         app, cache, _renders = world
         client = TestClient(app)
 
-        # Simulate a write landing between lookup and store: bump the
-        # epoch from an after-hook that runs before the cache's.
+        # A write lands between lookup and store: an after-hook that runs
+        # before the cache's commits a change, which bumps the epoch.
         def racer(request, response):
-            cache.invalidate_all()
+            store.put({"_id": "doc-race", "value": "late"})
             return None
 
         app._after.insert(0, racer)
