@@ -102,6 +102,15 @@ class TestPolicyParsing:
         with pytest.raises(PolicyError):
             policy.user("nope")
 
+    def test_added_user_is_resolvable(self, policy):
+        from repro.core.principals import UserPrincipal
+        from repro.core.privileges import PrivilegeSet
+
+        policy.add_user(UserPrincipal("mdt3", PrivilegeSet({CLEARANCE: [MDT_2]}), password="pw"))
+        assert "mdt3" in policy.user_names
+        assert policy.user("mdt3").check_password("pw")
+        assert policy.find_user("mdt3").privileges.grants(CLEARANCE, MDT_2)
+
     def test_json_round_trip(self, policy):
         document = parse_policy_document(EXAMPLE)
         rebuilt = Policy(PolicyDocument.from_json(document.to_json()))

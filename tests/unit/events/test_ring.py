@@ -46,6 +46,27 @@ class TestHashRing:
         with pytest.raises(SafeWebError):
             ring.add_node("shard-0")
 
+    def test_membership(self):
+        ring = HashRing(["shard-1", "shard-0"])
+        assert ring.nodes == ["shard-0", "shard-1"]
+        assert len(ring) == 2
+        assert "shard-1" in ring
+        assert "shard-9" not in ring
+
+    def test_vnodes_must_be_positive(self):
+        with pytest.raises(SafeWebError):
+            HashRing(["shard-0"], vnodes=0)
+
+    def test_added_node_takes_keys_only_for_itself(self):
+        """Growing the ring moves a key only onto the new node."""
+        ring = HashRing([f"shard-{i}" for i in range(3)])
+        keys = [f"/topic/{i}" for i in range(200)]
+        before = {key: ring.node_for(key) for key in keys}
+        ring.add_node("shard-3")
+        moved = [key for key in keys if ring.node_for(key) != before[key]]
+        assert moved
+        assert all(ring.node_for(key) == "shard-3" for key in moved)
+
     def test_lookup_stable_under_unrelated_removal(self):
         """A ring without a node moves only the keys that node owned."""
         ring = HashRing([f"shard-{i}" for i in range(4)])

@@ -415,6 +415,23 @@ class TestSupervisedEngine:
         assert unit.setup_calls == 2
         assert ("supervisor", "restart", "flaky", "allowed") in decisions(audit)
 
+    def test_retries_and_restarts_never_sleep(self, monkeypatch):
+        """Retries and one-for-one restarts follow a failure at once."""
+        import time
+
+        def no_sleep(seconds):
+            raise AssertionError(f"supervision slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        engine = make_engine(SupervisionPolicy(retry_budget=2, max_restarts=3))
+        unit = FlakyUnit(failures_before_success=99)
+        engine.register(unit)
+        engine.publish("/in", payload="p1", labels=[PATIENT])
+        snapshot = engine.stats.snapshot()
+        assert snapshot["retries"] == 2
+        assert snapshot["restarts"] == 1
+        assert snapshot["dead_lettered"] == 1
+
     def test_circuit_open_error_skips_retries(self):
         audit = AuditLog()
         engine = make_engine(SupervisionPolicy(retry_budget=5), audit=audit)
@@ -635,3 +652,37 @@ class TestBreakerGuardedStorage:
             storage._upsert({"_id": "x"})
         assert db.calls == 2  # the open breaker shed the third write
         assert storage.documents_written == 0
+
+    def test_data_storage_resumes_writes_after_reset_timeout(self):
+        from repro.mdt.storage_unit import DataStorage
+        from repro.storage.docstore import Database
+
+        class FlakyDB:
+            def __init__(self, real):
+                self.real = real
+                self.fail = True
+                self.calls = 0
+
+            def upsert(self, document):
+                self.calls += 1
+                if self.fail:
+                    raise RuntimeError("backend down")
+                return self.real.upsert(document)
+
+        clock = FakeClock()
+        db = FlakyDB(Database("app"))
+        breaker = CircuitBreaker("app-db", failure_threshold=1, reset_timeout=10.0, clock=clock)
+        storage = DataStorage(db, breaker=breaker)
+        with pytest.raises(RuntimeError):
+            storage._upsert({"_id": "a"})
+        with pytest.raises(CircuitOpenError):
+            storage._upsert({"_id": "b"})
+        assert db.calls == 1  # rejected without backend contact
+
+        clock.advance(10.0)
+        db.fail = False
+        storage._upsert({"_id": "c"})  # half-open probe succeeds, breaker closes
+        storage._upsert({"_id": "d"})
+        assert breaker.state == "closed"
+        assert db.real.all_doc_ids() == ["c", "d"]
+        assert storage.documents_written == 2

@@ -96,6 +96,21 @@ class TestCrud:
         with pytest.raises(TypeError):
             db.put({"_id": "r1", "bad": object()})
 
+    def test_upsert_creates_then_updates_without_rev(self, db):
+        created = db.upsert({"_id": "r1", "n": 1})
+        updated = db.upsert({"_id": "r1", "n": 2})
+        assert created["rev"].startswith("1-")
+        assert updated["rev"].startswith("2-")
+        assert db.get("r1")["n"] == 2
+        assert len(db) == 1
+
+    def test_upsert_after_delete_recreates(self, db):
+        outcome = db.upsert({"_id": "r1", "n": 1})
+        db.delete("r1", outcome["rev"])
+        db.upsert({"_id": "r1", "n": 2})
+        assert "r1" in db
+        assert db.get("r1")["n"] == 2
+
 
 class TestLabelPersistence:
     def test_labels_survive_round_trip(self, db):
@@ -220,6 +235,87 @@ class TestViews:
         db.define_view("tags", lambda doc: [(tag, doc["_id"]) for tag in doc.get("tags", [])])
         db.put({"_id": "r1", "tags": ["a", "b"]})
         assert len(db.view("tags")) == 2
+
+    def test_view_without_key_returns_every_row_in_doc_id_order(self, db):
+        db.define_view("by_mid", lambda doc: [(doc["mid"], None)] if "mid" in doc else [])
+        db.put({"_id": "r2", "mid": "2"})
+        db.put({"_id": "r1", "mid": "1"})
+        db.put({"_id": "r3", "other": "x"})
+        assert [(row.doc_id, row.key) for row in db.view("by_mid")] == [("r1", "1"), ("r2", "2")]
+
+    def test_views_on_one_database_index_independently(self, db):
+        db.define_view("by_mid", lambda doc: [(doc["mid"], None)])
+        db.define_view("by_hospital", lambda doc: [(doc["hospital"], None)])
+        db.put({"_id": "r1", "mid": "1", "hospital": "h1"})
+        db.put({"_id": "r2", "mid": "1", "hospital": "h2"})
+        assert [row.doc_id for row in db.view("by_mid", key="1")] == ["r1", "r2"]
+        assert [row.doc_id for row in db.view("by_hospital", key="h1")] == ["r1"]
+        assert db.view("by_hospital", key="1") == []
+
+    def test_emitted_labeled_value_keeps_its_label(self, db):
+        """§4.4 step 2: data read through a view arrives labeled."""
+        db.define_view("names", lambda doc: [(doc["mid"], doc["name"])])
+        db.put({"_id": "r1", "mid": "1", "name": label("alice", MDT)})
+        db.put({"_id": "r2", "mid": "1", "name": "bob"})
+        rows = db.view("names", key="1")
+        assert [(row.value, labels_of(row.value)) for row in rows] == [
+            ("alice", LabelSet([MDT])), ("bob", LabelSet()),
+        ]
+
+
+class TestClearanceAndReduce:
+    @staticmethod
+    def _count(keys, values, rereduce):
+        return sum(values)
+
+    def test_rows_filtered_by_reader_clearance(self, db):
+        db.define_view("by_type", lambda doc: [(doc["type"], None)])
+        db.put({"_id": "pub", "type": "t", "note": "open"})
+        db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
+        db.put({"_id": "mdt", "type": "t", "note": label("team", MDT)})
+        assert [row.doc_id for row in db.view("by_type", clearance=LabelSet())] == ["pub"]
+        assert [
+            row.doc_id for row in db.view("by_type", key="t", clearance=LabelSet([PATIENT]))
+        ] == ["pat", "pub"]
+        assert len(db.view("by_type")) == 3
+
+    def test_clearance_composes_with_include_docs(self, db):
+        db.define_view("by_type", lambda doc: [(doc["type"], None)])
+        db.put({"_id": "pub", "type": "t", "note": "open"})
+        db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
+        rows = db.view("by_type", include_docs=True, clearance=LabelSet([MDT]))
+        assert [row.value["note"] for row in rows] == ["open"]
+
+    def test_reduce_over_all_and_keyed_rows(self, db):
+        db.define_view("counts", lambda doc: [(doc["mdt"], 1)], self._count)
+        for i in range(7):
+            db.put({"_id": f"r{i}", "mdt": str(i % 2)})
+        assert db.view("counts", reduce=True) == 7
+        assert db.view("counts", key="1", reduce=True) == 3
+
+    def test_reduce_with_no_matching_rows_reduces_the_empty_list(self, db):
+        calls = []
+
+        def recording(keys, values, rereduce):
+            calls.append((keys, values, rereduce))
+            return len(values)
+
+        db.define_view("counts", lambda doc: [(doc["mdt"], 1)], recording)
+        db.put({"_id": "r1", "mdt": "1"})
+        assert db.view("counts", key="missing", reduce=True) == 0
+        assert calls == [([], [], False)]
+
+    def test_reduce_respects_clearance(self, db):
+        db.define_view("counts", lambda doc: [(doc["type"], 1)], self._count)
+        db.put({"_id": "pub", "type": "t"})
+        db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
+        assert db.view("counts", reduce=True, clearance=LabelSet()) == 1
+        assert db.view("counts", reduce=True, clearance=LabelSet([PATIENT])) == 2
+
+    def test_reduce_without_reduce_function_rejected(self, db):
+        db.define_view("plain", lambda doc: [(doc.get("k"), None)])
+        with pytest.raises(SafeWebError):
+            db.view("plain", reduce=True)
 
 
 class TestChangesFeed:

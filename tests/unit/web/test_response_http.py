@@ -57,6 +57,15 @@ class TestResponse:
     def test_unknown_status_reason(self):
         assert Response("x", status=299).reason == "Unknown"
 
+    def test_content_type_keyword_sets_the_header(self):
+        response = Response("{}", content_type="application/json")
+        assert response.content_type == "application/json"
+        assert response.finalize()[1]["Content-Type"] == "application/json"
+
+    def test_content_type_from_headers_is_kept(self):
+        response = Response("x", headers={"Content-Type": "text/plain"})
+        assert response.content_type == "text/plain"
+
 
 class TestRequest:
     def test_query_parsing(self):
@@ -79,6 +88,38 @@ class TestRequest:
 
     def test_method_uppercased(self):
         assert Request("get", "/").method == "GET"
+
+    def test_form_body_fields_become_tainted_params(self):
+        from repro.taint import is_user_tainted
+
+        request = Request(
+            "POST",
+            "/p?a=1",
+            headers={"Content-Type": "application/x-www-form-urlencoded"},
+            body="b=two&c=",
+        )
+        assert request.params == {"a": "1", "b": "two", "c": ""}
+        assert all(is_user_tainted(value) for value in request.params.values())
+
+    def test_body_of_other_content_types_is_not_parsed_as_form(self):
+        request = Request("POST", "/", headers={"Content-Type": "application/json"}, body="b=two")
+        assert request.params == {}
+
+    def test_binary_body_is_decoded_lazily_with_replacement(self):
+        from repro.taint import is_user_tainted
+
+        request = Request("POST", "/", body=b"ok\xff")
+        assert request.raw_body == b"ok\xff"
+        assert request.body == "ok\ufffd"
+        assert is_user_tainted(request.body)
+
+    def test_route_params_are_unquoted_and_tainted(self):
+        from repro.taint import is_user_tainted
+
+        request = Request("GET", "/records/a%20b")
+        request.add_route_params({"mid": "a%20b"})
+        assert request.params["mid"] == "a b"
+        assert is_user_tainted(request.params["mid"])
 
 
 class TestClientResult:
