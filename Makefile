@@ -42,6 +42,7 @@ test-cluster:
 	$(PYTHON) -m pytest tests/property/test_oracle.py tests/integration/test_deployment_oracle.py -k cluster -q
 	$(PYTHON) -m pytest tests/integration/test_cluster_deployment.py \
 		tests/integration/test_cluster_control.py tests/integration/test_cluster_blocking.py \
+		tests/unit/events/test_stomp_frames.py tests/property/test_frame_codec.py \
 		tests/unit/events/test_stomp_link.py tests/integration/test_stomp.py \
 		tests/integration/test_tls.py tests/integration/test_bridge_robustness.py \
 		tests/integration/test_receipt_window.py -q

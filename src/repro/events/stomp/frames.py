@@ -21,10 +21,18 @@ body passed to :class:`Frame` is normalised to its surrogate-escaped
 string form; :attr:`Frame.body_bytes` recovers the exact original bytes.
 This is what lets the labeled-document codec ride the frame body as the
 cluster IPC format without an extra base64 layer.
+
+Cost: the codec runs four times per cluster event (parent → shard →
+worker → shard → parent), so it stays in C-level string operations.
+Only a header line that holds a backslash is unescaped, by one compiled
+substitution; only a name or value that holds one of the four escaped
+characters is escaped. ``tests/reference/frames.py`` is the
+per-character codec these are held to, on valid and invalid input.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import StompProtocolError
@@ -37,30 +45,35 @@ CLIENT_COMMANDS = frozenset(
 #: Commands a server may send.
 SERVER_COMMANDS = frozenset({"CONNECTED", "MESSAGE", "RECEIPT", "ERROR"})
 
+_COMMANDS = CLIENT_COMMANDS | SERVER_COMMANDS
+_EOLS = (ord("\n"), ord("\r"))
+
 _ESCAPES = [("\\", "\\\\"), ("\r", "\\r"), ("\n", "\\n"), (":", "\\c")]
 _UNESCAPES = {"\\\\": "\\", "\\r": "\r", "\\n": "\n", "\\c": ":"}
+_NEEDS_ESCAPE = re.compile(r"[\\\r\n:]")
+_ESCAPE_TOKEN = re.compile(r"\\.?", re.DOTALL)
 
 
 def _escape(text: str) -> str:
+    if _NEEDS_ESCAPE.search(text) is None:
+        return text
     for raw, escaped in _ESCAPES:
         text = text.replace(raw, escaped)
     return text
 
 
+def _unescape_token(match: "re.Match[str]") -> str:
+    token = match.group()
+    try:
+        return _UNESCAPES[token]
+    except KeyError:
+        raise StompProtocolError(f"invalid escape sequence {token!r}") from None
+
+
 def _unescape(text: str) -> str:
-    result: List[str] = []
-    index = 0
-    while index < len(text):
-        if text[index] == "\\":
-            token = text[index : index + 2]
-            if token not in _UNESCAPES:
-                raise StompProtocolError(f"invalid escape sequence {token!r}")
-            result.append(_UNESCAPES[token])
-            index += 2
-        else:
-            result.append(text[index])
-            index += 1
-    return "".join(result)
+    if "\\" not in text:
+        return text
+    return _ESCAPE_TOKEN.sub(_unescape_token, text)
 
 
 class Frame:
@@ -113,13 +126,15 @@ class Frame:
 
 
 def encode_frame(frame: Frame) -> bytes:
-    """Serialise a frame; always emits ``content-length``."""
-    if frame.command not in CLIENT_COMMANDS | SERVER_COMMANDS:
+    """Serialise a frame; the only ``content-length`` it writes is the body's."""
+    if frame.command not in _COMMANDS:
         raise StompProtocolError(f"unknown STOMP command {frame.command!r}")
     body = frame.body_bytes
     lines = [frame.command]
     for name, value in frame.headers.items():
-        lines.append(f"{_escape(str(name))}:{_escape(str(value))}")
+        name = str(name)
+        if name != "content-length":  # the parser keeps the first one
+            lines.append(f"{_escape(name)}:{_escape(str(value))}")
     lines.append(f"content-length:{len(body)}")
     head = "\n".join(lines).encode("utf-8", "surrogateescape")
     return head + b"\n\n" + body + b"\x00"
@@ -130,7 +145,8 @@ class FrameParser:
 
     Handles partial frames across TCP reads, ``content-length`` bodies
     with embedded NULs, and the heart-beating EOLs STOMP allows between
-    frames.
+    frames. One ``feed`` parses every complete frame at an advancing
+    offset and drops the consumed bytes once, at the end.
     """
 
     def __init__(self, max_frame_size: int = 1 << 22):
@@ -138,61 +154,90 @@ class FrameParser:
         self._max = max_frame_size
 
     def feed(self, data: bytes) -> List[Frame]:
-        self._buffer.extend(data)
-        if len(self._buffer) > self._max:
+        buffer = self._buffer
+        buffer.extend(data)
+        if len(buffer) > self._max:
             raise StompProtocolError("frame exceeds maximum size")
         frames: List[Frame] = []
-        while True:
-            frame, consumed = self._try_parse()
-            if frame is None:
-                return frames
-            frames.append(frame)
-            del self._buffer[:consumed]
+        offset = 0
+        try:
+            while True:
+                frame, end = self._try_parse(offset)
+                if frame is None:
+                    return frames
+                frames.append(frame)
+                offset = end
+        finally:
+            if offset:
+                del buffer[:offset]
 
-    def _try_parse(self) -> Tuple[Optional[Frame], int]:
+    def _try_parse(self, offset: int) -> Tuple[Optional[Frame], int]:
+        """The frame starting at *offset* and the offset just past it."""
+        buffer = self._buffer
+        start = offset
         # Skip inter-frame EOLs (heart-beats).
-        start = 0
-        while start < len(self._buffer) and self._buffer[start : start + 1] in (b"\n", b"\r"):
+        while start < len(buffer) and buffer[start] in _EOLS:
             start += 1
-        head_end = self._buffer.find(b"\n\n", start)
+        head_end = buffer.find(b"\n\n", start)
         if head_end == -1:
-            return None, 0
-        header_block = self._buffer[start:head_end].decode("utf-8", "surrogateescape")
+            return None, offset
+        header_block = buffer[start:head_end].decode("utf-8", "surrogateescape")
         lines = header_block.split("\n")
         command = lines[0].strip("\r")
-        if command not in CLIENT_COMMANDS | SERVER_COMMANDS:
+        if command not in _COMMANDS:
             raise StompProtocolError(f"unknown STOMP command {command!r}")
         headers: Dict[str, str] = {}
         for line in lines[1:]:
             line = line.rstrip("\r")
             if not line:
                 continue
-            if ":" not in line:
+            name, colon, value = line.partition(":")
+            if not colon:
                 raise StompProtocolError(f"malformed header line {line!r}")
-            name, _colon, value = line.partition(":")
-            name = _unescape(name)
-            # STOMP: the FIRST occurrence of a repeated header wins.
-            if name not in headers:
-                headers[name] = _unescape(value)
+            # STOMP: the FIRST occurrence of a repeated header wins, and
+            # only its value is unescaped.
+            if "\\" in line:
+                name = _unescape(name)
+                if name not in headers:
+                    headers[name] = _unescape(value)
+            elif name not in headers:
+                headers[name] = value
 
         body_start = head_end + 2
-        length_header = headers.get("content-length")
-        if length_header is not None:
+        length_header = headers.pop("content-length", None)
+        if length_header is None:
+            end = buffer.find(b"\x00", body_start)
+            if end == -1:
+                return None, offset
+            body = buffer[body_start:end]
+        else:
             try:
                 length = int(length_header)
             except ValueError:
                 raise StompProtocolError(f"bad content-length {length_header!r}") from None
-            if len(self._buffer) < body_start + length + 1:
-                return None, 0
-            body = bytes(self._buffer[body_start : body_start + length])
-            if self._buffer[body_start + length : body_start + length + 1] != b"\x00":
+            if length < 0:
+                return self._negative_length(command, headers, offset, body_start - offset, length)
+            end = body_start + length
+            if len(buffer) <= end:
+                return None, offset
+            if buffer[end] != 0:
                 raise StompProtocolError("frame body not NUL-terminated")
-            consumed = body_start + length + 1
-        else:
-            nul = self._buffer.find(b"\x00", body_start)
-            if nul == -1:
-                return None, 0
-            body = bytes(self._buffer[body_start:nul])
-            consumed = nul + 1
-        headers.pop("content-length", None)
-        return Frame(command, headers, body.decode("utf-8", "surrogateescape")), consumed
+            body = buffer[body_start:end]
+        return Frame(command, headers, body.decode("utf-8", "surrogateescape")), end + 1
+
+    def _negative_length(
+        self, command: str, headers: Dict[str, str], offset: int, body_start: int, length: int
+    ) -> Tuple[Optional[Frame], int]:
+        """A negative ``content-length``, read as ``tests/reference/frames.py`` reads it.
+
+        The spec slices a buffer that begins at the frame, so a length
+        reaching back past the frame's start counts from the buffer's
+        end. Re-slicing a copy of the unparsed bytes keeps that reading;
+        no well-formed peer sends one.
+        """
+        unparsed = bytes(self._buffer[offset:])
+        end = body_start + length
+        if unparsed[end : end + 1] != b"\x00":
+            raise StompProtocolError("frame body not NUL-terminated")
+        body = unparsed[body_start:end].decode("utf-8", "surrogateescape")
+        return Frame(command, headers, body), offset + len(unparsed[: end + 1])

@@ -65,12 +65,15 @@ REQUIRE_INTEGRITY_HEADER = "x-safeweb-require-integrity"
 
 
 def event_to_message(event: Event, subscription_id: str) -> Frame:
+    # Attributes never stand in for protocol headers: an event published
+    # inside the broker could otherwise forge its labels, redirect or
+    # rename its delivery, or break the subscriber's framing.
     headers = {
-        "destination": event.topic,
-        "subscription": subscription_id,
-        "message-id": str(event.event_id),
+        name: value for name, value in event.attributes.items() if name not in RESERVED_HEADERS
     }
-    headers.update(event.attributes)
+    headers["destination"] = event.topic
+    headers["subscription"] = subscription_id
+    headers["message-id"] = str(event.event_id)
     if event.labels:
         headers[LABEL_HEADER] = ",".join(event.labels.to_uris())
     return Frame("MESSAGE", headers, event.payload or "")

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core.labels import LabelSet, conf_label
+from repro.core.labels import LabelSet, conf_label, int_label
 from repro.core.policy import parse_policy
 from repro.events import Broker
 from repro.events.event import Event
@@ -295,6 +295,48 @@ class TestPubSub:
         assert wait_for(lambda: len(server.broker) == 1)
         subscriber.disconnect()
         assert wait_for(lambda: len(server.broker) == 0)
+
+
+class TestEgressHeaders:
+    """An event published inside the broker may carry attributes named
+    like STOMP or SafeWeb headers; on the wire they must not displace the
+    protocol headers the server writes (``RESERVED_HEADERS`` is filtered
+    on egress as on ingress)."""
+
+    TRUSTED = int_label("ecric.org.uk", "trusted")
+
+    def deliveries(self, server, attributes, payload=None):
+        subscriber = connect(server)
+        received = []
+        subscriber.subscribe("/reports", received.append)
+        server.broker.publish(Event("/reports", {"n": "1", **attributes}, payload))
+        server.broker.publish(Event("/reports", {"n": "2"}))
+        arrived = wait_for(lambda: len(received) == 2, timeout=2.0)
+        connected = subscriber.connected
+        subscriber.disconnect()
+        return arrived, connected, received
+
+    def test_attribute_cannot_forge_the_label_header(self, server):
+        # §4.2: the server checked an unlabelled event; it must not reach
+        # the subscriber carrying an integrity label it never had.
+        arrived, _, received = self.deliveries(server, {"x-safeweb-labels": self.TRUSTED.uri})
+        assert arrived
+        assert [event.labels for event in received] == [LabelSet(), LabelSet()]
+
+    def test_attribute_cannot_redirect_the_delivery(self, server):
+        arrived, _, received = self.deliveries(server, {"subscription": "someone-else"})
+        assert arrived
+        assert [event["n"] for event in received] == ["1", "2"]
+
+    def test_attribute_cannot_rewrite_the_destination(self, server):
+        arrived, _, received = self.deliveries(server, {"destination": "/elsewhere"})
+        assert arrived
+        assert [event.topic for event in received] == ["/reports", "/reports"]
+
+    def test_attribute_cannot_break_framing(self, server):
+        arrived, connected, received = self.deliveries(server, {"content-length": "3"}, "hello")
+        assert arrived and connected
+        assert [(event["n"], event.payload) for event in received] == [("1", "hello"), ("2", None)]
 
 
 class _Fabric:

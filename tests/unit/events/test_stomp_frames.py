@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.events.stomp import frames
 from repro.events.stomp.frames import Frame, FrameParser, encode_frame
 from repro.exceptions import StompProtocolError
 
@@ -27,6 +28,13 @@ class TestEncoding:
     def test_header_escaping(self):
         frame = Frame("SEND", {"destination": "/t", "weird": "a:b\nc\\d\re"})
         assert round_trip(frame).headers["weird"] == "a:b\nc\\d\re"
+
+    def test_caller_content_length_is_replaced_by_the_bodys(self):
+        # The parser keeps the first content-length; a caller's stale one
+        # written ahead of the computed one cut the body short.
+        frame = Frame("SEND", {"destination": "/t", "content-length": "3"}, "hello")
+        assert encode_frame(frame).count(b"content-length:") == 1
+        assert round_trip(frame) == Frame("SEND", {"destination": "/t"}, "hello")
 
 
 class TestParsing:
@@ -154,3 +162,55 @@ class TestBinarySafety:
     def test_utf8_text_still_plain_str(self):
         parsed = round_trip(Frame("SEND", {"destination": "/t"}, "héllo ✓"))
         assert parsed.body == "héllo ✓"
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.subs = 0
+
+    def sub(self, *args, **kwargs):
+        self.subs += 1
+        return self.pattern.sub(*args, **kwargs)
+
+
+class _CountingBuffer(bytearray):
+    def __init__(self):
+        super().__init__()
+        self.compactions = 0
+
+    def __delitem__(self, key):
+        self.compactions += 1
+        super().__delitem__(key)
+
+
+class TestWorkCount:
+    """Counts, not timings: a per-character or per-frame pass re-added to
+    the codec fails here whatever the host is doing."""
+
+    @pytest.fixture()
+    def unescape(self, monkeypatch):
+        counter = _CountingPattern(frames._ESCAPE_TOKEN)
+        monkeypatch.setattr(frames, "_ESCAPE_TOKEN", counter)
+        return counter
+
+    def test_header_block_without_backslash_makes_no_substitution(self, unescape):
+        headers = {"destination": "/patient_report", **{f"attr-{i}": f"value {i}" for i in range(19)}}
+        assert round_trip(Frame("SEND", headers, "body")).headers == headers
+        assert unescape.subs == 0
+
+    def test_only_escaped_fields_are_substituted(self, unescape):
+        labels = "label:conf:ecric.org.uk/mdt/7"  # colons travel as \c
+        frame = Frame("MESSAGE", {"destination": "/t", "x-safeweb-labels": labels, "site": "breast"})
+        assert round_trip(frame).headers["x-safeweb-labels"] == labels
+        assert unescape.subs == 1
+
+    def test_one_feed_of_many_frames_compacts_once(self):
+        parser = FrameParser()
+        parser._buffer = _CountingBuffer()
+        wire = b"".join(encode_frame(Frame("SEND", {"destination": f"/t/{i}"}, "x" * i)) for i in range(50))
+        assert len(parser.feed(wire + wire[:10])) == 50
+        assert parser._buffer.compactions == 1
+        assert parser.feed(wire[10:20]) == []  # no complete frame: nothing to drop
+        assert parser._buffer.compactions == 1
+        assert bytes(parser._buffer) == wire[:20]
