@@ -13,7 +13,6 @@ argument and default to :func:`default_audit_log`.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from collections import Counter, deque
@@ -27,7 +26,17 @@ from repro.core.labels import LabelSet
 ALLOWED = "allowed"
 DENIED = "denied"
 
-_record_ids = itertools.count(1)
+_record_ids_lock = threading.Lock()
+_next_record_id = 1
+
+
+def _reserve_record_ids(count: int) -> range:
+    """*count* consecutive record ids, unique across every log."""
+    global _next_record_id
+    with _record_ids_lock:
+        first = _next_record_id
+        _next_record_id += count
+    return range(first, first + count)
 
 
 @dataclass(frozen=True)
@@ -57,9 +66,9 @@ class AuditRecord:
 
 
 #: Recorded decisions: (component, operation, principal, decision,
-#: labels-or-None, detail, timestamp). The ring keeps them raw beside
-#: their record id; formatting into AuditRecord happens when the log is
-#: queried, for the entries the query matches.
+#: labels-or-None, detail, timestamp). The ring keeps them raw, its
+#: twin deque their record ids; formatting into AuditRecord happens when
+#: the log is queried, for the entries the query matches.
 _PendingEntry = Tuple[str, str, str, str, Optional[LabelSet], str, float]
 _RingEntry = Tuple[int, _PendingEntry]
 
@@ -82,7 +91,7 @@ class AuditLog:
 
     There is one recording path: :meth:`record` (and its spellings
     :meth:`allowed`, :meth:`denied`, :meth:`note`) timestamps the
-    decision and appends a raw tuple to a pending buffer; locking,
+    decision and appends a raw tuple to a pending list; locking,
     counter updates, record ids and the capacity trim are deferred to
     :meth:`flush`, and :class:`AuditRecord` construction to the query
     that reads the entry. Every query flushes first, so observers
@@ -93,11 +102,12 @@ class AuditLog:
 
     def __init__(self, capacity: int = 10_000, clock: Callable[[], float] = time.time):
         self._lock = threading.Lock()
-        self._ring: Deque[_RingEntry] = deque(maxlen=capacity)
+        self._ring: Deque[_PendingEntry] = deque(maxlen=capacity)
+        self._ring_ids: Deque[int] = deque(maxlen=capacity)
         self._capacity = capacity
         self._clock = clock
         self._counters: Counter[Tuple[str, str, str]] = Counter()
-        self._pending: Deque[_PendingEntry] = deque()
+        self._pending: List[_PendingEntry] = []
         #: Flush when this many decisions are pending, so the buffer is
         #: bounded even if no one queries the log for a long time.
         #: Deliberately larger than small capacities: a flush only keeps
@@ -146,16 +156,19 @@ class AuditLog:
         with self._lock:
             # Drain under the lock: concurrent flushes must not partition
             # the pending entries, or records would interleave out of
-            # order and the ring trim could evict the wrong batch. Only
-            # lock holders pop, so the length read is a lower bound.
-            pop = pending.popleft
-            drained = [pop() for _ in range(len(pending))]
-            if not drained:
+            # order and the ring trim could evict the wrong batch. A
+            # record only ever appends, so taking and deleting the first
+            # ``count`` entries loses none that arrive in between.
+            count = len(pending)
+            if not count:
                 return 0
+            drained = pending[:count]
+            del pending[:count]
             self._counters.update(map(_counter_key, drained))
-            kept = drained[max(0, len(drained) - self._capacity) :]
-            self._ring.extend(zip(itertools.islice(_record_ids, len(kept)), kept))
-        return len(drained)
+            kept = drained[max(0, count - self._capacity) :]
+            self._ring_ids.extend(_reserve_record_ids(len(kept)))
+            self._ring.extend(kept)
+        return count
 
     def _raw(
         self,
@@ -166,7 +179,7 @@ class AuditLog:
         """The ring entries a query matches, oldest first, unformatted."""
         self.flush()
         with self._lock:
-            snapshot = list(self._ring)
+            snapshot = list(zip(self._ring_ids, self._ring))
         if component is None and decision is None and principal is None:
             return snapshot
         return [
@@ -221,6 +234,7 @@ class AuditLog:
         with self._lock:
             self._pending.clear()
             self._ring.clear()
+            self._ring_ids.clear()
             self._counters.clear()
 
     def __len__(self) -> int:

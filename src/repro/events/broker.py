@@ -27,9 +27,12 @@ four layers, none of which weakens a check:
    invalidated on any subscribe/unsubscribe;
 3. selector evaluation uses compiled closures, and identical selector
    objects (shared via the parse cache) are evaluated once per publish;
-4. clearance decisions are memoized per ``(labels, privilege
-   generation)`` and audit records are deferred through
-   :meth:`~repro.core.audit.AuditLog.note`.
+4. the §4.2 clearance decisions of a route are made once per label set
+   (a *clearance plan*: one decision per candidate, in route order) and
+   replayed for every later event with that label set; a plan is
+   dropped with its route (subscribe, unsubscribe, cache limit) and when
+   a subscription's clearance or required integrity is reassigned. Audit
+   records are deferred through :meth:`~repro.core.audit.AuditLog.note`.
 
 :class:`BrokerStats` exposes ``index_hits`` / ``route_cache_hits`` so
 benchmarks (A1/E4) can attribute wins to each layer.
@@ -40,7 +43,6 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.audit import ALLOWED, DENIED, AuditLog, default_audit_log
@@ -59,41 +61,107 @@ _subscription_seq = itertools.count(1)
 #: topics than this simply rebuild entries from the trie.
 _ROUTE_CACHE_LIMIT = 4096
 
+#: Bound on the clearance plans kept over all routes; past it every plan
+#: is dropped and rebuilt on demand.
+_PLAN_CACHE_LIMIT = 4096
 
-@dataclass(slots=True)
+
 class Subscription:
-    """A registered subscription with its security context."""
+    """A registered subscription with its security context.
 
-    subscription_id: str
-    topic: str
-    callback: Callable[[Event], None]
-    principal: str
-    clearance: PrivilegeSet
-    selector: Optional[Selector] = None
-    require_integrity: LabelSet = field(default_factory=LabelSet)
-    active: bool = True
-    #: Pre-split topic segments, computed once at subscribe time.
-    segments: Tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
-    #: Registration order; delivery iterates subscriptions in this order.
-    seq: int = field(init=False, repr=False, compare=False, default=0)
-    #: The denial detail is subscription-constant; format it once instead
-    #: of per filtered event.
-    _denial_detail: str = field(init=False, repr=False, compare=False, default="")
+    :attr:`clearance` and :attr:`require_integrity` are properties whose
+    setters drop the broker's clearance plans; every other attribute is
+    a plain slot (a dataclass ``__setattr__`` hook would tax each one).
+    """
 
-    def __post_init__(self) -> None:
-        self.segments = tuple(self.topic.strip("/").split("/"))
+    __slots__ = (
+        "subscription_id",
+        "topic",
+        "callback",
+        "principal",
+        "_clearance",
+        "selector",
+        "_require_integrity",
+        "active",
+        "segments",
+        "seq",
+        "_denial_detail",
+        "_replan",
+    )
+
+    def __init__(
+        self,
+        subscription_id: str,
+        topic: str,
+        callback: Callable[[Event], None],
+        principal: str,
+        clearance: PrivilegeSet,
+        selector: Optional[Selector] = None,
+        require_integrity: Optional[LabelSet] = None,
+        active: bool = True,
+    ):
+        self.subscription_id = subscription_id
+        self.topic = topic
+        self.callback = callback
+        self.principal = principal
+        self._clearance = clearance
+        self.selector = selector
+        self._require_integrity = LabelSet() if require_integrity is None else require_integrity
+        self.active = active
+        #: Pre-split topic segments, computed once at subscribe time.
+        self.segments = tuple(topic.strip("/").split("/"))
+        #: Registration order; delivery iterates subscriptions in this order.
         self.seq = next(_subscription_seq)
-        self._denial_detail = f"subscription {self.subscription_id} lacks clearance"
+        #: The denial detail is subscription-constant; format it once
+        #: instead of per filtered event.
+        self._denial_detail = f"subscription {subscription_id} lacks clearance"
+        #: Set by the broker: drops the clearance plans decided on the old
+        #: value when :attr:`clearance` or :attr:`require_integrity` is
+        #: reassigned.
+        self._replan: Optional[Callable[[], None]] = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Subscription({self.subscription_id!r}, {self.topic!r}, "
+            f"principal={self.principal!r}, active={self.active!r})"
+        )
+
+    @property
+    def clearance(self) -> PrivilegeSet:
+        return self._clearance
+
+    @clearance.setter
+    def clearance(self, value: PrivilegeSet) -> None:
+        self._clearance = value
+        if self._replan is not None:
+            self._replan()
+
+    @property
+    def require_integrity(self) -> LabelSet:
+        return self._require_integrity
+
+    @require_integrity.setter
+    def require_integrity(self, value: LabelSet) -> None:
+        self._require_integrity = value
+        if self._replan is not None:
+            self._replan()
 
     def cleared_for(self, event: Event) -> bool:
-        """The §4.2 label check. ``clearance_covers`` memoises per label
-        set on the immutable :class:`PrivilegeSet` itself, so assigning a
-        new :attr:`clearance` (a grant, a revoke) is all the invalidation
-        there is."""
+        """The §4.2 label check: clearance covers the event's
+        confidentiality labels and the event meets
+        :attr:`require_integrity`.
+
+        The broker asks once per route and label set, when it builds a
+        clearance plan (:meth:`Broker._plan`), and replays the answer.
+        Assigning a new :attr:`clearance` (a grant, a revoke) or
+        :attr:`require_integrity` drops those plans, and
+        ``clearance_covers`` memoises per label set on the immutable
+        :class:`PrivilegeSet` itself, so the new value is all the
+        invalidation there is."""
         labels = event.labels
-        if not self.clearance.clearance_covers(labels):
+        if not self._clearance.clearance_covers(labels):
             return False
-        required = self.require_integrity
+        required = self._require_integrity
         # Label sets are interned: identity spares the common case a
         # Python-level ``__bool__`` per delivery.
         return required is EMPTY_LABELS or labels.meets_integrity(required)
@@ -140,13 +208,31 @@ class BrokerStats:
 
 
 #: A prepared candidate: (subscription, callback, compiled selector
-#: matcher or None, selector identity for per-publish memoization).
-_RouteEntry = Tuple[Subscription, Callable[[Event], None], Optional[Callable], Optional[Selector]]
+#: matcher or None, selector identity for per-publish memoization, §4.2
+#: decision). In a route's ``entries`` the decision is True (what the
+#: loop runs with label checks off); a clearance plan carries the real one.
+_RouteEntry = Tuple[
+    Subscription, Callable[[Event], None], Optional[Callable], Optional[Selector], bool
+]
 
-#: A resolved route: the full candidate entries plus, when no candidate
-#: carries a selector, a lean (subscription, callback) list the delivery
-#: loop can run without selector bookkeeping.
-_Route = Tuple[Sequence[_RouteEntry], Optional[Sequence[Tuple[Subscription, Callable]]]]
+
+class _Route:
+    """The prepared candidates of one concrete topic."""
+
+    __slots__ = ("entries", "plain", "plans")
+
+    def __init__(
+        self,
+        entries: Sequence[_RouteEntry],
+        plain: Optional[Sequence[Tuple[Subscription, Callable]]],
+    ):
+        self.entries = entries
+        #: When no candidate carries a selector and label checks are off,
+        #: a lean (subscription, callback) list run without selector
+        #: bookkeeping.
+        self.plain = plain
+        #: Label set → the entries with their §4.2 decisions (Broker._plan).
+        self.plans: Dict[LabelSet, Sequence[_RouteEntry]] = {}
 
 
 class Broker:
@@ -181,7 +267,9 @@ class Broker:
         #: engine relies on this to surface SecurityViolations in tests.
         self._raise_errors = raise_errors
         self._index: TopicTrie[Subscription] = TopicTrie()
-        self._routes: Dict[str, Sequence[_RouteEntry]] = {}
+        self._routes: Dict[str, _Route] = {}
+        #: Clearance plans held over all routes (bounded by _PLAN_CACHE_LIMIT).
+        self._planned = 0
         self.stats = BrokerStats()
         self._queue: "queue.Queue[object]" = queue.Queue()
         self._dispatcher: Optional[threading.Thread] = None
@@ -260,7 +348,8 @@ class Broker:
                 subscription,
                 segments=subscription.segments,
             )
-            self._routes.clear()
+            self._clear_routes()
+            subscription._replan = self._drop_plans
         return subscription
 
     def unsubscribe(self, subscription_id: str) -> None:
@@ -270,7 +359,7 @@ class Broker:
                 self._index.remove(
                     subscription.topic, subscription_id, segments=subscription.segments
                 )
-                self._routes.clear()
+                self._clear_routes()
         if subscription is not None:
             subscription.active = False
 
@@ -375,6 +464,24 @@ class Broker:
 
     # -- delivery ------------------------------------------------------------------
 
+    def _clear_routes(self) -> None:
+        """Drop every route, and with them every clearance plan."""
+        with self._lock:
+            self._routes.clear()
+            self._planned = 0
+
+    def _drop_plans(self) -> None:
+        """Drop every clearance plan and keep the routes.
+
+        Each route gets a fresh plan dict rather than a cleared one: a
+        plan being decided concurrently on the old clearances lands in
+        the old dict (see :meth:`_plan`) and is never read.
+        """
+        with self._lock:
+            for route in self._routes.values():
+                route.plans = {}
+            self._planned = 0
+
     def _build_route(self, topic: str) -> _Route:
         """Resolve and cache the prepared candidate list for *topic*."""
         with self._lock:
@@ -387,6 +494,7 @@ class Broker:
                     subscription.callback,
                     None if subscription.selector is None else subscription.selector.matches,
                     subscription.selector,
+                    True,
                 )
                 for subscription in matched
             )
@@ -399,11 +507,33 @@ class Broker:
                 plain = tuple(
                     (subscription, subscription.callback) for subscription in matched
                 )
-            route: _Route = (entries, plain)
+            route = _Route(entries, plain)
             if len(self._routes) >= _ROUTE_CACHE_LIMIT:
-                self._routes.clear()
+                self._clear_routes()
             self._routes[topic] = route
         return route
+
+    def _plan(self, route: _Route, event: Event) -> Sequence[_RouteEntry]:
+        """Decide §4.2 for every candidate of *route* on the event's labels.
+
+        The one place the broker asks :meth:`Subscription.cleared_for`;
+        every later event with the same label set on this route replays
+        the plan. Inactive and selector-filtered candidates are decided
+        too (the decision is pure); the delivery loop skips them first,
+        as it always has, so records and counters are unchanged.
+        """
+        plans = route.plans  # before deciding: a reassignment swaps it out
+        plan = tuple(
+            (subscription, callback, matches, selector, subscription.cleared_for(event))
+            for subscription, callback, matches, selector, _ in route.entries
+        )
+        with self._lock:
+            if plans is route.plans:
+                if self._planned >= _PLAN_CACHE_LIMIT:
+                    self._drop_plans()
+                route.plans[event.labels] = plan
+                self._planned += 1
+        return plan
 
     def _deliver(self, event: Event) -> int:
         topic = event.topic
@@ -412,14 +542,19 @@ class Broker:
             route = self._build_route(topic)
         else:
             self.stats.route_cache_hits += 1
-        entries, plain = route
-        stats = self.stats
-        stats.candidates += len(entries)
+        entries = route.entries
+        self.stats.candidates += len(entries)
         if not entries:
             return 0
-        if plain is not None and not self._label_checks:
-            return self._deliver_plain(event, plain)
-        return self._deliver_general(event, entries)
+        if not self._label_checks:
+            if route.plain is not None:
+                return self._deliver_plain(event, route.plain)
+            return self._deliver_general(event, entries)
+        plans = route.plans
+        plan = plans.get(event.labels)
+        if plan is None:
+            plan = self._plan(route, event)
+        return self._deliver_general(event, plan, route, plans)
 
     def _deliver_plain(
         self, event: Event, plain: Sequence[Tuple[Subscription, Callable]]
@@ -450,7 +585,20 @@ class Broker:
             stats.delivered += delivered
         return delivered
 
-    def _deliver_general(self, event: Event, entries: Sequence[_RouteEntry]) -> int:
+    def _deliver_general(
+        self,
+        event: Event,
+        plan: Sequence[_RouteEntry],
+        route: Optional[_Route] = None,
+        plans: Optional[Dict[LabelSet, Sequence[_RouteEntry]]] = None,
+    ) -> int:
+        """Run *plan* (a clearance plan taken from *route*'s *plans*, or
+        the route's entries with label checks off) against one event.
+
+        A callback that reassigns a clearance drops the route's plans;
+        from then on this publish decides each remaining candidate when
+        its turn comes, as a loop without plans would.
+        """
         stats = self.stats
         label_checks = self._label_checks
         attributes = event.attributes
@@ -462,8 +610,9 @@ class Broker:
         # Identical selector objects (shared through the parse cache) are
         # evaluated once per publish, not once per subscription.
         selector_memo: Dict[Selector, bool] = {}
+        live = False
         try:
-            for subscription, callback, selector_matches, selector in entries:
+            for subscription, callback, selector_matches, selector, cleared in plan:
                 if not subscription.active:
                     continue
                 if selector_matches is not None:
@@ -474,7 +623,9 @@ class Broker:
                     if not matched:
                         selector_filtered += 1
                         continue
-                if label_checks and not subscription.cleared_for(event):
+                if live:
+                    cleared = subscription.cleared_for(event)
+                if not cleared:
                     label_filtered += 1
                     audit_note(
                         "broker",
@@ -502,6 +653,8 @@ class Broker:
                     )
                     if self._raise_errors:
                         raise
+                if plans is not None and route.plans is not plans:
+                    live = True
         finally:
             stats.delivered += delivered
             stats.selector_filtered += selector_filtered

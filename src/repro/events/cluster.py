@@ -15,7 +15,7 @@ its publisher. This module is the way to run units in parallel:
 * **Worker processes** — each runs a local synchronous
   :class:`~repro.events.engine.EventProcessingEngine` whose broker is a
   :class:`ClusterRouter`; units are pinned to workers by the parent's
-  placement ring. Unit callbacks run under the same LabelContext / jail
+  placement ring. Unit callbacks run under the same ambient labels / jail
   / supervision ladder as in-process.
 * **The codec is the IPC format** — events cross process boundaries as
   ``encode_document`` bodies (:mod:`repro.events.cluster_codec`): value

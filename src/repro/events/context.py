@@ -10,10 +10,10 @@ The set is tracked per thread with an explicit stack so nested contexts
 
 Deliveries run on whichever thread delivers them — the publisher, a
 threaded broker's dispatcher, an HTTP worker, a cluster worker's bridge
-listener — and each enters a fresh ``LabelContext(event.labels)`` and
-pops it on exit, so a thread holds no ambient labels between deliveries
-and two threads' ambient sets can never bleed into each other (see
-docs/ENGINE.md).
+listener — and each pushes the event's labels with :func:`enter_labels`
+and pops them on exit, so a thread holds no ambient labels between
+deliveries and two threads' ambient sets can never bleed into each other
+(see docs/ENGINE.md).
 """
 
 from __future__ import annotations
@@ -31,6 +31,18 @@ def _stack() -> list:
     if stack is None:
         stack = []
         _state.stack = stack
+    return stack
+
+
+def enter_labels(labels: LabelSet) -> list:
+    """Push *labels* as the calling thread's ambient set.
+
+    Returns the thread's stack; the caller restores the previous set
+    with ``stack.pop()`` (in a ``finally``). The engine enters one per
+    delivery this way, without a :class:`LabelContext` object.
+    """
+    stack = _stack()
+    stack.append(labels)
     return stack
 
 
@@ -82,7 +94,7 @@ class LabelContext:
         self._initial = initial if initial is not None else LabelSet()
 
     def __enter__(self) -> "LabelContext":
-        _stack().append(self._initial)
+        enter_labels(self._initial)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -2,9 +2,9 @@
 
 The engine is the runtime environment for units. Its key functions:
 
-1. **control of unit execution** — every callback runs under a
-   :class:`~repro.events.context.LabelContext` initialised to the labels
-   of the event being processed, and (for non-privileged units) inside
+1. **control of unit execution** — every callback runs with the labels
+   of the event being processed as its ambient label set
+   (:mod:`repro.events.context`), and (for non-privileged units) inside
    the IFC jail with a scope-isolated callback clone;
 2. **privilege assignment** — unit principals come from the policy file;
    subscription clearance, publish-time declassification and endorsement
@@ -27,6 +27,7 @@ this same engine in their own process (docs/CLUSTER.md).
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.audit import AuditLog, default_audit_log
@@ -34,9 +35,9 @@ from repro.core.labels import Label, LabelSet
 from repro.core.policy import Policy
 from repro.core.principals import UnitPrincipal
 from repro.events.broker import Broker
-from repro.events.context import LabelContext, current_labels
+from repro.events.context import current_labels, enter_labels
 from repro.events.event import Event, as_events
-from repro.events.jail import Jail, isolate_callback
+from repro.events.jail import Jail, enter_jail, isolate_callback, leave_jail
 from repro.events.lanes import EngineStats
 from repro.events.store import LabeledStore
 from repro.events.supervision import (
@@ -54,6 +55,10 @@ from repro.exceptions import (
     SecurityViolation,
 )
 from repro.faults import NULL_FAULTS, ChaosInjector
+
+#: The jail argument of a delivery that leaves containment as it is: an
+#: unprivileged unit on an engine built with ``isolation=False``.
+_NO_JAIL = object()
 
 
 class _UnitServices:
@@ -268,45 +273,48 @@ class EventProcessingEngine:
         require_integrity: Optional[LabelSet] = None,
     ) -> None:
         principal = services.principal
-        if self.isolation and not principal.privileged:
-            callback = isolate_callback(handler)
+        if principal.privileged:
+            # The paper's $SAFE=0 units run unjailed, also when a jailed
+            # publisher triggers them synchronously: the jail is lifted.
+            callback, jail = handler, None
+        elif self.isolation:
+            callback, jail = isolate_callback(handler), self._jail.denied_prefixes
         else:
-            callback = handler
-
-        # A chaos fault at the deliver point raises on the delivering
-        # thread, where the broker's containment audits it as a denied
-        # delivery.
-        deliver_point = f"engine.deliver:{principal.name}"
-
-        def deliver(event: Event) -> None:
-            if self._chaos_active:
-                self._chaos.hit(deliver_point)
-            self._run_callback(principal, callback, event)
-
+            callback, jail = handler, _NO_JAIL
         self.broker.subscribe(
             topic,
-            deliver,
+            partial(self._run_callback, principal, jail, callback),
             principal=principal.name,
             clearance=principal.effective_clearance(),
             selector=selector,
             require_integrity=require_integrity,
         )
 
-    def _run_callback(self, principal: UnitPrincipal, callback, event: Event) -> None:
+    def _run_callback(self, principal: UnitPrincipal, jail, callback, event: Event) -> None:
         """Deliver *event* to one callback: the engine's only failure ladder.
 
-        Every attempt goes through :meth:`_invoke`, so each starts from
-        a fresh LabelContext and containment scope. Security violations
-        are deterministic policy denials: audited, never retried, never
-        dead-lettered. Any other exception is audited; without a
-        supervisor that is all (``raise_callback_errors`` hands either
-        kind on to a synchronous publisher), with one the policy's retry
-        budget is spent, then the event is dead-lettered under its own
-        labels and the unit gets its one-for-one restart bookkeeping.
-        The fault-free path costs a supervised engine one dict lookup.
-        SimulatedCrash is a BaseException and always propagates —
-        supervision must not survive a "process death".
+        The broker calls this directly (through a ``partial`` bound at
+        subscribe time), so a delivery is one frame between the broker's
+        loop and the callback. Each attempt enters its own security
+        context — the event's labels as the ambient set and *jail* (the
+        denied prefixes, ``None`` to lift, ``_NO_JAIL`` to leave
+        containment as it is) — and restores both in a ``finally``, so
+        every attempt starts from a fresh context and none leaks.
+        Security violations are deterministic policy denials: audited,
+        never retried, never dead-lettered. Any other exception is
+        audited; without a supervisor that is all
+        (``raise_callback_errors`` hands either kind on to a synchronous
+        publisher), with one the policy's retry budget is spent, then
+        the event is dead-lettered under its own labels and the unit gets
+        its one-for-one restart bookkeeping. SimulatedCrash is a
+        BaseException and always propagates — supervision must not
+        survive a "process death".
         """
+        chaos = self._chaos if self._chaos_active else None
+        if chaos is not None:
+            # Raises on the delivering thread, outside the ladder, where
+            # the broker's containment audits it as a denied delivery.
+            chaos.hit(f"engine.deliver:{principal.name}")
         self.stats.bump("dispatched")
         supervisor = self.supervisor
         unit_sup = None
@@ -321,7 +329,22 @@ class EventProcessingEngine:
         attempts = 1
         while True:
             try:
-                self._invoke(principal, callback, event)
+                if chaos is not None:
+                    chaos.hit(f"engine.callback.before:{principal.name}")
+                stack = enter_labels(event.labels)
+                try:
+                    if jail is _NO_JAIL:
+                        callback(event)
+                    else:
+                        outer = enter_jail(jail)
+                        try:
+                            callback(event)
+                        finally:
+                            leave_jail(outer)
+                finally:
+                    stack.pop()
+                if chaos is not None:
+                    chaos.hit(f"engine.callback.after:{principal.name}")
                 return
             except SecurityViolation as violation:
                 self._callback_denied(principal, event, f"{type(violation).__name__}: {violation}")
@@ -350,31 +373,6 @@ class EventProcessingEngine:
         self.audit.denied(
             "engine", "callback", principal.name, labels=event.labels, detail=detail
         )
-
-    def _invoke(self, principal: UnitPrincipal, callback, event: Event) -> None:
-        """One callback invocation with its full security context.
-
-        The LabelContext and (for unjailed principals) jail containment
-        are entered *here*, per invocation — a supervised retry re-runs
-        this whole method, so every attempt starts from a fresh ambient
-        label set and a fresh containment scope.
-        """
-        if self._chaos_active:
-            self._chaos.hit(f"engine.callback.before:{principal.name}")
-        with LabelContext(event.labels):
-            if self.isolation and not principal.privileged:
-                with self._jail.contained():
-                    callback(event)
-            elif principal.privileged:
-                # A privileged unit may be invoked synchronously from a
-                # jailed publisher; its own execution is legitimately
-                # unjailed (the paper's $SAFE=0 units).
-                with self._lifted_jail():
-                    callback(event)
-            else:
-                callback(event)
-        if self._chaos_active:
-            self._chaos.hit(f"engine.callback.after:{principal.name}")
 
     def _dead_letter(
         self, principal: UnitPrincipal, event: Event, reason: str, attempts: int
@@ -464,9 +462,6 @@ class EventProcessingEngine:
             self.broker.unsubscribe(subscription_id)
         return True
 
-    #: Entered around a privileged unit's callback (see :meth:`_invoke`).
-    _lifted_jail = staticmethod(Jail.lifted)
-
     # -- internal: label-checked publish ----------------------------------------------
 
     def _publish_from_unit(
@@ -480,6 +475,25 @@ class EventProcessingEngine:
         remove_all: bool,
     ) -> Event:
         ambient = current_labels()
+        if not add and not remove and not remove_all:
+            labels = ambient  # nothing to declassify or endorse
+        else:
+            labels = self._relabel(principal, topic, ambient, add, remove, remove_all)
+        event = Event(topic, attributes, payload, labels)
+        self.audit.allowed("engine", "publish", principal.name, labels=labels)
+        self.broker.publish(event, publisher=principal.name)
+        return event
+
+    def _relabel(
+        self,
+        principal: UnitPrincipal,
+        topic: str,
+        ambient: LabelSet,
+        add: Iterable[Label | str],
+        remove: Iterable[Label | str],
+        remove_all: bool,
+    ) -> LabelSet:
+        """The ambient labels ±add/remove, with the privilege checks (§4.3)."""
         add_set = LabelSet(add)
         remove_set = ambient if remove_all else LabelSet(remove)
 
@@ -510,8 +524,4 @@ class EventProcessingEngine:
                 f"{sorted(label.uri for label in add_set.integrity)}"
             )
 
-        labels = ambient.difference(remove_set).union(add_set)
-        event = Event(topic, attributes, payload, labels)
-        self.audit.allowed("engine", "publish", principal.name, labels=labels)
-        self.broker.publish(event, publisher=principal.name)
-        return event
+        return ambient.difference(remove_set).union(add_set)

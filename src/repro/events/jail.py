@@ -28,10 +28,11 @@ buggy, not malicious, code — the paths that matter (I/O, globals,
 closures, shared unit state) are all closed.
 
 Containment is per-thread state, so the engine carries the jail **per
-delivery**: whichever thread delivers enters :meth:`Jail.contained`
-around each non-privileged principal's callback and leaves it
-afterwards, so one thread can run a jailed callback, then a privileged
-one, with no state carried over (see docs/ENGINE.md).
+delivery**: whichever thread delivers enters the jail
+(:func:`enter_jail`) around each non-privileged principal's callback
+and leaves it afterwards (:func:`leave_jail`), so one thread can run a
+jailed callback, then a privileged one, with no state carried over (see
+docs/ENGINE.md).
 """
 
 from __future__ import annotations
@@ -133,15 +134,29 @@ def restricted_builtins() -> dict:
     return namespace
 
 
-class _Containment:
-    """One entry into (or, with ``denied=None``, lift out of) a jail.
+def enter_jail(denied: Optional[Tuple[str, ...]]) -> Optional[Tuple[str, ...]]:
+    """Put *denied* in force on the calling thread (``None`` lifts the jail).
 
-    A plain ``__enter__``/``__exit__`` object rather than a generator:
-    the engine enters one per delivery. Nested inside another jail the
-    effective denied set is the union of the enclosing sets — an inner
-    jail can only tighten the outer one — and leaving restores the set
-    that was in force on entry.
+    Nested inside another jail the effective denied set is the union of
+    the enclosing sets — an inner jail can only tighten the outer one.
+    Returns the set in force before, for :func:`leave_jail` (in a
+    ``finally``). The engine enters one per delivery this way, without a
+    containment object.
     """
+    outer = getattr(_state, "denied_prefixes", None)
+    if denied is not None and outer is not None and outer is not denied:
+        denied = outer + tuple(prefix for prefix in denied if prefix not in outer)
+    _state.denied_prefixes = denied
+    return outer
+
+
+def leave_jail(outer: Optional[Tuple[str, ...]]) -> None:
+    """Restore the denied set :func:`enter_jail` returned."""
+    _state.denied_prefixes = outer
+
+
+class _Containment:
+    """``with`` form of :func:`enter_jail` / :func:`leave_jail`."""
 
     __slots__ = ("_denied", "_outer")
 
@@ -150,14 +165,10 @@ class _Containment:
         self._outer: Optional[Tuple[str, ...]] = None
 
     def __enter__(self) -> None:
-        outer = self._outer = getattr(_state, "denied_prefixes", None)
-        denied = self._denied
-        if denied is not None and outer is not None and outer is not denied:
-            denied = outer + tuple(prefix for prefix in denied if prefix not in outer)
-        _state.denied_prefixes = denied
+        self._outer = enter_jail(self._denied)
 
     def __exit__(self, *_exc_info: Any) -> None:
-        _state.denied_prefixes = self._outer
+        leave_jail(self._outer)
 
 
 class Jail:
@@ -172,6 +183,11 @@ class Jail:
     def __init__(self, denied_prefixes: Iterable[str] = DEFAULT_DENIED_PREFIXES):
         self._denied_prefixes = tuple(denied_prefixes)
         _ensure_hook()
+
+    @property
+    def denied_prefixes(self) -> Tuple[str, ...]:
+        """The audit-event prefixes this jail denies (for :func:`enter_jail`)."""
+        return self._denied_prefixes
 
     def contained(self) -> _Containment:
         """Enter the jail for the calling thread (``with jail.contained():``)."""

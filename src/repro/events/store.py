@@ -170,10 +170,10 @@ class LabeledStore:
         the key never carried) and computed union-then-difference
         (stripping add∩remove), so the two enforcement points disagreed.
         """
+        if not add and not remove:
+            return base  # nothing to declassify or endorse
         add_set = LabelSet(add)
         remove_set = LabelSet(remove)
-        if not add_set and not remove_set:
-            return base  # nothing to declassify or endorse
         privileges = self._principal.privileges
         effective_removals = base.intersection(remove_set)
         missing = privileges.missing_declassification(effective_removals)

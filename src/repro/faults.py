@@ -193,7 +193,7 @@ EVENT_CHAOS_POINTS = (
     "broker.publish",                # publish accepted into the broker
     "broker.dispatch",               # threaded dispatcher picks the event up
     "engine.deliver:<unit>",         # matched + cleared, handed to the callback
-    "engine.callback.before:<unit>", # about to enter LabelContext + jail
+    "engine.callback.before:<unit>", # about to enter the ambient labels + jail
     "engine.callback.after:<unit>",  # callback returned, delivery not yet acked
     "bridge.connect",                # bridge (re)connecting its STOMP client
     "bridge.send",                   # bridge sender thread transmitting an event

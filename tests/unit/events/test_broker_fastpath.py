@@ -1,14 +1,25 @@
 """Unit tests for the broker's indexed fast path and batch publish."""
 
+import sys
 import threading
+
+import pytest
 
 from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet, conf_label
+from repro.core.policy import parse_policy
 from repro.core.privileges import CLEARANCE, PrivilegeSet
+from repro.events import context as context_module
+from repro.events import engine as engine_module
+from repro.events import jail as jail_module
+from repro.events import store as store_module
 from repro.events.broker import Broker
+from repro.events.engine import EventProcessingEngine
 from repro.events.event import Event
+from repro.events.unit import unit_from_function
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
+OTHER = conf_label("ecric.org.uk", "patient", "2")
 CLEARED = PrivilegeSet({CLEARANCE: [PATIENT]})
 
 
@@ -93,6 +104,197 @@ class TestClearanceMemoization:
         assert broker.publish(Event("/t", labels=[PATIENT])) == 0
         sub.clearance = sub.clearance.grant(CLEARANCE, PATIENT)
         assert broker.publish(Event("/t", labels=[PATIENT])) == 1
+
+
+@pytest.fixture()
+def clearance_calls(monkeypatch):
+    """Counts ``PrivilegeSet.clearance_covers`` calls, the §4.2 test."""
+    calls = []
+    covers = PrivilegeSet.clearance_covers
+
+    def counting(self, labels):
+        calls.append(labels)
+        return covers(self, labels)
+
+    monkeypatch.setattr(PrivilegeSet, "clearance_covers", counting)
+    return calls
+
+
+def _calls_per_publish(broker, calls, event, publishes=3):
+    counts = []
+    for _ in range(publishes):
+        del calls[:]
+        broker.publish(event)
+        counts.append(len(calls))
+    return counts
+
+
+class TestClearancePlan:
+    """Work-count pins: §4.2 is decided once per route and label set."""
+
+    def test_first_publish_plans_then_no_clearance_calls(self, clearance_calls):
+        broker = Broker(audit=AuditLog())
+        for _ in range(4):
+            broker.subscribe("/t", lambda e: None, clearance=CLEARED)
+        broker.subscribe("/t", lambda e: None, selector="stage > 1", clearance=CLEARED)
+        labelled = Event("/t", {"stage": "0"}, labels=[PATIENT])
+        assert _calls_per_publish(broker, clearance_calls, labelled) == [5, 0, 0]
+        # A new label set on the same route is one more plan, then free.
+        other = Event("/t", {"stage": "2"}, labels=[OTHER])
+        assert _calls_per_publish(broker, clearance_calls, other) == [5, 0, 0]
+        assert _calls_per_publish(broker, clearance_calls, labelled) == [0, 0, 0]
+        assert broker.stats.label_filtered == 3 * 5
+
+    @pytest.mark.parametrize("change", ["subscribe", "unsubscribe", "revoke", "grant", "require"])
+    def test_each_change_replans_once(self, clearance_calls, change):
+        broker = Broker(audit=AuditLog())
+        subscriptions = [
+            broker.subscribe("/t", lambda e: None, clearance=CLEARED) for _ in range(3)
+        ]
+        event = Event("/t", labels=[PATIENT])
+        assert _calls_per_publish(broker, clearance_calls, event) == [3, 0, 0]
+        target = subscriptions[1]
+        if change == "subscribe":
+            broker.subscribe("/t", lambda e: None, clearance=CLEARED)
+        elif change == "unsubscribe":
+            broker.unsubscribe(target.subscription_id)
+        elif change == "revoke":
+            target.clearance = target.clearance.revoke(CLEARANCE, PATIENT)
+        elif change == "grant":
+            target.clearance = target.clearance.grant(CLEARANCE, OTHER)
+        else:
+            target.require_integrity = LabelSet()
+        planned = 4 if change == "subscribe" else (2 if change == "unsubscribe" else 3)
+        assert _calls_per_publish(broker, clearance_calls, event) == [planned, 0, 0]
+
+    def test_reassignment_keeps_the_route(self):
+        broker = Broker(audit=AuditLog())
+        subscription = broker.subscribe("/t", lambda e: None, clearance=CLEARED)
+        broker.publish(Event("/t", labels=[PATIENT]))
+        subscription.clearance = PrivilegeSet.empty()
+        assert broker.publish(Event("/t", labels=[PATIENT])) == 0
+        assert broker.stats.index_hits == 1 and broker.stats.route_cache_hits == 1
+
+    def test_reassignment_while_planning_leaves_the_plan_uncached(self, monkeypatch):
+        """A grant or revoke made while a plan is being decided (another
+        thread's, simulated here) must not leave a plan decided on the
+        old clearance behind."""
+        from repro.events.broker import Subscription
+
+        broker = Broker(audit=AuditLog())
+        first = broker.subscribe("/t", lambda e: None, clearance=CLEARED)
+        second = broker.subscribe("/t", lambda e: None, clearance=CLEARED)
+        decide = Subscription.cleared_for
+        revoked = []
+
+        def revoking(subscription, event):
+            decision = decide(subscription, event)
+            if subscription is first and not revoked:
+                revoked.append(True)
+                first.clearance = PrivilegeSet.empty()  # after its own decision
+            return decision
+
+        monkeypatch.setattr(Subscription, "cleared_for", revoking)
+        assert broker.publish(Event("/t", labels=[PATIENT])) == 2  # decided before the revoke
+        assert broker.publish(Event("/t", labels=[PATIENT])) == 1
+        assert second.active and broker.stats.label_filtered == 1
+
+    def test_plans_are_bounded(self, monkeypatch):
+        from repro.events import broker as broker_module
+
+        monkeypatch.setattr(broker_module, "_PLAN_CACHE_LIMIT", 2)
+        broker = Broker(audit=AuditLog())
+        broker.subscribe("/t", lambda e: None, clearance=CLEARED)
+        for labels in ([PATIENT], [OTHER], [], [PATIENT, OTHER]):
+            broker.publish(Event("/t", labels=labels))
+            assert sum(len(route.plans) for route in broker._routes.values()) <= 2
+
+    def test_constructor_keeps_its_keywords(self):
+        from repro.events.broker import Subscription
+
+        subscription = Subscription(
+            subscription_id="s", topic="/t", callback=print, principal="p", clearance=CLEARED
+        )
+        assert subscription.clearance is CLEARED
+        assert subscription.require_integrity == LabelSet()
+        assert subscription.cleared_for(Event("/t", labels=[PATIENT]))
+
+
+POLICY = parse_policy(
+    """
+    authority ecric.org.uk
+
+    unit jailed {
+        clearance label:conf:ecric.org.uk/patient
+    }
+
+    unit exporter {
+        privileged
+        clearance label:conf:ecric.org.uk/patient
+    }
+    """
+)
+
+#: Written by the handlers below (jailed clones share this list).
+SEEN = []
+
+
+def _record(unit, event):
+    caller = sys._getframe(2)  # handler → the unit's bound method → the delivery
+    SEEN.append((unit.name, caller.f_code.co_name, sys._getframe(3).f_code.co_name))
+    unit.store.set("last", event.get("n"))
+    if event.topic == "/in":
+        unit.publish("/out", {"n": event.get("n")})
+
+
+class TestDeliveryFrame:
+    """Work-count pins: a delivery allocates no context objects, takes
+    one call between the broker loop and the callback, and no-op label
+    arguments build no label sets."""
+
+    @pytest.fixture()
+    def engine(self):
+        engine = EventProcessingEngine(
+            broker=Broker(audit=AuditLog()), policy=POLICY, audit=AuditLog()
+        )
+        engine.register(unit_from_function("/in", name="jailed")(_record))
+        engine.register(unit_from_function("/out", name="exporter")(_record))
+        del SEEN[:]
+        return engine
+
+    def _counting(self, monkeypatch, owner, name):
+        made = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return made
+
+    def test_no_context_objects(self, engine, monkeypatch):
+        contexts = self._counting(monkeypatch, context_module.LabelContext, "__init__")
+        containments = self._counting(monkeypatch, jail_module._Containment, "__init__")
+        engine.publish("/in", {"n": "1"}, labels=[PATIENT])
+        assert [name for name, _, _ in SEEN] == ["jailed", "exporter"]
+        assert contexts == [] and containments == []
+
+    def test_one_call_between_the_broker_loop_and_the_callback(self, engine):
+        engine.publish("/in", {"n": "1"}, labels=[PATIENT])
+        assert [frames for _, *frames in SEEN] == [["_run_callback", "_deliver_general"]] * 2
+
+    def test_no_op_label_arguments_build_no_label_sets(self, engine, monkeypatch):
+        built = {}
+        for module in (engine_module, store_module):
+            built[module.__name__] = self._counting(monkeypatch, module, "LabelSet")
+        engine.publish("/in", {"n": "1"}, labels=[PATIENT])
+        assert len(SEEN) == 2  # two store.set calls, one unit publish
+        assert all(made == [] for made in built.values())
+        store = engine.store_of("jailed")
+        with context_module.LabelContext(LabelSet([PATIENT])):
+            store.set("k", 1, add=[OTHER])
+        assert built[store_module.__name__] != []
 
 
 class TestPublishMany:

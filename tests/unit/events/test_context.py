@@ -1,5 +1,6 @@
 """Unit tests for the ambient label context."""
 
+import contextlib
 import threading
 
 import pytest
@@ -97,3 +98,98 @@ class TestCombineAmbient:
 
         with pytest.raises(RuntimeError):
             combine_ambient(LabelSet([PATIENT]))
+
+
+class TestEnterLabels:
+    """The engine's per-delivery entry: a push it pops itself."""
+
+    def test_push_and_pop(self):
+        from repro.events.context import enter_labels
+
+        stack = enter_labels(LabelSet([PATIENT]))
+        try:
+            assert current_labels() == LabelSet([PATIENT])
+            extend_labels([MDT])
+            assert current_labels() == LabelSet([PATIENT, MDT])
+        finally:
+            stack.pop()
+        assert current_labels() == LabelSet()
+
+    def test_nests_inside_a_label_context(self):
+        from repro.events.context import enter_labels
+
+        with LabelContext(LabelSet([MDT])):
+            stack = enter_labels(LabelSet([PATIENT]))
+            assert current_labels() == LabelSet([PATIENT])
+            stack.pop()
+            assert current_labels() == LabelSet([MDT])
+
+
+def _stack_now():
+    from repro.events import context
+
+    return list(getattr(context._state, "stack", []))
+
+
+class TestDeliveryRestoresTheStack:
+    """After a delivery — and after one whose callback raised — the
+    thread's ambient stack is exactly what it was before."""
+
+    @staticmethod
+    def _engine(raise_errors):
+        from repro.core.audit import AuditLog
+        from repro.core.policy import parse_policy
+        from repro.events import Broker, EventProcessingEngine, unit_from_function
+
+        policy = parse_policy(
+            """
+            authority ecric.org.uk
+            unit reader {
+                clearance label:conf:ecric.org.uk/patient
+            }
+            unit exporter {
+                privileged
+                clearance label:conf:ecric.org.uk/patient
+            }
+            """
+        )
+        engine = EventProcessingEngine(
+            broker=Broker(audit=AuditLog(), raise_errors=raise_errors),
+            policy=policy,
+            audit=AuditLog(),
+            raise_callback_errors=raise_errors,
+        )
+
+        def handler(unit, event):
+            SEEN_LABELS.append((unit.name, current_labels()))
+            unit.store.get("widen")  # a read widens the ambient set
+            if event.get("fail"):
+                raise ValueError("unit bug")
+
+        for name in ("reader", "exporter"):
+            unit = unit_from_function("/t", name=name)(handler)
+            engine.register(unit)
+            engine.store_of(name).set("widen", 1, add=[MDT])
+        return engine
+
+    @pytest.mark.parametrize("outer", [None, LabelSet([MDT])])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_stack_equal_before_and_after(self, outer, fail):
+        engine = self._engine(raise_errors=fail)
+        del SEEN_LABELS[:]
+        with LabelContext(outer) if outer is not None else contextlib.nullcontext():
+            before = _stack_now()
+            if fail:
+                with pytest.raises(ValueError):
+                    engine.publish("/t", {"fail": "1"}, labels=[PATIENT])
+            else:
+                engine.publish("/t", labels=[PATIENT])
+            assert _stack_now() == before
+        assert _stack_now() == []
+        assert SEEN_LABELS[0] == ("reader", LabelSet([PATIENT]))
+        if not fail:
+            assert SEEN_LABELS[1] == ("exporter", LabelSet([PATIENT]))
+
+
+#: Written by jailed callbacks (isolation copies globals shallowly).
+SEEN_LABELS = []

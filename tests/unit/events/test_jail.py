@@ -1,5 +1,6 @@
 """Unit tests for the IFC jail (the $SAFE=4 analogue, paper §4.3)."""
 
+import contextlib
 import copy
 import json
 import socket
@@ -14,7 +15,9 @@ from repro.events import jail as jail_module
 from repro.events.jail import (
     DEFAULT_DENIED_PREFIXES,
     Jail,
+    enter_jail,
     isolate_callback,
+    leave_jail,
     restricted_builtins,
 )
 from repro.exceptions import IsolationError
@@ -152,7 +155,7 @@ CASCADE_POLICY = parse_policy(
 
 
 class TestContainmentObjects:
-    """``contained()`` / ``_lifted_jail()`` are plain enter/exit objects;
+    """``contained()`` / ``lifted()`` are plain enter/exit objects;
     their nesting is what the generator versions did."""
 
     def test_nested_different_jail_unions_and_restores(self):
@@ -181,11 +184,10 @@ class TestContainmentObjects:
         assert _in_force() is None
 
     def test_lifted_inside_contained_and_back(self, jail, tmp_path):
-        engine = EventProcessingEngine(broker=Broker(), policy=CASCADE_POLICY, audit=AuditLog())
-        with engine._lifted_jail():  # a lift outside any jail is a no-op
+        with Jail.lifted():  # a lift outside any jail is a no-op
             assert _in_force() is None
         with jail.contained():
-            with engine._lifted_jail():
+            with Jail.lifted():
                 assert _in_force() is None and not jail.active
                 (tmp_path / "lifted").write_text("privileged unit I/O")
                 with jail.contained():  # a jailed unit invoked by the privileged one
@@ -195,7 +197,7 @@ class TestContainmentObjects:
             with pytest.raises(IsolationError):
                 open(tmp_path / "contained-again", "w")
             with pytest.raises(RuntimeError):
-                with engine._lifted_jail():
+                with Jail.lifted():
                     raise RuntimeError("privileged unit bug")
             assert _in_force() == DEFAULT_DENIED_PREFIXES
         assert _in_force() is None
@@ -268,6 +270,127 @@ class TestContainmentObjects:
             (state is None) if name == "exporter" else (state is jailed)
             for name, state in CASCADE_SEEN
         )
+        assert target.exists() and _in_force() is None
+
+
+class TestEnterJail:
+    """``enter_jail`` / ``leave_jail``: the engine's per-delivery entry,
+    with the nesting the containment objects have."""
+
+    def test_enter_and_leave(self):
+        outer = enter_jail(("socket.",))
+        assert outer is None and _in_force() == ("socket.",)
+        inner = enter_jail(("os.", "socket."))
+        assert inner == ("socket.",) and _in_force() == ("socket.", "os.")
+        lifted = enter_jail(None)
+        assert lifted == ("socket.", "os.") and _in_force() is None
+        leave_jail(lifted)
+        leave_jail(inner)
+        assert _in_force() == ("socket.",)
+        leave_jail(outer)
+        assert _in_force() is None
+
+    def test_same_tuple_reentered_is_not_widened(self):
+        outer = enter_jail(DEFAULT_DENIED_PREFIXES)
+        inner = enter_jail(DEFAULT_DENIED_PREFIXES)
+        assert _in_force() is DEFAULT_DENIED_PREFIXES
+        leave_jail(inner)
+        leave_jail(outer)
+        assert _in_force() is None
+
+
+REVERSE_POLICY = parse_policy(
+    """
+    authority ecric.org.uk
+
+    unit importer {
+        privileged
+    }
+
+    unit jailed {
+        clearance label:conf:ecric.org.uk/patient
+    }
+    """
+)
+
+
+class TestDeliveryRestoresTheJail:
+    """After a delivery — and after one whose callback raised — the
+    thread's denied prefixes are exactly what they were before."""
+
+    def _engine(self, policy, raise_errors=False):
+        return EventProcessingEngine(
+            broker=Broker(raise_errors=raise_errors),
+            policy=policy,
+            audit=AuditLog(),
+            raise_callback_errors=raise_errors,
+        )
+
+    @pytest.mark.parametrize("outer", [None, ("socket.",)])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_prefixes_equal_before_and_after(self, outer, fail):
+        engine = self._engine(REVERSE_POLICY, raise_errors=fail)
+
+        @unit_from_function("/in", name="jailed")
+        def jailed(unit, event):
+            CASCADE_SEEN.append(("jailed", _in_force()))
+            if event.get("fail"):
+                raise ValueError("unit bug")
+
+        @unit_from_function("/in", name="importer")
+        def importer(unit, event):
+            CASCADE_SEEN.append(("importer", _in_force()))
+            if event.get("fail"):
+                raise ValueError("privileged unit bug")
+
+        engine.register(jailed)
+        engine.register(importer)
+        del CASCADE_SEEN[:]
+        with Jail(outer).contained() if outer else contextlib.nullcontext():
+            before = _in_force()
+            if fail:
+                with pytest.raises(ValueError):
+                    engine.publish("/in", {"fail": "1"})
+            else:
+                engine.publish("/in")
+            assert _in_force() == before
+        assert _in_force() is None
+        expected_jail = (outer or ()) + tuple(
+            prefix for prefix in DEFAULT_DENIED_PREFIXES if prefix not in (outer or ())
+        )
+        assert CASCADE_SEEN[0] == ("jailed", expected_jail)
+        if not fail:
+            assert CASCADE_SEEN[1] == ("importer", None)
+
+    def test_privileged_unit_triggering_a_jailed_one(self, tmp_path):
+        """The reverse of the cascade above: a privileged unit's publish
+        runs a jailed unit inside it, which is jailed, and the privileged
+        unit is unjailed again when its publish returns."""
+        engine = self._engine(REVERSE_POLICY, raise_errors=True)
+        target = tmp_path / "imported"
+
+        @unit_from_function("/raw", name="importer")
+        def importer(unit, event):
+            CASCADE_SEEN.append(("importer:before", _in_force()))
+            unit.publish("/clean")
+            CASCADE_SEEN.append(("importer:after", _in_force()))
+            target.write_text("privileged I/O after a jailed delivery")
+
+        @unit_from_function("/clean", name="jailed")
+        def jailed(unit, event):
+            CASCADE_SEEN.append(("jailed", _in_force()))
+
+        engine.register(importer)
+        engine.register(jailed)
+        del CASCADE_SEEN[:]
+        with Jail(("socket.",)).contained():  # a jailed publisher
+            engine.publish("/raw")
+            assert _in_force() == ("socket.",)
+        assert CASCADE_SEEN == [
+            ("importer:before", None),
+            ("jailed", DEFAULT_DENIED_PREFIXES),
+            ("importer:after", None),
+        ]
         assert target.exists() and _in_force() is None
 
 
