@@ -36,7 +36,8 @@ test-storage:
 
 # First the equivalence oracle's cluster cells (engine modes, drain barrier, worker kill,
 # cluster deployment profiles), then the cluster's own suites and the STOMP suites that
-# share its I/O core (plain, TLS, bridge robustness, receipt window).
+# share its I/O core (plain, TLS, bridge robustness, receipt window, a RECEIPT following its
+# delivery, concurrent publishers into one shard).
 ## The multi-process cluster engine: oracle cluster modes, chaos, deployment and STOMP fabric tests.
 test-cluster:
 	$(PYTHON) -m pytest tests/property/test_oracle.py tests/integration/test_deployment_oracle.py -k cluster -q
@@ -45,7 +46,8 @@ test-cluster:
 		tests/unit/events/test_stomp_frames.py tests/property/test_frame_codec.py \
 		tests/unit/events/test_stomp_link.py tests/integration/test_stomp.py \
 		tests/integration/test_tls.py tests/integration/test_bridge_robustness.py \
-		tests/integration/test_receipt_window.py -q
+		tests/integration/test_receipt_window.py tests/integration/test_receipt_follows_delivery.py \
+		tests/integration/test_concurrent_stomp_publishers.py -q
 
 ## Quick benchmark smoke: the broker ablation and throughput experiments.
 bench-smoke:

@@ -41,7 +41,6 @@ benchmarks (A1/E4) can attribute wins to each layer.
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -238,16 +237,20 @@ class _Route:
 class Broker:
     """Topic/content/label-matching event broker.
 
-    ``threaded=False`` (default) delivers synchronously in the
-    publisher's thread — deterministic, used by tests and by the engine's
-    in-process pipelines. ``threaded=True`` enqueues events and a
-    dispatcher thread delivers them, which is how the STOMP server runs
-    so that jailed publishers never perform socket I/O themselves.
+    Every delivery runs on the thread that publishes, inside the
+    :meth:`publish` call: a cascade published by a subscriber nests in
+    the delivery that caused it. Behind a
+    :class:`~repro.events.stomp.server.StompServer` that thread is the
+    publishing connection's handler, so a SEND's RECEIPT is written only
+    after the event has been delivered, registered in flight or audited
+    as denied. A delivery into a STOMP connection queues a frame on that
+    connection's link and wakes its I/O thread with a ``send`` on a
+    socketpair trusted code created, which raises no audit event, so a
+    jailed publisher's deliveries need nothing the jail denies.
     """
 
     def __init__(
         self,
-        threaded: bool = False,
         audit: Optional[AuditLog] = None,
         label_checks: bool = True,
         raise_errors: bool = False,
@@ -256,11 +259,10 @@ class Broker:
         self._lock = threading.RLock()
         self._subscriptions: Dict[str, Subscription] = {}
         self._audit = audit if audit is not None else default_audit_log()
-        # Fault-injection hook (repro.faults); the publish/dispatch hot
-        # paths skip instrumentation entirely when nothing is armed.
+        # Fault-injection hook (repro.faults); the publish hot path skips
+        # instrumentation entirely when nothing is armed.
         self._chaos = chaos
         self._chaos_active = chaos is not NULL_FAULTS
-        self._threaded = threaded
         self._label_checks = label_checks
         #: When True (in-process deployments), subscriber exceptions
         #: propagate to the publisher instead of being contained — the
@@ -271,47 +273,15 @@ class Broker:
         #: Clearance plans held over all routes (bounded by _PLAN_CACHE_LIMIT).
         self._planned = 0
         self.stats = BrokerStats()
-        self._queue: "queue.Queue[object]" = queue.Queue()
-        self._dispatcher: Optional[threading.Thread] = None
-        if threaded:
-            self.start()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        with self._lock:
-            if self._dispatcher is not None:
-                return
-            self._threaded = True
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="safeweb-broker", daemon=True
-            )
-            self._dispatcher.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        with self._lock:
-            dispatcher = self._dispatcher
-            self._dispatcher = None
-        if dispatcher is not None:
-            self._queue.put(None)
-            dispatcher.join(timeout)
 
     def drain(self, timeout: float = 5.0) -> bool:
-        """Block until queued events have been dispatched (threaded mode).
+        """True at once: every publish has delivered before it returns.
 
-        False when *timeout* ran out first: something queued before the
-        call has not been dispatched yet.
+        Kept as the broker surface :meth:`EventProcessingEngine.drain`
+        calls (a :class:`~repro.events.cluster.ClusterRouter` has real
+        work to wait for).
         """
-        if not self._threaded:
-            return True
-        done = threading.Event()
-        self._queue.put(done)
-        return done.wait(timeout)
-
-    @property
-    def queue_depth(self) -> int:
-        """Publishes the dispatcher has not taken yet (0 when synchronous)."""
-        return self._queue.qsize()
+        return True
 
     # -- subscription management ------------------------------------------------
 
@@ -374,10 +344,7 @@ class Broker:
     # -- publication ---------------------------------------------------------------
 
     def publish(self, event: Event, publisher: str = "anonymous") -> int:
-        """Publish an event; returns the number of deliveries (sync mode).
-
-        In threaded mode the event is enqueued and the return value is 0;
-        delivery counts accumulate in :attr:`stats`.
+        """Publish an event; returns the number of deliveries.
 
         A chaos fault at ``broker.publish`` raises *to the publisher*
         before the event is accepted — fail-stop, never silent: the
@@ -387,18 +354,14 @@ class Broker:
             self._chaos.hit("broker.publish")
         self.stats.published += 1
         self._audit.note("broker", "publish", publisher, ALLOWED, event.labels)
-        if self._threaded:
-            self._queue.put(event)
-            return 0
         return self._deliver(event)
 
     def publish_many(self, events: Iterable[Event], publisher: str = "anonymous") -> int:
-        """Publish a batch of events; returns total deliveries (sync mode).
+        """Publish a batch of events; returns total deliveries.
 
         Semantically identical to calling :meth:`publish` per event — one
-        audit record and one ``published`` count each — but the batch is
-        enqueued as a single item in threaded mode, so the dispatcher
-        drains it without per-event queue handoffs.
+        audit record and one ``published`` count each — except that every
+        event is accepted (audited) before the first is delivered.
         """
         batch = list(events)
         if not batch:
@@ -408,59 +371,8 @@ class Broker:
         stats.published += len(batch)
         for event in batch:
             audit_note("broker", "publish", publisher, ALLOWED, event.labels)
-        if self._threaded:
-            self._queue.put(batch)
-            return 0
         deliver = self._deliver
         return sum(deliver(event) for event in batch)
-
-    def _dispatch_loop(self) -> None:
-        get = self._queue.get
-        get_nowait = self._queue.get_nowait
-        deliver = self._dispatch_one
-        item: object = get()
-        while True:
-            if item is None:
-                return
-            if isinstance(item, threading.Event):
-                item.set()
-            elif isinstance(item, list):
-                for event in item:
-                    deliver(event)
-            else:
-                deliver(item)
-            # Drain opportunistically so bursts are delivered in batches
-            # without a blocking get per event.
-            try:
-                item = get_nowait()
-            except queue.Empty:
-                item = get()
-
-    def _dispatch_one(self, event: Event) -> None:
-        """One dispatcher delivery; the thread must survive anything.
-
-        ``raise_errors=True`` makes the delivery loops re-raise subscriber
-        exceptions so *synchronous* publishers see them — but on the
-        dispatcher thread there is no publisher stack, and an uncaught
-        exception used to kill the thread silently, stalling every
-        subsequent event. Errors are already counted and audited by the
-        delivery loop; here they are additionally recorded under
-        ``broker/dispatch`` so a surviving-but-noisy dispatcher is
-        visible in the log.
-        """
-        try:
-            if self._chaos_active:
-                self._chaos.hit("broker.dispatch")
-            self._deliver(event)
-        except Exception as error:  # noqa: BLE001 - the dispatcher must keep running
-            self._audit.note(
-                "broker",
-                "dispatch",
-                "dispatcher",
-                DENIED,
-                event.labels,
-                f"subscriber error contained on dispatcher thread: {error!r}",
-            )
 
     # -- delivery ------------------------------------------------------------------
 

@@ -7,7 +7,9 @@ its publisher. This module is the way to run units in parallel:
 (docs/CLUSTER.md has the full contract):
 
 * **Broker shards** — N broker processes, each an ordinary
-  ``Broker(threaded=True)`` behind a :class:`StompServer`. The topic
+  :class:`~repro.events.broker.Broker` behind a :class:`StompServer`.
+  A shard delivers on the handler thread of the connection that
+  published, so its RECEIPT for a SEND follows the delivery. The topic
   space is partitioned across them by a consistent-hash ring
   (:class:`~repro.events.ring.HashRing`): an exact topic lives on
   exactly one shard; wildcard subscriptions register on every shard and
@@ -89,7 +91,7 @@ def cluster_context():
     """The multiprocessing context cluster children start under.
 
     ``fork`` is deliberately not the default: the parent already runs
-    threads by the time a cluster starts (broker dispatcher, WAL flush,
+    threads by the time a cluster starts (STOMP client links, WAL flush,
     the deployment's audit flusher), and forking a threaded parent can
     hand children locks frozen mid-acquisition. ``forkserver`` forks
     from a clean single-threaded helper where available (POSIX);
@@ -482,18 +484,14 @@ def _broker_shard_main(conn, policy_json: str, shard_name: str, supervision) -> 
 
     audit = AuditLog()
     policy = Policy(PolicyDocument.from_json(policy_json))
-    broker = Broker(threaded=True, audit=audit)
-    server = StompServer(broker, policy=policy, audit=audit, supervision=supervision)
+    server = StompServer(
+        Broker(audit=audit), policy=policy, audit=audit, supervision=supervision
+    )
     server.start()
     conn.send({"ok": True, "address": server.address})
 
     def drain(message: dict) -> dict:
-        broker.drain(message.get("timeout", 5.0))
-        return {
-            "activity": audit.total_decisions(),
-            "queued": broker.queue_depth,
-            "in_flight": server.in_flight,
-        }
+        return {"activity": audit.total_decisions(), "in_flight": server.in_flight}
 
     try:
         _serve_control(
@@ -507,7 +505,6 @@ def _broker_shard_main(conn, policy_json: str, shard_name: str, supervision) -> 
         )
     finally:
         server.stop()
-        broker.stop()
 
 
 def _worker_main(
@@ -541,8 +538,7 @@ def _worker_main(
         return {}
 
     def drain(message: dict) -> dict:
-        engine.drain(message.get("timeout", 10.0))
-        confirmed = router.drain()
+        confirmed = router.drain(message.get("timeout", 10.0))
         return {
             "activity": engine.stats.dispatched + router.activity(),
             "idle": confirmed and router.queues_empty(),
@@ -830,19 +826,21 @@ class ClusterEngine:
         """Cross-process quiescence, decided on state rather than timing.
 
         One round flushes the parent's publish links, asks every live
-        worker to drain (engine + its publish links) and every shard to
-        drain its broker queue, then reads each process's queue depths,
-        each shard's count of ``ack: client`` deliveries in flight and
-        the global activity counters. Every cluster subscription is
-        ``ack: client`` and a consumer acks only after its callback ran
-        and its cascade publishes were receipt-confirmed, so once the
-        queues are flushed an event still being worked on is *counted*
-        on the shard that delivered it: idle means every queue empty and
-        no delivery in flight anywhere. A cascade can land on a shard
-        this round has already read, so the verdict stands only when the
-        next round reads idle again with unchanged counters — the hop
-        would have moved one. A busy round is followed by a pause that
-        backs off from 1 ms to 20 ms; an idle one is confirmed at once.
+        worker to flush its publish links, then reads each worker's
+        queue depths, each shard's count of ``ack: client`` deliveries
+        in flight and the global activity counters. A shard delivers
+        before it writes a SEND's RECEIPT, so a confirmed publish has
+        already been delivered, registered in flight or audited as
+        denied. Every cluster subscription is ``ack: client`` and a
+        consumer acks only after its callback ran and its cascade
+        publishes were receipt-confirmed, so once the links are flushed
+        an event still being worked on is *counted* on the shard that
+        delivered it: idle means every queue empty and no delivery in
+        flight anywhere. A cascade can land on a shard this round has
+        already read, so the verdict stands only when the next round
+        reads idle again with unchanged counters — the hop would have
+        moved one. A busy round is followed by a pause that backs off
+        from 1 ms to 20 ms; an idle one is confirmed at once.
         """
         self._require_started()
         deadline = time.monotonic() + timeout
@@ -865,11 +863,10 @@ class ClusterEngine:
                 idle = idle and reply["idle"]
             for handle in self._shards.values():
                 reply = handle.call(
-                    {"op": "drain", "timeout": 5.0},
-                    timeout=max(deadline - time.monotonic(), 1.0),
+                    {"op": "drain"}, timeout=max(deadline - time.monotonic(), 1.0)
                 )
                 snapshot.append((handle.name, reply["activity"]))
-                idle = idle and reply["queued"] == 0 and reply["in_flight"] == 0
+                idle = idle and reply["in_flight"] == 0
             if idle and snapshot == previous:
                 return True
             if idle:

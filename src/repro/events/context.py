@@ -9,7 +9,7 @@ The set is tracked per thread with an explicit stack so nested contexts
 (e.g. a privileged unit synchronously draining a queue) restore cleanly.
 
 Deliveries run on whichever thread delivers them — the publisher, a
-threaded broker's dispatcher, an HTTP worker, a cluster worker's bridge
+STOMP connection's handler, an HTTP worker, a cluster worker's bridge
 listener — and each pushes the event's labels with :func:`enter_labels`
 and pops them on exit, so a thread holds no ambient labels between
 deliveries and two threads' ambient sets can never bleed into each other

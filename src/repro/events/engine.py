@@ -17,7 +17,8 @@ Execution
 ---------
 
 Every delivery runs synchronously on the thread that delivers it — the
-publisher's, or a threaded broker's dispatcher — and cascades nest.
+publisher's, or in a cluster worker its bridge listener — and cascades
+nest.
 Exceptions propagate to the publisher when ``raise_callback_errors`` is
 set. Units that block on I/O, or that need to run in parallel, go to
 the cluster engine (:mod:`repro.events.cluster`), whose workers each run
@@ -223,8 +224,9 @@ class EventProcessingEngine:
     def drain(self, timeout: float = 10.0) -> bool:
         """Wait until the broker has delivered everything queued.
 
-        False when *timeout* ran out first. At once unless the broker is
-        threaded: every cascade runs inside the delivery that caused it.
+        False when *timeout* ran out first. At once over a
+        :class:`~repro.events.broker.Broker`: every cascade runs inside
+        the delivery that caused it.
         """
         return self.broker.drain(timeout)
 

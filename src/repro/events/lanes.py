@@ -23,9 +23,9 @@ class EngineStats:
     (events published to a ``/_dlq.<unit>`` topic); all three stay 0
     without supervision.
 
-    Deliveries run on whichever thread delivers — the publisher, a
-    threaded broker's dispatcher, an HTTP worker, a cluster worker's
-    bridge listener — and a CPython ``+=`` is load/add/store that can
+    Deliveries run on whichever thread delivers — the publisher, a STOMP
+    connection's handler, an HTTP worker, a cluster worker's bridge
+    listener — and a CPython ``+=`` is load/add/store that can
     lose increments under preemption, so every mutation goes through
     :meth:`bump` under one internal lock.
     """

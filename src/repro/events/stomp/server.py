@@ -96,8 +96,10 @@ def frame_to_event(frame: Frame) -> Event:
 class _Connection(socketserver.BaseRequestHandler):
     """One client session; its thread runs the connection's
     :class:`~repro.events.stomp.link.FrameLink` and so does all of its
-    socket I/O. Other threads (the broker dispatcher delivering MESSAGE
-    frames) queue on the link, which wakes this thread to write at once.
+    socket I/O. It also publishes the connection's SENDs, and the broker
+    delivers them on it before their RECEIPTs are queued: other
+    connections' threads deliver MESSAGE frames here by queueing on the
+    link, which wakes this thread to write at once.
     """
 
     server: "StompServer"
@@ -112,8 +114,8 @@ class _Connection(socketserver.BaseRequestHandler):
         self.closed = False
         #: ``ack: client`` state — message-id -> (client sub id, event),
         #: insertion-ordered so a dying connection dead-letters in-flight
-        #: events oldest-first. Registered by the broker's delivery
-        #: thread, drained by this connection's handler thread.
+        #: events oldest-first. Registered by the publishing connections'
+        #: threads, drained by this connection's handler thread.
         self.unacked: Dict[str, Tuple[str, Event]] = {}
         self._unacked_lock = threading.Lock()
         self._delivery_ids = itertools.count(1)
@@ -140,9 +142,11 @@ class _Connection(socketserver.BaseRequestHandler):
         """Dispatch a parsed batch, publishing runs of SEND frames together.
 
         A producer that writes several SEND frames per TCP segment gets
-        them published through :meth:`Broker.publish_many` — one queue
-        handoff for the whole run — while every other command keeps its
-        per-frame handling. Error and receipt semantics stay per frame.
+        them published through :meth:`Broker.publish_many` in one call,
+        while every other command keeps its per-frame handling. Error and
+        receipt semantics stay per frame: the broker delivers on this
+        thread, so each RECEIPT is queued after its event was delivered,
+        registered in flight or audited as denied.
         """
         pending_sends: list = []
         for frame in frames:
@@ -383,6 +387,10 @@ class _Connection(socketserver.BaseRequestHandler):
 class StompServer(socketserver.ThreadingTCPServer):
     """A threaded STOMP server over an IFC broker.
 
+    One thread per connection; each publishes its connection's SENDs
+    and the broker delivers them on that thread, into every matching
+    connection's link, before the SEND's RECEIPT is written.
+
     ``policy`` supplies per-login clearance: a login naming a unit gets
     the unit's (withholding-adjusted) privileges, a login naming a user
     must present the user's password. Without a policy every login is
@@ -418,9 +426,8 @@ class StompServer(socketserver.ThreadingTCPServer):
         self._orphans: Dict[Tuple[str, str], str] = {}
         self._orphan_lock = threading.Lock()
         #: ``ack: client`` deliveries registered and not yet acked, nacked
-        #: or swept (a dead-lettered one counts until its dead letter is
-        #: on the broker's queue): with the broker's queue depth, the
-        #: state a drain barrier reads.
+        #: or swept (a dead-lettered one counts until its dead letter has
+        #: been published): the state a drain barrier reads.
         self.in_flight = 0
         self._in_flight_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None

@@ -2,7 +2,7 @@
 
 PR 6 taught the storage tier to crash deterministically at named points
 (:mod:`repro.storage.faults`); this module generalises that machinery so
-the *event* tier — broker dispatch, the supervised engine, STOMP bridge sockets and federation hops — can be driven through
+the *event* tier — broker publish, the supervised engine, STOMP bridge sockets and federation hops — can be driven through
 the same kind of schedule. Three fault shapes are supported at every
 named point:
 
@@ -22,8 +22,7 @@ default :data:`NULL_FAULTS` injector every call is a cheap no-op — and
 the hot path (engine delivery) skips the call entirely when no injector
 is armed, so production deployments pay one attribute check. Arrival
 counts are per-point and deterministic wherever execution is serialised
-(the synchronous engine, the single broker dispatcher, the single bridge
-sender), which is what lets the supervision property suite replay a
+(the synchronous engine, the single bridge sender), which is what lets the supervision property suite replay a
 generated fault schedule and predict its outcome.
 
 Point names are dotted, with an optional ``:<qualifier>`` suffix for
@@ -191,7 +190,6 @@ NULL_FAULTS = _NullChaos()
 #: supervision property suite iterates the engine rows.
 EVENT_CHAOS_POINTS = (
     "broker.publish",                # publish accepted into the broker
-    "broker.dispatch",               # threaded dispatcher picks the event up
     "engine.deliver:<unit>",         # matched + cleared, handed to the callback
     "engine.callback.before:<unit>", # about to enter the ambient labels + jail
     "engine.callback.after:<unit>",  # callback returned, delivery not yet acked

@@ -64,15 +64,16 @@ class NationalExchange:
 
     Restartable: ``stop()`` is idempotent and ``start()`` after a stop
     rebuilds the STOMP server **on the same port** (gateways keep a
-    stable address to reconnect to) and restarts the broker dispatcher.
-    Export rounds after a restart converge because imports land as
+    stable address to reconnect to) over the same broker. The broker
+    delivers on the publishing connection's thread, so the exchange's
+    RECEIPT for a SEND follows its delivery. Export rounds after a restart converge because imports land as
     MVCC upserts — re-exported metrics simply become the next revision.
     """
 
     def __init__(self, regions: List[str], host: str = "127.0.0.1", port: int = 0):
         self.regions = list(regions)
         self._host = host
-        self.broker = Broker(threaded=True)
+        self.broker = Broker()
         self.server: Optional[StompServer] = StompServer(
             self.broker, host=host, port=port, policy=exchange_policy(self.regions)
         )
@@ -93,7 +94,6 @@ class NationalExchange:
                 port=self._address[1],
                 policy=exchange_policy(self.regions),
             )
-        self.broker.start()
         self.server.start()
         self._running = True
         return self
@@ -105,7 +105,6 @@ class NationalExchange:
         if self.server is not None:
             self.server.stop()
             self.server = None
-        self.broker.stop()
 
     @property
     def running(self) -> bool:

@@ -59,11 +59,10 @@ def decisions(audit: AuditLog):
 
 @pytest.fixture()
 def server():
-    broker = Broker(threaded=True)
+    broker = Broker()
     stomp = StompServer(broker, policy=POLICY).start()
     yield stomp
     stomp.stop()
-    broker.stop()
 
 
 def bridge_for(server, login, **kwargs) -> StompBrokerBridge:

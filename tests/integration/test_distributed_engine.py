@@ -10,10 +10,11 @@ import time
 
 import pytest
 
+from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet, conf_label
 from repro.core.policy import parse_policy
 from repro.events import Broker, EventProcessingEngine, Unit
-from repro.events.stomp import StompServer
+from repro.events.stomp import StompClient, StompServer
 from repro.events.stomp.bridge import StompBrokerBridge
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
@@ -75,11 +76,10 @@ def wait_for(predicate, timeout=5.0):
 
 @pytest.fixture()
 def server():
-    broker = Broker(threaded=True)
+    broker = Broker()
     stomp = StompServer(broker, policy=POLICY).start()
     yield stomp
     stomp.stop()
-    broker.stop()
 
 
 def bridge_for(server, login) -> StompBrokerBridge:
@@ -191,3 +191,48 @@ class TestDistributedPipeline:
             assert len(bridge) == 0
         finally:
             bridge.close()
+
+
+class TestJailedPublisherOnTheServersBroker:
+    """An engine over the STOMP server's own broker: a jailed unit's
+    cascade is delivered on the unit's thread, inside the jail, straight
+    into a remote client's link. That is a queue append plus a wake-up
+    ``send`` on a socketpair created by trusted code, neither of which
+    raises an audit event, so the jail denies nothing and the client
+    receives the event — over plaintext and TLS, ``ack: auto`` and
+    ``ack: client``."""
+
+    @pytest.mark.parametrize("ack", ["auto", "client"])
+    @pytest.mark.parametrize("transport", ["plain", "tls"])
+    def test_remote_subscriber_receives_a_jailed_cascade(self, request, transport, ack):
+        server_context = client_context = None
+        if transport == "tls":
+            server_context, client_context = request.getfixturevalue("tls_contexts")
+        audit = AuditLog()
+        broker = Broker(audit=audit)
+        server = StompServer(
+            broker, policy=POLICY, tls_context=server_context, audit=audit
+        ).start()
+        host, port = server.address
+        client = StompClient(
+            host, port, login="collector", tls_context=client_context
+        ).connect()
+        try:
+            received = []
+
+            def on_message(event, message_id=None):
+                received.append(event.payload)
+                if message_id is not None:
+                    client.ack(message_id)
+
+            client.subscribe("/cooked", on_message, ack=ack)
+            engine = EventProcessingEngine(broker=broker, policy=POLICY, audit=audit)
+            engine.register(Transformer())
+            engine.publish("/raw", {"n": "1"}, payload="hello", labels=[PATIENT])
+            assert wait_for(lambda: received == ["HELLO"])
+            assert engine.stats.callback_errors == 0
+            assert audit.count(component="engine", decision="denied") == 0
+            assert wait_for(lambda: server.in_flight == 0)
+        finally:
+            client.disconnect()
+            server.stop()

@@ -160,7 +160,7 @@ class TestIntegrityOverStomp:
     def test_require_integrity_header_enforced_server_side(self):
         from repro.events.stomp import StompClient, StompServer
 
-        broker = Broker(threaded=True)
+        broker = Broker()
         server = StompServer(broker, policy=POLICY).start()
         try:
             host, port = server.address
@@ -179,4 +179,3 @@ class TestIntegrityOverStomp:
             publisher.disconnect()
         finally:
             server.stop()
-            broker.stop()

@@ -90,11 +90,10 @@ class HeldReceipts:
 
 @pytest.fixture()
 def server():
-    broker = Broker(threaded=True)
+    broker = Broker()
     stomp = StompServer(broker, policy=POLICY).start()
     yield stomp
     stomp.stop()
-    broker.stop()
 
 
 @pytest.fixture()
@@ -274,7 +273,7 @@ class TestDeliveryAck:
     def test_parked_run_on_a_second_link_dead_letters_its_input(self, server, receipts):
         """Regression: a cascade over two shards whose second link parked its
         run was ACKed — the confirmation did not follow the delivery's runs."""
-        other_broker = Broker(threaded=True)
+        other_broker = Broker()
         other = StompServer(other_broker, policy=POLICY).start()
         audit = AuditLog()
         router = ClusterRouter(
@@ -314,4 +313,3 @@ class TestDeliveryAck:
         finally:
             router.close()
             other.stop()
-            other_broker.stop()

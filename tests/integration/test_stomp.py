@@ -44,11 +44,10 @@ POLICY = parse_policy(
 
 @pytest.fixture()
 def server():
-    broker = Broker(threaded=True)
+    broker = Broker()
     stomp = StompServer(broker, policy=POLICY).start()
     yield stomp
     stomp.stop()
-    broker.stop()
 
 
 def wait_for(predicate, timeout=5.0):
@@ -362,7 +361,6 @@ class _Fabric:
         for client in self._clients:
             client.disconnect()
         self.server.stop()
-        self.broker.stop()
 
 
 @pytest.fixture(params=["plain", "tls"])
@@ -380,7 +378,7 @@ def fabric(request, monkeypatch):
 
     monkeypatch.setattr(server_module, "FrameLink", RecordedLink)
     server = StompServer(
-        Broker(threaded=True), policy=POLICY, tls_context=server_context
+        Broker(), policy=POLICY, tls_context=server_context
     ).start()
     fabric = _Fabric(server, client_context, links)
     yield fabric

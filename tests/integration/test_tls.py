@@ -32,7 +32,7 @@ POLICY = parse_policy(
 class TestStompOverTls:
     def test_labelled_round_trip(self, tls_contexts):
         server_context, client_context = tls_contexts
-        broker = Broker(threaded=True)
+        broker = Broker()
         server = StompServer(broker, policy=POLICY, tls_context=server_context).start()
         try:
             host, port = server.address
@@ -57,11 +57,10 @@ class TestStompOverTls:
             publisher.disconnect()
         finally:
             server.stop()
-            broker.stop()
 
     def test_plaintext_client_rejected_by_tls_server(self, tls_contexts):
         server_context, _client_context = tls_contexts
-        broker = Broker(threaded=True)
+        broker = Broker()
         server = StompServer(broker, tls_context=server_context).start()
         try:
             host, port = server.address
@@ -71,7 +70,6 @@ class TestStompOverTls:
                 StompClient(host, port, timeout=1.0).connect()
         finally:
             server.stop()
-            broker.stop()
 
 
 class TestHttpsPortal:

@@ -4,7 +4,7 @@
 * The unit-graph layer: scenario specs (data, so a spec pickles by value
   into a cluster worker), the single-in-edge graph strategy and its
   fixed-seed sample, :class:`ScriptedUnit`, :func:`build_policy`,
-  :func:`settle`, the engine :data:`MODES` and :func:`trace`.
+  the engine :data:`MODES` and :func:`trace`.
 * The deployment axes every deployment-level sweep draws from, and the
   workload :data:`CONFIG`.
 * :func:`diff`, the comparator, :func:`diff_after` for its self-tests,
@@ -17,7 +17,6 @@ import copy
 import functools
 import os
 import random
-import time
 from collections import Counter
 from typing import Any, Dict, List, NamedTuple
 
@@ -319,30 +318,12 @@ def build_policy(specs, observers=()) -> Policy:
     return Policy(document)
 
 
-def settle(broker, timeout: float = 30.0) -> None:
-    """Drain a threaded *broker* until no delivery publishes anything.
-
-    ``Broker.drain`` covers what was queued *before the call*; a delivery
-    on the dispatcher thread that publishes (a unit's cascade, a
-    supervisor's dead letter) queues behind the drain marker, so one
-    drain covers one hop.
-    """
-    deadline = time.monotonic() + timeout
-    while True:
-        published = broker.stats.published
-        remaining = deadline - time.monotonic()
-        assert remaining > 0 and broker.drain(remaining), "broker did not settle"
-        if broker.stats.published == published:
-            return
-
-
 # -- engine modes and the trace ---------------------------------------------------
 
 
 class Mode(NamedTuple):
     """One way of running a scenario's units."""
 
-    threaded: bool = False  # Broker(threaded=True): deliveries on its dispatcher
     batch: bool = False  # engine.publish_batch instead of per-event publish
     supervised: bool = False  # a fault-free SupervisionPolicy()
     workers: int = 0  # > 0: ClusterEngine(workers, shards)
@@ -351,8 +332,7 @@ class Mode(NamedTuple):
 
 INLINE = Mode()
 MODES = {
-    "threaded": Mode(threaded=True),
-    "threaded-batch": Mode(threaded=True, batch=True),
+    "batch": Mode(batch=True),
     "supervised": Mode(supervised=True),
     "cluster-1x1": Mode(workers=1, shards=1),
     "cluster-2x2": Mode(workers=2, shards=2),
@@ -389,31 +369,26 @@ def trace(scenario: Scenario, mode: Mode = INLINE) -> dict:
 
 def _run_in_process(scenario: Scenario, mode: Mode):
     audit = AuditLog()
-    broker = Broker(threaded=mode.threaded, audit=audit)
     engine = EventProcessingEngine(
-        broker=broker,
+        broker=Broker(audit=audit),
         policy=build_policy(scenario.specs),
         audit=audit,
         supervision=SupervisionPolicy() if mode.supervised else None,
     )
     for spec in scenario.specs:
         engine.register(ScriptedUnit(spec))
-    try:
-        if mode.batch:
-            engine.publish_batch(scenario.events)
-        else:
-            publish_all(engine, scenario.events)
-        settle(broker)
-        stores = {}
-        for spec in scenario.specs:
-            store = engine.store_of(spec["name"])
-            stores[spec["name"]] = {
-                key: [store.get(key), store.labels_for(key).to_uris()] for key in store.keys()
-            }
-        records = [audit_tuple(record) for record in audit.records()]
-        return stores, records, engine.stats.dispatched
-    finally:
-        broker.stop()
+    if mode.batch:
+        engine.publish_batch(scenario.events)
+    else:
+        publish_all(engine, scenario.events)
+    stores = {}
+    for spec in scenario.specs:
+        store = engine.store_of(spec["name"])
+        stores[spec["name"]] = {
+            key: [store.get(key), store.labels_for(key).to_uris()] for key in store.keys()
+        }
+    records = [audit_tuple(record) for record in audit.records()]
+    return stores, records, engine.stats.dispatched
 
 
 def start_cluster(scenario: Scenario, mode: Mode, observers=()) -> ClusterEngine:

@@ -178,119 +178,31 @@ class TestLabelFiltering:
         assert len(received) == 1
 
 
-class TestThreadedDispatch:
-    def test_async_delivery(self):
-        broker = Broker(threaded=True)
-        try:
-            received = []
-            done = threading.Event()
+class TestDeliveryOnThePublishingThread:
+    def test_publish_delivers_on_the_calling_thread_before_returning(self):
+        broker = Broker()
+        threads = []
+        broker.subscribe("/t", lambda event: threads.append(threading.current_thread()))
+        returned = []
+        publisher = threading.Thread(
+            target=lambda: returned.append(broker.publish(Event("/t"))), name="publisher"
+        )
+        publisher.start()
+        publisher.join(5)
+        assert returned == [1]
+        assert threads == [publisher]
 
-            def collect(event):
-                received.append(event)
-                done.set()
-
-            broker.subscribe("/t", collect)
-            broker.publish(Event("/t"))
-            assert done.wait(5)
-            assert len(received) == 1
-        finally:
-            broker.stop()
-
-    def test_drain(self):
-        broker = Broker(threaded=True)
-        try:
-            received = []
-            broker.subscribe("/t", received.append)
-            for _ in range(100):
-                broker.publish(Event("/t"))
-            broker.drain()
-            assert len(received) == 100
-        finally:
-            broker.stop()
-
-    def test_drain_timeout_is_reported_not_swallowed(self):
-        """``drain`` used to discard its wait result, so the engine
-        reported a still-busy broker as drained."""
+    def test_drain_is_immediate(self):
+        """``drain`` stays the surface the engine's drain calls; with
+        every delivery done inside ``publish`` there is nothing to wait for."""
         from repro.events import EventProcessingEngine
 
-        release = threading.Event()
-        broker = Broker(threaded=True)
+        broker = Broker()
         engine = EventProcessingEngine(broker=broker)
-        try:
-            broker.subscribe("/t", lambda event: release.wait(5))
+        received = []
+        broker.subscribe("/t", received.append)
+        for _ in range(100):
             broker.publish(Event("/t"))
-            assert broker.drain(0.05) is False
-            assert engine.drain(0.05) is False
-            release.set()
-            assert broker.drain(5) is True
-            assert engine.drain(5) is True
-            assert Broker().drain(0.05) is True  # synchronous: nothing is ever queued
-        finally:
-            release.set()
-            broker.stop()
-
-    def test_stop_is_idempotent(self):
-        broker = Broker(threaded=True)
-        broker.stop()
-        broker.stop()
-
-    def test_dispatcher_survives_raising_subscriber(self):
-        """Regression: with raise_errors=True a subscriber exception used
-        to propagate out of the dispatch loop and kill the dispatcher
-        thread silently — every later event then queued forever."""
-        broker = Broker(threaded=True, raise_errors=True)
-        try:
-            received = []
-
-            def flaky(event):
-                if event.get("i") == "boom":
-                    raise ValueError("subscriber bug")
-                received.append(event)
-
-            broker.subscribe("/t", flaky)
-            broker.publish(Event("/t", {"i": "boom"}))
-            for index in range(5):
-                broker.publish(Event("/t", {"i": str(index)}))
-            broker.drain()
-            assert broker._dispatcher is not None and broker._dispatcher.is_alive()
-            assert [event["i"] for event in received] == ["0", "1", "2", "3", "4"]
-            assert broker.stats.errors == 1
-        finally:
-            broker.stop()
-
-    def test_dispatcher_survives_raising_engine_callback(self):
-        """The engine's deliver closure re-raises unit exceptions when
-        raise_callback_errors=True; on a threaded broker those land on
-        the dispatcher thread and must be contained there."""
-        from repro.core.principals import UnitPrincipal
-        from repro.core.privileges import PrivilegeSet
-        from repro.events import EventProcessingEngine, Unit
-
-        broker = Broker(threaded=True, raise_errors=True)
-        engine = EventProcessingEngine(
-            broker=broker, raise_callback_errors=True, isolation=False
-        )
-        try:
-
-            class Fragile(Unit):
-                unit_name = "fragile"
-
-                def setup(self):
-                    self.subscribe("/t", self.on_event)
-
-                def on_event(self, event):
-                    if event.get("i") == "boom":
-                        raise ValueError("unit bug")
-                    self.store.set("ok", self.store.get("ok", 0) + 1)
-
-            engine.register(
-                Fragile(), principal=UnitPrincipal("fragile", PrivilegeSet.empty())
-            )
-            engine.publish("/t", {"i": "boom"})
-            for _ in range(3):
-                engine.publish("/t", {"i": "fine"})
-            broker.drain()
-            assert broker._dispatcher is not None and broker._dispatcher.is_alive()
-            assert engine.store_of("fragile").get("ok") == 3
-        finally:
-            broker.stop()
+        assert len(received) == 100
+        assert broker.drain(0.05) is True
+        assert engine.drain(0.05) is True

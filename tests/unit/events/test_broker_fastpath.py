@@ -1,5 +1,6 @@
 """Unit tests for the broker's indexed fast path and batch publish."""
 
+import random
 import sys
 import threading
 
@@ -318,18 +319,15 @@ class TestPublishMany:
         assert broker.publish_many([]) == 0
         assert broker.stats.published == 0
 
-    def test_threaded_batch_drains_in_order(self):
-        broker = Broker(threaded=True, audit=AuditLog())
-        try:
-            received = []
-            broker.subscribe("/t", received.append)
-            broker.publish_many([Event("/t", {"n": str(i)}) for i in range(50)])
-            broker.publish(Event("/t", {"n": "last"}))
-            broker.drain()
-            assert [e["n"] for e in received] == [str(i) for i in range(50)] + ["last"]
-            assert broker.stats.delivered == 51
-        finally:
-            broker.stop()
+    def test_batch_accepts_every_event_before_delivering_the_first(self):
+        audit = AuditLog()
+        broker = Broker(audit=audit)
+        accepted = []
+        broker.subscribe(
+            "/t", lambda event: accepted.append(audit.count(component="broker", operation="publish"))
+        )
+        broker.publish_many([Event("/t"), Event("/t"), Event("/t")])
+        assert accepted == [3, 3, 3]
 
     def test_batch_respects_label_filtering(self):
         audit = AuditLog()
@@ -340,6 +338,81 @@ class TestPublishMany:
         assert len(received) == 1
         assert broker.stats.label_filtered == 1
         assert audit.count(component="broker", operation="deliver", decision="denied") == 1
+
+
+class TestConcurrentPublishers:
+    """Several threads publishing into one broker, as a ``StompServer``'s
+    connection threads do: routes and clearance plans are built, replayed
+    and dropped concurrently, and each subscriber still receives exactly
+    the events it is cleared for, once each, in every publisher's order,
+    with exact ``broker/deliver`` audit counts."""
+
+    THREADS = 4
+    EVENTS = 200
+    TOPICS = ("/t/a", "/t/b", "/t/c")
+    LABELS = ((), (PATIENT,), (OTHER,), (PATIENT, OTHER))
+    CLEARANCES = {
+        "both": PrivilegeSet({CLEARANCE: [PATIENT, OTHER]}),
+        "patient": CLEARED,
+        "none": PrivilegeSet.empty(),
+    }
+
+    def script(self, publisher):
+        rng = random.Random(publisher)
+        return [(rng.choice(self.TOPICS), rng.choice(self.LABELS)) for _ in range(self.EVENTS)]
+
+    @pytest.mark.parametrize(
+        "route_limit, plan_limit",
+        [(4096, 4096), (4096, 1), (1, 4096)],
+        ids=["cached", "plans-dropped", "routes-dropped"],
+    )
+    def test_each_subscriber_gets_its_cleared_events_in_publisher_order(
+        self, monkeypatch, route_limit, plan_limit
+    ):
+        from repro.events import broker as broker_module
+
+        monkeypatch.setattr(broker_module, "_ROUTE_CACHE_LIMIT", route_limit)
+        monkeypatch.setattr(broker_module, "_PLAN_CACHE_LIMIT", plan_limit)
+        audit = AuditLog()
+        broker = Broker(audit=audit)
+        received = {name: [] for name in self.CLEARANCES}
+        for name, clearance in self.CLEARANCES.items():
+            broker.subscribe("/t/#", received[name].append, principal=name, clearance=clearance)
+        start = threading.Barrier(self.THREADS, timeout=30)
+
+        def publish(publisher):
+            start.wait()
+            for n, (topic, labels) in enumerate(self.script(publisher)):
+                broker.publish(Event(topic, {"p": str(publisher), "n": str(n)}, labels=labels))
+
+        threads = [threading.Thread(target=publish, args=(p,)) for p in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        allowed = denied = 0
+        for name, clearance in self.CLEARANCES.items():
+            expected = {}
+            for publisher in range(self.THREADS):
+                for n, (_topic, labels) in enumerate(self.script(publisher)):
+                    if clearance.clearance_covers(LabelSet(labels)):
+                        expected.setdefault(str(publisher), []).append(str(n))
+                        allowed += 1
+                    else:
+                        denied += 1
+            order = {}
+            for event in received[name]:
+                order.setdefault(event["p"], []).append(event["n"])
+            assert order == expected, name
+        assert audit.count(component="broker", operation="deliver", decision="allowed") == allowed
+        assert audit.count(component="broker", operation="deliver", decision="denied") == denied
 
 
 class TestDeferredAudit:

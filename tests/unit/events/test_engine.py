@@ -7,8 +7,11 @@ import pytest
 
 from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet, conf_label, int_label
-from repro.core.policy import parse_policy
+from repro.core.policy import Policy, parse_policy
 from repro.events import Broker, Event, EventProcessingEngine, Unit, unit_from_function
+from repro.events.cluster import ClusterRouter, shard_policy_document
+from repro.events.context import current_labels
+from repro.events.stomp import StompServer
 from repro.exceptions import SafeWebError
 
 PATIENT_ROOT = conf_label("ecric.org.uk", "patient")
@@ -244,70 +247,19 @@ class Stamper(Unit):
         self.store.set(f"k:{event['i']}", event["i"])
 
 
-class TestThreadedBroker:
-    """The engine over ``Broker(threaded=True)``: every delivery runs on
-    the dispatcher thread; unit lifecycle on that thread."""
+class TestUnitLifecycleDuringDelivery:
+    """Unregistering and stopping around deliveries on the publishing thread."""
 
-    @pytest.fixture
-    def engine(self):
-        engine = make_engine(broker=Broker(threaded=True, raise_errors=True))
-        yield engine
-        engine.broker.stop()
-
-    def test_deliveries_run_on_the_dispatcher_in_publish_order(self, engine):
-        class Sequencer(Unit):
-            unit_name = "reader"
-
-            def setup(self):
-                self.subscribe("/in", self.on_event)
-
-            def on_event(self, event):
-                log = self.store.get("order", [])
-                log.append(int(event["i"]))
-                self.store.set("order", log)
-                self.store.set("thread", threading.current_thread().name)
-
-        engine.register(Sequencer())
-        for index in range(300):
-            engine.publish("/in", {"i": str(index)})
-        assert engine.drain(10)
-        store = engine.store_of("reader")
-        assert store.get("order") == list(range(300))
-        assert store.get("thread") == engine.broker._dispatcher.name
-
-    # Per-delivery ambient labels, the jail (and its lifting for
-    # privileged units) and cascades on the dispatcher thread are the
-    # equivalence oracle's threaded modes (tests/property/test_oracle.py).
-
-    def test_unregister_stops_delivery(self, engine):
+    def test_unregister_stops_delivery(self):
+        engine = make_engine()
         engine.register(Tally())
         store = engine.store_of("reader")
         engine.publish("/in")
-        assert engine.drain(10)
         engine.unregister("reader")
         engine.publish("/in")
-        assert engine.drain(10)
         assert store.get("n") == 1
 
-    def test_events_queued_for_an_unregistered_unit_are_not_delivered(self, engine):
-        """A unit that unregisters while events for it still sit in the
-        dispatcher queue never sees them — and none of them fails
-        against the closed services handle as a spurious denial."""
-        gate = threading.Event()
-        engine.broker.subscribe("/gate", lambda event: gate.wait(5), principal="gatekeeper")
-        engine.register(Tally())
-        store = engine.store_of("reader")
-        engine.publish("/gate")  # holds the dispatcher
-        for _ in range(5):
-            engine.publish("/in")
-        engine.unregister("reader")
-        gate.set()
-        assert engine.drain(10)
-        assert store.get("n") is None
-        assert engine.stats.callback_errors == 0
-        assert engine.audit.count(component="engine", decision="denied") == 0
-
-    def test_self_unregister_from_callback_does_not_stall(self, engine):
+    def test_self_unregister_from_callback_does_not_stall(self):
         class SelfRemover(Unit):
             unit_name = "importer"
 
@@ -318,26 +270,108 @@ class TestThreadedBroker:
                 self.store.set("ran", True)
                 event_engine.unregister("importer")
 
-        event_engine = engine
+        engine = event_engine = make_engine()
         engine.register(SelfRemover())
         store = engine.store_of("importer")
         start = time.monotonic()
         engine.publish("/in")
-        assert engine.drain(10)
         elapsed = time.monotonic() - start
         assert store.get("ran") is True
         assert engine.unit_names == []
-        assert elapsed < 5, f"self-unregister stalled the dispatcher for {elapsed:.1f}s"
+        assert elapsed < 5, f"self-unregister stalled the publisher for {elapsed:.1f}s"
 
-    def test_stop_leaves_the_broker_delivering(self, engine):
-        """``stop`` is a no-op: the engine owns no threads, the broker's
-        dispatcher is the broker's."""
+    def test_stop_leaves_the_broker_delivering(self):
+        """``stop`` is a no-op: the engine owns no threads."""
+        engine = make_engine()
         assert EventProcessingEngine.parallel is False
         engine.register(Tally())
         engine.stop()
         engine.publish("/in")
         assert engine.drain(10)
         assert engine.store_of("reader").get("n") == 1
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
+
+
+class TestWorkerEngineOnItsListenerThread:
+    """A cluster worker's engine: a :class:`ClusterRouter` to a broker
+    shard delivers every event for one principal on that principal's
+    long-lived STOMP listener thread, one delivery after another, so
+    nothing a delivery set up — ambient labels, the jail — may outlive
+    it into the next delivery that thread runs."""
+
+    @pytest.fixture
+    def worker(self):
+        shard_policy = Policy(shard_policy_document(POLICY.document))
+        server = StompServer(Broker(audit=AuditLog()), policy=shard_policy).start()
+        router = ClusterRouter({"shard-0": server.address}, audit=AuditLog())
+        yield make_engine(broker=router, raise_callback_errors=False)
+        router.close()
+        server.stop()
+
+    def test_deliveries_run_on_one_listener_thread_in_publish_order(self, worker):
+        class Sequencer(Unit):
+            unit_name = "reader"
+
+            def setup(self):
+                self.subscribe("/in", self.on_event)
+
+            def on_event(self, event):
+                thread = threading.current_thread().name
+                self.store.set("order", self.store.get("order", []) + [int(event["i"])])
+                self.store.set("threads", self.store.get("threads", []) + [thread])
+
+        worker.register(Sequencer())
+        for index in range(100):
+            worker.publish("/in", {"i": str(index)})
+        store = worker.store_of("reader")
+        assert wait_for(lambda: len(store.get("order", [])) == 100)
+        assert store.get("order") == list(range(100))
+        threads = set(store.get("threads"))
+        assert len(threads) == 1 and threading.current_thread().name not in threads
+
+    def test_failed_delivery_leaves_no_labels_and_no_jail_behind(self, worker, tmp_path):
+        class LabelProbe(Unit):
+            unit_name = "reader"
+
+            def setup(self):
+                self.subscribe("/in", self.on_event)
+
+            def on_event(self, event):
+                self.store.set(f"ambient:{event.payload}", current_labels().to_uris())
+                self.store.set(f"thread:{event.payload}", threading.current_thread().name)
+                if event.payload == "dies":
+                    raise RuntimeError("dies inside a labelled, jailed context")
+
+        after = []
+
+        def trusted(event):
+            # The same principal's link, so the same listener thread: an
+            # unjailed callback that writes a file and reads the ambient set.
+            (tmp_path / "after.txt").write_text("the listener is free again")
+            after.append((threading.current_thread().name, current_labels().to_uris()))
+
+        worker.register(LabelProbe())
+        worker.broker.subscribe("/after", trusted, principal="reader")
+        worker.publish("/in", payload="dies", labels=[PATIENT_1])
+        worker.publish("/in", payload="plain")
+        worker.publish("/after")
+        assert wait_for(lambda: after)
+        store = worker.store_of("reader")
+        listener = store.get("thread:dies")
+        assert store.get("thread:plain") == listener
+        assert store.get("ambient:dies") == [PATIENT_1.uri]
+        assert store.get("ambient:plain") == []
+        assert after == [(listener, [])]
+        assert (tmp_path / "after.txt").exists()
+        assert worker.stats.callback_errors == 1
 
 
 class TestConcurrentPublishers:

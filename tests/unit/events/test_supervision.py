@@ -39,7 +39,6 @@ from repro.events.supervision import (
     is_dlq_topic,
 )
 from repro.exceptions import CircuitOpenError, IsolationError, SafeWebError
-from tests.property.oracle import settle
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 
@@ -69,10 +68,10 @@ class FakeClock:
         self.now += seconds
 
 
-def make_engine(supervision, audit: AuditLog = None, threaded: bool = False):
+def make_engine(supervision, audit: AuditLog = None):
     audit = audit if audit is not None else AuditLog()
     return EventProcessingEngine(
-        broker=Broker(threaded=threaded, audit=audit),
+        broker=Broker(audit=audit),
         policy=POLICY,
         audit=audit,
         supervision=supervision,
@@ -485,29 +484,39 @@ class TestSupervisedEngine:
         assert engine.stats.snapshot()["dead_lettered"] == 2
 
 
-class TestSupervisedEngineOnDispatcher:
-    """The ladder on a threaded broker's long-lived dispatcher thread:
-    nothing a failed attempt set up — ambient labels, containment — may
-    outlive it into the next delivery that thread runs."""
+def on_one_thread(*publishes):
+    """Run *publishes* one after another on one new, long-lived thread.
 
-    @pytest.fixture
-    def engine_for(self):
-        engines = []
+    The broker delivers on the publishing thread, so every delivery —
+    retries, dead letters and the next event's — runs there; an
+    exception on it is re-raised here."""
+    errors = []
 
-        def build(supervision):
-            engine = make_engine(supervision, threaded=True)
-            engines.append(engine)
-            return engine
+    def run():
+        try:
+            for publish in publishes:
+                publish()
+        except BaseException as error:  # noqa: BLE001 - handed to the test thread
+            errors.append(error)
 
-        yield build
-        for engine in engines:
-            engine.broker.stop()
+    thread = threading.Thread(target=run, name="long-lived-publisher")
+    thread.start()
+    thread.join(10)
+    assert not thread.is_alive(), "the publishing thread did not finish"
+    if errors:
+        raise errors[0]
 
-    def test_success_after_retry_observes_event_once(self, engine_for):
-        engine = engine_for(SupervisionPolicy(retry_budget=2))
+
+class TestSupervisedEngineOnOneLongLivedThread:
+    """The ladder on one long-lived publishing thread that runs many
+    deliveries: nothing a failed attempt set up — ambient labels,
+    containment — may outlive it into the next delivery that thread
+    runs."""
+
+    def test_success_after_retry_observes_event_once(self):
+        engine = make_engine(SupervisionPolicy(retry_budget=2))
         engine.register(FlakyUnit(failures_before_success=1))
-        engine.publish("/in", payload="p1", labels=[PATIENT])
-        settle(engine.broker)
+        on_one_thread(lambda: engine.publish("/in", payload="p1", labels=[PATIENT]))
         store = engine.store_of("flaky")
         assert store.get("seen") == ["p1"]
         assert store.get("attempts") == 2
@@ -515,7 +524,7 @@ class TestSupervisedEngineOnDispatcher:
         assert snapshot["retries"] == 1
         assert snapshot["dead_lettered"] == 0
 
-    def test_failed_delivery_leaves_no_ambient_labels_behind(self, engine_for):
+    def test_failed_delivery_leaves_no_ambient_labels_behind(self):
         class LabelProbe(Unit):
             unit_name = "flaky"
 
@@ -525,45 +534,48 @@ class TestSupervisedEngineOnDispatcher:
             def on_event(self, event):
                 entered = tuple(sorted(current_labels().to_uris()))
                 self.store.set(f"ambient:{event.payload}", entered)
+                self.store.set(f"thread:{event.payload}", threading.current_thread().name)
                 if event.payload == "dies":
                     raise RuntimeError("dies inside a labelled context")
 
-        engine = engine_for(SupervisionPolicy(retry_budget=0, max_restarts=5))
+        engine = make_engine(SupervisionPolicy(retry_budget=0, max_restarts=5))
         engine.register(LabelProbe())
-        engine.publish("/in", payload="dies", labels=[PATIENT])
-        engine.publish("/in", payload="plain")
-        settle(engine.broker)
-        # Same dispatcher thread, next delivery: it enters with its own
-        # event's labels (none), not the failed attempt's.
+        on_one_thread(
+            lambda: engine.publish("/in", payload="dies", labels=[PATIENT]),
+            lambda: engine.publish("/in", payload="plain"),
+        )
+        # Same thread, next delivery: it enters with its own event's
+        # labels (none), not the failed attempt's.
         store = engine.store_of("flaky")
+        assert store.get("thread:dies") == store.get("thread:plain") == "long-lived-publisher"
         assert store.get("ambient:dies") == (PATIENT.uri,)
         assert store.get("ambient:plain") == ()
 
-    def test_failed_jailed_delivery_leaves_the_dispatcher_unjailed(self, engine_for, tmp_path):
+    def test_failed_jailed_delivery_leaves_the_thread_unjailed(self, tmp_path):
         target = tmp_path / "after.txt"
-        engine = engine_for(SupervisionPolicy(retry_budget=1))
+        engine = make_engine(SupervisionPolicy(retry_budget=1))
         engine.register(FlakyUnit(failures_before_success=99))
-        written = threading.Event()
+        written = []
 
         def plain_subscriber(event):
-            target.write_text("the dispatcher is free again")
-            written.set()
+            target.write_text("the thread is free again")
+            written.append(threading.current_thread().name)
 
         engine.broker.subscribe("/after", plain_subscriber, principal="exporter")
-        engine.publish("/in", payload="p1")
-        engine.publish("/after")
-        settle(engine.broker)
-        assert written.is_set() and target.exists()
+        on_one_thread(
+            lambda: engine.publish("/in", payload="p1"),
+            lambda: engine.publish("/after"),
+        )
+        assert written == ["long-lived-publisher"] and target.exists()
         assert engine.stats.snapshot()["dead_lettered"] == 1
 
-    def test_exhausted_budget_dead_letters_with_labels(self, engine_for):
-        engine = engine_for(SupervisionPolicy(retry_budget=1, max_restarts=3))
+    def test_exhausted_budget_dead_letters_with_labels(self):
+        engine = make_engine(SupervisionPolicy(retry_budget=1, max_restarts=3))
         collected = dlq_tap(
             engine, "flaky", clearance=PrivilegeSet({"clearance": [PATIENT]})
         )
         engine.register(FlakyUnit(failures_before_success=99))
-        engine.publish("/in", payload="p1", labels=[PATIENT])
-        settle(engine.broker)
+        on_one_thread(lambda: engine.publish("/in", payload="p1", labels=[PATIENT]))
         assert [event.payload for event in collected] == ["p1"]
         dead = collected[0]
         assert dead.labels == LabelSet([PATIENT])

@@ -35,7 +35,7 @@ BUDGET = {
     PageCache: 0,
     federate: 3,
     EventProcessingEngine: 7,
-    Broker: 5,
+    Broker: 4,
     AuditLog: 2,
     StompBrokerBridge: 11,
     ClusterEngine: 6,
