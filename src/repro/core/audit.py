@@ -17,8 +17,8 @@ import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from operator import countOf, itemgetter
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.labels import LabelSet
 
@@ -65,12 +65,25 @@ class AuditRecord:
         }
 
 
-#: Recorded decisions: (component, operation, principal, decision,
-#: labels-or-None, detail, timestamp). The ring keeps them raw, its
-#: twin deque their record ids; formatting into AuditRecord happens when
-#: the log is queried, for the entries the query matches.
-_PendingEntry = Tuple[str, str, str, str, Optional[LabelSet], str, float]
-_RingEntry = Tuple[int, _PendingEntry]
+#: One decision of a fan-out: (principal, decision, detail).
+Decision = Tuple[str, str, str]
+#: Marks a fan-out entry in the decision slot; never a real decision.
+_FANOUT: Any = object()
+#: A pending or ring entry is one of two 7-tuples:
+#:
+#: * a record: (component, operation, principal, decision,
+#:   labels-or-None, detail, timestamp);
+#: * a fan-out (:meth:`AuditLog.note_fanout`): (component, operation,
+#:   decisions, ``_FANOUT``, labels-or-None, allowed, timestamp), where
+#:   *allowed* counts the ALLOWED decisions and the rest are DENIED. It
+#:   stands for ``len(decisions)`` records, which share every field but
+#:   the decision's own three.
+#:
+#: The same key function counts both: a fan-out lands on a
+#: (component, operation, ``_FANOUT``) key, which :meth:`AuditLog.flush`
+#: replaces by the fan-out's real counts.
+_Entry = Tuple[Any, ...]
+_RingEntry = Tuple[int, _Entry]
 
 _counter_key = itemgetter(0, 1, 3)
 
@@ -82,38 +95,106 @@ def _format(item: _RingEntry) -> AuditRecord:
     )
 
 
+def _size(entry: _Entry) -> int:
+    """How many records *entry* stands for."""
+    return len(entry[2]) if entry[3] is _FANOUT else 1
+
+
+def _drop_oldest(entries: Deque[_Entry], ids: Optional[Deque[int]], count: int) -> int:
+    """Drop the oldest *count* records of *entries* in place, with their
+    first record ids *ids* when given; a fan-out the cut goes through
+    keeps its newer decisions. Returns how many fan-outs went whole."""
+    whole = 0
+    while count:
+        entry = entries[0]
+        size = _size(entry)
+        if size > count:
+            component, operation, decisions, _, labels, _allowed, when = entry
+            rest = decisions[count:]
+            allowed = countOf(map(itemgetter(1), rest), ALLOWED)
+            entries[0] = (component, operation, rest, _FANOUT, labels, allowed, when)
+            if ids is not None:
+                ids[0] += count
+            break
+        entries.popleft()
+        if ids is not None:
+            ids.popleft()
+        count -= size
+        whole += entry[3] is _FANOUT
+    return whole
+
+
+def _expand(ids: Iterable[int], ring: Iterable[_Entry]) -> Iterator[_RingEntry]:
+    """The records of *ring* (first record id of each entry in *ids*),
+    a fan-out's in decision order with consecutive ids."""
+    for record_id, entry in zip(ids, ring):
+        if entry[3] is not _FANOUT:
+            yield record_id, entry
+            continue
+        component, operation, decisions, _, labels, _allowed, when = entry
+        for offset, (principal, decision, detail) in enumerate(decisions):
+            yield (
+                record_id + offset,
+                (component, operation, principal, decision, labels, detail, when),
+            )
+
+
 class AuditLog:
     """A bounded, thread-safe, in-memory audit log.
 
-    ``capacity`` bounds memory for long-running deployments; the oldest
-    records are discarded first, while the per-decision counters keep
-    exact totals forever.
+    ``capacity`` bounds memory for long-running deployments: the ring
+    keeps the newest ``capacity`` records, and the per-decision counters
+    keep exact totals forever.
 
-    There is one recording path: :meth:`record` (and its spellings
-    :meth:`allowed`, :meth:`denied`, :meth:`note`) timestamps the
-    decision and appends a raw tuple to a pending list; locking,
-    counter updates, record ids and the capacity trim are deferred to
-    :meth:`flush`, and :class:`AuditRecord` construction to the query
-    that reads the entry. Every query flushes first, so observers
-    always see a complete, exact, chronologically ordered log — only
-    *when* (and whether) the formatting cost is paid differs from
-    recording eagerly.
+    There are two ways in, and both only append a raw tuple to a pending
+    list. :meth:`record` (and its spellings :meth:`allowed`,
+    :meth:`denied`, :meth:`note`) timestamps one decision.
+    :meth:`note_fanout` takes the decisions one delivery loop made about
+    one event — the broker's fan-out of a publish — with one timestamp,
+    and appends them as one entry (a single decision becomes a plain
+    record). Locking, counter updates, record ids and the capacity trim
+    are deferred to :meth:`flush`, which works per entry, not per
+    record; the ring keeps fan-outs whole, and :meth:`_raw` is the one
+    place that expands them into records. :class:`AuditRecord`
+    construction waits for the query that reads the record. Every query
+    flushes first, so observers always see a complete, exact,
+    chronologically ordered log — only *when* (and whether) the
+    formatting cost is paid differs from recording eagerly.
+
+    A fan-out's records are written when its loop returns: they share
+    one timestamp, are contiguous, in candidate order, with consecutive
+    record ids, and come after every record made inside the loop's
+    callbacks (a cascade's publishes and decisions).
     """
 
     def __init__(self, capacity: int = 10_000, clock: Callable[[], float] = time.time):
         self._lock = threading.Lock()
-        self._ring: Deque[_PendingEntry] = deque(maxlen=capacity)
+        #: Flushed entries, oldest first, holding the newest ``capacity``
+        #: records; the twin deque holds each entry's first record id.
+        #: While no fan-out is in the ring an entry is a record, and the
+        #: maxlen makes the capacity trim.
+        self._ring: Deque[_Entry] = deque(maxlen=capacity)
         self._ring_ids: Deque[int] = deque(maxlen=capacity)
+        #: Records in the ring, and fan-outs among its entries.
+        self._ring_records = 0
+        self._ring_fanouts = 0
         self._capacity = capacity
         self._clock = clock
         self._counters: Counter[Tuple[str, str, str]] = Counter()
-        self._pending: List[_PendingEntry] = []
-        #: Flush when this many decisions are pending, so the buffer is
+        self._pending: List[_Entry] = []
+        #: Flush when this many records are pending, so the buffer is
         #: bounded even if no one queries the log for a long time.
         #: Deliberately larger than small capacities: a flush only keeps
-        #: the last ``capacity`` entries (older ones would be evicted
+        #: the last ``capacity`` records (older ones would be evicted
         #: immediately), so a big batch amortises the lock and the drain.
         self._flush_threshold = max(256, min(capacity, 4096))
+        #: The pending-entry count that reaches the threshold: each
+        #: pending fan-out of n decisions lowers it by n - 1, so
+        #: :meth:`record` checks one length, as it would with no fan-outs.
+        #: Updated without the lock: an update lost to a racing thread
+        #: moves one flush earlier or later by one fan-out, and every
+        #: flush resets it, so the buffer stays bounded.
+        self._flush_at = self._flush_threshold
 
     def record(
         self,
@@ -125,16 +206,48 @@ class AuditLog:
         detail: str = "",
     ) -> None:
         """Record a decision; the caller pays a timestamp and a lock-free
-        ring append, :meth:`flush` materialises the record."""
+        list append, :meth:`flush` materialises the record."""
         self._pending.append(
             (component, operation, principal, decision, labels, detail, self._clock())
         )
-        if len(self._pending) >= self._flush_threshold:
+        if len(self._pending) >= self._flush_at:
             self.flush()
 
     #: The name hot paths record under (kept: callers and the perf
     #: tracer tell the two apart) — the same one path.
     note = record
+
+    def note_fanout(
+        self,
+        component: str,
+        operation: str,
+        labels: Optional[LabelSet],
+        decisions: Sequence[Decision],
+        allowed: int,
+    ) -> None:
+        """Record one fan-out's *decisions* — (principal, decision,
+        detail) each, in candidate order, *allowed* of them ALLOWED and
+        the rest DENIED — on *labels*, with one timestamp and one append.
+
+        The records read back as :meth:`record` calls made here, in
+        order, would, but share one timestamp; the caller may not mutate
+        *decisions* after."""
+        size = len(decisions)
+        if not size:
+            return
+        pending = self._pending
+        if size == 1:
+            principal, decision, detail = decisions[0]
+            pending.append(
+                (component, operation, principal, decision, labels, detail, self._clock())
+            )
+        else:
+            pending.append(
+                (component, operation, decisions, _FANOUT, labels, allowed, self._clock())
+            )
+            self._flush_at -= size - 1
+        if len(pending) >= self._flush_at:
+            self.flush()
 
     def allowed(self, component: str, operation: str, principal: str, **kwargs) -> None:
         self.record(component, operation, principal, ALLOWED, **kwargs)
@@ -143,12 +256,15 @@ class AuditLog:
         self.record(component, operation, principal, DENIED, **kwargs)
 
     def flush(self) -> int:
-        """Move pending entries into the ring; returns how many.
+        """Move pending entries into the ring; returns how many records.
 
         Counters are updated for *every* pending decision (totals stay
-        exact), but only the newest ``capacity`` entries get a record id
+        exact), but only the newest ``capacity`` records get a record id
         and a place in the ring — anything older would be evicted the
-        moment it was appended. No :class:`AuditRecord` is built here.
+        moment it was appended. The work is per entry: a fan-out adds its
+        ALLOWED and DENIED counts in two updates and reserves its ids in
+        one range with the rest of the batch. No :class:`AuditRecord` is
+        built here.
         """
         pending = self._pending
         if not pending:
@@ -164,11 +280,53 @@ class AuditLog:
                 return 0
             drained = pending[:count]
             del pending[:count]
-            self._counters.update(map(_counter_key, drained))
+            self._flush_at = self._flush_threshold
+            counters = self._counters
+            counters.update(map(_counter_key, drained))
+            fanned = [key for key in counters if key[2] is _FANOUT]
+            if fanned or self._ring_fanouts:
+                return self._keep_fanouts(drained, fanned)
             kept = drained[max(0, count - self._capacity) :]
             self._ring_ids.extend(_reserve_record_ids(len(kept)))
             self._ring.extend(kept)
+            self._ring_records = len(self._ring)
         return count
+
+    def _keep_fanouts(self, drained: List[_Entry], fanned: List[Tuple[str, str, str]]) -> int:
+        """:meth:`flush` for a batch or a ring that holds a fan-out, under
+        the lock: *fanned* are the counter keys the batch's fan-outs were
+        counted under, to be replaced by their real counts. Trims the
+        ring by records before appending, so its maxlen never evicts."""
+        counters = self._counters
+        total = len(drained)
+        if fanned:
+            for key in fanned:
+                del counters[key]
+            for component, operation, decisions, mark, _, allowed, _ in drained:
+                if mark is _FANOUT:
+                    size = len(decisions)
+                    total += size - 1
+                    if allowed:
+                        counters[(component, operation, ALLOWED)] += allowed
+                    if size > allowed:
+                        counters[(component, operation, DENIED)] += size - allowed
+        capacity = self._capacity
+        kept = min(total, capacity)
+        batch = deque(drained)
+        if total > capacity:
+            _drop_oldest(batch, None, total - capacity)
+        excess = self._ring_records + kept - capacity
+        if excess > 0:
+            self._ring_fanouts -= _drop_oldest(self._ring, self._ring_ids, excess)
+            self._ring_records -= excess
+        record_id = _reserve_record_ids(kept).start
+        for entry in batch:
+            self._ring_ids.append(record_id)
+            self._ring.append(entry)
+            record_id += _size(entry)
+            self._ring_fanouts += entry[3] is _FANOUT
+        self._ring_records += kept
+        return total
 
     def _raw(
         self,
@@ -176,10 +334,11 @@ class AuditLog:
         decision: Optional[str] = None,
         principal: Optional[str] = None,
     ) -> List[_RingEntry]:
-        """The ring entries a query matches, oldest first, unformatted."""
+        """The records a query matches, oldest first, as (record id,
+        raw record) pairs, unformatted; fan-outs expanded."""
         self.flush()
         with self._lock:
-            snapshot = list(zip(self._ring_ids, self._ring))
+            snapshot = list(_expand(self._ring_ids, self._ring))
         if component is None and decision is None and principal is None:
             return snapshot
         return [
@@ -233,14 +392,16 @@ class AuditLog:
     def clear(self) -> None:
         with self._lock:
             self._pending.clear()
+            self._flush_at = self._flush_threshold
             self._ring.clear()
             self._ring_ids.clear()
+            self._ring_records = self._ring_fanouts = 0
             self._counters.clear()
 
     def __len__(self) -> int:
         self.flush()
         with self._lock:
-            return len(self._ring)
+            return self._ring_records
 
     def __iter__(self) -> Iterable[AuditRecord]:
         return iter(self.records())

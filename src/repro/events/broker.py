@@ -31,8 +31,10 @@ four layers, none of which weakens a check:
    (a *clearance plan*: one decision per candidate, in route order) and
    replayed for every later event with that label set; a plan is
    dropped with its route (subscribe, unsubscribe, cache limit) and when
-   a subscription's clearance or required integrity is reassigned. Audit
-   records are deferred through :meth:`~repro.core.audit.AuditLog.note`.
+   a subscription's clearance or required integrity is reassigned. A
+   publish's delivery decisions go to the audit log as one entry
+   (:meth:`~repro.core.audit.AuditLog.note_fanout`), written when the
+   loop returns.
 
 :class:`BrokerStats` exposes ``index_hits`` / ``route_cache_hits`` so
 benchmarks (A1/E4) can attribute wins to each layer.
@@ -44,7 +46,7 @@ import itertools
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.audit import ALLOWED, DENIED, AuditLog, default_audit_log
+from repro.core.audit import ALLOWED, DENIED, AuditLog, Decision, default_audit_log
 from repro.core.labels import EMPTY_LABELS, LabelSet
 from repro.core.privileges import PrivilegeSet
 from repro.events.event import Event
@@ -84,7 +86,8 @@ class Subscription:
         "active",
         "segments",
         "seq",
-        "_denial_detail",
+        "_allowed",
+        "_denied",
         "_replan",
     )
 
@@ -111,9 +114,12 @@ class Subscription:
         self.segments = tuple(topic.strip("/").split("/"))
         #: Registration order; delivery iterates subscriptions in this order.
         self.seq = next(_subscription_seq)
-        #: The denial detail is subscription-constant; format it once
-        #: instead of per filtered event.
-        self._denial_detail = f"subscription {subscription_id} lacks clearance"
+        #: The audit decisions a delivery loop plans are
+        #: subscription-constant (:meth:`AuditLog.note_fanout`'s
+        #: (principal, decision, detail)); build them once instead of
+        #: per delivered or filtered event.
+        self._allowed = (principal, ALLOWED, "")
+        self._denied = (principal, DENIED, f"subscription {subscription_id} lacks clearance")
         #: Set by the broker: drops the clearance plans decided on the old
         #: value when :attr:`clearance` or :attr:`require_integrity` is
         #: reassigned.
@@ -471,9 +477,11 @@ class Broker:
     def _deliver_plain(
         self, event: Event, plain: Sequence[Tuple[Subscription, Callable]]
     ) -> int:
-        """Delivery with no selectors and label checks off: pure fan-out."""
+        """Delivery with no selectors and label checks off: pure fan-out.
+        Only a callback error is audited."""
         stats = self.stats
         delivered = 0
+        errors: List[Decision] = []
         try:
             for subscription, callback in plain:
                 if not subscription.active:
@@ -483,18 +491,13 @@ class Broker:
                     delivered += 1
                 except Exception as exc:  # noqa: BLE001 - a failing subscriber must not stop others
                     stats.errors += 1
-                    self._audit.note(
-                        "broker",
-                        "deliver",
-                        subscription.principal,
-                        DENIED,
-                        event.labels,
-                        f"callback error: {exc!r}",
-                    )
+                    errors.append((subscription.principal, DENIED, f"callback error: {exc!r}"))
                     if self._raise_errors:
                         raise
         finally:
             stats.delivered += delivered
+            if errors:
+                self._audit.note_fanout("broker", "deliver", event.labels, errors, 0)
         return delivered
 
     def _deliver_general(
@@ -510,12 +513,16 @@ class Broker:
         A callback that reassigns a clearance drops the route's plans;
         from then on this publish decides each remaining candidate when
         its turn comes, as a loop without plans would.
+
+        Each audit decision is appended to a local list — a planned one
+        is the subscription's prebuilt tuple — and the ``finally`` writes
+        them as one fan-out, so a callback error that propagates under
+        ``raise_errors`` still leaves every decision made in the log.
         """
         stats = self.stats
         label_checks = self._label_checks
         attributes = event.attributes
-        labels = event.labels
-        audit_note = self._audit.note
+        decisions: List[Decision] = []
         delivered = 0
         selector_filtered = 0
         label_filtered = 0
@@ -539,30 +546,16 @@ class Broker:
                     cleared = subscription.cleared_for(event)
                 if not cleared:
                     label_filtered += 1
-                    audit_note(
-                        "broker",
-                        "deliver",
-                        subscription.principal,
-                        DENIED,
-                        labels,
-                        subscription._denial_detail,
-                    )
+                    decisions.append(subscription._denied)
                     continue
                 try:
                     callback(event)
                     delivered += 1
                     if label_checks:
-                        audit_note("broker", "deliver", subscription.principal, ALLOWED, labels)
+                        decisions.append(subscription._allowed)
                 except Exception as exc:  # noqa: BLE001 - a failing subscriber must not stop others
                     stats.errors += 1
-                    audit_note(
-                        "broker",
-                        "deliver",
-                        subscription.principal,
-                        DENIED,
-                        labels,
-                        f"callback error: {exc!r}",
-                    )
+                    decisions.append((subscription.principal, DENIED, f"callback error: {exc!r}"))
                     if self._raise_errors:
                         raise
                 if plans is not None and route.plans is not plans:
@@ -571,4 +564,13 @@ class Broker:
             stats.delivered += delivered
             stats.selector_filtered += selector_filtered
             stats.label_filtered += label_filtered
+            if decisions:
+                # Every delivery with label checks on is one ALLOWED decision.
+                self._audit.note_fanout(
+                    "broker",
+                    "deliver",
+                    event.labels,
+                    decisions,
+                    delivered if label_checks else 0,
+                )
         return delivered

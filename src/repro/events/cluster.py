@@ -443,8 +443,9 @@ class ClusterRouter:
 
 def _audit_tuples(audit: AuditLog) -> List[tuple]:
     """*audit*'s decisions as comparable, picklable tuples (detail dropped)."""
-    # Straight off the log's raw ring: entry = (component, operation,
-    # principal, decision, labels-or-None, detail, timestamp).
+    # Straight off the log's raw records (fan-outs expanded): entry =
+    # (component, operation, principal, decision, labels-or-None, detail,
+    # timestamp).
     return [
         (*entry[:4], tuple(entry[4].to_uris()) if entry[4] else ())
         for _record_id, entry in audit._raw()

@@ -1,12 +1,14 @@
 """Property: the lazy ``AuditLog`` reads back exactly as an eager one.
 
-``AuditLog`` keeps raw entries and builds :class:`AuditRecord` objects
-only for the entries a query matches. The model below records eagerly
-into a plain list — every field formatted at record time, the capacity
-trim applied after every append — and any interleaving of recording and
-querying must be indistinguishable from it: same fields in the same
-order, ids strictly increasing and stable, counters exact through
-eviction.
+``AuditLog`` keeps raw entries — a fan-out's decisions as one — and
+builds :class:`AuditRecord` objects only for the records a query
+matches. The model below records eagerly into a plain list — every
+field formatted at record time, a fan-out expanded into one row per
+decision sharing one timestamp, the capacity trim applied after every
+row — and any interleaving of recording and querying must be
+indistinguishable from it: same fields in the same order, ids strictly
+increasing and stable (consecutive within a fan-out, also one cut by
+eviction), counters exact through eviction.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import audit as audit_module
-from repro.core.audit import ALLOWED, DENIED, AuditLog, AuditRecord
+from repro.core.audit import ALLOWED, DENIED, AuditLog, AuditRecord, _size
 from repro.core.labels import LabelSet
 
 from tests.property.strategies import label_sets
@@ -28,8 +30,11 @@ OPERATIONS = ("deliver", "publish", "respond")
 PRINCIPALS = ("u1", "u2", "u3")
 DECISIONS = (ALLOWED, DENIED)
 #: 1 and 3 are below the flush threshold's floor (256), so one flush
-#: evicts most of its own batch; 300 sets the threshold itself.
+#: evicts most of its own batch and a fan-out is cut at the front; 300
+#: sets the threshold itself.
 CAPACITIES = (1, 3, 300)
+#: The broker_fanout workload's consumer count bounds a fan-out.
+FANOUT_MAX = 48
 
 _maybe = lambda values: st.one_of(st.none(), st.sampled_from(values))  # noqa: E731
 _entry = st.tuples(
@@ -40,8 +45,20 @@ _entry = st.tuples(
     st.one_of(st.none(), label_sets(max_size=2)),
     st.text(max_size=6),
 )
+_decision = st.tuples(
+    st.sampled_from(PRINCIPALS), st.sampled_from(DECISIONS), st.text(max_size=6)
+)
+_fanout = st.tuples(
+    st.just("fanout"),
+    st.sampled_from(COMPONENTS),
+    st.sampled_from(OPERATIONS),
+    st.one_of(st.none(), label_sets(max_size=2)),
+    st.lists(_decision, min_size=1, max_size=FANOUT_MAX),
+)
 _operation = st.one_of(
     st.tuples(st.just("record"), _entry),
+    _fanout,
+    _fanout,
     st.tuples(st.just("spelled"), _entry),  # via allowed() / denied()
     # Enough at once to cross the flush threshold without a query.
     st.tuples(st.just("burst"), _entry, st.integers(1, 700)),
@@ -60,12 +77,17 @@ class EagerModel:
         self.rows = []
         self.counters = Counter()
 
-    def record(self, when, component, operation, principal, decision, labels, detail):
+    def record(self, when, component, operation, principal, decision, labels, detail, offset=0):
+        """One row; *offset* is its place in its fan-out (0 for a record)."""
         self.counters[(component, operation, decision)] += 1
         self.rows.append(
-            (when, component, operation, principal, decision, labels or LabelSet(), detail)
+            (when, component, operation, principal, decision, labels or LabelSet(), detail, offset)
         )
         del self.rows[: max(0, len(self.rows) - self.capacity)]
+
+    def fanout(self, when, component, operation, labels, decisions):
+        for offset, (principal, decision, detail) in enumerate(decisions):
+            self.record(when, component, operation, principal, decision, labels, detail, offset)
 
     def records(self, component=None, decision=None, principal=None):
         return [
@@ -105,13 +127,16 @@ def _fields(record):
 
 
 def _same(found, expected, seen_ids):
-    assert [_fields(record) for record in found] == expected
+    assert [_fields(record) for record in found] == [row[:-1] for row in expected]
     ids = [record.record_id for record in found]
     assert all(earlier < later for earlier, later in zip(ids, ids[1:]))
-    for record in found:
-        # The clock is a counter, so a timestamp names one entry: the id
-        # it was given at flush time never changes between queries.
-        assert seen_ids.setdefault(record.timestamp, record.record_id) == record.record_id
+    for record, row in zip(found, expected):
+        # The clock is a counter, so a timestamp names one record or one
+        # fan-out: the ids given at flush time never change between
+        # queries, and a fan-out's are consecutive (id - offset is its
+        # first record's, even after eviction cut the front off).
+        first = record.record_id - row[-1]
+        assert seen_ids.setdefault(record.timestamp, first) == first
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES)
@@ -133,6 +158,11 @@ def test_reads_back_as_the_eager_model(capacity, operations):
                 else:
                     log.record(component, operation, principal, decision, labels, detail)
                 model.record(float(next(model_ticks)), *args[0])
+        elif kind == "fanout":
+            component, operation, labels, decisions = args
+            allowed = sum(decision == ALLOWED for _, decision, _ in decisions)
+            log.note_fanout(component, operation, labels, decisions, allowed)
+            model.fanout(float(next(model_ticks)), component, operation, labels, decisions)
         elif kind == "records":
             _same(log.records(*args), model.records(*args), seen_ids)
         elif kind == "denials":
@@ -151,6 +181,38 @@ def test_reads_back_as_the_eager_model(capacity, operations):
     _same(log.records(), model.records(), seen_ids)
     assert len(log) == len(model.rows) <= capacity
     assert log.count() == log.total_decisions() == sum(model.counters.values())
+
+
+@pytest.mark.parametrize("capacity", CAPACITIES + (10_000,))
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, FANOUT_MAX), min_size=1, max_size=400))
+def test_pending_records_stay_bounded(capacity, sizes):
+    """The flush threshold counts pending *records*, not entries: a
+    fan-out of n decisions counts n, so a log fed fan-outs buffers no
+    more than one fed single records — at most the threshold plus the
+    largest fan-out, at any moment."""
+    log = AuditLog(capacity=capacity)
+    threshold = log._flush_threshold
+    peak = [0]
+    flush = log.flush
+
+    def pending_records():
+        return sum(map(_size, log._pending))
+
+    def watched_flush():
+        peak[0] = max(peak[0], pending_records())
+        return flush()
+
+    log.flush = watched_flush
+    for size in sizes:
+        decisions = [("u1", ALLOWED, "")] * size
+        log.note_fanout("broker", "deliver", None, decisions, size)
+        log.note("broker", "publish", "u1", ALLOWED)
+        assert pending_records() < threshold
+    assert peak[0] <= threshold + max(sizes)
+    expected = sum(sizes) + len(sizes)
+    assert log.total_decisions() == expected
+    assert len(log) == min(capacity, expected)
 
 
 def test_labels_none_reads_back_as_the_empty_label_set():
@@ -200,9 +262,16 @@ def test_concurrent_recorders_lose_and_duplicate_nothing():
             last[record.principal] = int(record.detail)
         return last
 
-    def recorder(name):
-        for sequence in range(each):
-            log.note("broker", "deliver", name, ALLOWED, None, str(sequence))
+    def recorder(name, fanning):
+        sequence = 0
+        while sequence < each:
+            size = min(1 + sequence % 7, each - sequence) if fanning else 1
+            if size == 1:
+                log.note("broker", "deliver", name, ALLOWED, None, str(sequence))
+            else:
+                decisions = [(name, ALLOWED, str(sequence + offset)) for offset in range(size)]
+                log.note_fanout("broker", "deliver", None, decisions, size)
+            sequence += size
 
     def reader():
         try:
@@ -216,8 +285,11 @@ def test_concurrent_recorders_lose_and_duplicate_nothing():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
+        # Half the recorders write fan-outs of 2 to 7 decisions between
+        # single records.
         threads = [
-            threading.Thread(target=recorder, args=(f"r{index}",)) for index in range(recorders)
+            threading.Thread(target=recorder, args=(f"r{index}", index % 2))
+            for index in range(recorders)
         ]
         querier = threading.Thread(target=reader)
         querier.start()

@@ -18,6 +18,13 @@ same deliveries in the same order, same ``BrokerStats`` and
 ``EngineStats``, the same audit entries in order, the same ambient
 labels and jail state seen by every callback.
 
+One thing here is not the seed's: the audit order of a fan-out. The
+broker writes a publish's delivery decisions when its loop returns, as
+one contiguous run after every record its callbacks made, so
+:class:`ReferenceBroker` keeps its decisions in a list and records
+them, one :meth:`~repro.core.audit.AuditLog.note` each, in its
+``finally``.
+
 Do not "improve" this module; it is deliberately the slow, obviously
 correct version.
 """
@@ -88,6 +95,7 @@ class ReferenceBroker(Broker):
         stats.candidates += len(candidates)
         labels = event.labels
         delivered = 0
+        decisions = []
         try:
             for subscription in candidates:
                 if not subscription.active:
@@ -98,36 +106,28 @@ class ReferenceBroker(Broker):
                     continue
                 if self._label_checks and not subscription.cleared_for(event):
                     stats.label_filtered += 1
-                    self._audit.note(
-                        "broker",
-                        "deliver",
-                        subscription.principal,
-                        DENIED,
-                        labels,
-                        f"subscription {subscription.subscription_id} lacks clearance",
+                    decisions.append(
+                        (
+                            subscription.principal,
+                            DENIED,
+                            f"subscription {subscription.subscription_id} lacks clearance",
+                        )
                     )
                     continue
                 try:
                     subscription.callback(event)
                     delivered += 1
                     if self._label_checks:
-                        self._audit.note(
-                            "broker", "deliver", subscription.principal, ALLOWED, labels
-                        )
+                        decisions.append((subscription.principal, ALLOWED, ""))
                 except Exception as exc:  # noqa: BLE001 - a failing subscriber must not stop others
                     stats.errors += 1
-                    self._audit.note(
-                        "broker",
-                        "deliver",
-                        subscription.principal,
-                        DENIED,
-                        labels,
-                        f"callback error: {exc!r}",
-                    )
+                    decisions.append((subscription.principal, DENIED, f"callback error: {exc!r}"))
                     if self._raise_errors:
                         raise
         finally:
             stats.delivered += delivered
+            for principal, decision, detail in decisions:
+                self._audit.note("broker", "deliver", principal, decision, labels, detail)
         return delivered
 
 

@@ -206,3 +206,104 @@ class TestDeliveryOnThePublishingThread:
         assert len(received) == 100
         assert broker.drain(0.05) is True
         assert engine.drain(0.05) is True
+
+
+class TestFanoutAuditOrder:
+    """A publish's delivery decisions are one audit entry, written when
+    the delivery loop returns: contiguous, in candidate order, with
+    consecutive ids and one timestamp, after every record made inside
+    the loop's callbacks."""
+
+    POLICY = """
+        authority ecric.org.uk
+        unit before {
+        }
+        unit relay {
+            clearance label:conf:ecric.org.uk/patient
+        }
+        unit after {
+        }
+        unit sink {
+            clearance label:conf:ecric.org.uk/patient
+        }
+    """
+
+    def test_a_cascade_is_logged_before_the_fanout_that_caused_it(self):
+        from repro.core.policy import parse_policy
+        from repro.events import EventProcessingEngine
+        from repro.events.unit import unit_from_function
+
+        def handler(unit, event):
+            if unit.name == "relay":
+                unit.publish("/out", {"n": event.get("n")})
+
+        audit = AuditLog()
+        engine = EventProcessingEngine(
+            broker=Broker(audit=audit), policy=parse_policy(self.POLICY), audit=audit
+        )
+        # Route order on /in: denied, cleared-and-publishing, denied.
+        for name in ("before", "relay", "after"):
+            engine.register(unit_from_function("/in", name=name)(handler))
+        engine.register(unit_from_function("/out", name="sink")(handler))
+        lacks = {
+            name: f"subscription {engine.broker.subscriptions_for(name)[0].subscription_id}"
+            " lacks clearance"
+            for name in ("before", "after")
+        }
+        start = len(audit)
+        engine.publish("/in", {"n": "1"}, labels=[PATIENT])
+        records = audit.records()[start:]
+        assert [
+            (record.component, record.operation, record.principal, record.decision, record.detail)
+            for record in records
+        ] == [
+            ("broker", "publish", "external", "allowed", ""),
+            # Nested: the relay's publish and its one-candidate fan-out.
+            ("engine", "publish", "relay", "allowed", ""),
+            ("broker", "publish", "relay", "allowed", ""),
+            ("broker", "deliver", "sink", "allowed", ""),
+            # The outer fan-out, in candidate order.
+            ("broker", "deliver", "before", "denied", lacks["before"]),
+            ("broker", "deliver", "relay", "allowed", ""),
+            ("broker", "deliver", "after", "denied", lacks["after"]),
+        ]
+        assert {record.labels for record in records} == {LabelSet([PATIENT])}
+        record_ids = [record.record_id for record in records]
+        assert all(earlier < later for earlier, later in zip(record_ids, record_ids[1:]))
+        fanout = records[-3:]
+        assert [record.record_id for record in fanout] == list(
+            range(fanout[0].record_id, fanout[0].record_id + 3)
+        )
+        assert len({record.timestamp for record in fanout}) == 1
+        stamps = [record.timestamp for record in records]
+        assert stamps == sorted(stamps)
+
+    def test_a_raising_callback_leaves_its_fanout_in_the_log(self):
+        audit = AuditLog()
+        broker = Broker(audit=audit, raise_errors=True)
+        reached = []
+
+        def boom(event):
+            raise RuntimeError("boom")
+
+        denied = broker.subscribe("/t", reached.append, principal="nosy")
+        broker.subscribe("/t", boom, principal="failing", clearance=CLEARED)
+        broker.subscribe("/t", reached.append, principal="never", clearance=CLEARED)
+        with pytest.raises(RuntimeError, match="boom"):
+            try:
+                broker.publish(Event("/t", labels=[PATIENT]), publisher="pub")
+            except RuntimeError:
+                # The exception has not left the publisher's frame yet.
+                logged = [
+                    (record.operation, record.principal, record.decision, record.detail)
+                    for record in audit.records()
+                ]
+                raise
+        assert logged == [
+            ("publish", "pub", "allowed", ""),
+            ("deliver", "nosy", "denied", f"subscription {denied.subscription_id} lacks clearance"),
+            ("deliver", "failing", "denied", "callback error: RuntimeError('boom')"),
+        ]
+        assert reached == []
+        assert audit.count(component="broker", operation="deliver", decision="denied") == 2
+        assert broker.stats.label_filtered == 1 and broker.stats.errors == 1
