@@ -74,18 +74,13 @@ _FANOUT: Any = object()
 #: * a record: (component, operation, principal, decision,
 #:   labels-or-None, detail, timestamp);
 #: * a fan-out (:meth:`AuditLog.note_fanout`): (component, operation,
-#:   decisions, ``_FANOUT``, labels-or-None, allowed, timestamp), where
-#:   *allowed* counts the ALLOWED decisions and the rest are DENIED. It
-#:   stands for ``len(decisions)`` records, which share every field but
-#:   the decision's own three.
-#:
-#: The same key function counts both: a fan-out lands on a
-#: (component, operation, ``_FANOUT``) key, which :meth:`AuditLog.flush`
-#: replaces by the fan-out's real counts.
+#:   decisions, ``_FANOUT``, labels-or-None, None, timestamp). It stands
+#:   for ``len(decisions)`` records, which share every field but the
+#:   decision's own three.
 _Entry = Tuple[Any, ...]
 _RingEntry = Tuple[int, _Entry]
 
-_counter_key = itemgetter(0, 1, 3)
+_decision_of = itemgetter(1)
 
 
 def _format(item: _RingEntry) -> AuditRecord:
@@ -100,28 +95,23 @@ def _size(entry: _Entry) -> int:
     return len(entry[2]) if entry[3] is _FANOUT else 1
 
 
-def _drop_oldest(entries: Deque[_Entry], ids: Optional[Deque[int]], count: int) -> int:
+def _drop_oldest(entries: Deque[_Entry], ids: Optional[Deque[int]], count: int) -> None:
     """Drop the oldest *count* records of *entries* in place, with their
     first record ids *ids* when given; a fan-out the cut goes through
-    keeps its newer decisions. Returns how many fan-outs went whole."""
-    whole = 0
+    keeps its newer decisions."""
     while count:
         entry = entries[0]
         size = _size(entry)
         if size > count:
-            component, operation, decisions, _, labels, _allowed, when = entry
-            rest = decisions[count:]
-            allowed = countOf(map(itemgetter(1), rest), ALLOWED)
-            entries[0] = (component, operation, rest, _FANOUT, labels, allowed, when)
+            component, operation, decisions, _, labels, _, when = entry
+            entries[0] = (component, operation, decisions[count:], _FANOUT, labels, None, when)
             if ids is not None:
                 ids[0] += count
-            break
+            return
         entries.popleft()
         if ids is not None:
             ids.popleft()
         count -= size
-        whole += entry[3] is _FANOUT
-    return whole
 
 
 def _expand(ids: Iterable[int], ring: Iterable[_Entry]) -> Iterator[_RingEntry]:
@@ -131,7 +121,7 @@ def _expand(ids: Iterable[int], ring: Iterable[_Entry]) -> Iterator[_RingEntry]:
         if entry[3] is not _FANOUT:
             yield record_id, entry
             continue
-        component, operation, decisions, _, labels, _allowed, when = entry
+        component, operation, decisions, _, labels, _, when = entry
         for offset, (principal, decision, detail) in enumerate(decisions):
             yield (
                 record_id + offset,
@@ -153,9 +143,9 @@ class AuditLog:
     one event — the broker's fan-out of a publish — with one timestamp,
     and appends them as one entry (a single decision becomes a plain
     record). Locking, counter updates, record ids and the capacity trim
-    are deferred to :meth:`flush`, which works per entry, not per
-    record; the ring keeps fan-outs whole, and :meth:`_raw` is the one
-    place that expands them into records. :class:`AuditRecord`
+    are deferred to :meth:`flush`, which works per entry, a record being
+    an entry of size one; the ring keeps fan-outs whole, and :meth:`_raw`
+    is the one place that expands them into records. :class:`AuditRecord`
     construction waits for the query that reads the record. Every query
     flushes first, so observers always see a complete, exact,
     chronologically ordered log — only *when* (and whether) the
@@ -170,14 +160,12 @@ class AuditLog:
     def __init__(self, capacity: int = 10_000, clock: Callable[[], float] = time.time):
         self._lock = threading.Lock()
         #: Flushed entries, oldest first, holding the newest ``capacity``
-        #: records; the twin deque holds each entry's first record id.
-        #: While no fan-out is in the ring an entry is a record, and the
-        #: maxlen makes the capacity trim.
-        self._ring: Deque[_Entry] = deque(maxlen=capacity)
-        self._ring_ids: Deque[int] = deque(maxlen=capacity)
-        #: Records in the ring, and fan-outs among its entries.
+        #: records (:meth:`flush` trims by record); the twin deque holds
+        #: each entry's first record id.
+        self._ring: Deque[_Entry] = deque()
+        self._ring_ids: Deque[int] = deque()
+        #: Records in the ring.
         self._ring_records = 0
-        self._ring_fanouts = 0
         self._capacity = capacity
         self._clock = clock
         self._counters: Counter[Tuple[str, str, str]] = Counter()
@@ -223,11 +211,10 @@ class AuditLog:
         operation: str,
         labels: Optional[LabelSet],
         decisions: Sequence[Decision],
-        allowed: int,
     ) -> None:
         """Record one fan-out's *decisions* — (principal, decision,
-        detail) each, in candidate order, *allowed* of them ALLOWED and
-        the rest DENIED — on *labels*, with one timestamp and one append.
+        detail) each, in candidate order, the decision ALLOWED or DENIED
+        — on *labels*, with one timestamp and one append.
 
         The records read back as :meth:`record` calls made here, in
         order, would, but share one timestamp; the caller may not mutate
@@ -243,7 +230,7 @@ class AuditLog:
             )
         else:
             pending.append(
-                (component, operation, decisions, _FANOUT, labels, allowed, self._clock())
+                (component, operation, decisions, _FANOUT, labels, None, self._clock())
             )
             self._flush_at -= size - 1
         if len(pending) >= self._flush_at:
@@ -262,9 +249,10 @@ class AuditLog:
         exact), but only the newest ``capacity`` records get a record id
         and a place in the ring — anything older would be evicted the
         moment it was appended. The work is per entry: a fan-out adds its
-        ALLOWED and DENIED counts in two updates and reserves its ids in
-        one range with the rest of the batch. No :class:`AuditRecord` is
-        built here.
+        ALLOWED and DENIED counts in two updates, and the batch reserves
+        its ids in one range. The ring is trimmed by record before the
+        append, so the oldest fan-out may lose its older decisions. No
+        :class:`AuditRecord` is built here.
         """
         pending = self._pending
         if not pending:
@@ -282,50 +270,35 @@ class AuditLog:
             del pending[:count]
             self._flush_at = self._flush_threshold
             counters = self._counters
-            counters.update(map(_counter_key, drained))
-            fanned = [key for key in counters if key[2] is _FANOUT]
-            if fanned or self._ring_fanouts:
-                return self._keep_fanouts(drained, fanned)
-            kept = drained[max(0, count - self._capacity) :]
-            self._ring_ids.extend(_reserve_record_ids(len(kept)))
-            self._ring.extend(kept)
-            self._ring_records = len(self._ring)
-        return count
-
-    def _keep_fanouts(self, drained: List[_Entry], fanned: List[Tuple[str, str, str]]) -> int:
-        """:meth:`flush` for a batch or a ring that holds a fan-out, under
-        the lock: *fanned* are the counter keys the batch's fan-outs were
-        counted under, to be replaced by their real counts. Trims the
-        ring by records before appending, so its maxlen never evicts."""
-        counters = self._counters
-        total = len(drained)
-        if fanned:
-            for key in fanned:
-                del counters[key]
-            for component, operation, decisions, mark, _, allowed, _ in drained:
-                if mark is _FANOUT:
-                    size = len(decisions)
-                    total += size - 1
-                    if allowed:
-                        counters[(component, operation, ALLOWED)] += allowed
-                    if size > allowed:
-                        counters[(component, operation, DENIED)] += size - allowed
-        capacity = self._capacity
-        kept = min(total, capacity)
-        batch = deque(drained)
-        if total > capacity:
-            _drop_oldest(batch, None, total - capacity)
-        excess = self._ring_records + kept - capacity
-        if excess > 0:
-            self._ring_fanouts -= _drop_oldest(self._ring, self._ring_ids, excess)
-            self._ring_records -= excess
-        record_id = _reserve_record_ids(kept).start
-        for entry in batch:
-            self._ring_ids.append(record_id)
-            self._ring.append(entry)
-            record_id += _size(entry)
-            self._ring_fanouts += entry[3] is _FANOUT
-        self._ring_records += kept
+            total = 0
+            for component, operation, decisions, decision, _, _, _ in drained:
+                if decision is not _FANOUT:
+                    counters[(component, operation, decision)] += 1
+                    total += 1
+                    continue
+                size = len(decisions)
+                allowed = countOf(map(_decision_of, decisions), ALLOWED)
+                if allowed:
+                    counters[(component, operation, ALLOWED)] += allowed
+                if size > allowed:
+                    counters[(component, operation, DENIED)] += size - allowed
+                total += size
+            capacity = self._capacity
+            kept = min(total, capacity)
+            batch = deque(drained)
+            if total > kept:
+                _drop_oldest(batch, None, total - kept)
+            excess = self._ring_records + kept - capacity
+            if excess > 0:
+                _drop_oldest(self._ring, self._ring_ids, excess)
+                self._ring_records -= excess
+            ring_ids = self._ring_ids
+            record_id = _reserve_record_ids(kept).start
+            for entry in batch:
+                ring_ids.append(record_id)
+                record_id += _size(entry)
+            self._ring.extend(batch)
+            self._ring_records += kept
         return total
 
     def _raw(
@@ -395,7 +368,7 @@ class AuditLog:
             self._flush_at = self._flush_threshold
             self._ring.clear()
             self._ring_ids.clear()
-            self._ring_records = self._ring_fanouts = 0
+            self._ring_records = 0
             self._counters.clear()
 
     def __len__(self) -> int:

@@ -477,11 +477,9 @@ class Broker:
     def _deliver_plain(
         self, event: Event, plain: Sequence[Tuple[Subscription, Callable]]
     ) -> int:
-        """Delivery with no selectors and label checks off: pure fan-out.
-        Only a callback error is audited."""
+        """Delivery with no selectors and label checks off: pure fan-out."""
         stats = self.stats
         delivered = 0
-        errors: List[Decision] = []
         try:
             for subscription, callback in plain:
                 if not subscription.active:
@@ -491,13 +489,18 @@ class Broker:
                     delivered += 1
                 except Exception as exc:  # noqa: BLE001 - a failing subscriber must not stop others
                     stats.errors += 1
-                    errors.append((subscription.principal, DENIED, f"callback error: {exc!r}"))
+                    self._audit.note(
+                        "broker",
+                        "deliver",
+                        subscription.principal,
+                        DENIED,
+                        event.labels,
+                        f"callback error: {exc!r}",
+                    )
                     if self._raise_errors:
                         raise
         finally:
             stats.delivered += delivered
-            if errors:
-                self._audit.note_fanout("broker", "deliver", event.labels, errors, 0)
         return delivered
 
     def _deliver_general(
@@ -565,12 +568,5 @@ class Broker:
             stats.selector_filtered += selector_filtered
             stats.label_filtered += label_filtered
             if decisions:
-                # Every delivery with label checks on is one ALLOWED decision.
-                self._audit.note_fanout(
-                    "broker",
-                    "deliver",
-                    event.labels,
-                    decisions,
-                    delivered if label_checks else 0,
-                )
+                self._audit.note_fanout("broker", "deliver", event.labels, decisions)
         return delivered

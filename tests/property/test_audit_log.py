@@ -160,8 +160,7 @@ def test_reads_back_as_the_eager_model(capacity, operations):
                 model.record(float(next(model_ticks)), *args[0])
         elif kind == "fanout":
             component, operation, labels, decisions = args
-            allowed = sum(decision == ALLOWED for _, decision, _ in decisions)
-            log.note_fanout(component, operation, labels, decisions, allowed)
+            log.note_fanout(component, operation, labels, decisions)
             model.fanout(float(next(model_ticks)), component, operation, labels, decisions)
         elif kind == "records":
             _same(log.records(*args), model.records(*args), seen_ids)
@@ -206,7 +205,7 @@ def test_pending_records_stay_bounded(capacity, sizes):
     log.flush = watched_flush
     for size in sizes:
         decisions = [("u1", ALLOWED, "")] * size
-        log.note_fanout("broker", "deliver", None, decisions, size)
+        log.note_fanout("broker", "deliver", None, decisions)
         log.note("broker", "publish", "u1", ALLOWED)
         assert pending_records() < threshold
     assert peak[0] <= threshold + max(sizes)
@@ -270,7 +269,7 @@ def test_concurrent_recorders_lose_and_duplicate_nothing():
                 log.note("broker", "deliver", name, ALLOWED, None, str(sequence))
             else:
                 decisions = [(name, ALLOWED, str(sequence + offset)) for offset in range(size)]
-                log.note_fanout("broker", "deliver", None, decisions, size)
+                log.note_fanout("broker", "deliver", None, decisions)
             sequence += size
 
     def reader():
