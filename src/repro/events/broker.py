@@ -18,16 +18,16 @@ Delivery fast path
 ------------------
 
 Publish cost is kept independent of the number of subscriptions through
-four layers, none of which weakens a check:
+three layers, none of which weakens a check:
 
-1. candidate subscriptions come from a segment trie
-   (:class:`~repro.events.index.TopicTrie`) instead of a linear scan;
-   ``tests/property/test_topic_index.py`` holds it to the seed matcher;
-2. resolved candidate lists are cached per concrete topic and
-   invalidated on any subscribe/unsubscribe;
-3. selector evaluation uses compiled closures, and identical selector
+1. each concrete topic's candidate list is found once, by one pass over
+   the subscriptions in registration order (:func:`_matches`, held to
+   the seed matcher ``tests/reference/topics.py`` by
+   ``tests/property/test_topic_index.py``), and cached as a route until
+   the next subscribe or unsubscribe;
+2. selector evaluation uses compiled closures, and identical selector
    objects (shared via the parse cache) are evaluated once per publish;
-4. the §4.2 clearance decisions of a route are made once per label set
+3. the §4.2 clearance decisions of a route are made once per label set
    (a *clearance plan*: one decision per candidate, in route order) and
    replayed for every later event with that label set; a plan is
    dropped with its route (subscribe, unsubscribe, cache limit) and when
@@ -36,8 +36,9 @@ four layers, none of which weakens a check:
    (:meth:`~repro.core.audit.AuditLog.note_fanout`), written when the
    loop returns.
 
-:class:`BrokerStats` exposes ``index_hits`` / ``route_cache_hits`` so
-benchmarks (A1/E4) can attribute wins to each layer.
+:class:`BrokerStats` exposes ``index_hits`` (route builds) and
+``route_cache_hits`` so benchmarks (A1/E4) can attribute wins to each
+layer.
 """
 
 from __future__ import annotations
@@ -50,21 +51,33 @@ from repro.core.audit import ALLOWED, DENIED, AuditLog, Decision, default_audit_
 from repro.core.labels import EMPTY_LABELS, LabelSet
 from repro.core.privileges import PrivilegeSet
 from repro.events.event import Event
-from repro.events.index import TopicTrie
 from repro.events.selector import Selector, parse_selector
 from repro.exceptions import SafeWebError
 from repro.faults import NULL_FAULTS, ChaosInjector
 
 _subscription_ids = itertools.count(1)
-_subscription_seq = itertools.count(1)
 
 #: Bound on the topic → candidate-list cache; publishes to more distinct
-#: topics than this simply rebuild entries from the trie.
+#: topics than this simply rebuild entries with another pass.
 _ROUTE_CACHE_LIMIT = 4096
 
 #: Bound on the clearance plans kept over all routes; past it every plan
 #: is dropped and rebuilt on demand.
 _PLAN_CACHE_LIMIT = 4096
+
+
+def _matches(pattern: Tuple[str, ...], topic: Tuple[str, ...]) -> bool:
+    """The seed's segment rules: ``*`` matches exactly one segment and a
+    trailing ``#`` one or more. A non-final ``#`` matches nothing, so such
+    a pattern matches only its own raw string (the caller's equality test).
+    """
+    last = len(pattern) - 1
+    for index, part in enumerate(pattern):
+        if part == "#":
+            return index == last and index < len(topic)
+        if index >= len(topic) or (part != "*" and part != topic[index]):
+            return False
+    return len(pattern) == len(topic)
 
 
 class Subscription:
@@ -85,7 +98,6 @@ class Subscription:
         "_require_integrity",
         "active",
         "segments",
-        "seq",
         "_allowed",
         "_denied",
         "_replan",
@@ -112,8 +124,6 @@ class Subscription:
         self.active = active
         #: Pre-split topic segments, computed once at subscribe time.
         self.segments = tuple(topic.strip("/").split("/"))
-        #: Registration order; delivery iterates subscriptions in this order.
-        self.seq = next(_subscription_seq)
         #: The audit decisions a delivery loop plans are
         #: subscription-constant (:meth:`AuditLog.note_fanout`'s
         #: (principal, decision, detail)); build them once instead of
@@ -192,7 +202,9 @@ class BrokerStats:
         self.label_filtered = 0
         self.selector_filtered = 0
         self.errors = 0
-        #: Deliveries whose candidates came from a fresh trie lookup.
+        #: Deliveries whose route was built (a pass over every
+        #: subscription). The name predates the one-pass build and stays
+        #: because the benchmark harness reads it.
         self.index_hits = 0
         #: Deliveries served straight from the per-topic route cache.
         self.route_cache_hits = 0
@@ -274,7 +286,6 @@ class Broker:
         #: propagate to the publisher instead of being contained — the
         #: engine relies on this to surface SecurityViolations in tests.
         self._raise_errors = raise_errors
-        self._index: TopicTrie[Subscription] = TopicTrie()
         self._routes: Dict[str, _Route] = {}
         #: Clearance plans held over all routes (bounded by _PLAN_CACHE_LIMIT).
         self._planned = 0
@@ -318,12 +329,6 @@ class Broker:
                     f"duplicate subscription id {subscription.subscription_id!r}"
                 )
             self._subscriptions[subscription.subscription_id] = subscription
-            self._index.add(
-                topic,
-                subscription.subscription_id,
-                subscription,
-                segments=subscription.segments,
-            )
             self._clear_routes()
             subscription._replan = self._drop_plans
         return subscription
@@ -332,9 +337,6 @@ class Broker:
         with self._lock:
             subscription = self._subscriptions.pop(subscription_id, None)
             if subscription is not None:
-                self._index.remove(
-                    subscription.topic, subscription_id, segments=subscription.segments
-                )
                 self._clear_routes()
         if subscription is not None:
             subscription.active = False
@@ -401,11 +403,19 @@ class Broker:
             self._planned = 0
 
     def _build_route(self, topic: str) -> _Route:
-        """Resolve and cache the prepared candidate list for *topic*."""
+        """Resolve and cache the prepared candidate list for *topic*.
+
+        The subscriptions dict keeps registration order, which is the
+        delivery order.
+        """
+        segments = tuple(topic.strip("/").split("/"))
         with self._lock:
-            matched = self._index.match(topic)
+            matched = [
+                subscription
+                for subscription in self._subscriptions.values()
+                if subscription.topic == topic or _matches(subscription.segments, segments)
+            ]
             self.stats.index_hits += 1
-            matched.sort(key=lambda subscription: subscription.seq)
             entries = tuple(
                 (
                     subscription,

@@ -49,6 +49,9 @@ from repro.faults import NULL_FAULTS, ChaosInjector, SimulatedCrash
 #: Most runs a link keeps sent but not yet receipt-confirmed.
 SEND_WINDOW = 8
 
+#: Cap, in seconds, on the exponential sleep between send attempts.
+BACKOFF_MAX = 2.0
+
 
 class _BridgeStats:
     __slots__ = ("published", "delivered", "errors", "reconnects", "dead_lettered")
@@ -99,7 +102,6 @@ class StompBrokerBridge:
         reconnect: bool = True,
         max_send_attempts: int = 3,
         backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
         audit: Optional[AuditLog] = None,
         chaos: ChaosInjector = NULL_FAULTS,
     ):
@@ -111,7 +113,6 @@ class StompBrokerBridge:
         self._reconnect = reconnect
         self._max_send_attempts = max(1, max_send_attempts)
         self._backoff_base = backoff_base
-        self._backoff_max = backoff_max
         self._audit = audit if audit is not None else default_audit_log()
         self._chaos = chaos
         self._client = self._new_client()
@@ -429,7 +430,7 @@ class StompBrokerBridge:
     def _backoff(self, attempt: int) -> None:
         if self._backoff_base <= 0:
             return
-        time.sleep(min(self._backoff_base * (2 ** (attempt - 1)), self._backoff_max))
+        time.sleep(min(self._backoff_base * (2 ** (attempt - 1)), BACKOFF_MAX))
 
     def _reestablish(self) -> None:
         """Tear down the dead client, connect a fresh one, resubscribe.

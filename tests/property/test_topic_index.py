@@ -1,15 +1,18 @@
-"""Property tests: the broker's trie routing is exactly the seed linear scan.
+"""Property tests: the broker's topic routing is exactly the seed matcher.
 
-The broker's delivery path replaced the O(N) scan over the seed matcher
-(``tests/reference/topics.py``) with a segment trie
-(:mod:`repro.events.index`) plus a per-topic route cache. These
-properties prove the replacement changes nothing observable: for
-arbitrary patterns and topics — including ``*``, trailing ``#``, the
-"``#`` must match at least one segment" rule and degenerate
-non-final-``#`` patterns — the trie selects the subscriptions the seed
-matcher selects, and the broker delivers exactly what the seed matcher,
-each subscription's selector and its clearance imply, in registration
-order, with the audit decisions that implies.
+The broker finds a topic's candidate subscriptions with one pass over its
+subscriptions in registration order (a raw-equality test, then the
+segment rules) and caches the answer per topic until the next subscribe
+or unsubscribe; the seed matcher it is held to is
+``tests/reference/topics.py``. :class:`TestRouteEquivalence` subscribes
+arbitrary patterns — ``*``, trailing ``#``, the "``#`` must match at
+least one segment" rule and degenerate non-final-``#`` patterns —
+publishes unlabelled events, and compares the delivered subscription
+ids, in order, with the seed matcher's, before and after unsubscribes.
+:class:`TestBrokerEquivalence` checks the full delivery semantics: the
+broker delivers exactly what the seed matcher, each subscription's
+selector and its clearance imply, in registration order, with the audit
+decisions that implies.
 """
 
 from collections import Counter
@@ -21,7 +24,6 @@ from repro.core.labels import LabelSet, conf_label
 from repro.core.privileges import CLEARANCE, PrivilegeSet
 from repro.events.broker import Broker
 from repro.events.event import Event
-from repro.events.index import TopicTrie
 from tests.reference.topics import match_topic
 
 # Small alphabets maximise collisions between patterns and topics, which
@@ -39,54 +41,91 @@ PATIENT = conf_label("ecric.org.uk", "patient", "1")
 MDT = conf_label("ecric.org.uk", "mdt")
 
 
-class TestTrieEquivalence:
+def _subscribe(broker, delivered, index, pattern):
+    """Subscribe *pattern* as ``sub-<index>``, recording its deliveries."""
+    sid = f"sub-{index}"
+    return broker.subscribe(pattern, lambda event: delivered.append(sid), subscription_id=sid)
+
+
+def _recording_broker(pattern_list):
+    """A broker with one subscription per pattern, in order, and the list
+    its callbacks append their ids to."""
+    broker = Broker(audit=AuditLog())
+    delivered = []
+    subscriptions = [
+        _subscribe(broker, delivered, index, pattern)
+        for index, pattern in enumerate(pattern_list)
+    ]
+    return broker, subscriptions, delivered
+
+
+def _delivered_ids(broker, delivered, topic):
+    """The subscription ids an unlabelled publish to *topic* reaches, in
+    order. With no selectors and no labels every candidate is delivered
+    to, so the route holds exactly those subscriptions."""
+    delivered.clear()
+    candidates = broker.stats.candidates
+    count = broker.publish(Event(topic))
+    assert count == len(delivered) == broker.stats.candidates - candidates
+    return list(delivered)
+
+
+def _expected_ids(subscriptions, topic):
+    return [
+        subscription.subscription_id
+        for subscription in subscriptions
+        if match_topic(subscription.topic, topic)
+    ]
+
+
+class TestRouteEquivalence:
+    """The broker's routes select exactly what the seed matcher selects,
+    in registration order."""
+
+    @settings(deadline=None)
     @given(st.lists(patterns, min_size=1, max_size=12), topics)
-    def test_trie_matches_reference_matcher(self, pattern_list, topic):
-        trie = TopicTrie()
+    def test_routes_match_reference_matcher(self, pattern_list, topic):
+        broker, subscriptions, delivered = _recording_broker([])
         for index, pattern in enumerate(pattern_list):
-            trie.add(pattern, str(index), index)
-        expected = {
-            index
-            for index, pattern in enumerate(pattern_list)
-            if match_topic(pattern, topic)
-        }
-        assert set(trie.match(topic)) == expected
+            # Each subscribe drops the route the previous publish cached.
+            subscriptions.append(_subscribe(broker, delivered, index, pattern))
+            expected = _expected_ids(subscriptions, topic)
+            assert _delivered_ids(broker, delivered, topic) == expected
+        # The last publish is served from the route cache.
+        assert _delivered_ids(broker, delivered, topic) == expected
 
+    @settings(deadline=None)
     @given(st.lists(patterns, min_size=1, max_size=12))
-    def test_trie_matches_pattern_as_its_own_topic(self, pattern_list):
-        # Exercises the raw-equality shortcut, which is the only way a
+    def test_routes_match_pattern_as_its_own_topic(self, pattern_list):
+        # Exercises the raw-equality rule, which is the only way a
         # degenerate non-final-# pattern ever matches.
-        trie = TopicTrie()
-        for index, pattern in enumerate(pattern_list):
-            trie.add(pattern, str(index), index)
+        broker, subscriptions, delivered = _recording_broker(pattern_list)
         for topic in pattern_list:
-            expected = {
-                index
-                for index, pattern in enumerate(pattern_list)
-                if match_topic(pattern, topic)
-            }
-            assert set(trie.match(topic)) == expected
+            assert _delivered_ids(broker, delivered, topic) == _expected_ids(
+                subscriptions, topic
+            )
 
+    @settings(deadline=None)
     @given(
         st.lists(st.tuples(patterns, st.booleans()), min_size=1, max_size=10),
         st.lists(topics, min_size=1, max_size=6),
     )
-    def test_removal_keeps_equivalence(self, subscriptions, topic_list):
-        trie = TopicTrie()
-        for index, (pattern, _) in enumerate(subscriptions):
-            trie.add(pattern, str(index), index)
-        kept = {}
-        for index, (pattern, keep) in enumerate(subscriptions):
+    def test_unsubscribe_keeps_equivalence(self, specs, topic_list):
+        broker, subscriptions, delivered = _recording_broker(
+            [pattern for pattern, _ in specs]
+        )
+        for topic in topic_list:  # cache a route per topic before the removals
+            _delivered_ids(broker, delivered, topic)
+        kept = []
+        for subscription, (_, keep) in zip(subscriptions, specs):
             if keep:
-                kept[index] = pattern
+                kept.append(subscription)
             else:
-                assert trie.remove(pattern, str(index)) == index
-        assert len(trie) == len(kept)
+                broker.unsubscribe(subscription.subscription_id)
+                assert not subscription.active
+        assert len(broker) == len(kept)
         for topic in topic_list:
-            expected = {
-                index for index, pattern in kept.items() if match_topic(pattern, topic)
-            }
-            assert set(trie.match(topic)) == expected
+            assert _delivered_ids(broker, delivered, topic) == _expected_ids(kept, topic)
 
 
 _SELECTORS = (None, "kind = 'cancer'", "stage > 1", "kind = 'cancer' AND stage > 1")

@@ -73,15 +73,11 @@ class ReferenceBroker(Broker):
             self.stats.route_cache_hits += 1
             return candidates
         with self._lock:
+            # The subscriptions dict keeps registration order.
             candidates = tuple(
-                sorted(
-                    (
-                        subscription
-                        for subscription in self._subscriptions.values()
-                        if match_topic(subscription.topic, topic)
-                    ),
-                    key=lambda subscription: subscription.seq,
-                )
+                subscription
+                for subscription in self._subscriptions.values()
+                if match_topic(subscription.topic, topic)
             )
             self.stats.index_hits += 1
             if len(self._seed_routes) >= ROUTE_CACHE_LIMIT:

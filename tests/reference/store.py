@@ -19,7 +19,7 @@ are pinned to this implementation:
 
 Do not "improve" this module; it is deliberately the slow, obviously
 correct version (the same role ``tests/reference/topics.py`` plays for
-the topic trie). Correcting it is a different matter: the seed
+the broker's topic matching). Correcting it is a different matter: the seed
 relabelled a view row by searching *every* view for a matching stripped
 emission, which handed rows another view's labels or none — a bug the
 production store copied faithfully and no equivalence suite could see.

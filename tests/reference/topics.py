@@ -1,8 +1,9 @@
 """The seed topic matcher: one subscription pattern against one topic.
 
-:class:`repro.events.index.TopicTrie`, and through it the broker's
-delivery path, is held to this function by
-``tests/property/test_topic_index.py``.
+The broker's route build (``repro.events.broker._matches`` behind a raw
+equality test), and through it every delivery, is held to this function
+by ``tests/property/test_topic_index.py`` and the matching table in
+``tests/unit/events/test_broker.py::TestTopicMatching``.
 """
 
 

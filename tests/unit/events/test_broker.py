@@ -19,6 +19,9 @@ CLEARED = PrivilegeSet({CLEARANCE: [PATIENT, MDT]})
 
 
 class TestTopicMatching:
+    """Each pattern is subscribed on a broker and the topic published: the
+    delivery must agree with the seed matcher, which the table pins too."""
+
     @pytest.mark.parametrize(
         "pattern,topic,expected",
         [
@@ -33,10 +36,62 @@ class TestTopicMatching:
             ("/a/#", "/a/b/c", True),
             ("/a/#", "/a", False),
             ("/#", "/anything/at/all", True),
+            # A non-final '#' matches only the pattern's own raw string.
+            ("/#/a", "/#/a", True),
+            ("/#/a", "/b/a", False),
+            ("/#/a", "/x/a", False),
+            ("/#/a", "/#/a/", False),
+            ("/a/#/#", "/a/#/#", True),
+            ("/a/#/#", "/a/b/c", False),
+            # '*' matches a literal '*' or '#' segment.
+            ("/a/*", "/a/*", True),
+            ("/a/*", "/a/#", True),
+            # Leading and trailing slashes are stripped before splitting.
+            ("a/b", "/a/b", True),
+            ("/a/b", "/a/b/", True),
+            ("/a/*/b", "/a//b", True),
+            ("/*/b", "/a/c", False),
+            ("/#", "/x", True),
+            ("/#", "/a/b/c/d/e/f", True),
+            ("/a/#", "/a/b", True),
         ],
     )
     def test_patterns(self, pattern, topic, expected):
         assert match_topic(pattern, topic) is expected
+        broker = Broker()
+        received = []
+        broker.subscribe(pattern, received.append)
+        event = Event(topic)
+        assert broker.publish(event) == int(expected)
+        assert received == ([event] if expected else [])
+
+    def test_several_subscriptions_on_one_pattern(self):
+        broker = Broker()
+        received = []
+        for name, pattern in (("s1", "/a"), ("s2", "/a"), ("s3", "/*"), ("s4", "/a")):
+            broker.subscribe(
+                pattern, lambda event, name=name: received.append(name), subscription_id=name
+            )
+        assert broker.publish(Event("/a")) == 4
+        assert received == ["s1", "s2", "s3", "s4"]
+
+    @pytest.mark.parametrize(
+        "pattern,topic", [("/a/*", "/a/b"), ("/a/#", "/a/b/c"), ("/#/a", "/#/a")]
+    )
+    def test_unsubscribe_then_publish(self, pattern, topic):
+        broker = Broker()
+        received = []
+        gone = broker.subscribe(pattern, lambda event: received.append("gone"))
+        broker.subscribe("/#", lambda event: received.append("kept"))
+        assert broker.publish(Event(topic)) == 2  # builds and caches the route
+        broker.unsubscribe(gone.subscription_id)
+        broker.unsubscribe(gone.subscription_id)
+        broker.unsubscribe("never-subscribed")
+        received.clear()
+        assert broker.publish(Event(topic)) == 1
+        assert received == ["kept"]
+        assert not gone.active
+        assert len(broker) == 1
 
 
 class TestSubscriptionManagement:

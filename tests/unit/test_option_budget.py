@@ -37,7 +37,7 @@ BUDGET = {
     EventProcessingEngine: 7,
     Broker: 4,
     AuditLog: 2,
-    StompBrokerBridge: 11,
+    StompBrokerBridge: 10,
     ClusterEngine: 6,
     ClusterRouter: 3,
     SupervisionPolicy: 4,
