@@ -154,7 +154,7 @@ RULES: Dict[str, RuleInfo] = {
             "clearance filter (or dumps all_docs()): every principal's "
             "documents come back and only the response-time label check "
             "stands between them and the client.",
-            "pass key=/keys= scoped to the authenticated principal, or "
+            "pass key= scoped to the authenticated principal, or "
             "view(clearance=...) to pre-filter by the requester's clearance.",
         ),
         RuleInfo(

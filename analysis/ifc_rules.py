@@ -363,7 +363,7 @@ def _unfiltered_read(module: ModuleSource) -> Iterator[Finding]:
             attr = call_attr(node)
             if attr == "view" and isinstance(node.func, ast.Attribute):
                 kwargs = {keyword.arg for keyword in node.keywords}
-                if not kwargs & {"key", "keys", "clearance"}:
+                if not kwargs & {"key", "clearance"}:
                     yield _finding(
                         module,
                         node,

@@ -156,34 +156,16 @@ class DataStorage(Unit):
 
 
 def define_application_views(database: DocumentDatabase) -> None:
-    """The design document of the MDT application database.
+    """The design document of the MDT application database: the views the
+    portal queries, and no other.
 
     Works on a plain or sharded database; each view is an incremental
-    secondary index maintained on every write. ``records/count_by_mid``
-    carries a reduce function (sum, re-reducible over shard partials)
-    so record counts never materialise rows.
+    secondary index maintained on every write, so a view nothing reads
+    would still cost every write an index pass.
     """
 
     def records_by_mid(doc):
         if isinstance(doc, dict) and doc.get("type") == "record":
             yield doc.get("mid", ""), None
 
-    def records_count(doc):
-        if isinstance(doc, dict) and doc.get("type") == "record":
-            yield doc.get("mid", ""), 1
-
-    def sum_counts(keys, values, rereduce):
-        return sum(values)
-
-    def metrics_by_mid(doc):
-        if isinstance(doc, dict) and doc.get("type") == "mdt_metric":
-            yield doc.get("metric_mid", ""), None
-
-    def metrics_by_region(doc):
-        if isinstance(doc, dict) and doc.get("type") == "region_metric":
-            yield doc.get("metric_region", ""), None
-
     database.define_view("records/by_mid", records_by_mid)
-    database.define_view("records/count_by_mid", records_count, sum_counts)
-    database.define_view("metrics/by_mid", metrics_by_mid)
-    database.define_view("metrics/by_region", metrics_by_region)

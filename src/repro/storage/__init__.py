@@ -3,7 +3,7 @@
 The MDT deployment uses three stores, all reproduced here:
 
 * the **application database** — CouchDB in the paper; a document store
-  with ``_id``/``_rev`` MVCC, incremental map/reduce views and a
+  with ``_id``/``_rev`` MVCC, incremental map views and a
   changes feed (:mod:`repro.storage.docstore`), hash-sharded behind the
   same API (:class:`~repro.storage.docstore.ShardedDatabase`), with
   batched CouchDB-style push replication
@@ -31,7 +31,6 @@ from repro.storage.docstore import (
     ViewRow,
 )
 from repro.storage.replication import (
-    ContinuousReplicator,
     ReplicationResult,
     Replicator,
     replicate,
@@ -56,7 +55,6 @@ __all__ = [
     "ViewRow",
     "Replicator",
     "ReplicationResult",
-    "ContinuousReplicator",
     "replicate",
     "WebDatabase",
     "MainDatabase",

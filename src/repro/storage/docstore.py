@@ -15,11 +15,11 @@ Implemented CouchDB behaviours the reproduction relies on:
 
 * ``_id`` / ``_rev`` optimistic concurrency (MVCC): writes must present
   the current revision or fail with :class:`DocumentConflict`;
-* map (and optional reduce) views — Python callables instead of
-  JavaScript — maintained as **incremental secondary indexes**: map
-  output is stored per (view, document), invalidated tombstone-style
-  when the document is updated or deleted, and queried through a
-  per-key index instead of a full scan;
+* map views — Python callables instead of JavaScript — maintained as
+  **incremental secondary indexes**: map output is stored per (view,
+  document), invalidated tombstone-style when the document is updated
+  or deleted, and queried through a per-key index instead of a full
+  scan;
 * a monotonic changes feed with batch reads and change listeners, which
   replication consumes;
 * a read-only mode for the DMZ replica (security requirement S1);
@@ -53,12 +53,6 @@ from repro.taint.string import LabeledStr
 #: A map view callable: receives the (plain) document, yields
 #: ``(key, value)`` pairs — the analogue of CouchDB's ``emit``.
 MapFunction = Callable[[Dict[str, Any]], Iterable]
-
-#: A CouchDB-style reduce callable: ``reduce(keys, values, rereduce)``.
-#: ``keys`` is a list of ``(emitted_key, doc_id)`` pairs (``None`` when
-#: re-reducing), ``values`` the emitted values (or partial results when
-#: ``rereduce`` is true).
-ReduceFunction = Callable[[Optional[List[Tuple[Any, str]]], List[Any], bool], Any]
 
 
 class SequenceAllocator:
@@ -270,11 +264,10 @@ class _ViewIndex:
     :meth:`labelled_emissions`).
     """
 
-    __slots__ = ("map_function", "reduce_function", "rows", "by_key", "unhashable_docs")
+    __slots__ = ("map_function", "rows", "by_key", "unhashable_docs")
 
-    def __init__(self, map_function: MapFunction, reduce_function: Optional[ReduceFunction] = None):
+    def __init__(self, map_function: MapFunction):
         self.map_function = map_function
-        self.reduce_function = reduce_function
         self.rows: Dict[str, List[Tuple[Any, Any]]] = {}
         self.by_key: Dict[Any, Set[str]] = {}
         self.unhashable_docs: Set[str] = set()
@@ -615,16 +608,10 @@ class Database:
         """Call *listener* with each committed batch of changes.
 
         Listeners run on the writer's thread, after the store lock is
-        released; the continuous replicator uses one to wake on writes
-        instead of polling.
+        released; the web tier's page cache uses one to invalidate its
+        pages on every committed write.
         """
         self._listeners.append(listener)
-
-    def remove_change_listener(self, listener: Callable[[List[Change]], None]) -> None:
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     def _notify(self, changes: List[Change]) -> None:
         if not changes:
@@ -695,25 +682,18 @@ class Database:
 
     # -- views ---------------------------------------------------------------------
 
-    def define_view(
-        self,
-        name: str,
-        map_function: MapFunction,
-        reduce_function: Optional[ReduceFunction] = None,
-    ) -> None:
-        """Register a map (and optional reduce) view.
+    def define_view(self, name: str, map_function: MapFunction) -> None:
+        """Register a map view.
 
         *map_function* receives each (plain) document and yields
         ``(key, value)`` pairs — the Python analogue of a CouchDB design
-        document's ``emit(key, value)``. *reduce_function* follows the
-        CouchDB protocol ``reduce(keys, values, rereduce)`` and is
-        invoked by :meth:`view` with ``reduce=True``.
+        document's ``emit(key, value)``.
 
         The view is indexed immediately over existing documents and
         maintained incrementally on every subsequent write.
         """
         with self._lock:
-            view = _ViewIndex(map_function, reduce_function)
+            view = _ViewIndex(map_function)
             self._views[name] = view
             for stored in self._documents.values():
                 self._index_one(view, stored, _map_input(stored))
@@ -724,8 +704,7 @@ class Database:
         key: Any = None,
         include_docs: bool = False,
         clearance: Optional[LabelSet] = None,
-        reduce: bool = False,
-    ) -> Any:
+    ) -> List[ViewRow]:
         """Query a view.
 
         * ``key`` filters to rows whose emitted key equals *key* —
@@ -739,9 +718,7 @@ class Database:
         * ``clearance`` drops rows whose *document's* combined
           confidentiality labels do not flow to the given clearance
           label set, using the memoized lattice check — rows from
-          unlabeled documents pass without allocating;
-        * ``reduce`` runs the view's reduce function over the matching
-          rows and returns the reduced value instead of rows.
+          unlabeled documents pass without allocating.
 
         Row order is stable: ascending document id, emissions in map
         order — identical to the seed store and across shard counts.
@@ -762,8 +739,6 @@ class Database:
             view = self._views.get(name)
             if view is None:
                 raise DocumentNotFound(f"no view {name!r} in database {self.name!r}")
-            if reduce:
-                return self._reduce(view, key, clearance)
             rows = self._matching_rows(view, key, clearance, labelled=not include_docs)
             if include_docs:
                 return [
@@ -811,36 +786,6 @@ class Database:
                     continue
                 rows.append((stored, emitted_key, emitted_value))
         return rows
-
-    def _reduce(self, view: _ViewIndex, key: Any, clearance: Optional[LabelSet]) -> Any:
-        if view.reduce_function is None:
-            raise SafeWebError("view has no reduce function")
-        has_rows, partial = self._reduce_partial_locked(view, key, clearance)
-        if not has_rows:
-            return view.reduce_function([], [], False)
-        return partial
-
-    def _reduce_partial_locked(
-        self, view: _ViewIndex, key: Any, clearance: Optional[LabelSet]
-    ) -> Tuple[bool, Any]:
-        """(has_rows, reduce-over-matching-rows) for shard re-reduce."""
-        rows = self._matching_rows(view, key, clearance)
-        if not rows:
-            return False, None
-        keys = [(emitted_key, stored.doc_id) for stored, emitted_key, _value in rows]
-        values = [value for _stored, _key, value in rows]
-        return True, view.reduce_function(keys, values, False)
-
-    def _reduce_partial(
-        self, name: str, key: Any, clearance: Optional[LabelSet]
-    ) -> Tuple[bool, Any]:
-        with self._lock:
-            view = self._views.get(name)
-            if view is None:
-                raise DocumentNotFound(f"no view {name!r} in database {self.name!r}")
-            if view.reduce_function is None:
-                raise SafeWebError("view has no reduce function")
-            return self._reduce_partial_locked(view, key, clearance)
 
     @staticmethod
     def _labelled_rows(
@@ -1031,10 +976,6 @@ class ShardedDatabase:
         for shard in self.shards:
             shard.add_change_listener(listener)
 
-    def remove_change_listener(self, listener: Callable[[List[Change]], None]) -> None:
-        for shard in self.shards:
-            shard.remove_change_listener(listener)
-
     # -- reads ------------------------------------------------------------------
 
     def get(self, doc_id: str) -> Dict[str, Any]:
@@ -1067,15 +1008,10 @@ class ShardedDatabase:
 
     # -- views ---------------------------------------------------------------------
 
-    def define_view(
-        self,
-        name: str,
-        map_function: MapFunction,
-        reduce_function: Optional[ReduceFunction] = None,
-    ) -> None:
+    def define_view(self, name: str, map_function: MapFunction) -> None:
         """Register a view on every shard (same incremental index per shard)."""
         for shard in self.shards:
-            shard.define_view(name, map_function, reduce_function)
+            shard.define_view(name, map_function)
 
     def view(
         self,
@@ -1083,17 +1019,13 @@ class ShardedDatabase:
         key: Any = None,
         include_docs: bool = False,
         clearance: Optional[LabelSet] = None,
-        reduce: bool = False,
-    ) -> Any:
+    ) -> List[ViewRow]:
         """Query a view across all shards (see :meth:`Database.view`).
 
-        Map rows are merged in ascending document-id order (shards hold
+        Rows are merged in ascending document-id order (shards hold
         disjoint ids, so a k-way merge of per-shard sorted rows is
-        exact). With ``reduce=True``, each shard reduces its own rows
-        and the partials are re-reduced (``rereduce=True``).
+        exact).
         """
-        if reduce:
-            return self._reduce(name, key, clearance)
         shard_rows = [
             shard.view(name, key=key, include_docs=include_docs, clearance=clearance)
             for shard in self.shards
@@ -1103,25 +1035,6 @@ class ShardedDatabase:
             merged.extend(rows)
         merged.sort(key=_row_doc_id)
         return merged
-
-    def _reduce(self, name: str, key: Any, clearance: Optional[LabelSet]) -> Any:
-        reduce_function: Optional[ReduceFunction] = None
-        partials: List[Any] = []
-        for shard in self.shards:
-            view = shard._views.get(name)
-            if view is None:
-                raise DocumentNotFound(f"no view {name!r} in database {self.name!r}")
-            if view.reduce_function is None:
-                raise SafeWebError("view has no reduce function")
-            reduce_function = view.reduce_function
-            has_rows, partial = shard._reduce_partial(name, key, clearance)
-            if has_rows:
-                partials.append(partial)
-        if not partials:
-            return reduce_function([], [], False)
-        if len(partials) == 1:
-            return partials[0]
-        return reduce_function(None, partials, True)
 
     # -- changes feed ------------------------------------------------------------------
 

@@ -24,16 +24,17 @@ are :class:`~repro.storage.docstore.ShardedDatabase` instances with the
 same shard count, each shard pair replicates through its own
 checkpoint (documents hash to the same shard index on both sides).
 
-:class:`ContinuousReplicator` wakes on a source changes-feed event
-(:meth:`~repro.storage.docstore.Database.add_change_listener`) instead
-of polling; its interval is only a fallback heartbeat.
+A pass runs when its caller asks: the deployment replicates once per
+pipeline pass through
+:class:`~repro.mdt.deployment.FirewalledReplicator`, which re-validates
+the firewall direction before every pass.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import ReplicationError
 from repro.storage.docstore import Change, Database, DocumentDatabase
@@ -199,121 +200,3 @@ def replicate(
 ) -> ReplicationResult:
     """One-shot push replication (fresh checkpoint: copies everything)."""
     return Replicator(source, target, batch_size=batch_size).replicate()
-
-
-class ContinuousReplicator:
-    """Background push replication that wakes on source writes.
-
-    The paper replicates "periodically"; here the replication thread
-    blocks on an event that the source's changes feed sets on every
-    committed write, so documents cross the firewall one batch after
-    they land instead of one polling interval later. *interval* remains
-    as a fallback heartbeat (and :meth:`wake` still forces a pass, used
-    by tests and by the storage unit after bursts of writes).
-
-    A failing pass (say, a transiently read-only target mid-promotion)
-    must not kill the daemon thread: the exception is contained,
-    counted, optionally audited (``replication/continuous`` denied),
-    and the pass is retried under capped exponential backoff —
-    ``interval`` doubling per consecutive failure up to *max_backoff* —
-    resetting on the first success. ``stop()``/``start()`` cycles are
-    supported: start re-arms the stop flag, so a restarted replicator
-    actually runs.
-    """
-
-    def __init__(
-        self,
-        source: DocumentDatabase,
-        target: DocumentDatabase,
-        interval: float = 1.0,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        checkpoint_store=None,
-        audit=None,
-        max_backoff: float = 30.0,
-    ):
-        self._replicator = Replicator(
-            source, target, batch_size=batch_size, checkpoint_store=checkpoint_store
-        )
-        self._source = source
-        self._interval = interval
-        self._max_backoff = max_backoff
-        self._audit = audit
-        self._wakeup = threading.Event()
-        self._stopping = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._listening = False
-        self.passes = 0
-        self.total_docs = 0
-        #: Total failed passes, and the most recent failure (diagnostics).
-        self.failures = 0
-        self.last_error: Optional[BaseException] = None
-
-    def start(self) -> "ContinuousReplicator":
-        if self._thread is not None:
-            return self
-        # A previous stop() left these set; a fresh thread must not see
-        # them or it exits before its first pass.
-        self._stopping.clear()
-        self._wakeup.clear()
-        listen = getattr(self._source, "add_change_listener", None)
-        if listen is not None and not self._listening:
-            listen(self._on_source_changes)
-            self._listening = True
-        self._thread = threading.Thread(
-            target=self._loop, name="safeweb-replicator", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._listening:
-            unlisten = getattr(self._source, "remove_change_listener", None)
-            if unlisten is not None:
-                unlisten(self._on_source_changes)
-            self._listening = False
-        self._stopping.set()
-        self._wakeup.set()
-        if self._thread is not None:
-            self._thread.join(5)
-            self._thread = None
-
-    def wake(self) -> None:
-        self._wakeup.set()
-
-    def _on_source_changes(self, changes) -> None:
-        self._wakeup.set()
-
-    def _loop(self) -> None:
-        consecutive_failures = 0
-        while not self._stopping.is_set():
-            try:
-                result = self._replicator.replicate()
-            except Exception as exc:
-                consecutive_failures += 1
-                self.failures += 1
-                self.last_error = exc
-                if self._audit is not None:
-                    self._audit.denied(
-                        "replication",
-                        "continuous",
-                        "system",
-                        detail=f"pass failed ({consecutive_failures} consecutive): {exc!r}",
-                    )
-                delay = min(
-                    self._interval * (2 ** (consecutive_failures - 1)),
-                    self._max_backoff,
-                )
-                # Wait on the stop flag, not the wakeup event: backoff
-                # stays responsive to stop() but a write burst cannot
-                # collapse it into a hot retry loop.
-                self._stopping.wait(delay)
-                continue
-            consecutive_failures = 0
-            self.passes += 1
-            self.total_docs += result.docs_written + result.deletions
-            self._wakeup.wait(self._interval)
-            self._wakeup.clear()
-
-    def replicate_now(self) -> ReplicationResult:
-        """Synchronous pass, regardless of the background schedule."""
-        return self._replicator.replicate()

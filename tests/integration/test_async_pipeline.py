@@ -1,11 +1,12 @@
-"""Integration: the MDT pipeline beside continuous background replication.
+"""Integration: the MDT pipeline beside background replication.
 
 The broker delivers on the publishing thread; what runs asynchronously
-here is the :class:`ContinuousReplicator` copying the application
-database into the DMZ while the Figure 4 pipeline writes it — the
-deployment mode closest to the paper's.
+here is a thread looping :meth:`Replicator.replicate` to copy the
+application database into the DMZ while the Figure 4 pipeline writes
+it — the paper's periodic replication, beside the writer.
 """
 
+import threading
 import time
 
 import pytest
@@ -18,7 +19,7 @@ from repro.mdt.producer import DataProducer
 from repro.mdt.storage_unit import DataStorage, define_application_views
 from repro.mdt.workload import WorkloadConfig, generate_workload
 from repro.storage.docstore import Database
-from repro.storage.replication import ContinuousReplicator
+from repro.storage.replication import Replicator
 
 
 def wait_for(predicate, timeout=10.0):
@@ -41,14 +42,25 @@ def async_stack():
     define_application_views(app_db)
     dmz_db = Database("async_dmz", read_only=True)
     define_application_views(dmz_db)
-    replicator = ContinuousReplicator(app_db, dmz_db, interval=0.05).start()
+    replicator = Replicator(app_db, dmz_db)
+    stopping = threading.Event()
+
+    def replicate_until_stopped():
+        while not stopping.is_set():
+            replicator.replicate()
+            stopping.wait(0.02)
+
+    loop = threading.Thread(target=replicate_until_stopped, name="replication-loop", daemon=True)
+    loop.start()
 
     producer = DataProducer(workload.main_db)
     engine.register(producer)
     engine.register(DataAggregator())
     engine.register(DataStorage(app_db))
     yield workload, broker, engine, app_db, dmz_db, replicator, producer
-    replicator.stop()
+    assert loop.is_alive(), "a replication pass raised beside the pipeline"
+    stopping.set()
+    loop.join(5)
 
 
 class TestAsyncPipeline:

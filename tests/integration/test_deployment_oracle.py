@@ -32,7 +32,7 @@ from tests.property.oracle import (
     diff_after,
 )
 
-VIEWS = ("records/by_mid", "records/count_by_mid", "metrics/by_mid", "metrics/by_region")
+VIEWS = ("records/by_mid",)
 FORM = {"Content-Type": "application/x-www-form-urlencoded"}
 MDT_1 = mdt_label("1").uri
 MDT_2 = mdt_label("2").uri

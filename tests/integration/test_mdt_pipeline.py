@@ -14,6 +14,8 @@ from repro.events.supervision import CircuitBreaker
 from repro.exceptions import FirewallError, ReadOnlyError
 from repro.mdt import MdtDeployment, mdt_label
 from repro.mdt.deployment import Zone
+from repro.mdt.storage_unit import define_application_views
+from repro.storage.docstore import Database
 from repro.taint import labels_of
 from tests.property.oracle import CONFIG, ENGINE_MATRIX, STORE_MATRIX
 
@@ -208,14 +210,6 @@ class TestShardedDeployment:
         with pytest.raises(ReadOnlyError):
             sharded.dmz_db.put({"_id": "evil", "x": 1})
 
-    def test_reduce_view_counts_records(self, sharded):
-        records = [
-            doc_id
-            for doc_id in sharded.app_db.all_doc_ids()
-            if doc_id.startswith("record-")
-        ]
-        assert sharded.app_db.view("records/count_by_mid", reduce=True) == len(records)
-
 
 class TestRobustDeployment:
     """``supervision`` arms the retry / dead-letter / restart ladder and
@@ -232,3 +226,34 @@ class TestRobustDeployment:
         assert supervised.engine.supervisor is not None
         assert breaker.state == "closed"
         assert supervised.audit.count(decision="denied") == 0
+
+
+class TestViewCensus:
+    """Each view is an index every application-database write maintains, so
+    the design document holds exactly the views the running system reads:
+    a view added without a reader fails here."""
+
+    def test_every_defined_view_is_queried(self, monkeypatch):
+        design = Database("design")
+        define_application_views(design)
+        queried = set()
+        view = Database.view
+
+        def recording_view(database, name, *args, **kwargs):
+            queried.add(name)
+            return view(database, name, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "view", recording_view)
+        deployment = MdtDeployment(CONFIG)
+        deployment.run_pipeline()
+        region = deployment.directory.find("1").region
+        client = deployment.client_for("mdt1")
+        form = {"Content-Type": "application/x-www-form-urlencoded"}
+        for route in deployment.portal._routes:
+            path = route.pattern.replace(":mid", "1").replace(":region", region)
+            if route.method == "GET":
+                client.get(path)
+            else:
+                client.post(path, headers=form, body="message=hi")
+
+        assert design._views and set(design._views) <= queried

@@ -181,6 +181,14 @@ class TestUnfilteredRead:
             "    return db.view('records/by_mid', clearance=clearance)\n"
         )
 
+    def test_keys_is_not_a_view_filter(self):
+        # Database.view takes no keys= parameter: writing one raises
+        # TypeError and must not silence the finding.
+        assert "ifc-unfiltered-read" in rules_of(
+            "def records(request, db):\n"
+            "    return db.view('records/by_mid', keys=[request.user.mdt_id])\n"
+        )
+
     def test_views_outside_handlers_are_fine(self):
         assert "ifc-unfiltered-read" not in rules_of(
             "def reindex(db):\n    return db.view('records/by_mid')\n"

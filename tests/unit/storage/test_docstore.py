@@ -263,11 +263,7 @@ class TestViews:
         ]
 
 
-class TestClearanceAndReduce:
-    @staticmethod
-    def _count(keys, values, rereduce):
-        return sum(values)
-
+class TestClearance:
     def test_rows_filtered_by_reader_clearance(self, db):
         db.define_view("by_type", lambda doc: [(doc["type"], None)])
         db.put({"_id": "pub", "type": "t", "note": "open"})
@@ -285,37 +281,6 @@ class TestClearanceAndReduce:
         db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
         rows = db.view("by_type", include_docs=True, clearance=LabelSet([MDT]))
         assert [row.value["note"] for row in rows] == ["open"]
-
-    def test_reduce_over_all_and_keyed_rows(self, db):
-        db.define_view("counts", lambda doc: [(doc["mdt"], 1)], self._count)
-        for i in range(7):
-            db.put({"_id": f"r{i}", "mdt": str(i % 2)})
-        assert db.view("counts", reduce=True) == 7
-        assert db.view("counts", key="1", reduce=True) == 3
-
-    def test_reduce_with_no_matching_rows_reduces_the_empty_list(self, db):
-        calls = []
-
-        def recording(keys, values, rereduce):
-            calls.append((keys, values, rereduce))
-            return len(values)
-
-        db.define_view("counts", lambda doc: [(doc["mdt"], 1)], recording)
-        db.put({"_id": "r1", "mdt": "1"})
-        assert db.view("counts", key="missing", reduce=True) == 0
-        assert calls == [([], [], False)]
-
-    def test_reduce_respects_clearance(self, db):
-        db.define_view("counts", lambda doc: [(doc["type"], 1)], self._count)
-        db.put({"_id": "pub", "type": "t"})
-        db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
-        assert db.view("counts", reduce=True, clearance=LabelSet()) == 1
-        assert db.view("counts", reduce=True, clearance=LabelSet([PATIENT])) == 2
-
-    def test_reduce_without_reduce_function_rejected(self, db):
-        db.define_view("plain", lambda doc: [(doc.get("k"), None)])
-        with pytest.raises(SafeWebError):
-            db.view("plain", reduce=True)
 
 
 class TestChangesFeed:

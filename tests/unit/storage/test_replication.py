@@ -1,13 +1,10 @@
 """Unit tests for push replication (requirement S1)."""
 
-import time
-
 import pytest
 
 from repro.core.labels import LabelSet, conf_label
 from repro.exceptions import ReplicationError
 from repro.storage import Database, Replicator, replicate
-from repro.storage.replication import ContinuousReplicator
 from repro.taint import label, labels_of
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
@@ -83,29 +80,3 @@ class TestCheckpointing:
         replicate(source, target)
         assert len(target.view("by_mdt", key="1")) == 1
 
-
-class TestContinuous:
-    def test_background_replication(self, source, target):
-        replicator = ContinuousReplicator(source, target, interval=0.05)
-        replicator.start()
-        try:
-            source.put({"_id": "r1", "n": 1})
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and "r1" not in target:
-                time.sleep(0.01)
-            assert "r1" in target
-            assert replicator.passes >= 1
-        finally:
-            replicator.stop()
-
-    def test_replicate_now(self, source, target):
-        replicator = ContinuousReplicator(source, target)
-        source.put({"_id": "r1", "n": 1})
-        result = replicator.replicate_now()
-        assert result.docs_written == 1
-        assert "r1" in target
-
-    def test_stop_idempotent(self, source, target):
-        replicator = ContinuousReplicator(source, target).start()
-        replicator.stop()
-        replicator.stop()

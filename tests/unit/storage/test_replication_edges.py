@@ -1,14 +1,11 @@
 """Replication edge cases: conflicts, read-only targets, partial batches,
 checkpoint resume and tombstone propagation through views."""
 
-import time
-
 import pytest
 
 from repro.core.labels import LabelSet, conf_label
 from repro.exceptions import ReadOnlyError, ReplicationError
 from repro.storage import Database, Replicator, ShardedDatabase, replicate
-from repro.storage.replication import ContinuousReplicator
 from repro.taint import label, labels_of
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
@@ -187,29 +184,3 @@ class TestTombstonesThroughViews:
         assert target.view("by_mdt", key="1") == []
         assert len(target.view("by_mdt", key="2")) == 1
 
-
-class TestEventDrivenContinuous:
-    def test_wakes_on_write_without_polling(self):
-        source = Database("intranet")
-        target = Database("dmz", read_only=True)
-        # A very long interval: only the changes-feed event can deliver
-        # the document within the deadline.
-        replicator = ContinuousReplicator(source, target, interval=60.0)
-        replicator.start()
-        try:
-            time.sleep(0.1)  # let the first pass drain the empty feed
-            source.put({"_id": "r1", "n": 1})
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and "r1" not in target:
-                time.sleep(0.01)
-            assert "r1" in target
-        finally:
-            replicator.stop()
-
-    def test_listener_removed_on_stop(self):
-        source = Database("intranet")
-        target = Database("dmz", read_only=True)
-        replicator = ContinuousReplicator(source, target, interval=60.0)
-        replicator.start()
-        replicator.stop()
-        assert source._listeners == []

@@ -1,137 +1,9 @@
-"""Regression tests for continuous-replication robustness.
+"""Replication checkpoints persisted by the durability subsystem: resumed
+by a fresh replicator, and clamped to a source that recovery rolled back."""
 
-Two daemon-killing bugs are pinned here: an exception escaping
-``replicate()`` used to terminate the background thread silently (the
-deployment would simply stop replicating, with no error anywhere), and
-``stop()`` left the stop flag set so a restarted replicator's thread
-exited before its first pass. Plus the persisted-checkpoint behaviour
-the durability subsystem added.
-"""
-
-import threading
-import time
-
-import pytest
-
-from repro.core.audit import AuditLog
-from repro.exceptions import ReplicationError
 from repro.storage.docstore import make_database
 from repro.storage.recovery import CheckpointStore
-from repro.storage.replication import ContinuousReplicator, Replicator
-
-
-def _wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
-
-
-class _FlakyTarget:
-    """Wraps a real database; the first *failures* batch-puts raise."""
-
-    def __init__(self, database, failures):
-        self._database = database
-        self._remaining = failures
-        self._lock = threading.Lock()
-
-    def __getattr__(self, name):
-        return getattr(self._database, name)
-
-    def replication_put_batch(self, entries):
-        with self._lock:
-            if self._remaining > 0:
-                self._remaining -= 1
-                raise ReplicationError("injected transient failure")
-        return self._database.replication_put_batch(entries)
-
-
-def test_loop_survives_replication_failures_and_heals():
-    source = make_database("src")
-    target_db = make_database("dst", read_only=True)
-    target = _FlakyTarget(target_db, failures=2)
-    audit = AuditLog()
-    replicator = ContinuousReplicator(
-        source, target, interval=0.01, audit=audit, max_backoff=0.05
-    )
-    source.put({"_id": "doc-1", "value": 1})
-    replicator.start()
-    try:
-        assert _wait_for(lambda: target_db.get_or_none("doc-1") is not None)
-        assert replicator.failures == 2
-        assert isinstance(replicator.last_error, ReplicationError)
-        assert replicator._thread.is_alive()
-        # Each contained failure was audited.
-        denied = [e for e in audit.records() if e.operation == "continuous"]
-        assert len(denied) == 2
-    finally:
-        replicator.stop()
-
-
-def test_backoff_is_exponential_and_capped():
-    source = make_database("src")
-    target = _FlakyTarget(make_database("dst", read_only=True), failures=10**9)
-    replicator = ContinuousReplicator(
-        source, target, interval=0.01, max_backoff=0.04
-    )
-    source.put({"_id": "doc-1", "value": 1})
-    replicator.start()
-    try:
-        assert _wait_for(lambda: replicator.failures >= 5)
-        assert replicator.passes == 0  # never a successful pass
-        assert replicator._thread.is_alive()
-    finally:
-        replicator.stop()
-    # Failures kept accruing at the capped rate rather than spinning hot:
-    # with a 0.04s cap, 5 failures take at least ~3 backoff waits.
-    assert replicator.failures < 10**9
-
-
-def test_stop_then_start_actually_restarts():
-    source = make_database("src")
-    target = make_database("dst", read_only=True)
-    replicator = ContinuousReplicator(source, target, interval=0.01)
-    source.put({"_id": "before", "value": 1})
-    replicator.start()
-    assert _wait_for(lambda: target.get_or_none("before") is not None)
-    replicator.stop()
-    assert replicator._thread is None
-
-    # The regression: _stopping stayed set, so the restarted thread
-    # exited before replicating anything.
-    replicator.start()
-    try:
-        source.put({"_id": "after", "value": 2})
-        replicator.wake()
-        assert _wait_for(lambda: target.get_or_none("after") is not None)
-    finally:
-        replicator.stop()
-
-
-def test_stop_is_responsive_during_backoff():
-    source = make_database("src")
-    target = _FlakyTarget(make_database("dst", read_only=True), failures=10**9)
-    replicator = ContinuousReplicator(
-        source, target, interval=0.05, max_backoff=30.0
-    )
-    source.put({"_id": "doc", "value": 1})
-    replicator.start()
-    assert _wait_for(lambda: replicator.failures >= 1)
-    started = time.monotonic()
-    replicator.stop()
-    assert time.monotonic() - started < 5.0  # not a full backoff wait
-
-
-def test_continuous_replicator_persists_checkpoints(tmp_path):
-    source = make_database("src")
-    target = make_database("dst", read_only=True)
-    store = CheckpointStore(str(tmp_path / "ckpt.json"))
-    replicator = ContinuousReplicator(source, target, checkpoint_store=store)
-    source.put({"_id": "doc-1", "value": 1})
-    replicator.replicate_now()
-    assert store.load() == replicator._replicator.shard_checkpoints
+from repro.storage.replication import Replicator
 
 
 def test_replicator_resumes_from_persisted_checkpoint(tmp_path):

@@ -137,9 +137,6 @@ class TestOrderingAndChanges:
         db.put({"_id": "r1", "n": 1})
         db.delete("r1", db.changes()[-1].rev)
         assert len(batches) == 2
-        db.remove_change_listener(batches.append)
-        db.put({"_id": "r2", "n": 1})
-        assert len(batches) == 2
 
 
 class TestViews:
@@ -219,55 +216,6 @@ class TestClearanceFiltering:
         db.define_view("by_type", lambda doc: [(doc["type"], None)])
         db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
         assert len(db.view("by_type", key="t")) == 1
-
-
-class TestReduce:
-    @staticmethod
-    def _sum(keys, values, rereduce):
-        return sum(values)
-
-    def test_reduce_over_shards(self, db):
-        db.define_view("counts", lambda doc: [(doc["mdt"], 1)], self._sum)
-        for i in range(30):
-            db.put({"_id": f"r{i}", "mdt": str(i % 3)})
-        assert db.view("counts", reduce=True) == 30
-        assert db.view("counts", key="1", reduce=True) == 10
-
-    def test_reduce_matches_unsharded(self, db):
-        plain = Database("flat")
-        for target in (db, plain):
-            target.define_view("counts", lambda doc: [(doc["mdt"], 1)], self._sum)
-        for i in range(17):
-            doc = {"_id": f"r{i}", "mdt": str(i % 4)}
-            db.put(dict(doc))
-            plain.put(dict(doc))
-        for key in (None, "0", "1", "2", "3", "missing"):
-            assert db.view("counts", key=key, reduce=True) == plain.view(
-                "counts", key=key, reduce=True
-            )
-
-    def test_reduce_on_empty_view(self, db):
-        db.define_view("counts", lambda doc: [(doc["mdt"], 1)], self._sum)
-        assert db.view("counts", reduce=True) == 0
-
-    def test_reduce_without_reduce_function(self, db):
-        db.define_view("plain", lambda doc: [(doc.get("k"), None)])
-        with pytest.raises(SafeWebError):
-            db.view("plain", reduce=True)
-
-    def test_rereduce_flag_used_across_shards(self):
-        calls = []
-
-        def tracking_sum(keys, values, rereduce):
-            calls.append(rereduce)
-            return sum(values)
-
-        db = ShardedDatabase("app", shards=4)
-        db.define_view("counts", lambda doc: [("k", 1)], tracking_sum)
-        for i in range(40):
-            db.put({"_id": f"r{i}", "n": i})
-        assert db.view("counts", reduce=True) == 40
-        assert True in calls  # shard partials were re-reduced
 
 
 class TestReadOnly:

@@ -74,7 +74,7 @@ def test_one_upsert_does_each_piece_of_work_once(database, monkeypatch):
     assert outcome["rev"].startswith("2-")
     assert encode.calls == 1
     assert dumps.calls == 1
-    assert [counter.calls for counter in maps] == [1, 1, 1, 1]
+    assert [counter.calls for counter in maps] == [1]
     distinct_label_sets = {labels_of(value) for value in document.values()} - {LabelSet()}
     assert distinct_label_sets == {EVENT_LABELS}
     assert from_uris.calls == 1  # never more than the distinct label sets in the document

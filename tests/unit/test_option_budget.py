@@ -1,4 +1,5 @@
-"""Option ratchet: each constructor's keyword count may only go down.
+"""Option ratchet: each constructor's (or store query method's) keyword
+count may only go down.
 
 Every keyword is a configuration the tests and the benchmark must
 cover. Lowering a budget is routine; raising one is a reviewed edit.
@@ -19,7 +20,8 @@ from repro.mdt.deployment import MdtDeployment
 from repro.mdt.federation import federate
 from repro.mdt.portal import build_portal
 from repro.storage.recovery import CheckpointStore, open_durable_database
-from repro.storage.replication import ContinuousReplicator, Replicator
+from repro.storage.docstore import Database, ShardedDatabase
+from repro.storage.replication import Replicator
 from repro.storage.wal import ShardDurability, WalWriter
 from repro.web.http import HttpServer
 from repro.web.pagecache import PageCache
@@ -46,7 +48,9 @@ BUDGET = {
     ShardDurability: 4,
     WalWriter: 4,
     Replicator: 4,
-    ContinuousReplicator: 7,
+    Database.view: 5,  # self, name, key, include_docs, clearance
+    ShardedDatabase.view: 5,
+    Database.define_view: 3,  # self, name, map_function
     CheckpointStore: 2,
     SafeWebApp: 1,
     load_project: 2,
@@ -54,6 +58,6 @@ BUDGET = {
 }
 
 
-@pytest.mark.parametrize("target", BUDGET, ids=lambda target: target.__name__)
+@pytest.mark.parametrize("target", BUDGET, ids=lambda target: target.__qualname__)
 def test_keyword_count_within_budget(target):
     assert len(inspect.signature(target).parameters) <= BUDGET[target]
