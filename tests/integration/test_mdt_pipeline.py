@@ -210,6 +210,16 @@ class TestShardedDeployment:
         with pytest.raises(ReadOnlyError):
             sharded.dmz_db.put({"_id": "evil", "x": 1})
 
+    def test_by_mid_view_lists_every_record_on_both_sides(self, sharded):
+        records = sorted(
+            doc_id
+            for doc_id in sharded.app_db.all_doc_ids()
+            if doc_id.startswith("record-")
+        )
+        assert records
+        for database in (sharded.app_db, sharded.dmz_db):
+            assert [row.doc_id for row in database.view("records/by_mid")] == records
+
 
 class TestRobustDeployment:
     """``supervision`` arms the retry / dead-letter / restart ladder and

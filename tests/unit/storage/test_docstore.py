@@ -262,6 +262,37 @@ class TestViews:
             ("alice", LabelSet([MDT])), ("bob", LabelSet()),
         ]
 
+    def test_keyed_rows_are_the_matching_subset_of_all_rows(self, db):
+        db.define_view("by_mdt", lambda doc: [(doc["mdt"], 1)])
+        for i in range(7):
+            db.put({"_id": f"r{i}", "mdt": str(i % 2)})
+        assert len(db.view("by_mdt")) == 7
+        assert [row.doc_id for row in db.view("by_mdt", key="1")] == ["r1", "r3", "r5"]
+        assert {row.key for row in db.view("by_mdt", key="0")} == {"0"}
+
+    def test_key_nothing_emitted_yields_no_rows(self, db):
+        db.define_view("by_mdt", lambda doc: [(doc["mdt"], 1)])
+        assert db.view("by_mdt", key="missing") == []
+        db.put({"_id": "r1", "mdt": "1"})
+        assert db.view("by_mdt", key="missing") == []
+        assert db.view("by_mdt", key="missing", include_docs=True) == []
+
+    def test_view_defined_after_writes_indexes_existing_documents(self, db):
+        db.put({"_id": "r1", "mdt": "1"})
+        db.put({"_id": "r2", "mdt": "2"})
+        db.delete("r2", db.get("r2")["_rev"])
+        db.define_view("by_mdt", lambda doc: [(doc["mdt"], None)])
+        assert [(row.doc_id, row.key) for row in db.view("by_mdt")] == [("r1", "1")]
+        db.put({"_id": "r3", "mdt": "1"})
+        assert [row.doc_id for row in db.view("by_mdt", key="1")] == ["r1", "r3"]
+
+    def test_views_are_map_only(self, db):
+        db.define_view("by_mdt", lambda doc: [(doc["mdt"], 1)])
+        with pytest.raises(TypeError):
+            db.view("by_mdt", reduce=True)
+        with pytest.raises(TypeError):
+            db.define_view("counts", lambda doc: [(doc["mdt"], 1)], lambda k, v, r: sum(v))
+
 
 class TestClearance:
     def test_rows_filtered_by_reader_clearance(self, db):
@@ -281,6 +312,23 @@ class TestClearance:
         db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
         rows = db.view("by_type", include_docs=True, clearance=LabelSet([MDT]))
         assert [row.value["note"] for row in rows] == ["open"]
+
+    def test_clearance_bounds_the_row_count(self, db):
+        db.define_view("by_type", lambda doc: [(doc["type"], 1)])
+        db.put({"_id": "pub", "type": "t"})
+        db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
+        assert len(db.view("by_type", clearance=LabelSet())) == 1
+        assert len(db.view("by_type", key="t", clearance=LabelSet([PATIENT]))) == 2
+        assert len(db.view("by_type", key="t", clearance=LabelSet([MDT]))) == 1
+
+    def test_clearance_reads_the_document_labels_not_the_emitted_fields(self, db):
+        # The row emits only plain fields, but the document it came from
+        # carries a patient label: a reader without that clearance sees
+        # no row at all.
+        db.define_view("by_type", lambda doc: [(doc["type"], doc["_id"])])
+        db.put({"_id": "pat", "type": "t", "note": label("secret", PATIENT)})
+        assert db.view("by_type", key="t", clearance=LabelSet()) == []
+        assert [row.value for row in db.view("by_type", clearance=LabelSet([PATIENT]))] == ["pat"]
 
 
 class TestChangesFeed:

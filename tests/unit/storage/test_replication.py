@@ -1,5 +1,7 @@
 """Unit tests for push replication (requirement S1)."""
 
+import threading
+
 import pytest
 
 from repro.core.labels import LabelSet, conf_label
@@ -80,3 +82,52 @@ class TestCheckpointing:
         replicate(source, target)
         assert len(target.view("by_mdt", key="1")) == 1
 
+
+class TestPassesBesideWriters:
+    def test_passes_beside_a_writer_converge(self, source, target):
+        replicator = Replicator(source, target, batch_size=7)
+        written = threading.Event()
+
+        def writer():
+            for i in range(200):
+                source.put({"_id": f"r{i:03d}", "n": i})
+            written.set()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        while not written.is_set():
+            replicator.replicate()
+        thread.join()
+        replicator.replicate()
+        assert len(target) == 200
+        assert replicator.checkpoint == source.update_seq
+        assert not replicator.replicate().changed
+
+    def test_concurrent_passes_ship_each_document_once(self, source, target):
+        for i in range(50):
+            source.put({"_id": f"r{i}", "n": i})
+        replicator = Replicator(source, target, batch_size=3)
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(replicator.replicate()))
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sum(result.docs_written for result in results) == 50
+        assert len(target) == 50
+
+    def test_each_pass_starts_where_the_last_ended(self, source, target):
+        replicator = Replicator(source, target)
+        source.put({"_id": "r1", "n": 1})
+        first = replicator.replicate()
+        source.put({"_id": "r2", "n": 2})
+        source.put({"_id": "r3", "n": 3})
+        second = replicator.replicate()
+        idle = replicator.replicate()
+        assert (first.start_seq, first.end_seq) == (0, 1)
+        assert (second.start_seq, second.end_seq) == (1, 3)
+        assert (idle.start_seq, idle.end_seq, idle.batches) == (3, 3, 0)
+        assert not idle.changed

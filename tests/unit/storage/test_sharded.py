@@ -189,6 +189,47 @@ class TestViews:
         with pytest.raises(DocumentNotFound):
             db.view("nope")
 
+    def test_keyed_rows_gathered_from_every_shard(self, db):
+        db.define_view("by_mdt", lambda doc: [(doc["mdt"], 1)])
+        for i in range(30):
+            db.put({"_id": f"r{i}", "mdt": str(i % 3)})
+        rows = db.view("by_mdt", key="1")
+        assert len(rows) == 10 and len(db.view("by_mdt")) == 30
+        assert len({db.shard_for(row.doc_id).name for row in rows}) > 1
+
+    def test_every_key_and_clearance_matches_unsharded(self, db):
+        plain = Database("flat")
+        for target in (db, plain):
+            target.define_view("by_mdt", lambda doc: [(doc["mdt"], 1)])
+        for i in range(17):
+            note = label("secret", PATIENT) if i % 5 == 0 else "open"
+            doc = {"_id": f"r{i}", "mdt": str(i % 4), "note": note}
+            db.put(dict(doc))
+            plain.put(dict(doc))
+        for key in (None, "0", "1", "2", "3", "missing"):
+            for clearance in (None, LabelSet(), LabelSet([PATIENT])):
+                assert db.view("by_mdt", key=key, clearance=clearance) == plain.view(
+                    "by_mdt", key=key, clearance=clearance
+                )
+
+    def test_view_on_empty_store(self, db):
+        db.define_view("by_mdt", lambda doc: [(doc["mdt"], 1)])
+        assert db.view("by_mdt") == []
+        assert db.view("by_mdt", key="1", include_docs=True) == []
+
+    def test_view_defined_after_writes_indexes_every_shard(self, db):
+        for i in range(12):
+            db.put({"_id": f"r{i}", "mdt": str(i % 2)})
+        db.define_view("by_mdt", lambda doc: [(doc["mdt"], None)])
+        assert [row.doc_id for row in db.view("by_mdt", key="0")] == sorted(
+            f"r{i}" for i in range(0, 12, 2)
+        )
+
+    def test_views_are_map_only(self, db):
+        db.define_view("by_mdt", lambda doc: [(doc["mdt"], 1)])
+        with pytest.raises(TypeError):
+            db.view("by_mdt", reduce=True)
+
 
 class TestClearanceFiltering:
     def test_rows_filtered_by_reader_clearance(self, db):
