@@ -236,18 +236,10 @@ _RouteEntry = Tuple[
 class _Route:
     """The prepared candidates of one concrete topic."""
 
-    __slots__ = ("entries", "plain", "plans")
+    __slots__ = ("entries", "plans")
 
-    def __init__(
-        self,
-        entries: Sequence[_RouteEntry],
-        plain: Optional[Sequence[Tuple[Subscription, Callable]]],
-    ):
+    def __init__(self, entries: Sequence[_RouteEntry]):
         self.entries = entries
-        #: When no candidate carries a selector and label checks are off,
-        #: a lean (subscription, callback) list run without selector
-        #: bookkeeping.
-        self.plain = plain
         #: Label set → the entries with their §4.2 decisions (Broker._plan).
         self.plans: Dict[LabelSet, Sequence[_RouteEntry]] = {}
 
@@ -426,16 +418,7 @@ class Broker:
                 )
                 for subscription in matched
             )
-            # The lean loop only runs with label checks off, so don't
-            # build (or scan for) the plain variant otherwise.
-            plain: Optional[Tuple[Tuple[Subscription, Callable], ...]] = None
-            if not self._label_checks and all(
-                subscription.selector is None for subscription in matched
-            ):
-                plain = tuple(
-                    (subscription, subscription.callback) for subscription in matched
-                )
-            route = _Route(entries, plain)
+            route = _Route(entries)
             if len(self._routes) >= _ROUTE_CACHE_LIMIT:
                 self._clear_routes()
             self._routes[topic] = route
@@ -475,43 +458,12 @@ class Broker:
         if not entries:
             return 0
         if not self._label_checks:
-            if route.plain is not None:
-                return self._deliver_plain(event, route.plain)
             return self._deliver_general(event, entries)
         plans = route.plans
         plan = plans.get(event.labels)
         if plan is None:
             plan = self._plan(route, event)
         return self._deliver_general(event, plan, route, plans)
-
-    def _deliver_plain(
-        self, event: Event, plain: Sequence[Tuple[Subscription, Callable]]
-    ) -> int:
-        """Delivery with no selectors and label checks off: pure fan-out."""
-        stats = self.stats
-        delivered = 0
-        try:
-            for subscription, callback in plain:
-                if not subscription.active:
-                    continue
-                try:
-                    callback(event)
-                    delivered += 1
-                except Exception as exc:  # noqa: BLE001 - a failing subscriber must not stop others
-                    stats.errors += 1
-                    self._audit.note(
-                        "broker",
-                        "deliver",
-                        subscription.principal,
-                        DENIED,
-                        event.labels,
-                        f"callback error: {exc!r}",
-                    )
-                    if self._raise_errors:
-                        raise
-        finally:
-            stats.delivered += delivered
-        return delivered
 
     def _deliver_general(
         self,

@@ -97,7 +97,6 @@ class StompBrokerBridge:
         host: str,
         port: int,
         login: str,
-        passcode: str = "",
         tls_context=None,
         reconnect: bool = True,
         max_send_attempts: int = 3,
@@ -108,7 +107,6 @@ class StompBrokerBridge:
         self._host = host
         self._port = port
         self._login = login
-        self._passcode = passcode
         self._tls_context = tls_context
         self._reconnect = reconnect
         self._max_send_attempts = max(1, max_send_attempts)
@@ -140,7 +138,6 @@ class StompBrokerBridge:
             self._host,
             self._port,
             login=self._login,
-            passcode=self._passcode,
             tls_context=self._tls_context,
             chaos=self._chaos,
         )

@@ -49,7 +49,6 @@ class StompClient:
         host: str,
         port: int,
         login: str = "anonymous",
-        passcode: str = "",
         tls_context: Optional[ssl.SSLContext] = None,
         timeout: float = 10.0,
         chaos: ChaosInjector = NULL_FAULTS,
@@ -57,7 +56,6 @@ class StompClient:
         self._host = host
         self._port = port
         self._login = login
-        self._passcode = passcode
         self._tls_context = tls_context
         self._timeout = timeout
         self._chaos = chaos
@@ -101,9 +99,7 @@ class StompClient:
             name="safeweb-stomp-client",
             daemon=True,
         ).start()
-        self._transmit(
-            Frame("CONNECT", {"login": self._login, "passcode": self._passcode})
-        )
+        self._transmit(Frame("CONNECT", {"login": self._login}))
         self._await_control("CONNECTED")
         self._connected.set()
         return self

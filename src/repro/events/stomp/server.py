@@ -2,8 +2,9 @@
 
 Bridges TCP clients to an in-process :class:`~repro.events.broker.Broker`:
 
-* ``CONNECT`` authenticates the client against the policy (units and
-  users both work as broker principals) and answers ``CONNECTED``;
+* ``CONNECT`` accepts a login that names a policy unit (any login when
+  the server has no policy) and answers ``CONNECTED``; web users are
+  not broker principals, so any other login is refused;
 * ``SUBSCRIBE`` registers a broker subscription whose clearance is the
   *authenticated principal's* — clients cannot claim clearance in the
   frame, which is what makes the label filtering trustworthy;
@@ -206,8 +207,7 @@ class _Connection(socketserver.BaseRequestHandler):
 
     def _on_connect(self, frame: Frame) -> None:
         login = frame.header("login", "anonymous")
-        passcode = frame.header("passcode", "")
-        clearance = self.server.authenticate(login, passcode)
+        clearance = self.server.authenticate(login)
         if clearance is None:
             self._send(Frame("ERROR", {"message": "authentication failed"}))
             self._hang_up()
@@ -392,10 +392,10 @@ class StompServer(socketserver.ThreadingTCPServer):
     connection's link, before the SEND's RECEIPT is written.
 
     ``policy`` supplies per-login clearance: a login naming a unit gets
-    the unit's (withholding-adjusted) privileges, a login naming a user
-    must present the user's password. Without a policy every login is
-    accepted with empty clearance — only unlabelled events flow, which is
-    fail-safe.
+    the unit's (withholding-adjusted) privileges, and every other login
+    is refused and audited as ``unknown principal``. Without a policy
+    every login is accepted with empty clearance — only unlabelled events
+    flow, which is fail-safe.
     """
 
     daemon_threads = True
@@ -542,17 +542,11 @@ class StompServer(socketserver.ThreadingTCPServer):
 
     # -- authentication ----------------------------------------------------------
 
-    def authenticate(self, login: str, passcode: str) -> Optional[PrivilegeSet]:
+    def authenticate(self, login: str) -> Optional[PrivilegeSet]:
         """Resolve a login to its clearance; ``None`` means reject."""
         if self.policy is None:
             return PrivilegeSet.empty()
         if login in self.policy.unit_names:
             return self.policy.unit(login).effective_clearance()
-        user = self.policy.find_user(login)
-        if user is not None:
-            if not user.check_password(passcode):
-                self.audit.denied("stomp", "connect", login, detail="bad passcode")
-                return None
-            return user.privileges
         self.audit.denied("stomp", "connect", login, detail="unknown principal")
         return None

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.policy import Policy, PolicyDocument, UnitSpec, UserSpec
+from repro.core.policy import Policy, PolicyDocument, UnitSpec
 from repro.mdt.labels import (
     mdt_aggregate_label,
     mdt_label,
@@ -141,12 +141,16 @@ def generate_workload(config: WorkloadConfig | None = None) -> Workload:
 
     directory = _generate_directory(config)
     main_db = _generate_main_db(config, directory, rng)
-    policy, passwords = _generate_policy(directory, rng)
+    # Drawn after the registry, in MDT order: every seed's passwords,
+    # and so every durable web database built from them, stay the same.
+    passwords = {
+        f"mdt{mdt_id}": f"pw-{rng.randint(100000, 999999)}" for mdt_id in directory.mdt_ids()
+    }
     return Workload(
         config=config,
         main_db=main_db,
         directory=directory,
-        policy=policy,
+        policy=_generate_policy(),
         user_passwords=passwords,
     )
 
@@ -240,7 +244,8 @@ def _generate_main_db(
     return main_db
 
 
-def _generate_policy(directory: MdtDirectory, rng: random.Random):
+def _generate_policy() -> Policy:
+    """The three Figure 4 units; portal users live in the web database."""
     document = PolicyDocument(authority="ecric.org.uk")
     document.units["data_producer"] = UnitSpec(
         name="data_producer",
@@ -262,25 +267,4 @@ def _generate_policy(directory: MdtDirectory, rng: random.Random):
             "declassification": [mdt_label_root().uri],
         },
     )
-    passwords: Dict[str, str] = {}
-    for mdt_id in directory.mdt_ids():
-        info = directory.find(mdt_id)
-        username = f"mdt{mdt_id}"
-        password = f"pw-{rng.randint(100000, 999999)}"
-        passwords[username] = password
-        clearance = [mdt_label(mdt_id).uri, region_aggregate_root().uri]
-        clearance += [
-            mdt_aggregate_label(peer.mdt_id).uri
-            for peer in directory.in_region(info.region)
-        ]
-        document.users[username] = UserSpec(
-            name=username,
-            password=password,
-            mdt_id=mdt_id,
-            region=info.region,
-            grants={
-                "clearance": clearance,
-                "declassification": [mdt_label(mdt_id).uri],
-            },
-        )
-    return Policy(document), passwords
+    return Policy(document)

@@ -229,7 +229,11 @@ class WebDatabase:
         return PrivilegeSet(grants)
 
     def principal_for(self, name: str) -> Optional[UserPrincipal]:
-        """Build a :class:`UserPrincipal` for an authenticated user."""
+        """Build a :class:`UserPrincipal` for an authenticated user.
+
+        The principal carries the user's privileges, MDT and region, and
+        no credential: the salt and digest stay in the ``users`` row.
+        """
         user_id = self.user_id(name)
         if user_id is None:
             return None
@@ -237,8 +241,6 @@ class WebDatabase:
         return UserPrincipal(
             name,
             privileges=self.privileges_for(user_id),
-            password_salt=row["salt"],
-            password_digest=row["digest"],
             mdt_id=row["mdt"],
             region=row["region"],
         )

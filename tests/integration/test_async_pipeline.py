@@ -87,11 +87,35 @@ class TestAsyncPipeline:
         assert 0 < float(str(metric["completeness"])) <= 100
 
     def test_no_events_lost_beside_background_replication(self, async_stack):
-        workload, broker, engine, _app_db, _dmz_db, _replicator, producer = async_stack
+        workload, broker, engine, _app_db, dmz_db, _replicator, producer = async_stack
+        # A witness with the aggregator's clearance and selector sees every
+        # /patient_report the aggregator should have been handed.
+        reports = []
+        broker.subscribe(
+            "/patient_report",
+            reports.append,
+            principal="witness",
+            clearance=workload.policy.unit("data_aggregator").privileges,
+            selector="type = 'cancer'",
+        )
         engine.publish("/control/import")
-        assert wait_for(lambda: broker.stats.errors == 0 and broker.stats.published > 0)
-        expected = producer.events_published
-        # every /patient_report delivery reached the aggregator exactly once
+        assert broker.stats.errors == 0
+        assert len(reports) == producer.events_published == workload.main_db.counts()["tumours"]
+
         store = engine.store_of("data_aggregator")
-        total_tumours = workload.main_db.counts()["tumours"]
-        assert expected == total_tumours
+        record_keys = [key for key in store.keys() if key.startswith("record:")]
+        tumour_ids = [
+            tumour["tumour_id"] for key in record_keys for tumour in store.get(key)["tumours"]
+        ]
+        # Each report is merged into exactly one record, and no record
+        # holds a tumour no report carried.
+        for report in reports:
+            assert tumour_ids.count(report["tumour_id"]) == 1, report["tumour_id"]
+        assert len(tumour_ids) == len(reports)
+
+        patients = workload.main_db.counts()["patients"]
+        assert len(record_keys) == patients
+        expected = {"record-" + key.replace(":", "-") for key in record_keys}
+        assert wait_for(
+            lambda: {d for d in dmz_db.all_doc_ids() if d.startswith("record-")} == expected
+        )

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet, conf_label, int_label
 from repro.core.policy import parse_policy
 from repro.events import Broker
@@ -34,8 +35,7 @@ POLICY = parse_policy(
         clearance label:conf:ecric.org.uk/mdt
     }
 
-    user mdt1 {
-        password secret1
+    unit mdt1_gateway {
         clearance label:conf:ecric.org.uk/mdt/1
     }
     """
@@ -45,7 +45,7 @@ POLICY = parse_policy(
 @pytest.fixture()
 def server():
     broker = Broker()
-    stomp = StompServer(broker, policy=POLICY).start()
+    stomp = StompServer(broker, policy=POLICY, audit=AuditLog()).start()
     yield stomp
     stomp.stop()
 
@@ -59,9 +59,17 @@ def wait_for(predicate, timeout=5.0):
     return False
 
 
-def connect(server, login="data_aggregator", passcode=""):
+def connect(server, login="data_aggregator"):
     host, port = server.address
-    return StompClient(host, port, login=login, passcode=passcode).connect()
+    return StompClient(host, port, login=login).connect()
+
+
+def refusals(server):
+    return [
+        (record.principal, record.detail)
+        for record in server.audit.denials("stomp")
+        if record.operation == "connect"
+    ]
 
 
 class TestConnection:
@@ -69,19 +77,26 @@ class TestConnection:
         client = connect(server)
         assert client.connected
         client.disconnect()
+        assert refusals(server) == []
 
-    def test_connect_user_with_password(self, server):
-        client = connect(server, login="mdt1", passcode="secret1")
+    def test_unit_login_gets_the_units_clearance(self, server):
+        client = connect(server, login="mdt1_gateway")
         assert client.connected
         client.disconnect()
+        assert server.authenticate("mdt1_gateway") == POLICY.unit("mdt1_gateway").privileges
 
-    def test_connect_user_bad_password(self, server):
-        with pytest.raises(SafeWebError):
-            connect(server, login="mdt1", passcode="wrong")
+    def test_web_user_login_is_refused(self, server):
+        # Portal users live in the web database, not in the policy: a
+        # user name is no broker principal, whatever passcode it sends.
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(_raw_frame("CONNECT", {"login": "mdt1", "passcode": "secret1"}))
+            assert sock.recv(4096).startswith(b"ERROR")
+        assert refusals(server) == [("mdt1", "unknown principal")]
 
     def test_connect_unknown_principal(self, server):
         with pytest.raises(SafeWebError):
             connect(server, login="mallory")
+        assert refusals(server) == [("mallory", "unknown principal")]
 
 
 def _raw_frame(command, headers, body=""):
@@ -194,7 +209,7 @@ class TestPubSub:
     def test_label_filtering_over_the_wire(self, server):
         """§4.2: server-side clearance comes from the policy, not the client."""
         publisher = connect(server, login="data_producer")
-        mdt_user = connect(server, login="mdt1", passcode="secret1")
+        mdt_user = connect(server, login="mdt1_gateway")
         cleared = connect(server, login="data_aggregator")
         mdt_received, cleared_received = [], []
         mdt_user.subscribe("/reports", mdt_received.append)
@@ -207,7 +222,7 @@ class TestPubSub:
         assert wait_for(lambda: len(cleared_received) == 3)
         assert wait_for(lambda: len(mdt_received) == 2)
         time.sleep(0.05)
-        # mdt1 is cleared for its own MDT label and unlabelled data only.
+        # mdt1_gateway is cleared for one MDT label and unlabelled data only.
         assert sorted(e["n"] for e in mdt_received) == ["2", "3"]
         for client in (publisher, mdt_user, cleared):
             client.disconnect()

@@ -1,5 +1,7 @@
 """Unit tests for policy parsing."""
 
+import json
+
 import pytest
 
 from repro.core.labels import LabelSet, conf_label
@@ -31,26 +33,8 @@ unit data_storage {
     declassification label:conf:ecric.org.uk/mdt
     withhold label:conf:ecric.org.uk/admin
 }
-
-user mdt1 {
-    password secret1
-    mdt 1
-    region east
-    clearance label:conf:ecric.org.uk/mdt/1
-    declassification label:conf:ecric.org.uk/mdt/1
-}
-
-user mdt2 {
-    password secret2
-    mdt 2
-    region east
-    clearance label:conf:ecric.org.uk/mdt/2
-    declassification label:conf:ecric.org.uk/mdt/2
-}
 """
 
-MDT_1 = conf_label("ecric.org.uk", "mdt", "1")
-MDT_2 = conf_label("ecric.org.uk", "mdt", "2")
 PATIENT = conf_label("ecric.org.uk", "patient", "42")
 ADMIN = conf_label("ecric.org.uk", "admin")
 
@@ -81,43 +65,22 @@ class TestPolicyParsing:
         assert ADMIN in storage.withheld_labels
         assert not storage.privileges.grants(CLEARANCE, ADMIN)
 
-    def test_user_fields(self, policy):
-        user = policy.user("mdt1")
-        assert user.mdt_id == "1"
-        assert user.region == "east"
-        assert user.check_password("secret1")
-        assert not user.check_password("secret2")
-
-    def test_user_grants_are_disjoint(self, policy):
-        assert policy.user("mdt1").privileges.grants(CLEARANCE, MDT_1)
-        assert not policy.user("mdt1").privileges.grants(CLEARANCE, MDT_2)
-
-    def test_find_user_is_case_sensitive(self, policy):
-        assert policy.find_user("mdt1") is not None
-        assert policy.find_user("MDT1") is None
-
     def test_unknown_lookups_fail_closed(self, policy):
         with pytest.raises(PolicyError):
             policy.unit("nope")
-        with pytest.raises(PolicyError):
-            policy.user("nope")
-
-    def test_added_user_is_resolvable(self, policy):
-        from repro.core.principals import UserPrincipal
-        from repro.core.privileges import PrivilegeSet
-
-        policy.add_user(UserPrincipal("mdt3", PrivilegeSet({CLEARANCE: [MDT_2]}), password="pw"))
-        assert "mdt3" in policy.user_names
-        assert policy.user("mdt3").check_password("pw")
-        assert policy.find_user("mdt3").privileges.grants(CLEARANCE, MDT_2)
 
     def test_json_round_trip(self, policy):
         document = parse_policy_document(EXAMPLE)
         rebuilt = Policy(PolicyDocument.from_json(document.to_json()))
         assert rebuilt.unit_names == policy.unit_names
-        assert rebuilt.user_names == policy.user_names
-        assert rebuilt.user("mdt1").privileges == policy.user("mdt1").privileges
-        assert rebuilt.user("mdt1").check_password("secret1")
+        for name in policy.unit_names:
+            assert rebuilt.unit(name).privileges == policy.unit(name).privileges
+            assert rebuilt.unit(name).privileged == policy.unit(name).privileged
+        assert rebuilt.unit("data_storage").withheld_labels == LabelSet([ADMIN])
+
+    def test_json_describes_units_only(self):
+        payload = json.loads(parse_policy_document(EXAMPLE).to_json())
+        assert sorted(payload) == ["authority", "units"]
 
     @pytest.mark.parametrize(
         "bad",
@@ -127,7 +90,7 @@ class TestPolicyParsing:
             "nonsense",
             "unit x {\n  clearance\n}",  # missing label
             "unit x {\n  clearance not-a-label\n}",
-            "user u {\n  privileged\n}",  # unit-only directive
+            "user u {\n  privileged\n}",  # users live in the web database
             "unit x {\n}\nunit x {\n}",  # duplicate
         ],
     )
@@ -140,12 +103,14 @@ class TestPolicyParsing:
         assert policy.authority == "a.org"
         assert policy.unit_names == ["u"]
 
-    def test_password_digest_form(self):
-        source = parse_policy("user u {\n  password p\n}").user("u")
-        text = (
-            "user u {\n"
-            f"  password_digest {source.password_salt} {source.password_digest}\n"
-            "}"
-        )
-        rebuilt = parse_policy(text).user("u")
-        assert rebuilt.check_password("p")
+    @pytest.mark.parametrize(
+        "directive",
+        ["password p", "password_digest salt digest", "mdt 1", "region east"],
+    )
+    def test_user_directives_are_unknown(self, directive):
+        # Credentials, MDT and region belong to web users, which the web
+        # database describes; neither block kind takes them.
+        with pytest.raises(PolicyError, match="unknown directive"):
+            parse_policy(f"unit u {{\n  {directive}\n}}")
+        with pytest.raises(PolicyError, match="unexpected top-level"):
+            parse_policy(f"user u {{\n  {directive}\n}}")

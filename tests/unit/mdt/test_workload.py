@@ -1,8 +1,11 @@
 """Unit tests for the synthetic workload generator."""
 
+import json
+
 import pytest
 
 from repro.core.labels import LabelSet
+from repro.events.cluster import shard_policy_document
 from repro.exceptions import SafeWebError
 from repro.mdt.labels import mdt_aggregate_label, mdt_label, region_aggregate_label
 from repro.mdt.workload import WorkloadConfig, generate_workload
@@ -69,6 +72,17 @@ class TestMainDatabase:
         other = generate_workload(WorkloadConfig(seed=CONFIG.seed + 1))
         assert other.user_passwords != generate_workload(CONFIG).user_passwords
 
+    def test_default_seed_passwords_are_pinned(self):
+        # Drawn from the registry's PRNG after the main database: a
+        # durable web database reopened from disk, and the benchmark's
+        # registry reference, both rely on this exact draw.
+        assert generate_workload(WorkloadConfig()).user_passwords == {
+            "mdt1": "pw-147623",
+            "mdt2": "pw-331230",
+            "mdt3": "pw-514463",
+            "mdt4": "pw-728437",
+        }
+
 
 class TestPolicy:
     def test_units_present(self, workload):
@@ -87,28 +101,39 @@ class TestPolicy:
         missing = storage.privileges.missing_declassification(LabelSet([mdt_label("3")]))
         assert missing == frozenset()
 
-    def test_user_clearances_follow_policy_p1(self, workload):
-        user = workload.policy.user("mdt1")
-        # Own patient-level data.
-        assert user.privileges.clearance_covers(LabelSet([mdt_label("1")]))
-        assert not user.privileges.clearance_covers(LabelSet([mdt_label("2")]))
-        # Same-region MDT aggregates (MDTs 1-3 are region-1).
-        assert user.privileges.clearance_covers(LabelSet([mdt_aggregate_label("3")]))
-        assert not user.privileges.clearance_covers(LabelSet([mdt_aggregate_label("4")]))
-        # Regional aggregates: all of them.
-        assert user.privileges.clearance_covers(
-            LabelSet([region_aggregate_label("region-2")])
-        )
+    def test_no_credential_leaves_the_web_database(self):
+        # The policy JSON is what ClusterEngine.start sends to every
+        # broker shard and worker process.
+        workload = generate_workload()
+        shipped = {
+            "policy": workload.policy.document.to_json(),
+            "shard policy": shard_policy_document(workload.policy.document).to_json(),
+        }
+        for what, text in shipped.items():
+            assert "password" not in _keys(json.loads(text)), what
+            for password in workload.user_passwords.values():
+                assert password not in text, what
 
-    def test_passwords_match_policy_users(self, workload):
-        for username, password in workload.user_passwords.items():
-            assert workload.policy.user(username).check_password(password)
+
+def _keys(value):
+    """Every dict key anywhere in a decoded JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+@pytest.fixture(scope="module")
+def webdb(workload):
+    database = WebDatabase(password_iterations=1_000)
+    workload.populate_webdb(database)
+    yield database
+    database.close()
 
 
 class TestWebdbPopulation:
-    def test_populate(self, workload):
-        webdb = WebDatabase(password_iterations=1_000)
-        workload.populate_webdb(webdb)
+    def test_populate(self, workload, webdb):
         assert len(webdb.user_names()) == 6
         user_id = webdb.user_id("mdt1")
         privileges = webdb.privileges_for(user_id)
@@ -118,4 +143,24 @@ class TestWebdbPopulation:
         assert webdb.count_privileges(
             u_id=user_id, hospital=info.hospital, clinic=info.clinic
         ) == 1
-        webdb.close()
+
+    def test_user_clearances_follow_policy_p1(self, webdb):
+        user = webdb.principal_for("mdt1")
+        assert (user.mdt_id, user.region) == ("1", "region-1")
+        # Own patient-level data.
+        assert user.privileges.clearance_covers(LabelSet([mdt_label("1")]))
+        assert not user.privileges.clearance_covers(LabelSet([mdt_label("2")]))
+        assert not user.privileges.missing_declassification(LabelSet([mdt_label("1")]))
+        # Same-region MDT aggregates (MDTs 1-3 are region-1).
+        assert user.privileges.clearance_covers(LabelSet([mdt_aggregate_label("3")]))
+        assert not user.privileges.clearance_covers(LabelSet([mdt_aggregate_label("4")]))
+        # Regional aggregates: all of them.
+        assert user.privileges.clearance_covers(
+            LabelSet([region_aggregate_label("region-2")])
+        )
+
+    def test_passwords_match_web_users(self, workload, webdb):
+        assert webdb.user_names() == sorted(workload.user_passwords)
+        for username, password in workload.user_passwords.items():
+            assert webdb.check_password(username, password)
+            assert not webdb.check_password(username, password + "x")

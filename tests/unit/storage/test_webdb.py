@@ -86,8 +86,10 @@ class TestLabelPrivileges:
         user_id = db.add_user("mdt1", "secret", mdt="1", region="east")
         db.grant_label_privilege(user_id, CLEARANCE, MDT_1.uri)
         principal = db.principal_for("mdt1")
-        assert principal.mdt_id == "1"
-        assert principal.check_password("secret")
+        assert (principal.mdt_id, principal.region) == ("1", "east")
+        # The credential stays in the users row.
+        assert not any("password" in name or "salt" in name for name in dir(principal))
+        assert db.check_password("mdt1", "secret")
         assert principal.privileges.clearance_covers(LabelSet([MDT_1]))
         assert db.principal_for("ghost") is None
 

@@ -39,7 +39,7 @@ BUDGET = {
     EventProcessingEngine: 7,
     Broker: 4,
     AuditLog: 2,
-    StompBrokerBridge: 10,
+    StompBrokerBridge: 9,
     ClusterEngine: 6,
     ClusterRouter: 3,
     SupervisionPolicy: 4,
