@@ -16,7 +16,6 @@ from repro.events.unit import Unit, unit_from_function
 from repro.events.engine import EventProcessingEngine
 from repro.events.cluster import ClusterEngine, ClusterRouter
 from repro.events.lanes import EngineStats
-from repro.events.ring import HashRing, stable_hash
 from repro.events.supervision import (
     CircuitBreaker,
     SupervisionPolicy,
@@ -28,8 +27,6 @@ __all__ = [
     "CircuitBreaker",
     "ClusterEngine",
     "ClusterRouter",
-    "HashRing",
-    "stable_hash",
     "SupervisionPolicy",
     "Supervisor",
     "dlq_topic",

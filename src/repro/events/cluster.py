@@ -10,14 +10,14 @@ its publisher. This module is the way to run units in parallel:
   :class:`~repro.events.broker.Broker` behind a :class:`StompServer`.
   A shard delivers on the handler thread of the connection that
   published, so its RECEIPT for a SEND follows the delivery. The topic
-  space is partitioned across them by a consistent-hash ring
-  (:class:`~repro.events.ring.HashRing`): an exact topic lives on
-  exactly one shard; wildcard subscriptions register on every shard and
-  rely on each *publish* hashing to one shard to avoid duplicates.
+  space is partitioned across them by rendezvous hashing
+  (:func:`ranking`): an exact topic lives on exactly one shard; wildcard
+  subscriptions register on every shard and rely on each *publish*
+  hashing to one shard to avoid duplicates.
 * **Worker processes** — each runs a local synchronous
   :class:`~repro.events.engine.EventProcessingEngine` whose broker is a
-  :class:`ClusterRouter`; units are pinned to workers by the parent's
-  placement ring. Unit callbacks run under the same ambient labels / jail
+  :class:`ClusterRouter`; units are pinned to workers by the same
+  ranking over the worker names. Unit callbacks run under the same ambient labels / jail
   / supervision ladder as in-process.
 * **The codec is the IPC format** — events cross process boundaries as
   ``encode_document`` bodies (:mod:`repro.events.cluster_codec`): value
@@ -40,19 +40,19 @@ cluster's stores, labels and audit-decision multisets against it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import multiprocessing
 import pickle
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.audit import AuditLog, default_audit_log
 from repro.core.labels import LabelSet
 from repro.core.policy import Policy, PolicyDocument, UnitSpec
 from repro.events.cluster_codec import decode_event, decode_payload, encode_event, encode_payload
 from repro.events.event import Event, as_events
-from repro.events.ring import HashRing
 from repro.events.stomp.bridge import StompBrokerBridge
 from repro.events.supervision import SupervisionPolicy, is_dlq_topic
 from repro.exceptions import SafeWebError, SecurityViolation, StompProtocolError
@@ -66,6 +66,22 @@ SUPERVISOR_PREFIX = "supervisor:"
 
 #: Seconds between the parent's checks for dead worker processes.
 MONITOR_INTERVAL = 0.2
+
+#: Seconds a delivery's cascade may take to be receipt-confirmed before
+#: the delivery is NACKed (and dead-lettered by its shard) instead of ACKed.
+ACK_TIMEOUT = 10.0
+
+
+def stable_hash(key: str) -> int:
+    """A 64-bit hash identical in every process (``hash()`` is salted per process)."""
+    digest = hashlib.md5(key.encode("utf-8", "surrogateescape")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def ranking(nodes: Iterable[str], key: str) -> List[str]:
+    """*nodes* in rendezvous (highest-random-weight) order for *key*: the
+    head owns it; without the head, the next node does, and no other key moves."""
+    return sorted(nodes, key=lambda node: (stable_hash(f"{node}\0{key}"), node), reverse=True)
 
 
 def shard_policy_document(document: PolicyDocument) -> PolicyDocument:
@@ -142,14 +158,11 @@ class ClusterRouter:
         self,
         shards: Dict[str, Tuple[str, int]],
         audit: Optional[AuditLog] = None,
-        ack_timeout: float = 10.0,
     ):
         if not shards:
             raise SafeWebError("cluster router needs at least one shard")
         self._shards = dict(shards)
-        self._ring = HashRing(sorted(shards))
         self._audit = audit if audit is not None else default_audit_log()
-        self._ack_timeout = ack_timeout
         self._bridges: Dict[Tuple[str, str, str], StompBrokerBridge] = {}
         self._bridge_lock = threading.RLock()
         self._unit_locks: Dict[str, threading.Lock] = {}
@@ -169,19 +182,22 @@ class ClusterRouter:
     def shard_names(self) -> List[str]:
         return sorted(self._shards)
 
+    def _shard_for(self, topic: str) -> str:
+        return ranking(self._shards, topic)[0]
+
     def _shards_for_subscription(self, topic: str) -> List[str]:
         # A pattern cannot be hashed; register everywhere. Publishes hash
         # to one shard, so matching stays exactly-once. Dead letters are
         # published on the shard that *produced* them (an unacked
         # in-flight delivery or an orphan tombstone dead-letters on its
         # own local broker), which is not necessarily
-        # ring.node_for(topic), so they register everywhere too:
+        # _shard_for(topic), so they register everywhere too:
         # router-side DLQ publishes still hash to one shard, and a
         # shard-local publish matches only on that shard, so no path
         # duplicates.
         if "*" in topic or "#" in topic or is_dlq_topic(topic):
             return self.shard_names
-        return [self._ring.node_for(topic)]
+        return [self._shard_for(topic)]
 
     def _bridge(self, role: str, login: str, shard: str) -> StompBrokerBridge:
         key = (role, login, shard)
@@ -226,7 +242,7 @@ class ClusterRouter:
         by_shard: Dict[str, List[Event]] = {}
         for event in events:
             self._tee_dlq(event, publisher)
-            by_shard.setdefault(self._ring.node_for(event.topic), []).append(
+            by_shard.setdefault(self._shard_for(event.topic), []).append(
                 self._transport(event)
             )
         runs = getattr(self._cascade, "runs", [])
@@ -257,7 +273,7 @@ class ClusterRouter:
                 topic,
                 # The ack must go back on the link that delivered the
                 # message — for multi-shard subscriptions (wildcards,
-                # DLQ topics) that is not ring.node_for(topic), so the
+                # DLQ topics) that is not _shard_for(topic), so the
                 # wrapper binds the delivering bridge itself.
                 self._deliver_wrapper(callback, principal, bridge),
                 principal=principal,
@@ -348,17 +364,17 @@ class ClusterRouter:
                 return
             # Cascade durability: ACK once the callback's runs are receipt-
             # confirmed (a crash in the gap yields a duplicate, never a gap);
-            # parked, or late past ack_timeout, the shard dead-letters it.
+            # parked, or late past ACK_TIMEOUT, the shard dead-letters it.
             started = time.monotonic()
 
             def confirmed(ok: bool) -> None:
                 if ok and runs:  # one run at a time; any parked run refuses
                     link, run = runs.pop()
                     link.after_confirmed(confirmed, run)
-                elif ok and time.monotonic() - started <= self._ack_timeout:
+                elif ok and time.monotonic() - started <= ACK_TIMEOUT:
                     bridge.ack(message_id)
                 else:
-                    late = f"unconfirmed after {self._ack_timeout}s"
+                    late = f"unconfirmed after {ACK_TIMEOUT}s"
                     denied("cascade", event, f"cascade publishes {late if ok else 'parked'}")
                     bridge.nack(message_id)
 
@@ -655,7 +671,6 @@ class ClusterEngine:
         self._shards: Dict[str, _ChildHandle] = {}
         self._workers: Dict[str, _ChildHandle] = {}
         self._placements: Dict[str, _Placement] = {}
-        self._worker_ring: Optional[HashRing] = None
         self.router: Optional[ClusterRouter] = None
         self._monitor: Optional[threading.Thread] = None
         self._stopping = threading.Event()
@@ -682,7 +697,6 @@ class ClusterEngine:
             self._workers[name], _hello = self._spawn(
                 name, _worker_main, worker_json, addresses, name, options
             )
-        self._worker_ring = HashRing(sorted(self._workers))
         self.router = ClusterRouter(addresses, audit=self.audit)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="safeweb-cluster-monitor", daemon=True
@@ -774,7 +788,7 @@ class ClusterEngine:
             return {name: p.worker for name, p in self._placements.items()}
 
     def _pick_worker(self, unit_name: str) -> _ChildHandle:
-        for candidate in self._worker_ring.preference(unit_name, count=len(self._workers)):
+        for candidate in ranking(self._workers, unit_name):
             if self._workers[candidate].live:
                 return self._workers[candidate]
         raise SafeWebError("no live worker to place on")

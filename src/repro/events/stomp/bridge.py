@@ -18,7 +18,7 @@ The bridge is a *long-lived link* and treats the connection as
 unreliable (docs/ROBUSTNESS.md): a failed send is audited and retried
 through a reconnect-with-backoff ladder that re-establishes the STOMP
 session and **resubscribes every tracked subscription** before the
-event is sent again; only after ``max_send_attempts`` failures is the
+event is sent again; only after :data:`MAX_SEND_ATTEMPTS` failures is the
 event parked on :attr:`StompBrokerBridge.dead_letters` (audited) — the
 sender thread itself never dies, and nothing is lost silently. Sends
 are receipt-confirmed, :data:`SEND_WINDOW` runs at a time: a link death
@@ -42,12 +42,19 @@ from repro.core.audit import AuditLog, default_audit_log
 from repro.core.labels import LabelSet
 from repro.core.privileges import PrivilegeSet
 from repro.events.event import Event
+from repro.events.stomp import client as stomp_client
 from repro.events.stomp.client import StompClient
 from repro.exceptions import SafeWebError
 from repro.faults import NULL_FAULTS, ChaosInjector, SimulatedCrash
 
 #: Most runs a link keeps sent but not yet receipt-confirmed.
 SEND_WINDOW = 8
+
+#: Send attempts for a unit of runs before it is parked on ``dead_letters``.
+MAX_SEND_ATTEMPTS = 3
+
+#: Seconds slept after the first failed attempt, doubling per attempt.
+BACKOFF_BASE = 0.05
 
 #: Cap, in seconds, on the exponential sleep between send attempts.
 BACKOFF_MAX = 2.0
@@ -98,9 +105,6 @@ class StompBrokerBridge:
         port: int,
         login: str,
         tls_context=None,
-        reconnect: bool = True,
-        max_send_attempts: int = 3,
-        backoff_base: float = 0.05,
         audit: Optional[AuditLog] = None,
         chaos: ChaosInjector = NULL_FAULTS,
     ):
@@ -108,9 +112,6 @@ class StompBrokerBridge:
         self._port = port
         self._login = login
         self._tls_context = tls_context
-        self._reconnect = reconnect
-        self._max_send_attempts = max(1, max_send_attempts)
-        self._backoff_base = backoff_base
         self._audit = audit if audit is not None else default_audit_log()
         self._chaos = chaos
         self._client = self._new_client()
@@ -126,7 +127,7 @@ class StompBrokerBridge:
         self._subscriptions: Dict[str, _BridgeSubscription] = {}
         #: subscription_id -> kwargs needed to re-issue it on reconnect.
         self._subscription_specs: Dict[str, dict] = {}
-        #: Events given up on after max_send_attempts (audited, kept for
+        #: Events given up on after MAX_SEND_ATTEMPTS (audited, kept for
         #: inspection/replay — the bridge-level dead-letter parking lot).
         self.dead_letters: List[Event] = []
         self.stats = _BridgeStats()
@@ -323,7 +324,9 @@ class StompBrokerBridge:
         :data:`SEND_WINDOW` unconfirmed; any failure goes to :meth:`_resend`."""
         while True:
             try:
-                item = self._outgoing.get(timeout=self._client._timeout if self._window else None)
+                item = self._outgoing.get(
+                    timeout=stomp_client.EXCHANGE_TIMEOUT if self._window else None
+                )
             except queue.Empty:
                 self._resend(SafeWebError("no RECEIPT in time"))
                 continue
@@ -358,8 +361,8 @@ class StompBrokerBridge:
             return error
         return None
 
-    def _on_receipt(self, client: StompClient, run: _Run, ok: bool) -> None:
-        if ok:
+    def _on_receipt(self, client: StompClient, run: _Run, failure: Optional[str]) -> None:
+        if failure is None:
             self._settle([run])
         elif client is self._client:  # not a session the ladder already replaced
             with self._settled:
@@ -387,14 +390,14 @@ class StompBrokerBridge:
                 described += f" (batch of {len(events)})"
             detail = f"send to {described} failed (attempt {attempt}): {error!r}"
             self._audit.denied("bridge", "send", self._login, labels=labels, detail=detail)
-            if attempt >= self._max_send_attempts or not self._reconnect:
+            if attempt >= MAX_SEND_ATTEMPTS:
                 detail = f"event for {described} parked after {attempt} attempt(s)"
                 self._audit.denied(
                     "bridge", "dead_letter", self._login, labels=labels, detail=detail
                 )
                 self._settle(unit, False)
                 return
-            self._backoff(attempt)
+            time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_MAX))
             self._reestablish()
             self._lost = False
             error = self._transmit(unit) or self._wait(lambda: unit[-1].ok is not None)
@@ -402,7 +405,9 @@ class StompBrokerBridge:
     def _wait(self, done: Callable[[], bool]) -> Optional[Exception]:
         """Wait until *done*; the link's failure instead, if it comes first."""
         with self._settled:
-            if not self._settled.wait_for(lambda: self._lost or done(), self._client._timeout):
+            if not self._settled.wait_for(
+                lambda: self._lost or done(), stomp_client.EXCHANGE_TIMEOUT
+            ):
                 return SafeWebError("no RECEIPT in time")
         return SafeWebError("connection lost") if self._lost else None
 
@@ -423,11 +428,6 @@ class StompBrokerBridge:
                 callback(ok)
             except Exception as error:  # noqa: BLE001 - the link's threads must survive
                 self._audit.denied("bridge", "confirm", self._login, detail=repr(error))
-
-    def _backoff(self, attempt: int) -> None:
-        if self._backoff_base <= 0:
-            return
-        time.sleep(min(self._backoff_base * (2 ** (attempt - 1)), BACKOFF_MAX))
 
     def _reestablish(self) -> None:
         """Tear down the dead client, connect a fresh one, resubscribe.

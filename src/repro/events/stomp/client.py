@@ -3,8 +3,9 @@
 The paper's client side sits on EventMachine; here a listener thread
 runs the connection's :class:`~repro.events.stomp.link.FrameLink` and
 dispatches MESSAGE frames to per-subscription callbacks as reconstructed
-:class:`Event` objects (labels included). Other frames (CONNECTED,
-RECEIPT, ERROR) resolve waiting calls, giving a simple blocking API:
+:class:`Event` objects (labels included). The CONNECT reply resolves
+``connect``; every later confirmation is a RECEIPT, matched by id in one
+table of pending receipts, giving a simple blocking API:
 
     client = StompClient(host, port, login="data_producer").connect()
     client.subscribe("/patient_report", on_event, selector="type = 'cancer'")
@@ -20,7 +21,6 @@ import queue
 import socket
 import ssl
 import threading
-import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.labels import Label, LabelSet
@@ -38,6 +38,10 @@ from repro.faults import NULL_FAULTS, ChaosInjector, InjectedFault
 
 _client_ids = itertools.count(1)
 
+#: Seconds a blocking call waits on the broker: the TCP connect, the
+#: CONNECT reply, a RECEIPT, and a write the peer does not drain.
+EXCHANGE_TIMEOUT = 10.0
+
 
 class StompClient:
     """A blocking STOMP client with a background listener thread — the
@@ -50,25 +54,20 @@ class StompClient:
         port: int,
         login: str = "anonymous",
         tls_context: Optional[ssl.SSLContext] = None,
-        timeout: float = 10.0,
         chaos: ChaosInjector = NULL_FAULTS,
     ):
         self._host = host
         self._port = port
         self._login = login
         self._tls_context = tls_context
-        self._timeout = timeout
         self._chaos = chaos
         self._sock: Optional[socket.socket] = None
         self._link: Optional[FrameLink] = None
         #: subscription id -> (callback, client-ack?); a client-ack
         #: callback gets ``(event, message_id)`` to ack when it is done.
         self._callbacks: Dict[str, Tuple[Callable, bool]] = {}
-        self._control: "queue.Queue[Frame]" = queue.Queue()
-        #: One receipt-confirmed exchange at a time: no RECEIPT is stolen.
-        self._exchange = threading.Lock()
-        #: This session's tracked SEND receipts, oldest first.
-        self._receipts: Dict[str, Callable[[bool], None]] = {}
+        #: This session's pending receipts: id -> ``on_receipt(failure)``.
+        self._receipts: Dict[str, Callable[[Optional[str]], None]] = {}
         self._receipts_lock = threading.Lock()
         self._connected = threading.Event()
         self.errors: list = []
@@ -76,11 +75,12 @@ class StompClient:
     # -- lifecycle -----------------------------------------------------------
 
     def connect(self) -> "StompClient":
-        # A fresh control queue, bound to this session's listener: an
-        # earlier session's connection-lost notice must not fail this one.
-        control = self._control = queue.Queue()
+        # The CONNECT reply (or the listener's connection-lost notice),
+        # bound to this session's listener: an earlier session's notice
+        # must not fail this one.
+        control: "queue.Queue[Frame]" = queue.Queue()
         receipts = self._receipts = {}
-        sock = socket.create_connection((self._host, self._port), timeout=self._timeout)
+        sock = socket.create_connection((self._host, self._port), timeout=EXCHANGE_TIMEOUT)
         # Frames are small and often follow an unacknowledged one; with
         # Nagle's algorithm on they would wait for the peer's delayed ACK.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -90,7 +90,7 @@ class StompClient:
         self._link = FrameLink(
             sock,
             functools.partial(self._on_frames, control, receipts),
-            write_timeout=self._timeout,
+            write_timeout=EXCHANGE_TIMEOUT,
             before_write=functools.partial(self._chaos.hit, "stomp.client.flush"),
         )
         threading.Thread(
@@ -100,7 +100,12 @@ class StompClient:
             daemon=True,
         ).start()
         self._transmit(Frame("CONNECT", {"login": self._login}))
-        self._await_control("CONNECTED")
+        try:
+            reply = control.get(timeout=EXCHANGE_TIMEOUT)
+        except queue.Empty:
+            raise SafeWebError("timed out waiting for CONNECTED") from None
+        if reply.command != "CONNECTED":
+            raise SafeWebError(_failure(reply, "CONNECTED"))
         self._connected.set()
         return self
 
@@ -129,10 +134,11 @@ class StompClient:
         attributes: Optional[dict] = None,
         payload: "str | bytes" = "",
         labels: LabelSet | Iterable[Label | str] = (),
-        receipt: "bool | Callable[[bool], None]" = False,
+        receipt: "bool | Callable[[Optional[str]], None]" = False,
     ) -> None:
         """Publish one event. ``receipt=True`` blocks until it is confirmed; a
-        callable is called back, ``receipt(ok)``, by the listener — never raise."""
+        callable is called back by the listener — never raise — with
+        ``receipt(None)`` once confirmed, or the reason the session failed it."""
         if not isinstance(labels, LabelSet):
             labels = LabelSet(labels)
         headers = {"destination": destination}
@@ -205,48 +211,39 @@ class StompClient:
 
     def _confirmed(self, frame: Frame, timeout: Optional[float] = None) -> None:
         """Transmit *frame* and block until the broker's RECEIPT names it."""
+        done = threading.Event()
+        failures: List[Optional[str]] = []
+
+        def on_receipt(failure: Optional[str]) -> None:
+            failures.append(failure)
+            done.set()
+
+        receipt = self._track(frame, on_receipt)
+        if not done.wait(EXCHANGE_TIMEOUT if timeout is None else timeout):
+            with self._receipts_lock:  # a late RECEIPT then finds nothing
+                if self._receipts.pop(receipt, None) is not None:
+                    raise SafeWebError("timed out waiting for RECEIPT")
+            done.wait()  # settled meanwhile: its callback is running now
+        if failures[0] is not None:
+            raise SafeWebError(failures[0])
+
+    def _track(self, frame: Frame, on_receipt: Callable[[Optional[str]], None]) -> str:
+        """Transmit *frame* with a receipt that the listener settles; its id."""
         receipt = f"{frame.command.lower()}-{next(_client_ids)}"
         frame.headers["receipt"] = receipt
-        with self._exchange:
-            self._transmit(frame)
-            self._await_control("RECEIPT", receipt, timeout)
-
-    def _track(self, frame: Frame, on_receipt: Callable[[bool], None]) -> None:
-        frame.headers["receipt"] = receipt = f"send-{next(_client_ids)}"
         with self._receipts_lock:  # settled exactly once, even on a dying link
             if not self._connected.is_set():
                 raise SafeWebError("connection lost")
             self._receipts[receipt] = on_receipt
             self._transmit(frame)
+        return receipt
 
-    def _settle_receipts(self, receipts: dict, ok: bool, *names: str) -> None:
-        """Call ``on_receipt(ok)`` for the tracked receipts *names* (all if none)."""
+    def _settle_receipts(self, receipts: dict, failure: Optional[str], *names: str) -> None:
+        """Call ``on_receipt(failure)`` for the pending receipts *names* (all if none)."""
         with self._receipts_lock:
             settled = [receipts.pop(name, None) for name in names or list(receipts)]
         for on_receipt in filter(None, settled):
-            on_receipt(ok)
-
-    def _await_control(
-        self, command: str, receipt: Optional[str] = None, timeout: Optional[float] = None
-    ) -> Frame:
-        """The next *command* frame (for a RECEIPT: the one echoing *receipt*).
-
-        A RECEIPT with another id answers an exchange that timed out and
-        is dropped; ERROR (the broker's, or the listener's
-        connection-lost notice) and any other command raise.
-        """
-        deadline = time.monotonic() + (timeout if timeout is not None else self._timeout)
-        while True:
-            try:
-                frame = self._control.get(timeout=max(deadline - time.monotonic(), 0))
-            except queue.Empty:
-                raise SafeWebError(f"timed out waiting for {command}") from None
-            if frame.command == "ERROR":
-                raise SafeWebError(f"broker error: {frame.header('message')}")
-            if frame.command != command:
-                raise SafeWebError(f"expected {command}, broker sent {frame.command}")
-            if receipt is None or frame.header("receipt-id") == receipt:
-                return frame
+            on_receipt(failure)
 
     def _listen(self, link: FrameLink, control: "queue.Queue[Frame]", receipts) -> None:
         try:
@@ -255,23 +252,26 @@ class StompClient:
             pass  # an injected flush fault is a socket death like any other
         finally:
             self._connected.clear()
-            # Fail any blocked _await_control caller and tracked receipt
-            # fast, and make the *next* blocking call fail too (sends are
-            # fire-and-forget otherwise): a dead connection must be observable.
-            self._settle_receipts(receipts, False)
+            # Fail a blocked connect and every pending receipt fast; the
+            # cleared flag makes the *next* receipted call fail too (sends
+            # are fire-and-forget otherwise): a dead connection must be observable.
+            self._settle_receipts(receipts, "connection lost")
             control.put(Frame("ERROR", {"message": "connection lost"}))
 
     def _on_frames(self, control: "queue.Queue[Frame]", receipts, frames: List[Frame]) -> None:
         for frame in frames:
             if frame.command == "MESSAGE":
                 self._on_message(frame)
-            elif frame.command == "RECEIPT" and frame.header("receipt-id") in receipts:
-                self._settle_receipts(receipts, True, frame.header("receipt-id"))
+            elif frame.command == "RECEIPT":
+                # One that timed out was removed by its waiter: dropped here.
+                self._settle_receipts(receipts, None, frame.header("receipt-id", ""))
+            elif not self._connected.is_set():
+                control.put(frame)  # the CONNECT reply
             else:
-                if frame.command == "ERROR":
-                    # Sent ahead of earlier frames' RECEIPTs: no SEND is known good.
-                    self._settle_receipts(receipts, False)
-                control.put(frame)
+                # An ERROR is sent ahead of earlier frames' RECEIPTs, and an
+                # unexpected command leaves the session unknown: no pending
+                # receipt is known good.
+                self._settle_receipts(receipts, _failure(frame, "RECEIPT"))
 
     def _on_message(self, frame: Frame) -> None:
         callback, client_ack = self._callbacks.get(
@@ -293,3 +293,10 @@ class StompClient:
             self._link.stop()  # the listener closes the socket on its way out
             self._sock = None
         self._connected.clear()
+
+
+def _failure(frame: Frame, expected: str) -> str:
+    """Why *frame*, arriving in place of *expected*, fails the waiter."""
+    if frame.command == "ERROR":
+        return f"broker error: {frame.header('message')}"
+    return f"expected {expected}, broker sent {frame.command}"

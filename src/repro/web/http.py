@@ -9,10 +9,9 @@ thread is ever spawned per connection. Requests are read from a buffered
 socket file, which makes pipelined requests work for free; responses
 carry correct ``Content-Length``/``Connection`` headers, ``HEAD`` is
 served headers-only off the ``GET`` route, request bodies stay bytes
-until a handler asks for text, and payloads above ``stream_threshold``
-are streamed with chunked transfer-encoding so one huge labeled page
-cannot hold a multi-megabyte buffer per connection. TLS wraps each
-accepted socket (handshake on the worker, not the acceptor).
+until a handler asks for text, and every response leaves whole, in one
+write, since its payload is already in memory. TLS wraps each accepted
+socket (handshake on the worker, not the acceptor).
 
 :class:`TestClient` drives an app without sockets. Tests and the page-
 generation benchmark use it so measurements capture *page generation*
@@ -32,6 +31,8 @@ from repro.web.request import TLS_ENV_KEY, Request
 from repro.web.response import Response
 
 _MAX_LINE = 65536
+#: Largest request body read; a longer Content-Length is refused with 413.
+_MAX_BODY_SIZE = 10 * 1024 * 1024
 _MAX_HEADERS = 128
 #: Seconds an idle keep-alive connection may hold its worker.
 _KEEP_ALIVE_TIMEOUT = 5.0
@@ -62,15 +63,9 @@ class HttpServer:
         port: int = 0,
         tls_context: Optional[ssl.SSLContext] = None,
         workers: int = 16,
-        max_body_size: int = 10 * 1024 * 1024,
-        stream_threshold: int = 256 * 1024,
-        chunk_size: int = 64 * 1024,
     ):
         self.app = app
         self.workers = workers
-        self.max_body_size = max_body_size
-        self.stream_threshold = stream_threshold
-        self.chunk_size = chunk_size
         self._tls_context = tls_context
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -151,9 +146,9 @@ class HttpServer:
     def _serve_connection(self, connection: socket.socket, address) -> None:
         # Timeout first so a stalled TLS handshake cannot pin the worker.
         connection.settimeout(_KEEP_ALIVE_TIMEOUT)
-        # A streamed page leaves as head, chunks and terminator in
-        # separate writes; with Nagle on, each small write behind an
-        # unacknowledged one waits out the client's delayed ACK.
+        # Pipelined keep-alive responses follow unacknowledged ones, and a
+        # large page ends in a short segment; with Nagle on, either waits
+        # out the client's delayed ACK.
         connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self._tls_context is not None:
             connection = self._tls_context.wrap_socket(connection, server_side=True)
@@ -187,17 +182,14 @@ class HttpServer:
                 response = self.app(request)
                 status, response_headers, payload = response.finalize()
                 self.requests_served += 1
+                # Whole, in one write: the payload is already in memory.
+                lines = [f"HTTP/1.1 {status} {response.reason}"]
+                for name, value in response_headers.items():
+                    lines.append(f"{name}: {value}")
+                lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
+                head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
                 try:
-                    self._write_response(
-                        connection,
-                        status,
-                        response.reason,
-                        response_headers,
-                        payload,
-                        keep_alive=keep_alive,
-                        head_only=method.upper() == "HEAD",
-                        chunk_allowed=version == "HTTP/1.1",
-                    )
+                    connection.sendall(head if method.upper() == "HEAD" else head + payload)
                 except OSError:
                     return
                 if not keep_alive:
@@ -251,9 +243,9 @@ class HttpServer:
             raise _BadRequest("bad Content-Length") from error
         if length < 0:
             raise _BadRequest("negative Content-Length")
-        if length > self.max_body_size:
+        if length > _MAX_BODY_SIZE:
             # Refuse before buffering: an unauthenticated client must not
-            # be able to hold max_body_size bytes per worker.
+            # be able to hold _MAX_BODY_SIZE bytes per worker.
             raise _BadRequest("request body too large", status=413)
         body = reader.read(length) if length else b""
         if length and len(body) != length:
@@ -270,43 +262,6 @@ class HttpServer:
         return True
 
     # -- response writing --------------------------------------------------
-
-    def _write_response(
-        self,
-        connection: socket.socket,
-        status: int,
-        reason: str,
-        headers: Dict[str, str],
-        payload: bytes,
-        keep_alive: bool,
-        head_only: bool,
-        chunk_allowed: bool,
-    ) -> None:
-        chunked = (
-            chunk_allowed
-            and not head_only
-            and len(payload) > self.stream_threshold
-        )
-        lines = [f"HTTP/1.1 {status} {reason}"]
-        for name, value in headers.items():
-            if chunked and name.lower() == "content-length":
-                continue
-            lines.append(f"{name}: {value}")
-        if chunked:
-            lines.append("Transfer-Encoding: chunked")
-        lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        if head_only:
-            connection.sendall(head)
-            return
-        if not chunked:
-            connection.sendall(head + payload)
-            return
-        connection.sendall(head)
-        for start in range(0, len(payload), self.chunk_size):
-            chunk = payload[start : start + self.chunk_size]
-            connection.sendall(f"{len(chunk):x}\r\n".encode("ascii") + chunk + b"\r\n")
-        connection.sendall(b"0\r\n\r\n")
 
     @staticmethod
     def _write_simple(connection: socket.socket, status: int, text: str) -> None:

@@ -18,9 +18,11 @@ from repro.core.audit import AuditLog
 from repro.core.labels import LabelSet, conf_label
 from repro.core.policy import parse_policy
 from repro.events import Broker
+from repro.events import cluster
 from repro.events.cluster import ClusterRouter
 from repro.events.event import Event
 from repro.events.stomp import StompServer
+from repro.events.stomp import bridge as stomp_bridge
 from repro.events.stomp.bridge import StompBrokerBridge
 from repro.faults import ChaosInjector
 
@@ -65,6 +67,16 @@ def server():
     stomp.stop()
 
 
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(stomp_bridge, "BACKOFF_BASE", 0.0)
+
+
+@pytest.fixture()
+def short_backoff(monkeypatch):
+    monkeypatch.setattr(stomp_bridge, "BACKOFF_BASE", 0.01)
+
+
 def bridge_for(server, login, **kwargs) -> StompBrokerBridge:
     host, port = server.address
     return StompBrokerBridge(host, port, login=login, **kwargs).connect()
@@ -97,10 +109,10 @@ def break_link_mid_run(bridge: StompBrokerBridge, attempts: int) -> None:
 
 
 class TestSendLoopSurvivesSocketDeath:
-    def test_socket_death_mid_stream_reconnects_and_delivers(self, server):
+    def test_socket_death_mid_stream_reconnects_and_delivers(self, server, short_backoff):
         """The seed-failing case: a socket error between two sends."""
         audit = AuditLog()
-        sender = bridge_for(server, "sender", audit=audit, backoff_base=0.01)
+        sender = bridge_for(server, "sender", audit=audit)
         watcher = bridge_for(server, "watcher")
         seen = []
         watcher.subscribe("/t", seen.append, principal="watcher")
@@ -128,7 +140,7 @@ class TestSendLoopSurvivesSocketDeath:
             sender.close()
             watcher.close()
 
-    def test_injected_flush_fault_recovers(self, server):
+    def test_injected_flush_fault_recovers(self, server, short_backoff):
         """A socket error injected inside the client's frame flush: the
         listener dies, the receipt wait fails fast on the sender thread,
         and the reconnect ladder resends the event."""
@@ -137,7 +149,7 @@ class TestSendLoopSurvivesSocketDeath:
         # SEND, 3 = second SEND (faulted), 4 = reconnect CONNECT, ...
         chaos.fail_at("stomp.client.flush", on=3, error=OSError("injected"))
         audit = AuditLog()
-        sender = bridge_for(server, "sender", audit=audit, chaos=chaos, backoff_base=0.01)
+        sender = bridge_for(server, "sender", audit=audit, chaos=chaos)
         watcher = bridge_for(server, "watcher")
         seen = []
         watcher.subscribe("/t", seen.append, principal="watcher")
@@ -162,18 +174,11 @@ class TestSendLoopSurvivesSocketDeath:
 
 
 class TestDeadLetterParking:
-    def test_exhausted_attempts_park_event_and_keep_draining(self, server):
+    def test_exhausted_attempts_park_event_and_keep_draining(self, server, no_backoff):
         chaos = ChaosInjector()
         chaos.fail_at("bridge.send", on=(1, 2, 3))
         audit = AuditLog()
-        sender = bridge_for(
-            server,
-            "sender",
-            audit=audit,
-            chaos=chaos,
-            max_send_attempts=3,
-            backoff_base=0.0,
-        )
+        sender = bridge_for(server, "sender", audit=audit, chaos=chaos)
         watcher = bridge_for(server, "watcher")
         seen = []
         watcher.subscribe("/t", seen.append, principal="watcher")
@@ -192,10 +197,11 @@ class TestDeadLetterParking:
             sender.close()
             watcher.close()
 
-    def test_reconnect_disabled_parks_after_first_failure(self, server):
+    def test_one_attempt_parks_after_first_failure(self, server, monkeypatch):
+        monkeypatch.setattr(stomp_bridge, "MAX_SEND_ATTEMPTS", 1)
         chaos = ChaosInjector()
         chaos.fail_at("bridge.send", on=1)
-        sender = bridge_for(server, "sender", chaos=chaos, reconnect=False)
+        sender = bridge_for(server, "sender", chaos=chaos)
         try:
             sender.publish(Event("/t", {}, payload="doomed"))
             sender.drain()
@@ -215,9 +221,9 @@ class TestRunsFailAsOneUnit:
         Event("/u", {}, payload="c"),
     ]
 
-    def test_link_death_mid_run_resends_the_whole_run(self, server):
+    def test_link_death_mid_run_resends_the_whole_run(self, server, no_backoff):
         audit = AuditLog()
-        sender = bridge_for(server, "sender", audit=audit, backoff_base=0.0)
+        sender = bridge_for(server, "sender", audit=audit)
         watcher = bridge_for(server, "watcher")
         seen = []
         watcher.subscribe("/*", seen.append, principal="watcher")
@@ -241,11 +247,9 @@ class TestRunsFailAsOneUnit:
             sender.close()
             watcher.close()
 
-    def test_exhausted_run_parks_every_event_under_one_denial(self, server):
+    def test_exhausted_run_parks_every_event_under_one_denial(self, server, no_backoff):
         audit = AuditLog()
-        sender = bridge_for(
-            server, "sender", audit=audit, max_send_attempts=3, backoff_base=0.0
-        )
+        sender = bridge_for(server, "sender", audit=audit)
         watcher = bridge_for(server, "watcher")
         seen = []
         watcher.subscribe("/after", seen.append, principal="watcher")
@@ -264,13 +268,12 @@ class TestRunsFailAsOneUnit:
             sender.close()
             watcher.close()
 
-    def test_single_publish_keeps_its_per_event_record(self, server):
+    def test_single_publish_keeps_its_per_event_record(self, server, monkeypatch, no_backoff):
+        monkeypatch.setattr(stomp_bridge, "MAX_SEND_ATTEMPTS", 2)
         chaos = ChaosInjector()
         chaos.fail_at("bridge.send", on=(1, 2))
         audit = AuditLog()
-        sender = bridge_for(
-            server, "sender", audit=audit, chaos=chaos, max_send_attempts=2, backoff_base=0.0
-        )
+        sender = bridge_for(server, "sender", audit=audit, chaos=chaos)
         try:
             sender.publish(Event("/t", {}, payload="doomed", labels=[MDT_1]))
             assert sender.drain(10)
@@ -300,8 +303,8 @@ class TestHealthProbes:
         assert not sender.healthy
         assert sender.probe()["sender_alive"] is False
 
-    def test_ensure_connected_resubscribes_after_socket_death(self, server):
-        watcher = bridge_for(server, "watcher", backoff_base=0.01)
+    def test_ensure_connected_resubscribes_after_socket_death(self, server, short_backoff):
+        watcher = bridge_for(server, "watcher")
         sender = bridge_for(server, "sender")
         seen = []
         watcher.subscribe("/t", seen.append, principal="watcher")
@@ -328,14 +331,15 @@ class TestCascadeConfirmation:
     """The cluster's at-least-once hop: a delivery is acknowledged only
     once the publishes its callback made are receipt-confirmed."""
 
-    def test_unconfirmed_cascade_is_nacked_not_acked(self, server):
+    def test_unconfirmed_cascade_is_nacked_not_acked(self, server, monkeypatch):
         """Seed-failing: ``drain`` used to swallow its own timeout, so a
         delivery whose cascade was still unsent got ACKed — and a crash
         right after would have lost the cascade for good."""
         chaos = ChaosInjector()
         chaos.delay_at("bridge.send", seconds=1.0, on=1)
         audit = AuditLog()
-        router = ClusterRouter({"shard-0": server.address}, audit=audit, ack_timeout=0.2)
+        monkeypatch.setattr(cluster, "ACK_TIMEOUT", 0.2)
+        router = ClusterRouter({"shard-0": server.address}, audit=audit)
         host, port = server.address
         # The worker's publish link, armed to stall its first send.
         router._bridges[("pub", "watcher", "shard-0")] = StompBrokerBridge(
@@ -358,8 +362,9 @@ class TestCascadeConfirmation:
         finally:
             router.close()
 
-    def test_confirmed_cascade_is_acked(self, server):
-        router = ClusterRouter({"shard-0": server.address}, audit=AuditLog(), ack_timeout=5.0)
+    def test_confirmed_cascade_is_acked(self, server, monkeypatch):
+        monkeypatch.setattr(cluster, "ACK_TIMEOUT", 5.0)
+        router = ClusterRouter({"shard-0": server.address}, audit=AuditLog())
         seen = []
         try:
             router.subscribe("/out", seen.append, principal="sender")

@@ -113,32 +113,28 @@ class TestPortalOverSockets:
         assert outcomes.count(200) == len(outcomes)
 
 
-class TestStreamedResponses:
-    """A page above ``stream_threshold`` leaves in many writes: head,
-    one per chunk, terminator. None of them may wait for the client's
-    delayed ACK (≈ 40 ms on Linux) behind the one before it."""
+class TestLargeResponses:
+    """A 1 MiB page leaves whole, with ``Content-Length``, in one write. Its
+    last segment is short, so with Nagle on it would wait for the client's
+    delayed ACK (≈ 40 ms on Linux) behind the ones before it."""
 
-    PAGE = b"x" * (48 * 1024)
+    PAGE = b"x" * (1024 * 1024)
 
     @pytest.fixture()
     def server(self):
-        server = HttpServer(
-            lambda request: Response(body=self.PAGE),
-            workers=1,
-            stream_threshold=1024,
-            chunk_size=1024,
-        ).start()
+        server = HttpServer(lambda request: Response(body=self.PAGE), workers=1).start()
         yield server
         server.stop()
 
-    def test_streamed_keep_alive_page_is_not_held_by_nagle(self, server):
+    def test_large_keep_alive_page_is_not_held_by_nagle(self, server):
         connection = http.client.HTTPConnection(*server.address, timeout=10)
         elapsed = []
         for _ in range(20):
             started = time.perf_counter()
             connection.request("GET", "/")
             response = connection.getresponse()
-            assert response.getheader("Transfer-Encoding") == "chunked"
+            assert response.getheader("Transfer-Encoding") is None
+            assert response.getheader("Content-Length") == str(len(self.PAGE))
             assert response.read() == self.PAGE
             elapsed.append(time.perf_counter() - started)
         with server._connections_lock:

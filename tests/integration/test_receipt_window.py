@@ -17,9 +17,11 @@ import pytest
 from repro.core.audit import AuditLog
 from repro.core.policy import parse_policy
 from repro.events import Broker
-from repro.events.cluster import ClusterRouter
+from repro.events import cluster
+from repro.events.cluster import ClusterRouter, ranking
 from repro.events.event import Event
 from repro.events.stomp import StompServer
+from repro.events.stomp import bridge as stomp_bridge
 from repro.events.stomp.bridge import SEND_WINDOW, StompBrokerBridge
 from repro.events.stomp import server as stomp_server
 from repro.events.stomp.server import _Connection
@@ -97,6 +99,11 @@ def server():
 
 
 @pytest.fixture()
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(stomp_bridge, "BACKOFF_BASE", 0.0)
+
+
+@pytest.fixture()
 def receipts(monkeypatch):
     held = HeldReceipts(monkeypatch)
     yield held
@@ -129,10 +136,12 @@ class TestWindow:
         finally:
             sender.close()
 
-    def test_link_death_resends_every_unconfirmed_run_in_order(self, server, receipts):
+    def test_link_death_resends_every_unconfirmed_run_in_order(
+        self, server, receipts, no_backoff
+    ):
         receipts.logins.add("producer")
         audit = AuditLog()
-        sender = bridge_for(server, "producer", audit=audit, backoff_base=0.0)
+        sender = bridge_for(server, "producer", audit=audit)
         watcher = bridge_for(server, "a")
         seen = []
         watcher.subscribe("/t", seen.append, principal="a")
@@ -153,7 +162,9 @@ class TestWindow:
             sender.close()
             watcher.close()
 
-    def test_refused_frame_in_a_later_run_fails_the_whole_window(self, server, monkeypatch):
+    def test_refused_frame_in_a_later_run_fails_the_whole_window(
+        self, server, monkeypatch, no_backoff
+    ):
         """The server answers a refused SEND (ERROR, then its RECEIPT) ahead of
         the RECEIPTs of earlier frames, so an ERROR must fail every unconfirmed
         run — not just the oldest, leaving the refused one confirmed."""
@@ -173,7 +184,8 @@ class TestWindow:
 
         monkeypatch.setattr(stomp_server, "frame_to_event", refusing)
         monkeypatch.setattr(_Connection, "_maybe_receipt", first_receipt_lost)
-        sender = bridge_for(server, "producer", max_send_attempts=2, backoff_base=0.0)
+        monkeypatch.setattr(stomp_bridge, "MAX_SEND_ATTEMPTS", 2)
+        sender = bridge_for(server, "producer")
         try:
             sender.publish(Event("/t", {}, payload="a"))
             sender.publish_many([Event("/t", {}, payload="b"), Event("/t", {}, payload="bad")])
@@ -207,9 +219,10 @@ def cascading(router, unit, ran):
 
 
 class TestDeliveryAck:
-    def test_listener_moves_on_and_acks_after_the_receipt(self, server, receipts):
+    def test_listener_moves_on_and_acks_after_the_receipt(self, server, receipts, monkeypatch):
         receipts.logins.add("b")
-        router = ClusterRouter({"shard-0": server.address}, audit=AuditLog(), ack_timeout=5.0)
+        monkeypatch.setattr(cluster, "ACK_TIMEOUT", 5.0)
+        router = ClusterRouter({"shard-0": server.address}, audit=AuditLog())
         ran = []
         try:
             router.subscribe("/in", cascading(router, "b", ran), principal="b")
@@ -226,9 +239,10 @@ class TestDeliveryAck:
         finally:
             router.close()
 
-    def test_stalled_link_holds_only_its_own_deliveries(self, server, receipts):
+    def test_stalled_link_holds_only_its_own_deliveries(self, server, receipts, monkeypatch):
         receipts.logins.add("b")
-        router = ClusterRouter({"shard-0": server.address}, audit=AuditLog(), ack_timeout=5.0)
+        monkeypatch.setattr(cluster, "ACK_TIMEOUT", 5.0)
+        router = ClusterRouter({"shard-0": server.address}, audit=AuditLog())
         ran_a, ran_b = [], []
         try:
             router.subscribe("/in", cascading(router, "a", ran_a), principal="a")
@@ -243,17 +257,15 @@ class TestDeliveryAck:
         finally:
             router.close()
 
-    def test_parked_cascade_dead_letters_its_input(self, server):
+    def test_parked_cascade_dead_letters_its_input(self, server, no_backoff):
         """Regression: a delivery whose cascade the worker's link parked
         was ACKed, leaving the only copy in that process's memory."""
         chaos = ChaosInjector()
         chaos.fail_at("bridge.send", on=(1, 2, 3))
         audit = AuditLog()
-        router = ClusterRouter({"shard-0": server.address}, audit=audit, ack_timeout=10.0)
+        router = ClusterRouter({"shard-0": server.address}, audit=audit)
         host, port = server.address
-        link = StompBrokerBridge(
-            host, port, login="b", audit=audit, chaos=chaos, max_send_attempts=3, backoff_base=0.0
-        ).connect()
+        link = StompBrokerBridge(host, port, login="b", audit=audit, chaos=chaos).connect()
         router._bridges[("pub", "b", "shard-0")] = link
         ran = []
         try:
@@ -276,21 +288,17 @@ class TestDeliveryAck:
         other_broker = Broker()
         other = StompServer(other_broker, policy=POLICY).start()
         audit = AuditLog()
-        router = ClusterRouter(
-            {"shard-0": server.address, "shard-1": other.address}, audit=audit, ack_timeout=10.0
-        )
+        router = ClusterRouter({"shard-0": server.address, "shard-1": other.address}, audit=audit)
         servers = {"shard-0": server, "shard-1": other}
         try:
             by_shard = {}
-            for index in range(64):
-                by_shard.setdefault(router._ring.node_for(f"/out-{index}"), f"/out-{index}")
+            for topic in (f"/out-{index}" for index in range(64)):
+                by_shard.setdefault(ranking(router.shard_names, topic)[0], topic)
             parked_shard = "shard-1"
             chaos = ChaosInjector()
             chaos.fail_at("bridge.send", on=(1, 2, 3))
             host, port = servers[parked_shard].address
-            link = StompBrokerBridge(
-                host, port, login="b", audit=audit, chaos=chaos, max_send_attempts=3
-            )
+            link = StompBrokerBridge(host, port, login="b", audit=audit, chaos=chaos)
             router._bridges[("pub", "b", parked_shard)] = link.connect()
 
             def callback(event):
@@ -303,7 +311,7 @@ class TestDeliveryAck:
             router.publish(Event("/in", {}, payload="trigger"), publisher="producer")
             assert wait_for(lambda: len(link.dead_letters) == 1)
             receipts.release()
-            owner = servers[router._ring.node_for("/in")]
+            owner = servers[ranking(router.shard_names, "/in")[0]]
             assert wait_for(lambda: len(owner.dead_letters) == 1)
             parked = owner.dead_letters[0]
             assert (parked["principal"], parked["topic"]) == ("b", "/in")

@@ -15,6 +15,7 @@ from repro.events import Broker
 from repro.events.event import Event
 from repro.events.jail import Jail
 from repro.events.stomp import Frame, FrameParser, StompClient, StompServer, encode_frame
+from repro.events.stomp import client as client_module
 from repro.events.stomp import server as server_module
 from repro.events.stomp.link import FrameLink
 from repro.exceptions import SafeWebError
@@ -535,7 +536,10 @@ def scripted_broker(respond):
 
 
 class TestControlExchange:
-    def test_late_receipt_does_not_satisfy_a_later_exchange(self):
+    """Every confirmation after CONNECT goes through one table of pending
+    receipts: blocking calls wait on their entry, tracked sends are called back."""
+
+    def test_late_receipt_does_not_satisfy_a_later_exchange(self, monkeypatch):
         """Seed-failing: the RECEIPT of a send that already timed out
         used to be taken for the next call's confirmation."""
         sends = []
@@ -548,23 +552,26 @@ class TestControlExchange:
                 reply(Frame("RECEIPT", {"receipt-id": frame.header("receipt")}))
             # SUBSCRIBE is never answered.
 
+        monkeypatch.setattr(client_module, "EXCHANGE_TIMEOUT", 0.2)
         with scripted_broker(respond) as (host, port):
-            client = StompClient(host, port, timeout=0.2).connect()
+            client = StompClient(host, port).connect()
             with pytest.raises(SafeWebError, match="timed out"):
                 client.send("/t", receipt=True)
             time.sleep(0.4)  # the late RECEIPT is queued by now
             client.send("/t", receipt=True)  # skips it, takes its own
             with pytest.raises(SafeWebError, match="timed out"):
                 client.subscribe("/t", lambda event: None)
+            assert client._receipts == {}  # each waiter removed its own entry
             client.disconnect()
 
-    def test_unexpected_command_raises(self):
+    def test_unexpected_command_raises(self, monkeypatch):
         def respond(frame, reply):
             if frame.command == "SEND":
                 reply(Frame("CONNECTED", {"version": "1.1"}))
 
+        monkeypatch.setattr(client_module, "EXCHANGE_TIMEOUT", 2.0)
         with scripted_broker(respond) as (host, port):
-            client = StompClient(host, port, timeout=2.0).connect()
+            client = StompClient(host, port).connect()
             with pytest.raises(SafeWebError, match="expected RECEIPT"):
                 client.send("/t", receipt=True)
             client.disconnect()
@@ -574,10 +581,32 @@ class TestControlExchange:
             return frame.command != "SEND"  # hang up instead of confirming
 
         with scripted_broker(respond) as (host, port):
-            client = StompClient(host, port, timeout=10.0).connect()
+            client = StompClient(host, port).connect()
             started = time.monotonic()
             with pytest.raises(SafeWebError, match="connection lost"):
                 client.send("/t", receipt=True)
             assert time.monotonic() - started < 2.0
             assert not client.connected
+            with pytest.raises(SafeWebError, match="connection lost"):
+                client.send("/t", receipt=True)  # the next call fails at once too
+            client.disconnect()
+
+    def test_broker_error_fails_every_pending_receipt(self):
+        """An ERROR is sent ahead of earlier frames' RECEIPTs, so it fails
+        the tracked sends and the blocking call alike, with its message."""
+
+        def respond(frame, reply):
+            if frame.command == "SEND" and frame.body == "refused":
+                reply(Frame("ERROR", {"message": "refused"}))
+            # Other SENDs stay unconfirmed.
+
+        with scripted_broker(respond) as (host, port):
+            client = StompClient(host, port).connect()
+            tracked = []
+            client.send("/t", payload="a", receipt=tracked.append)
+            client.send("/t", payload="b", receipt=tracked.append)
+            with pytest.raises(SafeWebError, match="broker error: refused"):
+                client.send("/t", payload="refused", receipt=True)
+            assert tracked == ["broker error: refused"] * 2
+            assert client._receipts == {}
             client.disconnect()

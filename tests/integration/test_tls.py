@@ -15,6 +15,7 @@ from repro.core.labels import LabelSet, conf_label
 from repro.core.policy import parse_policy
 from repro.events import Broker
 from repro.events.stomp import StompClient, StompServer
+from repro.events.stomp import client as client_module
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 
@@ -58,8 +59,9 @@ class TestStompOverTls:
         finally:
             server.stop()
 
-    def test_plaintext_client_rejected_by_tls_server(self, tls_contexts):
+    def test_plaintext_client_rejected_by_tls_server(self, tls_contexts, monkeypatch):
         server_context, _client_context = tls_contexts
+        monkeypatch.setattr(client_module, "EXCHANGE_TIMEOUT", 1.0)
         broker = Broker()
         server = StompServer(broker, tls_context=server_context).start()
         try:
@@ -67,7 +69,7 @@ class TestStompOverTls:
             from repro.exceptions import SafeWebError
 
             with pytest.raises((SafeWebError, OSError)):
-                StompClient(host, port, timeout=1.0).connect()
+                StompClient(host, port).connect()
         finally:
             server.stop()
 

@@ -15,6 +15,7 @@ from repro.events.broker import Broker
 from repro.events.cluster import ClusterEngine, ClusterRouter
 from repro.events.engine import EventProcessingEngine
 from repro.events.stomp.bridge import StompBrokerBridge
+from repro.events.stomp.client import StompClient
 from repro.events.supervision import SupervisionPolicy
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.federation import federate
@@ -33,15 +34,16 @@ BUDGET = {
     MdtDeployment: 17,
     build_portal: 10,
     SessionMiddleware: 5,
-    HttpServer: 8,
+    HttpServer: 5,
     PageCache: 0,
     federate: 3,
     EventProcessingEngine: 7,
     Broker: 4,
     AuditLog: 2,
-    StompBrokerBridge: 9,
+    StompBrokerBridge: 6,
+    StompClient: 5,
     ClusterEngine: 6,
-    ClusterRouter: 3,
+    ClusterRouter: 2,
     SupervisionPolicy: 4,
     Vulnerability: 12,  # a dataclass: its signature is its fields
     open_durable_database: 7,

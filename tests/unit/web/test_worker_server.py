@@ -6,7 +6,12 @@ import socket
 import pytest
 
 from repro.web import Response, SafeWebApp
+from repro.web import http as http_module
 from repro.web.http import HttpServer
+
+
+#: A page far above one TCP segment (and the old 64 KiB chunk size).
+LARGE = 1024 * 1024
 
 
 @pytest.fixture()
@@ -19,7 +24,7 @@ def app():
 
     @application.get("/large")
     def large(request):
-        return "x" * 100_000
+        return "x" * LARGE
 
     @application.post("/echo-length")
     def echo_length(request):
@@ -34,7 +39,7 @@ def app():
 
 @pytest.fixture()
 def server(app):
-    instance = HttpServer(app, workers=4, stream_threshold=64 * 1024).start()
+    instance = HttpServer(app, workers=4).start()
     yield instance
     instance.stop()
 
@@ -109,14 +114,14 @@ class TestBodies:
         assert connection.getresponse().read() == payload
         connection.close()
 
-    def test_large_response_streams_chunked(self, server):
+    def test_large_response_arrives_whole(self, server):
         connection = open_connection(server)
         connection.request("GET", "/large")
         response = connection.getresponse()
-        assert response.getheader("Transfer-Encoding") == "chunked"
-        assert response.getheader("Content-Length") is None
-        assert response.read() == b"x" * 100_000
-        # keep-alive survives a chunked response
+        assert response.getheader("Transfer-Encoding") is None
+        assert response.getheader("Content-Length") == str(LARGE)
+        assert response.read() == b"x" * LARGE
+        # keep-alive survives a large response
         connection.request("GET", "/ping")
         assert connection.getresponse().read() == b"pong"
         connection.close()
@@ -137,8 +142,9 @@ class TestProtocolEdges:
         assert b"400" in data.split(b"\r\n", 1)[0]
         sock.close()
 
-    def test_oversized_body_rejected_before_buffering(self, app):
-        server = HttpServer(app, workers=2, max_body_size=1024).start()
+    def test_oversized_body_rejected_before_buffering(self, app, monkeypatch):
+        monkeypatch.setattr(http_module, "_MAX_BODY_SIZE", 1024)
+        server = HttpServer(app, workers=2).start()
         try:
             sock = socket.create_connection(server.address, timeout=5)
             sock.sendall(
