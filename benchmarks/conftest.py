@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.mdt.deployment import MdtDeployment
-from repro.mdt.workload import WorkloadConfig
+from repro.mdt.workload import WorkloadConfig, generate_workload
 
 #: Workload sized so the front page carries a realistic record table.
 BENCH_CONFIG = WorkloadConfig(
@@ -20,7 +20,7 @@ BENCH_CONFIG = WorkloadConfig(
 
 @pytest.fixture(scope="session")
 def protected_deployment() -> MdtDeployment:
-    deployment = MdtDeployment(config=BENCH_CONFIG)
+    deployment = MdtDeployment(generate_workload(BENCH_CONFIG))
     deployment.run_pipeline()
     return deployment
 
@@ -29,7 +29,7 @@ def protected_deployment() -> MdtDeployment:
 def baseline_deployment() -> MdtDeployment:
     """The paper's "without SafeWeb" variant: no labels, no jail, no checks."""
     deployment = MdtDeployment(
-        config=BENCH_CONFIG,
+        generate_workload(BENCH_CONFIG),
         check_labels=False,
         isolation=False,
         label_checks_in_broker=False,

@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.harness import format_table, measure_interleaved, overhead_percent
 from repro.mdt.deployment import MdtDeployment
-from repro.mdt.workload import WorkloadConfig
+from repro.mdt.workload import WorkloadConfig, generate_workload
 
 PAPER_BASELINE_MS = 73.0
 PAPER_PROTECTED_MS = 84.0
@@ -29,9 +29,9 @@ CONFIG = WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=10, s
 
 def _fresh_deployment(enforced: bool) -> MdtDeployment:
     if enforced:
-        return MdtDeployment(config=CONFIG)
+        return MdtDeployment(generate_workload(CONFIG))
     return MdtDeployment(
-        config=CONFIG,
+        generate_workload(CONFIG),
         isolation=False,
         label_checks_in_broker=False,
         check_labels=False,

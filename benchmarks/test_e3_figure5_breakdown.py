@@ -34,7 +34,7 @@ from repro.events.stomp.frames import FrameParser, encode_frame
 from repro.events.stomp.server import event_to_message
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.labels import mdt_label
-from repro.mdt.workload import WorkloadConfig
+from repro.mdt.workload import WorkloadConfig, generate_workload
 from repro.web.middleware import TIMINGS_KEY
 
 #: Paper values, milliseconds (Figure 5).
@@ -60,10 +60,10 @@ ENFORCED_RATIO_BAND = (0.90, 11.00)
 def frontend_breakdown(iterations=50):
     """Per-component medians (ms) on the MDT front page, and the page's."""
     config = WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=10, seed=3)
-    protected = MdtDeployment(config=config)
+    protected = MdtDeployment(generate_workload(config))
     protected.run_pipeline()
     baseline = MdtDeployment(
-        config=config, check_labels=False, isolation=False, label_events=False
+        generate_workload(config), check_labels=False, isolation=False, label_events=False
     )
     baseline.run_pipeline()
 
@@ -109,13 +109,13 @@ def backend_breakdown(iterations=200):
     """Per-event component medians (ms) over the real event pipeline."""
     config = WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=10, seed=5)
     plain = MdtDeployment(
-        config=config,
+        generate_workload(config),
         isolation=False,
         label_checks_in_broker=False,
         check_labels=False,
         label_events=False,
     )
-    protected = MdtDeployment(config=config)
+    protected = MdtDeployment(generate_workload(config))
 
     def pipeline_pass(deployment):
         def one_pass():

@@ -17,7 +17,7 @@ from repro.events.event import Event
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.federation import EXCHANGE_TOPIC, NationalExchange, federate
 from repro.mdt.labels import mdt_label
-from repro.mdt.workload import WorkloadConfig
+from repro.mdt.workload import WorkloadConfig, generate_workload
 
 
 def main() -> None:
@@ -26,8 +26,11 @@ def main() -> None:
     deployments = {}
     for index, region in enumerate(regions):
         deployment = MdtDeployment(
-            WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=6,
-                           seed=500 + index)
+            generate_workload(
+                WorkloadConfig(
+                    num_regions=1, mdts_per_region=2, patients_per_mdt=6, seed=500 + index
+                )
+            )
         )
         deployment.run_pipeline()
         deployments[region] = deployment

@@ -14,14 +14,16 @@ Run:  python examples/mdt_portal.py            # in-process demo
 import json
 import sys
 
-from repro.mdt import MdtDeployment, WorkloadConfig
+from repro.mdt import MdtDeployment, WorkloadConfig, generate_workload
 from repro.web.http import HttpServer
 
 
 def main() -> None:
     print("building the ECRIC deployment (Figure 4)…")
     deployment = MdtDeployment(
-        WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=8, seed=2026)
+        generate_workload(
+            WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=8, seed=2026)
+        )
     )
 
     print("running the backend pipeline: import -> aggregate -> replicate")

@@ -99,13 +99,19 @@ class StompClient:
             name="safeweb-stomp-client",
             daemon=True,
         ).start()
-        self._transmit(Frame("CONNECT", {"login": self._login}))
         try:
-            reply = control.get(timeout=EXCHANGE_TIMEOUT)
-        except queue.Empty:
-            raise SafeWebError("timed out waiting for CONNECTED") from None
-        if reply.command != "CONNECTED":
-            raise SafeWebError(_failure(reply, "CONNECTED"))
+            self._transmit(Frame("CONNECT", {"login": self._login}))
+            try:
+                reply = control.get(timeout=EXCHANGE_TIMEOUT)
+            except queue.Empty:
+                raise SafeWebError("timed out waiting for CONNECTED") from None
+            if reply.command != "CONNECTED":
+                raise SafeWebError(_failure(reply, "CONNECTED"))
+        except BaseException:
+            # A failed connect gives back its socket and listener thread:
+            # a reconnect loop calls this once per attempt.
+            self._close()
+            raise
         self._connected.set()
         return self
 

@@ -18,17 +18,18 @@ opening a connection into the Intranet) fails loudly with
 from __future__ import annotations
 
 import os
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.core.audit import AuditLog
 from repro.events.broker import Broker
 from repro.events.engine import EventProcessingEngine
+from repro.events.supervision import CircuitBreaker, SupervisionPolicy
 from repro.exceptions import FirewallError, SafeWebError
 from repro.mdt.aggregator import DataAggregator
 from repro.mdt.portal import build_portal
 from repro.mdt.producer import DataProducer
 from repro.mdt.storage_unit import DataStorage, define_application_views
-from repro.mdt.workload import Workload, WorkloadConfig, generate_workload
+from repro.mdt.workload import Workload, generate_workload
 from repro.storage.docstore import DocumentDatabase, make_database
 from repro.storage.recovery import (
     CheckpointStore,
@@ -53,25 +54,20 @@ class Zone:
 class Firewall:
     """Direction-enforcing firewall between zones."""
 
-    DEFAULT_RULES: FrozenSet[Tuple[str, str]] = frozenset(
+    RULES: FrozenSet[Tuple[str, str]] = frozenset(
         {
             (Zone.INTRANET, Zone.DMZ),  # replication push
             (Zone.N3, Zone.DMZ),  # users reaching the web frontend
         }
     )
 
-    def __init__(self, rules: Optional[Set[Tuple[str, str]]] = None):
-        self._rules = frozenset(rules) if rules is not None else self.DEFAULT_RULES
-        self.connections: list = []
-
     def check(self, source: str, target: str) -> None:
         """Authorise a connection attempt or raise :class:`FirewallError`."""
-        if source != target and (source, target) not in self._rules:
+        if not self.permits(source, target):
             raise FirewallError(f"connection {source} -> {target} denied by firewall")
-        self.connections.append((source, target))
 
     def permits(self, source: str, target: str) -> bool:
-        return source == target or (source, target) in self._rules
+        return source == target or (source, target) in self.RULES
 
 
 class FirewalledReplicator(Replicator):
@@ -101,9 +97,7 @@ class MdtDeployment:
 
     def __init__(
         self,
-        config: Optional[WorkloadConfig] = None,
         workload: Optional[Workload] = None,
-        audit: Optional[AuditLog] = None,
         check_labels: bool = True,
         check_taint: bool = True,
         csrf_protect: bool = True,
@@ -113,15 +107,14 @@ class MdtDeployment:
         shards: int = 1,
         cached_auth: bool = False,
         page_cache: bool = False,
-        supervision=None,
-        storage_breaker=None,
+        supervision: Optional[SupervisionPolicy] = None,
         data_dir: Optional[str] = None,
         fsync_batch: int = DEFAULT_FSYNC_BATCH,
         cluster_workers: int = 0,
     ):
-        self.audit = audit if audit is not None else AuditLog()
+        self.audit = AuditLog()
         self.firewall = Firewall()
-        self.workload = workload if workload is not None else generate_workload(config)
+        self.workload = workload if workload is not None else generate_workload()
         self.directory = self.workload.directory
         # ``data_dir`` makes the deployment durable: both application
         # databases gain per-shard WALs (repro.storage.wal),
@@ -130,8 +123,9 @@ class MdtDeployment:
         # last completed batch. Default **off**: the §5.3 benchmarks
         # (E1/E3) measure the paper's in-memory cost shape, and fsyncs
         # on the write path would distort it. The workload generator is
-        # seeded (seed=42 by default), so reopening a data directory
-        # with the same config regenerates identical users/credentials.
+        # seeded (seed=42 by default), so reopening a data directory with
+        # a workload generated from the same WorkloadConfig regenerates
+        # identical users/credentials.
         self.data_dir = os.fspath(data_dir) if data_dir is not None else None
         self._durable_dbs: list = []
         if self.data_dir is not None:
@@ -143,10 +137,10 @@ class MdtDeployment:
                              raise_errors=True)
         # ``supervision`` (a repro.events.supervision.SupervisionPolicy)
         # arms the retry / dead-letter / restart ladder around every unit
-        # callback; ``storage_breaker`` (a CircuitBreaker) guards the
-        # data_storage unit's writes. Both default off — the benchmarks
-        # pin the unsupervised cost shape — and with no faults occurring
-        # a supervised pipeline produces identical results.
+        # callback and a CircuitBreaker around the data_storage unit's
+        # writes. Default off — the benchmarks pin the unsupervised cost
+        # shape — and with no faults occurring a supervised pipeline
+        # produces identical results.
         self.engine = EventProcessingEngine(
             broker=self.broker,
             policy=self.workload.policy,
@@ -170,7 +164,10 @@ class MdtDeployment:
         define_application_views(self.app_db)
 
         self.producer = DataProducer(self.main_db, label_events=label_events)
-        self.storage = DataStorage(self.app_db, breaker=storage_breaker)
+        breaker = None
+        if supervision is not None:
+            breaker = CircuitBreaker("data_storage", audit=self.audit)
+        self.storage = DataStorage(self.app_db, breaker=breaker)
         self.engine.register(self.producer)
         self.engine.register(self.storage)
         # ``cluster_workers=N`` offloads the aggregator — the CPU-bound,
@@ -247,15 +244,12 @@ class MdtDeployment:
 
     def _start_cluster(self, workers, supervision, isolation):
         from repro.events.cluster import ClusterEngine
-        from repro.events.supervision import SupervisionPolicy
 
         cluster = ClusterEngine(
             self.workload.policy,
             workers=workers,
             audit=self.audit,
-            # Worker processes rebuild their supervisor from the policy
-            # (a Supervisor instance holds locks and is not portable).
-            supervision=supervision if isinstance(supervision, SupervisionPolicy) else None,
+            supervision=supervision,
             isolation=isolation,
         ).start()
         cluster.place(DataAggregator, "data_aggregator")

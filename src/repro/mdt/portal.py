@@ -147,37 +147,36 @@ def build_portal(
     app_db: Database,
     webdb: WebDatabase,
     directory: MdtDirectory,
-    audit: Optional[AuditLog] = None,
-    check_labels: bool = True,
-    check_taint: bool = True,
-    cached_auth: bool = True,
-    page_cache: bool = True,
-    csrf_protect: bool = True,
-    health_probe: Optional[Callable[[], dict]] = None,
+    audit: AuditLog,
+    check_labels: bool,
+    check_taint: bool,
+    cached_auth: bool,
+    page_cache: bool,
+    csrf_protect: bool,
+    health_probe: Callable[[], dict],
 ) -> Tuple[SafeWebApp, SafeWebMiddleware]:
     """Assemble the portal app with the SafeWeb middleware installed.
 
-    The default configuration is the refactored fast path: trie routing,
-    the caching authenticator, cookie sessions in the web database
-    and the clearance-keyed page cache (only when the label check
-    is active — the cache's release decision *is* the label check, so a
-    baseline deployment must regenerate every page). ``cached_auth`` and
-    ``page_cache`` can be turned off to regenerate and re-authenticate
-    every request, the paper's Figure 5 cost shape.
+    :class:`~repro.mdt.deployment.MdtDeployment` is the one caller and
+    decides every setting. Routing is always the trie, sessions always
+    live in the web database and ``/metrics`` always serves
+    *health_probe*. ``cached_auth`` swaps in the caching authenticator;
+    ``page_cache`` adds the clearance-keyed page cache, but only when the
+    label check is active — the cache's release decision *is* the label
+    check, so a baseline deployment must regenerate every page. With
+    both off every request is re-authenticated and regenerated, the
+    paper's Figure 5 cost shape.
     """
     app = SafeWebApp("mdt-portal")
     authenticator_cls = CachingAuthenticator if cached_auth else BasicAuthenticator
     authenticator = authenticator_cls(webdb)
-    public_paths = {"/health", "/login"}
-    if health_probe is not None:
-        # Sits beside /health on the unauthenticated monitoring surface;
-        # the route serves sanitize_probe(health_probe()) — counters and
-        # booleans only, no unit names, placements or link principals.
-        public_paths.add("/metrics")
     middleware = SafeWebMiddleware(
         authenticator,
         audit=audit,
-        public_paths=public_paths,
+        # /metrics sits beside /health on the unauthenticated monitoring
+        # surface; it serves sanitize_probe(health_probe()) — counters
+        # and booleans only, no unit names, placements or link principals.
+        public_paths={"/health", "/login", "/metrics"},
         check_labels=check_labels,
         check_taint=check_taint,
     )
@@ -243,20 +242,18 @@ def build_portal(
     def health(request: Request):
         return Response("ok", content_type="text/plain")
 
-    if health_probe is not None:
-
-        @app.get("/metrics")
-        def operational_metrics(request: Request):
-            # The deployment's health probe: engine/broker counters and,
-            # in cluster mode, per-link StompBrokerBridge.probe() rollups
-            # — redacted to counters/booleans for the anonymous surface.
-            report = sanitize_probe(health_probe())
-            status = 200 if report.get("healthy", False) else 503
-            return Response(
-                json.dumps(report, default=str, sort_keys=True),
-                status=status,
-                content_type="application/json",
-            )
+    @app.get("/metrics")
+    def operational_metrics(request: Request):
+        # The deployment's health probe: engine/broker counters and, in
+        # cluster mode, per-link StompBrokerBridge.probe() rollups —
+        # redacted to counters/booleans for the anonymous surface.
+        report = sanitize_probe(health_probe())
+        status = 200 if report.get("healthy", False) else 503
+        return Response(
+            json.dumps(report, default=str, sort_keys=True),
+            status=status,
+            content_type="application/json",
+        )
 
     @app.get("/")
     def front_page(request: Request):

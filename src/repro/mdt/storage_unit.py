@@ -61,7 +61,7 @@ class DataStorage(Unit):
     def __init__(self, app_db: DocumentDatabase, breaker: Optional[CircuitBreaker] = None):
         super().__init__()
         self._app_db = app_db
-        self._breaker = breaker
+        self.breaker = breaker
         self.documents_written = 0
 
     def setup(self) -> None:
@@ -148,8 +148,8 @@ class DataStorage(Unit):
     def _upsert(self, document: dict) -> None:
         # The store adopts the current revision under its own lock, so
         # the seed's get-then-put conflict retry is no longer needed.
-        if self._breaker is not None:
-            self._breaker.call(self._app_db.upsert, document)
+        if self.breaker is not None:
+            self.breaker.call(self._app_db.upsert, document)
         else:
             self._app_db.upsert(document)
         self.documents_written += 1

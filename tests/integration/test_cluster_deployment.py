@@ -16,12 +16,13 @@ import pytest
 
 from repro.exceptions import SafeWebError
 from repro.mdt.deployment import MdtDeployment
+from repro.mdt.workload import generate_workload
 from tests.property.oracle import CLUSTER_MATRIX, CONFIG
 
 
 @pytest.fixture(scope="module")
 def clustered():
-    deployment = MdtDeployment(CONFIG, **CLUSTER_MATRIX["cluster"])
+    deployment = MdtDeployment(generate_workload(CONFIG), **CLUSTER_MATRIX["cluster"])
     try:
         deployment.run_pipeline()
         yield deployment

@@ -7,7 +7,8 @@ and operators can observe after one pipeline pass: ``app_db`` and
 left out), the DMZ's plain view rows, the audit decisions of the
 pipeline and of a fixed HTTP script, and each script step's status, body
 and response labels. Each profile in :data:`PROFILES` — a point or a
-cross of the deployment axes — must produce ``MdtDeployment(CONFIG)``'s.
+cross of the deployment axes — must produce the default deployment's,
+``MdtDeployment(generate_workload(CONFIG))``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from collections import Counter
 
 import pytest
 
-from repro.events.supervision import CircuitBreaker
-from repro.mdt import MdtDeployment, mdt_label
+from repro.mdt import MdtDeployment, generate_workload, mdt_label
 from repro.taint import labels_of, strip_labels
 from repro.web.sessions import CSRF_HEADER, SESSION_COOKIE, parse_cookies
 from tests.property.oracle import (
@@ -184,25 +184,21 @@ def deployment_trace(deployment, pipeline_audit=None) -> dict:
     return trace
 
 
-def supervised() -> dict:
-    """The supervision axis, with the storage unit's breaker armed."""
-    return dict(ENGINE_MATRIX["supervised"], storage_breaker=CircuitBreaker("data_storage"))
-
-
 #: Profile → ``MdtDeployment`` keywords. ``data_dir=True`` stands for a
 #: fresh directory; ``reopen`` closes the deployment after its pipeline
 #: pass and traces a second one opened on the same directory.
 PROFILES = {
     "sharded": dict(STORE_MATRIX["sharded"]),
     "cached-web": dict(WEB_MATRIX["cached"]),
-    "supervised": supervised(),
+    # Supervision arms the storage unit's breaker too.
+    "supervised": dict(ENGINE_MATRIX["supervised"]),
     "cluster": dict(CLUSTER_MATRIX["cluster"]),
     "durable": {"data_dir": True},
     "durable-fsync-1": {"data_dir": True, "fsync_batch": 1},
     "durable-fsync-1-reopened": {"data_dir": True, "fsync_batch": 1, "reopen": True},
     # Crosses no single axis reaches.
     "cached-web+cluster": dict(WEB_MATRIX["cached"], **CLUSTER_MATRIX["cluster"]),
-    "supervised+cluster": dict(supervised(), **CLUSTER_MATRIX["cluster"]),
+    "supervised+cluster": dict(ENGINE_MATRIX["supervised"], **CLUSTER_MATRIX["cluster"]),
     "sharded+durable": dict(STORE_MATRIX["sharded"], data_dir=True),
 }
 
@@ -212,14 +208,14 @@ def profile_trace(profile: str, directory) -> dict:
     reopen = kwargs.pop("reopen", False)
     if kwargs.get("data_dir"):
         kwargs["data_dir"] = str(directory)
-    deployment = MdtDeployment(CONFIG, **kwargs)
+    deployment = MdtDeployment(generate_workload(CONFIG), **kwargs)
     try:
         deployment.run_pipeline()
         if not reopen:
             return deployment_trace(deployment)
         pipeline_audit = audit_multiset(deployment)
         deployment.close()
-        deployment = MdtDeployment(CONFIG, **kwargs)
+        deployment = MdtDeployment(generate_workload(CONFIG), **kwargs)
         return deployment_trace(deployment, pipeline_audit)
     finally:
         deployment.close()
@@ -227,7 +223,7 @@ def profile_trace(profile: str, directory) -> dict:
 
 @pytest.fixture(scope="module")
 def reference() -> dict:
-    deployment = MdtDeployment(CONFIG)
+    deployment = MdtDeployment(generate_workload(CONFIG))
     deployment.run_pipeline()
     return deployment_trace(deployment)
 

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.mdt.deployment import MdtDeployment
-from repro.mdt.workload import WorkloadConfig
+from repro.mdt.workload import WorkloadConfig, generate_workload
 from repro.web.sessions import CSRF_HEADER
 
 CONFIG = WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3)
@@ -20,7 +20,7 @@ def data_dir(tmp_path):
 
 
 def test_deployment_restart_recovers_everything(data_dir):
-    first = MdtDeployment(config=CONFIG, data_dir=data_dir, shards=2)
+    first = MdtDeployment(generate_workload(CONFIG), data_dir=data_dir, shards=2)
     first.run_pipeline()
     app_count = len(first.app_db)
     dmz_count = len(first.dmz_db)
@@ -30,7 +30,7 @@ def test_deployment_restart_recovers_everything(data_dir):
     page = first.client_for(username).get("/").text
     first.close()
 
-    second = MdtDeployment(config=CONFIG, data_dir=data_dir, shards=2)
+    second = MdtDeployment(generate_workload(CONFIG), data_dir=data_dir, shards=2)
     try:
         assert len(second.app_db) == app_count
         assert len(second.dmz_db) == dmz_count
@@ -52,7 +52,7 @@ def test_sessions_survive_a_restart(data_dir):
     cookie issued before the restart still resolves, and the CSRF token
     minted with it still validates."""
     form = {"Content-Type": "application/x-www-form-urlencoded"}
-    first = MdtDeployment(config=CONFIG, data_dir=data_dir)
+    first = MdtDeployment(generate_workload(CONFIG), data_dir=data_dir)
     first.run_pipeline()
     username = sorted(first.workload.user_passwords)[0]
     login = first.anonymous_client().post(
@@ -64,7 +64,7 @@ def test_sessions_survive_a_restart(data_dir):
     cookie = {"Cookie": login.headers["Set-Cookie"].split(";")[0]}
     first.close()
 
-    second = MdtDeployment(config=CONFIG, data_dir=data_dir)
+    second = MdtDeployment(generate_workload(CONFIG), data_dir=data_dir)
     try:
         client = second.anonymous_client()
         assert client.get("/", headers=cookie).status == 200
@@ -82,14 +82,14 @@ def test_sessions_survive_a_restart(data_dir):
 
 
 def test_unclean_shutdown_is_a_recoverable_crash(data_dir):
-    first = MdtDeployment(config=CONFIG, data_dir=data_dir, shards=2)
+    first = MdtDeployment(generate_workload(CONFIG), data_dir=data_dir, shards=2)
     first.run_pipeline()
     app_count = len(first.app_db)
     # No close(): the process "crashes". Batched replication fsyncs at
     # every batch boundary, so the pipeline's writes are durable.
     del first
 
-    second = MdtDeployment(config=CONFIG, data_dir=data_dir, shards=2)
+    second = MdtDeployment(generate_workload(CONFIG), data_dir=data_dir, shards=2)
     try:
         assert len(second.dmz_db) == app_count
         username = sorted(second.workload.user_passwords)[0]
@@ -99,7 +99,7 @@ def test_unclean_shutdown_is_a_recoverable_crash(data_dir):
 
 
 def test_in_memory_deployment_is_unchanged(tmp_path):
-    deployment = MdtDeployment(config=CONFIG)
+    deployment = MdtDeployment(generate_workload(CONFIG))
     assert deployment.data_dir is None
     deployment.run_pipeline()
     assert len(deployment.dmz_db) == len(deployment.app_db)

@@ -19,7 +19,7 @@ from repro.mdt.federation import (
     federate,
 )
 from repro.mdt.labels import mdt_label, region_aggregate_label
-from repro.mdt.workload import WorkloadConfig
+from repro.mdt.workload import WorkloadConfig, generate_workload
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +29,11 @@ def federated():
     for index, region in enumerate(regions):
         # Each regional instance is fully independent (own broker, DBs).
         deployment = MdtDeployment(
-            WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=4,
-                           seed=60 + index)
+            generate_workload(
+                WorkloadConfig(
+                    num_regions=1, mdts_per_region=2, patients_per_mdt=4, seed=60 + index
+                )
+            )
         )
         # Regional instances name their own region; the generator labels
         # every single-region workload "region-1", so rename via directory.
@@ -133,8 +136,11 @@ class TestRepeatedExportRounds:
         deployments = {}
         for index, region in enumerate(regions):
             deployment = MdtDeployment(
-                WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3,
-                               seed=80 + index)
+                generate_workload(
+                    WorkloadConfig(
+                        num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=80 + index
+                    )
+                )
             )
             deployments[region] = deployment
             deployment.run_pipeline()
@@ -196,8 +202,11 @@ class TestQuotedRegionNames:
         deployments = {}
         for index, region in enumerate(regions):
             deployment = MdtDeployment(
-                WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3,
-                               seed=90 + index)
+                generate_workload(
+                    WorkloadConfig(
+                        num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=90 + index
+                    )
+                )
             )
             deployments[region] = deployment
             deployment.run_pipeline()

@@ -15,7 +15,7 @@ from repro.core.audit import AuditLog
 from repro.faults import ChaosInjector
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.federation import NationalExchange, RegionalGateway, federate
-from repro.mdt.workload import WorkloadConfig
+from repro.mdt.workload import WorkloadConfig, generate_workload
 
 REGIONS = ["region-1", "region-2"]
 
@@ -34,8 +34,10 @@ def federation():
     deployments = {}
     for index, region in enumerate(REGIONS):
         deployment = MdtDeployment(
-            WorkloadConfig(
-                num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=70 + index
+            generate_workload(
+                WorkloadConfig(
+                    num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=70 + index
+                )
             )
         )
         deployments[region] = deployment
@@ -140,8 +142,10 @@ class TestImportFaultContainment:
         nothing is lost)."""
         deployments = {
             region: MdtDeployment(
-                WorkloadConfig(
-                    num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=80 + i
+                generate_workload(
+                    WorkloadConfig(
+                        num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=80 + i
+                    )
                 )
             )
             for i, region in enumerate(REGIONS)

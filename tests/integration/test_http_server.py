@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.mdt import MdtDeployment, WorkloadConfig
+from repro.mdt import MdtDeployment, WorkloadConfig, generate_workload
 from repro.web.http import HttpServer
 from repro.web.response import Response
 
@@ -17,7 +17,9 @@ from repro.web.response import Response
 @pytest.fixture(scope="module")
 def served_deployment():
     deployment = MdtDeployment(
-        WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=4, seed=31)
+        generate_workload(
+            WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=4, seed=31)
+        )
     )
     deployment.run_pipeline()
     server = HttpServer(deployment.portal).start()

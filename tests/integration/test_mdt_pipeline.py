@@ -12,7 +12,7 @@ import pytest
 from repro.core.labels import LabelSet
 from repro.events.supervision import CircuitBreaker
 from repro.exceptions import FirewallError, ReadOnlyError
-from repro.mdt import MdtDeployment, mdt_label
+from repro.mdt import MdtDeployment, generate_workload, mdt_label
 from repro.mdt.deployment import Zone
 from repro.mdt.storage_unit import define_application_views
 from repro.storage.docstore import Database
@@ -22,7 +22,7 @@ from tests.property.oracle import CONFIG, ENGINE_MATRIX, STORE_MATRIX
 
 @pytest.fixture(scope="module")
 def deployment() -> MdtDeployment:
-    deployment = MdtDeployment(CONFIG)
+    deployment = MdtDeployment(generate_workload(CONFIG))
     deployment.run_pipeline()
     return deployment
 
@@ -199,7 +199,7 @@ class TestShardedDeployment:
 
     @pytest.fixture(scope="class")
     def sharded(self) -> MdtDeployment:
-        deployment = MdtDeployment(CONFIG, **STORE_MATRIX["sharded"])
+        deployment = MdtDeployment(generate_workload(CONFIG), **STORE_MATRIX["sharded"])
         deployment.run_pipeline()
         return deployment
 
@@ -222,20 +222,22 @@ class TestShardedDeployment:
 
 
 class TestRobustDeployment:
-    """``supervision`` arms the retry / dead-letter / restart ladder and
-    ``storage_breaker`` guards the storage unit's writes. Fault-free,
-    both must be armed and quiet; that they change nothing stored or
-    served is tests/integration/test_deployment_oracle.py's."""
+    """``supervision`` arms the retry / dead-letter / restart ladder and,
+    with it, a breaker around the storage unit's writes. Fault-free, both
+    must be armed and quiet; that they change nothing stored or served is
+    tests/integration/test_deployment_oracle.py's."""
 
     def test_supervisor_and_breaker_are_armed_and_quiet(self):
-        breaker = CircuitBreaker("data_storage")
-        supervised = MdtDeployment(
-            CONFIG, storage_breaker=breaker, **ENGINE_MATRIX["supervised"]
-        )
+        supervised = MdtDeployment(generate_workload(CONFIG), **ENGINE_MATRIX["supervised"])
         supervised.run_pipeline()
         assert supervised.engine.supervisor is not None
-        assert breaker.state == "closed"
+        assert isinstance(supervised.storage.breaker, CircuitBreaker)
+        assert supervised.storage.breaker.state == "closed"
         assert supervised.audit.count(decision="denied") == 0
+        assert supervised.audit.count(component="breaker") == 0
+        unsupervised = MdtDeployment(generate_workload(CONFIG))
+        assert unsupervised.engine.supervisor is None
+        assert unsupervised.storage.breaker is None
 
 
 class TestViewCensus:
@@ -254,7 +256,7 @@ class TestViewCensus:
             return view(database, name, *args, **kwargs)
 
         monkeypatch.setattr(Database, "view", recording_view)
-        deployment = MdtDeployment(CONFIG)
+        deployment = MdtDeployment(generate_workload(CONFIG))
         deployment.run_pipeline()
         region = deployment.directory.find("1").region
         client = deployment.client_for("mdt1")

@@ -7,14 +7,16 @@ database."""
 
 import pytest
 
-from repro.mdt import MdtDeployment, WorkloadConfig
+from repro.mdt import MdtDeployment, WorkloadConfig, generate_workload
 from repro.web.sessions import CSRF_HEADER, SESSION_COOKIE, parse_cookies
 
 
 @pytest.fixture(scope="module")
 def deployment():
     instance = MdtDeployment(
-        WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=4, seed=23),
+        generate_workload(
+            WorkloadConfig(num_regions=2, mdts_per_region=2, patients_per_mdt=4, seed=23)
+        ),
         cached_auth=True,
         page_cache=True,
     )

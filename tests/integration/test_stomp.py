@@ -99,6 +99,75 @@ class TestConnection:
             connect(server, login="mallory")
         assert refusals(server) == [("mallory", "unknown principal")]
 
+    def test_connect_timeout_gives_back_the_link(self, monkeypatch):
+        """Seed-failing: a CONNECT left unanswered used to leave the
+        socket open and the listener thread running."""
+        monkeypatch.setattr(client_module, "EXCHANGE_TIMEOUT", 0.3)
+        self._assert_failed_connect_closes(None, "timed out")
+
+    def test_refused_login_gives_back_the_link(self, monkeypatch):
+        """Seed-failing: an ERROR in place of CONNECTED used to leave the
+        link up while the peer kept its end open."""
+        monkeypatch.setattr(client_module, "EXCHANGE_TIMEOUT", 2.0)
+        refusal = Frame("ERROR", {"message": "unknown principal"})
+        self._assert_failed_connect_closes(refusal, "unknown principal")
+
+    @staticmethod
+    def _assert_failed_connect_closes(reply, message):
+        before = set(client_threads())
+        with connect_refusing_peer(reply) as ((host, port), closed):
+            with pytest.raises(SafeWebError, match=message):
+                StompClient(host, port, login="data_aggregator").connect()
+            assert closed.wait(5), "the client kept its socket open"
+        listeners = [thread for thread in client_threads() if thread not in before]
+        for thread in listeners:
+            thread.join(5)
+        assert not [thread for thread in listeners if thread.is_alive()]
+
+
+def client_threads():
+    return [
+        thread for thread in threading.enumerate() if thread.name == "safeweb-stomp-client"
+    ]
+
+
+@contextlib.contextmanager
+def connect_refusing_peer(reply):
+    """A raw TCP peer that reads one CONNECT, sends *reply* (``None``:
+    nothing) and keeps its end open. Yields its address and an event set
+    once the client closes the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    closed = threading.Event()
+
+    def serve():
+        connection, _address = listener.accept()
+        parser = FrameParser()
+        with connection:
+            connection.settimeout(10)
+            try:
+                frames = []
+                while not frames:
+                    data = connection.recv(65536)
+                    if not data:
+                        return
+                    frames = parser.feed(data)
+                if reply is not None:
+                    connection.sendall(encode_frame(reply))
+                while connection.recv(65536):
+                    pass
+                closed.set()
+            except OSError:
+                pass  # the client never closed its end
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname(), closed
+    finally:
+        listener.close()
+        thread.join(15)
+        assert not thread.is_alive()
+
 
 def _raw_frame(command, headers, body=""):
     head = "".join(f"{name}:{value}\n" for name, value in headers.items())

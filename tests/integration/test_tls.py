@@ -77,11 +77,13 @@ class TestStompOverTls:
 class TestHttpsPortal:
     def test_portal_over_https(self, tls_contexts):
         server_context, client_context = tls_contexts
-        from repro.mdt import MdtDeployment, WorkloadConfig
+        from repro.mdt import MdtDeployment, WorkloadConfig, generate_workload
         from repro.web.http import HttpServer
 
         deployment = MdtDeployment(
-            WorkloadConfig(num_regions=1, mdts_per_region=1, patients_per_mdt=3, seed=41)
+            generate_workload(
+                WorkloadConfig(num_regions=1, mdts_per_region=1, patients_per_mdt=3, seed=41)
+            )
         )
         deployment.run_pipeline()
         server = HttpServer(deployment.portal, tls_context=server_context).start()
@@ -127,10 +129,12 @@ class TestSessionCookieSecureFlag:
 
     @pytest.fixture()
     def deployment(self):
-        from repro.mdt import MdtDeployment, WorkloadConfig
+        from repro.mdt import MdtDeployment, WorkloadConfig, generate_workload
 
         deployment = MdtDeployment(
-            WorkloadConfig(num_regions=1, mdts_per_region=1, patients_per_mdt=2, seed=43)
+            generate_workload(
+                WorkloadConfig(num_regions=1, mdts_per_region=1, patients_per_mdt=2, seed=43)
+            )
         )
         yield deployment
         deployment.close()

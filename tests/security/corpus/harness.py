@@ -30,7 +30,6 @@ from typing import Any, Dict, FrozenSet, List, Optional
 from repro.core.audit import DENIED
 from repro.exceptions import SecurityViolation
 from repro.mdt.deployment import MdtDeployment
-from repro.mdt.workload import Workload, WorkloadConfig
 from tests.security.corpus.vulnerabilities import (
     VULNERABILITIES,
     Vulnerability,
@@ -113,19 +112,11 @@ def _cleanup(deployment: MdtDeployment) -> None:
 def run_entry(
     name: str,
     protected: bool,
-    config: Optional[WorkloadConfig] = None,
-    workload: Optional[Workload] = None,
     **deployment_kwargs,
 ) -> CorpusResult:
     """Build, attack, observe: one corpus entry in one direction."""
     entry = VULNERABILITIES[name]
-    deployment = build_vulnerable_deployment(
-        name,
-        config=config,
-        workload=workload,
-        check_labels=protected,
-        **deployment_kwargs,
-    )
+    deployment = build_vulnerable_deployment(name, check_labels=protected, **deployment_kwargs)
     try:
         baseline = _expected_denials(deployment, entry)
         try:

@@ -50,7 +50,6 @@ from repro.mdt.labels import (
     region_aggregate_root,
 )
 from repro.mdt.portal import PORTAL_TEMPLATES
-from repro.mdt.workload import Workload, WorkloadConfig, generate_workload
 from repro.storage.docstore import make_database
 from repro.storage.replication import Replicator
 from repro.taint import json_codec
@@ -1091,8 +1090,6 @@ VULNERABILITIES: Dict[str, Vulnerability] = {
 
 def build_vulnerable_deployment(
     name: str,
-    config: Optional[WorkloadConfig] = None,
-    workload: Optional[Workload] = None,
     check_labels: bool = True,
     run_pipeline: bool = True,
     **deployment_kwargs,
@@ -1103,19 +1100,18 @@ def build_vulnerable_deployment(
     the injection genuinely discloses data: the response-time label and
     taint checks go off, plus whatever tier-specific safety net the
     entry's ``unprotected`` mapping names (explicit keyword arguments
-    win over both). Additional keyword arguments (``shards``,
-    ``cached_auth``, ``page_cache``, ``data_dir``, …) reach :class:`~repro.mdt.deployment.MdtDeployment` unchanged, so
-    the corpus runs across the whole deployment matrix.
+    win over both). Additional keyword arguments (``workload``,
+    ``shards``, ``cached_auth``, ``page_cache``, ``data_dir``, …) reach
+    :class:`~repro.mdt.deployment.MdtDeployment` unchanged, so the corpus
+    runs across the whole deployment matrix.
     """
     vulnerability = VULNERABILITIES[name]
-    if workload is None:
-        workload = generate_workload(config)
     kwargs = dict(deployment_kwargs)
     if not check_labels:
         kwargs.setdefault("check_taint", False)
         for key, value in vulnerability.unprotected.items():
             kwargs.setdefault(key, value)
-    deployment = VulnerableDeployment(workload=workload, check_labels=check_labels, **kwargs)
+    deployment = VulnerableDeployment(check_labels=check_labels, **kwargs)
     if vulnerability.patch is not None and not vulnerability.patch_after_pipeline:
         vulnerability.patch(deployment)
     if run_pipeline:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.labels import mdt_label
-from repro.mdt.workload import WorkloadConfig
+from repro.mdt.workload import WorkloadConfig, generate_workload
 from repro.taint import json_codec, label, strip_labels
 from repro.web.templates import Template
 
@@ -41,7 +41,9 @@ INLINED_FRONT_PAGE_SOURCE = """<!DOCTYPE html>
 @pytest.fixture(scope="module")
 def deployment():
     deployment = MdtDeployment(
-        WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=47)
+        generate_workload(
+            WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=3, seed=47)
+        )
     )
     deployment.run_pipeline()
     return deployment
@@ -193,7 +195,9 @@ def test_relabelled_revision_is_denied_although_its_body_is_unchanged():
     label, and a principal lacking it gets the labelled denial — not the
     page the previous revision's labels allowed."""
     deployment = MdtDeployment(
-        WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=2, seed=53)
+        generate_workload(
+            WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=2, seed=53)
+        )
     )
     deployment.run_pipeline()
     client = deployment.client_for("mdt1")
@@ -224,7 +228,9 @@ def test_relabelled_record_is_denied_although_its_row_markup_is_unchanged():
     new label, and the principal that read the page a moment ago gets
     the labelled denial — not the bytes the old fragment would replay."""
     deployment = MdtDeployment(
-        WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=2, seed=53)
+        generate_workload(
+            WorkloadConfig(num_regions=1, mdts_per_region=2, patients_per_mdt=2, seed=53)
+        )
     )
     deployment.run_pipeline()
     client = deployment.client_for("mdt1")

@@ -31,7 +31,7 @@ from repro.web.sessions import SessionMiddleware
 from tests.security.corpus.vulnerabilities import Vulnerability
 
 BUDGET = {
-    MdtDeployment: 17,
+    MdtDeployment: 14,
     build_portal: 10,
     SessionMiddleware: 5,
     HttpServer: 5,
