@@ -264,7 +264,7 @@ def _hook_bypass_primitives(func_or_module: ast.AST) -> Iterator[Tuple[ast.AST, 
 
 
 def _route_hook_bypass(module: ModuleSource) -> Iterator[Finding]:
-    if module.rel.endswith(("web/middleware.py", "web/routing.py", "web/framework.py")):
+    if module.rel.endswith(("web/middleware.py", "web/framework.py")):
         return
     bypassing_functions: Set[str] = set()
     for node in module.tree.body:

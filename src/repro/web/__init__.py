@@ -11,7 +11,6 @@ unmodified — labels travel through it via the taint-tracking types.
 from repro.web.request import Request
 from repro.web.response import Response
 from repro.web.framework import SafeWebApp, halt
-from repro.web.routing import TrieRouter
 from repro.web.templates import Template, TemplateRegistry, render
 from repro.web.auth import BasicAuthenticator, CachingAuthenticator
 from repro.web.middleware import SafeWebMiddleware
@@ -24,7 +23,6 @@ __all__ = [
     "Response",
     "SafeWebApp",
     "halt",
-    "TrieRouter",
     "Template",
     "TemplateRegistry",
     "render",

@@ -18,6 +18,7 @@ benchmarks.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import (
@@ -29,7 +30,8 @@ from repro.exceptions import (
 from repro.taint.sanitize import SanitisationError
 from repro.web.request import Request
 from repro.web.response import Response
-from repro.web.routing import TrieRouter, _PARAM_RE
+
+_PARAM_RE = re.compile(r":([A-Za-z_][A-Za-z0-9_]*)")
 
 #: ``request.env`` key carrying the matched route's pattern (read by the
 #: page cache to key entries on the route rather than the raw path).
@@ -42,34 +44,45 @@ def halt(status: int = 500, body: str = "", headers: Optional[Dict[str, str]] = 
 
 
 class Route:
-    __slots__ = ("method", "pattern", "handler")
+    """One route: ``method``, ``pattern`` and the regex compiled from it.
+
+    ``:name`` captures one path segment (``[^/]+``); a trailing ``/*``
+    captures the rest of the path, leading slash and any newline
+    included, as an optional ``splat``. The regex must match the whole
+    path: ``/health`` does not match ``"/health\\n"``.
+    """
+
+    __slots__ = ("method", "pattern", "handler", "fullmatch")
 
     def __init__(self, method: str, pattern: str, handler: Callable):
-        # The trie's pattern parser validates nothing: it drops whatever
-        # precedes the first '/' ("foo" would route as "/") and a repeated
-        # capture name would break its backtracking at dispatch time.
         if not pattern.startswith("/"):
             raise SafeWebError(f"route pattern must start with '/': {pattern!r}")
-        names = _PARAM_RE.findall(pattern)
+        has_splat = pattern.endswith("/*")
+        base = pattern[:-2] if has_splat else pattern
+        names = _PARAM_RE.findall(base) + (["splat"] if has_splat else [])
         if len(names) != len(set(names)):
             raise SafeWebError(f"route pattern repeats a capture name: {pattern!r}")
+        regex = ""
+        position = 0
+        for found in _PARAM_RE.finditer(base):
+            regex += re.escape(base[position : found.start()])
+            regex += f"(?P<{found.group(1)}>[^/]+)"
+            position = found.end()
+        regex += re.escape(base[position:])
+        if has_splat:
+            regex += "(?P<splat>/.*)?"
         self.method = method
         self.pattern = pattern
         self.handler = handler
+        self.fullmatch = re.compile(regex, re.DOTALL).fullmatch
 
 
 class SafeWebApp:
-    """Route table + filter chain; instances are WSGI-free callables.
-
-    Dispatch runs on a :class:`~repro.web.routing.TrieRouter` compiled
-    lazily from the route table (and invalidated by further route
-    registration).
-    """
+    """Route table + filter chain; instances are WSGI-free callables."""
 
     def __init__(self, name: str = "safeweb-app"):
         self.name = name
         self._routes: List[Route] = []
-        self._trie: Optional[TrieRouter] = None
         self._before: List[Callable[[Request], None]] = []
         self._after: List[Callable[[Request, Response], Optional[Response]]] = []
         self._error_handlers: Dict[type, Callable] = {}
@@ -79,7 +92,6 @@ class SafeWebApp:
     def route(self, method: str, pattern: str):
         def decorator(handler: Callable):
             self._routes.append(Route(method.upper(), pattern, handler))
-            self._trie = None  # recompiled lazily on next dispatch
             return handler
 
         return decorator
@@ -117,17 +129,19 @@ class SafeWebApp:
 
     # -- matching -----------------------------------------------------------------
 
-    def _compiled(self) -> TrieRouter:
-        trie = self._trie
-        if trie is None:
-            trie = TrieRouter()
-            for order, route in enumerate(self._routes):
-                trie.add(route.method, route.pattern, route, order)
-            self._trie = trie
-        return trie
-
     def match(self, method: str, path: str) -> Optional[Tuple["Route", Dict[str, str]]]:
-        return self._compiled().match(method, path)
+        """The first registered route for *method* whose pattern matches
+        the whole of *path*, with its captures; None if there is none."""
+        for route in self._routes:
+            if route.method == method:
+                found = route.fullmatch(path)
+                if found is not None:
+                    captures = found.groupdict()
+                    # Only the splat is optional; drop it if it did not take part.
+                    if captures.get("splat", "") is None:
+                        del captures["splat"]
+                    return route, captures
+        return None
 
     # -- dispatch -----------------------------------------------------------------
 

@@ -111,9 +111,13 @@ class HttpServer:
         with self._connections_lock:
             open_connections = list(self._connections)
         for connection in open_connections:
+            # Shut down, not close: a worker blocked reading holds the
+            # socket through its reader, so close() would not wake it, and
+            # the worker closes what it owns. The plain socket call leaves
+            # a TLS socket's session to the worker.
             try:
-                connection.close()
-            except OSError:  # pragma: no cover - racing with the worker
+                socket.socket.shutdown(connection, socket.SHUT_RDWR)
+            except OSError:  # already closed by its worker
                 pass
         for thread in self._threads:
             thread.join(5)
@@ -129,32 +133,35 @@ class HttpServer:
                 continue  # poll the shutdown flag
             except OSError:  # listener closed: shutting down
                 return
-            with self._connections_lock:
-                self._connections.add(connection)
             try:
                 self._serve_connection(connection, address)
             except Exception:  # noqa: BLE001 - one bad connection must not kill a worker
                 pass
-            finally:
-                with self._connections_lock:
-                    self._connections.discard(connection)
-                try:
-                    connection.close()
-                except OSError:
-                    pass
+
+    def _swap_tracked(self, old, new) -> None:
+        """Replace *old* with *new* among the sockets ``stop`` shuts down."""
+        with self._connections_lock:
+            self._connections.discard(old)
+            if new is not None:
+                self._connections.add(new)
 
     def _serve_connection(self, connection: socket.socket, address) -> None:
-        # Timeout first so a stalled TLS handshake cannot pin the worker.
-        connection.settimeout(_KEEP_ALIVE_TIMEOUT)
-        # Pipelined keep-alive responses follow unacknowledged ones, and a
-        # large page ends in a short segment; with Nagle on, either waits
-        # out the client's delayed ACK.
-        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if self._tls_context is not None:
-            connection = self._tls_context.wrap_socket(connection, server_side=True)
-        reader = connection.makefile("rb")
-        served = 0
+        self._swap_tracked(None, connection)
+        reader = None
         try:
+            # Timeout first so a stalled TLS handshake cannot pin the worker.
+            connection.settimeout(_KEEP_ALIVE_TIMEOUT)
+            # Pipelined keep-alive responses follow unacknowledged ones, and
+            # a large page ends in a short segment; with Nagle on, either
+            # waits out the client's delayed ACK.
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls_context is not None:
+                # Wrapping detaches the plain socket: track the TLS one.
+                wrapped = self._tls_context.wrap_socket(connection, server_side=True)
+                self._swap_tracked(connection, wrapped)
+                connection = wrapped
+            reader = connection.makefile("rb")
+            served = 0
             while not self._shutdown.is_set():
                 try:
                     parsed = self._read_request(reader)
@@ -195,10 +202,13 @@ class HttpServer:
                 if not keep_alive:
                     return
         finally:
-            try:
-                reader.close()
-            except OSError:
-                pass
+            self._swap_tracked(connection, None)
+            for resource in (reader, connection):
+                if resource is not None:
+                    try:
+                        resource.close()
+                    except OSError:
+                        pass
 
     # -- request parsing ---------------------------------------------------
 

@@ -13,6 +13,8 @@ from repro.mdt import MdtDeployment, WorkloadConfig, generate_workload
 from repro.web.http import HttpServer
 from repro.web.response import Response
 
+pytestmark = pytest.mark.usefixtures("resource_ledger")
+
 
 @pytest.fixture(scope="module")
 def served_deployment():

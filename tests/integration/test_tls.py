@@ -106,6 +106,27 @@ class TestHttpsPortal:
             server.stop()
 
 
+    def test_stop_is_prompt_with_idle_tls_connection(self, tls_contexts):
+        import http.client
+
+        from repro.web import SafeWebApp
+        from repro.web.http import HttpServer
+
+        server_context, client_context = tls_contexts
+        app = SafeWebApp()
+        app.get("/ping")(lambda request: "pong")
+        server = HttpServer(app, workers=2, tls_context=server_context).start()
+        connection = http.client.HTTPSConnection(*server.address, context=client_context)
+        connection.request("GET", "/ping")
+        assert connection.getresponse().read() == b"pong"
+        # The worker reads through the TLS socket, which wrapping detached
+        # from the accepted one: stop must reach it there.
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 2.5
+        connection.close()
+
+
 class TestSessionCookieSecureFlag:
     """``POST /login`` marks the session cookie ``Secure`` exactly when
     the listener that served it is TLS — the server tells the session

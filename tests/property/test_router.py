@@ -1,20 +1,21 @@
-"""Property suite: the compiled web frontend ≡ the seed request path.
+"""Property suite: the web frontend's matcher and enforcement ≡ the seed.
 
-Two equivalences, mirroring PR 1–3's structure-vs-reference proofs:
+Two equivalences:
 
 * **Router** — generated route tables (static, ``:param``, mixed and
-  splat patterns, deliberately overlapping) and generated request paths:
-  the segment trie must return exactly the route and captures the seed
-  linear regex scan returns, including first-match-wins ordering.
+  splat patterns, deliberately overlapping) and generated request paths,
+  newlines included: ``SafeWebApp.match`` must return exactly the route
+  and captures of the independently spelled seed regex scan in
+  ``tests/reference/router.py``, including first-match-wins ordering.
 * **Enforcement** — a generated operation sequence (requests as
   different principals, privilege grants/revokes, document writes)
   driven through two portals over the same state: the seed
-  configuration (linear router, uncached authenticator, no page cache)
-  and the tuned one (trie + caching authenticator + clearance-keyed
-  page cache). Observable outputs (status, body) must be identical at
-  every step — which covers the stale-cache scenario: after a revoke,
-  the cached page's label set no longer dominates and the tuned portal
-  must deny exactly like the seed one.
+  configuration (uncached authenticator, no page cache) and the tuned
+  one (caching authenticator + clearance-keyed page cache). Observable
+  outputs (status, body) must be identical at every step — which covers
+  the stale-cache scenario: after a revoke, the cached page's label set
+  no longer dominates and the tuned portal must deny exactly like the
+  seed one.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from repro.web import (
     SafeWebApp,
     SafeWebMiddleware,
     TestClient,
-    TrieRouter,
 )
 from repro.web.framework import Route
-from tests.reference.router import LinearScanApp, match_reference, route_match
+from tests.reference.router import match_reference
 
 # ---------------------------------------------------------------------------
 # Router equivalence
@@ -51,6 +51,8 @@ _STATIC_ALPHABET = string.ascii_lowercase + string.digits + "._-~%"
 _PARAM_NAMES = ("id", "mid", "region", "x", "y", "part")
 
 static_segments = st.text(alphabet=_STATIC_ALPHABET, min_size=1, max_size=6)
+#: Request path segments may also carry a newline, which no pattern has.
+path_segments = st.text(alphabet=_STATIC_ALPHABET + "\n", min_size=1, max_size=6)
 
 
 @st.composite
@@ -91,56 +93,53 @@ def route_tables(draw):
 
 @st.composite
 def request_paths(draw, routes):
-    """Mostly paths derived from a table pattern, sometimes random ones."""
+    """Mostly paths derived from a table pattern, sometimes random ones;
+    about one in eight ends in a newline."""
     if routes and draw(st.integers(0, 3)):
         pattern = draw(st.sampled_from(routes)).pattern
         segments = []
         base = pattern[:-2] if pattern.endswith("/*") else pattern
         for part in base.split("/")[1:] if base else []:
             if ":" in part:
-                segments.append(draw(static_segments))
+                segments.append(draw(path_segments))
             elif draw(st.integers(0, 4)) == 0:
-                segments.append(draw(static_segments))  # mutate: likely miss
+                segments.append(draw(path_segments))  # mutate: likely miss
             else:
                 segments.append(part)
         path = "/" + "/".join(segments)
         if pattern.endswith("/*") and draw(st.booleans()):
-            path = (path if path != "/" else "") + "/" + draw(static_segments)
-        return path
-    return "/" + "/".join(
-        draw(st.lists(static_segments, min_size=0, max_size=4))
-    )
+            path = (path if path != "/" else "") + "/" + draw(path_segments)
+    else:
+        path = "/" + "/".join(draw(st.lists(path_segments, min_size=0, max_size=4)))
+    if draw(st.integers(0, 7)) == 0:
+        path += "\n"
+    return path
 
 
-def linear_reference(routes, method, path):
-    """The seed matcher: first route whose regex matches wins."""
-    for index, route in enumerate(routes):
-        captures = route_match(route, method, path)
-        if captures is not None:
-            return index, captures
-    return None
-
-
-def trie_result(routes, method, path):
-    trie = TrieRouter()
-    for index, route in enumerate(routes):
-        trie.add(route.method, route.pattern, index, index)
-    found = trie.match(method, path)
-    if found is None:
-        return None
-    return found[0], found[1]
+def assert_matches_reference(routes, method, path):
+    """``SafeWebApp.match`` over *routes* returns the reference's route
+    (the same object, so the same registration index) and captures."""
+    app = SafeWebApp()
+    for route in routes:
+        app.route(route.method, route.pattern)(route.handler)
+    found = app.match(method, path)
+    reference = match_reference(app._routes, method, path)
+    if reference is None:
+        assert found is None, (method, path)
+    else:
+        assert found is not None, (method, path)
+        assert found[0] is reference[0], (method, path)
+        assert found[1] == reference[1], (method, path)
 
 
 class TestRouterEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_trie_equals_linear_scan(self, data):
+    def test_app_match_equals_reference(self, data):
         routes = data.draw(route_tables())
         method = data.draw(methods)
         path = data.draw(request_paths(routes))
-        assert trie_result(routes, method, path) == linear_reference(
-            routes, method, path
-        )
+        assert_matches_reference(routes, method, path)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -169,51 +168,37 @@ class TestRouterEquivalence:
                 )
             )
         ]
-        for path in ("/a/" + value, "/a/zz", "/" + value, "/a/" + value + "/deep"):
-            assert trie_result(routes, "GET", path) == linear_reference(
-                routes, "GET", path
-            )
+        for path in (
+            "/a/" + value,
+            "/a/zz",
+            "/" + value,
+            "/a/" + value + "/deep",
+            "/a/" + value + "\n",
+        ):
+            assert_matches_reference(routes, "GET", path)
 
     def test_capture_values_url_shapes(self):
         routes = [
+            Route("GET", "/health", lambda request: "h"),
             Route("GET", "/records/:mid", lambda request: "r"),
             Route("GET", "/v:version/items/:id", lambda request: "v"),
             Route("GET", "/static/*", lambda request: "s"),
         ]
         for method, path in [
+            ("GET", "/health"),
+            ("GET", "/health\n"),
             ("GET", "/records/a%20b"),
+            ("GET", "/records/7\n"),
             ("GET", "/v2/items/33812769"),
             ("GET", "/static"),
+            ("GET", "/static\n"),
             ("GET", "/static/"),
             ("GET", "/static/css/site.css"),
+            ("GET", "/static/a\nb"),
             ("GET", "/records/"),
             ("POST", "/records/7"),
         ]:
-            assert trie_result(routes, method, path) == linear_reference(
-                routes, method, path
-            ), (method, path)
-
-
-class TestAppDispatchEquivalence:
-    """The app-level matcher obeys the same equivalence end to end."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_app_match_equals_reference(self, data):
-        routes = data.draw(route_tables())
-        app = SafeWebApp()
-        for route in routes:
-            app.route(route.method, route.pattern)(route.handler)
-        method = data.draw(methods)
-        path = data.draw(request_paths(routes))
-        fast = app.match(method, path)
-        reference = match_reference(app._routes, method, path)
-        if reference is None:
-            assert fast is None
-        else:
-            assert fast is not None
-            assert fast[0] is reference[0]
-            assert fast[1] == reference[1]
+            assert_matches_reference(routes, method, path)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +220,7 @@ def build_world(tuned: bool):
     store.put({"_id": "doc-a", "value": "va-0"})
     store.put({"_id": "doc-b", "value": "vb-0"})
 
-    app = SafeWebApp() if tuned else LinearScanApp()
+    app = SafeWebApp()
     authenticator = (CachingAuthenticator if tuned else BasicAuthenticator)(webdb)
     middleware = SafeWebMiddleware(authenticator, public_paths={"/public"})
     middleware.install(app)

@@ -1,9 +1,8 @@
 """The seed router: one regex per route, scanned in registration order.
 
-:class:`repro.web.routing.TrieRouter`, and through it
-``SafeWebApp.match``, is held to this matcher by
+``SafeWebApp.match`` is held to this matcher by
 ``tests/property/test_router.py``. Each route's regex is compiled here
-from ``route.pattern``, independently of the trie's own pattern parser.
+from ``route.pattern``, independently of ``Route``'s own translation.
 """
 
 from __future__ import annotations
@@ -11,14 +10,19 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.web.framework import Route, SafeWebApp
+from repro.web.framework import Route
 
 _PARAM = re.compile(r":([A-Za-z_][A-Za-z0-9_]*)")
 
 
 def compile_route(pattern: str) -> "re.Pattern[str]":
     """The seed translation: ``:name`` captures one segment, a trailing
-    ``/*`` an optional ``splat`` holding the rest of the path."""
+    ``/*`` an optional ``splat`` holding the rest of the path.
+
+    Anchored with ``\\Z``, not ``$`` (which also accepts a trailing
+    newline), and with ``.`` matching newlines, so a splat holds the
+    whole rest of the path.
+    """
     regex = ""
     position = 0
     for match in _PARAM.finditer(pattern):
@@ -28,7 +32,7 @@ def compile_route(pattern: str) -> "re.Pattern[str]":
     regex += re.escape(pattern[position:])
     if regex.endswith(re.escape("/*")):
         regex = regex[: -len(re.escape("/*"))] + "(?P<splat>/.*)?"
-    return re.compile(f"^{regex}$")
+    return re.compile(f"^{regex}\\Z", re.DOTALL)
 
 
 def route_match(route: Route, method: str, path: str) -> Optional[Dict[str, str]]:
@@ -50,10 +54,3 @@ def match_reference(
         if captures is not None:
             return route, captures
     return None
-
-
-class LinearScanApp(SafeWebApp):
-    """A :class:`SafeWebApp` that dispatches through the seed scan."""
-
-    def match(self, method: str, path: str) -> Optional[Tuple[Route, Dict[str, str]]]:
-        return match_reference(self._routes, method, path)

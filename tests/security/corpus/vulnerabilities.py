@@ -124,7 +124,6 @@ def _replace_route(app, method: str, pattern: str, handler) -> None:
     for route in app._routes:
         if route.method == method and route.pattern == pattern:
             route.handler = handler
-            app._trie = None  # recompiled lazily on next dispatch
             return
     raise SafeWebError(f"no route {method} {pattern} to patch")
 

@@ -82,12 +82,50 @@ class TestRouting:
     def test_404(self, app, client):
         assert client.get("/nowhere").status == 404
 
-    def test_url_decoding_in_captures(self, app, client):
+    @pytest.mark.parametrize(
+        "path, status, mid",
+        [
+            ("/records/a%20b", 200, "a b"),
+            ("/records/1%2F2", 200, "1/2"),
+            ("/records/..%2Fadmin", 200, "../admin"),
+            ("/records/a/b", 404, None),
+        ],
+    )
+    def test_url_decoding_in_captures(self, app, client, path, status, mid):
+        # Matching runs on the raw path; captures are unquoted after it,
+        # so an encoded '/' stays inside its segment and reaches no other
+        # route.
+        reached = []
+
         @app.get("/records/:mid")
         def records(request):
+            reached.append(("records", request.params["mid"]))
             return request.params["mid"]
 
-        assert client.get("/records/a%20b").text == "a b"
+        @app.get("/admin")
+        def admin(request):
+            reached.append(("admin", None))
+            return "admin"
+
+        assert client.get(path).status == status
+        if mid is None:
+            assert reached == []
+        else:
+            assert reached == [("records", mid)]
+            assert is_user_tainted(reached[0][1])
+
+    def test_match_is_whole_path(self, app):
+        @app.get("/health")
+        def health(request):
+            return "ok"
+
+        @app.get("/static/*")
+        def static(request):
+            return "static"
+
+        assert app.match("GET", "/health\n") is None
+        assert app.match("GET", "/static\n") is None
+        assert app.match("GET", "/health")[0].pattern == "/health"
 
     def test_splat_routes(self, app, client):
         @app.get("/static/*")
@@ -96,10 +134,13 @@ class TestRouting:
 
         assert client.get("/static/css/site.css").text == "static"
 
-    @pytest.mark.parametrize("pattern", ["no-slash", "records/:mid", "*", "", "/a/:x/b/:x"])
+    @pytest.mark.parametrize(
+        "pattern", ["no-slash", "records/:mid", "*", "", "/a/:x/b/:x", "/:splat/*"]
+    )
     def test_bad_pattern_rejected(self, app, client, pattern):
-        # The trie alone would route "no-slash" as "/", and fail at
-        # dispatch on a repeated capture name.
+        # Rejected at registration, before any regex is compiled: a
+        # repeated capture name (a trailing "/*" names one "splat") would
+        # otherwise surface as a bare re.error.
         with pytest.raises(SafeWebError):
             app.get(pattern)(lambda request: "x")
         assert client.get("/").status == 404

@@ -2,12 +2,15 @@
 
 import http.client
 import socket
+import time
 
 import pytest
 
 from repro.web import Response, SafeWebApp
 from repro.web import http as http_module
 from repro.web.http import HttpServer
+
+pytestmark = pytest.mark.usefixtures("resource_ledger")
 
 
 #: A page far above one TCP segment (and the old 64 KiB chunk size).
@@ -182,6 +185,9 @@ class TestProtocolEdges:
         connection = open_connection(server)
         connection.request("GET", "/ping")
         connection.getresponse().read()
-        # Leave the connection open and idle; stop must not hang.
+        # Leave the connection open and idle; stop must not wait out the
+        # keep-alive timeout.
+        started = time.monotonic()
         server.stop()
+        assert time.monotonic() - started < http_module._KEEP_ALIVE_TIMEOUT / 2
         connection.close()
