@@ -12,11 +12,11 @@ whole windows of publishes on a default-capacity log — and the report
 asserts a band on amortised ÷ median of 0.8 to 2.5. A flush that only
 counts and moves raw entries (still about as dear per decision as
 recording one) reads 1.3 to 2.1 on a 2-core host; one that builds an
-``AuditRecord`` per entry read 6 to 7.5 (docs/BENCHMARKS.md, "Record
-now, format when asked"). Single publishes and windows go through one
-sampler call, round by round, so both sides of the ratio are measured
-in the same span; many windows of about 21 flushes each keep one noisy
-second from deciding the median.
+``AuditRecord`` per entry read 6 to 7.5 (docs/ENGINE.md, "Why a
+fan-out is one audit entry"). Single publishes and windows go through
+one sampler call, round by round, so both sides of the ratio are
+measured in the same span; many windows of about 21 flushes each keep
+one noisy second from deciding the median.
 """
 
 import gc

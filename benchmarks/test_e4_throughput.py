@@ -5,13 +5,12 @@ once per second for 1000 seconds; throughput drops from 4455 to 3817
 events/second (−17 %) with label tracking active.
 
 Shape expectation: throughput with labels on is lower by a modest
-fraction, not by integer factors. Reading on the reference host:
-−39 … −41 % up to PR 21, −28 … −34 % since PR 22 (the audit log's flush
-no longer formats a record per decision and containment entry is not a
-generator); what remains is the per-event ``LabelContext``, containment,
-clearance check and second audit decision (publish *and* deliver)
-against a baseline that only records the publish (docs/BENCHMARKS.md
-"PR 22").
+fraction, not by integer factors. One run on a 2-core host read −22 %:
+per event the protected side enters the event's labels and the jail
+around the callback, replays the clearance plan and records the
+delivery's audit decision, against a baseline that only records the
+publish (docs/BENCHMARKS.md "The paper experiments"; the audit log's
+part is docs/ENGINE.md "Why a fan-out is one audit entry").
 """
 
 from benchmarks.harness import format_table, measure_interleaved

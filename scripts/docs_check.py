@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Fail when docs reference modules, files or Make targets that don't exist.
+"""Fail when docs reference modules, files or Make targets that don't exist,
+or when a heading names a PR.
 
 ``make docs-check`` (and ``tests/unit/test_docs_check.py``, which runs in
 the tier-1 suite) scans every ``docs/*.md`` and the root ``README.md`` for:
@@ -13,11 +14,14 @@ the tier-1 suite) scans every ``docs/*.md`` and the root ``README.md`` for:
   ``perf/out/…`` is where benchmark runs write and is git-ignored, so it
   is not a reference;
 * Make target references (``make bench-smoke``) — the target must be
-  defined in the Makefile.
+  defined in the Makefile;
+* headings that name a PR (``## PR 12: …``, ``### Fix (PR 12)``) — the
+  docs describe the system as it stands and its history lives in
+  ``CHANGES.md``. A PR number in prose, or in a fenced block, is fine.
 
-Exit status 0 when every reference resolves, 1 otherwise (one line per
-broken reference). Use ``--docs-dir``/``--root`` to point the checker at
-another tree (the negative tests do).
+Exit status 0 when every reference resolves and no heading names a PR, 1
+otherwise (one line per finding). Use ``--docs-dir``/``--root`` to point
+the checker at another tree (the negative tests do).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ PATH_RE = re.compile(
     r"|PAPER\.md|PAPERS\.md|SNIPPETS\.md)"
 )
 MAKE_RE = re.compile(r"\bmake\s+([a-z][a-z0-9-]*)")
+PR_HEADING_RE = re.compile(r"^#{1,6}\s.*\bPRs?\s*[0-9]+")
 
 
 def makefile_targets(root: Path) -> set:
@@ -99,6 +104,16 @@ def _code_text(text: str) -> str:
     return "\n".join(regions)
 
 
+def pr_headings(text: str):
+    """(line number, heading) for each heading outside a fence that names a PR."""
+    in_fence = False
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+        elif not in_fence and PR_HEADING_RE.match(line):
+            yield number, line.strip()
+
+
 def check_file(path: Path, root: Path, targets: set) -> list:
     errors = []
     text = path.read_text()
@@ -113,6 +128,8 @@ def check_file(path: Path, root: Path, targets: set) -> list:
     for target in sorted(set(MAKE_RE.findall(code))):
         if target not in targets:
             errors.append(f"{path.name}: unknown make target {target!r}")
+    for number, heading in pr_headings(text):
+        errors.append(f"{path.name}:{number}: heading names a PR {heading!r}")
     return errors
 
 

@@ -71,9 +71,6 @@ class HttpServer:
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(_LISTEN_BACKLOG)
-        # Workers poll accept() so stop() can wake threads blocked on a
-        # quiet listener (closing an fd does not interrupt accept()).
-        self._listener.settimeout(0.5)
         self.server_address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._shutdown = threading.Event()
         self._threads: list = []
@@ -105,9 +102,12 @@ class HttpServer:
     def stop(self) -> None:
         self._shutdown.set()
         try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
+            # Closing an fd does not interrupt accept(); shutdown wakes
+            # every worker blocked on the listener.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already stopped
             pass
+        self._listener.close()
         with self._connections_lock:
             open_connections = list(self._connections)
         for connection in open_connections:
@@ -129,8 +129,6 @@ class HttpServer:
         while not self._shutdown.is_set():
             try:
                 connection, address = self._listener.accept()
-            except socket.timeout:
-                continue  # poll the shutdown flag
             except OSError:  # listener closed: shutting down
                 return
             try:

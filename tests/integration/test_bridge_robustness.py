@@ -26,6 +26,8 @@ from repro.events.stomp import bridge as stomp_bridge
 from repro.events.stomp.bridge import StompBrokerBridge
 from repro.faults import ChaosInjector
 
+pytestmark = pytest.mark.usefixtures("resource_ledger")
+
 POLICY = parse_policy(
     """
     authority ecric.org.uk

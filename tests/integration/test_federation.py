@@ -21,6 +21,8 @@ from repro.mdt.federation import (
 from repro.mdt.labels import mdt_label, region_aggregate_label
 from repro.mdt.workload import WorkloadConfig, generate_workload
 
+pytestmark = pytest.mark.usefixtures("resource_ledger")
+
 
 @pytest.fixture(scope="module")
 def federated():

@@ -17,6 +17,8 @@ from repro.mdt.deployment import MdtDeployment
 from repro.mdt.federation import NationalExchange, RegionalGateway, federate
 from repro.mdt.workload import WorkloadConfig, generate_workload
 
+pytestmark = pytest.mark.usefixtures("resource_ledger")
+
 REGIONS = ["region-1", "region-2"]
 
 

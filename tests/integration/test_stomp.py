@@ -20,6 +20,8 @@ from repro.events.stomp import server as server_module
 from repro.events.stomp.link import FrameLink
 from repro.exceptions import SafeWebError
 
+pytestmark = pytest.mark.usefixtures("resource_ledger")
+
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 MDT = conf_label("ecric.org.uk", "mdt", "1")
 

@@ -2,8 +2,9 @@
 
 ``scripts/docs_check.py`` fails when any ``docs/*.md`` or the root
 ``README.md`` references a module path, file path or make target that no
-longer exists; running it here keeps the docs tier honest on every test
-run, not only when ``make docs-check`` is invoked explicitly.
+longer exists, or has a heading that names a PR; running it here keeps
+the docs tier honest on every test run, not only when ``make
+docs-check`` is invoked explicitly.
 """
 
 import subprocess
@@ -65,6 +66,25 @@ def test_prose_words_are_not_false_positives(tmp_path: Path):
     (tmp_path / "docs" / "GOOD.md").write_text(
         "This page lists make targets and measures docs/second in prose.\n"
         "Run `make ok`; results land in `perf/out/result.json`.\n"
+    )
+    result = _run("--root", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+
+
+def test_pr_heading_fails(tmp_path: Path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "X.md").write_text(
+        "# Title\n\nIntro.\n\n## PR 12: something\n\nBody.\n"
+    )
+    result = _run("--root", str(tmp_path))
+    assert result.returncode == 1
+    assert "X.md:5: heading names a PR '## PR 12: something'" in result.stderr
+
+
+def test_pr_number_in_prose_or_code_is_allowed(tmp_path: Path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "X.md").write_text(
+        "# Title\n\nPR 12 did X; see CHANGES.md.\n\n```sh\n# PR 12 did X\n```\n"
     )
     result = _run("--root", str(tmp_path))
     assert result.returncode == 0, result.stderr

@@ -191,3 +191,11 @@ class TestProtocolEdges:
         server.stop()
         assert time.monotonic() - started < http_module._KEEP_ALIVE_TIMEOUT / 2
         connection.close()
+
+    def test_stop_is_prompt_with_no_client(self, app):
+        server = HttpServer(app, workers=4).start()
+        # Let every worker block in accept() before stopping.
+        time.sleep(0.05)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.1
