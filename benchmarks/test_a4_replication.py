@@ -21,12 +21,12 @@ LABELS = LabelSet([mdt_label("1")])
 #: fraction, whatever the host is doing.
 INCREMENTAL_RATIO_BAND = (0.0001, 0.50)
 #: put of the storage unit's record document (16 fields, ten of them
-#: wrapped by ``with_labels`` as ``DataStorage.on_record`` does, the four
-#: application views maintained) / the same document unlabelled, ratio of
-#: medians. PR 24, 2-core host, nine runs (six beside a busy loop):
-#: 1.58–1.67 (plain ≈ 21–31 µs, labelled ≈ 34–51 µs); the parent commit
-#: read 1.93–2.06 (≈ 39–50 / ≈ 81–96 µs). The band is around the measured
-#: ratio; what pins the per-field passes staying out is a count
+#: wrapped by ``with_labels`` as ``DataStorage.on_record`` does, the one
+#: application view, ``records/by_mid``, maintained) / the same document
+#: unlabelled, ratio of medians. 2-core host, nine runs of this test's
+#: ``measure_interleaved`` call: 1.63–1.67 (plain ≈ 19–21 µs, labelled
+#: ≈ 30–35 µs). The band is around the measured ratio; what pins the
+#: per-field passes staying out is a count
 #: (``tests/unit/storage/test_write_work.py``), not this edge.
 LABELLED_PUT_RATIO_BAND = (1.2, 2.0)
 _ids = itertools.count()
@@ -118,7 +118,7 @@ def test_a4_report(benchmark, report):
         + format_table(
             ("operation", "median"),
             [
-                ("record put (plain, 4 views)", f"{put_plain.median * 1e6:.2f} µs"),
+                ("record put (plain, 1 view)", f"{put_plain.median * 1e6:.2f} µs"),
                 ("record put (10 labelled fields)", f"{put_labeled.median * 1e6:.2f} µs"),
                 ("labelled / plain", f"{put_labeled.median / put_plain.median:.2f}x"),
                 ("document get (labels re-attached)", f"{read_labeled.median * 1e6:.2f} µs"),

@@ -572,9 +572,8 @@ def _worker_main(
         return {"stores": encode_payload(dumps)}
 
     def stats(message: dict) -> dict:
-        counters = ("dispatched", "callback_errors", "dead_lettered", "retries", "restarts")
         return {
-            "stats": {name: getattr(engine.stats, name) for name in counters},
+            "stats": engine.stats.snapshot(),
             "units": engine.unit_names,
         }
 
@@ -744,6 +743,11 @@ class ClusterEngine:
             handle.process.terminate()
             handle.process.join(timeout)
         handle.alive = False
+        # The control pipe and the process's own descriptors (its sentinel
+        # and launch pipe under forkserver) are the parent's to give back.
+        handle.conn.close()
+        if handle.process.exitcode is not None:
+            handle.process.close()
 
     def __enter__(self) -> "ClusterEngine":
         return self.start()
@@ -947,9 +951,7 @@ class ClusterEngine:
     def probe(self) -> dict:
         """Cluster health: process liveness + parent link health."""
         workers = {name: handle.live for name, handle in self._workers.items()}
-        shards = {
-            name: handle.process.is_alive() for name, handle in self._shards.items()
-        }
+        shards = {name: handle.live for name, handle in self._shards.items()}
         router = self.router.probe() if self.router is not None else {"healthy": False}
         return {
             "healthy": all(shards.values()) and any(workers.values()) and router["healthy"],

@@ -10,10 +10,10 @@ The set is tracked per thread with an explicit stack so nested contexts
 
 Deliveries run on whichever thread delivers them — the publisher, a
 STOMP connection's handler, an HTTP worker, a cluster worker's bridge
-listener — and each pushes the event's labels with :func:`enter_labels`
-and pops them on exit, so a thread holds no ambient labels between
-deliveries and two threads' ambient sets can never bleed into each other
-(see docs/ENGINE.md).
+listener — and each pushes the event's labels onto the delivering
+thread's stack and pops them on exit, so a thread holds no ambient
+labels between deliveries and two threads' ambient sets can never bleed
+into each other (see docs/ENGINE.md).
 """
 
 from __future__ import annotations
@@ -23,15 +23,19 @@ from typing import Iterable, Optional
 
 from repro.core.labels import Label, LabelSet
 
-_state = threading.local()
+
+class _ThreadLabels(threading.local):
+    """Per thread: ``stack``, the ambient label sets, innermost last.
+
+    The engine reads ``_state.stack`` once per delivery and pushes and
+    pops on it directly (docs/ENGINE.md "Security context per delivery").
+    """
+
+    def __init__(self) -> None:
+        self.stack: list = []
 
 
-def _stack() -> list:
-    stack = getattr(_state, "stack", None)
-    if stack is None:
-        stack = []
-        _state.stack = stack
-    return stack
+_state = _ThreadLabels()
 
 
 def enter_labels(labels: LabelSet) -> list:
@@ -41,14 +45,14 @@ def enter_labels(labels: LabelSet) -> list:
     with ``stack.pop()`` (in a ``finally``). The engine enters one per
     delivery this way, without a :class:`LabelContext` object.
     """
-    stack = _stack()
+    stack = _state.stack
     stack.append(labels)
     return stack
 
 
 def current_labels() -> LabelSet:
     """The ambient ``_LABELS`` of the calling thread (empty outside callbacks)."""
-    stack = _stack()
+    stack = _state.stack
     if not stack:
         return LabelSet()
     return stack[-1]
@@ -56,7 +60,7 @@ def current_labels() -> LabelSet:
 
 def extend_labels(labels: LabelSet | Iterable[Label | str]) -> LabelSet:
     """Widen the ambient set by plain union; returns the new set."""
-    stack = _stack()
+    stack = _state.stack
     if not stack:
         raise RuntimeError("no active label context; extend_labels must run inside a callback")
     if not isinstance(labels, LabelSet):
@@ -72,7 +76,7 @@ def combine_ambient(labels: LabelSet | Iterable[Label | str]) -> LabelSet:
     reading unendorsed data makes everything derived afterwards
     unendorsed too. Store reads use this, not :func:`extend_labels`.
     """
-    stack = _stack()
+    stack = _state.stack
     if not stack:
         raise RuntimeError("no active label context; combine_ambient must run inside a callback")
     if not isinstance(labels, LabelSet):
@@ -98,7 +102,7 @@ class LabelContext:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _stack().pop()
+        _state.stack.pop()
 
     @property
     def labels(self) -> LabelSet:

@@ -36,9 +36,11 @@ from repro.core.labels import Label, LabelSet
 from repro.core.policy import Policy
 from repro.core.principals import UnitPrincipal
 from repro.events.broker import Broker
-from repro.events.context import current_labels, enter_labels
+from repro.events.context import _state as _label_state
+from repro.events.context import current_labels
 from repro.events.event import Event, as_events
-from repro.events.jail import Jail, enter_jail, isolate_callback, leave_jail
+from repro.events.jail import _state as _jail_state
+from repro.events.jail import Jail, isolate_callback, nested_denied
 from repro.events.lanes import EngineStats
 from repro.events.store import LabeledStore
 from repro.events.supervision import (
@@ -298,10 +300,13 @@ class EventProcessingEngine:
         The broker calls this directly (through a ``partial`` bound at
         subscribe time), so a delivery is one frame between the broker's
         loop and the callback. Each attempt enters its own security
-        context — the event's labels as the ambient set and *jail* (the
-        denied prefixes, ``None`` to lift, ``_NO_JAIL`` to leave
-        containment as it is) — and restores both in a ``finally``, so
-        every attempt starts from a fresh context and none leaks.
+        context inline — pushes the event's labels on the thread's
+        ambient stack and puts *jail* (the denied prefixes, ``None`` to
+        lift, ``_NO_JAIL`` to leave containment as it is) in force,
+        nested as ``enter_jail`` nests — and restores both in a
+        ``finally``, so every attempt starts from a fresh context and
+        none leaks. The delivery counts into the thread's own
+        ``EngineStats`` cell and takes no lock.
         Security violations are deterministic policy denials: audited,
         never retried, never dead-lettered. Any other exception is
         audited; without a supervisor that is all
@@ -317,7 +322,7 @@ class EventProcessingEngine:
             # Raises on the delivering thread, outside the ladder, where
             # the broker's containment audits it as a denied delivery.
             chaos.hit(f"engine.deliver:{principal.name}")
-        self.stats.bump("dispatched")
+        self.stats.cell().dispatched += 1
         supervisor = self.supervisor
         unit_sup = None
         if supervisor is not None:
@@ -333,16 +338,20 @@ class EventProcessingEngine:
             try:
                 if chaos is not None:
                     chaos.hit(f"engine.callback.before:{principal.name}")
-                stack = enter_labels(event.labels)
+                stack = _label_state.stack
+                stack.append(event.labels)
                 try:
                     if jail is _NO_JAIL:
                         callback(event)
                     else:
-                        outer = enter_jail(jail)
+                        outer = getattr(_jail_state, "denied_prefixes", None)
+                        _jail_state.denied_prefixes = (
+                            jail if outer is None else nested_denied(outer, jail)
+                        )
                         try:
                             callback(event)
                         finally:
-                            leave_jail(outer)
+                            _jail_state.denied_prefixes = outer
                 finally:
                     stack.pop()
                 if chaos is not None:
@@ -363,7 +372,7 @@ class EventProcessingEngine:
                     principal, event, f"unit error (attempt {attempts}): {error!r}"
                 )
                 if supervisor.retryable(error) and attempts <= supervisor.policy.retry_budget:
-                    self.stats.bump("retries")
+                    self.stats.cell().retries += 1
                     attempts += 1
                     continue
                 self._dead_letter(principal, event, repr(error), attempts=attempts)
@@ -371,7 +380,7 @@ class EventProcessingEngine:
                 return
 
     def _callback_denied(self, principal: UnitPrincipal, event: Event, detail: str) -> None:
-        self.stats.bump("callback_errors")
+        self.stats.cell().callback_errors += 1
         self.audit.denied(
             "engine", "callback", principal.name, labels=event.labels, detail=detail
         )
@@ -383,12 +392,12 @@ class EventProcessingEngine:
             self.broker, self.audit, principal.name, event, reason, attempts
         )
         if dead is not None:
-            self.stats.bump("dead_lettered")
+            self.stats.cell().dead_lettered += 1
 
     def _handle_unit_failure(self, unit_sup, principal: UnitPrincipal) -> None:
         decision = unit_sup.note_failure()
         if decision == RESTART:
-            self.stats.bump("restarts")
+            self.stats.cell().restarts += 1
             if self._restart_unit(principal.name):
                 self.audit.allowed(
                     "supervisor",

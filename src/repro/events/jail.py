@@ -28,11 +28,11 @@ buggy, not malicious, code — the paths that matter (I/O, globals,
 closures, shared unit state) are all closed.
 
 Containment is per-thread state, so the engine carries the jail **per
-delivery**: whichever thread delivers enters the jail
-(:func:`enter_jail`) around each non-privileged principal's callback
-and leaves it afterwards (:func:`leave_jail`), so one thread can run a
-jailed callback, then a privileged one, with no state carried over (see
-docs/ENGINE.md).
+delivery**: whichever thread delivers puts the jail's denied prefixes in
+force around each non-privileged principal's callback (nested by
+:func:`nested_denied`, as :func:`enter_jail` does) and restores the
+outer set afterwards, so one thread can run a jailed callback, then a
+privileged one, with no state carried over (see docs/ENGINE.md).
 """
 
 from __future__ import annotations
@@ -134,19 +134,30 @@ def restricted_builtins() -> dict:
     return namespace
 
 
-def enter_jail(denied: Optional[Tuple[str, ...]]) -> Optional[Tuple[str, ...]]:
-    """Put *denied* in force on the calling thread (``None`` lifts the jail).
+def nested_denied(
+    outer: Optional[Tuple[str, ...]], denied: Optional[Tuple[str, ...]]
+) -> Optional[Tuple[str, ...]]:
+    """The set in force when *denied* is entered inside *outer*.
 
     Nested inside another jail the effective denied set is the union of
-    the enclosing sets — an inner jail can only tighten the outer one.
+    the enclosing sets — an inner jail can only tighten the outer one;
+    ``None`` lifts the jail whatever encloses it.
+    """
+    if denied is None or outer is None or outer is denied:
+        return denied
+    return outer + tuple(prefix for prefix in denied if prefix not in outer)
+
+
+def enter_jail(denied: Optional[Tuple[str, ...]]) -> Optional[Tuple[str, ...]]:
+    """Put *denied* in force on the calling thread (``None`` lifts the jail),
+    nested by :func:`nested_denied`.
+
     Returns the set in force before, for :func:`leave_jail` (in a
-    ``finally``). The engine enters one per delivery this way, without a
-    containment object.
+    ``finally``). The engine enters its deliveries inline instead
+    (docs/ENGINE.md "Security context per delivery").
     """
     outer = getattr(_state, "denied_prefixes", None)
-    if denied is not None and outer is not None and outer is not denied:
-        denied = outer + tuple(prefix for prefix in denied if prefix not in outer)
-    _state.denied_prefixes = denied
+    _state.denied_prefixes = nested_denied(outer, denied)
     return outer
 
 

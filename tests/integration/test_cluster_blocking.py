@@ -21,6 +21,8 @@ from repro.events import Unit
 from repro.events.cluster import ClusterEngine
 from repro.exceptions import SafeWebError
 
+pytestmark = pytest.mark.usefixtures("module_resource_ledger")
+
 POLICY = parse_policy(
     """
     authority ecric.org.uk

@@ -28,6 +28,8 @@ from repro.events.cluster import (
 from repro.events.stomp import StompClient, StompServer
 from repro.exceptions import SafeWebError
 
+pytestmark = pytest.mark.usefixtures("module_resource_ledger")
+
 TAG = conf_label("ecric.org.uk", "tag", "1")
 
 POLICY = parse_policy(

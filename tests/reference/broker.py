@@ -160,7 +160,7 @@ class ReferenceEngine(EventProcessingEngine):
         )
 
     def _seed_run_callback(self, principal: UnitPrincipal, callback, event: Event) -> None:
-        self.stats.bump("dispatched")
+        self.stats.cell().dispatched += 1
         supervisor = self.supervisor
         unit_sup = None
         if supervisor is not None:
@@ -188,7 +188,7 @@ class ReferenceEngine(EventProcessingEngine):
                     principal, event, f"unit error (attempt {attempts}): {error!r}"
                 )
                 if supervisor.retryable(error) and attempts <= supervisor.policy.retry_budget:
-                    self.stats.bump("retries")
+                    self.stats.cell().retries += 1
                     attempts += 1
                     continue
                 self._dead_letter(principal, event, repr(error), attempts=attempts)

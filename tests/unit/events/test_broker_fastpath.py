@@ -250,8 +250,9 @@ def _record(unit, event):
 
 class TestDeliveryFrame:
     """Work-count pins: a delivery allocates no context objects, takes
-    one call between the broker loop and the callback, and no-op label
-    arguments build no label sets."""
+    one call between the broker loop and the callback, takes no lock and
+    calls no context function once its thread has delivered, and no-op
+    label arguments build no label sets."""
 
     @pytest.fixture()
     def engine(self):
@@ -280,6 +281,44 @@ class TestDeliveryFrame:
         engine.publish("/in", {"n": "1"}, labels=[PATIENT])
         assert [name for name, _, _ in SEEN] == ["jailed", "exporter"]
         assert contexts == [] and containments == []
+
+    def test_no_lock_and_no_context_call_after_a_threads_first_delivery(
+        self, engine, monkeypatch
+    ):
+        engine.publish("/in", {"n": "0"}, labels=[PATIENT])  # registers the thread's cell
+        acquired = []
+
+        class CountingLock:
+            def __init__(self, lock):
+                self._lock = lock
+
+            def __enter__(self):
+                acquired.append(True)
+                return self._lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return self._lock.__exit__(*exc_info)
+
+        monkeypatch.setattr(engine.stats, "_lock", CountingLock(engine.stats._lock))
+        calls = []
+        # The engine module's own bindings too, should it import them again.
+        for owner, name in (
+            (context_module, "enter_labels"),
+            (jail_module, "enter_jail"),
+            (jail_module, "leave_jail"),
+            (engine_module, "enter_labels"),
+            (engine_module, "enter_jail"),
+            (engine_module, "leave_jail"),
+        ):
+            if hasattr(owner, name):
+                calls += [self._counting(monkeypatch, owner, name)]
+        del SEEN[:]
+        for n in range(1, 21):
+            engine.publish("/in", {"n": str(n)}, labels=[PATIENT])
+        assert len(SEEN) == 40
+        assert acquired == []
+        assert all(made == [] for made in calls)
+        assert engine.stats.dispatched == 42
 
     def test_one_call_between_the_broker_loop_and_the_callback(self, engine):
         engine.publish("/in", {"n": "1"}, labels=[PATIENT])

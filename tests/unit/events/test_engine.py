@@ -1,5 +1,6 @@
 """Unit tests for the event processing engine (paper §4.3)."""
 
+import sys
 import threading
 import time
 
@@ -454,6 +455,32 @@ class TestConcurrentPublishers:
 
         self.run_threads(publish_from)
         assert engine.stats.dispatched == self.THREADS * 250
+
+    def test_stats_stay_exact_and_bounded_under_thread_churn(self):
+        """32 short-lived threads, four alive at a time: every delivery
+        counted, and a read leaves no cell of a finished thread behind."""
+        engine = make_engine()
+        engine.register(Tally())
+
+        def publish_fifty():
+            for _ in range(50):
+                engine.publish("/in")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt often: a lost update would show
+        try:
+            for _wave in range(8):
+                threads = [threading.Thread(target=publish_fifty) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.stats.dispatched == 32 * 50
+        assert engine.stats.snapshot()["dispatched"] == 32 * 50
+        assert len(engine.stats._cells) <= threading.active_count()
 
 
 class TestListing1Pipeline:
