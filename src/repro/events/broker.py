@@ -53,7 +53,7 @@ from repro.core.privileges import PrivilegeSet
 from repro.events.event import Event
 from repro.events.selector import Selector, parse_selector
 from repro.exceptions import SafeWebError
-from repro.faults import NULL_FAULTS, ChaosInjector
+from repro.faults import NULL_FAULTS, FaultInjector
 
 _subscription_ids = itertools.count(1)
 
@@ -264,15 +264,15 @@ class Broker:
         audit: Optional[AuditLog] = None,
         label_checks: bool = True,
         raise_errors: bool = False,
-        chaos: ChaosInjector = NULL_FAULTS,
+        faults: FaultInjector = NULL_FAULTS,
     ):
         self._lock = threading.RLock()
         self._subscriptions: Dict[str, Subscription] = {}
         self._audit = audit if audit is not None else default_audit_log()
         # Fault-injection hook (repro.faults); the publish hot path skips
         # instrumentation entirely when nothing is armed.
-        self._chaos = chaos
-        self._chaos_active = chaos is not NULL_FAULTS
+        self._faults = faults
+        self._faults_active = faults is not NULL_FAULTS
         self._label_checks = label_checks
         #: When True (in-process deployments), subscriber exceptions
         #: propagate to the publisher instead of being contained — the
@@ -346,12 +346,12 @@ class Broker:
     def publish(self, event: Event, publisher: str = "anonymous") -> int:
         """Publish an event; returns the number of deliveries.
 
-        A chaos fault at ``broker.publish`` raises *to the publisher*
+        A fault at ``broker.publish`` raises *to the publisher*
         before the event is accepted — fail-stop, never silent: the
         caller knows the event did not enter the broker.
         """
-        if self._chaos_active:
-            self._chaos.hit("broker.publish")
+        if self._faults_active:
+            self._faults.hit("broker.publish")
         self.stats.published += 1
         self._audit.note("broker", "publish", publisher, ALLOWED, event.labels)
         return self._deliver(event)

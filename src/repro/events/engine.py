@@ -57,7 +57,7 @@ from repro.exceptions import (
     SafeWebError,
     SecurityViolation,
 )
-from repro.faults import NULL_FAULTS, ChaosInjector
+from repro.faults import NULL_FAULTS, FaultInjector
 
 #: The jail argument of a delivery that leaves containment as it is: an
 #: unprivileged unit on an engine built with ``isolation=False``.
@@ -127,7 +127,7 @@ class EventProcessingEngine:
         isolation: bool = True,
         raise_callback_errors: bool = False,
         supervision: Optional[SupervisionPolicy | Supervisor] = None,
-        chaos: ChaosInjector = NULL_FAULTS,
+        faults: FaultInjector = NULL_FAULTS,
     ):
         self.broker = broker if broker is not None else Broker()
         self.policy = policy
@@ -143,7 +143,7 @@ class EventProcessingEngine:
         # dead-letter ladder (docs/ROBUSTNESS.md); default off preserves
         # the seed semantics exactly. Accepts a policy (the engine builds
         # the Supervisor) or a ready Supervisor instance (tests inject
-        # subclasses). ``chaos`` is the fault-injection hook; hot paths
+        # subclasses). ``faults`` is the fault-injection hook; hot paths
         # skip instrumentation entirely when it is NULL_FAULTS.
         if supervision is None:
             self.supervisor: Optional[Supervisor] = None
@@ -151,8 +151,8 @@ class EventProcessingEngine:
             self.supervisor = supervision
         else:
             self.supervisor = Supervisor(supervision)
-        self._chaos = chaos
-        self._chaos_active = chaos is not NULL_FAULTS
+        self._faults = faults
+        self._faults_active = faults is not NULL_FAULTS
         # Per-engine UnitSupervisor cache: Supervisor.unit() is stable
         # per name, so a plain dict lookup on the delivery fast path
         # avoids a method call per event.
@@ -317,11 +317,11 @@ class EventProcessingEngine:
         BaseException and always propagates — supervision must not
         survive a "process death".
         """
-        chaos = self._chaos if self._chaos_active else None
-        if chaos is not None:
+        faults = self._faults if self._faults_active else None
+        if faults is not None:
             # Raises on the delivering thread, outside the ladder, where
             # the broker's containment audits it as a denied delivery.
-            chaos.hit(f"engine.deliver:{principal.name}")
+            faults.hit(f"engine.deliver:{principal.name}")
         self.stats.cell().dispatched += 1
         supervisor = self.supervisor
         unit_sup = None
@@ -336,8 +336,8 @@ class EventProcessingEngine:
         attempts = 1
         while True:
             try:
-                if chaos is not None:
-                    chaos.hit(f"engine.callback.before:{principal.name}")
+                if faults is not None:
+                    faults.hit(f"engine.callback.before:{principal.name}")
                 stack = _label_state.stack
                 stack.append(event.labels)
                 try:
@@ -354,8 +354,8 @@ class EventProcessingEngine:
                             _jail_state.denied_prefixes = outer
                 finally:
                     stack.pop()
-                if chaos is not None:
-                    chaos.hit(f"engine.callback.after:{principal.name}")
+                if faults is not None:
+                    faults.hit(f"engine.callback.after:{principal.name}")
                 return
             except SecurityViolation as violation:
                 self._callback_denied(principal, event, f"{type(violation).__name__}: {violation}")

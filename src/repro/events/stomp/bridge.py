@@ -45,7 +45,7 @@ from repro.events.event import Event
 from repro.events.stomp import client as stomp_client
 from repro.events.stomp.client import StompClient
 from repro.exceptions import SafeWebError
-from repro.faults import NULL_FAULTS, ChaosInjector, SimulatedCrash
+from repro.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
 
 #: Most runs a link keeps sent but not yet receipt-confirmed.
 SEND_WINDOW = 8
@@ -106,14 +106,14 @@ class StompBrokerBridge:
         login: str,
         tls_context=None,
         audit: Optional[AuditLog] = None,
-        chaos: ChaosInjector = NULL_FAULTS,
+        faults: FaultInjector = NULL_FAULTS,
     ):
         self._host = host
         self._port = port
         self._login = login
         self._tls_context = tls_context
         self._audit = audit if audit is not None else default_audit_log()
-        self._chaos = chaos
+        self._faults = faults
         self._client = self._new_client()
         #: Runs to send (a single publish is a run of one), () to wake
         #: the sender, None to stop it.
@@ -140,7 +140,7 @@ class StompBrokerBridge:
             self._port,
             login=self._login,
             tls_context=self._tls_context,
-            chaos=self._chaos,
+            faults=self._faults,
         )
 
     def connect(self) -> "StompBrokerBridge":
@@ -149,7 +149,7 @@ class StompBrokerBridge:
             return self
         if not self._client.connected:
             self._client = self._new_client()
-            self._chaos.hit("bridge.connect")
+            self._faults.hit("bridge.connect")
             self._client.connect()
         self._sender = threading.Thread(
             target=self._send_loop, name=f"safeweb-bridge-{self._login}", daemon=True
@@ -344,7 +344,7 @@ class StompBrokerBridge:
         """Send *runs*, tracking a receipt on each one's last frame; the error if one raised."""
         client = self._client
         try:
-            self._chaos.hit("bridge.send")
+            self._faults.hit("bridge.send")
             for run in runs:
                 last = len(run.events) - 1
                 for index, event in enumerate(run.events):
@@ -440,7 +440,7 @@ class StompBrokerBridge:
         except Exception:  # noqa: BLE001 - the old session is already dead
             pass
         try:
-            self._chaos.hit("bridge.connect")
+            self._faults.hit("bridge.connect")
             client = self._new_client()
             client.connect()
             for sub_id, spec in self._subscription_specs.items():

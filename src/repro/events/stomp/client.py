@@ -34,7 +34,7 @@ from repro.events.stomp.server import (
     frame_to_event,
 )
 from repro.exceptions import SafeWebError, StompProtocolError
-from repro.faults import NULL_FAULTS, ChaosInjector, InjectedFault
+from repro.faults import NULL_FAULTS, FaultInjector, InjectedFault
 
 _client_ids = itertools.count(1)
 
@@ -54,13 +54,13 @@ class StompClient:
         port: int,
         login: str = "anonymous",
         tls_context: Optional[ssl.SSLContext] = None,
-        chaos: ChaosInjector = NULL_FAULTS,
+        faults: FaultInjector = NULL_FAULTS,
     ):
         self._host = host
         self._port = port
         self._login = login
         self._tls_context = tls_context
-        self._chaos = chaos
+        self._faults = faults
         self._sock: Optional[socket.socket] = None
         self._link: Optional[FrameLink] = None
         #: subscription id -> (callback, client-ack?); a client-ack
@@ -91,7 +91,7 @@ class StompClient:
             sock,
             functools.partial(self._on_frames, control, receipts),
             write_timeout=EXCHANGE_TIMEOUT,
-            before_write=functools.partial(self._chaos.hit, "stomp.client.flush"),
+            before_write=functools.partial(self._faults.hit, "stomp.client.flush"),
         )
         threading.Thread(
             target=self._listen,

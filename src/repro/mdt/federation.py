@@ -37,7 +37,7 @@ from repro.events.event import Event
 from repro.events.selector import selector_literal
 from repro.events.stomp.bridge import StompBrokerBridge
 from repro.events.stomp.server import StompServer
-from repro.faults import NULL_FAULTS, ChaosInjector, SimulatedCrash
+from repro.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.labels import region_aggregate_label, region_aggregate_root
 
@@ -132,7 +132,7 @@ class RegionalGateway:
         exchange: NationalExchange,
         local_region_name: Optional[str] = None,
         audit: Optional[AuditLog] = None,
-        chaos: ChaosInjector = NULL_FAULTS,
+        faults: FaultInjector = NULL_FAULTS,
     ):
         self.deployment = deployment
         #: The region's *federated* identity on the exchange.
@@ -141,10 +141,10 @@ class RegionalGateway:
         #: instances each number their own regions from 1).
         self.local_region_name = local_region_name or region
         self._audit = audit if audit is not None else default_audit_log()
-        self._chaos = chaos
+        self._faults = faults
         host, port = exchange.address
         self._bridge = StompBrokerBridge(
-            host, port, login=f"gateway_{region}", audit=self._audit, chaos=chaos
+            host, port, login=f"gateway_{region}", audit=self._audit, faults=faults
         )
         self._running = False
         self.imported: List[str] = []
@@ -204,7 +204,7 @@ class RegionalGateway:
         ladder reconnects and resubscribes, and re-exported metrics land
         on the importing side as the next upsert revision.
         """
-        self._chaos.hit("federation.export")
+        self._faults.hit("federation.export")
         document = self.deployment.app_db.get_or_none(
             f"metric-region-{self.local_region_name}"
         )
@@ -231,7 +231,7 @@ class RegionalGateway:
 
     def _on_foreign_metric(self, event: Event) -> None:
         try:
-            self._chaos.hit("federation.import")
+            self._faults.hit("federation.import")
             self._import_foreign_metric(event)
         except SimulatedCrash:
             raise

@@ -158,9 +158,10 @@ def build_portal(
     """Assemble the portal app with the SafeWeb middleware installed.
 
     :class:`~repro.mdt.deployment.MdtDeployment` is the one caller and
-    decides every setting. Routing is always the trie, sessions always
-    live in the web database and ``/metrics`` always serves
-    *health_probe*. ``cached_auth`` swaps in the caching authenticator;
+    decides every setting. Routing is one in-order scan over each
+    route's compiled regex, sessions always live in the web database
+    and ``/metrics`` always serves *health_probe*.
+    ``cached_auth`` swaps in the caching authenticator;
     ``page_cache`` adds the clearance-keyed page cache, but only when the
     label check is active — the cache's release decision *is* the label
     check, so a baseline deployment must regenerate every page. With

@@ -12,7 +12,8 @@ The MDT deployment uses three stores, all reproduced here:
   logs with group-commit fsync batching, compacted in place
   (:mod:`repro.storage.wal`), crash recovery and persisted replication
   checkpoints (:mod:`repro.storage.recovery`), proven against
-  deterministic fault injection (:mod:`repro.storage.faults`) — see
+  deterministic fault injection (:mod:`repro.faults`,
+  :mod:`repro.storage.faults`) — see
   ``docs/DURABILITY.md``;
 * the **web database** — SQLite, holding users, privileges and sessions
   (:mod:`repro.storage.webdb`);
@@ -37,7 +38,7 @@ from repro.storage.replication import (
 )
 from repro.storage.webdb import WebDatabase
 from repro.storage.maindb import MainDatabase, Patient, Treatment, Tumour
-from repro.storage.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
+from repro.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
 from repro.storage.recovery import (
     CheckpointStore,
     close_durable,

@@ -50,7 +50,7 @@ from typing import Dict, List, Tuple
 
 from repro.exceptions import WalError
 from repro.storage.docstore import Database, DocumentDatabase, make_database
-from repro.storage.faults import NULL_FAULTS, FaultInjector
+from repro.faults import NULL_FAULTS, FaultInjector
 from repro.storage.wal import (
     DEFAULT_FSYNC_BATCH,
     DEFAULT_SNAPSHOT_EVERY,

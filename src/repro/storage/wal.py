@@ -34,24 +34,26 @@ log tail is suspect, acknowledging more writes could leave a gap inside
 the recovered prefix, which is the one inexcusable outcome.
 
 Every instrumented instant calls into a
-:class:`~repro.storage.faults.FaultInjector` (default: no-op), which is
+:class:`~repro.faults.FaultInjector` (default: no-op), which is
 how the crash-recovery property suite stops the world mid-append,
 between fsyncs, or on either side of a compaction's rename.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.exceptions import WalError
 from repro.storage.docstore import _sidecar_labels, _StoredDocument
-from repro.storage.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
+from repro.faults import NULL_FAULTS, TORN_APPEND, FaultInjector, SimulatedCrash
+from repro.storage.faults import TrackedFile
 
 #: WAL file header; bump the digit on any framing change.
 WAL_HEADER = b"SWAL1\n"
@@ -72,24 +74,28 @@ def _frame(payload: bytes) -> bytes:
 
 
 def replace_file(
-    faults: FaultInjector, path: str, data: bytes, fsynced_point: Optional[str] = None
+    faults: FaultInjector,
+    path: str,
+    data: bytes,
+    before_rename: Optional[Callable[[], None]] = None,
 ) -> None:
     """Make *data* the whole content of *path*, atomically.
 
     ``path + ".tmp"`` is fully written and fsynced *before* it is renamed
     over *path*, so a reader finds either the previous complete file or
-    the new complete file, never a partial one. *fsynced_point* names a
-    crash point to hit between the fsync and the rename.
+    the new complete file, never a partial one. *before_rename* runs
+    between the fsync and the rename (a compaction hits its crash point
+    there).
     """
     tmp = path + ".tmp"
-    handle = faults.open(tmp, "wb")
+    handle = TrackedFile(tmp, "wb", faults)
     try:
         handle.write(data)
         handle.fsync()
     finally:
         handle.close()
-    if fsynced_point is not None:
-        faults.hit(fsynced_point)
+    if before_rename is not None:
+        before_rename()
     faults.replace(tmp, path)
 
 
@@ -192,7 +198,7 @@ class WalWriter:
         self._fsync_batch = fsync_batch
         self._failed = False
         self._path = path
-        self._file = faults.open(path, "ab")
+        self._file = TrackedFile(path, "ab", faults)
         if self._file.written == 0:
             self._file.write(WAL_HEADER)
             self._file.fsync()
@@ -216,7 +222,7 @@ class WalWriter:
                     # reaches the file, then the process dies.
                     self._file.write(frame[:torn_keep])
                     self._file.flush()
-                    raise SimulatedCrash("wal.append.torn")
+                    raise SimulatedCrash(TORN_APPEND)
                 self._file.write(frame)
                 self.appended += 1
                 self._faults.hit("wal.append.after")
@@ -263,9 +269,9 @@ class WalWriter:
                     self._faults,
                     self._path,
                     WAL_HEADER + b"".join(map(_frame, payloads)),
-                    "compact.fsynced",
+                    functools.partial(self._faults.hit, "compact.fsynced"),
                 )
-                self._file = self._faults.open(self._path, "ab")
+                self._file = TrackedFile(self._path, "ab", self._faults)
                 self._faults.hit("compact.renamed")
             except BaseException:
                 self._failed = True

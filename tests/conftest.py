@@ -37,7 +37,13 @@ def _descriptors():
 @contextlib.contextmanager
 def _ledger():
     """Fail if the body leaves more ``safeweb-*`` threads (after a bounded
-    join), child processes (likewise) or open descriptors than it found."""
+    join), child processes (likewise) or open descriptors than it found.
+
+    The forkserver and its resource tracker live as long as the process,
+    so they are started first and their descriptors count as found.
+    """
+    if cluster_context().get_start_method() == "forkserver":
+        forkserver.ensure_running()
     threads_before = _safeweb_threads()
     children_before = set(multiprocessing.active_children())
     descriptors_before = _descriptors()
@@ -81,11 +87,6 @@ def module_resource_ledger():
     """The ledger around a whole module, for suites whose module-scoped
     fixture (a ``ClusterEngine``) opens resources lazily inside a test and
     gives them back only at the module's end.
-
-    The forkserver and its resource tracker live as long as the process,
-    so they are started first and their descriptors count as found.
     """
-    if cluster_context().get_start_method() == "forkserver":
-        forkserver.ensure_running()
     with _ledger():
         yield

@@ -24,7 +24,7 @@ from repro.events.event import Event
 from repro.events.stomp import StompServer
 from repro.events.stomp import bridge as stomp_bridge
 from repro.events.stomp.bridge import StompBrokerBridge
-from repro.faults import ChaosInjector
+from repro.faults import FaultInjector
 
 pytestmark = pytest.mark.usefixtures("resource_ledger")
 
@@ -146,12 +146,12 @@ class TestSendLoopSurvivesSocketDeath:
         """A socket error injected inside the client's frame flush: the
         listener dies, the receipt wait fails fast on the sender thread,
         and the reconnect ladder resends the event."""
-        chaos = ChaosInjector()
+        faults = FaultInjector()
         # Flush arrivals on the sender's clients: 1 = CONNECT, 2 = first
         # SEND, 3 = second SEND (faulted), 4 = reconnect CONNECT, ...
-        chaos.fail_at("stomp.client.flush", on=3, error=OSError("injected"))
+        faults.fail_at("stomp.client.flush", on=3, error=OSError("injected"))
         audit = AuditLog()
-        sender = bridge_for(server, "sender", audit=audit, chaos=chaos)
+        sender = bridge_for(server, "sender", audit=audit, faults=faults)
         watcher = bridge_for(server, "watcher")
         seen = []
         watcher.subscribe("/t", seen.append, principal="watcher")
@@ -169,7 +169,7 @@ class TestSendLoopSurvivesSocketDeath:
             assert payloads().count("one") in (1, 2)
             assert payloads()[-1] == "two"
             assert sender.stats.reconnects == 1
-            assert chaos.arrivals("stomp.client.flush") >= 4
+            assert faults.arrivals("stomp.client.flush") >= 4
         finally:
             sender.close()
             watcher.close()
@@ -177,10 +177,10 @@ class TestSendLoopSurvivesSocketDeath:
 
 class TestDeadLetterParking:
     def test_exhausted_attempts_park_event_and_keep_draining(self, server, no_backoff):
-        chaos = ChaosInjector()
-        chaos.fail_at("bridge.send", on=(1, 2, 3))
+        faults = FaultInjector()
+        faults.fail_at("bridge.send", on=(1, 2, 3))
         audit = AuditLog()
-        sender = bridge_for(server, "sender", audit=audit, chaos=chaos)
+        sender = bridge_for(server, "sender", audit=audit, faults=faults)
         watcher = bridge_for(server, "watcher")
         seen = []
         watcher.subscribe("/t", seen.append, principal="watcher")
@@ -201,9 +201,9 @@ class TestDeadLetterParking:
 
     def test_one_attempt_parks_after_first_failure(self, server, monkeypatch):
         monkeypatch.setattr(stomp_bridge, "MAX_SEND_ATTEMPTS", 1)
-        chaos = ChaosInjector()
-        chaos.fail_at("bridge.send", on=1)
-        sender = bridge_for(server, "sender", chaos=chaos)
+        faults = FaultInjector()
+        faults.fail_at("bridge.send", on=1)
+        sender = bridge_for(server, "sender", faults=faults)
         try:
             sender.publish(Event("/t", {}, payload="doomed"))
             sender.drain()
@@ -272,10 +272,10 @@ class TestRunsFailAsOneUnit:
 
     def test_single_publish_keeps_its_per_event_record(self, server, monkeypatch, no_backoff):
         monkeypatch.setattr(stomp_bridge, "MAX_SEND_ATTEMPTS", 2)
-        chaos = ChaosInjector()
-        chaos.fail_at("bridge.send", on=(1, 2))
+        faults = FaultInjector()
+        faults.fail_at("bridge.send", on=(1, 2))
         audit = AuditLog()
-        sender = bridge_for(server, "sender", audit=audit, chaos=chaos)
+        sender = bridge_for(server, "sender", audit=audit, faults=faults)
         try:
             sender.publish(Event("/t", {}, payload="doomed", labels=[MDT_1]))
             assert sender.drain(10)
@@ -337,15 +337,15 @@ class TestCascadeConfirmation:
         """Seed-failing: ``drain`` used to swallow its own timeout, so a
         delivery whose cascade was still unsent got ACKed — and a crash
         right after would have lost the cascade for good."""
-        chaos = ChaosInjector()
-        chaos.delay_at("bridge.send", seconds=1.0, on=1)
+        faults = FaultInjector()
+        faults.delay_at("bridge.send", seconds=1.0, on=1)
         audit = AuditLog()
         monkeypatch.setattr(cluster, "ACK_TIMEOUT", 0.2)
         router = ClusterRouter({"shard-0": server.address}, audit=audit)
         host, port = server.address
         # The worker's publish link, armed to stall its first send.
         router._bridges[("pub", "watcher", "shard-0")] = StompBrokerBridge(
-            host, port, login="watcher", audit=audit, chaos=chaos
+            host, port, login="watcher", audit=audit, faults=faults
         ).connect()
         try:
             router.subscribe(

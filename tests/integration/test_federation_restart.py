@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.core.audit import AuditLog
-from repro.faults import ChaosInjector
+from repro.faults import FaultInjector
 from repro.mdt.deployment import MdtDeployment
 from repro.mdt.federation import NationalExchange, RegionalGateway, federate
 from repro.mdt.workload import WorkloadConfig, generate_workload
@@ -138,7 +138,7 @@ class TestGatewayRestart:
 
 class TestImportFaultContainment:
     def test_injected_import_fault_is_audited_and_next_round_converges(self):
-        """The ``federation.import`` chaos point: a failing import is
+        """The ``federation.import`` fault point: a failing import is
         counted + audited as denied, and the next export round lands the
         metric (the exporter's document is the source of truth, so
         nothing is lost)."""
@@ -155,12 +155,12 @@ class TestImportFaultContainment:
         for deployment in deployments.values():
             deployment.run_pipeline()
         exchange = NationalExchange(REGIONS).start()
-        chaos = ChaosInjector()
-        chaos.fail_at("federation.import", on=1)
+        faults = FaultInjector()
+        faults.fail_at("federation.import", on=1)
         audit = AuditLog()
         importer = RegionalGateway(
             deployments["region-1"], "region-1", exchange, "region-1",
-            audit=audit, chaos=chaos,
+            audit=audit, faults=faults,
         ).start()
         exporter = RegionalGateway(
             deployments["region-2"], "region-2", exchange, "region-1"

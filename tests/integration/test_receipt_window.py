@@ -26,7 +26,7 @@ from repro.events.stomp.bridge import SEND_WINDOW, StompBrokerBridge
 from repro.events.stomp import server as stomp_server
 from repro.events.stomp.server import _Connection
 from repro.exceptions import StompProtocolError
-from repro.faults import ChaosInjector
+from repro.faults import FaultInjector
 
 POLICY = parse_policy(
     """
@@ -260,12 +260,12 @@ class TestDeliveryAck:
     def test_parked_cascade_dead_letters_its_input(self, server, no_backoff):
         """Regression: a delivery whose cascade the worker's link parked
         was ACKed, leaving the only copy in that process's memory."""
-        chaos = ChaosInjector()
-        chaos.fail_at("bridge.send", on=(1, 2, 3))
+        faults = FaultInjector()
+        faults.fail_at("bridge.send", on=(1, 2, 3))
         audit = AuditLog()
         router = ClusterRouter({"shard-0": server.address}, audit=audit)
         host, port = server.address
-        link = StompBrokerBridge(host, port, login="b", audit=audit, chaos=chaos).connect()
+        link = StompBrokerBridge(host, port, login="b", audit=audit, faults=faults).connect()
         router._bridges[("pub", "b", "shard-0")] = link
         ran = []
         try:
@@ -295,10 +295,10 @@ class TestDeliveryAck:
             for topic in (f"/out-{index}" for index in range(64)):
                 by_shard.setdefault(ranking(router.shard_names, topic)[0], topic)
             parked_shard = "shard-1"
-            chaos = ChaosInjector()
-            chaos.fail_at("bridge.send", on=(1, 2, 3))
+            faults = FaultInjector()
+            faults.fail_at("bridge.send", on=(1, 2, 3))
             host, port = servers[parked_shard].address
-            link = StompBrokerBridge(host, port, login="b", audit=audit, chaos=chaos)
+            link = StompBrokerBridge(host, port, login="b", audit=audit, faults=faults)
             router._bridges[("pub", "b", parked_shard)] = link.connect()
 
             def callback(event):

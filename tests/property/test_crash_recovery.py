@@ -14,7 +14,7 @@ The durability contract (docs/DURABILITY.md):
 
 Random operation histories (MVCC puts, conflicting puts, deletes,
 labeled values) run against a durable store instrumented with a
-:class:`~repro.storage.faults.FaultInjector` armed to crash at each
+:class:`~repro.faults.FaultInjector` armed to crash at each
 named crash point — mid-append, between append and fsync, before a
 compaction's tmp log is written, after it is fsynced, after the rename
 that lands it — and the surviving files are recovered and compared
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.labels import conf_label
 from repro.exceptions import DocumentConflict, DocumentNotFound, WalError
-from repro.storage.faults import CRASH_POINTS, FaultInjector, SimulatedCrash
+from repro.faults import FAULT_POINTS, FaultInjector, SimulatedCrash
 from repro.storage.recovery import (
     CheckpointStore,
     close_durable,
@@ -67,8 +67,12 @@ _operations = st.lists(
     max_size=16,
 )
 
-#: Write-path crash points the single-store property iterates (the
-#: checkpoint.* points belong to the replication tests below).
+#: The storage tier's crash points, and the write-path ones the
+#: single-store property iterates (the checkpoint.* points belong to the
+#: replication tests below).
+CRASH_POINTS = tuple(
+    point for point in FAULT_POINTS if point.startswith(("wal.", "compact.", "checkpoint."))
+)
 WAL_POINTS = tuple(point for point in CRASH_POINTS if not point.startswith("checkpoint."))
 assert len(WAL_POINTS) == 7 and len(CRASH_POINTS) == 9
 
@@ -217,7 +221,7 @@ def test_process_crash_recovers_a_prefix(
     process), so the floor is every acknowledged operation."""
     with tempfile.TemporaryDirectory() as root:
         directory = os.path.join(root, "db")
-        faults = FaultInjector().crash_at(point, hit=hit)
+        faults = FaultInjector().crash_at(point, on=hit)
         acked, _, crashed = _drive(
             directory, operations, faults, fsync_batch, snapshot_every
         )
@@ -241,7 +245,7 @@ def test_power_loss_recovers_a_durable_prefix(
     tail of partially-flushed bytes); every fsync-covered ack survives."""
     with tempfile.TemporaryDirectory() as root:
         directory = os.path.join(root, "db")
-        faults = FaultInjector().crash_at(point, hit=hit)
+        faults = FaultInjector().crash_at(point, on=hit)
         acked, floor, crashed = _drive(
             directory, operations, faults, fsync_batch, snapshot_every
         )
@@ -328,7 +332,7 @@ def test_every_crash_point_fires_and_recovers_a_prefix(point, keep_tail, hit):
     instrumented instant — the sampled properties above might miss one."""
     with tempfile.TemporaryDirectory() as root:
         directory = os.path.join(root, "db")
-        faults = FaultInjector().crash_at(point, hit=hit)
+        faults = FaultInjector().crash_at(point, on=hit)
         acked, floor, crashed = _drive(
             directory, _MATRIX_HISTORY, faults, fsync_batch=2, snapshot_every=3
         )
@@ -359,7 +363,7 @@ def test_crash_between_shard_fsyncs_mid_batch():
         source = make_database("src")
         for index in range(12):
             source.put({"_id": f"doc-{index}", "value": index})
-        faults = FaultInjector().crash_at("wal.sync.after", hit=1)
+        faults = FaultInjector().crash_at("wal.sync.after", on=1)
         target = open_durable_database(
             directory, "dmz", shards=2, read_only=True, faults=faults
         )
@@ -387,7 +391,7 @@ def test_checkpoint_resume_loses_and_duplicates_nothing():
         with tempfile.TemporaryDirectory() as root:
             source = _populated_source(10)
             target = make_database("dst", read_only=True)
-            faults = FaultInjector().crash_at(crash_point, hit=2)
+            faults = FaultInjector().crash_at(crash_point, on=2)
             path = os.path.join(root, "ckpt.json")
             replicator = Replicator(
                 source, target, batch_size=3,
@@ -453,7 +457,7 @@ def test_failed_fsync_never_acknowledges_a_lost_write():
             directory, "dur", fsync_batch=1, faults=faults
         )
         database.put({"_id": "alpha", "value": 1})
-        faults.fail_fsync()
+        faults.fail_at("fsync", error=OSError("injected fsync failure"))
         try:
             database.put({"_id": "beta", "value": 2})
             raise AssertionError("expected the injected fsync failure")

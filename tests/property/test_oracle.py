@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.audit import AuditLog
 from repro.core.privileges import PrivilegeSet
 from repro.events import Broker, EventProcessingEngine, SupervisionPolicy, Supervisor, dlq_topic
-from repro.faults import ChaosInjector, InjectedFault
+from repro.faults import FaultInjector, InjectedFault
 from tests.property.oracle import (
     DENIAL_CASES,
     EXTERNAL_TOPICS,
@@ -63,7 +63,9 @@ class TestEquivalence:
         [(mode, scenario) for mode in IN_PROCESS_MODES for scenario in SCENARIOS]
         + [(mode, "sample") for mode in MODES],
     )
-    def test_mode_matches_inline(self, mode, scenario):
+    def test_mode_matches_inline(self, request, mode, scenario):
+        if MODES[mode].workers:
+            request.getfixturevalue("resource_ledger")
         case = SAMPLE if scenario == "sample" else SCENARIOS[scenario]
         reference = trace(case)
         assert_equivalent(reference, trace(case, MODES[mode]))
@@ -99,6 +101,7 @@ def test_comparator_flags_swapped_observations():
     ]
 
 
+@pytest.mark.usefixtures("resource_ledger")
 class TestFanInPerSourceOrder:
     """A unit fed by several sources, one of them a cascade: the inline
     broker nests ``fwd``'s republication inside the delivery that caused
@@ -131,6 +134,7 @@ class TestFanInPerSourceOrder:
         assert clustered["dispatched"] == reference["dispatched"]
 
 
+@pytest.mark.usefixtures("resource_ledger")
 class TestClusterDrainBarrier:
     """``drain() is True`` is a statement about state, not timing: every
     shard's queue is empty and no ``ack: client`` delivery is in flight."""
@@ -150,6 +154,7 @@ class TestClusterDrainBarrier:
             cluster.stop()
 
 
+@pytest.mark.usefixtures("resource_ledger")
 class TestClusterWorkerKill:
     """SIGKILL a worker mid-stream: every event is observed (possibly by
     the unit's restarted incarnation on a surviving worker), parked on
@@ -217,8 +222,9 @@ class TestClusterWorkerKill:
 # ``/_dlq.<unit>`` with the original event's labels intact, or audited
 # as denied (a fault at the delivery point itself is contained by the
 # broker) — never silently lost. The schedules are generated over the
-# engine-tier chaos points; ``on`` is the absolute arrival number at the
-# (per-unit) point, and retries re-hit the callback points, so later
+# engine-tier fault points; ``on`` is the arrival number at the
+# (per-unit) point, counted from arming, which here is before the first
+# publish; retries re-hit the callback points, so later
 # arrivals exist even for short event sequences. ``bridge.*``,
 # ``stomp.client.flush`` and ``federation.*`` are pinned by the
 # integration suites (test_bridge_robustness, test_federation_restart).
@@ -260,17 +266,17 @@ def fault_schedules(draw):
 
 def run_fault_schedule(units, events, faults, supervisor=None):
     """Run one fault schedule; returns the per-unit outcome."""
-    chaos = ChaosInjector()
+    injector = FaultInjector()
     for point, arrivals in faults.items():
-        chaos.fail_at(point, on=arrivals)
+        injector.fail_at(point, on=arrivals)
     specs = [make_spec(unit, f"/ext/{unit}", "record", clearance=[TAG_ROOT]) for unit in units]
     audit = AuditLog()
     engine = EventProcessingEngine(
-        broker=Broker(audit=audit, chaos=chaos),
+        broker=Broker(audit=audit, faults=injector),
         policy=build_policy(specs),
         audit=audit,
         supervision=supervisor or SupervisionPolicy(**FAULT_POLICY),
-        chaos=chaos,
+        faults=injector,
     )
     dlq = {unit: [] for unit in units}
     for unit in units:
@@ -378,15 +384,15 @@ class TestFaultNamedPoints:
     """A deterministic pin for the broker point outside the generated matrix."""
 
     def test_broker_publish_fault_is_fail_stop_to_the_publisher(self):
-        chaos = ChaosInjector().fail_at("broker.publish", on=1)
+        faults = FaultInjector().fail_at("broker.publish", on=1)
         audit = AuditLog()
         spec = make_spec("u0", "/ext/u0", "record")
         engine = EventProcessingEngine(
-            broker=Broker(audit=audit, chaos=chaos),
+            broker=Broker(audit=audit, faults=faults),
             policy=build_policy([spec]),
             audit=audit,
             supervision=SupervisionPolicy(**FAULT_POLICY),
-            chaos=chaos,
+            faults=faults,
         )
         engine.register(ScriptedUnit(spec))
         with pytest.raises(InjectedFault):

@@ -146,8 +146,8 @@ class ReferenceEngine(EventProcessingEngine):
         deliver_point = f"engine.deliver:{principal.name}"
 
         def deliver(event: Event) -> None:
-            if self._chaos_active:
-                self._chaos.hit(deliver_point)
+            if self._faults_active:
+                self._faults.hit(deliver_point)
             self._seed_run_callback(principal, callback, event)
 
         self.broker.subscribe(
@@ -196,8 +196,8 @@ class ReferenceEngine(EventProcessingEngine):
                 return
 
     def _seed_invoke(self, principal: UnitPrincipal, callback, event: Event) -> None:
-        if self._chaos_active:
-            self._chaos.hit(f"engine.callback.before:{principal.name}")
+        if self._faults_active:
+            self._faults.hit(f"engine.callback.before:{principal.name}")
         with LabelContext(event.labels):
             if self.isolation and not principal.privileged:
                 with self._jail.contained():
@@ -207,8 +207,8 @@ class ReferenceEngine(EventProcessingEngine):
                     callback(event)
             else:
                 callback(event)
-        if self._chaos_active:
-            self._chaos.hit(f"engine.callback.after:{principal.name}")
+        if self._faults_active:
+            self._faults.hit(f"engine.callback.after:{principal.name}")
 
 
 def audit_entries(audit) -> Sequence[Tuple[str, str, str, str, object, str]]:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.exceptions import WalError
 from repro.storage.docstore import _StoredDocument, _sidecar_labels
-from repro.storage.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
+from repro.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
 from repro.storage.recovery import (
     CheckpointStore,
     close_durable,
@@ -163,7 +163,7 @@ def test_failed_fsync_poisons_the_writer(tmp_path):
     faults = FaultInjector()
     writer = WalWriter(str(tmp_path / "wal.log"), fsync_batch=1, faults=faults)
     writer.append(encode_commit(1, _stored()))
-    faults.fail_fsync()
+    faults.fail_at("fsync", error=OSError("injected fsync failure"))
     with pytest.raises(OSError):
         writer.sync()
     assert writer.failed
@@ -246,7 +246,7 @@ def test_failed_compaction_poisons_the_writer_and_keeps_the_old_log(tmp_path):
     writer = WalWriter(path, fsync_batch=1, faults=faults)
     writer.append(encode_commit(1, _stored()))
     writer.sync()
-    faults.fail_fsync()  # the tmp log's fsync
+    faults.fail_at("fsync", error=OSError("injected fsync failure"))  # the tmp log's fsync
     with pytest.raises(OSError):
         writer.compact([encode_commit(1, _stored())])
     with pytest.raises(WalError):
@@ -282,7 +282,7 @@ def test_reopening_a_compact_log_does_not_rewrite_it(tmp_path):
     faults = FaultInjector()
     reopened = open_durable_database(directory, "t", snapshot_every=4, faults=faults)
     reopened.put({"_id": "doc-6"})
-    assert "compact.begin" not in faults.hits
+    assert faults.arrivals("compact.begin") == 0
     close_durable(reopened)
 
 
@@ -335,7 +335,10 @@ def test_null_faults_cannot_be_armed():
     with pytest.raises(RuntimeError):
         NULL_FAULTS.crash_at("wal.append.after")
     with pytest.raises(RuntimeError):
-        NULL_FAULTS.fail_fsync()
+        NULL_FAULTS.fail_at("fsync", error=OSError("injected"))
+    with pytest.raises(RuntimeError):
+        NULL_FAULTS.delay_at("bridge.send", seconds=1.0)
     with pytest.raises(RuntimeError):
         NULL_FAULTS.torn_append()
     NULL_FAULTS.hit("wal.append.after")  # and hitting points is free
+    assert NULL_FAULTS.arrivals("wal.append.after") == 0
