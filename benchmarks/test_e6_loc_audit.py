@@ -44,6 +44,7 @@ COMPONENTS = {
         "storage substrate": "storage",
         "exception hierarchy": "exceptions.py",
         "fault injection": "faults.py",
+        "thread-safe counters": "telemetry.py",
         "package root": "__init__.py",
     },
     TRUSTED: {

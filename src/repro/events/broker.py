@@ -54,6 +54,7 @@ from repro.events.event import Event
 from repro.events.selector import Selector, parse_selector
 from repro.exceptions import SafeWebError
 from repro.faults import NULL_FAULTS, FaultInjector
+from repro.telemetry import Counters
 
 _subscription_ids = itertools.count(1)
 
@@ -182,10 +183,17 @@ class Subscription:
         return required is EMPTY_LABELS or labels.meets_integrity(required)
 
 
-class BrokerStats:
-    """Counters used by the throughput benchmarks (E4, A1)."""
+class BrokerStats(Counters):
+    """Counters used by the throughput benchmarks (E4, A1).
 
-    __slots__ = (
+    ``index_hits`` counts deliveries whose route was built (a pass over
+    every subscription; the name predates the one-pass build and stays
+    because the benchmark harness reads it), ``route_cache_hits`` those
+    served straight from the per-topic route cache, and ``candidates``
+    the candidate subscriptions examined across deliveries.
+    """
+
+    NAMES = (
         "published",
         "delivered",
         "label_filtered",
@@ -195,33 +203,7 @@ class BrokerStats:
         "route_cache_hits",
         "candidates",
     )
-
-    def __init__(self):
-        self.published = 0
-        self.delivered = 0
-        self.label_filtered = 0
-        self.selector_filtered = 0
-        self.errors = 0
-        #: Deliveries whose route was built (a pass over every
-        #: subscription). The name predates the one-pass build and stays
-        #: because the benchmark harness reads it.
-        self.index_hits = 0
-        #: Deliveries served straight from the per-topic route cache.
-        self.route_cache_hits = 0
-        #: Total candidate subscriptions examined across deliveries.
-        self.candidates = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "published": self.published,
-            "delivered": self.delivered,
-            "label_filtered": self.label_filtered,
-            "selector_filtered": self.selector_filtered,
-            "errors": self.errors,
-            "index_hits": self.index_hits,
-            "route_cache_hits": self.route_cache_hits,
-            "candidates": self.candidates,
-        }
+    __slots__ = ()
 
 
 #: A prepared candidate: (subscription, callback, compiled selector
@@ -352,9 +334,10 @@ class Broker:
         """
         if self._faults_active:
             self._faults.hit("broker.publish")
-        self.stats.published += 1
+        counts = self.stats.cell()
+        counts.published += 1
         self._audit.note("broker", "publish", publisher, ALLOWED, event.labels)
-        return self._deliver(event)
+        return self._deliver(event, counts)
 
     def publish_many(self, events: Iterable[Event], publisher: str = "anonymous") -> int:
         """Publish a batch of events; returns total deliveries.
@@ -366,13 +349,13 @@ class Broker:
         batch = list(events)
         if not batch:
             return 0
-        stats = self.stats
         audit_note = self._audit.note
-        stats.published += len(batch)
+        counts = self.stats.cell()
+        counts.published += len(batch)
         for event in batch:
             audit_note("broker", "publish", publisher, ALLOWED, event.labels)
         deliver = self._deliver
-        return sum(deliver(event) for event in batch)
+        return sum(deliver(event, counts) for event in batch)
 
     # -- delivery ------------------------------------------------------------------
 
@@ -407,7 +390,6 @@ class Broker:
                 for subscription in self._subscriptions.values()
                 if subscription.topic == topic or _matches(subscription.segments, segments)
             ]
-            self.stats.index_hits += 1
             entries = tuple(
                 (
                     subscription,
@@ -446,29 +428,34 @@ class Broker:
                 self._planned += 1
         return plan
 
-    def _deliver(self, event: Event) -> int:
+    def _deliver(self, event: Event, counts) -> int:
+        """Deliver *event*, counting into *counts*, the publishing thread's
+        cell: taken by the caller, outside :attr:`_lock`, since a thread's
+        first ``cell()`` registers under the counters' own lock."""
         topic = event.topic
         route = self._routes.get(topic)
         if route is None:
             route = self._build_route(topic)
+            counts.index_hits += 1
         else:
-            self.stats.route_cache_hits += 1
+            counts.route_cache_hits += 1
         entries = route.entries
-        self.stats.candidates += len(entries)
+        counts.candidates += len(entries)
         if not entries:
             return 0
         if not self._label_checks:
-            return self._deliver_general(event, entries)
+            return self._deliver_general(event, entries, counts)
         plans = route.plans
         plan = plans.get(event.labels)
         if plan is None:
             plan = self._plan(route, event)
-        return self._deliver_general(event, plan, route, plans)
+        return self._deliver_general(event, plan, counts, route, plans)
 
     def _deliver_general(
         self,
         event: Event,
         plan: Sequence[_RouteEntry],
+        counts,
         route: Optional[_Route] = None,
         plans: Optional[Dict[LabelSet, Sequence[_RouteEntry]]] = None,
     ) -> int:
@@ -484,13 +471,13 @@ class Broker:
         them as one fan-out, so a callback error that propagates under
         ``raise_errors`` still leaves every decision made in the log.
         """
-        stats = self.stats
         label_checks = self._label_checks
         attributes = event.attributes
         decisions: List[Decision] = []
         delivered = 0
         selector_filtered = 0
         label_filtered = 0
+        errors = 0
         # Identical selector objects (shared through the parse cache) are
         # evaluated once per publish, not once per subscription.
         selector_memo: Dict[Selector, bool] = {}
@@ -519,16 +506,17 @@ class Broker:
                     if label_checks:
                         decisions.append(subscription._allowed)
                 except Exception as exc:  # noqa: BLE001 - a failing subscriber must not stop others
-                    stats.errors += 1
+                    errors += 1
                     decisions.append((subscription.principal, DENIED, f"callback error: {exc!r}"))
                     if self._raise_errors:
                         raise
                 if plans is not None and route.plans is not plans:
                     live = True
         finally:
-            stats.delivered += delivered
-            stats.selector_filtered += selector_filtered
-            stats.label_filtered += label_filtered
+            counts.delivered += delivered
+            counts.selector_filtered += selector_filtered
+            counts.label_filtered += label_filtered
+            counts.errors += errors
             if decisions:
                 self._audit.note_fanout("broker", "deliver", event.labels, decisions)
         return delivered

@@ -26,12 +26,23 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
-from typing import Any, Callable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import SelectorSyntaxError
 
 #: A compiled evaluator: attributes → value (None is SQL NULL/UNKNOWN).
 _Evaluator = Callable[[Mapping[str, str]], Any]
+
+#: Bound on a selector's depth, checked while parsing twice: the compiled
+#: tree's depth (one frame per level when the broker evaluates it on the
+#: publisher's thread) and the parser's nesting of parentheses, ``NOT`` and
+#: signs (up to eight frames per level). Unbounded, a few hundred levels
+#: raised ``RecursionError`` at subscribe, or at every publish on the topic
+#: for a long flat ``AND``/``OR``/``+`` chain. The package, its tests,
+#: examples and corpus nest at most 4 deep, and the parser property's
+#: 30-character inputs at most 30, so 64 refuses nothing written by hand
+#: and keeps both walks far below the default recursion limit of 1000.
+MAX_SELECTOR_DEPTH = 64
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -304,6 +315,11 @@ class _Parser:
     def __init__(self, tokens: List[_Token]):
         self._tokens = tokens
         self._position = 0
+        #: The compiled tree's depth under each evaluator built so far
+        #: (a leaf, absent here, is depth 1).
+        self._depths: Dict[_Evaluator, int] = {}
+        #: Open parentheses, ``NOT``s and signs above the current token.
+        self._nesting = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -330,6 +346,25 @@ class _Parser:
             )
         return token
 
+    # -- depth bound (MAX_SELECTOR_DEPTH) --------------------------------------
+
+    def _node(self, evaluator: _Evaluator, *operands: _Evaluator) -> _Evaluator:
+        """*evaluator*, built over *operands*, unless that makes the tree too deep."""
+        depth = 1 + max(self._depths.get(operand, 1) for operand in operands)
+        if depth > MAX_SELECTOR_DEPTH:
+            raise SelectorSyntaxError(f"selector nested deeper than {MAX_SELECTOR_DEPTH}")
+        self._depths[evaluator] = depth
+        return evaluator
+
+    def _nest(self, parse: Callable[[], _Evaluator]) -> _Evaluator:
+        """Run *parse* one nesting level down, unless that is too deep."""
+        self._nesting += 1
+        if self._nesting > MAX_SELECTOR_DEPTH:
+            raise SelectorSyntaxError(f"selector nested deeper than {MAX_SELECTOR_DEPTH}")
+        node = parse()
+        self._nesting -= 1
+        return node
+
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> _Evaluator:
@@ -341,18 +376,21 @@ class _Parser:
     def _or_expr(self) -> _Evaluator:
         node = self._and_expr()
         while self._accept("keyword", "OR"):
-            node = _or(node, self._and_expr())
+            right = self._and_expr()
+            node = self._node(_or(node, right), node, right)
         return node
 
     def _and_expr(self) -> _Evaluator:
         node = self._not_expr()
         while self._accept("keyword", "AND"):
-            node = _and(node, self._not_expr())
+            right = self._not_expr()
+            node = self._node(_and(node, right), node, right)
         return node
 
     def _not_expr(self) -> _Evaluator:
         if self._accept("keyword", "NOT"):
-            return _not(self._not_expr())
+            operand = self._nest(self._not_expr)
+            return self._node(_not(operand), operand)
         return self._condition()
 
     def _condition(self) -> _Evaluator:
@@ -360,26 +398,28 @@ class _Parser:
         token = self._peek()
         if token.kind == "op" and token.value in ("=", "<>", "<", "<=", ">", ">="):
             self._advance()
-            return _comparison(token.value, operand, self._sum())
+            right = self._sum()
+            return self._node(_comparison(token.value, operand, right), operand, right)
         negated = bool(self._accept("keyword", "NOT"))
         if self._accept("keyword", "BETWEEN"):
             low = self._sum()
             self._expect("keyword", "AND")
-            return _between(operand, low, self._sum(), negated)
+            high = self._sum()
+            return self._node(_between(operand, low, high, negated), operand, low, high)
         if self._accept("keyword", "IN"):
-            return _in(operand, self._literal_list(), negated)
+            return self._node(_in(operand, self._literal_list(), negated), operand)
         if self._accept("keyword", "LIKE"):
             pattern = self._expect("string").value
             escape = None
             if self._accept("keyword", "ESCAPE"):
                 escape = self._expect("string").value
-            return _like(operand, pattern, escape, negated)
+            return self._node(_like(operand, pattern, escape, negated), operand)
         if negated:
             raise SelectorSyntaxError("NOT must be followed by BETWEEN, IN or LIKE here")
         if self._accept("keyword", "IS"):
             is_negated = bool(self._accept("keyword", "NOT"))
             self._expect("keyword", "NULL")
-            return _is_null(operand, is_negated)
+            return self._node(_is_null(operand, is_negated), operand)
         return operand
 
     def _literal_list(self) -> Tuple[str, ...]:
@@ -396,7 +436,8 @@ class _Parser:
             token = self._peek()
             if token.kind == "op" and token.value in ("+", "-"):
                 self._advance()
-                node = _arithmetic(token.value, node, self._product())
+                right = self._product()
+                node = self._node(_arithmetic(token.value, node, right), node, right)
             else:
                 return node
 
@@ -406,15 +447,17 @@ class _Parser:
             token = self._peek()
             if token.kind == "op" and token.value in ("*", "/"):
                 self._advance()
-                node = _arithmetic(token.value, node, self._unary())
+                right = self._unary()
+                node = self._node(_arithmetic(token.value, node, right), node, right)
             else:
                 return node
 
     def _unary(self) -> _Evaluator:
         if self._accept("op", "-"):
-            return _negate(self._unary())
+            operand = self._nest(self._unary)
+            return self._node(_negate(operand), operand)
         if self._accept("op", "+"):
-            return self._unary()
+            return self._nest(self._unary)
         return self._primary()
 
     def _primary(self) -> _Evaluator:
@@ -432,7 +475,7 @@ class _Parser:
             self._advance()
             return _attribute(token.value)
         if self._accept("op", "("):
-            node = self._or_expr()
+            node = self._nest(self._or_expr)
             self._expect("op", ")")
             return node
         raise SelectorSyntaxError(f"unexpected token {token.value!r}")

@@ -46,6 +46,7 @@ from repro.events.stomp import client as stomp_client
 from repro.events.stomp.client import StompClient
 from repro.exceptions import SafeWebError
 from repro.faults import NULL_FAULTS, FaultInjector, SimulatedCrash
+from repro.telemetry import Counters
 
 #: Most runs a link keeps sent but not yet receipt-confirmed.
 SEND_WINDOW = 8
@@ -60,15 +61,11 @@ BACKOFF_BASE = 0.05
 BACKOFF_MAX = 2.0
 
 
-class _BridgeStats:
-    __slots__ = ("published", "delivered", "errors", "reconnects", "dead_lettered")
+class _BridgeStats(Counters):
+    """Written by publishing callers, the sender and the listener."""
 
-    def __init__(self):
-        self.published = 0
-        self.delivered = 0
-        self.errors = 0
-        self.reconnects = 0
-        self.dead_lettered = 0
+    NAMES = ("published", "delivered", "errors", "reconnects", "dead_lettered")
+    __slots__ = ()
 
 
 class _Run:
@@ -211,11 +208,7 @@ class StompBrokerBridge:
             "outgoing_depth": self._outgoing.qsize(),
             "unconfirmed": len(self._window),
             "subscriptions": len(self._subscriptions),
-            "published": self.stats.published,
-            "delivered": self.stats.delivered,
-            "errors": self.stats.errors,
-            "reconnects": self.stats.reconnects,
-            "dead_lettered": self.stats.dead_lettered,
+            **self.stats.snapshot(),
         }
 
     def ensure_connected(self) -> bool:
@@ -252,7 +245,7 @@ class StompBrokerBridge:
 
         def deliver(event: Event, *message_id: str) -> None:
             # The client adds the message id for ``ack="client"`` only.
-            self.stats.delivered += 1
+            self.stats.cell().delivered += 1
             callback(event, *message_id)
 
         sub_id = self._client.subscribe(
@@ -308,7 +301,7 @@ class StompBrokerBridge:
         batch = list(events)
         if not batch:
             return None
-        self.stats.published += len(batch)
+        self.stats.cell().published += len(batch)
         with self._settled:  # default markers wait on the run queued last
             run = self._last = _Run(batch)
             self._outgoing.put(run)
@@ -383,7 +376,7 @@ class StompBrokerBridge:
             if error is None or not unit:
                 return  # resent, or confirmed meanwhile after all
             events = [event for run in unit for event in run.events]
-            self.stats.errors += 1
+            self.stats.cell().errors += 1
             labels = LabelSet(label for event in events for label in event.labels)
             described = ", ".join(sorted({event.topic for event in events}))
             if len(events) > 1:
@@ -413,12 +406,13 @@ class StompBrokerBridge:
 
     def _settle(self, runs: List[_Run], ok: bool = True) -> None:
         """Confirm or park (on :attr:`dead_letters`) *runs*; call their markers."""
+        counts = self.stats.cell()  # registers outside the condition's lock
         with self._settled:
             runs = [run for run in runs if run.ok is None]  # not a late RECEIPT
             for run in runs:
                 run.ok = ok
                 if not ok:
-                    self.stats.dead_lettered += len(run.events)
+                    counts.dead_lettered += len(run.events)
                     self.dead_letters.extend(run.events)
             while self._window and self._window[0].ok is not None:
                 del self._window[0]
@@ -453,7 +447,7 @@ class StompBrokerBridge:
                     ack=spec.get("ack", "auto"),
                 )
             self._client = client
-            self.stats.reconnects += 1
+            self.stats.cell().reconnects += 1
             self._audit.allowed(
                 "bridge",
                 "reconnect",

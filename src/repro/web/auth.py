@@ -19,6 +19,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.principals import UserPrincipal
 from repro.exceptions import AuthenticationError
 from repro.storage.webdb import WebDatabase
+from repro.telemetry import Counters
 
 
 def parse_basic_header(header: Optional[str]) -> Tuple[str, str]:
@@ -85,7 +86,7 @@ class BasicAuthenticator:
         return principal
 
 
-class CachingAuthenticator(BasicAuthenticator):
+class CachingAuthenticator(BasicAuthenticator, Counters):
     """The cached enforcement fast path for the before-hook (Figure 3 step 1).
 
     The seed authenticator hits ``webdb`` twice per request: a PBKDF2
@@ -114,17 +115,16 @@ class CachingAuthenticator(BasicAuthenticator):
     #: to rebuild and the working set is "active users", far below this).
     MAX_ENTRIES = 4096
 
+    NAMES = ("credential_hits", "credential_misses", "principal_hits", "principal_misses")
+
     def __init__(self, webdb: WebDatabase):
         super().__init__(webdb)
+        Counters.__init__(self)
         self._cache_lock = threading.Lock()
         #: username → (generation, sha256(salt || password), row)
         self._credentials: Dict[str, Tuple[int, bytes, dict]] = {}
         #: username → (generation, principal)
         self._principals: Dict[str, Tuple[int, UserPrincipal]] = {}
-        self.credential_hits = 0
-        self.credential_misses = 0
-        self.principal_hits = 0
-        self.principal_misses = 0
 
     @staticmethod
     def _token(salt: str, password: str) -> bytes:
@@ -138,11 +138,11 @@ class CachingAuthenticator(BasicAuthenticator):
         if entry is not None and entry[0] == generation:
             cached_generation, token, row = entry
             if hmac.compare_digest(token, self._token(row["salt"], password)):
-                self.credential_hits += 1
+                self.cell().credential_hits += 1
                 return row
             # Same user, different password: fall through to the KDF so
             # a wrong guess costs exactly what it costs the seed path.
-        self.credential_misses += 1
+        self.cell().credential_misses += 1
         row = super().verify_credentials(username, password)
         with self._cache_lock:
             if len(self._credentials) >= self.MAX_ENTRIES:
@@ -160,9 +160,9 @@ class CachingAuthenticator(BasicAuthenticator):
         with self._cache_lock:
             entry = self._principals.get(username)
         if entry is not None and entry[0] == generation:
-            self.principal_hits += 1
+            self.cell().principal_hits += 1
             return entry[1]
-        self.principal_misses += 1
+        self.cell().principal_misses += 1
         principal = super().fetch_privileges(row)
         with self._cache_lock:
             if len(self._principals) >= self.MAX_ENTRIES:

@@ -26,6 +26,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
+from repro.telemetry import Counters
 from repro.web.auth import encode_basic
 from repro.web.request import TLS_ENV_KEY, Request
 from repro.web.response import Response
@@ -53,8 +54,11 @@ class _BadRequest(Exception):
 _ERROR_REASONS = {400: "Bad Request", 413: "Payload Too Large"}
 
 
-class HttpServer:
+class HttpServer(Counters):
     """Serve a SafeWeb app from a bounded pool of keep-alive workers."""
+
+    #: Requests served across all connections (tests/bench read this).
+    NAMES = ("requests_served",)
 
     def __init__(
         self,
@@ -64,6 +68,7 @@ class HttpServer:
         tls_context: Optional[ssl.SSLContext] = None,
         workers: int = 16,
     ):
+        super().__init__()
         self.app = app
         self.workers = workers
         self._tls_context = tls_context
@@ -76,8 +81,6 @@ class HttpServer:
         self._threads: list = []
         self._connections: Set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        #: Requests served across all connections (tests/bench read this).
-        self.requests_served = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -186,7 +189,7 @@ class HttpServer:
                     request.env[TLS_ENV_KEY] = True
                 response = self.app(request)
                 status, response_headers, payload = response.finalize()
-                self.requests_served += 1
+                self.cell().requests_served += 1
                 # Whole, in one write: the payload is already in memory.
                 lines = [f"HTTP/1.1 {status} {response.reason}"]
                 for name, value in response_headers.items():

@@ -47,6 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.exceptions import HaltRequest
 from repro.core.labels import LabelSet
 from repro.taint import strip_labels, with_labels
+from repro.telemetry import Counters
 from repro.web.framework import ROUTE_ENV_KEY, SafeWebApp
 from repro.web.request import Request
 from repro.web.response import Response
@@ -75,24 +76,23 @@ class _Entry:
         self.user = user  # None unless the route is vary_user
 
 
-class PageCache:
+class PageCache(Counters):
     """Route-scoped page cache with clearance-dominance release checks."""
 
     #: Bound on cached pages; overflow clears wholesale (entries are
     #: cheap to regenerate and an invalidation empties the cache anyway).
     MAX_ENTRIES = 512
 
+    NAMES = ("hits", "misses", "stores", "invalidations")
+
     def __init__(self):
+        super().__init__()
         self._lock = threading.Lock()
         self._routes: Dict[str, bool] = {}  # pattern -> vary_user
         self._entries: Dict[
             Tuple[str, Tuple[Tuple[str, str], ...], Optional[str]], _Entry
         ] = {}
         self._epoch = 0
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
 
     # -- configuration -----------------------------------------------------
 
@@ -122,11 +122,12 @@ class PageCache:
         database.add_change_listener(self._on_changes)
 
     def _on_changes(self, changes) -> None:
+        counts = self.cell()  # registers outside PageCache._lock
         with self._lock:
             self._epoch += 1
             if self._entries:
                 self._entries.clear()
-                self.invalidations += 1
+                counts.invalidations += 1
 
     # -- the hooks ---------------------------------------------------------
 
@@ -154,7 +155,7 @@ class PageCache:
         request.env[_KEY_ENV_KEY] = key
         user = request.user
         if entry is None or (vary_user and user is None):
-            self.misses += 1
+            self.cell().misses += 1
             request.env[CACHE_ENV_KEY] = "miss"
             return
         if entry.labels.confidentiality and (
@@ -162,10 +163,10 @@ class PageCache:
         ):
             # Not dominant: regenerate, and let the after-hook make
             # (and audit) the denial exactly as the fresh path would.
-            self.misses += 1
+            self.cell().misses += 1
             request.env[CACHE_ENV_KEY] = "miss"
             return
-        self.hits += 1
+        self.cell().hits += 1
         request.env[CACHE_ENV_KEY] = "hit"
         raise HaltRequest(entry.status, entry.body, dict(entry.headers))
 
@@ -190,23 +191,17 @@ class PageCache:
             user=request.user.name if vary_user and request.user else None,
         )
         key = request.env.get(_KEY_ENV_KEY)
+        counts = self.cell()  # registers outside PageCache._lock
         with self._lock:
             if request.env.get(_EPOCH_ENV_KEY) != self._epoch:
                 return None  # the store changed while this page rendered
             if len(self._entries) >= self.MAX_ENTRIES:
                 self._entries.clear()
             self._entries[key] = entry
-            self.stores += 1
+            counts.stores += 1
         return None
 
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "invalidations": self.invalidations,
-            }
+        return {"entries": len(self._entries), **self.snapshot()}

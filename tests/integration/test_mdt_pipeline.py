@@ -12,7 +12,7 @@ import pytest
 from repro.core.labels import LabelSet
 from repro.events.supervision import CircuitBreaker
 from repro.exceptions import FirewallError, ReadOnlyError
-from repro.mdt import MdtDeployment, generate_workload, mdt_label
+from repro.mdt import MdtDeployment, WorkloadConfig, generate_workload, mdt_label
 from repro.mdt.deployment import Zone
 from repro.mdt.storage_unit import define_application_views
 from repro.storage.docstore import Database
@@ -238,6 +238,26 @@ class TestRobustDeployment:
         unsupervised = MdtDeployment(generate_workload(CONFIG))
         assert unsupervised.engine.supervisor is None
         assert unsupervised.storage.breaker is None
+
+
+class TestMetricsPage:
+    """``GET /metrics`` byte for byte on the default deployment after one
+    pipeline pass: the broker and engine counters, their keys and the
+    sanitised report's shape."""
+
+    BODY = (
+        '{"broker": {"delivered": 137, "published": 137, "subscriptions": 7}, '
+        '"cluster": null, "engine": {"stats": {"callback_errors": 0, '
+        '"dead_lettered": 0, "dispatched": 137, "restarts": 0, "retries": 0}, '
+        '"units": 3}, "healthy": true}'
+    )
+
+    def test_body_is_pinned(self):
+        deployment = MdtDeployment(generate_workload(WorkloadConfig()))
+        deployment.run_pipeline()
+        response = deployment.anonymous_client().get("/metrics")
+        assert response.status == 200
+        assert response.text == self.BODY
 
 
 class TestViewCensus:

@@ -383,6 +383,49 @@ class TestPubSub:
         assert wait_for(lambda: len(server.broker) == 0)
 
 
+class TestDeepSelector:
+    """A selector nested past the parser's bound is refused at SUBSCRIBE."""
+
+    DEEP = (
+        "(" * 400 + "type = 'cancer'" + ")" * 400,
+        "NOT " * 2000 + "type = 'cancer'",
+        " AND ".join(["type = 'cancer'"] * 2000),
+    )
+
+    def test_error_frame_and_the_connection_still_subscribes(self, server):
+        parser = FrameParser()
+
+        def exchange(sock, frame, receipt):
+            sock.sendall(frame)
+            frames = []
+            while not any(f.header("receipt-id") == receipt for f in frames):
+                data = sock.recv(65536)
+                assert data, "the server hung up"
+                frames += parser.feed(data)
+            return [f.command for f in frames]
+
+        publisher = connect(server, login="data_producer")
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(_raw_frame("CONNECT", {"login": "data_aggregator"}))
+            assert sock.recv(4096).startswith(b"CONNECTED")
+            for n, text in enumerate(self.DEEP):
+                headers = {"destination": "/reports", "id": f"bad-{n}", "selector": text}
+                subscribe = _raw_frame("SUBSCRIBE", {**headers, "receipt": f"r{n}"})
+                assert exchange(sock, subscribe, f"r{n}") == ["ERROR", "RECEIPT"]
+            headers = {"destination": "/reports", "id": "good", "selector": "type = 'cancer'"}
+            subscribe = _raw_frame("SUBSCRIBE", {**headers, "receipt": "ok"})
+            assert exchange(sock, subscribe, "ok") == ["RECEIPT"]
+            assert len(server.broker) == 1
+            publisher.send("/reports", {"type": "cancer"}, receipt=True)
+            frames = []
+            while not frames:
+                frames = parser.feed(sock.recv(65536))
+            assert [(f.command, f.header("subscription")) for f in frames] == [
+                ("MESSAGE", "good")
+            ]
+        publisher.disconnect()
+
+
 class TestEgressHeaders:
     """An event published inside the broker may carry attributes named
     like STOMP or SafeWeb headers; on the wire they must not displace the

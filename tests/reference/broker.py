@@ -67,10 +67,10 @@ class ReferenceBroker(Broker):
                 self._seed_routes.clear()
             super().unsubscribe(subscription_id)
 
-    def _candidates(self, topic: str) -> Sequence[Subscription]:
+    def _candidates(self, topic: str, counts) -> Sequence[Subscription]:
         candidates = self._seed_routes.get(topic)
         if candidates is not None:
-            self.stats.route_cache_hits += 1
+            counts.route_cache_hits += 1
             return candidates
         with self._lock:
             # The subscriptions dict keeps registration order.
@@ -79,16 +79,15 @@ class ReferenceBroker(Broker):
                 for subscription in self._subscriptions.values()
                 if match_topic(subscription.topic, topic)
             )
-            self.stats.index_hits += 1
+            counts.index_hits += 1
             if len(self._seed_routes) >= ROUTE_CACHE_LIMIT:
                 self._seed_routes.clear()
             self._seed_routes[topic] = candidates
         return candidates
 
-    def _deliver(self, event: Event) -> int:
-        candidates = self._candidates(event.topic)
-        stats = self.stats
-        stats.candidates += len(candidates)
+    def _deliver(self, event: Event, counts) -> int:
+        candidates = self._candidates(event.topic, counts)
+        counts.candidates += len(candidates)
         labels = event.labels
         delivered = 0
         decisions = []
@@ -98,10 +97,10 @@ class ReferenceBroker(Broker):
                     continue
                 selector = subscription.selector
                 if selector is not None and not selector.matches(event.attributes):
-                    stats.selector_filtered += 1
+                    counts.selector_filtered += 1
                     continue
                 if self._label_checks and not subscription.cleared_for(event):
-                    stats.label_filtered += 1
+                    counts.label_filtered += 1
                     decisions.append(
                         (
                             subscription.principal,
@@ -116,12 +115,12 @@ class ReferenceBroker(Broker):
                     if self._label_checks:
                         decisions.append((subscription.principal, ALLOWED, ""))
                 except Exception as exc:  # noqa: BLE001 - a failing subscriber must not stop others
-                    stats.errors += 1
+                    counts.errors += 1
                     decisions.append((subscription.principal, DENIED, f"callback error: {exc!r}"))
                     if self._raise_errors:
                         raise
         finally:
-            stats.delivered += delivered
+            counts.delivered += delivered
             for principal, decision, detail in decisions:
                 self._audit.note("broker", "deliver", principal, decision, labels, detail)
         return delivered

@@ -182,7 +182,7 @@ class TestRealTree:
         expected = {
             "Database._lock",
             "SequenceAllocator._lock",
-            "EngineStats._lock",
+            "Counters._counter_lock",
             "ClusterRouter._bridge_lock",
             "ClusterRouter._dlq_lock",
             "ClusterRouter._unit_locks[*]",

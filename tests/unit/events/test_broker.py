@@ -1,5 +1,6 @@
 """Unit tests for the IFC-aware broker (paper §4.2)."""
 
+import sys
 import threading
 
 import pytest
@@ -261,6 +262,52 @@ class TestDeliveryOnThePublishingThread:
         assert len(received) == 100
         assert broker.drain(0.05) is True
         assert engine.drain(0.05) is True
+
+
+class TestConcurrentPublishers:
+    THREADS = 32
+    PUBLISHES = 300
+
+    def test_counters_exact_under_32_publishers(self):
+        """Every publisher thread counts into its own cell: under frequent
+        preemption the totals are exact and agree with the audit log."""
+        audit = AuditLog(capacity=50_000)
+        broker = Broker(audit=audit)
+        received = []
+
+        def fail(event):
+            raise RuntimeError("boom")
+
+        broker.subscribe("/t", received.append, principal="cleared", clearance=CLEARED)
+        broker.subscribe("/t", received.append, principal="nosy")
+        broker.subscribe("/t", received.append, principal="picky", selector="kind = 'x'")
+        broker.subscribe("/t", fail, principal="failing", clearance=CLEARED)
+
+        def publish():
+            for n in range(self.PUBLISHES):
+                broker.publish(Event("/t", {"n": str(n)}, labels=[PATIENT]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt often: a lost update would show
+        try:
+            threads = [threading.Thread(target=publish) for _ in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        total = self.THREADS * self.PUBLISHES
+        stats = broker.stats.snapshot()
+        assert len(received) == total
+        assert (stats["published"], stats["delivered"]) == (total, total)
+        assert (stats["label_filtered"], stats["selector_filtered"]) == (total, total)
+        assert stats["errors"] == total
+        assert stats["index_hits"] + stats["route_cache_hits"] == total
+        assert stats["candidates"] == 4 * total
+        denied = audit.count(component="broker", operation="deliver", decision="denied")
+        assert denied == stats["label_filtered"] + stats["errors"]
 
 
 class TestFanoutAuditOrder:

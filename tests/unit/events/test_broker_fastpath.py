@@ -285,7 +285,7 @@ class TestDeliveryFrame:
     def test_no_lock_and_no_context_call_after_a_threads_first_delivery(
         self, engine, monkeypatch
     ):
-        engine.publish("/in", {"n": "0"}, labels=[PATIENT])  # registers the thread's cell
+        engine.publish("/in", {"n": "0"}, labels=[PATIENT])  # registers the thread's cells
         acquired = []
 
         class CountingLock:
@@ -299,7 +299,8 @@ class TestDeliveryFrame:
             def __exit__(self, *exc_info):
                 return self._lock.__exit__(*exc_info)
 
-        monkeypatch.setattr(engine.stats, "_lock", CountingLock(engine.stats._lock))
+        for stats in (engine.stats, engine.broker.stats):
+            monkeypatch.setattr(stats, "_counter_lock", CountingLock(stats._counter_lock))
         calls = []
         # The engine module's own bindings too, should it import them again.
         for owner, name in (
@@ -319,6 +320,7 @@ class TestDeliveryFrame:
         assert acquired == []
         assert all(made == [] for made in calls)
         assert engine.stats.dispatched == 42
+        assert engine.broker.stats.published == 42  # the units' publishes included
 
     def test_one_call_between_the_broker_loop_and_the_callback(self, engine):
         engine.publish("/in", {"n": "1"}, labels=[PATIENT])

@@ -480,7 +480,7 @@ class TestConcurrentPublishers:
             sys.setswitchinterval(interval)
         assert engine.stats.dispatched == 32 * 50
         assert engine.stats.snapshot()["dispatched"] == 32 * 50
-        assert len(engine.stats._cells) <= threading.active_count()
+        assert len(engine.stats._counter_cells) <= threading.active_count()
 
 
 class TestListing1Pipeline:

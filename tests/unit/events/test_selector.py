@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.events.selector import Selector, parse_selector
+from repro.events.selector import MAX_SELECTOR_DEPTH, Selector, parse_selector
 from repro.exceptions import SelectorSyntaxError
 
 ATTRS = {
@@ -184,3 +184,55 @@ class TestParsing:
 
     def test_repr(self):
         assert "type" in repr(Selector("type = 'cancer'"))
+
+
+#: Each raised RecursionError on an unbounded parser: the first two when
+#: parsed, the flat chains on every evaluation, inside the broker's loop.
+TOO_DEEP = {
+    "400 parentheses": "(" * 400 + "type = 'cancer'" + ")" * 400,
+    "2000 NOTs": "NOT " * 2000 + "type = 'cancer'",
+    "2000 ANDed terms": " AND ".join(["type = 'cancer'"] * 2000),
+    "2000 ORed terms": " OR ".join(["type = 'cancer'"] * 2000),
+    "2000 summed terms": " + ".join(["age"] * 2000) + " > 1",
+}
+
+#: Per construct: its selector at *n* levels, and the most levels the bound
+#: admits. Parentheses count as nesting only; ``NOT``, signs and ``AND``
+#: build closures, so the comparison under them counts towards the
+#: compiled tree's depth too.
+AT_THE_BOUND = {
+    "parentheses": (
+        lambda n: "(" * n + "type = 'cancer'" + ")" * n,
+        MAX_SELECTOR_DEPTH,
+    ),
+    "NOTs": (lambda n: "NOT " * n + "type = 'cancer'", MAX_SELECTOR_DEPTH - 2),
+    "ANDed terms": (lambda n: " AND ".join(["type = 'cancer'"] * n), MAX_SELECTOR_DEPTH - 1),
+    "signs": (lambda n: "-" * n + "age <> 0", MAX_SELECTOR_DEPTH - 2),
+}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("text", TOO_DEEP.values(), ids=list(TOO_DEEP))
+    def test_too_deep_is_a_syntax_error(self, text):
+        with pytest.raises(SelectorSyntaxError, match="nested deeper than"):
+            Selector(text)
+
+    @pytest.mark.parametrize("construct", AT_THE_BOUND.values(), ids=list(AT_THE_BOUND))
+    def test_the_bound_is_exact(self, construct):
+        build, most = construct
+        assert Selector(build(most)).matches(ATTRS) in (True, False)
+        with pytest.raises(SelectorSyntaxError):
+            Selector(build(most + 1))
+
+    def test_a_refused_subscriber_leaves_the_topic_working(self):
+        """The bad subscriber comes first; the good one still receives."""
+        from repro.events import Broker, Event
+
+        broker = Broker()
+        received = []
+        for text in TOO_DEEP.values():
+            with pytest.raises(SelectorSyntaxError):
+                broker.subscribe("/reports", received.append, selector=text)
+        broker.subscribe("/reports", received.append, selector="type = 'cancer'")
+        assert broker.publish(Event("/reports", ATTRS)) == 1
+        assert len(received) == 1 and len(broker) == 1
