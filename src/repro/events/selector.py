@@ -285,9 +285,12 @@ def _is_null(operand: _Evaluator, negated: bool) -> _Evaluator:
 
 
 def _like_to_regex(pattern: str, escape: Optional[str]):
+    """Split on unescaped ``%``; each middle segment, of fixed length, is an
+    atomic group taking its leftmost placement (always a correct one), so
+    ``fullmatch`` cannot backtrack across segments and runs in linear time."""
     if escape is not None and len(escape) != 1:
         raise SelectorSyntaxError("ESCAPE requires a single character")
-    parts: List[str] = []
+    segments: List[List[str]] = [[]]
     index = 0
     while index < len(pattern):
         char = pattern[index]
@@ -295,15 +298,18 @@ def _like_to_regex(pattern: str, escape: Optional[str]):
             index += 1
             if index >= len(pattern):
                 raise SelectorSyntaxError("dangling ESCAPE character in LIKE pattern")
-            parts.append(re.escape(pattern[index]))
+            segments[-1].append(re.escape(pattern[index]))
         elif char == "%":
-            parts.append(".*")
+            segments.append([])
         elif char == "_":
-            parts.append(".")
+            segments[-1].append(".")
         else:
-            parts.append(re.escape(char))
+            segments[-1].append(re.escape(char))
         index += 1
-    return re.compile("".join(parts), re.DOTALL)
+    regex, *rest = ["".join(segment) for segment in segments]
+    if rest:
+        regex += "".join(f"(?>.*?{segment})" for segment in rest[:-1]) + ".*" + rest[-1]
+    return re.compile(regex, re.DOTALL)
 
 
 # ---------------------------------------------------------------------------

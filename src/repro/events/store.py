@@ -10,15 +10,17 @@ whose keys carry label sets:
   optional add/remove sets mirroring the publish call; removal requires
   the unit's declassification privilege.
 
-Values are copied on both paths (:func:`_private_copy`) so a jailed callback
-can never retain a shared mutable reference that would bypass label tracking.
+Values are frozen on write and thawed into a fresh copy on every read
+(:func:`_frozen`), so a jailed callback never holds a reference into state.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 from copy import deepcopy
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from io import BytesIO
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.audit import AuditLog, default_audit_log
 from repro.core.labels import Label, LabelSet
@@ -30,47 +32,35 @@ from repro.taint.labeled import PLAIN_TYPES
 _MISSING = object()
 
 
-class _NotAPlainTree(Exception):
-    """Raised by :func:`_copy_tree` where only ``deepcopy`` is faithful."""
+class _PlainPickler(pickle.Pickler):
+    """The C pickler saves exact plain data itself and asks this hook about
+    every other object, which it refuses."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        raise pickle.PicklingError(f"{type(obj).__name__} is not plain data")
 
 
-def _copy_tree(node: Any, seen: set) -> Any:
-    kind = type(node)
-    mark = id(node)
-    if kind not in (dict, list, tuple) or mark in seen:
-        raise _NotAPlainTree
-    seen.add(mark)
-    if kind is dict:
-        if not PLAIN_TYPES.issuperset(map(type, node)):
-            raise _NotAPlainTree
-        return {
-            key: item if type(item) in PLAIN_TYPES else _copy_tree(item, seen)
-            for key, item in node.items()
-        }
-    return kind([item if type(item) in PLAIN_TYPES else _copy_tree(item, seen) for item in node])
+def _as_is(value: Any) -> Any:
+    return value
 
 
-def _private_copy(value: Any) -> Any:
-    """A copy of *value* equal to ``copy.deepcopy(value)`` on every input.
+def _frozen(value: Any) -> Tuple[Callable[[Any], Any], Any]:
+    """``(thaw, frozen)`` with ``thaw(frozen)`` equal to ``copy.deepcopy(value)``.
 
-    A *tree* of exact ``dict``/``list``/``tuple`` over exact
-    ``PLAIN_TYPES`` leaves and keys — what units store in practice — is
-    rebuilt container by container with the immutable leaves shared.
-    Anything else (a labelled scalar, which ``deepcopy`` reduces to plain
-    so that the per-key labels govern; a ``set``; a container subclass; an
-    arbitrary object; a container reached twice, whose aliasing or cycle
-    ``deepcopy``'s memo preserves) takes ``copy.deepcopy`` of the whole
-    value. Deliberately not ``json_codec.copy_containers``: that shares
-    labelled leaves and passes non-JSON values through uncopied because
-    the docstore validated JSON at write time; a jailed unit can put
-    anything in here.
+    A plain scalar is kept as is; other plain data becomes pickle bytes that
+    name no global, so ``pickle.loads`` imports nothing and raises no audit
+    event in the jail. Anything else is kept and thawed by ``deepcopy``.
+    Protocol 4: protocol 5 saves a ``PickleBuffer``, which ``deepcopy``
+    refuses, as bytes.
     """
     if type(value) in PLAIN_TYPES:
-        return value
+        return _as_is, value
+    buffer = BytesIO()
     try:
-        return _copy_tree(value, set())
-    except _NotAPlainTree:
-        return deepcopy(value)
+        _PlainPickler(buffer, 4).dump(value)
+    except Exception:  # refused or failed: deepcopy decides, and raises its own error
+        return deepcopy, deepcopy(value)
+    return pickle.loads, buffer.getvalue()
 
 
 class LabeledStore:
@@ -80,7 +70,8 @@ class LabeledStore:
         self._principal = principal
         self._audit = audit if audit is not None else default_audit_log()
         self._lock = threading.Lock()
-        self._entries: Dict[str, Tuple[Any, LabelSet]] = {}
+        #: key → ``(thaw, frozen, labels)``; see :func:`_frozen`.
+        self._entries: Dict[str, Tuple[Callable[[Any], Any], Any, LabelSet]] = {}
 
     # -- reads -------------------------------------------------------------
 
@@ -90,9 +81,9 @@ class LabeledStore:
             entry = self._entries.get(key, _MISSING)
         if entry is _MISSING:
             return default
-        value, labels = entry
+        thaw, frozen, labels = entry
         self._taint_ambient(labels)
-        return _private_copy(value)
+        return thaw(frozen)
 
     def labels_for(self, key: str) -> LabelSet:
         """The labels on *key* without reading the value (no ambient widening)."""
@@ -100,7 +91,7 @@ class LabeledStore:
             entry = self._entries.get(key, _MISSING)
         if entry is _MISSING:
             return LabelSet()
-        return entry[1]
+        return entry[2]
 
     def keys(self) -> List[str]:
         with self._lock:
@@ -130,7 +121,8 @@ class LabeledStore:
         same rules as the engine's publish call (§4.3).
         """
         labels = self._checked_labels(current_labels(), add, remove, operation="store.set")
-        entry = (_private_copy(value), labels)
+        thaw, frozen = _frozen(value)
+        entry = (thaw, frozen, labels)
         with self._lock:
             self._entries[key] = entry
         return labels

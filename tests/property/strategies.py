@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from collections import OrderedDict
+
 from hypothesis import strategies as st
 
 from repro.core.labels import CONFIDENTIALITY, INTEGRITY, Label, LabelSet
@@ -110,17 +113,95 @@ def _odd_containers(children):
     )
 
 
+class CountsCopies:
+    """Copies itself its own way: a copy made by pickling, not by
+    ``deepcopy``, shows in ``copies``."""
+
+    def __init__(self, copies=0):
+        self.copies = copies
+
+    def __deepcopy__(self, memo):
+        return CountsCopies(self.copies + 1)
+
+
+def module_level_function():
+    """A module-level function: ``deepcopy`` keeps it, a pickler saves it by name."""
+
+
+def _list_tuple_cycle():
+    """A list and a tuple that contain each other."""
+    items = ["x"]
+    pair = (1, items)
+    items.append(pair)
+    return pair
+
+
+#: Values where a pickle-based copy and ``deepcopy`` could disagree, by name:
+#: a ``PickleBuffer`` (``deepcopy`` refuses it, protocol 5 saves it), a
+#: ``bytearray`` (``marshal`` makes it ``bytes``), float and int edges
+#: inside a container (a bare scalar is never pickled), the atoms
+#: ``deepcopy`` returns as they are, a container subclass, a cycle through a
+#: tuple, non-string dict keys, and an object with its own ``__deepcopy__``.
+EDGE_VALUES = {
+    "pickle_buffer": pickle.PickleBuffer(b"ab"),
+    "bytearray": bytearray(b"ab"),
+    "float_edges": [float("nan"), -0.0, float("inf"), float("-inf")],
+    "big_ints": [2**64, -(2**100)],
+    "complex": complex(-0.0, float("nan")),
+    "type": int,
+    "class": OrderedDict,
+    "module_function": module_level_function,
+    "builtin_function": len,
+    "lambda": lambda: 0,
+    "ellipsis": Ellipsis,
+    "range": range(3),
+    "ordered_dict": OrderedDict(b=[1], a=(2,)),
+    "list_tuple_cycle": _list_tuple_cycle(),
+    "odd_keys": {True: [1], None: [2], (1, "a"): [3], (): [4]},
+    "own_deepcopy": [CountsCopies()],
+}
+_edge_leaves = st.one_of(
+    st.sampled_from(tuple(EDGE_VALUES.values())),
+    st.sampled_from((float("nan"), -0.0, float("inf"), 2**64, -(2**100))),
+    st.binary(max_size=4).map(pickle.PickleBuffer),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3).map(range),
+)
+_edge_keys = st.sampled_from((True, False, None, (), (1, "a"), (None, (True,))))
+
+
+def _edge_containers(children):
+    return st.one_of(
+        _plain_containers(children),
+        st.dictionaries(st.text(max_size=3), children, max_size=3).map(OrderedDict),
+        st.dictionaries(_edge_keys, children, max_size=3),
+    )
+
+
 @st.composite
 def _aliased(draw, trees):
-    """One list referenced twice, or a list that contains itself."""
+    """One list referenced twice, a list that contains itself, or a list
+    and a tuple that contain each other."""
     shared = draw(st.lists(trees, max_size=3))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(("twice", "self", "tuple")))
+    if shape == "twice":
         return {"first": shared, "nested": [draw(trees), shared]}
-    shared.append(shared)
-    return (draw(trees), shared)
+    if shape == "self":
+        shared.append(shared)
+        return (draw(trees), shared)
+    pair = (draw(trees), shared)
+    shared.append(pair)
+    return draw(st.sampled_from((pair, shared)))
 
 
 #: Everything else a jailed unit might store: the shapes only ``deepcopy``
 #: copies faithfully, alone or buried inside an otherwise plain tree.
 _odd_trees = _trees(st.one_of(_plain_leaves, _odd_leaves), _odd_containers)
-adversarial_values = st.one_of(_odd_trees, _aliased(plain_trees), _aliased(_odd_trees))
+_edge_trees = _trees(st.one_of(_plain_leaves, _edge_leaves), _edge_containers)
+adversarial_values = st.one_of(
+    _odd_trees,
+    _edge_trees,
+    _aliased(plain_trees),
+    _aliased(_odd_trees),
+    _aliased(_edge_trees),
+)

@@ -1,24 +1,29 @@
 """Property: ``LabeledStore``'s copy is ``copy.deepcopy``, observably.
 
-``set`` keeps a private copy and ``get`` hands out another (paper §4.3: a
-jailed callback never retains a reference into stored state). The store
-rebuilds plain trees structurally and falls back to ``copy.deepcopy`` for
-everything else; either way a ``set`` followed by a ``get`` must be
-indistinguishable from ``copy.deepcopy(copy.deepcopy(value))``.
+``set`` keeps a private frozen form and ``get`` hands out a fresh copy of
+it (paper §4.3: a jailed callback never retains a reference into stored
+state). The store pickles plain data once and thaws it with
+``pickle.loads``, and keeps ``copy.deepcopy`` of everything else; either
+way a ``set`` followed by a ``get`` must be indistinguishable from
+``copy.deepcopy(copy.deepcopy(value))``, or raise what ``deepcopy`` raises.
 """
 
 import copy
+import types
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core.principals import UnitPrincipal
 from repro.events import LabeledStore
 from repro.events.jail import Jail
 
-from tests.property.strategies import adversarial_values, plain_trees
+from tests.property.strategies import EDGE_VALUES, adversarial_values, plain_trees
 
 JAIL = Jail()
 _SCALARS = (str, bytes, int, float, type(None))  # plain or labelled
+#: What ``deepcopy`` returns as it is; compared by ``repr``, like scalars.
+_ATOMS = (complex, range, type, type(Ellipsis), types.FunctionType, types.BuiltinFunctionType)
 _IMMUTABLE = (tuple, frozenset)
 
 
@@ -42,7 +47,7 @@ def shape(value):
 
     def walk(node):
         kind = type(node)
-        if isinstance(node, _SCALARS):
+        if isinstance(node, _SCALARS + _ATOMS):
             return (kind, repr(node))
         if id(node) in first_visit:
             return ("again", first_visit[id(node)])
@@ -57,7 +62,7 @@ def mutable_ids(value):
     found, seen, stack = set(), set(), [value]
     while stack:
         node = stack.pop()
-        if isinstance(node, _SCALARS) or id(node) in seen:
+        if isinstance(node, _SCALARS + _ATOMS) or id(node) in seen:
             continue
         seen.add(id(node))
         if not isinstance(node, _IMMUTABLE):
@@ -68,13 +73,23 @@ def mutable_ids(value):
 
 def check_round_trip(value):
     store = LabeledStore(UnitPrincipal("unit"))
-    expected = shape(copy.deepcopy(copy.deepcopy(value)))
+    try:
+        once = copy.deepcopy(value)
+        twice = copy.deepcopy(once)
+    except Exception as refused:
+        with JAIL.contained(), pytest.raises(type(refused)):
+            store.set("key", value)
+        assert "key" not in store
+        return
     with JAIL.contained():
         store.set("key", value)
         first = store.get("key")
         second = store.get("key")
-    stored = store._entries["key"][0]
-    assert shape(first) == shape(second) == shape(stored) == expected
+    thaw, frozen, _ = store._entries["key"]
+    # A fallback entry holds its deepcopy; a frozen one holds bytes.
+    stored = frozen if thaw is copy.deepcopy else thaw(frozen)
+    assert shape(stored) == shape(once)
+    assert shape(first) == shape(second) == shape(twice)
     owners = [mutable_ids(each) for each in (value, stored, first, second)]
     for index, ids in enumerate(owners):
         for other in owners[index + 1:]:
@@ -90,3 +105,8 @@ def test_plain_tree_round_trip_equals_deepcopy(value):
 @given(adversarial_values)
 def test_adversarial_round_trip_equals_deepcopy(value):
     check_round_trip(value)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_VALUES))
+def test_edge_value_round_trip_equals_deepcopy(name):
+    check_round_trip(EDGE_VALUES[name])

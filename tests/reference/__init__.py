@@ -5,8 +5,9 @@ the package now implements faster: the linear topic matcher
 (:mod:`tests.reference.topics`), the linear regex router
 (:mod:`tests.reference.router`), the single-dict document store
 (:mod:`tests.reference.store`), the per-character STOMP frame codec
-(:mod:`tests.reference.frames`) and the per-candidate delivery loop with
-its three-call engine ladder (:mod:`tests.reference.broker`). No
+(:mod:`tests.reference.frames`), the per-candidate delivery loop with
+its three-call engine ladder (:mod:`tests.reference.broker`) and the
+backtracking ``LIKE`` translation (:mod:`tests.reference.like`). No
 deployment runs them.
 
 A spec is still a second implementation: a bug it shares with the

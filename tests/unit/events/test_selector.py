@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.events.selector import MAX_SELECTOR_DEPTH, Selector, parse_selector
+from repro.events.selector import MAX_SELECTOR_DEPTH, Selector, _like_to_regex, parse_selector
 from repro.exceptions import SelectorSyntaxError
 
 ATTRS = {
@@ -117,6 +117,37 @@ class TestLike:
 
     def test_not_like(self):
         assert matches("hospital NOT LIKE 'pap%'")
+
+
+#: (pattern, ESCAPE character, unescaped ``%`` count)
+LIKE_WILDCARDS = {
+    "none": ("adden_rooke", None, 0),
+    "trailing": ("adden%", None, 1),
+    "leading": ("%brookes", None, 1),
+    "inner": ("a%b%c", None, 2),
+    "adjacent": ("%%%", None, 3),
+    "escaped": ("100!%%", "!", 1),
+    "escaped escape": ("a!!%b%c", "!", 2),
+    "percent as escape": ("a%%b%%", "%", 0),
+    "adversarial": ("%a%a%a%a%a%a%a%a%b", None, 9),
+}
+
+
+class TestLikeIsLinear:
+    """Each middle segment between two unescaped ``%`` is an atomic group, so
+    ``fullmatch`` cannot backtrack across segments: the structure, not a
+    timing, is the pin."""
+
+    @pytest.mark.parametrize("case", LIKE_WILDCARDS.values(), ids=list(LIKE_WILDCARDS))
+    def test_k_wildcards_compile_to_k_minus_one_atomic_groups(self, case):
+        pattern, escape, wildcards = case
+        compiled = _like_to_regex(pattern, escape).pattern
+        assert compiled.count("(?>") == max(wildcards - 1, 0)
+
+    def test_the_adversarial_selector_evaluates_on_80_characters(self):
+        selector = Selector("x LIKE '%a%a%a%a%a%a%a%a%b'")
+        assert selector.matches({"x": "a" * 80}) is False
+        assert selector.matches({"x": "a" * 79 + "b"}) is True
 
 
 class TestNullTests:

@@ -1,6 +1,7 @@
 """Unit tests for the labelled key-value store (paper §4.3)."""
 
 import copy
+import sys
 
 import pytest
 
@@ -9,7 +10,9 @@ from repro.core.principals import UnitPrincipal
 from repro.core.privileges import DECLASSIFICATION, ENDORSEMENT, PrivilegeSet
 from repro.events import LabelContext, LabeledStore, current_labels
 from repro.events import store as store_module
+from repro.events.jail import Jail
 from repro.exceptions import DeclassificationError, EndorsementError
+from repro.taint import LabeledStr
 
 PATIENT = conf_label("ecric.org.uk", "patient", "1")
 MDT = conf_label("ecric.org.uk", "mdt", "1")
@@ -98,7 +101,7 @@ class TestReadWrite:
 
 
 class TestCopyFallback:
-    """Plain trees are copied structurally; only the rest pays ``deepcopy``."""
+    """Plain data is frozen by the pickler; only the rest pays ``deepcopy``."""
 
     @pytest.fixture()
     def fallbacks(self, monkeypatch):
@@ -125,7 +128,7 @@ class TestCopyFallback:
 
     def test_non_tree_value_takes_it_once_per_call(self, fallbacks):
         store = make_store()
-        value = {"rows": [1], "tags": {"a", "b"}}
+        value = {"rows": [1], "name": LabeledStr("x", labels=LabelSet([PATIENT]))}
         with LabelContext():
             store.set("k", value)
             assert len(fallbacks) == 1
@@ -134,6 +137,42 @@ class TestCopyFallback:
             store.set("plain", {"rows": [1]})
             store.get("plain")
         assert len(fallbacks) == 2
+
+
+class TestCopyWork:
+    """A plain value is frozen and thawed in C: the Python work of one jailed
+    ``set`` plus ``get`` does not grow with the value's containers, and no
+    ``id()`` (an audit event inside the jail) is called per container."""
+
+    JAIL = Jail()
+
+    def profiled_round_trip(self, value):
+        store = make_store()
+        calls, id_calls = [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+            elif event == "c_call" and arg is id:
+                id_calls.append(arg)
+
+        with self.JAIL.contained():
+            sys.setprofile(profile)
+            try:
+                store.set("k", value)
+                copied = store.get("k")
+            finally:
+                sys.setprofile(None)
+        assert copied == value
+        return calls, id_calls
+
+    def test_python_calls_do_not_grow_with_containers(self):
+        one = [1, 2, 3]
+        twenty = {"rows": [{"mid": index, "tags": [index]} for index in range(9)]}
+        small_calls, small_ids = self.profiled_round_trip(one)
+        large_calls, large_ids = self.profiled_round_trip(twenty)
+        assert len(small_calls) == len(large_calls)
+        assert small_ids == large_ids == []
 
 
 class TestLabelManipulation:
